@@ -1,17 +1,15 @@
 //! The reference CPU backend: real `zkp-msm`/`zkp-ntt` kernels on a
 //! `zkp-runtime` pool, bit-identical to the pre-backend prover.
 
-use crate::{witness_maps, witness_maps_into, ExecBackend, G1Msm};
+use crate::{witness_maps_into, BackendError, ExecBackend, G1Bases, G1Msm};
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{
-    msm_parallel_with_config, msm_parallel_with_config_in, MsmConfig, MsmPlan, MsmScratch,
-};
+use zkp_msm::{msm_parallel_with_config_in, MsmConfig, MsmScratch};
 use zkp_ntt::{distribute_powers_parallel, ntt_parallel_on, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
 
 /// Chunk floor for the element-wise scaling passes — matches
-/// `zkp_ntt::quotient_poly_on` so decompositions (and therefore rounding
+/// `zkp_ntt::quotient_poly_in` so decompositions (and therefore rounding
 /// of nothing — these are exact field ops) stay structurally identical.
 const SCALE_CHUNK: usize = 4096;
 
@@ -23,15 +21,10 @@ pub struct CpuBackend<'p> {
 }
 
 /// The fastest measured CPU configuration: GLV-decomposed, signed-digit
-/// XYZZ buckets. `ZKP_MSM_GLV=0` disables the endomorphism split (the
-/// knob the CI smoke uses to A/B the two paths — proofs must match
-/// byte for byte either way).
+/// XYZZ buckets. [`CpuBackend::with_msm_config`] selects another; proofs
+/// match byte for byte either way.
 pub fn default_msm_config() -> MsmConfig {
-    let mut cfg = MsmConfig::glv_style();
-    if std::env::var("ZKP_MSM_GLV").is_ok_and(|v| v == "0") {
-        cfg.endomorphism = false;
-    }
-    cfg
+    MsmConfig::glv_style()
 }
 
 impl<'p> CpuBackend<'p> {
@@ -64,60 +57,41 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
         self.pool
     }
 
-    fn msm_g1(
-        &self,
-        _which: G1Msm,
-        bases: &[Affine<G1Curve<C>>],
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        msm_parallel_with_config(bases, scalars, &self.msm_cfg, self.pool).point
-    }
-
-    fn msm_g1_planned(
-        &self,
-        _which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        plan.execute(scalars, self.pool).point
-    }
-
-    fn msm_g1_planned_in(
-        &self,
-        _which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Jacobian<G1Curve<C>> {
-        plan.execute_in(scalars, self.pool, scratch).point
-    }
-
     fn msm_algorithm(&self) -> String {
         self.msm_cfg.describe()
     }
 
-    fn msm_g2(&self, bases: &[Affine<G2Curve<C>>], scalars: &[C::Fr]) -> Jacobian<G2Curve<C>> {
-        msm_parallel_with_config(bases, scalars, &self.msm_cfg, self.pool).point
-    }
-
-    fn msm_g2_in(
+    fn witness_eval(
         &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Jacobian<G2Curve<C>> {
-        msm_parallel_with_config_in(bases, scalars, &self.msm_cfg, self.pool, scratch).point
+        cs: &ConstraintSystem<C::Fr>,
+        domain_size: u64,
+        a: &mut Vec<C::Fr>,
+        b: &mut Vec<C::Fr>,
+        c: &mut Vec<C::Fr>,
+    ) -> Result<(), BackendError> {
+        witness_maps_into(cs, domain_size, a, b, c);
+        Ok(())
     }
 
-    fn ntt_forward(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
         ntt_parallel_on(values, table, false, self.pool);
+        Ok(())
     }
 
-    fn ntt_inverse(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
         ntt_parallel_on(values, table, true, self.pool);
+        Ok(())
     }
 
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) {
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
         distribute_powers_parallel(self.pool, values, g);
         self.pool
             .for_each_chunk_mut(values, SCALE_CHUNK, |_, _, chunk| {
@@ -125,24 +99,31 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
                     *x *= scale;
                 }
             });
+        Ok(())
     }
 
-    fn witness_eval(
+    fn msm_g1(
         &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-    ) -> crate::WitnessMaps<C::Fr> {
-        witness_maps(cs, domain_size)
+        _which: G1Msm,
+        bases: G1Bases<'_, C>,
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G1Curve<C>>,
+    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
+        Ok(match bases {
+            G1Bases::Affine(points) => {
+                msm_parallel_with_config_in(points, scalars, &self.msm_cfg, self.pool, scratch)
+            }
+            G1Bases::Planned(plan) => plan.execute_in(scalars, self.pool, scratch),
+        }
+        .point)
     }
 
-    fn witness_eval_into(
+    fn msm_g2(
         &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) {
-        witness_maps_into(cs, domain_size, a, b, c);
+        bases: &[Affine<G2Curve<C>>],
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G2Curve<C>>,
+    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
+        Ok(msm_parallel_with_config_in(bases, scalars, &self.msm_cfg, self.pool, scratch).point)
     }
 }

@@ -9,17 +9,16 @@
 //! concurrent provers, op indices interleave but every op still gets
 //! exactly one decision).
 //!
-//! Injected **errors** surface as [`BackendError::OpFailed`] on the
-//! `try_*` path; on the infallible path (which has no error channel) they
-//! panic, which the `zkp-runtime` pool forwards to the submitting call.
-//! Injected **panics** panic on both paths — that is their job — and
-//! **delays** sleep before delegating, on both paths.
+//! Injected **errors** surface as [`BackendError::OpFailed`] from the op.
+//! Injected **panics** panic inside the op — that is their job; the
+//! `zkp-runtime` pool forwards them to the submitting call — and
+//! **delays** sleep before delegating.
 
-use crate::{BackendError, ExecBackend, ExecTrace, G1Msm, WitnessMaps};
+use crate::{BackendError, ExecBackend, ExecTrace, G1Bases, G1Msm};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{MsmPlan, MsmScratch};
+use zkp_msm::MsmScratch;
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -56,8 +55,7 @@ pub enum FaultStage {
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Fail the op: `Err(BackendError::OpFailed)` on the `try_*` path, a
-    /// panic on the infallible path.
+    /// Fail the op with `Err(BackendError::OpFailed)`.
     Error,
     /// Panic inside the op (exercises `catch_unwind` isolation).
     Panic,
@@ -175,8 +173,7 @@ impl FaultPlan {
 /// Counters of what a [`FaultInjectingBackend`] actually injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectedFaults {
-    /// Ops failed with [`BackendError::OpFailed`] (or an error-panic on
-    /// the infallible path).
+    /// Ops failed with [`BackendError::OpFailed`].
     pub errors: u64,
     /// Ops that panicked.
     pub panics: u64,
@@ -253,16 +250,6 @@ impl<B> FaultInjectingBackend<B> {
             }
         }
     }
-
-    /// [`gate`](Self::gate) for the infallible entry points, which have
-    /// no error channel: injected errors escalate to panics (forwarded to
-    /// the submitting call by the pool), with a message pointing at the
-    /// `try_*` path.
-    fn gate_infallible(&self, stage: FaultStage, op: &'static str) {
-        if let Err(e) = self.gate(stage, op) {
-            panic!("{e} (infallible path; use the try_* mirror to observe errors)");
-        }
-    }
 }
 
 impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend<B> {
@@ -274,143 +261,15 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
         self.inner.pool()
     }
 
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        bases: &[Affine<G1Curve<C>>],
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        self.gate_infallible(FaultStage::MsmG1, "msm_g1");
-        self.inner.msm_g1(which, bases, scalars)
-    }
-
-    fn msm_g1_planned(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        self.gate_infallible(FaultStage::MsmG1, "msm_g1_planned");
-        self.inner.msm_g1_planned(which, plan, scalars)
-    }
-
-    fn msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Jacobian<G1Curve<C>> {
-        self.gate_infallible(FaultStage::MsmG1, "msm_g1_planned_in");
-        self.inner.msm_g1_planned_in(which, plan, scalars, scratch)
-    }
-
     fn msm_algorithm(&self) -> String {
         self.inner.msm_algorithm()
-    }
-
-    fn msm_g2(&self, bases: &[Affine<G2Curve<C>>], scalars: &[C::Fr]) -> Jacobian<G2Curve<C>> {
-        self.gate_infallible(FaultStage::MsmG2, "msm_g2");
-        self.inner.msm_g2(bases, scalars)
-    }
-
-    fn msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Jacobian<G2Curve<C>> {
-        self.gate_infallible(FaultStage::MsmG2, "msm_g2_in");
-        self.inner.msm_g2_in(bases, scalars, scratch)
-    }
-
-    fn ntt_forward(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        self.gate_infallible(FaultStage::Ntt, "ntt_forward");
-        self.inner.ntt_forward(table, values);
-    }
-
-    fn ntt_inverse(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        self.gate_infallible(FaultStage::Ntt, "ntt_inverse");
-        self.inner.ntt_inverse(table, values);
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) {
-        self.gate_infallible(FaultStage::Coset, "coset_mul");
-        self.inner.coset_mul(values, g, scale);
-    }
-
-    fn witness_eval(&self, cs: &ConstraintSystem<C::Fr>, domain_size: u64) -> WitnessMaps<C::Fr> {
-        self.gate_infallible(FaultStage::WitnessEval, "witness_eval");
-        self.inner.witness_eval(cs, domain_size)
-    }
-
-    fn witness_eval_into(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) {
-        self.gate_infallible(FaultStage::WitnessEval, "witness_eval_into");
-        self.inner.witness_eval_into(cs, domain_size, a, b, c);
     }
 
     fn take_trace(&self) -> ExecTrace {
         self.inner.take_trace()
     }
 
-    fn try_msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        self.gate(FaultStage::MsmG1, "msm_g1")?;
-        self.inner
-            .try_msm_g1_planned_in(which, plan, scalars, scratch)
-    }
-
-    fn try_msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        self.gate(FaultStage::MsmG2, "msm_g2")?;
-        self.inner.try_msm_g2_in(bases, scalars, scratch)
-    }
-
-    fn try_ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::Ntt, "ntt_forward")?;
-        self.inner.try_ntt_forward(table, values)
-    }
-
-    fn try_ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::Ntt, "ntt_inverse")?;
-        self.inner.try_ntt_inverse(table, values)
-    }
-
-    fn try_coset_mul(
-        &self,
-        values: &mut [C::Fr],
-        g: C::Fr,
-        scale: C::Fr,
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::Coset, "coset_mul")?;
-        self.inner.try_coset_mul(values, g, scale)
-    }
-
-    fn try_witness_eval_into(
+    fn witness_eval(
         &self,
         cs: &ConstraintSystem<C::Fr>,
         domain_size: u64,
@@ -419,7 +278,51 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
         c: &mut Vec<C::Fr>,
     ) -> Result<(), BackendError> {
         self.gate(FaultStage::WitnessEval, "witness_eval")?;
-        self.inner.try_witness_eval_into(cs, domain_size, a, b, c)
+        self.inner.witness_eval(cs, domain_size, a, b, c)
+    }
+
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        self.gate(FaultStage::Ntt, "ntt_forward")?;
+        self.inner.ntt_forward(table, values)
+    }
+
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        self.gate(FaultStage::Ntt, "ntt_inverse")?;
+        self.inner.ntt_inverse(table, values)
+    }
+
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
+        self.gate(FaultStage::Coset, "coset_mul")?;
+        self.inner.coset_mul(values, g, scale)
+    }
+
+    fn msm_g1(
+        &self,
+        which: G1Msm,
+        bases: G1Bases<'_, C>,
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G1Curve<C>>,
+    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
+        self.gate(FaultStage::MsmG1, "msm_g1")?;
+        self.inner.msm_g1(which, bases, scalars, scratch)
+    }
+
+    fn msm_g2(
+        &self,
+        bases: &[Affine<G2Curve<C>>],
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G2Curve<C>>,
+    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
+        self.gate(FaultStage::MsmG2, "msm_g2")?;
+        self.inner.msm_g2(bases, scalars, scratch)
     }
 }
 

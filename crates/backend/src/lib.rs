@@ -27,7 +27,6 @@ pub mod cpu;
 pub mod fault;
 pub mod sim;
 pub mod trace;
-pub mod tracing;
 
 use gpu_sim::DeviceSpec;
 use std::time::Instant;
@@ -42,17 +41,19 @@ pub use cpu::CpuBackend;
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultStage, InjectedFaults};
 pub use gpu_kernels::LibraryId;
 pub use sim::{cpu_op_seconds, GpuCostModel, SimGpuBackend};
-pub use trace::{ExecTrace, G1Msm, ModeledCost, OpClass, OpKind, OpRecord, StageRow, TraceSummary};
-pub use tracing::TracingBackend;
+pub use trace::{
+    ExecTrace, G1Msm, ModeledCost, OpClass, OpKind, OpRecord, StageRow, TraceSummary,
+    TracingBackend,
+};
 
 /// The three QAP witness maps `(⟨A,z⟩, ⟨B,z⟩, ⟨C,z⟩)` over the domain.
 pub type WitnessMaps<F> = (Vec<F>, Vec<F>, Vec<F>);
 
 /// Why a fallible backend operation did not complete.
 ///
-/// This is the typed error the `try_*` mirror of [`ExecBackend`]
-/// propagates up through `ProverSession::try_prove_in_on` and the proof
-/// service's retry loop, instead of unwinding the worker thread.
+/// This is the typed error every [`ExecBackend`] op returns; it propagates
+/// up through `ProverSession::try_prove_in_on` to the proof service's
+/// retry loop instead of unwinding the worker thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// The operation failed — an injected fault in tests/experiments, or
@@ -90,9 +91,9 @@ impl std::error::Error for BackendError {}
 
 /// Returns [`BackendError::DeadlineExceeded`] if `deadline` has passed.
 ///
-/// The prover's fallible path calls this between task-graph stages so a
-/// job whose deadline expired mid-prove is abandoned at the next stage
-/// boundary. `None` disables the check (always `Ok`).
+/// The prover calls this between task-graph stages so a job whose
+/// deadline expired mid-prove is abandoned at the next stage boundary.
+/// `None` disables the check (always `Ok`).
 pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<(), BackendError> {
     match deadline {
         Some(d) if Instant::now() >= d => Err(BackendError::DeadlineExceeded { stage }),
@@ -100,7 +101,23 @@ pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<
     }
 }
 
-/// The heavy-operation interface the prover dispatches through.
+/// The bases of one G1 MSM: the proving key's affine points, or the
+/// per-key [`MsmPlan`] built over them (GLV expansion + window precompute
+/// cached across proofs).
+pub enum G1Bases<'a, C: Bls12Config> {
+    /// Plain affine bases; the backend picks the schedule.
+    Affine(&'a [Affine<G1Curve<C>>]),
+    /// A prebuilt plan over the same points. A backend without a planned
+    /// kernel may run the plain path over [`MsmPlan::bases`].
+    Planned(&'a MsmPlan<G1Curve<C>>),
+}
+
+/// The heavy-operation interface the prover dispatches through: two
+/// identity methods, two reporting hooks, and six ops.
+///
+/// Every op is fallible and threads caller-owned buffers, and none has a
+/// default body — a decorator has to forward each one, so it cannot drop
+/// the error channel or the scratch by omission.
 ///
 /// Implementations must be schedule-deterministic: for a fixed input the
 /// returned values are bit-identical at any pool thread count (the work
@@ -114,94 +131,11 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     /// same pool so nesting stays deadlock-free.
     fn pool(&self) -> &ThreadPool;
 
-    /// One of the prover's four G1 MSMs.
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        bases: &[Affine<G1Curve<C>>],
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>>;
-
-    /// One of the prover's four G1 MSMs against a prebuilt per-key
-    /// [`MsmPlan`] (GLV expansion + window precompute cached across
-    /// proofs). The default ignores the cache and runs the plain path
-    /// over the plan's original bases — correct for any backend; the CPU
-    /// backend overrides it with the actual cached execution.
-    fn msm_g1_planned(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        self.msm_g1(which, plan.bases(), scalars)
-    }
-
-    /// [`msm_g1_planned`](Self::msm_g1_planned) with caller-owned scratch
-    /// memory — the session hot path. The default ignores the scratch;
-    /// backends running the real planned kernel thread it through so a
-    /// warmed workspace makes the MSM allocation-free.
-    fn msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Jacobian<G1Curve<C>> {
-        let _ = scratch;
-        self.msm_g1_planned(which, plan, scalars)
-    }
-
-    /// Human-readable tag of the G1 MSM algorithm this backend runs
-    /// (e.g. `"glv+signed+xyzz"`), for traces and benchmark metadata.
+    /// Human-readable tag of the G1 MSM algorithm this backend runs over
+    /// plain bases (e.g. `"glv+signed+xyzz"`), for traces and benchmark
+    /// metadata.
     fn msm_algorithm(&self) -> String {
         "default".into()
-    }
-
-    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A).
-    fn msm_g2(&self, bases: &[Affine<G2Curve<C>>], scalars: &[C::Fr]) -> Jacobian<G2Curve<C>>;
-
-    /// [`msm_g2`](Self::msm_g2) with caller-owned scratch memory. The
-    /// default ignores the scratch.
-    fn msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Jacobian<G2Curve<C>> {
-        let _ = scratch;
-        self.msm_g2(bases, scalars)
-    }
-
-    /// Forward NTT over the table's domain.
-    fn ntt_forward(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]);
-
-    /// Inverse NTT *without* the `n⁻¹` scaling — the pipeline folds that
-    /// into the following [`coset_mul`](Self::coset_mul).
-    fn ntt_inverse(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]);
-
-    /// `values[i] *= gⁱ · scale` — the coset shift fused with the INTT's
-    /// `n⁻¹` scaling.
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr);
-
-    /// Evaluates the QAP witness maps over the (padded) domain.
-    fn witness_eval(&self, cs: &ConstraintSystem<C::Fr>, domain_size: u64) -> WitnessMaps<C::Fr>;
-
-    /// [`witness_eval`](Self::witness_eval) into caller-owned buffers
-    /// (cleared and refilled; capacity reused). The default moves the
-    /// allocating result; backends on the session hot path override it to
-    /// fill in place.
-    fn witness_eval_into(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) {
-        let (wa, wb, wc) = self.witness_eval(cs, domain_size);
-        *a = wa;
-        *b = wb;
-        *c = wc;
     }
 
     /// Drains and returns the trace recorded since the last call. Backends
@@ -210,105 +144,79 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
         ExecTrace::empty(self.name(), self.pool().num_threads())
     }
 
-    // --- Fallible mirror ---------------------------------------------
-    //
-    // The `try_` entry points are what the hardened prover path
-    // (`ProverSession::try_prove_in_on`, the proof service's retry loop)
-    // dispatches through. Defaults delegate to the infallible ops and
-    // return `Ok`, so existing backends are fallible for free; backends
-    // that can actually fail (fault injection, real devices) override
-    // them to surface a typed [`BackendError`] instead of unwinding.
-
-    /// Fallible [`msm_g1_planned_in`](Self::msm_g1_planned_in).
+    /// Evaluates the QAP witness maps over the (padded) domain into `a`,
+    /// `b`, `c` (cleared and refilled; capacity reused). Must agree with
+    /// [`witness_maps_into`].
     ///
     /// # Errors
     ///
-    /// [`BackendError`] when the backend cannot complete the MSM; the
-    /// default never fails.
-    fn try_msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        Ok(self.msm_g1_planned_in(which, plan, scalars, scratch))
-    }
-
-    /// Fallible [`msm_g2_in`](Self::msm_g2_in).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the backend cannot complete the MSM; the
-    /// default never fails.
-    fn try_msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        Ok(self.msm_g2_in(bases, scalars, scratch))
-    }
-
-    /// Fallible [`ntt_forward`](Self::ntt_forward).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the transform fails; the default never does.
-    fn try_ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.ntt_forward(table, values);
-        Ok(())
-    }
-
-    /// Fallible [`ntt_inverse`](Self::ntt_inverse).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the transform fails; the default never does.
-    fn try_ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.ntt_inverse(table, values);
-        Ok(())
-    }
-
-    /// Fallible [`coset_mul`](Self::coset_mul).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the scaling fails; the default never does.
-    fn try_coset_mul(
-        &self,
-        values: &mut [C::Fr],
-        g: C::Fr,
-        scale: C::Fr,
-    ) -> Result<(), BackendError> {
-        self.coset_mul(values, g, scale);
-        Ok(())
-    }
-
-    /// Fallible [`witness_eval_into`](Self::witness_eval_into).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the evaluation fails; the default never does.
-    fn try_witness_eval_into(
+    /// [`BackendError`] when the backend cannot complete the evaluation.
+    fn witness_eval(
         &self,
         cs: &ConstraintSystem<C::Fr>,
         domain_size: u64,
         a: &mut Vec<C::Fr>,
         b: &mut Vec<C::Fr>,
         c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        self.witness_eval_into(cs, domain_size, a, b, c);
-        Ok(())
-    }
+    ) -> Result<(), BackendError>;
+
+    /// Forward NTT over the table's domain, in place.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the transform fails.
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError>;
+
+    /// Inverse NTT *without* the `n⁻¹` scaling — the pipeline folds that
+    /// into the following [`coset_mul`](Self::coset_mul).
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the transform fails.
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError>;
+
+    /// `values[i] *= gⁱ · scale` — the coset shift fused with the INTT's
+    /// `n⁻¹` scaling.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the scaling fails.
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError>;
+
+    /// One of the prover's four G1 MSMs, over plain or planned `bases`.
+    /// A warmed `scratch` (one prior MSM of the same shape) makes the CPU
+    /// kernels allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the backend cannot complete the MSM.
+    fn msm_g1(
+        &self,
+        which: G1Msm,
+        bases: G1Bases<'_, C>,
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G1Curve<C>>,
+    ) -> Result<Jacobian<G1Curve<C>>, BackendError>;
+
+    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A).
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the backend cannot complete the MSM.
+    fn msm_g2(
+        &self,
+        bases: &[Affine<G2Curve<C>>],
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G2Curve<C>>,
+    ) -> Result<Jacobian<G2Curve<C>>, BackendError>;
 }
 
 /// Delegation so decorators and the prover can hold backends by reference.
@@ -319,155 +227,76 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     fn pool(&self) -> &ThreadPool {
         (**self).pool()
     }
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        bases: &[Affine<G1Curve<C>>],
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        (**self).msm_g1(which, bases, scalars)
-    }
-    fn msm_g1_planned(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        (**self).msm_g1_planned(which, plan, scalars)
-    }
-    fn msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Jacobian<G1Curve<C>> {
-        (**self).msm_g1_planned_in(which, plan, scalars, scratch)
-    }
     fn msm_algorithm(&self) -> String {
         (**self).msm_algorithm()
     }
-    fn msm_g2(&self, bases: &[Affine<G2Curve<C>>], scalars: &[C::Fr]) -> Jacobian<G2Curve<C>> {
-        (**self).msm_g2(bases, scalars)
+    fn take_trace(&self) -> ExecTrace {
+        (**self).take_trace()
     }
-    fn msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Jacobian<G2Curve<C>> {
-        (**self).msm_g2_in(bases, scalars, scratch)
-    }
-    fn ntt_forward(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        (**self).ntt_forward(table, values)
-    }
-    fn ntt_inverse(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        (**self).ntt_inverse(table, values)
-    }
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) {
-        (**self).coset_mul(values, g, scale)
-    }
-    fn witness_eval(&self, cs: &ConstraintSystem<C::Fr>, domain_size: u64) -> WitnessMaps<C::Fr> {
-        (**self).witness_eval(cs, domain_size)
-    }
-    fn witness_eval_into(
+    fn witness_eval(
         &self,
         cs: &ConstraintSystem<C::Fr>,
         domain_size: u64,
         a: &mut Vec<C::Fr>,
         b: &mut Vec<C::Fr>,
         c: &mut Vec<C::Fr>,
-    ) {
-        (**self).witness_eval_into(cs, domain_size, a, b, c)
+    ) -> Result<(), BackendError> {
+        (**self).witness_eval(cs, domain_size, a, b, c)
     }
-    fn take_trace(&self) -> ExecTrace {
-        (**self).take_trace()
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        (**self).ntt_forward(table, values)
     }
-    fn try_msm_g1_planned_in(
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        (**self).ntt_inverse(table, values)
+    }
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
+        (**self).coset_mul(values, g, scale)
+    }
+    fn msm_g1(
         &self,
         which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
+        bases: G1Bases<'_, C>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        (**self).try_msm_g1_planned_in(which, plan, scalars, scratch)
+        (**self).msm_g1(which, bases, scalars, scratch)
     }
-    fn try_msm_g2_in(
+    fn msm_g2(
         &self,
         bases: &[Affine<G2Curve<C>>],
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        (**self).try_msm_g2_in(bases, scalars, scratch)
-    }
-    fn try_ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        (**self).try_ntt_forward(table, values)
-    }
-    fn try_ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        (**self).try_ntt_inverse(table, values)
-    }
-    fn try_coset_mul(
-        &self,
-        values: &mut [C::Fr],
-        g: C::Fr,
-        scale: C::Fr,
-    ) -> Result<(), BackendError> {
-        (**self).try_coset_mul(values, g, scale)
-    }
-    fn try_witness_eval_into(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        (**self).try_witness_eval_into(cs, domain_size, a, b, c)
+        (**self).msm_g2(bases, scalars, scratch)
     }
 }
 
 /// The prover-side QAP witness maps: `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` per
 /// domain row, zero-padded to `domain_size`, with the input-consistency
-/// rows appended (libsnark/arkworks construction). This is the reference
-/// implementation every backend's `witness_eval` must agree with.
+/// rows appended (libsnark/arkworks construction). Allocating form of
+/// [`witness_maps_into`].
 ///
 /// # Panics
 ///
 /// Panics if `domain_size` cannot hold the constraint and consistency rows.
 pub fn witness_maps<F: PrimeField>(cs: &ConstraintSystem<F>, domain_size: u64) -> WitnessMaps<F> {
-    let n = domain_size as usize;
-    assert!(
-        n > cs.num_constraints() + cs.num_public(),
-        "domain too small for the constraint system"
-    );
-    let mut a = vec![F::zero(); n];
-    let mut b = vec![F::zero(); n];
-    let mut c = vec![F::zero(); n];
-    for (row, constraint) in cs.constraints.iter().enumerate() {
-        a[row] = constraint.a.evaluate(&cs.assignment);
-        b[row] = constraint.b.evaluate(&cs.assignment);
-        c[row] = constraint.c.evaluate(&cs.assignment);
-    }
-    // Input-consistency rows: A = variable j, for j = 0..=num_public
-    // (z[0] = 1, then the public inputs).
-    a[cs.num_constraints()] = F::one();
-    for (j, x) in cs.assignment.public.iter().enumerate() {
-        a[cs.num_constraints() + 1 + j] = *x;
-    }
+    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+    witness_maps_into(cs, domain_size, &mut a, &mut b, &mut c);
     (a, b, c)
 }
 
-/// [`witness_maps`] into caller-owned buffers: clears and refills `a`,
-/// `b`, `c` (reusing their capacity), producing the same values. This is
-/// the allocation-free form the session hot path uses.
+/// The QAP witness maps into caller-owned buffers: clears and refills
+/// `a`, `b`, `c` (reusing their capacity). This is the reference every
+/// backend's `witness_eval` must agree with, and the allocation-free form
+/// the session hot path uses.
 ///
 /// # Panics
 ///
@@ -493,111 +322,27 @@ pub fn witness_maps_into<F: PrimeField>(
         b[row] = constraint.b.evaluate(&cs.assignment);
         c[row] = constraint.c.evaluate(&cs.assignment);
     }
+    // Input-consistency rows: A = variable j, for j = 0..=num_public
+    // (z[0] = 1, then the public inputs).
     a[cs.num_constraints()] = F::one();
     for (j, x) in cs.assignment.public.iter().enumerate() {
         a[cs.num_constraints() + 1 + j] = *x;
     }
 }
 
-/// The 7-transform quotient pipeline `h = (a·b − c)/Z`, with every
-/// transform and coset scaling issued through `backend`. The structure —
-/// three concurrent INTT→coset→NTT chains, the element-wise quotient, one
-/// final coset INTT — matches `zkp_ntt::quotient_poly_on` exactly, so the
-/// CPU backend reproduces it bit for bit.
+/// The 7-transform quotient pipeline `h = (a·b − c)/Z`, fully in place,
+/// with every transform and coset scaling issued through `backend`:
+/// consumes the evaluation vectors and leaves the coefficients of `h` in
+/// `a` (`b`, `c` clobbered as scratch), allocating nothing. The structure
+/// — three concurrent INTT→coset→NTT chains, the element-wise quotient,
+/// one final coset INTT — matches `zkp_ntt::quotient_poly_in` exactly, so
+/// the CPU backend reproduces it bit for bit.
 ///
-/// Returns the quotient coefficients and the transform count (7).
-///
-/// # Panics
-///
-/// Panics if the evaluation slices or the table disagree with the domain.
-pub fn quotient_pipeline<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
-    domain: &Domain<C::Fr>,
-    table: &TwiddleTable<C::Fr>,
-    a_evals: &[C::Fr],
-    b_evals: &[C::Fr],
-    c_evals: &[C::Fr],
-    backend: &B,
-) -> (Vec<C::Fr>, u32) {
-    let mut a = a_evals.to_vec();
-    let mut b = b_evals.to_vec();
-    let mut c = c_evals.to_vec();
-    let transforms = quotient_pipeline_in(domain, table, &mut a, &mut b, &mut c, backend);
-    (a, transforms)
-}
-
-/// [`quotient_pipeline`] fully in place: consumes the evaluation vectors
-/// and leaves the coefficients of `h` in `a` (`b`, `c` clobbered as
-/// scratch), allocating nothing. This is the workspace-borrowing form the
-/// prover session issues.
+/// `deadline` is checked before every transform group so an expired job
+/// is abandoned at the next stage boundary instead of finishing dead
+/// work; `None` disables the check.
 ///
 /// Returns the number of NTT-shaped transforms performed (7).
-///
-/// # Panics
-///
-/// Panics if the evaluation slices or the table disagree with the domain.
-pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
-    domain: &Domain<C::Fr>,
-    table: &TwiddleTable<C::Fr>,
-    a: &mut [C::Fr],
-    b: &mut [C::Fr],
-    c: &mut [C::Fr],
-    backend: &B,
-) -> u32 {
-    let n = domain.size() as usize;
-    assert!(
-        a.len() == n && b.len() == n && c.len() == n,
-        "evaluation vectors must match the domain size"
-    );
-    let pool = backend.pool();
-    let n_inv = domain.size_inv();
-    // (1–3) INTT + (4–6) coset NTT per input vector; the three chains are
-    // independent and run concurrently on the backend's pool.
-    let intt_then_coset = |v: &mut [C::Fr]| {
-        backend.ntt_inverse(table, v);
-        backend.coset_mul(v, domain.coset_gen(), n_inv);
-        backend.ntt_forward(table, v);
-    };
-    let (a, (b, c)) = pool.join(
-        || {
-            intt_then_coset(&mut *a);
-            a
-        },
-        || {
-            pool.join(
-                || {
-                    intt_then_coset(&mut *b);
-                    &*b
-                },
-                || {
-                    intt_then_coset(&mut *c);
-                    &*c
-                },
-            )
-        },
-    );
-    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
-    // This stays on the pool: it is part of the serial-residual phase, not
-    // a backend-accelerated kernel.
-    let z_inv = domain
-        .vanishing_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
-    pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
-        for (j, x) in chunk.iter_mut().enumerate() {
-            *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
-        }
-    });
-    // (7) coset INTT: back to coefficients of h.
-    backend.ntt_inverse(table, a);
-    backend.coset_mul(a, domain.coset_gen_inv(), n_inv);
-    7
-}
-
-/// [`quotient_pipeline_in`] through the fallible `try_*` backend mirror,
-/// with a deadline check before every transform group so an expired job
-/// is abandoned at the next stage boundary instead of finishing dead
-/// work. The transform structure — and therefore the output, when no op
-/// fails — is identical to [`quotient_pipeline_in`].
 ///
 /// # Errors
 ///
@@ -608,7 +353,7 @@ pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
 /// # Panics
 ///
 /// Panics if the evaluation slices or the table disagree with the domain.
-pub fn try_quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
+pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     domain: &Domain<C::Fr>,
     table: &TwiddleTable<C::Fr>,
     a: &mut [C::Fr],
@@ -624,13 +369,14 @@ pub fn try_quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     );
     let pool = backend.pool();
     let n_inv = domain.size_inv();
+    // (1–3) INTT + (4–6) coset NTT per input vector; the three chains are
+    // independent and run concurrently on the backend's pool.
     let intt_then_coset = |v: &mut [C::Fr], stage: &'static str| -> Result<(), BackendError> {
         check_deadline(deadline, stage)?;
-        backend.try_ntt_inverse(table, v)?;
-        backend.try_coset_mul(v, domain.coset_gen(), n_inv)?;
+        backend.ntt_inverse(table, v)?;
+        backend.coset_mul(v, domain.coset_gen(), n_inv)?;
         check_deadline(deadline, stage)?;
-        backend.try_ntt_forward(table, v)?;
-        Ok(())
+        backend.ntt_forward(table, v)
     };
     let (ra, (rb, rc)) = pool.join(
         || intt_then_coset(&mut *a, "quotient-a"),
@@ -645,6 +391,9 @@ pub fn try_quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     rb?;
     rc?;
     check_deadline(deadline, "quotient-combine")?;
+    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
+    // This stays on the pool: it is part of the serial-residual phase, not
+    // a backend-accelerated kernel.
     let z_inv = domain
         .vanishing_on_coset()
         .inverse()
@@ -656,9 +405,10 @@ pub fn try_quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
             *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
         }
     });
+    // (7) coset INTT: back to coefficients of h.
     check_deadline(deadline, "quotient-final-intt")?;
-    backend.try_ntt_inverse(table, a)?;
-    backend.try_coset_mul(a, domain.coset_gen_inv(), n_inv)?;
+    backend.ntt_inverse(table, a)?;
+    backend.coset_mul(a, domain.coset_gen_inv(), n_inv)?;
     Ok(7)
 }
 

@@ -21,8 +21,8 @@
 //! to the paper's 2^15–2^26 range.
 
 use crate::cpu::CpuBackend;
-use crate::trace::{ExecTrace, ModeledCost, OpRecord};
-use crate::{ExecBackend, G1Msm, OpClass, OpKind};
+use crate::trace::{ExecTrace, ModeledCost, Recorder};
+use crate::{BackendError, ExecBackend, G1Bases, G1Msm, OpClass, OpKind};
 use gpu_kernels::calibration::{
     cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_HOST_THREADS,
     CPU_MUL_CYCLES, G2_COST_FACTOR,
@@ -30,9 +30,8 @@ use gpu_kernels::calibration::{
 use gpu_kernels::libraries::{LAUNCH_OVERHEAD_S, SCALAR_BYTES};
 use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId, PhaseEstimate};
 use gpu_sim::DeviceSpec;
-use std::sync::Mutex;
-use std::time::Instant;
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_msm::MsmScratch;
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -181,7 +180,7 @@ pub struct SimGpuBackend<'p> {
     cpu: CpuBackend<'p>,
     model: GpuCostModel,
     msm_lib: LibraryId,
-    records: Mutex<Vec<OpRecord>>,
+    rec: Recorder,
 }
 
 impl<'p> SimGpuBackend<'p> {
@@ -192,7 +191,7 @@ impl<'p> SimGpuBackend<'p> {
             cpu: CpuBackend::on(pool),
             model: GpuCostModel::for_library(device, msm_lib),
             msm_lib,
-            records: Mutex::new(Vec::new()),
+            rec: Recorder::new(),
         }
     }
 
@@ -206,24 +205,17 @@ impl<'p> SimGpuBackend<'p> {
         &self.model
     }
 
-    fn run<T>(&self, kind: OpKind, size: u64, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        let wall_s = start.elapsed().as_secs_f64();
+    /// Runs `f` on the CPU path and records it with its modeled cost. The
+    /// modeled library (in `modeled.lib`) is the algorithm identity here;
+    /// `algo` stays unset to avoid double-reporting.
+    fn run<T>(
+        &self,
+        kind: OpKind,
+        size: u64,
+        f: impl FnOnce() -> Result<T, BackendError>,
+    ) -> Result<T, BackendError> {
         let modeled = Some(self.model.charge(kind, size));
-        // The modeled library (in `modeled.lib`) is the algorithm identity
-        // here; `algo` stays unset to avoid double-reporting.
-        self.records
-            .lock()
-            .expect("trace lock poisoned")
-            .push(OpRecord {
-                kind,
-                size,
-                wall_s,
-                modeled,
-                algo: None,
-            });
-        out
+        self.rec.time(kind, size, modeled, None, f)
     }
 }
 
@@ -236,109 +228,77 @@ impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
         ExecBackend::<C>::pool(&self.cpu)
     }
 
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        bases: &[Affine<G1Curve<C>>],
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
-            self.cpu.msm_g1(which, bases, scalars)
-        })
-    }
-
-    fn msm_g1_planned(
-        &self,
-        which: G1Msm,
-        plan: &zkp_msm::MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-    ) -> Jacobian<G1Curve<C>> {
-        self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
-            self.cpu.msm_g1_planned(which, plan, scalars)
-        })
-    }
-
-    fn msm_g1_planned_in(
-        &self,
-        which: G1Msm,
-        plan: &zkp_msm::MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut zkp_msm::MsmScratch<G1Curve<C>>,
-    ) -> Jacobian<G1Curve<C>> {
-        self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
-            self.cpu.msm_g1_planned_in(which, plan, scalars, scratch)
-        })
-    }
-
     fn msm_algorithm(&self) -> String {
         format!("model:{}", self.msm_lib.name())
     }
 
-    fn msm_g2(&self, bases: &[Affine<G2Curve<C>>], scalars: &[C::Fr]) -> Jacobian<G2Curve<C>> {
-        self.run(OpKind::MsmG2, scalars.len() as u64, || {
-            self.cpu.msm_g2(bases, scalars)
-        })
-    }
-
-    fn msm_g2_in(
-        &self,
-        bases: &[Affine<G2Curve<C>>],
-        scalars: &[C::Fr],
-        scratch: &mut zkp_msm::MsmScratch<G2Curve<C>>,
-    ) -> Jacobian<G2Curve<C>> {
-        self.run(OpKind::MsmG2, scalars.len() as u64, || {
-            self.cpu.msm_g2_in(bases, scalars, scratch)
-        })
-    }
-
-    fn ntt_forward(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        self.run(OpKind::NttForward, values.len() as u64, || {
-            ExecBackend::<C>::ntt_forward(&self.cpu, table, values)
-        })
-    }
-
-    fn ntt_inverse(&self, table: &TwiddleTable<C::Fr>, values: &mut [C::Fr]) {
-        self.run(OpKind::NttInverse, values.len() as u64, || {
-            ExecBackend::<C>::ntt_inverse(&self.cpu, table, values)
-        })
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) {
-        self.run(OpKind::CosetMul, values.len() as u64, || {
-            ExecBackend::<C>::coset_mul(&self.cpu, values, g, scale)
-        })
+    fn take_trace(&self) -> ExecTrace {
+        self.rec.take(
+            ExecBackend::<C>::name(self),
+            ExecBackend::<C>::pool(self).num_threads(),
+        )
     }
 
     fn witness_eval(
         &self,
         cs: &ConstraintSystem<C::Fr>,
         domain_size: u64,
-    ) -> crate::WitnessMaps<C::Fr> {
-        self.run(OpKind::WitnessEval, domain_size, || {
-            ExecBackend::<C>::witness_eval(&self.cpu, cs, domain_size)
-        })
-    }
-
-    fn witness_eval_into(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
         a: &mut Vec<C::Fr>,
         b: &mut Vec<C::Fr>,
         c: &mut Vec<C::Fr>,
-    ) {
+    ) -> Result<(), BackendError> {
         self.run(OpKind::WitnessEval, domain_size, || {
-            ExecBackend::<C>::witness_eval_into(&self.cpu, cs, domain_size, a, b, c)
+            ExecBackend::<C>::witness_eval(&self.cpu, cs, domain_size, a, b, c)
         })
     }
 
-    fn take_trace(&self) -> ExecTrace {
-        let records = std::mem::take(&mut *self.records.lock().expect("trace lock poisoned"));
-        ExecTrace {
-            backend: ExecBackend::<C>::name(self),
-            threads: ExecBackend::<C>::pool(self).num_threads(),
-            records,
-        }
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        self.run(OpKind::NttForward, values.len() as u64, || {
+            ExecBackend::<C>::ntt_forward(&self.cpu, table, values)
+        })
+    }
+
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        self.run(OpKind::NttInverse, values.len() as u64, || {
+            ExecBackend::<C>::ntt_inverse(&self.cpu, table, values)
+        })
+    }
+
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
+        self.run(OpKind::CosetMul, values.len() as u64, || {
+            ExecBackend::<C>::coset_mul(&self.cpu, values, g, scale)
+        })
+    }
+
+    fn msm_g1(
+        &self,
+        which: G1Msm,
+        bases: G1Bases<'_, C>,
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G1Curve<C>>,
+    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
+        self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
+            self.cpu.msm_g1(which, bases, scalars, scratch)
+        })
+    }
+
+    fn msm_g2(
+        &self,
+        bases: &[Affine<G2Curve<C>>],
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G2Curve<C>>,
+    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
+        self.run(OpKind::MsmG2, scalars.len() as u64, || {
+            self.cpu.msm_g2(bases, scalars, scratch)
+        })
     }
 }
 

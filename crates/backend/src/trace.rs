@@ -1,13 +1,23 @@
 //! Execution traces: what a prover run actually did, op by op.
 //!
-//! Every [`ExecBackend`](crate::ExecBackend) implementation may record the
-//! heavy operations it dispatches as [`OpRecord`]s. A completed run yields
-//! an [`ExecTrace`], and [`ExecTrace::summarize`] folds it into the
+//! Every [`ExecBackend`] implementation may record the heavy operations
+//! it dispatches as [`OpRecord`]s. A completed run yields an
+//! [`ExecTrace`], and [`ExecTrace::summarize`] folds it into the
 //! per-stage breakdown the reports print — the paper's Fig. 5 runtime
 //! decomposition derived from a real execution rather than a closed-form
-//! op count.
+//! op count. [`TracingBackend`] is the decorator that records around any
+//! inner backend; the simulated-GPU backend records through the same
+//! recorder and attaches modeled costs.
 
+use crate::{BackendError, ExecBackend, G1Bases};
 use gpu_kernels::LibraryId;
+use std::sync::Mutex;
+use std::time::Instant;
+use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_msm::MsmScratch;
+use zkp_ntt::TwiddleTable;
+use zkp_r1cs::ConstraintSystem;
+use zkp_runtime::ThreadPool;
 
 /// Which of the prover's four G1 MSMs an op record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -243,6 +253,175 @@ impl TraceSummary {
             .filter(|r| r.class == class && !r.overlapped)
             .map(|r| r.modeled_s)
             .sum()
+    }
+}
+
+/// The op log behind the recording backends: times an op and, when it
+/// completes, appends its [`OpRecord`].
+pub(crate) struct Recorder {
+    records: Mutex<Vec<OpRecord>>,
+}
+
+impl Recorder {
+    pub(crate) fn new() -> Self {
+        Self {
+            records: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Runs `f` under a wall clock. A failed op leaves no record: the
+    /// trace describes work that was done.
+    pub(crate) fn time<T>(
+        &self,
+        kind: OpKind,
+        size: u64,
+        modeled: Option<ModeledCost>,
+        algo: Option<String>,
+        f: impl FnOnce() -> Result<T, BackendError>,
+    ) -> Result<T, BackendError> {
+        let start = Instant::now();
+        let out = f()?;
+        let wall_s = start.elapsed().as_secs_f64();
+        self.records
+            .lock()
+            .expect("trace lock poisoned")
+            .push(OpRecord {
+                kind,
+                size,
+                wall_s,
+                modeled,
+                algo,
+            });
+        Ok(out)
+    }
+
+    /// Drains the log into a trace labelled with the backend and pool width.
+    pub(crate) fn take(&self, backend: String, threads: usize) -> ExecTrace {
+        let records = std::mem::take(&mut *self.records.lock().expect("trace lock poisoned"));
+        ExecTrace {
+            backend,
+            threads,
+            records,
+        }
+    }
+}
+
+/// Forwards every op to an inner backend and appends an [`OpRecord`]
+/// (kind, size, measured wall seconds) for each op that completes.
+///
+/// Wrap a backend that does not record itself: the simulated-GPU backend
+/// keeps its own trace, and stacking two recorders would double-count.
+pub struct TracingBackend<B> {
+    inner: B,
+    rec: Recorder,
+}
+
+impl<B> TracingBackend<B> {
+    /// Wraps `inner` with a fresh, empty trace.
+    pub fn new(inner: B) -> Self {
+        Self {
+            inner,
+            rec: Recorder::new(),
+        }
+    }
+
+    /// The wrapped backend.
+    pub fn inner(&self) -> &B {
+        &self.inner
+    }
+}
+
+impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
+    fn name(&self) -> String {
+        format!("traced:{}", self.inner.name())
+    }
+
+    fn pool(&self) -> &ThreadPool {
+        self.inner.pool()
+    }
+
+    fn msm_algorithm(&self) -> String {
+        self.inner.msm_algorithm()
+    }
+
+    fn take_trace(&self) -> ExecTrace {
+        self.rec.take(
+            ExecBackend::<C>::name(self),
+            self.inner.pool().num_threads(),
+        )
+    }
+
+    fn witness_eval(
+        &self,
+        cs: &ConstraintSystem<C::Fr>,
+        domain_size: u64,
+        a: &mut Vec<C::Fr>,
+        b: &mut Vec<C::Fr>,
+        c: &mut Vec<C::Fr>,
+    ) -> Result<(), BackendError> {
+        self.rec
+            .time(OpKind::WitnessEval, domain_size, None, None, || {
+                self.inner.witness_eval(cs, domain_size, a, b, c)
+            })
+    }
+
+    fn ntt_forward(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        let size = values.len() as u64;
+        self.rec.time(OpKind::NttForward, size, None, None, || {
+            self.inner.ntt_forward(table, values)
+        })
+    }
+
+    fn ntt_inverse(
+        &self,
+        table: &TwiddleTable<C::Fr>,
+        values: &mut [C::Fr],
+    ) -> Result<(), BackendError> {
+        let size = values.len() as u64;
+        self.rec.time(OpKind::NttInverse, size, None, None, || {
+            self.inner.ntt_inverse(table, values)
+        })
+    }
+
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
+        let size = values.len() as u64;
+        self.rec.time(OpKind::CosetMul, size, None, None, || {
+            self.inner.coset_mul(values, g, scale)
+        })
+    }
+
+    fn msm_g1(
+        &self,
+        which: G1Msm,
+        bases: G1Bases<'_, C>,
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G1Curve<C>>,
+    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
+        let algo = match bases {
+            G1Bases::Planned(plan) => plan.algorithm(),
+            G1Bases::Affine(_) => self.inner.msm_algorithm(),
+        };
+        let size = scalars.len() as u64;
+        self.rec
+            .time(OpKind::MsmG1(which), size, None, Some(algo), || {
+                self.inner.msm_g1(which, bases, scalars, scratch)
+            })
+    }
+
+    fn msm_g2(
+        &self,
+        bases: &[Affine<G2Curve<C>>],
+        scalars: &[C::Fr],
+        scratch: &mut MsmScratch<G2Curve<C>>,
+    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
+        let size = scalars.len() as u64;
+        self.rec.time(OpKind::MsmG2, size, None, None, || {
+            self.inner.msm_g2(bases, scalars, scratch)
+        })
     }
 }
 

@@ -16,7 +16,7 @@ use zkp_backend::{CpuBackend, ExecBackend, ExecTrace, TracingBackend};
 use zkp_bench::random_pairs;
 use zkp_curves::bls12_381::{Bls12381, G1};
 use zkp_ff::{Field, Fr381};
-use zkp_groth16::{prove_traced, setup, ProofService, ProverSession};
+use zkp_groth16::{prove_with_backend, setup, ProofService, ProverSession};
 use zkp_msm::{msm_parallel_with_config, MsmConfig};
 use zkp_ntt::{ntt_parallel_on, Domain, TwiddleTable};
 use zkp_r1cs::circuits::mimc;
@@ -159,9 +159,10 @@ fn main() {
         let mut trace = ExecTrace::empty("traced:cpu".to_string(), t);
         let secs = time_best(reps, || {
             let mut prove_rng = StdRng::seed_from_u64(44);
-            let (proof, stats) = prove_traced::<Bls12381, _, _>(&pk, &cs, &mut prove_rng, &backend);
+            let (proof, _) =
+                prove_with_backend::<Bls12381, _, _>(&pk, &cs, &mut prove_rng, &backend);
             std::hint::black_box(proof);
-            trace = stats.trace;
+            trace = ExecBackend::<Bls12381>::take_trace(&backend);
         });
         println!("  threads={t:<3} {secs:.4}s");
         rows.push(Row {

@@ -33,8 +33,8 @@ mod workspace;
 
 pub use batch::verify_batch;
 pub use protocol::{
-    prove, prove_on, prove_traced, prove_with_backend, prove_with_plan, setup, verify, Proof,
-    ProverPlan, ProverStats, ProvingKey, TracedProverStats, VerifyingKey,
+    prove, prove_with_backend, setup, verify, Proof, ProverPlan, ProverStats, ProvingKey,
+    VerifyingKey,
 };
 pub use qap::Qap;
 pub use serialize::PROOF_BYTES;
@@ -43,4 +43,3 @@ pub use service::{
     ServiceConfig, ServiceStats, SubmitError,
 };
 pub use session::ProverSession;
-pub use workspace::ProverWorkspace;

@@ -1,17 +1,20 @@
 //! The Groth16 protocol: setup, prove, verify (Fig. 3 of the paper).
 
 use crate::qap::Qap;
+use crate::workspace::ProverWorkspace;
 use core::fmt;
 use rand::Rng;
-use zkp_backend::{quotient_pipeline, CpuBackend, ExecBackend, ExecTrace, G1Msm};
-use zkp_curves::batch_to_affine;
+use std::time::Instant;
+use zkp_backend::{
+    check_deadline, quotient_pipeline_in, BackendError, CpuBackend, ExecBackend, G1Bases, G1Msm,
+};
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
     multi_pairing, pairing, Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve,
 };
 use zkp_ff::Field;
-use zkp_msm::{FixedBase, MsmConfig, MsmPlan};
-use zkp_ntt::TwiddleTable;
+use zkp_msm::{FixedBase, MsmConfig, MsmPlan, MsmScratch};
+use zkp_ntt::{Domain, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
 
@@ -187,10 +190,10 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
 /// The MSM bases — `a_query`, `b_g1_query`, `l_query`, `h_query` — are
 /// fixed for the life of a proving key; only the scalars change per
 /// witness. Building a `ProverPlan` pays the GLV point expansion and the
-/// Fig. 12 window precompute once, after which every
-/// [`prove_with_plan`] call reuses the tables. Proof bytes are identical
-/// to the unplanned prover: the plan changes the *schedule*, never the
-/// group element.
+/// Fig. 12 window precompute once, after which every proof of a
+/// [`ProverSession`](crate::ProverSession) reuses the tables. Proof bytes
+/// are identical to the unplanned prover: the plan changes the
+/// *schedule*, never the group element.
 pub struct ProverPlan<C: Bls12Config> {
     /// Plan over `pk.a_query`.
     pub a: MsmPlan<G1Curve<C>>,
@@ -203,12 +206,6 @@ pub struct ProverPlan<C: Bls12Config> {
 }
 
 impl<C: Bls12Config> ProverPlan<C> {
-    /// Builds the four plans with the fastest CPU configuration and an
-    /// unbounded precompute budget, on the global pool.
-    pub fn build(pk: &ProvingKey<C>) -> Self {
-        Self::build_with(pk, &MsmConfig::glv_style(), None, zkp_runtime::global())
-    }
-
     /// Builds the four plans under an explicit MSM configuration and an
     /// optional total memory budget in bytes. The budget is split across
     /// the queries proportionally to their base counts — the Fig. 12
@@ -254,7 +251,8 @@ impl<C: Bls12Config> ProverPlan<C> {
 }
 
 /// Generates a proof for the satisfied constraint system (Fig. 3's *Prover*:
-/// 7 NTT-shaped transforms for `h`, then the G1/G2 MSMs).
+/// 7 NTT-shaped transforms for `h`, then the G1/G2 MSMs) on the global
+/// pool's [`CpuBackend`].
 ///
 /// # Panics
 ///
@@ -265,133 +263,126 @@ pub fn prove<C: Bls12Config, R: Rng + ?Sized>(
     cs: &ConstraintSystem<C::Fr>,
     rng: &mut R,
 ) -> (Proof<C>, ProverStats) {
-    prove_on(pk, cs, rng, zkp_runtime::global())
+    prove_with_backend(pk, cs, rng, &CpuBackend::global())
 }
 
-/// [`prove`] on an explicit thread pool, via the reference
-/// [`CpuBackend`].
+/// Generates one proof with every heavy operation dispatched through an
+/// execution backend (see `zkp-backend`): the one-shot form of
+/// [`ProverSession::prove_in_on`](crate::ProverSession::prove_in_on), with
+/// plain (unplanned) MSM bases, a fresh twiddle table and throwaway
+/// scratch. Proof bytes are identical to the session's for the same `rng`
+/// stream, at any thread count, under any correct backend. Drain a
+/// recording backend with [`ExecBackend::take_trace`] afterwards.
 ///
 /// # Panics
 ///
-/// Panics if the system's shape disagrees with the proving key or the
-/// assignment does not satisfy the constraints (checked in debug builds).
-pub fn prove_on<C: Bls12Config, R: Rng + ?Sized>(
-    pk: &ProvingKey<C>,
-    cs: &ConstraintSystem<C::Fr>,
-    rng: &mut R,
-    pool: &ThreadPool,
-) -> (Proof<C>, ProverStats) {
-    prove_with_backend(pk, cs, rng, &CpuBackend::on(pool))
-}
-
-/// Extended prover output: the work counters plus the op-level execution
-/// trace the backend recorded (empty for non-recording backends).
-#[derive(Debug, Clone)]
-pub struct TracedProverStats {
-    /// The classic work counters.
-    pub base: ProverStats,
-    /// Per-op records drained from the backend after the run.
-    pub trace: ExecTrace,
-}
-
-/// [`prove_with_backend`], draining the backend's trace afterwards.
-///
-/// # Panics
-///
-/// Panics if the system's shape disagrees with the proving key or the
-/// assignment does not satisfy the constraints (checked in debug builds).
-pub fn prove_traced<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
-    pk: &ProvingKey<C>,
-    cs: &ConstraintSystem<C::Fr>,
-    rng: &mut R,
-    backend: &B,
-) -> (Proof<C>, TracedProverStats) {
-    let (proof, base) = prove_with_backend(pk, cs, rng, backend);
-    let trace = backend.take_trace();
-    (proof, TracedProverStats { base, trace })
-}
-
-/// Generates a proof with every heavy operation dispatched through an
-/// execution backend (see `zkp-backend`).
-///
-/// The prover runs as a stage graph on the backend's pool: the 7-transform
-/// NTT pipeline — and the h-query MSM that consumes its output — executes
-/// concurrently with the four witness MSMs (A, B₁, B₂, L), each of which
-/// fans out internally. The proof is identical at any thread count *and
-/// under any correct backend* given the same `rng` stream, because the
-/// blinding factors are drawn before the graph is spawned and every
-/// backend op is schedule-deterministic.
-///
-/// # Panics
-///
-/// Panics if the system's shape disagrees with the proving key or the
-/// assignment does not satisfy the constraints (checked in debug builds).
+/// Panics if the system's shape disagrees with the proving key, if the
+/// assignment does not satisfy the constraints (checked in debug builds),
+/// or if a backend op reports a [`BackendError`] — use
+/// [`ProverSession::try_prove_in_on`](crate::ProverSession::try_prove_in_on)
+/// to handle those.
 pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
     pk: &ProvingKey<C>,
     cs: &ConstraintSystem<C::Fr>,
     rng: &mut R,
     backend: &B,
 ) -> (Proof<C>, ProverStats) {
-    prove_impl(pk, None, cs, rng, backend)
+    let domain = Qap::for_system(cs).domain;
+    let table = TwiddleTable::new(&domain);
+    let mut ws = ProverWorkspace::new();
+    prove_core(pk, None, &domain, &table, &mut ws, cs, rng, backend, None)
+        .unwrap_or_else(|e| panic!("prove failed: {e}"))
 }
 
-/// [`prove_with_backend`] with the G1 MSMs routed through a prebuilt
-/// [`ProverPlan`] — the per-key precompute cache. Byte-identical proofs
-/// to the unplanned prover for the same `rng` stream, at any thread
-/// count.
+/// The prover: the one task graph behind every proving entry point.
 ///
-/// # Panics
+/// The 7-transform NTT pipeline — and the h-query MSM that consumes its
+/// output — executes concurrently with the four witness MSMs (A, B₁, B₂,
+/// L), each of which fans out internally. Every buffer is borrowed from
+/// `ws`, so with a warmed workspace and a prebuilt `plan` the success path
+/// allocates nothing. The proof is identical at any thread count *and
+/// under any correct backend* given the same `rng` stream, because the
+/// blinding factors are drawn before the graph is spawned and every
+/// backend op is schedule-deterministic. `deadline` is checked before
+/// every stage.
 ///
-/// Panics if the plan's base counts disagree with the proving key, if the
-/// system's shape disagrees with the proving key, or if the assignment
-/// does not satisfy the constraints (checked in debug builds).
-pub fn prove_with_plan<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
-    pk: &ProvingKey<C>,
-    plan: &ProverPlan<C>,
-    cs: &ConstraintSystem<C::Fr>,
-    rng: &mut R,
-    backend: &B,
-) -> (Proof<C>, ProverStats) {
-    assert_eq!(plan.a.len(), pk.a_query.len(), "plan/key mismatch: A");
-    assert_eq!(plan.b1.len(), pk.b_g1_query.len(), "plan/key mismatch: B1");
-    assert_eq!(plan.l.len(), pk.l_query.len(), "plan/key mismatch: L");
-    assert_eq!(plan.h.len(), pk.h_query.len(), "plan/key mismatch: H");
-    prove_impl(pk, Some(plan), cs, rng, backend)
-}
-
-fn prove_impl<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
+/// After an `Err` the workspace remains usable: every buffer is cleared
+/// or refilled at the start of the next call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
     pk: &ProvingKey<C>,
     plan: Option<&ProverPlan<C>>,
+    domain: &Domain<C::Fr>,
+    table: &TwiddleTable<C::Fr>,
+    ws: &mut ProverWorkspace<C>,
     cs: &ConstraintSystem<C::Fr>,
     rng: &mut R,
     backend: &B,
-) -> (Proof<C>, ProverStats) {
+    deadline: Option<Instant>,
+) -> Result<(Proof<C>, ProverStats), BackendError> {
     debug_assert!(cs.is_satisfied(), "witness does not satisfy the circuit");
     assert_eq!(
         cs.num_variables(),
         pk.a_query.len(),
         "constraint system shape does not match the proving key"
     );
-    let qap = Qap::for_system(cs);
-    let z = cs.assignment.to_vec();
-    let priv_z = &z[1 + cs.num_public()..];
+    let num_rows = cs.num_constraints() + cs.num_public() + 1;
+    assert_eq!(
+        num_rows.next_power_of_two() as u64,
+        domain.size(),
+        "constraint system domain does not match the proving key's"
+    );
+
+    // Flat z = (1, public…, private…), refilled in place.
+    ws.z.clear();
+    ws.z.push(C::Fr::one());
+    ws.z.extend_from_slice(&cs.assignment.public);
+    ws.z.extend_from_slice(&cs.assignment.private);
 
     // Blinding factors come out of the RNG before any parallel work so the
     // transcript does not depend on scheduling.
     let r = C::Fr::random(rng);
     let s = C::Fr::random(rng);
 
-    let (a_evals, b_evals, c_evals) = backend.witness_eval(cs, qap.domain.size());
-    let table = TwiddleTable::new(&qap.domain);
+    check_deadline(deadline, "witness-eval")?;
+    backend.witness_eval(
+        cs,
+        domain.size(),
+        &mut ws.a_evals,
+        &mut ws.b_evals,
+        &mut ws.c_evals,
+    )?;
     let pool = backend.pool();
 
-    // G1 MSM dispatch: through the per-key plan when one is supplied and
-    // covers the scalar vector exactly, else the plain backend path.
-    let g1_msm = |which: G1Msm, bases: &[Affine<G1Curve<C>>], scalars: &[C::Fr]| match plan {
-        Some(p) if p.for_msm(which).len() == scalars.len() => {
-            backend.msm_g1_planned(which, p.for_msm(which), scalars)
-        }
-        _ => backend.msm_g1(which, bases, scalars),
+    let ProverWorkspace {
+        z,
+        a_evals,
+        b_evals,
+        c_evals,
+        g1,
+        g2,
+    } = ws;
+    let z: &[C::Fr] = z;
+    let priv_z = &z[1 + cs.num_public()..];
+    assert_eq!(
+        priv_z.len(),
+        pk.l_query.len(),
+        "private witness length does not match the proving key"
+    );
+    let [sa, sb1, sl, sh] = g1;
+    // G1 MSM dispatch: over the per-key plan when the caller holds one,
+    // else over the key's affine points.
+    let g1_msm = |which: G1Msm,
+                  stage: &'static str,
+                  points: &[Affine<G1Curve<C>>],
+                  scalars: &[C::Fr],
+                  scratch: &mut MsmScratch<G1Curve<C>>| {
+        check_deadline(deadline, stage)?;
+        let bases = match plan {
+            Some(p) => G1Bases::Planned(p.for_msm(which)),
+            None => G1Bases::Affine(points),
+        };
+        backend.msm_g1(which, bases, scalars, scratch)
     };
 
     // --- Task graph. ---
@@ -400,26 +391,39 @@ fn prove_impl<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
     // B₁-MSM ────────────────────┼──► assemble A, B, C
     // B₂-MSM (G2) ───────────────┤
     // L-MSM ─────────────────────┘
-    let ((h_acc, ntt_count, h_len), (a_msm, (b1_msm, (b2_msm, l_acc)))) = pool.join(
-        || {
+    // Each arm returns a `Result`; they are resolved in fixed task-graph
+    // order (H, A, B1, B2, L) below so the reported error is deterministic
+    // even when several arms fail in the same attempt.
+    let (rh, (ra, (rb1, (rb2, rl)))) = pool.join(
+        || -> Result<_, BackendError> {
             // NTT phase: h = (a·b - c)/Z (7 transforms, Fig. 3), then the
-            // one MSM that needs h's coefficients.
-            let (h_coeffs, ntt_count) =
-                quotient_pipeline(&qap.domain, &table, &a_evals, &b_evals, &c_evals, backend);
-            let h_len = pk.h_query.len().min(h_coeffs.len());
-            let h_acc = g1_msm(G1Msm::H, &pk.h_query[..h_len], &h_coeffs[..h_len]);
-            (h_acc, ntt_count, h_len)
+            // one MSM that needs h's coefficients, which the pipeline
+            // leaves in `a_evals`.
+            let ntt_count =
+                quotient_pipeline_in(domain, table, a_evals, b_evals, c_evals, backend, deadline)?;
+            let h_len = pk.h_query.len().min(a_evals.len());
+            let h_acc = g1_msm(
+                G1Msm::H,
+                "h-msm",
+                &pk.h_query[..h_len],
+                &a_evals[..h_len],
+                sh,
+            )?;
+            Ok((h_acc, ntt_count, h_len))
         },
         || {
             pool.join(
-                || g1_msm(G1Msm::A, &pk.a_query, &z),
+                || g1_msm(G1Msm::A, "a-msm", &pk.a_query, z, sa),
                 || {
                     pool.join(
-                        || g1_msm(G1Msm::B1, &pk.b_g1_query, &z),
+                        || g1_msm(G1Msm::B1, "b1-msm", &pk.b_g1_query, z, sb1),
                         || {
                             pool.join(
-                                || backend.msm_g2(&pk.b_g2_query, &z),
-                                || g1_msm(G1Msm::L, &pk.l_query, priv_z),
+                                || {
+                                    check_deadline(deadline, "b2-msm")?;
+                                    backend.msm_g2(&pk.b_g2_query, z, g2)
+                                },
+                                || g1_msm(G1Msm::L, "l-msm", &pk.l_query, priv_z, sl),
                             )
                         },
                     )
@@ -427,6 +431,12 @@ fn prove_impl<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
             )
         },
     );
+    let (h_acc, ntt_count, h_len) = rh?;
+    let a_msm = ra?;
+    let b1_msm = rb1?;
+    let b2_msm = rb2?;
+    let l_acc = rl?;
+    check_deadline(deadline, "finalize")?;
 
     // A = α + Σ zᵢ·uᵢ(τ) + r·δ
     let a_acc = a_msm
@@ -449,11 +459,12 @@ fn prove_impl<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
         .add(&b_g1_acc.mul_scalar(&r))
         .add(&Jacobian::from(pk.delta_g1).mul_scalar(&(-rs)));
 
-    let normalized = batch_to_affine(&[a_acc, c_acc]);
+    // Individual affine conversions: a batched normalization would need a
+    // temporary vector on the allocation-free path.
     let proof = Proof {
-        a: normalized[0],
+        a: a_acc.to_affine(),
         b: b_g2_acc.to_affine(),
-        c: normalized[1],
+        c: c_acc.to_affine(),
     };
     let stats = ProverStats {
         g1_msm_sizes: [
@@ -464,9 +475,9 @@ fn prove_impl<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
         ],
         g2_msm_size: z.len() as u64,
         ntt_count,
-        domain_size: qap.domain.size(),
+        domain_size: domain.size(),
     };
-    (proof, stats)
+    Ok((proof, stats))
 }
 
 /// Verifies a proof against public inputs:

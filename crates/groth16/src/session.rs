@@ -2,23 +2,21 @@
 //!
 //! A [`ProverSession`] owns everything whose lifetime exceeds one proof —
 //! the proving key, the per-key [`ProverPlan`] MSM precompute, the NTT
-//! domain and twiddle table — plus a private [`ProverWorkspace`] of
-//! scratch buffers. [`ProverSession::prove_in`] runs the exact operation
-//! sequence of [`prove_with_plan`](crate::prove_with_plan) but borrows
-//! every buffer from the workspace: after the first (cold) proof sizes
-//! the buffers, steady-state proofs perform no heap allocation on the
-//! hot path and the proof bytes stay identical to the one-shot provers.
+//! domain and twiddle table — plus a private `ProverWorkspace` of
+//! scratch buffers. [`ProverSession::prove_in`] runs the same task graph
+//! as the one-shot [`prove_with_backend`](crate::prove_with_backend) but
+//! over the cached plans and the session's workspace: after the first
+//! (cold) proof sizes the buffers, steady-state proofs perform no heap
+//! allocation on the hot path and the proof bytes stay identical to the
+//! one-shot prover's.
 
-use crate::protocol::{Proof, ProverPlan, ProverStats, ProvingKey, VerifyingKey};
+use crate::protocol::{prove_core, Proof, ProverPlan, ProverStats, ProvingKey, VerifyingKey};
 use crate::workspace::ProverWorkspace;
 use rand::Rng;
 use std::sync::Arc;
 use std::time::Instant;
-use zkp_backend::{
-    check_deadline, try_quotient_pipeline_in, BackendError, CpuBackend, ExecBackend, G1Msm,
-};
-use zkp_curves::{Bls12Config, Jacobian};
-use zkp_ff::Field;
+use zkp_backend::{BackendError, CpuBackend, ExecBackend};
+use zkp_curves::Bls12Config;
 use zkp_ntt::{Domain, TwiddleTable};
 
 /// The proof-lifetime-exceeding state a session shares with its forks:
@@ -35,7 +33,7 @@ pub(crate) struct SessionShared<C: Bls12Config> {
 ///
 /// Construction pays every per-key cost once — the GLV point expansion
 /// and window precompute of the four G1 [`MsmPlan`](zkp_msm::MsmPlan)s,
-/// the twiddle table — and the embedded [`ProverWorkspace`] amortizes the
+/// the twiddle table — and the embedded workspace amortizes the
 /// per-proof buffers. Sessions are `Send`; to prove concurrently, create
 /// one per worker with [`ProverSession::fork`] (the shared key and plans
 /// are reference-counted, only the scratch is duplicated).
@@ -48,14 +46,8 @@ impl<C: Bls12Config> ProverSession<C> {
     /// Builds a session, consuming the proving key. Plans are built with
     /// the default (fastest) MSM configuration on the global pool.
     pub fn new(pk: ProvingKey<C>) -> Self {
-        Self::with_config(pk, &zkp_msm::MsmConfig::glv_style())
-    }
-
-    /// [`new`](Self::new) with an explicit MSM configuration for the
-    /// per-key plans (e.g. [`zkp_backend::cpu::default_msm_config`] to
-    /// honor the `ZKP_MSM_GLV` opt-out the CI A/B smoke toggles).
-    pub fn with_config(pk: ProvingKey<C>, config: &zkp_msm::MsmConfig) -> Self {
-        let plan = ProverPlan::build_with(&pk, config, None, zkp_runtime::global());
+        let config = zkp_backend::cpu::default_msm_config();
+        let plan = ProverPlan::build_with(&pk, &config, None, zkp_runtime::global());
         // setup() emits one h-query base per domain element except the
         // last, so the key pins the domain size.
         let domain = Domain::new((pk.h_query.len() + 1) as u64)
@@ -73,9 +65,9 @@ impl<C: Bls12Config> ProverSession<C> {
     }
 
     /// A new session sharing this one's key, plans, and twiddles, with a
-    /// fresh (empty) workspace. This is how a [`ProofService`]
-    /// (crate::ProofService) worker gets its own scratch without
-    /// duplicating the per-key precompute.
+    /// fresh (empty) workspace. This is how a
+    /// [`ProofService`](crate::ProofService) worker gets its own scratch
+    /// without duplicating the per-key precompute.
     pub fn fork(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -126,13 +118,14 @@ impl<C: Bls12Config> ProverSession<C> {
 
     /// [`prove_in`](Self::prove_in) through an explicit execution
     /// backend. Proof bytes are identical to
-    /// [`prove_with_plan`](crate::prove_with_plan) for the same `rng`
-    /// stream, at any thread count, under any correct backend.
+    /// [`prove_with_backend`](crate::prove_with_backend) for the same
+    /// `rng` stream, at any thread count, under any correct backend.
     ///
     /// # Panics
     ///
-    /// Panics if the system's shape disagrees with the proving key or the
-    /// assignment does not satisfy the constraints (debug builds).
+    /// Panics if the system's shape disagrees with the proving key, if the
+    /// assignment does not satisfy the constraints (debug builds), or if a
+    /// backend op reports a [`BackendError`].
     pub fn prove_in_on<R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
         &mut self,
         cs: &zkp_r1cs::ConstraintSystem<C::Fr>,
@@ -145,13 +138,11 @@ impl<C: Bls12Config> ProverSession<C> {
         }
     }
 
-    /// [`prove_in`](Self::prove_in) with an error channel: backend op
-    /// failures surface as `Err` instead of unwinding, and an optional
+    /// [`prove_in_on`](Self::prove_in_on) with an error channel: backend
+    /// op failures surface as `Err` instead of unwinding, and an optional
     /// absolute `deadline` is checked between task-graph stages so a
-    /// doomed proof is abandoned instead of finished. With a correct
-    /// (non-fault-injecting) backend and `deadline: None` this is exactly
-    /// [`prove_in_on`](Self::prove_in_on): same op sequence, same proof
-    /// bytes, no allocation on the warm success path.
+    /// doomed proof is abandoned instead of finished. Same op sequence,
+    /// same proof bytes, no allocation on the warm success path.
     ///
     /// After an `Err` the session remains usable — every workspace buffer
     /// is cleared or refilled at the start of the next call — so callers
@@ -169,25 +160,6 @@ impl<C: Bls12Config> ProverSession<C> {
     ///
     /// Panics if the system's shape disagrees with the proving key or the
     /// assignment does not satisfy the constraints (debug builds).
-    pub fn try_prove_in<R: Rng + ?Sized>(
-        &mut self,
-        cs: &zkp_r1cs::ConstraintSystem<C::Fr>,
-        rng: &mut R,
-        deadline: Option<Instant>,
-    ) -> Result<(Proof<C>, ProverStats), BackendError> {
-        self.try_prove_in_on(cs, rng, &CpuBackend::global(), deadline)
-    }
-
-    /// [`try_prove_in`](Self::try_prove_in) through an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`try_prove_in`](Self::try_prove_in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system's shape disagrees with the proving key or the
-    /// assignment does not satisfy the constraints (debug builds).
     pub fn try_prove_in_on<R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
         &mut self,
         cs: &zkp_r1cs::ConstraintSystem<C::Fr>,
@@ -196,155 +168,16 @@ impl<C: Bls12Config> ProverSession<C> {
         deadline: Option<Instant>,
     ) -> Result<(Proof<C>, ProverStats), BackendError> {
         let shared = &*self.shared;
-        let pk = &shared.pk;
-        let plan = &shared.plan;
-        debug_assert!(cs.is_satisfied(), "witness does not satisfy the circuit");
-        assert_eq!(
-            cs.num_variables(),
-            pk.a_query.len(),
-            "constraint system shape does not match the proving key"
-        );
-        let num_rows = cs.num_constraints() + cs.num_public() + 1;
-        assert_eq!(
-            num_rows.next_power_of_two() as u64,
-            shared.domain.size(),
-            "constraint system domain does not match the session's key"
-        );
-
-        // Flat z = (1, public…, private…), refilled in place.
-        let ws = &mut self.ws;
-        ws.z.clear();
-        ws.z.push(C::Fr::one());
-        ws.z.extend_from_slice(&cs.assignment.public);
-        ws.z.extend_from_slice(&cs.assignment.private);
-
-        // Blinding factors come out of the RNG before any parallel work
-        // so the transcript does not depend on scheduling.
-        let r = C::Fr::random(rng);
-        let s = C::Fr::random(rng);
-
-        check_deadline(deadline, "witness-eval")?;
-        backend.try_witness_eval_into(
+        prove_core(
+            &shared.pk,
+            Some(&shared.plan),
+            &shared.domain,
+            &shared.table,
+            &mut self.ws,
             cs,
-            shared.domain.size(),
-            &mut ws.a_evals,
-            &mut ws.b_evals,
-            &mut ws.c_evals,
-        )?;
-        let pool = backend.pool();
-
-        let ProverWorkspace {
-            z,
-            a_evals,
-            b_evals,
-            c_evals,
-            g1,
-            g2,
-        } = ws;
-        let z: &[C::Fr] = z;
-        let priv_z = &z[1 + cs.num_public()..];
-        assert_eq!(priv_z.len(), pk.l_query.len(), "plan/witness mismatch: L");
-        let [sa, sb1, sl, sh] = g1;
-
-        // Same task graph as `prove_impl`, with every heavy op routed
-        // through the scratch-borrowing fallible entry points. Each arm
-        // returns a `Result`; they are resolved in fixed task-graph order
-        // (H, A, B1, B2, L) below so the reported error is deterministic
-        // even when several arms fail in the same attempt.
-        let (rh, (ra, (rb1, (rb2, rl)))) = pool.join(
-            || -> Result<_, BackendError> {
-                let ntt_count = try_quotient_pipeline_in(
-                    &shared.domain,
-                    &shared.table,
-                    a_evals,
-                    b_evals,
-                    c_evals,
-                    backend,
-                    deadline,
-                )?;
-                // h's coefficients are left in `a_evals` by the pipeline.
-                check_deadline(deadline, "h-msm")?;
-                let h_len = pk.h_query.len().min(a_evals.len());
-                let h_acc =
-                    backend.try_msm_g1_planned_in(G1Msm::H, &plan.h, &a_evals[..h_len], sh)?;
-                Ok((h_acc, ntt_count, h_len))
-            },
-            || {
-                pool.join(
-                    || -> Result<_, BackendError> {
-                        check_deadline(deadline, "a-msm")?;
-                        backend.try_msm_g1_planned_in(G1Msm::A, &plan.a, z, sa)
-                    },
-                    || {
-                        pool.join(
-                            || -> Result<_, BackendError> {
-                                check_deadline(deadline, "b1-msm")?;
-                                backend.try_msm_g1_planned_in(G1Msm::B1, &plan.b1, z, sb1)
-                            },
-                            || {
-                                pool.join(
-                                    || -> Result<_, BackendError> {
-                                        check_deadline(deadline, "b2-msm")?;
-                                        backend.try_msm_g2_in(&pk.b_g2_query, z, g2)
-                                    },
-                                    || -> Result<_, BackendError> {
-                                        check_deadline(deadline, "l-msm")?;
-                                        backend.try_msm_g1_planned_in(G1Msm::L, &plan.l, priv_z, sl)
-                                    },
-                                )
-                            },
-                        )
-                    },
-                )
-            },
-        );
-        let (h_acc, ntt_count, h_len) = rh?;
-        let a_msm = ra?;
-        let b1_msm = rb1?;
-        let b2_msm = rb2?;
-        let l_acc = rl?;
-        check_deadline(deadline, "finalize")?;
-
-        // A = α + Σ zᵢ·uᵢ(τ) + r·δ
-        let a_acc = a_msm
-            .add_affine(&pk.alpha_g1)
-            .add(&Jacobian::from(pk.delta_g1).mul_scalar(&r));
-
-        // B = β + Σ zᵢ·vᵢ(τ) + s·δ  (G2, with a G1 twin for C)
-        let b_g2_acc = b2_msm
-            .add_affine(&pk.beta_g2)
-            .add(&Jacobian::from(pk.delta_g2).mul_scalar(&s));
-        let b_g1_acc = b1_msm
-            .add_affine(&pk.beta_g1)
-            .add(&Jacobian::from(pk.delta_g1).mul_scalar(&s));
-
-        // C = Σ_priv zᵢ·lᵢ + Σ hᵢ·(τⁱZ(τ)/δ) + s·A + r·B₁ - r·s·δ
-        let rs = r * s;
-        let c_acc = l_acc
-            .add(&h_acc)
-            .add(&a_acc.mul_scalar(&s))
-            .add(&b_g1_acc.mul_scalar(&r))
-            .add(&Jacobian::from(pk.delta_g1).mul_scalar(&(-rs)));
-
-        // Individual affine conversions: exact field inversion gives the
-        // same canonical coordinates as the one-shot prover's batched
-        // normalization, without its temporary vector.
-        let proof = Proof {
-            a: a_acc.to_affine(),
-            b: b_g2_acc.to_affine(),
-            c: c_acc.to_affine(),
-        };
-        let stats = ProverStats {
-            g1_msm_sizes: [
-                z.len() as u64,
-                z.len() as u64,
-                priv_z.len() as u64,
-                h_len as u64,
-            ],
-            g2_msm_size: z.len() as u64,
-            ntt_count,
-            domain_size: shared.domain.size(),
-        };
-        Ok((proof, stats))
+            rng,
+            backend,
+            deadline,
+        )
     }
 }

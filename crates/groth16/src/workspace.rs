@@ -14,9 +14,8 @@ use zkp_msm::MsmScratch;
 ///
 /// A workspace is *not* shared between concurrent proofs — each worker of
 /// a [`ProofService`](crate::ProofService) owns its own — but it is
-/// reused serially across any number of proofs. Buffers only ever grow;
-/// [`ProverWorkspace::reset`] releases them.
-pub struct ProverWorkspace<C: Bls12Config> {
+/// reused serially across any number of proofs. Buffers only ever grow.
+pub(crate) struct ProverWorkspace<C: Bls12Config> {
     /// The flat assignment vector `z = (1, public…, private…)`.
     pub(crate) z: Vec<C::Fr>,
     /// `⟨A,z⟩` evaluations; the quotient pipeline leaves `h`'s
@@ -35,7 +34,7 @@ pub struct ProverWorkspace<C: Bls12Config> {
 
 impl<C: Bls12Config> ProverWorkspace<C> {
     /// An empty workspace; the first proof through it sizes every buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             z: Vec::new(),
             a_evals: Vec::new(),
@@ -51,26 +50,14 @@ impl<C: Bls12Config> ProverWorkspace<C> {
         }
     }
 
-    /// Drops every held buffer, returning the workspace to its
-    /// freshly-constructed state.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
     /// Bytes currently held by the field-element vectors (the dominant,
     /// domain-sized share of the workspace; MSM arenas are excluded).
-    pub fn held_bytes(&self) -> usize {
+    pub(crate) fn held_bytes(&self) -> usize {
         let elem = core::mem::size_of::<C::Fr>();
         (self.z.capacity()
             + self.a_evals.capacity()
             + self.b_evals.capacity()
             + self.c_evals.capacity())
             * elem
-    }
-}
-
-impl<C: Bls12Config> Default for ProverWorkspace<C> {
-    fn default() -> Self {
-        Self::new()
     }
 }

@@ -4,7 +4,7 @@
 //! prover task runs inline on the test thread, so the thread-local
 //! counter sees all of them), a *warm* `ProverSession::prove_in_on` must
 //! perform **zero** heap allocations — every buffer comes from the
-//! workspace — while the one-shot `prove_on` allocates hundreds of times.
+//! workspace — while the one-shot `prove_with_backend` allocates per proof.
 //! The ≥90% reduction required by the roadmap is therefore checked in its
 //! strongest form.
 
@@ -12,7 +12,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_backend::CpuBackend;
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
-use zkp_groth16::{prove_on, setup, verify, ProverSession};
+use zkp_groth16::{prove_with_backend, setup, verify, ProverSession};
 use zkp_r1cs::circuits::mimc;
 use zkp_runtime::{CountingAlloc, ThreadPool};
 
@@ -31,7 +31,7 @@ fn warm_session_prove_allocates_nothing() {
     // Baseline: the one-shot prover's allocation count on the same pool.
     let mut rng = StdRng::seed_from_u64(9);
     CountingAlloc::reset();
-    let (baseline_proof, _) = prove_on(session.pk(), &cs, &mut rng, &pool);
+    let (baseline_proof, _) = prove_with_backend(session.pk(), &cs, &mut rng, &backend);
     let baseline_allocs = CountingAlloc::allocations();
     assert!(
         baseline_allocs >= 10,
@@ -44,7 +44,7 @@ fn warm_session_prove_allocates_nothing() {
     assert_eq!(
         cold_proof.to_bytes(),
         baseline_proof.to_bytes(),
-        "session prover diverged from prove_on"
+        "session prover diverged from prove_with_backend"
     );
 
     // Warm steady state: the hot path must not touch the heap at all.

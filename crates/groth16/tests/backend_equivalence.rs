@@ -10,10 +10,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_backend::{CpuBackend, ExecBackend, LibraryId, OpKind, SimGpuBackend, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
-use zkp_groth16::{
-    prove_traced, prove_with_backend, prove_with_plan, setup, verify, ProverPlan, ProverSession,
-    ProverStats, ProvingKey,
-};
+use zkp_groth16::{prove_with_backend, setup, verify, ProverSession, ProverStats, ProvingKey};
 use zkp_msm::MsmConfig;
 use zkp_r1cs::circuits::mimc;
 use zkp_r1cs::ConstraintSystem;
@@ -104,19 +101,19 @@ fn glv_and_planned_provers_reproduce_the_digest_at_every_thread_count() {
     // match the pre-refactor digest at every thread count.
     let (cs, pk) = fixture();
     let reference = reference_proof_hex();
-    let plan = ProverPlan::build(&pk);
+    let mut planned = ProverSession::new(pk);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::with_threads(threads);
         let plain = CpuBackend::on(&pool).with_msm_config(MsmConfig::default());
         let glv = CpuBackend::on(&pool).with_msm_config(MsmConfig::glv_style());
-        let (d_plain, s_plain) = prove_with(&pk, &cs, &plain);
-        let (d_glv, s_glv) = prove_with(&pk, &cs, &glv);
+        let (d_plain, s_plain) = prove_with(planned.pk(), &cs, &plain);
+        let (d_glv, s_glv) = prove_with(planned.pk(), &cs, &glv);
         assert_eq!(d_plain, reference, "plain diverged at {threads} threads");
         assert_eq!(d_glv, reference, "glv diverged at {threads} threads");
         assert_eq!(s_plain, s_glv);
 
         let mut rng = StdRng::seed_from_u64(9);
-        let (proof, s_planned) = prove_with_plan(&pk, &plan, &cs, &mut rng, &glv);
+        let (proof, s_planned) = planned.prove_in_on(&cs, &mut rng, &glv);
         assert_eq!(
             digest_hex(&proof.to_bytes()),
             reference,
@@ -175,12 +172,12 @@ fn session_prover_reproduces_the_digest_cold_and_warm() {
 #[test]
 fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
     let (cs, pk) = fixture();
-    let plan = ProverPlan::build(&pk);
-    assert!(plan.algorithm().contains("precomp"));
-    assert!(plan.storage_bytes() > 0);
+    let mut session = ProverSession::new(pk);
+    assert!(session.plan().algorithm().contains("precomp"));
+    assert!(session.plan().storage_bytes() > 0);
     let backend = TracingBackend::new(CpuBackend::global());
     let mut rng = StdRng::seed_from_u64(9);
-    let (proof, _) = prove_with_plan(&pk, &plan, &cs, &mut rng, &backend);
+    let (proof, _) = session.prove_in_on(&cs, &mut rng, &backend);
     assert_eq!(digest_hex(&proof.to_bytes()), reference_proof_hex());
     let trace = ExecBackend::<Bls12381>::take_trace(&backend);
     let g1_algos: Vec<_> = trace
@@ -203,10 +200,10 @@ fn traced_run_records_the_whole_stage_graph() {
     let (cs, pk) = fixture();
     let backend = TracingBackend::new(CpuBackend::global());
     let mut rng = StdRng::seed_from_u64(9);
-    let (proof, stats) = prove_traced(&pk, &cs, &mut rng, &backend);
+    let (proof, stats) = prove_with_backend(&pk, &cs, &mut rng, &backend);
+    let trace = ExecBackend::<Bls12381>::take_trace(&backend);
     assert!(verify(&pk.vk, &proof, &cs.assignment.public));
 
-    let trace = &stats.trace;
     assert_eq!(trace.records.len(), 1 + 7 + 4 + 4 + 1); // witness, NTTs, cosets, G1 MSMs, G2
     let summary = trace.summarize();
     let count = |stage: &str| {
@@ -232,9 +229,9 @@ fn traced_run_records_the_whole_stage_graph() {
             .expect("stage recorded")
             .size
     };
-    assert_eq!(size_of("G1 MSM (A)"), stats.base.g1_msm_sizes[0]);
-    assert_eq!(size_of("G1 MSM (H)"), stats.base.g1_msm_sizes[3]);
-    assert_eq!(size_of("NTT inverse"), stats.base.domain_size);
+    assert_eq!(size_of("G1 MSM (A)"), stats.g1_msm_sizes[0]);
+    assert_eq!(size_of("G1 MSM (H)"), stats.g1_msm_sizes[3]);
+    assert_eq!(size_of("NTT inverse"), stats.domain_size);
 
     // The trace drained; a second take is empty.
     assert!(ExecBackend::<Bls12381>::take_trace(&backend)
@@ -248,15 +245,15 @@ fn sim_backend_charges_every_op_and_verifies() {
     let device = gpu_sim::device::by_name("a40").expect("a40 in catalog");
     let backend = SimGpuBackend::global(device, LibraryId::Sppark);
     let mut rng = StdRng::seed_from_u64(9);
-    let (proof, stats) = prove_traced(&pk, &cs, &mut rng, &backend);
+    let (proof, _) = prove_with_backend(&pk, &cs, &mut rng, &backend);
+    let trace = ExecBackend::<Bls12381>::take_trace(&backend);
     assert!(verify(&pk.vk, &proof, &cs.assignment.public));
-    assert!(!stats.trace.records.is_empty());
-    assert!(stats
-        .trace
+    assert!(!trace.records.is_empty());
+    assert!(trace
         .records
         .iter()
         .all(|r| r.modeled.is_some_and(|m| m.seconds > 0.0)));
-    let summary = stats.trace.summarize();
+    let summary = trace.summarize();
     assert!(summary.modeled_end_to_end_s() > 0.0);
     assert!(summary.wall_total_s() > 0.0);
 }

@@ -18,7 +18,9 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use zkp_backend::{CpuBackend, FaultInjectingBackend, FaultPlan};
+use zkp_backend::{
+    BackendError, CpuBackend, ExecBackend, FaultInjectingBackend, FaultPlan, TracingBackend,
+};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{
@@ -27,6 +29,7 @@ use zkp_groth16::{
 };
 use zkp_r1cs::circuits::mimc;
 use zkp_r1cs::ConstraintSystem;
+use zkp_runtime::ThreadPool;
 
 const ROUNDS: usize = 16;
 
@@ -279,6 +282,62 @@ fn injected_error_is_retried_to_a_byte_identical_proof() {
     let stats = service.shutdown();
     assert_eq!((stats.completed, stats.failed, stats.retries), (1, 0, 1));
     assert_eq!(stats.respawns, 0, "plain errors do not cost a worker");
+}
+
+/// One injected error under `backend`: `try_prove_in_on` returns it as a
+/// typed `Err` (no unwinding), the trace holds exactly the ops that
+/// completed, and the same session then proves byte-identically.
+fn fails_at_op_3_then_recovers<B: ExecBackend<Bls12381>>(
+    backend: &B,
+    dispatched: impl Fn() -> u64,
+) {
+    let cs = circuit(3);
+    let mut session = session().fork();
+    let mut rng = StdRng::seed_from_u64(11);
+    let err = session
+        .try_prove_in_on(&cs, &mut rng, backend, None)
+        .expect_err("op 3 is failed by the plan");
+    // On a 1-thread pool the quotient's a-chain runs first: witness eval
+    // #0, INTT #1, coset #2, NTT #3.
+    assert!(
+        matches!(
+            err,
+            BackendError::OpFailed {
+                op: "ntt_forward",
+                index: 3,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(
+        backend.take_trace().records.len() as u64,
+        dispatched() - 1,
+        "every dispatched op but the failed one is recorded"
+    );
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let (proof, _) = session
+        .try_prove_in_on(&cs, &mut rng, backend, None)
+        .expect("the plan's only fault is spent");
+    assert_eq!(proof.to_bytes(), expected_bytes(3, 11));
+    assert_eq!(backend.take_trace().records.len(), 17);
+}
+
+/// Decorators compose in either order without losing the error channel.
+#[test]
+fn injected_error_is_an_err_under_either_decorator_nesting() {
+    let pool = ThreadPool::with_threads(1);
+    let plan = FaultPlan::new(1).fail_at(3);
+
+    let traced_fault = TracingBackend::new(FaultInjectingBackend::new(
+        CpuBackend::on(&pool),
+        plan.clone(),
+    ));
+    fails_at_op_3_then_recovers(&traced_fault, || traced_fault.inner().ops_dispatched());
+
+    let fault_traced = FaultInjectingBackend::new(TracingBackend::new(CpuBackend::on(&pool)), plan);
+    fails_at_op_3_then_recovers(&fault_traced, || fault_traced.ops_dispatched());
 }
 
 /// Errors at ops 0, 1, and 2 kill all three attempts (each failed

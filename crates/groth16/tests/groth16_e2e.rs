@@ -2,11 +2,12 @@
 //! soundness spot-checks (tampered proofs and wrong inputs must fail).
 
 use rand::{rngs::StdRng, SeedableRng};
+use zkp_backend::CpuBackend;
 use zkp_curves::bls12_377::Bls12377;
 use zkp_curves::bls12_381::Bls12381;
 use zkp_curves::{Bls12Config, Jacobian};
 use zkp_ff::{Field, Fr377, Fr381};
-use zkp_groth16::{prove, prove_on, setup, verify};
+use zkp_groth16::{prove, prove_with_backend, setup, verify};
 use zkp_r1cs::circuits::{mimc, range_proof, squaring_chain};
 use zkp_r1cs::ConstraintSystem;
 
@@ -147,7 +148,7 @@ fn proof_is_deterministic_across_thread_counts() {
     for threads in [1usize, 2, 3, 8] {
         let pool = zkp_runtime::ThreadPool::with_threads(threads);
         let mut prove_rng = StdRng::seed_from_u64(12);
-        let (proof, stats) = prove_on(&pk, &cs, &mut prove_rng, &pool);
+        let (proof, stats) = prove_with_backend(&pk, &cs, &mut prove_rng, &CpuBackend::on(&pool));
         assert!(verify(&pk.vk, &proof, &cs.assignment.public));
         match &reference {
             None => reference = Some((proof, stats)),

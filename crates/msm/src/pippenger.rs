@@ -341,9 +341,10 @@ impl<Cu: SwCurve> Default for EngineScratch<Cu> {
 /// Every transient buffer an MSM needs — digit matrix, GLV subscalars,
 /// the expanded `[P…, φ(P)…]` point set, bucket arenas, per-round
 /// batch-affine state — lives here and is reused run to run, so a warmed
-/// scratch makes [`msm_parallel_with_config_in`] / [`MsmPlan::execute_in`]
-/// allocation-free in steady state. Buffers only ever grow; results are
-/// bit-identical to the scratch-free entry points.
+/// scratch makes [`msm_parallel_with_config_in`] /
+/// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
+/// steady state. Buffers only ever grow; results are bit-identical to the
+/// scratch-free entry points.
 pub struct MsmScratch<Cu: SwCurve> {
     pub(crate) engine: EngineScratch<Cu>,
     pub(crate) digits: Vec<i32>,

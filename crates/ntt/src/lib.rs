@@ -36,7 +36,7 @@ pub use domain::Domain;
 pub use fast::{
     intt_tabled, ntt_parallel, ntt_parallel_on, ntt_tabled, ntt_with_table, TwiddleTable,
 };
-pub use poly::{quotient_poly, quotient_poly_in, quotient_poly_on, DensePoly};
+pub use poly::{quotient_poly, quotient_poly_in, DensePoly};
 pub use transform::{
     bit_reverse_permute, coset_intt, coset_ntt, distribute_powers, distribute_powers_parallel,
     intt, ntt, ntt_radix2_in_place, ntt_staged, slow_dft, NttStats,

@@ -122,33 +122,13 @@ pub fn quotient_poly<F: PrimeField>(
     (a, 7)
 }
 
-/// [`quotient_poly`] on a thread pool with precomputed twiddles: the same
-/// 7-transform pipeline, with every transform stage-parallel, the coset
-/// scalings chunk-parallel, and the element-wise quotient chunk-parallel.
-/// Output is bit-identical to the serial version at any thread count.
-///
-/// # Panics
-///
-/// Panics if the slices or the table differ in length from the domain size.
-pub fn quotient_poly_on<F: PrimeField>(
-    domain: &Domain<F>,
-    table: &TwiddleTable<F>,
-    a_evals: &[F],
-    b_evals: &[F],
-    c_evals: &[F],
-    pool: &ThreadPool,
-) -> (Vec<F>, u32) {
-    let mut a = a_evals.to_vec();
-    let mut b = b_evals.to_vec();
-    let mut c = c_evals.to_vec();
-    let transforms = quotient_poly_in(domain, table, &mut a, &mut b, &mut c, pool);
-    (a, transforms)
-}
-
-/// [`quotient_poly_on`] fully in place: consumes the evaluation vectors
-/// and leaves the coefficients of `h` in `a` (with `b`, `c` clobbered as
-/// scratch), performing no allocation. This is the workspace-borrowing
-/// hot path of the prover session.
+/// [`quotient_poly`] on a thread pool with precomputed twiddles, fully in
+/// place: the same 7-transform pipeline, with every transform
+/// stage-parallel, the coset scalings chunk-parallel, and the element-wise
+/// quotient chunk-parallel. Consumes the evaluation vectors and leaves
+/// the coefficients of `h` in `a` (with `b`, `c` clobbered as scratch),
+/// performing no allocation. Output is bit-identical to the serial
+/// version at any thread count.
 ///
 /// Returns the number of NTT-shaped transforms performed.
 ///

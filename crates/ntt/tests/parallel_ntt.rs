@@ -7,7 +7,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_ff::{Field, Fr381};
 use zkp_ntt::{
     distribute_powers, distribute_powers_parallel, ntt_parallel_on, ntt_with_table, quotient_poly,
-    quotient_poly_on, Domain, TwiddleTable,
+    quotient_poly_in, Domain, TwiddleTable,
 };
 use zkp_runtime::ThreadPool;
 
@@ -72,7 +72,15 @@ fn pooled_quotient_poly_is_bit_identical() {
         let (expect, expect_transforms) = quotient_poly(&domain, &a, &b, &c);
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::with_threads(threads);
-            let (got, transforms) = quotient_poly_on(&domain, &table, &a, &b, &c, &pool);
+            let (mut got, mut b_scratch, mut c_scratch) = (a.clone(), b.clone(), c.clone());
+            let transforms = quotient_poly_in(
+                &domain,
+                &table,
+                &mut got,
+                &mut b_scratch,
+                &mut c_scratch,
+                &pool,
+            );
             assert_eq!(transforms, expect_transforms);
             assert_eq!(got, expect, "n=2^{log_n} diverged at {threads} threads");
         }

@@ -22,10 +22,10 @@ use gpu_kernels::LibraryId;
 use gpu_sim::device::DeviceSpec;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-use zkp_backend::{cpu_op_seconds, ExecTrace, GpuCostModel, OpClass, SimGpuBackend};
+use zkp_backend::{cpu_op_seconds, ExecBackend, ExecTrace, GpuCostModel, OpClass, SimGpuBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
-use zkp_groth16::{prove_traced, setup, verify};
+use zkp_groth16::{prove_with_backend, setup, verify};
 use zkp_r1cs::circuits::mimc;
 
 /// MiMC rounds for the report's traced proof: 2·1023 constraints plus the
@@ -59,11 +59,12 @@ pub fn traced_proof_with_rounds(
     let pk = setup::<Bls12381, _>(&cs, &mut rng);
     let backend = SimGpuBackend::global(device.clone(), msm_lib);
     let start = Instant::now();
-    let (proof, stats) = prove_traced(&pk, &cs, &mut rng, &backend);
+    let (proof, _) = prove_with_backend(&pk, &cs, &mut rng, &backend);
     let measured_prove_s = start.elapsed().as_secs_f64();
+    let trace = ExecBackend::<Bls12381>::take_trace(&backend);
     let verified = verify(&pk.vk, &proof, &cs.assignment.public);
     TracedProof {
-        trace: stats.trace,
+        trace,
         verified,
         measured_prove_s,
     }

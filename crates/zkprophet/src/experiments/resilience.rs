@@ -5,7 +5,7 @@
 //! happens when ops *fail*. This experiment drives the real
 //! `zkp_groth16::ProofService` — retry/backoff, panic isolation,
 //! shed-load degradation — through a seeded
-//! [`FaultInjectingBackend`](zkp_backend::FaultInjectingBackend),
+//! [`FaultInjectingBackend`],
 //! sweeping per-op fault rates × worker counts over real MiMC proofs,
 //! and reports goodput (completed proofs per second), p95 latency, and
 //! retry amplification (attempts per completed proof).

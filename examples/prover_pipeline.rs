@@ -63,9 +63,7 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     let cs = mimc(Fr381::from_u64(11), mimc_rounds);
     let mut rng = StdRng::seed_from_u64(42);
     let pk = setup::<Bls12381, _>(&cs, &mut rng);
-    // The session plan honors `ZKP_MSM_GLV` exactly like `CpuBackend`
-    // does, so the CI A/B smoke exercises both planned-MSM paths.
-    let mut session = ProverSession::with_config(pk, &zkp_backend::cpu::default_msm_config());
+    let mut session = ProverSession::new(pk);
     println!(
         "session: domain 2^{}, plan `{}`",
         session.domain_size().trailing_zeros(),
@@ -116,8 +114,7 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     let verified = verify(session.vk(), &proof, &cs.assignment.public);
     println!("stats:   {stats:?}");
     // Machine-greppable digest: proof bytes must be identical whichever
-    // MSM algorithm ran (the CI msm-glv-smoke step diffs this line across
-    // ZKP_MSM_GLV settings).
+    // backend ran.
     let digest: String = proof
         .to_bytes()
         .iter()
