@@ -17,6 +17,7 @@
 //! [`crate::machine`] applies to concrete addresses at issue time.
 
 use crate::analysis::cfg::Cfg;
+use crate::analysis::dataflow::ResourceMap;
 use crate::isa::{Instr, Program, Reg, Src};
 use crate::machine::SECTOR_WORDS;
 
@@ -186,22 +187,6 @@ impl AddrAnalysis {
     }
 }
 
-fn max_reg(program: &Program) -> usize {
-    use crate::analysis::dataflow::{instr_defs, instr_uses, Resource};
-    let mut max = 0usize;
-    for pc in 0..program.len() {
-        let inst = program.fetch(pc);
-        let mut see = |r: Resource| {
-            if let Resource::Reg(x) = r {
-                max = max.max(x as usize + 1);
-            }
-        };
-        instr_uses(&inst, &mut see);
-        instr_defs(&inst, &mut see);
-    }
-    max
-}
-
 fn src_val(regs: &[AffineVal], s: &Src) -> AffineVal {
     match s {
         Src::Imm(v) => AffineVal::constant(i64::from(*v)),
@@ -284,7 +269,7 @@ pub fn analyze_addresses(
     contracts: &MemContracts,
     inputs: &[Reg],
 ) -> AddrAnalysis {
-    let n = max_reg(program);
+    let n = ResourceMap::of(program).num_regs();
     let mut entry = vec![AffineVal::constant(0); n];
     for &r in inputs {
         if (r as usize) < n {

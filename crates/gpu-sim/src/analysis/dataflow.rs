@@ -33,53 +33,51 @@ impl core::fmt::Display for Resource {
     }
 }
 
-/// Calls `f` for every resource the instruction reads.
-pub fn instr_uses(inst: &Instr, mut f: impl FnMut(Resource)) {
-    let src = |s: &Src, f: &mut dyn FnMut(Resource)| {
-        if let Src::Reg(r) = s {
-            f(Resource::Reg(*r));
+/// `inst` with every [`Src`] operand rewritten through `f`, in operand
+/// order — the one table of operand positions. The registers an
+/// instruction names directly (`dst`, the `LDG`/`STG` value and address)
+/// are not `Src`s and stay.
+pub(crate) fn map_srcs(mut inst: Instr, mut f: impl FnMut(Src) -> Src) -> Instr {
+    let operands = match &mut inst {
+        Instr::Imad { a, b, c, .. } | Instr::Iadd3 { a, b, c, .. } => [Some(a), Some(b), Some(c)],
+        Instr::Shf { a, b, sh, .. } => [Some(a), Some(b), Some(sh)],
+        Instr::Lop3 { a, b, .. } | Instr::Setp { a, b, .. } | Instr::Sel { a, b, .. } => {
+            [Some(a), Some(b), None]
+        }
+        Instr::Mov { src, .. } => [Some(src), None, None],
+        Instr::Bra { .. } | Instr::Ldg { .. } | Instr::Stg { .. } | Instr::Exit => {
+            [None, None, None]
         }
     };
-    match inst {
-        Instr::Imad {
-            a, b, c, use_cc, ..
+    for s in operands.into_iter().flatten() {
+        *s = f(*s);
+    }
+    inst
+}
+
+/// Calls `f` for every resource the instruction reads: its [`Src`]
+/// operands in order, then the carry flag, predicate or directly named
+/// registers.
+pub fn instr_uses(inst: &Instr, mut f: impl FnMut(Resource)) {
+    map_srcs(*inst, |s| {
+        if let Src::Reg(r) = s {
+            f(Resource::Reg(r));
         }
-        | Instr::Iadd3 {
-            a, b, c, use_cc, ..
-        } => {
-            src(a, &mut f);
-            src(b, &mut f);
-            src(c, &mut f);
-            if *use_cc {
-                f(Resource::Carry);
-            }
+        s
+    });
+    match *inst {
+        Instr::Imad { use_cc: true, .. } | Instr::Iadd3 { use_cc: true, .. } => f(Resource::Carry),
+        Instr::Sel { pred, .. }
+        | Instr::Bra {
+            pred: Some((pred, _)),
+            ..
+        } => f(Resource::Pred(pred)),
+        Instr::Ldg { addr, .. } => f(Resource::Reg(addr)),
+        Instr::Stg { src, addr, .. } => {
+            f(Resource::Reg(src));
+            f(Resource::Reg(addr));
         }
-        Instr::Shf { a, b, sh, .. } => {
-            src(a, &mut f);
-            src(b, &mut f);
-            src(sh, &mut f);
-        }
-        Instr::Lop3 { a, b, .. } | Instr::Setp { a, b, .. } => {
-            src(a, &mut f);
-            src(b, &mut f);
-        }
-        Instr::Mov { src: s, .. } => src(s, &mut f),
-        Instr::Sel { a, b, pred, .. } => {
-            src(a, &mut f);
-            src(b, &mut f);
-            f(Resource::Pred(*pred));
-        }
-        Instr::Bra { pred, .. } => {
-            if let Some((p, _)) = pred {
-                f(Resource::Pred(*p));
-            }
-        }
-        Instr::Ldg { addr, .. } => f(Resource::Reg(*addr)),
-        Instr::Stg { src: s, addr, .. } => {
-            f(Resource::Reg(*s));
-            f(Resource::Reg(*addr));
-        }
-        Instr::Exit => {}
+        _ => {}
     }
 }
 
@@ -100,6 +98,23 @@ pub fn instr_defs(inst: &Instr, mut f: impl FnMut(Resource)) {
         Instr::Setp { pred, .. } => f(Resource::Pred(*pred)),
         Instr::Bra { .. } | Instr::Stg { .. } | Instr::Exit => {}
     }
+}
+
+/// The highest register index any instruction of `program` reads or
+/// writes (`None` for a program that names no register).
+pub(crate) fn max_reg(program: &Program) -> Option<Reg> {
+    let mut max = None;
+    for pc in 0..program.len() {
+        let inst = program.fetch(pc);
+        let mut see = |r: Resource| {
+            if let Resource::Reg(x) = r {
+                max = max.max(Some(x));
+            }
+        };
+        instr_uses(&inst, &mut see);
+        instr_defs(&inst, &mut see);
+    }
+    max
 }
 
 /// A fixed-size bit set used by the dataflow lattices.
@@ -157,19 +172,8 @@ impl ResourceMap {
     /// Builds the map for a program (register universe = highest register
     /// index referenced, plus one).
     pub fn of(program: &Program) -> Self {
-        let mut max_reg: Option<u16> = None;
-        let mut see = |r: Resource| {
-            if let Resource::Reg(x) = r {
-                max_reg = Some(max_reg.map_or(x, |m: u16| m.max(x)));
-            }
-        };
-        for pc in 0..program.len() {
-            let inst = program.fetch(pc);
-            instr_uses(&inst, &mut see);
-            instr_defs(&inst, &mut see);
-        }
         Self {
-            num_regs: max_reg.map_or(0, |m| m as usize + 1),
+            num_regs: max_reg(program).map_or(0, |m| m as usize + 1),
         }
     }
 

@@ -378,7 +378,7 @@ fn dead_writes(program: &Program, cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
 /// results over immediate operands is enough to catch the generator bug
 /// this lint is for (a comparison wired to constants by mistake).
 fn never_taken_branches(program: &Program, cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
-    use crate::isa::{CmpOp, Src};
+    use crate::isa::Src;
     for (b, blk) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
             continue;
@@ -388,12 +388,7 @@ fn never_taken_branches(program: &Program, cfg: &Cfg, diags: &mut Vec<Diagnostic
             match program.fetch(pc) {
                 Instr::Setp { pred, a, b, cmp } => {
                     known[pred as usize] = match (a, b) {
-                        (Src::Imm(x), Src::Imm(y)) => Some(match cmp {
-                            CmpOp::Eq => x == y,
-                            CmpOp::Ne => x != y,
-                            CmpOp::Lt => x < y,
-                            CmpOp::Ge => x >= y,
-                        }),
+                        (Src::Imm(x), Src::Imm(y)) => Some(cmp.eval(x, y)),
                         _ => None,
                     };
                 }

@@ -84,8 +84,8 @@ pub struct MemoryAnalysis {
     pub bytes_loaded_per_warp: u64,
     /// Predicted DRAM bytes stored per warp.
     pub bytes_stored_per_warp: u64,
-    /// Static INT32-pipe operations per warp (IMAD weighted 2, all lanes),
-    /// mirroring the simulator's `int_ops` accounting for full warps.
+    /// Static INT32-pipe operations per warp (IMAD weighted 2, all lanes):
+    /// the simulator's `int_ops` for full warps.
     pub int_ops_per_warp: u64,
 }
 
@@ -222,15 +222,7 @@ pub fn analyze_memory(
     match &trace {
         Ok(trace) => {
             for &pc in trace {
-                let inst = program.fetch(pc);
-                if inst.uses_int32_pipe() {
-                    let weight = if matches!(inst, Instr::Imad { .. }) {
-                        2
-                    } else {
-                        1
-                    };
-                    int_ops_per_warp += weight * u64::from(warp_size);
-                }
+                int_ops_per_warp += program.fetch(pc).int_ops() * u64::from(warp_size);
                 if let Some(a) = accesses.iter_mut().find(|a| a.pc == pc) {
                     a.executions += 1;
                 }
@@ -241,13 +233,8 @@ pub fn analyze_memory(
                 a.executions = 1;
             }
             for pc in 0..program.len() {
-                if cfg.reachable[cfg.block_of[pc]] && program.fetch(pc).uses_int32_pipe() {
-                    let weight = if matches!(program.fetch(pc), Instr::Imad { .. }) {
-                        2
-                    } else {
-                        1
-                    };
-                    int_ops_per_warp += weight * u64::from(warp_size);
+                if cfg.reachable[cfg.block_of[pc]] {
+                    int_ops_per_warp += program.fetch(pc).int_ops() * u64::from(warp_size);
                 }
             }
         }

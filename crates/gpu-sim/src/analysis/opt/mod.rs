@@ -40,9 +40,9 @@ use core::fmt;
 
 use crate::analysis::addr::MemContracts;
 use crate::analysis::cfg::Cfg;
-use crate::analysis::dataflow::Liveness;
+use crate::analysis::dataflow::{max_reg, Liveness, ResourceMap};
 use crate::analysis::schedule::{
-    max_reg_referenced, predict_schedule_mem, MemTimings, ScheduleHints, SchedulePrediction,
+    predict_schedule_mem, MemTimings, ScheduleHints, SchedulePrediction,
 };
 use crate::device::DeviceSpec;
 use crate::isa::{Program, Reg};
@@ -278,7 +278,7 @@ pub fn optimize_with_config(
     let cfg0 = Cfg::build(program);
     let live0 = Liveness::compute(program, &cfg0);
     let max_live_before = live0.max_live_registers(&cfg0, program);
-    let max_reg_before = u32::from(max_reg_referenced(program).unwrap_or(0));
+    let max_reg_before = u32::from(max_reg(program).unwrap_or(0));
 
     let mut cur = program.clone();
     let mut pc_map: Vec<Option<usize>> = (0..program.len()).map(Some).collect();
@@ -328,7 +328,7 @@ pub fn optimize_with_config(
         compose(&mut pc_map, &map);
         moved = n;
     }
-    let mut reg_map = RegMap::identity(max_reg_referenced(program).map_or(0, |r| r as usize + 1));
+    let mut reg_map = RegMap::identity(ResourceMap::of(program).num_regs());
     if opts.passes.regalloc {
         let (p, m) = regalloc::reallocate(&cur, &opts.inputs, &opts.contracts);
         cur = p;
@@ -353,7 +353,7 @@ pub fn optimize_with_config(
     let cfg1 = Cfg::build(&cur);
     let live1 = Liveness::compute(&cur, &cfg1);
     let max_live_after = live1.max_live_registers(&cfg1, &cur);
-    let max_reg_after = u32::from(max_reg_referenced(&cur).unwrap_or(0));
+    let max_reg_after = u32::from(max_reg(&cur).unwrap_or(0));
 
     let report = OptReport {
         instructions_before: program.len(),

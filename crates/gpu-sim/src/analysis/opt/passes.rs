@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use crate::analysis::cfg::Cfg;
-use crate::analysis::dataflow::{instr_defs, instr_uses, Liveness, Resource};
+use crate::analysis::dataflow::{instr_defs, instr_uses, map_srcs, Liveness, Resource};
 use crate::isa::{Instr, Program, Reg, Src};
 
 use super::validate::{store_is_dead, BlockSym, Env, MemOracle, OpKind, Term, TermId, Terms};
@@ -30,77 +30,6 @@ fn def_reg(inst: &Instr) -> Option<Reg> {
         | Instr::Sel { dst, .. }
         | Instr::Ldg { dst, .. } => Some(*dst),
         _ => None,
-    }
-}
-
-/// Rewrites every `Src` operand of an instruction through `f`.
-fn map_srcs(inst: Instr, mut f: impl FnMut(Src) -> Src) -> Instr {
-    match inst {
-        Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc,
-            use_cc,
-        } => Instr::Imad {
-            dst,
-            a: f(a),
-            b: f(b),
-            c: f(c),
-            hi,
-            set_cc,
-            use_cc,
-        },
-        Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc,
-            use_cc,
-        } => Instr::Iadd3 {
-            dst,
-            a: f(a),
-            b: f(b),
-            c: f(c),
-            set_cc,
-            use_cc,
-        },
-        Instr::Shf {
-            dst,
-            a,
-            b,
-            sh,
-            right,
-        } => Instr::Shf {
-            dst,
-            a: f(a),
-            b: f(b),
-            sh: f(sh),
-            right,
-        },
-        Instr::Lop3 { dst, a, b, op } => Instr::Lop3 {
-            dst,
-            a: f(a),
-            b: f(b),
-            op,
-        },
-        Instr::Mov { dst, src } => Instr::Mov { dst, src: f(src) },
-        Instr::Setp { pred, a, b, cmp } => Instr::Setp {
-            pred,
-            a: f(a),
-            b: f(b),
-            cmp,
-        },
-        Instr::Sel { dst, a, b, pred } => Instr::Sel {
-            dst,
-            a: f(a),
-            b: f(b),
-            pred,
-        },
-        other => other,
     }
 }
 
@@ -121,81 +50,19 @@ fn uses_cc(inst: &Instr) -> bool {
 }
 
 /// The instruction with its carry-in read dropped.
-fn with_use_cc_false(inst: Instr) -> Instr {
-    match inst {
-        Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc,
-            use_cc: _,
-        } => Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc,
-            use_cc: false,
-        },
-        Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc,
-            use_cc: _,
-        } => Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc,
-            use_cc: false,
-        },
-        other => other,
+fn with_use_cc_false(mut inst: Instr) -> Instr {
+    if let Instr::Imad { use_cc, .. } | Instr::Iadd3 { use_cc, .. } = &mut inst {
+        *use_cc = false;
     }
+    inst
 }
 
 /// The instruction with its carry-out write dropped.
-fn with_set_cc_false(inst: Instr) -> Instr {
-    match inst {
-        Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc: _,
-            use_cc,
-        } => Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc: false,
-            use_cc,
-        },
-        Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc: _,
-            use_cc,
-        } => Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc: false,
-            use_cc,
-        },
-        other => other,
+fn with_set_cc_false(mut inst: Instr) -> Instr {
+    if let Instr::Imad { set_cc, .. } | Instr::Iadd3 { set_cc, .. } = &mut inst {
+        *set_cc = false;
     }
+    inst
 }
 
 /// Symbolic simplification to a fixpoint: per reachable block, run the

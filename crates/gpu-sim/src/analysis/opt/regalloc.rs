@@ -17,7 +17,9 @@
 
 use crate::analysis::addr::MemContracts;
 use crate::analysis::cfg::Cfg;
-use crate::analysis::dataflow::{instr_defs, instr_uses, Liveness, Resource, ResourceMap};
+use crate::analysis::dataflow::{
+    instr_defs, instr_uses, map_srcs, Liveness, Resource, ResourceMap,
+};
 use crate::isa::{Instr, Program, Reg, Src};
 
 use super::RegMap;
@@ -153,88 +155,22 @@ pub(super) fn reallocate(
 
 /// Applies a register map to every register reference of an instruction.
 fn rename_instr(inst: Instr, m: &RegMap) -> Instr {
-    let s = |x: Src| match x {
+    let mut inst = map_srcs(inst, |x| match x {
         Src::Reg(r) => Src::Reg(m.get(r)),
         imm => imm,
-    };
-    match inst {
-        Instr::Imad {
-            dst,
-            a,
-            b,
-            c,
-            hi,
-            set_cc,
-            use_cc,
-        } => Instr::Imad {
-            dst: m.get(dst),
-            a: s(a),
-            b: s(b),
-            c: s(c),
-            hi,
-            set_cc,
-            use_cc,
-        },
-        Instr::Iadd3 {
-            dst,
-            a,
-            b,
-            c,
-            set_cc,
-            use_cc,
-        } => Instr::Iadd3 {
-            dst: m.get(dst),
-            a: s(a),
-            b: s(b),
-            c: s(c),
-            set_cc,
-            use_cc,
-        },
-        Instr::Shf {
-            dst,
-            a,
-            b,
-            sh,
-            right,
-        } => Instr::Shf {
-            dst: m.get(dst),
-            a: s(a),
-            b: s(b),
-            sh: s(sh),
-            right,
-        },
-        Instr::Lop3 { dst, a, b, op } => Instr::Lop3 {
-            dst: m.get(dst),
-            a: s(a),
-            b: s(b),
-            op,
-        },
-        Instr::Mov { dst, src } => Instr::Mov {
-            dst: m.get(dst),
-            src: s(src),
-        },
-        Instr::Setp { pred, a, b, cmp } => Instr::Setp {
-            pred,
-            a: s(a),
-            b: s(b),
-            cmp,
-        },
-        Instr::Sel { dst, a, b, pred } => Instr::Sel {
-            dst: m.get(dst),
-            a: s(a),
-            b: s(b),
-            pred,
-        },
-        Instr::Ldg { dst, addr, offset } => Instr::Ldg {
-            dst: m.get(dst),
-            addr: m.get(addr),
-            offset,
-        },
-        Instr::Stg { src, addr, offset } => Instr::Stg {
-            src: m.get(src),
-            addr: m.get(addr),
-            offset,
-        },
-        other => other,
+    });
+    match &mut inst {
+        Instr::Imad { dst, .. }
+        | Instr::Iadd3 { dst, .. }
+        | Instr::Shf { dst, .. }
+        | Instr::Lop3 { dst, .. }
+        | Instr::Mov { dst, .. }
+        | Instr::Sel { dst, .. } => *dst = m.get(*dst),
+        Instr::Ldg { dst: x, addr, .. } | Instr::Stg { src: x, addr, .. } => {
+            *x = m.get(*x);
+            *addr = m.get(*addr);
+        }
+        Instr::Setp { .. } | Instr::Bra { .. } | Instr::Exit => {}
     }
+    inst
 }

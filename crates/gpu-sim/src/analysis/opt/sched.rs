@@ -18,9 +18,10 @@
 
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{instr_defs, instr_uses, ResourceMap};
-use crate::analysis::schedule::{result_latency, MemTimings};
+use crate::analysis::schedule::MemTimings;
 use crate::isa::{Instr, Program};
 use crate::machine::SmspConfig;
+use crate::scoreboard::{int32_interval, result_latency};
 
 use super::validate::{BlockSym, Env, MemOracle, Terms};
 
@@ -184,7 +185,7 @@ fn schedule_block(
     }
 
     // Greedy cycle-driven selection.
-    let int32_interval = u64::from(config.warp_size / config.int32_lanes.max(1)).max(1);
+    let int32_interval = int32_interval(config);
     let mut est = vec![0u64; n];
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut out = Vec::with_capacity(n);
@@ -196,7 +197,7 @@ fn schedule_block(
             let inst = program.fetch(start + i);
             let pipe_free = if inst.uses_int32_pipe() {
                 int32_free
-            } else if matches!(inst, Instr::Ldg { .. } | Instr::Stg { .. }) {
+            } else if inst.uses_lsu() {
                 mem_free
             } else {
                 0
@@ -212,7 +213,7 @@ fn schedule_block(
         let inst = program.fetch(start + best);
         if inst.uses_int32_pipe() {
             int32_free = best_start + int32_interval;
-        } else if matches!(inst, Instr::Ldg { .. } | Instr::Stg { .. }) {
+        } else if inst.uses_lsu() {
             mem_free = best_start + mem.get(start + best);
         }
         cycle = best_start + 1;

@@ -46,7 +46,7 @@ use std::fmt;
 use crate::analysis::addr::{alias, AffineVal, Alias, Loc, MemContracts};
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{instr_defs, Liveness, Resource};
-use crate::isa::{CmpOp, Instr, LogicOp, Pred, Program, Reg, Src};
+use crate::isa::{iadd3, imad, shf, CmpOp, Instr, LogicOp, Pred, Program, Reg, Src};
 
 use super::RegMap;
 
@@ -75,19 +75,9 @@ pub(super) enum OpKind {
     /// Right funnel shift (args `[a, b, sh]`).
     ShfR,
     /// Bitwise AND / OR / XOR (args `[a, b]`).
-    And,
-    /// Bitwise OR.
-    Or,
-    /// Bitwise XOR.
-    Xor,
-    /// Predicate comparisons (args `[a, b]`).
-    CmpEq,
-    /// `a != b`.
-    CmpNe,
-    /// Unsigned `a < b`.
-    CmpLt,
-    /// Unsigned `a >= b`.
-    CmpGe,
+    Logic(LogicOp),
+    /// Unsigned predicate comparison (args `[a, b]`).
+    Cmp(CmpOp),
     /// Select (args `[pred, a, b]`).
     Sel,
     /// The memory state at block entry (no args).
@@ -186,10 +176,7 @@ impl Terms {
                     OpKind::ImadLoCarry
                     | OpKind::ImadHiCarry
                     | OpKind::Add3Carry
-                    | OpKind::CmpEq
-                    | OpKind::CmpNe
-                    | OpKind::CmpLt
-                    | OpKind::CmpGe => 1,
+                    | OpKind::Cmp(_) => 1,
                     OpKind::ImadLo | OpKind::ImadHi => {
                         let prod = b(0) * b(1);
                         // lo(a·b) wraps unless the full product fits;
@@ -205,8 +192,8 @@ impl Terms {
                     }
                     OpKind::Add3 => word_sum(&[b(0), b(1), b(2), b(3)]),
                     // x & y ≤ min(x, y); x | y and x ^ y ≤ x + y.
-                    OpKind::And => b(0).min(b(1)),
-                    OpKind::Or | OpKind::Xor => word_sum(&[b(0), b(1)]),
+                    OpKind::Logic(LogicOp::And) => b(0).min(b(1)),
+                    OpKind::Logic(LogicOp::Or | LogicOp::Xor) => word_sum(&[b(0), b(1)]),
                     OpKind::Sel => b(1).max(b(2)),
                     OpKind::ShfL
                     | OpKind::ShfR
@@ -225,8 +212,8 @@ impl Terms {
         parts.iter().sum::<u64>() <= WORD_MAX
     }
 
-    /// Sound semantic normalization, mirroring the simulator's ALU
-    /// bit-for-bit: all-constant operators evaluate, carry-outs whose
+    /// Sound semantic normalization: all-constant operators evaluate
+    /// through the simulator's own ALU ([`crate::isa`]), carry-outs whose
     /// addend constants sum to zero are provably 0 (a single 32-bit
     /// summand cannot overflow alone), `a+0+0+0` is `a`, funnel shifts
     /// by 0 are the pass-through operand, and a constant-predicate
@@ -253,14 +240,8 @@ impl Terms {
                     if !cin_ok(Some(cin)) {
                         return None;
                     }
-                    let prod = u64::from(a) * u64::from(b);
-                    let part = if hi { prod >> 32 } else { prod & 0xffff_ffff };
-                    let sum = part + u64::from(c) + u64::from(cin);
-                    Term::Const(if carry {
-                        ((sum >> 32) & 1) as u32
-                    } else {
-                        sum as u32
-                    })
+                    let (v, carry_out) = imad(a, b, c, cin == 1, hi);
+                    Term::Const(if carry { u32::from(carry_out) } else { v })
                 } else if (k[0] == Some(0) || k[1] == Some(0)) && k[3] == Some(0) {
                     // A zero factor kills the product; with no carry-in
                     // the result is the addend and the carry-out is 0.
@@ -290,17 +271,18 @@ impl Terms {
                     return None;
                 }
                 let sym: Vec<usize> = (0..4).filter(|&i| k[i].is_none()).collect();
-                let const_sum: u64 = k.iter().flatten().map(|&c| u64::from(c)).sum();
-                match (*kind, sym.len()) {
-                    (_, 0) => {
-                        let carry = matches!(kind, OpKind::Add3Carry);
-                        Term::Const(if carry {
-                            ((const_sum >> 32) & 1) as u32
+                match (*kind, &k[..]) {
+                    (_, &[Some(a), Some(b), Some(c), Some(cin)]) => {
+                        let (v, carry_out) = iadd3(a, b, c, cin == 1);
+                        Term::Const(if matches!(kind, OpKind::Add3Carry) {
+                            carry_out & 1
                         } else {
-                            const_sum as u32
+                            v
                         })
                     }
-                    (OpKind::Add3, 1) if const_sum == 0 => return Some(args[sym[0]]),
+                    (OpKind::Add3, _) if sym.len() == 1 && k.iter().flatten().all(|&c| c == 0) => {
+                        return Some(args[sym[0]])
+                    }
                     // Interval rule: addend bounds summing below 2^32
                     // prove the carry-out is zero on every execution —
                     // this is what retires the CIOS overflow word, whose
@@ -324,36 +306,18 @@ impl Terms {
                     let (Some(v), Some(f)) = (k[0], k[1]) else {
                         return None;
                     };
-                    let s = s & 31;
-                    Term::Const(if matches!(kind, OpKind::ShfR) {
-                        (v >> s) | (f << (32 - s))
-                    } else {
-                        (v << s) | (f >> (32 - s))
-                    })
+                    Term::Const(shf(v, f, s, matches!(kind, OpKind::ShfR)))
                 }
                 None => return None,
             },
-            OpKind::And | OpKind::Or | OpKind::Xor => {
-                let (Some(a), Some(b)) = (k[0], k[1]) else {
-                    return None;
-                };
-                Term::Const(match kind {
-                    OpKind::And => a & b,
-                    OpKind::Or => a | b,
-                    _ => a ^ b,
-                })
-            }
-            OpKind::CmpEq | OpKind::CmpNe | OpKind::CmpLt | OpKind::CmpGe => {
-                let (Some(a), Some(b)) = (k[0], k[1]) else {
-                    return None;
-                };
-                Term::Const(u32::from(match kind {
-                    OpKind::CmpEq => a == b,
-                    OpKind::CmpNe => a != b,
-                    OpKind::CmpLt => a < b,
-                    _ => a >= b,
-                }))
-            }
+            OpKind::Logic(op) => match (k[0], k[1]) {
+                (Some(a), Some(b)) => Term::Const(op.eval(a, b)),
+                _ => return None,
+            },
+            OpKind::Cmp(cmp) => match (k[0], k[1]) {
+                (Some(a), Some(b)) => Term::Const(u32::from(cmp.eval(a, b))),
+                _ => return None,
+            },
             OpKind::Sel => match k[0] {
                 Some(p) => return Some(args[if p & 1 == 1 { 1 } else { 2 }]),
                 None => return None,
@@ -771,12 +735,7 @@ impl BlockSym {
             Instr::Lop3 { dst, a, b, op } => {
                 let ta = self.env.src(terms, a);
                 let tb = self.env.src(terms, b);
-                let kind = match op {
-                    LogicOp::And => OpKind::And,
-                    LogicOp::Or => OpKind::Or,
-                    LogicOp::Xor => OpKind::Xor,
-                };
-                let t = terms.intern(Term::Op(kind, vec![ta, tb]));
+                let t = terms.intern(Term::Op(OpKind::Logic(op), vec![ta, tb]));
                 self.env.regs.insert(dst, t);
             }
             Instr::Mov { dst, src } => {
@@ -786,13 +745,7 @@ impl BlockSym {
             Instr::Setp { pred, a, b, cmp } => {
                 let ta = self.env.src(terms, a);
                 let tb = self.env.src(terms, b);
-                let kind = match cmp {
-                    CmpOp::Eq => OpKind::CmpEq,
-                    CmpOp::Ne => OpKind::CmpNe,
-                    CmpOp::Lt => OpKind::CmpLt,
-                    CmpOp::Ge => OpKind::CmpGe,
-                };
-                let t = terms.intern(Term::Op(kind, vec![ta, tb]));
+                let t = terms.intern(Term::Op(OpKind::Cmp(cmp), vec![ta, tb]));
                 self.env.preds[pred as usize] = t;
             }
             Instr::Sel { dst, a, b, pred } => {
@@ -1256,4 +1209,107 @@ pub fn validate(
         });
     }
     Ok(Certificate { blocks: checks })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::schedule::ConstState;
+    use crate::isa::ProgramBuilder;
+    use crate::machine::{Machine, SmspConfig, WarpInit};
+    use proptest::prelude::*;
+
+    /// Working registers of the random programs; `ADDR` stays zero.
+    const REGS: u16 = 8;
+    const ADDR: u16 = REGS + 2;
+
+    /// Decodes 64 random bits into one ALU instruction over `r0..REGS`.
+    fn decode(bits: u64, b: &mut ProgramBuilder) {
+        const EDGES: [u32; 4] = [0, 1, u32::MAX, 0x8000_0000];
+        let field = |shift: u32, width: u32| (bits >> shift) as u32 & ((1 << width) - 1);
+        let reg = |shift: u32| field(shift, 3) as u16;
+        let src = |shift: u32| match field(shift, 5) {
+            k @ 0..=3 => Src::Imm(EDGES[k as usize]),
+            4..=7 => Src::Imm((bits >> 32) as u32),
+            k => Src::Reg((k & 7) as u16),
+        };
+        let flag = |shift: u32| field(shift, 1) == 1;
+        let (dst, a, bb, c) = (reg(4), src(7), src(12), src(17));
+        match field(0, 4) {
+            0..=3 => b.imad(dst, a, bb, c, flag(22), flag(23), flag(24)),
+            // With a carry-out the third addend is 0: three full words
+            // overflow the one carry bit and the simulator asserts.
+            4..=6 if flag(23) => b.iadd3(dst, a, bb, Src::Imm(0), true, flag(24)),
+            4..=6 => b.iadd3(dst, a, bb, c, false, flag(24)),
+            7..=8 => b.shf(dst, a, bb, c, flag(22)),
+            9..=10 => {
+                let op = [LogicOp::And, LogicOp::Or, LogicOp::Xor][field(22, 2) as usize % 3];
+                b.lop3(dst, a, bb, op);
+            }
+            11 => b.mov(dst, a),
+            12..=13 => {
+                let cmp = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge][field(22, 2) as usize];
+                b.setp(field(25, 2) as u8, a, bb, cmp);
+            }
+            _ => b.sel(dst, a, bb, field(25, 2) as u8),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The three consumers of the `isa` ALU agree: on a straight-line
+        /// program over constant-initialised registers, the simulator's
+        /// lane-0 values, the schedule predictor's constant state and the
+        /// validator's folded terms are the same numbers.
+        #[test]
+        fn simulator_constant_folder_and_validator_agree(
+            init in prop::collection::vec(any::<u32>(), REGS as usize),
+            body in prop::collection::vec(any::<u64>(), 1..48),
+        ) {
+            let mut b = ProgramBuilder::new();
+            // The validator's block entry is symbolic, so the program
+            // itself pins every register and flag to a constant first.
+            for (r, v) in init.iter().enumerate() {
+                b.mov(r as u16, Src::Imm(*v));
+            }
+            for p in 0..4 {
+                b.setp(p, Src::Imm(0), Src::Imm(0), CmpOp::Ne);
+            }
+            b.iadd3(REGS, Src::Imm(0), Src::Imm(0), Src::Imm(0), true, false);
+            for bits in &body {
+                decode(*bits, &mut b);
+            }
+            // Make the flags observable as registers, then store it all.
+            b.iadd3(REGS, Src::Imm(0), Src::Imm(0), Src::Imm(0), false, true);
+            b.sel(REGS + 1, Src::Imm(1), Src::Imm(0), 0);
+            b.mov(ADDR, Src::Imm(0));
+            for r in 0..ADDR {
+                b.stg(r, ADDR, u32::from(r));
+            }
+            b.exit();
+            let program = b.build();
+
+            let mut machine = Machine::new(SmspConfig::default(), ADDR as usize);
+            machine.run(&program, &[WarpInit::default()]);
+
+            let mut folded = ConstState::new(&program);
+            let mut terms = Terms::new();
+            let oracle = MemOracle::new(&program, &MemContracts::default(), 32);
+            let entry = Env::symbolic(&mut terms);
+            let mut sym = BlockSym::new(&mut terms, entry);
+            for pc in 0..program.len() {
+                let inst = program.fetch(pc);
+                folded.step(&inst);
+                sym.step(&mut terms, &oracle, pc, &inst);
+            }
+
+            for r in 0..ADDR {
+                let simulated = machine.global_mem[r as usize];
+                prop_assert_eq!(folded.regs[r as usize], Some(simulated), "r{}", r);
+                let term = sym.env.reg(&mut terms, r);
+                prop_assert_eq!(terms.get(term), &Term::Const(simulated), "r{}", r);
+            }
+        }
+    }
 }

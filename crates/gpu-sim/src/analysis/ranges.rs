@@ -38,6 +38,7 @@
 //! prove the per-application contract and induct outside the analysis.
 
 use crate::analysis::cfg::Cfg;
+use crate::analysis::dataflow::ResourceMap;
 use crate::analysis::lints::{Diagnostic, LintKind};
 use crate::isa::{CmpOp, Instr, LogicOp, Program, Reg, Src};
 
@@ -568,7 +569,7 @@ pub fn analyze_ranges_with_cfg(
         return result;
     }
 
-    let num_regs = max_reg(program).map_or(0, |r| r as usize + 1);
+    let num_regs = ResourceMap::of(program).num_regs();
     let thresholds = widening_thresholds(program);
 
     // Fixpoint over block-entry states.
@@ -737,22 +738,6 @@ fn lex_compare_failure(st: &AbsState, ob: &ValueBound) -> Option<String> {
     }
     // Equal to the bound limb-for-limb: `value < bound` is not provable.
     Some("interval upper bound equals the limit exactly".to_string())
-}
-
-fn max_reg(program: &Program) -> Option<Reg> {
-    use crate::analysis::dataflow::{instr_defs, instr_uses, Resource};
-    let mut max = None;
-    for pc in 0..program.len() {
-        let inst = program.fetch(pc);
-        let mut see = |r: Resource| {
-            if let Resource::Reg(x) = r {
-                max = Some(max.map_or(x, |m: Reg| m.max(x)));
-            }
-        };
-        instr_uses(&inst, &mut see);
-        instr_defs(&inst, &mut see);
-    }
-    max
 }
 
 /// Widening thresholds: every immediate in the program, plus 0/1/`MAX`.

@@ -1,21 +1,25 @@
 //! Static scoreboard scheduling: simulator-free prediction of the numbers
 //! [`crate::machine`] produces dynamically.
 //!
-//! The key observation making this tractable is that the SMSP timing model
-//! is *value-independent*: register contents influence timing only through
-//! control flow. A divergent forward skip-branch issues exactly the same
-//! instruction sequence as a uniform not-taken branch (the active mask
-//! does not change issue timing), so once branch outcomes are pinned down,
-//! a purely static walk of the resulting instruction trace through the
-//! scoreboard model reproduces the simulator's cycles and stall taxonomy.
+//! The predictor *is* the simulator's issue model driven by a static
+//! trace: both feed the crate's one scoreboard (`scoreboard.rs`) — the
+//! simulator with the pc each warp functionally reaches, this module with
+//! a pc sequence computed up front. That works because the SMSP timing
+//! model is *value-independent*: register contents influence timing only
+//! through control flow (and the sectors an access touches, which
+//! [`MemTimings`] supplies). A divergent forward skip-branch issues exactly
+//! the same instruction sequence as a uniform not-taken branch (the active
+//! mask does not change issue timing), so once branch outcomes are pinned
+//! down the trace, and with it cycles and stall taxonomy, is the
+//! simulator's own.
 //!
 //! Branch outcomes are pinned down two ways:
 //!
 //! 1. A constant-propagation mini-interpreter folds warp-uniform scalar
-//!    state (`MOV` of immediates, `IADD3`/`IMAD` over known constants,
-//!    `ISETP` over known constants). This resolves loop trip counts — the
-//!    microbenchmarks' `LOOP` counter is pure constant arithmetic — with
-//!    no pattern matching.
+//!    state through the ALU of [`crate::isa`] (`MOV` of immediates,
+//!    `IADD3`/`IMAD` over known constants, `ISETP` over known constants).
+//!    This resolves loop trip counts — the microbenchmarks' `LOOP` counter
+//!    is pure constant arithmetic — with no pattern matching.
 //! 2. Remaining data-dependent *forward* branches take a [`BranchHint`]
 //!    supplied by the kernel generator. The default, [`BranchHint::NotTaken`],
 //!    models both the divergent and the uniformly-not-taken case (identical
@@ -30,8 +34,9 @@
 
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{instr_defs, instr_uses, ResourceMap};
-use crate::isa::{CmpOp, Instr, LogicOp, Program, Src};
+use crate::isa::{iadd3, imad, shf, Instr, Program, Src};
 use crate::machine::{SmspConfig, StallBreakdown};
+use crate::scoreboard::{int32_interval, result_latency, Scoreboard};
 use std::fmt;
 
 /// Static prediction for a data-dependent forward branch.
@@ -312,8 +317,8 @@ pub fn predict_schedule(
 
 /// [`predict_schedule`] with per-access LSU wavefront counts from the
 /// memory analyzer: `LDG`/`STG` port occupancy and the `LDG` latency tail
-/// scale with each access's serialized sector transactions, exactly
-/// mirroring the simulator's coalescing-aware timing. With an empty
+/// scale with each access's serialized sector transactions, through the
+/// same scoreboard as the simulator's coalescing-aware timing. With an empty
 /// [`MemTimings`] every access costs one wavefront (the coalesced case),
 /// which is what [`predict_schedule`] assumes.
 pub fn predict_schedule_mem(
@@ -328,19 +333,19 @@ pub fn predict_schedule_mem(
     }
     let warps = warps.max(1);
     let trace = build_trace(program, hints, TRACE_LIMIT)?;
-    let (cycles, stalls, no_eligible) =
-        scoreboard_walk(program, &trace, config, warps as usize, mem);
     let map = ResourceMap::of(program);
+    let (cycles, stalls, no_eligible) =
+        scoreboard_walk(program, &trace, config, &map, warps as usize, mem);
     let critical_path = critical_path_cycles(program, &trace, config, &map);
 
-    let int32_interval = u64::from(config.warp_size / config.int32_lanes.max(1)).max(1);
+    let int32_interval = int32_interval(config);
     let int32_instrs = trace
         .iter()
         .filter(|&&pc| program.fetch(pc).uses_int32_pipe())
         .count() as u64;
     let mem_port_cycles: u64 = trace
         .iter()
-        .filter(|&&pc| matches!(program.fetch(pc), Instr::Ldg { .. } | Instr::Stg { .. }))
+        .filter(|&&pc| program.fetch(pc).uses_lsu())
         .map(|&pc| mem.get(pc))
         .sum();
     let total_cycles = cycles.max(1) as f64;
@@ -366,27 +371,123 @@ pub fn predict_schedule_mem(
 // Trace construction: constant-propagation mini-interpreter.
 // ---------------------------------------------------------------------------
 
-/// Warp-uniform compile-time-known scalar state.
-struct ConstState {
-    regs: Vec<Option<u32>>,
-    cc: Option<u32>,
+/// Warp-uniform compile-time-known scalar state: the micro-ISA's ALU
+/// ([`crate::isa`]) lifted to `Option`, `None` being "not a constant".
+pub(crate) struct ConstState {
+    pub(crate) regs: Vec<Option<u32>>,
+    cc: Option<bool>,
     preds: [Option<bool>; 4],
 }
 
 impl ConstState {
-    fn src(&self, s: &Src) -> Option<u32> {
-        match s {
-            Src::Imm(v) => Some(*v),
-            Src::Reg(r) => self.regs.get(*r as usize).copied().flatten(),
+    /// The launch state: flags clear, registers unknown (the harness sets
+    /// them per thread).
+    pub(crate) fn new(program: &Program) -> Self {
+        Self {
+            regs: vec![None; ResourceMap::of(program).num_regs()],
+            cc: Some(false),
+            preds: [Some(false); 4],
         }
     }
 
-    fn set(&mut self, r: u16, v: Option<u32>) {
-        let idx = r as usize;
-        if idx >= self.regs.len() {
-            self.regs.resize(idx + 1, None);
+    fn src(&self, s: &Src) -> Option<u32> {
+        match s {
+            Src::Imm(v) => Some(*v),
+            Src::Reg(r) => self.regs[*r as usize],
         }
-        self.regs[idx] = v;
+    }
+
+    fn carry_in(&self, use_cc: bool) -> Option<bool> {
+        if use_cc {
+            self.cc
+        } else {
+            Some(false)
+        }
+    }
+
+    /// Applies a non-control instruction's effect on registers and flags.
+    pub(crate) fn step(&mut self, inst: &Instr) {
+        match *inst {
+            Instr::Imad {
+                dst,
+                a,
+                b,
+                c,
+                hi,
+                set_cc,
+                use_cc,
+            } => {
+                let v = match (
+                    self.src(&a),
+                    self.src(&b),
+                    self.src(&c),
+                    self.carry_in(use_cc),
+                ) {
+                    (Some(a), Some(b), Some(c), Some(cin)) => Some(imad(a, b, c, cin, hi)),
+                    _ => None,
+                };
+                self.regs[dst as usize] = v.map(|(v, _)| v);
+                if set_cc {
+                    self.cc = v.map(|(_, carry)| carry);
+                }
+            }
+            Instr::Iadd3 {
+                dst,
+                a,
+                b,
+                c,
+                set_cc,
+                use_cc,
+            } => {
+                let v = match (
+                    self.src(&a),
+                    self.src(&b),
+                    self.src(&c),
+                    self.carry_in(use_cc),
+                ) {
+                    (Some(a), Some(b), Some(c), Some(cin)) => Some(iadd3(a, b, c, cin)),
+                    _ => None,
+                };
+                self.regs[dst as usize] = v.map(|(v, _)| v);
+                if set_cc {
+                    self.cc = v.map(|(_, carry)| carry & 1 == 1);
+                }
+            }
+            Instr::Shf {
+                dst,
+                a,
+                b,
+                sh,
+                right,
+            } => {
+                self.regs[dst as usize] = match (self.src(&a), self.src(&b), self.src(&sh)) {
+                    (Some(a), Some(b), Some(sh)) => Some(shf(a, b, sh, right)),
+                    _ => None,
+                };
+            }
+            Instr::Lop3 { dst, a, b, op } => {
+                self.regs[dst as usize] = match (self.src(&a), self.src(&b)) {
+                    (Some(a), Some(b)) => Some(op.eval(a, b)),
+                    _ => None,
+                };
+            }
+            Instr::Mov { dst, src } => self.regs[dst as usize] = self.src(&src),
+            Instr::Setp { pred, a, b, cmp } => {
+                self.preds[pred as usize] = match (self.src(&a), self.src(&b)) {
+                    (Some(a), Some(b)) => Some(cmp.eval(a, b)),
+                    _ => None,
+                };
+            }
+            Instr::Sel { dst, a, b, pred } => {
+                self.regs[dst as usize] = match self.preds[pred as usize] {
+                    Some(true) => self.src(&a),
+                    Some(false) => self.src(&b),
+                    None => None,
+                };
+            }
+            Instr::Ldg { dst, .. } => self.regs[dst as usize] = None,
+            Instr::Stg { .. } | Instr::Bra { .. } | Instr::Exit => {}
+        }
     }
 }
 
@@ -397,11 +498,7 @@ pub(crate) fn build_trace(
     hints: &ScheduleHints,
     limit: usize,
 ) -> Result<Vec<usize>, ScheduleError> {
-    let mut st = ConstState {
-        regs: Vec::new(),
-        cc: Some(0),
-        preds: [Some(false); 4],
-    };
+    let mut st = ConstState::new(program);
     let mut trace = Vec::new();
     let mut pc = 0usize;
     loop {
@@ -414,117 +511,6 @@ pub(crate) fn build_trace(
         let inst = program.fetch(pc);
         trace.push(pc);
         match inst {
-            Instr::Imad {
-                dst,
-                a,
-                b,
-                c,
-                hi,
-                set_cc,
-                use_cc,
-            } => {
-                let cin = if use_cc { st.cc } else { Some(0) };
-                let v = match (st.src(&a), st.src(&b), st.src(&c), cin) {
-                    (Some(a), Some(b), Some(c), Some(cin)) => {
-                        let prod = u64::from(a) * u64::from(b);
-                        let part = if hi { prod >> 32 } else { prod & 0xffff_ffff };
-                        Some(part + u64::from(c) + u64::from(cin))
-                    }
-                    _ => None,
-                };
-                st.set(dst, v.map(|s| s as u32));
-                if set_cc {
-                    st.cc = v.map(|s| ((s >> 32) & 1) as u32);
-                }
-                pc += 1;
-            }
-            Instr::Iadd3 {
-                dst,
-                a,
-                b,
-                c,
-                set_cc,
-                use_cc,
-            } => {
-                let cin = if use_cc { st.cc } else { Some(0) };
-                let v = match (st.src(&a), st.src(&b), st.src(&c), cin) {
-                    (Some(a), Some(b), Some(c), Some(cin)) => {
-                        Some(u64::from(a) + u64::from(b) + u64::from(c) + u64::from(cin))
-                    }
-                    _ => None,
-                };
-                st.set(dst, v.map(|s| s as u32));
-                if set_cc {
-                    st.cc = v.map(|s| ((s >> 32) & 1) as u32);
-                }
-                pc += 1;
-            }
-            Instr::Shf {
-                dst,
-                a,
-                b,
-                sh,
-                right,
-            } => {
-                let v = match (st.src(&a), st.src(&b), st.src(&sh)) {
-                    (Some(v), Some(f), Some(s)) => {
-                        let s = s & 31;
-                        Some(if s == 0 {
-                            v
-                        } else if right {
-                            (v >> s) | (f << (32 - s))
-                        } else {
-                            (v << s) | (f >> (32 - s))
-                        })
-                    }
-                    _ => None,
-                };
-                st.set(dst, v);
-                pc += 1;
-            }
-            Instr::Lop3 { dst, a, b, op } => {
-                let v = match (st.src(&a), st.src(&b)) {
-                    (Some(x), Some(y)) => Some(match op {
-                        LogicOp::And => x & y,
-                        LogicOp::Or => x | y,
-                        LogicOp::Xor => x ^ y,
-                    }),
-                    _ => None,
-                };
-                st.set(dst, v);
-                pc += 1;
-            }
-            Instr::Mov { dst, src } => {
-                let v = st.src(&src);
-                st.set(dst, v);
-                pc += 1;
-            }
-            Instr::Setp { pred, a, b, cmp } => {
-                st.preds[pred as usize] = match (st.src(&a), st.src(&b)) {
-                    (Some(x), Some(y)) => Some(match cmp {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Ge => x >= y,
-                    }),
-                    _ => None,
-                };
-                pc += 1;
-            }
-            Instr::Sel { dst, a, b, pred } => {
-                let v = match st.preds[pred as usize] {
-                    Some(true) => st.src(&a),
-                    Some(false) => st.src(&b),
-                    None => None,
-                };
-                st.set(dst, v);
-                pc += 1;
-            }
-            Instr::Ldg { dst, .. } => {
-                st.set(dst, None);
-                pc += 1;
-            }
-            Instr::Stg { .. } => pc += 1,
             Instr::Bra { target, pred } => {
                 let taken = match pred {
                     None => Some(true),
@@ -538,280 +524,47 @@ pub(crate) fn build_trace(
                 pc = if taken { target } else { pc + 1 };
             }
             Instr::Exit => break,
+            _ => {
+                st.step(&inst);
+                pc += 1;
+            }
         }
     }
     Ok(trace)
 }
 
 // ---------------------------------------------------------------------------
-// Scoreboard walk: machine.rs's timing loop without functional execution.
+// Scoreboard walk: the shared issue model, driven by the static trace.
 // ---------------------------------------------------------------------------
-
-struct WarpTiming {
-    pos: usize,
-    done: bool,
-    reg_ready: Vec<u64>,
-    reg_mem: Vec<bool>,
-    cc_ready: u64,
-    pred_ready: [u64; 4],
-}
-
-/// When the instruction's dependencies are all ready, and whether the
-/// latest one was produced by a memory load — mirrors `machine::dep_ready`.
-fn dep_ready(w: &WarpTiming, inst: &Instr) -> (u64, bool) {
-    let mut ready = 0u64;
-    let mut mem = false;
-    let see = |src: &Src, w: &WarpTiming, ready: &mut u64, mem: &mut bool| {
-        if let Src::Reg(r) = src {
-            let t = w.reg_ready[*r as usize];
-            if t > *ready {
-                *ready = t;
-                *mem = w.reg_mem[*r as usize];
-            }
-        }
-    };
-    match inst {
-        Instr::Imad {
-            a, b, c, use_cc, ..
-        }
-        | Instr::Iadd3 {
-            a, b, c, use_cc, ..
-        } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            see(c, w, &mut ready, &mut mem);
-            if *use_cc && w.cc_ready > ready {
-                ready = w.cc_ready;
-                mem = false;
-            }
-        }
-        Instr::Shf { a, b, sh, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            see(sh, w, &mut ready, &mut mem);
-        }
-        Instr::Lop3 { a, b, .. } | Instr::Setp { a, b, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-        }
-        Instr::Sel { a, b, pred, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            ready = ready.max(w.pred_ready[*pred as usize]);
-        }
-        Instr::Mov { src, .. } => see(src, w, &mut ready, &mut mem),
-        Instr::Bra { pred, .. } => {
-            if let Some((p, _)) = pred {
-                ready = ready.max(w.pred_ready[*p as usize]);
-            }
-        }
-        Instr::Ldg { addr, .. } => {
-            see(&Src::Reg(*addr), w, &mut ready, &mut mem);
-        }
-        Instr::Stg { src, addr, .. } => {
-            see(&Src::Reg(*src), w, &mut ready, &mut mem);
-            see(&Src::Reg(*addr), w, &mut ready, &mut mem);
-        }
-        Instr::Exit => {}
-    }
-    (ready, mem)
-}
-
-/// Writes the issued instruction's result latencies into the scoreboard —
-/// mirrors the latency updates of `machine::execute`.
-fn apply_latencies(
-    w: &mut WarpTiming,
-    inst: &Instr,
-    cycle: u64,
-    cfg: &SmspConfig,
-    mem_serial: u64,
-) {
-    match *inst {
-        Instr::Imad { dst, set_cc, .. } => {
-            w.reg_ready[dst as usize] = cycle + cfg.imad_latency;
-            w.reg_mem[dst as usize] = false;
-            if set_cc {
-                w.cc_ready = cycle + cfg.imad_latency;
-            }
-        }
-        Instr::Iadd3 { dst, set_cc, .. } => {
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem[dst as usize] = false;
-            if set_cc {
-                w.cc_ready = cycle + cfg.alu_latency;
-            }
-        }
-        Instr::Shf { dst, .. }
-        | Instr::Lop3 { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::Sel { dst, .. } => {
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem[dst as usize] = false;
-        }
-        Instr::Setp { pred, .. } => {
-            w.pred_ready[pred as usize] = cycle + cfg.alu_latency;
-        }
-        Instr::Ldg { dst, .. } => {
-            w.reg_ready[dst as usize] = cycle + cfg.mem_latency + mem_serial;
-            w.reg_mem[dst as usize] = true;
-        }
-        Instr::Stg { .. } | Instr::Bra { .. } | Instr::Exit => {}
-    }
-}
 
 /// Replays `trace` on `warps` identical warps through the SMSP scoreboard.
 /// Returns `(cycles, stalls, no_eligible_cycles)`.
-pub(crate) fn scoreboard_walk(
+fn scoreboard_walk(
     program: &Program,
     trace: &[usize],
     cfg: &SmspConfig,
+    map: &ResourceMap,
     warps: usize,
     mem: &MemTimings,
 ) -> (u64, StallBreakdown, u64) {
-    let num_regs = cfg
-        .num_regs
-        .max(max_reg_referenced(program).map_or(0, |r| r as usize + 1));
-    let mut state: Vec<WarpTiming> = (0..warps)
-        .map(|_| WarpTiming {
-            pos: 0,
-            done: trace.is_empty(),
-            reg_ready: vec![0; num_regs],
-            reg_mem: vec![false; num_regs],
-            cc_ready: 0,
-            pred_ready: [0; 4],
-        })
-        .collect();
-
-    let mut stalls = StallBreakdown::default();
-    let mut no_eligible = 0u64;
-    let mut int32_free_at = 0u64;
-    let mut mem_free_at = 0u64;
-    let mut last_issued = 0usize;
-    let int32_interval = u64::from(cfg.warp_size / cfg.int32_lanes.max(1)).max(1);
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Status {
-        Wait,
-        MemWait,
-        Throttle,
-        MemThrottle,
-        Eligible,
-    }
-
-    let mut cycle = 0u64;
-    while state.iter().any(|w| !w.done) {
-        assert!(
-            cycle < cfg.max_cycles,
-            "static schedule exceeded the cycle safety limit"
-        );
-        let statuses: Vec<Option<Status>> = state
-            .iter()
-            .map(|w| {
-                if w.done {
-                    return None;
-                }
-                let inst = program.fetch(trace[w.pos]);
-                let (ready_at, mem_dep) = dep_ready(w, &inst);
-                if cycle < ready_at {
-                    return Some(if mem_dep {
-                        Status::MemWait
-                    } else {
-                        Status::Wait
-                    });
-                }
-                if inst.uses_int32_pipe() && cycle < int32_free_at {
-                    Some(Status::Throttle)
-                } else if matches!(inst, Instr::Ldg { .. } | Instr::Stg { .. })
-                    && cycle < mem_free_at
-                {
-                    Some(Status::MemThrottle)
-                } else {
-                    Some(Status::Eligible)
-                }
-            })
-            .collect();
-
-        let n = state.len();
-        let pick = (0..n)
-            .map(|i| (last_issued + 1 + i) % n)
-            .find(|&i| statuses[i] == Some(Status::Eligible));
-
-        for (i, st) in statuses.iter().enumerate() {
-            match st {
-                None => {}
-                Some(Status::Wait) => stalls.wait += 1,
-                Some(Status::MemWait) | Some(Status::MemThrottle) => stalls.other += 1,
-                Some(Status::Throttle) => stalls.math_pipe_throttle += 1,
-                Some(Status::Eligible) => {
-                    if Some(i) == pick {
-                        stalls.selected += 1;
-                    } else {
-                        stalls.not_selected += 1;
-                    }
-                }
-            }
-        }
-
-        if let Some(i) = pick {
-            last_issued = i;
-            let w = &mut state[i];
-            let pc = trace[w.pos];
+    let mut issue = Scoreboard::new(cfg, map, warps);
+    let mut pos = vec![0usize; warps];
+    while pos.iter().any(|&p| p < trace.len()) {
+        let next = |w: usize| trace.get(pos[w]).map(|&pc| program.fetch(pc));
+        if let Some(w) = issue.select(next) {
+            let pc = trace[pos[w]];
             let inst = program.fetch(pc);
-            let mut mem_serial = 0u64;
-            if inst.uses_int32_pipe() {
-                int32_free_at = cycle + int32_interval;
-            } else if matches!(inst, Instr::Ldg { .. } | Instr::Stg { .. }) {
-                let wavefronts = mem.get(pc);
-                mem_free_at = cycle + wavefronts;
-                mem_serial = wavefronts - 1;
-            }
-            apply_latencies(w, &inst, cycle, cfg, mem_serial);
-            w.pos += 1;
-            if w.pos == trace.len() {
-                w.done = true;
-            }
-        } else if statuses.iter().any(|s| s.is_some()) {
-            no_eligible += 1;
+            let wavefronts = if inst.uses_lsu() { mem.get(pc) } else { 1 };
+            issue.commit(w, &inst, wavefronts);
+            pos[w] += 1;
         }
-        cycle += 1;
     }
-    (cycle, stalls, no_eligible)
-}
-
-pub(crate) fn max_reg_referenced(program: &Program) -> Option<u16> {
-    let mut max = None;
-    for pc in 0..program.len() {
-        let inst = program.fetch(pc);
-        let mut see = |r: crate::analysis::dataflow::Resource| {
-            if let crate::analysis::dataflow::Resource::Reg(x) = r {
-                max = Some(max.map_or(x, |m: u16| m.max(x)));
-            }
-        };
-        instr_uses(&inst, &mut see);
-        instr_defs(&inst, &mut see);
-    }
-    max
+    (issue.cycle(), issue.stalls, issue.no_eligible_cycles)
 }
 
 // ---------------------------------------------------------------------------
 // Critical path and per-block schedules.
 // ---------------------------------------------------------------------------
-
-/// Result latency an instruction imposes on its dependents; instructions
-/// with no register/flag result still occupy their one issue slot.
-pub(crate) fn result_latency(inst: &Instr, cfg: &SmspConfig) -> u64 {
-    match inst {
-        Instr::Imad { .. } => cfg.imad_latency,
-        Instr::Iadd3 { .. }
-        | Instr::Shf { .. }
-        | Instr::Lop3 { .. }
-        | Instr::Mov { .. }
-        | Instr::Setp { .. }
-        | Instr::Sel { .. } => cfg.alu_latency,
-        Instr::Ldg { .. } => cfg.mem_latency,
-        Instr::Stg { .. } | Instr::Bra { .. } | Instr::Exit => 1,
-    }
-}
 
 /// Latency-weighted longest path through the dependence DAG of `trace`:
 /// `finish(i) = max(finish(writer of each resource i reads)) + latency(i)`.
@@ -850,7 +603,7 @@ pub(crate) fn block_schedules(
         .filter(|(b, _)| graph.reachable[*b])
         .map(|(b, blk)| {
             let range: Vec<usize> = (blk.start..blk.end).collect();
-            let (issue_cycles, stalls, _) = scoreboard_walk(program, &range, cfg, 1, mem);
+            let (issue_cycles, stalls, _) = scoreboard_walk(program, &range, cfg, map, 1, mem);
             BlockSchedule {
                 block: b,
                 start: blk.start,
@@ -867,7 +620,7 @@ pub(crate) fn block_schedules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::ProgramBuilder;
+    use crate::isa::{CmpOp, ProgramBuilder};
     use crate::machine::{Machine, WarpInit};
 
     fn r(x: u16) -> Src {
@@ -884,26 +637,55 @@ mod tests {
 
     #[test]
     fn straight_line_prediction_is_exact() {
-        let mut b = ProgramBuilder::new();
-        b.mov(0, imm(3));
+        let mut chain = ProgramBuilder::new();
+        chain.mov(0, imm(3));
         for _ in 0..20 {
-            b.imad(0, r(0), imm(5), imm(1), false, false, false);
+            chain.imad(0, r(0), imm(5), imm(1), false, false, false);
         }
-        b.exit();
-        let p = b.build();
-        for warps in [1usize, 2, 4, 8] {
-            let sim = simulate(&p, warps);
-            let pred = predict_schedule(
-                &p,
-                &SmspConfig::default(),
-                warps as u32,
-                &ScheduleHints::new(),
-            )
-            .unwrap();
-            assert_eq!(pred.cycles, sim.cycles, "warps={warps}");
-            assert_eq!(pred.instructions, sim.instructions);
-            assert_eq!(pred.stalls, sim.stalls, "warps={warps}");
-            assert_eq!(pred.no_eligible_cycles, sim.no_eligible_cycles);
+        chain.exit();
+
+        // for (i = 0; i < 5; i++) { r1 = r1*3+1 }: the trip count folds.
+        let mut looped = ProgramBuilder::new();
+        looped.mov(0, imm(0));
+        looped.mov(1, imm(1));
+        let top = looped.label();
+        looped.place(top);
+        looped.imad(1, r(1), imm(3), imm(1), false, false, false);
+        looped.iadd3(0, r(0), imm(1), imm(0), false, false);
+        looped.setp(0, r(0), imm(5), CmpOp::Lt);
+        looped.bra(top, Some((0, true)));
+        looped.exit();
+
+        // Every lane reads and writes word 0 (registers start at zero): one
+        // sector, one wavefront — the `MemTimings` default.
+        let mut memory = ProgramBuilder::new();
+        memory.ldg(1, 0, 0);
+        memory.ldg(2, 0, 1);
+        memory.iadd3(3, r(1), r(2), imm(7), true, false);
+        memory.iadd3(4, r(1), imm(0), imm(0), false, true);
+        memory.stg(3, 0, 2);
+        memory.stg(4, 0, 3);
+        memory.exit();
+
+        for (name, b) in [("chain", chain), ("loop", looped), ("memory", memory)] {
+            let p = b.build();
+            for warps in [1usize, 2, 4, 8] {
+                let sim = simulate(&p, warps);
+                let pred = predict_schedule(
+                    &p,
+                    &SmspConfig::default(),
+                    warps as u32,
+                    &ScheduleHints::new(),
+                )
+                .unwrap();
+                assert_eq!(pred.cycles, sim.cycles, "{name} warps={warps}");
+                assert_eq!(pred.instructions, sim.instructions, "{name} warps={warps}");
+                assert_eq!(pred.stalls, sim.stalls, "{name} warps={warps}");
+                assert_eq!(
+                    pred.no_eligible_cycles, sim.no_eligible_cycles,
+                    "{name} warps={warps}"
+                );
+            }
         }
     }
 

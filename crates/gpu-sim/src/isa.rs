@@ -26,7 +26,7 @@ pub enum Src {
 }
 
 /// Comparison operators for `SETP`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -39,7 +39,7 @@ pub enum CmpOp {
 }
 
 /// Bitwise operations for `LOP3` (restricted to the common two-input forms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicOp {
     /// Bitwise AND.
     And,
@@ -47,6 +47,69 @@ pub enum LogicOp {
     Or,
     /// Bitwise XOR.
     Xor,
+}
+
+// The concrete ALU: what one lane computes. Every consumer that evaluates
+// the micro-ISA on known values — the simulator per lane, the schedule
+// predictor's constant folder, the translation validator's all-constant
+// fold, the never-taken-branch lint — calls these, so "bit-for-bit like the
+// simulator" is true by construction. (The interval, affine and symbolic
+// domains of `analysis` are abstractions of these, not copies.)
+
+impl CmpOp {
+    /// The `ISETP` result for operands `a`, `b` (unsigned comparison).
+    pub fn eval(self, a: u32, b: u32) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => a < b,
+            CmpOp::Ge => a >= b,
+        }
+    }
+}
+
+impl LogicOp {
+    /// The `LOP3` result for operands `a`, `b`.
+    pub fn eval(self, a: u32, b: u32) -> u32 {
+        match self {
+            LogicOp::And => a & b,
+            LogicOp::Or => a | b,
+            LogicOp::Xor => a ^ b,
+        }
+    }
+}
+
+/// `IMAD`: the low (or, with `hi`, high) 32 bits of `a·b`, plus `c` and the
+/// carry-in. Returns the 32-bit result and the carry-out (bit 32 of the
+/// sum; the sum never reaches bit 33).
+pub fn imad(a: u32, b: u32, c: u32, carry_in: bool, hi: bool) -> (u32, bool) {
+    let prod = u64::from(a) * u64::from(b);
+    let part = if hi { prod >> 32 } else { prod & 0xffff_ffff };
+    let sum = part + u64::from(c) + u64::from(carry_in);
+    (sum as u32, sum >> 32 != 0)
+}
+
+/// `IADD3`: `a + b + c` plus the carry-in. Returns the 32-bit result and
+/// the carry-out *count* — three full words and a carry reach 2, more than
+/// the one carry bit the machine models (the simulator asserts on it;
+/// static consumers keep bit 0).
+pub fn iadd3(a: u32, b: u32, c: u32, carry_in: bool) -> (u32, u32) {
+    let sum = u64::from(a) + u64::from(b) + u64::from(c) + u64::from(carry_in);
+    (sum as u32, (sum >> 32) as u32)
+}
+
+/// `SHF`: funnel shift of `a` by `sh & 31`, shifting in the bits of
+/// `funnel` — left: `(a << s) | (funnel >> (32 - s))`, right:
+/// `(a >> s) | (funnel << (32 - s))`; a shift of 0 returns `a`.
+pub fn shf(a: u32, funnel: u32, sh: u32, right: bool) -> u32 {
+    let s = sh & 31;
+    if s == 0 {
+        a
+    } else if right {
+        (a >> s) | (funnel << (32 - s))
+    } else {
+        (a << s) | (funnel >> (32 - s))
+    }
 }
 
 /// One instruction of the micro-ISA.
@@ -203,6 +266,21 @@ impl Instr {
                 | Instr::Setp { .. }
                 | Instr::Sel { .. }
         )
+    }
+
+    /// Whether this dispatches to the LSU.
+    pub(crate) fn uses_lsu(&self) -> bool {
+        matches!(self, Instr::Ldg { .. } | Instr::Stg { .. })
+    }
+
+    /// Integer operations per active thread, the roofline numerator
+    /// (§IV-C1): `IMAD` counts 2 (multiply and add), every other INT32-pipe
+    /// instruction 1, branches and memory accesses 0.
+    pub(crate) fn int_ops(&self) -> u64 {
+        match self {
+            Instr::Imad { .. } => 2,
+            _ => u64::from(self.uses_int32_pipe()),
+        }
     }
 }
 
@@ -576,6 +654,61 @@ mod tests {
         };
         assert!(!l.uses_int32_pipe());
         assert_eq!(l.mnemonic(), "LDG");
+    }
+
+    #[test]
+    fn imad_halves_carry_in_and_carry_out() {
+        let (a, b) = (0xdead_beefu32, 0xcafe_f00du32);
+        let wide = u64::from(a) * u64::from(b);
+        assert_eq!(imad(a, b, 0, false, false), (wide as u32, false));
+        assert_eq!(imad(a, b, 0, false, true), ((wide >> 32) as u32, false));
+        // Carry-out exactly at 2^32: lo(1·MAX) + 1 wraps to 0 with carry,
+        // and the carry-in alone is enough to tip it.
+        assert_eq!(imad(1, u32::MAX, 1, false, false), (0, true));
+        assert_eq!(imad(1, u32::MAX, 0, true, false), (0, true));
+        assert_eq!(imad(1, u32::MAX, 0, false, false), (u32::MAX, false));
+        // The largest sum: lo = MAX, + MAX + 1 = 2^33 - 1 -> still one bit.
+        assert_eq!(imad(1, u32::MAX, u32::MAX, true, false), (u32::MAX, true));
+        // hi(MAX·MAX) = MAX - 1; a zero factor passes the addend through.
+        assert_eq!(imad(u32::MAX, u32::MAX, 1, true, true), (0, true));
+        assert_eq!(imad(0, 77, 5, true, true), (6, false));
+    }
+
+    #[test]
+    fn iadd3_reports_the_multi_bit_carry() {
+        assert_eq!(iadd3(1, 2, 3, true), (7, 0));
+        assert_eq!(iadd3(u32::MAX, 1, 0, false), (0, 1));
+        assert_eq!(iadd3(u32::MAX, 0, 0, true), (0, 1));
+        // 3·(2^32 - 1) + 1 = 0x2_ffff_fffe: a two in the carry position.
+        assert_eq!(iadd3(u32::MAX, u32::MAX, u32::MAX, true), (0xffff_fffe, 2));
+    }
+
+    #[test]
+    fn shf_funnels_and_wraps_the_amount() {
+        let (a, f) = (0x8000_0001u32, 0xf000_000fu32);
+        for right in [false, true] {
+            assert_eq!(shf(a, f, 0, right), a);
+            assert_eq!(shf(a, f, 32, right), a, "amount is taken mod 32");
+            assert_eq!(shf(a, f, 33, right), shf(a, f, 1, right));
+        }
+        assert_eq!(shf(a, f, 1, false), 0x0000_0003);
+        assert_eq!(shf(a, f, 1, true), 0xc000_0000);
+        assert_eq!(shf(a, f, 31, false), 0xf800_0007);
+        assert_eq!(shf(a, f, 31, true), 0xe000_001f);
+        // A zero funnel is a plain logical shift.
+        assert_eq!(shf(a, 0, 4, false), a << 4);
+        assert_eq!(shf(a, 0, 4, true), a >> 4);
+    }
+
+    #[test]
+    fn logic_and_compare_ops() {
+        assert_eq!(LogicOp::And.eval(0b1100, 0b1010), 0b1000);
+        assert_eq!(LogicOp::Or.eval(0b1100, 0b1010), 0b1110);
+        assert_eq!(LogicOp::Xor.eval(0b1100, 0b1010), 0b0110);
+        // Unsigned: 0x8000_0000 is large, not negative.
+        assert!(CmpOp::Lt.eval(1, 0x8000_0000) && !CmpOp::Lt.eval(0x8000_0000, 1));
+        assert!(CmpOp::Ge.eval(5, 5) && !CmpOp::Ge.eval(4, 5));
+        assert!(CmpOp::Eq.eval(9, 9) && CmpOp::Ne.eval(9, 8));
     }
 
     #[test]

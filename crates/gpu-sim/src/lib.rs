@@ -48,6 +48,7 @@ pub mod isa;
 pub mod machine;
 pub mod occupancy;
 pub mod roofline;
+mod scoreboard;
 pub mod transfer;
 
 pub use device::{catalog, Architecture, DeviceSpec};

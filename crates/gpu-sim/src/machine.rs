@@ -9,14 +9,23 @@
 //! constant across the device — so one SMSP is exactly the unit worth
 //! simulating, and device-level numbers scale by `sm_count × smsp_per_sm`.
 //!
+//! The timing rules themselves are the crate's one issue model
+//! (`scoreboard.rs`). This module is the functional half — register lanes,
+//! the SIMT reconvergence stack, global memory, the traffic counters — and
+//! drives that model with the pc each warp actually reaches and the sectors
+//! each access actually touches; [`crate::analysis::schedule`] drives the
+//! same model with a static trace instead.
+//!
 //! Instructions execute *functionally* on 32 per-thread register lanes
 //! (with carry flags and predicates), so the same run yields both correct
 //! results — cross-checked against the host field arithmetic — and the
 //! paper's microarchitecture metrics: the stall taxonomy of Fig. 10, branch
 //! efficiency (Table VI), instruction mix, and issue intervals.
 
+use crate::analysis::dataflow::ResourceMap;
 use crate::device::DeviceSpec;
-use crate::isa::{CmpOp, Instr, LogicOp, Program, Src};
+use crate::isa::{iadd3, imad, shf, Instr, Program, Src};
+use crate::scoreboard::Scoreboard;
 
 /// Timing parameters of one SMSP.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +46,6 @@ pub struct SmspConfig {
     /// generation studied); a warp access occupies the LSU for
     /// `ceil(sectors / lsu_sectors_per_cycle)` wavefront cycles.
     pub lsu_sectors_per_cycle: u32,
-    /// Architectural registers per thread.
-    pub num_regs: usize,
     /// Safety limit on simulated cycles.
     pub max_cycles: u64,
 }
@@ -52,7 +59,6 @@ impl Default for SmspConfig {
             alu_latency: 2,
             mem_latency: 30,
             lsu_sectors_per_cycle: 4,
-            num_regs: 256,
             max_cycles: 200_000_000,
         }
     }
@@ -131,7 +137,7 @@ impl StallBreakdown {
 }
 
 /// Simulation output: timing, stalls, divergence, mix, and traffic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimResult {
     /// Elapsed cycles until all warps exited.
     pub cycles: u64,
@@ -247,8 +253,9 @@ impl SimResult {
 /// Initial per-thread register state for one warp.
 #[derive(Debug, Clone, Default)]
 pub struct WarpInit {
-    /// `regs[r][t]` = initial value of register `r` in thread `t`. Shorter
-    /// vectors leave the remaining registers zero.
+    /// `regs[r][t]` = initial value of register `r` in thread `t`. The
+    /// register file holds every register listed here or named by the
+    /// program; the ones not listed start at zero.
     pub regs: Vec<[u32; 32]>,
 }
 
@@ -279,10 +286,24 @@ struct Warp {
     regs: Vec<[u32; 32]>,
     cc: u32,
     preds: [u32; 4],
-    reg_ready: Vec<u64>,
-    reg_mem_pending: Vec<bool>,
-    cc_ready: u64,
-    pred_ready: [u64; 4],
+}
+
+impl Warp {
+    /// The next instruction to issue, after popping every reconvergence
+    /// point the pc has reached; `None` once the warp has exited.
+    fn fetch(&mut self, program: &Program) -> Option<Instr> {
+        if self.exited {
+            return None;
+        }
+        while let Some(&(rpc, mask)) = self.reconv.last() {
+            if rpc != self.pc {
+                break;
+            }
+            self.active |= mask;
+            self.reconv.pop();
+        }
+        Some(program.fetch(self.pc))
+    }
 }
 
 /// The SMSP simulator: a shared global memory plus the timing machinery.
@@ -310,19 +331,19 @@ impl Machine {
     /// divergent `EXIT`, or exceeding the cycle safety limit — all of which
     /// indicate a kernel bug rather than a simulation outcome.
     pub fn run(&mut self, program: &Program, warps: &[WarpInit]) -> SimResult {
-        let cfg = self.config.clone();
+        let cfg = &self.config;
+        let global_mem = &mut self.global_mem;
         let full_mask = if cfg.warp_size == 32 {
             u32::MAX
         } else {
             (1u32 << cfg.warp_size) - 1
         };
+        let map = ResourceMap::of(program);
         let mut state: Vec<Warp> = warps
             .iter()
             .map(|w| {
-                let mut regs = vec![[0u32; 32]; cfg.num_regs];
-                for (r, vals) in w.regs.iter().enumerate() {
-                    regs[r] = *vals;
-                }
+                let mut regs = w.regs.clone();
+                regs.resize(map.num_regs().max(regs.len()), [0; 32]);
                 Warp {
                     pc: 0,
                     active: full_mask,
@@ -332,245 +353,66 @@ impl Machine {
                     regs,
                     cc: 0,
                     preds: [0; 4],
-                    reg_ready: vec![0; cfg.num_regs],
-                    reg_mem_pending: vec![false; cfg.num_regs],
-                    cc_ready: 0,
-                    pred_ready: [0; 4],
                 }
             })
             .collect();
 
         let mut result = SimResult {
-            cycles: 0,
-            instructions: 0,
             warps: warps.len() as u32,
-            stalls: StallBreakdown::default(),
-            branches: 0,
-            divergent_branches: 0,
-            dynamic_mix: Vec::new(),
-            bytes_loaded: 0,
-            bytes_stored: 0,
-            mem_transactions: 0,
-            load_transactions: 0,
-            store_transactions: 0,
-            dram_bytes_loaded: 0,
-            dram_bytes_stored: 0,
-            int_ops: 0,
-            no_eligible_cycles: 0,
+            ..SimResult::default()
         };
-        let mut int32_free_at = 0u64;
-        let mut mem_free_at = 0u64;
-        let mut last_issued = 0usize;
-        let int32_interval = u64::from(cfg.warp_size / cfg.int32_lanes.max(1)).max(1);
-
-        let mut cycle = 0u64;
+        let mut issue = Scoreboard::new(cfg, &map, warps.len());
         while state.iter().any(|w| !w.exited) {
-            assert!(
-                cycle < cfg.max_cycles,
-                "cycle safety limit exceeded — runaway kernel?"
-            );
-            // Classify every live warp this cycle.
-            #[derive(Clone, Copy, PartialEq)]
-            enum Status {
-                Wait,
-                MemWait,
-                Throttle,
-                MemThrottle,
-                Eligible,
+            let Some(i) = issue.select(|i| state[i].fetch(program)) else {
+                continue;
+            };
+            let w = &mut state[i];
+            let inst = program.fetch(w.pc);
+            let active_count = w.active.count_ones() as u64;
+
+            // Record mix.
+            let m = inst.mnemonic();
+            match result.dynamic_mix.iter_mut().find(|(k, _)| *k == m) {
+                Some((_, c)) => *c += 1,
+                None => result.dynamic_mix.push((m, 1)),
             }
-            let statuses: Vec<Option<Status>> = state
-                .iter_mut()
-                .map(|w| {
-                    if w.exited {
-                        return None;
-                    }
-                    // Reconverge before fetching.
-                    while let Some(&(rpc, mask)) = w.reconv.last() {
-                        if rpc == w.pc {
-                            w.active |= mask;
-                            w.reconv.pop();
-                        } else {
-                            break;
-                        }
-                    }
-                    let inst = program.fetch(w.pc);
-                    let (ready_at, mem_dep) = dep_ready(w, &inst);
-                    if cycle < ready_at {
-                        return Some(if mem_dep {
-                            Status::MemWait
-                        } else {
-                            Status::Wait
-                        });
-                    }
-                    if inst.uses_int32_pipe() && cycle < int32_free_at {
-                        Some(Status::Throttle)
-                    } else if matches!(inst, Instr::Ldg { .. } | Instr::Stg { .. })
-                        && cycle < mem_free_at
-                    {
-                        // A busy LSU pipe is a memory stall, not an INT32
-                        // math-pipe throttle.
-                        Some(Status::MemThrottle)
-                    } else {
-                        Some(Status::Eligible)
-                    }
-                })
-                .collect();
+            result.instructions += 1;
 
-            // Round-robin pick among eligible warps.
-            let n = state.len();
-            let pick = (0..n)
-                .map(|i| (last_issued + 1 + i) % n)
-                .find(|&i| statuses[i] == Some(Status::Eligible));
-
-            // Account stalls.
-            for (i, st) in statuses.iter().enumerate() {
-                match st {
-                    None => {}
-                    Some(Status::Wait) => result.stalls.wait += 1,
-                    Some(Status::MemWait) | Some(Status::MemThrottle) => result.stalls.other += 1,
-                    Some(Status::Throttle) => result.stalls.math_pipe_throttle += 1,
-                    Some(Status::Eligible) => {
-                        if Some(i) == pick {
-                            result.stalls.selected += 1;
-                        } else {
-                            result.stalls.not_selected += 1;
-                        }
-                    }
-                }
-            }
-
-            if let Some(i) = pick {
-                last_issued = i;
-                let w = &mut state[i];
-                let inst = program.fetch(w.pc);
-                let active_count = w.active.count_ones() as u64;
-
-                // Record mix.
-                let m = inst.mnemonic();
-                match result.dynamic_mix.iter_mut().find(|(k, _)| *k == m) {
-                    Some((_, c)) => *c += 1,
-                    None => result.dynamic_mix.push((m, 1)),
-                }
-                result.instructions += 1;
-
-                // Structural occupancy.
-                let mut mem_serial = 0u64;
-                if inst.uses_int32_pipe() {
-                    int32_free_at = cycle + int32_interval;
-                    let weight = if matches!(inst, Instr::Imad { .. }) {
-                        2
-                    } else {
-                        1
-                    };
-                    result.int_ops += weight * active_count;
-                } else if let Instr::Ldg { addr, offset, .. } | Instr::Stg { addr, offset, .. } =
-                    inst
-                {
-                    // Warp-level coalescing: the access costs one LSU
-                    // wavefront per `lsu_sectors_per_cycle` distinct 32-byte
-                    // sectors it touches; a fully coalesced warp access
-                    // occupies the port for a single cycle, so memory
-                    // throughput scales with warps in flight.
-                    let sectors = sectors_touched(
-                        (0..cfg.warp_size as usize)
-                            .filter(|t| w.active >> t & 1 == 1)
-                            .map(|t| u64::from(w.regs[addr as usize][t]) + u64::from(offset)),
-                    );
-                    let wavefronts = wavefronts_for(sectors, cfg.lsu_sectors_per_cycle);
-                    mem_free_at = cycle + wavefronts;
-                    mem_serial = wavefronts - 1;
-                    result.mem_transactions += u64::from(sectors);
-                    if matches!(inst, Instr::Ldg { .. }) {
-                        result.load_transactions += u64::from(sectors);
-                        result.dram_bytes_loaded += u64::from(sectors) * SECTOR_BYTES;
-                    } else {
-                        result.store_transactions += u64::from(sectors);
-                        result.dram_bytes_stored += u64::from(sectors) * SECTOR_BYTES;
-                    }
-                }
-
-                execute(
-                    w,
-                    &inst,
-                    cycle,
-                    &cfg,
-                    mem_serial,
-                    &mut self.global_mem,
-                    &mut result,
+            result.int_ops += inst.int_ops() * active_count;
+            let mut wavefronts = 1;
+            if let Instr::Ldg { addr, offset, .. } | Instr::Stg { addr, offset, .. } = inst {
+                // Warp-level coalescing: the access costs one LSU
+                // wavefront per `lsu_sectors_per_cycle` distinct 32-byte
+                // sectors it touches; a fully coalesced warp access
+                // occupies the port for a single cycle, so memory
+                // throughput scales with warps in flight.
+                let sectors = sectors_touched(
+                    lanes(w.active, cfg.warp_size)
+                        .map(|t| u64::from(w.regs[addr as usize][t]) + u64::from(offset)),
                 );
-            } else if statuses.iter().any(|s| s.is_some()) {
-                result.no_eligible_cycles += 1;
+                wavefronts = wavefronts_for(sectors, cfg.lsu_sectors_per_cycle);
+                result.mem_transactions += u64::from(sectors);
+                if matches!(inst, Instr::Ldg { .. }) {
+                    result.load_transactions += u64::from(sectors);
+                    result.dram_bytes_loaded += u64::from(sectors) * SECTOR_BYTES;
+                } else {
+                    result.store_transactions += u64::from(sectors);
+                    result.dram_bytes_stored += u64::from(sectors) * SECTOR_BYTES;
+                }
             }
-            cycle += 1;
+            issue.commit(i, &inst, wavefronts);
+            execute(w, &inst, cfg.warp_size, global_mem, &mut result);
         }
-        result.cycles = cycle;
+        result.cycles = issue.cycle();
+        result.stalls = issue.stalls;
+        result.no_eligible_cycles = issue.no_eligible_cycles;
         result
     }
 }
 
-/// When the instruction's dependencies are all ready, and whether the
-/// latest one was produced by a memory load.
-fn dep_ready(w: &Warp, inst: &Instr) -> (u64, bool) {
-    let mut ready = 0u64;
-    let mut mem = false;
-    let see = |src: &Src, w: &Warp, ready: &mut u64, mem: &mut bool| {
-        if let Src::Reg(r) = src {
-            let t = w.reg_ready[*r as usize];
-            if t > *ready {
-                *ready = t;
-                *mem = w.reg_mem_pending[*r as usize];
-            }
-        }
-    };
-    match inst {
-        Instr::Imad {
-            a, b, c, use_cc, ..
-        }
-        | Instr::Iadd3 {
-            a, b, c, use_cc, ..
-        } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            see(c, w, &mut ready, &mut mem);
-            if *use_cc && w.cc_ready > ready {
-                ready = w.cc_ready;
-                mem = false;
-            }
-        }
-        Instr::Shf { a, b, sh, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            see(sh, w, &mut ready, &mut mem);
-        }
-        Instr::Lop3 { a, b, .. } | Instr::Setp { a, b, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-        }
-        Instr::Sel { a, b, pred, .. } => {
-            see(a, w, &mut ready, &mut mem);
-            see(b, w, &mut ready, &mut mem);
-            ready = ready.max(w.pred_ready[*pred as usize]);
-        }
-        Instr::Mov { src, .. } => see(src, w, &mut ready, &mut mem),
-        Instr::Bra { pred, .. } => {
-            if let Some((p, _)) = pred {
-                ready = ready.max(w.pred_ready[*p as usize]);
-            }
-        }
-        Instr::Ldg { addr, .. } => {
-            let t = w.reg_ready[*addr as usize];
-            if t > ready {
-                ready = t;
-                mem = w.reg_mem_pending[*addr as usize];
-            }
-        }
-        Instr::Stg { src, addr, .. } => {
-            see(&Src::Reg(*src), w, &mut ready, &mut mem);
-            see(&Src::Reg(*addr), w, &mut ready, &mut mem);
-        }
-        Instr::Exit => {}
-    }
-    (ready, mem)
+/// The thread indices set in `active`, below `warp_size`.
+fn lanes(active: u32, warp_size: u32) -> impl Iterator<Item = usize> {
+    (0..warp_size as usize).filter(move |t| active >> t & 1 == 1)
 }
 
 fn src_val(w: &Warp, src: &Src, t: usize) -> u32 {
@@ -580,18 +422,11 @@ fn src_val(w: &Warp, src: &Src, t: usize) -> u32 {
     }
 }
 
-fn execute(
-    w: &mut Warp,
-    inst: &Instr,
-    cycle: u64,
-    cfg: &SmspConfig,
-    mem_serial: u64,
-    mem: &mut [u32],
-    result: &mut SimResult,
-) {
-    let lanes: Vec<usize> = (0..cfg.warp_size as usize)
-        .filter(|t| w.active >> t & 1 == 1)
-        .collect();
+/// The functional effect of `inst` on the warp's active lanes, its control
+/// state and global memory. Timing is the scoreboard's business.
+fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: &mut SimResult) {
+    let set_bit =
+        |mask: &mut u32, t: usize, v: bool| *mask = (*mask & !(1 << t)) | (u32::from(v) << t);
     match *inst {
         Instr::Imad {
             dst,
@@ -602,20 +437,19 @@ fn execute(
             set_cc,
             use_cc,
         } => {
-            for &t in &lanes {
-                let prod = u64::from(src_val(w, &a, t)) * u64::from(src_val(w, &b, t));
-                let part = if hi { prod >> 32 } else { prod & 0xffff_ffff };
-                let sum =
-                    part + u64::from(src_val(w, &c, t)) + u64::from(use_cc && (w.cc >> t) & 1 == 1);
-                w.regs[dst as usize][t] = sum as u32;
+            for t in lanes(w.active, warp_size) {
+                let carry_in = use_cc && (w.cc >> t) & 1 == 1;
+                let (v, carry) = imad(
+                    src_val(w, &a, t),
+                    src_val(w, &b, t),
+                    src_val(w, &c, t),
+                    carry_in,
+                    hi,
+                );
+                w.regs[dst as usize][t] = v;
                 if set_cc {
-                    w.cc = (w.cc & !(1 << t)) | ((((sum >> 32) & 1) as u32) << t);
+                    set_bit(&mut w.cc, t, carry);
                 }
-            }
-            w.reg_ready[dst as usize] = cycle + cfg.imad_latency;
-            w.reg_mem_pending[dst as usize] = false;
-            if set_cc {
-                w.cc_ready = cycle + cfg.imad_latency;
             }
             w.pc += 1;
         }
@@ -627,21 +461,19 @@ fn execute(
             set_cc,
             use_cc,
         } => {
-            for &t in &lanes {
-                let sum = u64::from(src_val(w, &a, t))
-                    + u64::from(src_val(w, &b, t))
-                    + u64::from(src_val(w, &c, t))
-                    + u64::from(use_cc && (w.cc >> t) & 1 == 1);
-                w.regs[dst as usize][t] = sum as u32;
+            for t in lanes(w.active, warp_size) {
+                let carry_in = use_cc && (w.cc >> t) & 1 == 1;
+                let (v, carry) = iadd3(
+                    src_val(w, &a, t),
+                    src_val(w, &b, t),
+                    src_val(w, &c, t),
+                    carry_in,
+                );
+                w.regs[dst as usize][t] = v;
                 if set_cc {
-                    assert!(sum >> 32 <= 1, "IADD3 multi-bit carry unsupported");
-                    w.cc = (w.cc & !(1 << t)) | ((((sum >> 32) & 1) as u32) << t);
+                    assert!(carry <= 1, "IADD3 multi-bit carry unsupported");
+                    set_bit(&mut w.cc, t, carry == 1);
                 }
-            }
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem_pending[dst as usize] = false;
-            if set_cc {
-                w.cc_ready = cycle + cfg.alu_latency;
             }
             w.pc += 1;
         }
@@ -652,69 +484,40 @@ fn execute(
             sh,
             right,
         } => {
-            for &t in &lanes {
-                let v = src_val(w, &a, t);
-                let f = src_val(w, &b, t);
-                let s = src_val(w, &sh, t) & 31;
-                w.regs[dst as usize][t] = if s == 0 {
-                    v
-                } else if right {
-                    (v >> s) | (f << (32 - s))
-                } else {
-                    (v << s) | (f >> (32 - s))
-                };
+            for t in lanes(w.active, warp_size) {
+                w.regs[dst as usize][t] = shf(
+                    src_val(w, &a, t),
+                    src_val(w, &b, t),
+                    src_val(w, &sh, t),
+                    right,
+                );
             }
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem_pending[dst as usize] = false;
             w.pc += 1;
         }
         Instr::Lop3 { dst, a, b, op } => {
-            for &t in &lanes {
-                let (x, y) = (src_val(w, &a, t), src_val(w, &b, t));
-                w.regs[dst as usize][t] = match op {
-                    LogicOp::And => x & y,
-                    LogicOp::Or => x | y,
-                    LogicOp::Xor => x ^ y,
-                };
+            for t in lanes(w.active, warp_size) {
+                w.regs[dst as usize][t] = op.eval(src_val(w, &a, t), src_val(w, &b, t));
             }
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem_pending[dst as usize] = false;
             w.pc += 1;
         }
         Instr::Mov { dst, src } => {
-            for &t in &lanes {
+            for t in lanes(w.active, warp_size) {
                 w.regs[dst as usize][t] = src_val(w, &src, t);
             }
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem_pending[dst as usize] = false;
             w.pc += 1;
         }
         Instr::Setp { pred, a, b, cmp } => {
-            for &t in &lanes {
-                let (x, y) = (src_val(w, &a, t), src_val(w, &b, t));
-                let v = match cmp {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Ge => x >= y,
-                };
-                let p = &mut w.preds[pred as usize];
-                *p = (*p & !(1 << t)) | (u32::from(v) << t);
+            for t in lanes(w.active, warp_size) {
+                let v = cmp.eval(src_val(w, &a, t), src_val(w, &b, t));
+                set_bit(&mut w.preds[pred as usize], t, v);
             }
-            w.pred_ready[pred as usize] = cycle + cfg.alu_latency;
             w.pc += 1;
         }
         Instr::Sel { dst, a, b, pred } => {
-            for &t in &lanes {
+            for t in lanes(w.active, warp_size) {
                 let take = (w.preds[pred as usize] >> t) & 1 == 1;
-                w.regs[dst as usize][t] = if take {
-                    src_val(w, &a, t)
-                } else {
-                    src_val(w, &b, t)
-                };
+                w.regs[dst as usize][t] = src_val(w, if take { &a } else { &b }, t);
             }
-            w.reg_ready[dst as usize] = cycle + cfg.alu_latency;
-            w.reg_mem_pending[dst as usize] = false;
             w.pc += 1;
         }
         Instr::Bra { target, pred } => {
@@ -753,24 +556,19 @@ fn execute(
             }
         }
         Instr::Ldg { dst, addr, offset } => {
-            for &t in &lanes {
+            for t in lanes(w.active, warp_size) {
                 let idx = w.regs[addr as usize][t] as usize + offset as usize;
                 w.regs[dst as usize][t] = mem[idx];
             }
-            result.bytes_loaded += 4 * lanes.len() as u64;
-            // The last sector wavefront returns `mem_serial` cycles after
-            // the first — Long-Scoreboard latency grows with serialized
-            // transactions.
-            w.reg_ready[dst as usize] = cycle + cfg.mem_latency + mem_serial;
-            w.reg_mem_pending[dst as usize] = true;
+            result.bytes_loaded += 4 * u64::from(w.active.count_ones());
             w.pc += 1;
         }
         Instr::Stg { src, addr, offset } => {
-            for &t in &lanes {
+            for t in lanes(w.active, warp_size) {
                 let idx = w.regs[addr as usize][t] as usize + offset as usize;
                 mem[idx] = w.regs[src as usize][t];
             }
-            result.bytes_stored += 4 * lanes.len() as u64;
+            result.bytes_stored += 4 * u64::from(w.active.count_ones());
             w.pc += 1;
         }
         Instr::Exit => {
@@ -786,7 +584,7 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::ProgramBuilder;
+    use crate::isa::{CmpOp, LogicOp, ProgramBuilder};
 
     fn r(x: u16) -> Src {
         Src::Reg(x)
@@ -1095,9 +893,9 @@ mod tests {
         init.broadcast(1, 0xcafe_f00d);
         let mut m = Machine::new(SmspConfig::default(), 64);
         let res = m.run(&p, &[init]);
-        let prod = 0xdead_beefu64 * 0xcafe_f00du64;
-        assert_eq!(m.global_mem[0], prod as u32);
-        assert_eq!(m.global_mem[1], (prod >> 32) as u32);
+        let wide = 0xdead_beefu64 * 0xcafe_f00du64;
+        assert_eq!(m.global_mem[0], wide as u32);
+        assert_eq!(m.global_mem[1], (wide >> 32) as u32);
         assert_eq!(res.int_ops, 2 * 2 * 32); // two IMADs × weight 2 × 32 threads
     }
 }

@@ -2,6 +2,7 @@
 //! corrupt state) on kernel bugs — out-of-bounds accesses, unsupported
 //! divergence shapes, and runaway loops.
 
+use gpu_sim::analysis::{predict_schedule, ScheduleHints};
 use gpu_sim::isa::{CmpOp, ProgramBuilder, Src};
 use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
 
@@ -181,4 +182,31 @@ fn no_eligible_cycles_counted_during_memory_waits() {
     let res = m.run(&p, &[WarpInit::default()]);
     assert!(res.no_eligible_cycles >= 90, "{}", res.no_eligible_cycles);
     assert!(res.stalls.other >= 90);
+}
+
+#[test]
+fn register_file_is_sized_by_the_program_for_simulator_and_predictor_alike() {
+    // r300 is past the 256-register file the simulator used to allocate
+    // regardless of the program, while the predictor sized its scoreboard
+    // from the program: one accepted what the other died on.
+    let mut b = ProgramBuilder::new();
+    b.mov(300, imm(41));
+    b.iadd3(300, r(300), r(301), imm(0), false, false);
+    b.stg(300, 0, 0);
+    b.exit();
+    let p = b.build();
+    let cfg = SmspConfig::default();
+    for warps in [1usize, 2] {
+        // r301 comes from the launch state, which may also name registers
+        // the program does not (r400 here).
+        let mut init = WarpInit::default();
+        init.broadcast(301, 1);
+        init.broadcast(400, 7);
+        let mut m = Machine::new(cfg.clone(), 1);
+        let sim = m.run(&p, &vec![init; warps]);
+        assert_eq!(m.global_mem[0], 42);
+        let pred = predict_schedule(&p, &cfg, warps as u32, &ScheduleHints::new()).unwrap();
+        assert_eq!(pred.cycles, sim.cycles, "warps={warps}");
+        assert_eq!(pred.stalls, sim.stalls, "warps={warps}");
+    }
 }
