@@ -63,16 +63,6 @@ pub fn batch_inverse_counted<F: Field>(values: &mut [F]) -> (usize, usize) {
     (1, muls)
 }
 
-/// Chunked [`batch_inverse`] on a thread pool: each chunk runs Montgomery's
-/// trick independently (one `FF_inv` per chunk). Field inverses are exact,
-/// so the resulting values are identical to the serial version — chunking
-/// trades `chunks - 1` extra inversions for parallelism.
-pub fn batch_inverse_parallel<F: Field>(pool: &zkp_runtime::ThreadPool, values: &mut [F]) {
-    // Below this size the extra inversions outweigh the fan-out.
-    const MIN_CHUNK: usize = 1024;
-    pool.for_each_chunk_mut(values, MIN_CHUNK, |_, _, chunk| batch_inverse(chunk));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@ pub mod glv;
 mod params;
 mod traits;
 
-pub use batch::{batch_inverse, batch_inverse_counted, batch_inverse_parallel};
+pub use batch::{batch_inverse, batch_inverse_counted};
 pub use configs::{Fq377, Fq377Config, Fq381, Fq381Config, Fr377, Fr377Config, Fr381, Fr381Config};
 pub use counter::{Counted, OpCounts};
 pub use fp::{Fp, FpConfig};

@@ -25,7 +25,6 @@ pub enum BucketRepr {
 ///     window_bits: Some(16),
 ///     signed_digits: true,
 ///     bucket_repr: BucketRepr::Xyzz,
-///     sort_buckets: true,
 ///     endomorphism: false,
 /// };
 /// assert!(ymc_style.signed_digits);
@@ -39,10 +38,6 @@ pub struct MsmConfig {
     pub signed_digits: bool,
     /// Bucket point representation.
     pub bucket_repr: BucketRepr,
-    /// Sort buckets by population for balanced GPU thread assignment
-    /// (`sppark`). Semantically a no-op on the CPU; recorded so the GPU
-    /// models can see the intent.
-    pub sort_buckets: bool,
     /// GLV endomorphism decomposition: split every scalar as
     /// `k = k1 + λ·k2` with half-width subscalars and double the point
     /// set via the one-`FF_mul` map `φ`. Silently ignored on curves
@@ -56,7 +51,6 @@ impl Default for MsmConfig {
             window_bits: None,
             signed_digits: false,
             bucket_repr: BucketRepr::Xyzz,
-            sort_buckets: false,
             endomorphism: false,
         }
     }
@@ -82,15 +76,11 @@ impl MsmConfig {
         )
     }
 
-    /// The configuration `sppark` models: XYZZ buckets, sorted, unsigned.
+    /// The configuration `sppark` models: XYZZ buckets, unsigned — the
+    /// default (its bucket sorting is a GPU load-balancing detail with no
+    /// CPU counterpart).
     pub fn sppark_style() -> Self {
-        Self {
-            window_bits: None,
-            signed_digits: false,
-            bucket_repr: BucketRepr::Xyzz,
-            sort_buckets: true,
-            endomorphism: false,
-        }
+        Self::default()
     }
 
     /// The configuration `ymc`/`yrrid` model: XYZZ + signed digits.
@@ -99,7 +89,6 @@ impl MsmConfig {
             window_bits: None,
             signed_digits: true,
             bucket_repr: BucketRepr::Xyzz,
-            sort_buckets: true,
             endomorphism: false,
         }
     }
@@ -110,7 +99,6 @@ impl MsmConfig {
             window_bits: None,
             signed_digits: false,
             bucket_repr: BucketRepr::Jacobian,
-            sort_buckets: false,
             endomorphism: false,
         }
     }
@@ -122,7 +110,6 @@ impl MsmConfig {
             window_bits: None,
             signed_digits: true,
             bucket_repr: BucketRepr::Xyzz,
-            sort_buckets: false,
             endomorphism: true,
         }
     }

@@ -4,6 +4,7 @@
 //! generator (`uᵢ(τ)·G`). With a per-window table of all `2^c` multiples,
 //! each scalar multiplication collapses to `⌈λ/c⌉` point additions.
 
+use crate::pippenger::window_digit;
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
 use zkp_ff::PrimeField;
 
@@ -65,14 +66,7 @@ impl<Cu: SwCurve> FixedBase<Cu> {
         let mut acc = Jacobian::identity();
         for (w, table) in self.windows.iter().enumerate() {
             let lo = w as u32 * self.window_bits;
-            let mut digit = 0usize;
-            for b in 0..self.window_bits {
-                let bit = lo + b;
-                let limb = (bit / 64) as usize;
-                if limb < limbs.len() && (limbs[limb] >> (bit % 64)) & 1 == 1 {
-                    digit |= 1 << b;
-                }
-            }
+            let digit = window_digit(&limbs, lo, self.window_bits) as usize;
             if digit != 0 {
                 acc = acc.add_affine(&table[digit - 1]);
             }

@@ -17,6 +17,15 @@
 //! first-order MSM lever of §IV-D / SZKP. Curves without an endomorphism
 //! (G2) fall back to the plain path transparently.
 //!
+//! # One front door
+//!
+//! Every MSM is a *plan run*: a [`Layout`] says how the digits of each
+//! (sub)scalar fold onto a table of shifted point copies, the one recoder
+//! ([`fill_digit_matrix`]) turns scalars into that digit matrix, and the
+//! bucket engine consumes it. [`msm_parallel_with_config_in`] runs the
+//! single-copy layout over the caller's points; [`MsmPlan`](crate::MsmPlan)
+//! runs a layout whose table it built once. Both go through [`execute`].
+//!
 //! # Parallel decomposition
 //!
 //! Every MSM runs on a [`zkp_runtime::ThreadPool`] over a task grid of
@@ -136,37 +145,37 @@ impl<Cu: SwCurve> Accumulator<Cu> for Xyzz<Cu> {
     }
 }
 
-/// Decomposes a raw little-endian magnitude into its row of the
-/// signed-digit matrix, optionally negating every digit (how a negative
-/// GLV subscalar enters the bucket engine: `-Σ d·2^(qs) = Σ (-d)·2^(qs)`).
+/// The `bits`-wide window of a little-endian magnitude starting at bit
+/// `lo`, read word-wise (at most two limbs); bits past the top limb are
+/// zero. The only place the crate extracts window bits from limbs.
+pub(crate) fn window_digit(limbs: &[u64], lo: u32, bits: u32) -> u64 {
+    debug_assert!((1..64).contains(&bits));
+    let (limb, off) = ((lo / 64) as usize, lo % 64);
+    let Some(&word) = limbs.get(limb) else {
+        return 0;
+    };
+    let mut raw = word >> off;
+    if off + bits > 64 {
+        // The window straddles a limb boundary (so `off > 0`).
+        raw |= limbs.get(limb + 1).map_or(0, |next| next << (64 - off));
+    }
+    raw & ((1u64 << bits) - 1)
+}
+
+/// Recodes a raw little-endian magnitude into its row of the signed-digit
+/// matrix, optionally negating every digit (how a negative GLV subscalar
+/// enters the bucket engine: `-Σ d·2^(qs) = Σ (-d)·2^(qs)`).
 ///
 /// A digit `d` is stored as a plain `i32`: `d > 0` adds the point to
 /// bucket `d - 1`, `d < 0` adds its negation to bucket `-d - 1`, `0` is
 /// skipped. With `signed`, digits are recoded into `[-2^(s-1), 2^(s-1)]`,
 /// halving the bucket count — the signed-digit trick `ymc` uses (§IV-A).
-pub(crate) fn decompose_row_limbs(
-    limbs: &[u64],
-    window_bits: u32,
-    signed: bool,
-    negate: bool,
-    row: &mut [i32],
-) {
+fn recode_row(limbs: &[u64], window_bits: u32, signed: bool, negate: bool, row: &mut [i32]) {
     let mut carry = 0u64;
     let base = 1u64 << window_bits;
     for (w, slot) in row.iter_mut().enumerate() {
-        let lo = w as u32 * window_bits;
-        let mut d = carry;
+        let d = carry + window_digit(limbs, w as u32 * window_bits, window_bits);
         carry = 0;
-        // Extract the raw window bits.
-        let mut raw = 0u64;
-        for b in 0..window_bits {
-            let bit = lo + b;
-            let limb = (bit / 64) as usize;
-            if limb < limbs.len() && (limbs[limb] >> (bit % 64)) & 1 == 1 {
-                raw |= 1 << b;
-            }
-        }
-        d += raw;
         *slot = if signed && d > base / 2 {
             // Recode: d - 2^s (zero when d accumulated to exactly 2^s via
             // the incoming carry), carry 1 into the next window.
@@ -184,51 +193,9 @@ pub(crate) fn decompose_row_limbs(
     }
 }
 
-/// Scalar limbs copied to the stack on the per-row hot path; every
-/// supported scalar field fits (BLS12 Fr has 4 limbs).
-pub(crate) const SCALAR_LIMBS_STACK: usize = 8;
-
-/// Decomposes one scalar into its row of the signed-digit matrix without
-/// heap-allocating the canonical limbs.
-fn decompose_row<F: PrimeField>(scalar: &F, window_bits: u32, signed: bool, row: &mut [i32]) {
-    if F::NUM_LIMBS <= SCALAR_LIMBS_STACK {
-        let mut limbs = [0u64; SCALAR_LIMBS_STACK];
-        scalar.write_uint(&mut limbs);
-        decompose_row_limbs(&limbs[..F::NUM_LIMBS], window_bits, signed, false, row);
-    } else {
-        decompose_row_limbs(&scalar.to_uint(), window_bits, signed, false, row);
-    }
-}
-
-/// Fills the flat `n × w` signed-digit matrix (scalar-major rows) in
-/// parallel, reusing `digits`' capacity.
-pub(crate) fn decompose_matrix_into<F: PrimeField>(
-    pool: &ThreadPool,
-    scalars: &[F],
-    window_bits: u32,
-    num_windows: u32,
-    signed: bool,
-    digits: &mut Vec<i32>,
-) {
-    let n = scalars.len();
-    let w = num_windows as usize;
-    digits.clear();
-    digits.resize(n * w, 0);
-    let base = MatPtr(digits.as_mut_ptr());
-    pool.parallel_for(n, usize::MAX, 128, |_, range| {
-        // SAFETY: row ranges are contiguous, in bounds, and pairwise
-        // disjoint across chunks, and `digits` outlives the call.
-        let rows =
-            unsafe { std::slice::from_raw_parts_mut(base.at(range.start * w), range.len() * w) };
-        for (row, i) in rows.chunks_exact_mut(w).zip(range) {
-            decompose_row(&scalars[i], window_bits, signed, row);
-        }
-    });
-}
-
 /// A raw element pointer handed to pool tasks writing disjoint cells of a
 /// caller-owned buffer.
-pub(crate) struct MatPtr<T = i32>(pub(crate) *mut T);
+struct MatPtr<T = i32>(*mut T);
 
 impl<T> MatPtr<T> {
     /// Pointer to element `i`. A method keeps closure capture on the whole
@@ -237,7 +204,7 @@ impl<T> MatPtr<T> {
     /// # Safety
     ///
     /// `i` must be in bounds of the underlying allocation.
-    pub(crate) unsafe fn at(&self, i: usize) -> *mut T {
+    unsafe fn at(&self, i: usize) -> *mut T {
         unsafe { self.0.add(i) }
     }
 }
@@ -265,7 +232,7 @@ pub fn num_windows<F: PrimeField>(window_bits: u32, signed: bool) -> u32 {
 /// Buckets per window for a digit encoding: signed digits cover
 /// `[-2^(s-1), 2^(s-1)]` with `2^(s-1)` buckets, unsigned `[1, 2^s)` with
 /// `2^s - 1`.
-pub(crate) fn buckets_for(window_bits: u32, signed: bool) -> u64 {
+fn buckets_for(window_bits: u32, signed: bool) -> u64 {
     if signed {
         1u64 << (window_bits - 1)
     } else {
@@ -289,7 +256,8 @@ fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
 
 /// Retained per-task state of batch-affine bucket accumulation; cleared
 /// (capacity kept) at the start of every run.
-pub(crate) struct AffineChunkScratch<Cu: SwCurve> {
+#[derive(Default)]
+struct AffineChunkScratch<Cu: SwCurve> {
     buckets: Vec<Option<Affine<Cu>>>,
     busy: Vec<bool>,
     jobs: Vec<(usize, Affine<Cu>)>,
@@ -298,42 +266,18 @@ pub(crate) struct AffineChunkScratch<Cu: SwCurve> {
     denoms: Vec<Cu::Base>,
 }
 
-impl<Cu: SwCurve> Default for AffineChunkScratch<Cu> {
-    fn default() -> Self {
-        Self {
-            buckets: Vec::new(),
-            busy: Vec::new(),
-            jobs: Vec::new(),
-            round: Vec::new(),
-            deferred: Vec::new(),
-            denoms: Vec::new(),
-        }
-    }
-}
-
 /// Bucket-engine arenas: one flat task-major bucket arena per point
 /// representation (block `t` holds the `buckets_per_window` buckets of
 /// task `t = win·chunks + chunk`, so one window's chunk partials are
 /// contiguous), per-task counters, and the per-window sums.
-pub(crate) struct EngineScratch<Cu: SwCurve> {
+#[derive(Default)]
+struct EngineScratch<Cu: SwCurve> {
     jac: Vec<Jacobian<Cu>>,
     xyzz: Vec<Xyzz<Cu>>,
     affine: Vec<AffineChunkScratch<Cu>>,
     /// Per task: (non-zero digits consumed, batched inversions).
     counts: Vec<(u64, u64)>,
     window_sums: Vec<Jacobian<Cu>>,
-}
-
-impl<Cu: SwCurve> Default for EngineScratch<Cu> {
-    fn default() -> Self {
-        Self {
-            jac: Vec::new(),
-            xyzz: Vec::new(),
-            affine: Vec::new(),
-            counts: Vec::new(),
-            window_sums: Vec::new(),
-        }
-    }
 }
 
 /// Reusable scratch memory for one MSM call site.
@@ -345,28 +289,18 @@ impl<Cu: SwCurve> Default for EngineScratch<Cu> {
 /// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
 /// steady state. Buffers only ever grow; results are bit-identical to the
 /// scratch-free entry points.
+#[derive(Default)]
 pub struct MsmScratch<Cu: SwCurve> {
-    pub(crate) engine: EngineScratch<Cu>,
-    pub(crate) digits: Vec<i32>,
-    pub(crate) subs: Vec<(GlvScalar, GlvScalar)>,
-    pub(crate) expanded: Vec<Affine<Cu>>,
+    engine: EngineScratch<Cu>,
+    digits: Vec<i32>,
+    subs: Vec<(GlvScalar, GlvScalar)>,
+    expanded: Vec<Affine<Cu>>,
 }
 
 impl<Cu: SwCurve> MsmScratch<Cu> {
     /// An empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
-        Self {
-            engine: EngineScratch::default(),
-            digits: Vec::new(),
-            subs: Vec::new(),
-            expanded: Vec::new(),
-        }
-    }
-}
-
-impl<Cu: SwCurve> Default for MsmScratch<Cu> {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -375,9 +309,8 @@ impl<Cu: SwCurve> Default for MsmScratch<Cu> {
 // ---------------------------------------------------------------------------
 
 /// A fully prepared bucket-engine problem: points paired row-for-row with a
-/// flat signed-digit matrix. Shared by the plain, GLV-decomposed, and
-/// precomputed-plan entry points.
-pub(crate) struct EngineInput<'a, Cu: SwCurve> {
+/// flat signed-digit matrix, as [`execute`] builds it.
+struct EngineInput<'a, Cu: SwCurve> {
     /// The points, one per digit-matrix row.
     pub points: &'a [Affine<Cu>],
     /// Flat `points.len() × windows` digit matrix, row-major.
@@ -392,7 +325,7 @@ pub(crate) struct EngineInput<'a, Cu: SwCurve> {
 
 /// Dispatches the engine over the configured bucket representation,
 /// reusing `scratch`'s arenas.
-pub(crate) fn run_bucket_engine_in<Cu: SwCurve>(
+fn run_bucket_engine_in<Cu: SwCurve>(
     repr: BucketRepr,
     inp: EngineInput<'_, Cu>,
     pool: &ThreadPool,
@@ -539,13 +472,8 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
 ) -> MsmOutput<Cu> {
     let n = inp.points.len();
     let (s, w, buckets_per_window) = (inp.window_bits, inp.windows, inp.buckets_per_window);
+    debug_assert!(n > 0, "execute() answers the empty MSM itself");
     debug_assert_eq!(inp.digits.len(), n * w as usize);
-    if n == 0 {
-        return MsmOutput {
-            point: Jacobian::identity(),
-            stats: MsmStats::default(),
-        };
-    }
 
     // Bucket accumulation over the windows × chunks task grid. Task
     // `t = win·chunks + chunk` owns arena block `t` (its partial buckets,
@@ -574,8 +502,11 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
         let win = t / chunks;
         let lo = (t % chunks) * chunk_len;
         let hi = (lo + chunk_len).min(n);
+        debug_assert!(t < tasks);
         let task_counts = if batch_affine {
-            // SAFETY: task `t` exclusively owns `affine[t]`; t < tasks.
+            // SAFETY: the arena holds exactly `tasks` blocks and each block
+            // index `t` is visited by one task, so `t < tasks ≤
+            // affine.len()` (grown above) and `affine[t]` is unaliased.
             let sc = unsafe { &mut *affine_ptr.at(t) };
             let (nonzero, inversions) =
                 accumulate_affine_chunk(points, digits, wu, win, lo, hi, bpw, sc);
@@ -604,7 +535,8 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
             }
             (nonzero, 0)
         };
-        // SAFETY: task `t` exclusively owns `counts[t]`; t < tasks.
+        // SAFETY: `counts.len() == tasks > t`, and block index `t` is
+        // visited by exactly one task, so the slot is unaliased.
         unsafe { counts_ptr.at(t).write(task_counts) };
     });
     let accumulation_padds = counts.iter().map(|(c, _)| c).sum();
@@ -638,7 +570,9 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
             }
             sum_of_sums(merged)
         };
-        // SAFETY: window task `win` exclusively owns `window_sums[win]`.
+        debug_assert!(win < wu);
+        // SAFETY: the arena splits into exactly `wu = window_sums.len()`
+        // blocks of `chunks·bpw`, each index `win` visited by one task.
         unsafe { sums_ptr.at(win).write(sum) };
     });
 
@@ -665,25 +599,90 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
 }
 
 // ---------------------------------------------------------------------------
-// GLV preparation helpers (shared with the precomputed-plan path)
+// The plan run: layout → recoder → engine
 // ---------------------------------------------------------------------------
+
+/// The shape of one plan run: how the full-width digits of every
+/// (sub)scalar fold onto a table of shifted copies of the base rows. A
+/// one-shot MSM is the single-copy case (`target_windows = full_windows`)
+/// over a borrowed table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout<Cu: SwCurve> {
+    /// Number of base points, i.e. scalars per run.
+    pub(crate) n: usize,
+    /// GLV parameters when scalars are decomposed at run time; the table
+    /// rows of one copy are then `[P…, φ(P)…]`.
+    pub(crate) glv: Option<&'static GlvParams<Cu>>,
+    /// Window size `s` in bits.
+    pub(crate) window_bits: u32,
+    /// Windows `w` of one (sub)scalar before folding into copies.
+    pub(crate) full_windows: u32,
+    /// Windows reduced per run (`W` of Fig. 12).
+    pub(crate) target_windows: u32,
+    /// Signed-digit recoding.
+    pub(crate) signed: bool,
+    /// Bucket representation of the engine run.
+    pub(crate) bucket_repr: BucketRepr,
+}
+
+impl<Cu: SwCurve> Layout<Cu> {
+    /// The single-copy layout of `n` points under `config`.
+    pub(crate) fn new(n: usize, config: &MsmConfig) -> Self {
+        let glv = if config.endomorphism { Cu::glv() } else { None };
+        let rows = if glv.is_some() { 2 * n } else { n };
+        let s = config
+            .window_bits
+            .unwrap_or_else(|| default_window_bits(rows));
+        let full_windows = match glv {
+            // A subscalar magnitude is bounded by `2^sub_bits`.
+            Some(glv) => (glv.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
+            None => num_windows::<Cu::Scalar>(s, config.signed_digits),
+        };
+        Self {
+            n,
+            glv,
+            window_bits: s,
+            full_windows,
+            target_windows: full_windows,
+            signed: config.signed_digits,
+            bucket_repr: config.bucket_repr,
+        }
+    }
+
+    /// Table rows per copy: `n`, or `2n` under GLV.
+    pub(crate) fn points_per_copy(&self) -> usize {
+        self.n * if self.glv.is_some() { 2 } else { 1 }
+    }
+
+    /// Stored copies `⌈w/W⌉`; copy `j` is copy `j−1` doubled `W·s` times.
+    pub(crate) fn copies(&self) -> u32 {
+        self.full_windows.div_ceil(self.target_windows)
+    }
+
+    /// The configuration this layout was derived from, window size pinned.
+    pub(crate) fn config(&self) -> MsmConfig {
+        MsmConfig {
+            window_bits: Some(self.window_bits),
+            signed_digits: self.signed,
+            bucket_repr: self.bucket_repr,
+            endomorphism: self.glv.is_some(),
+        }
+    }
+}
 
 /// Decomposes every scalar as `k = k1 + λ·k2` in parallel, reusing
 /// `subs`' capacity.
-pub(crate) fn glv_split_into<Cu: SwCurve>(
+fn glv_split_into<Cu: SwCurve>(
     scalars: &[Cu::Scalar],
     glv: &GlvParams<Cu>,
     pool: &ThreadPool,
     subs: &mut Vec<(GlvScalar, GlvScalar)>,
 ) {
-    let n = scalars.len();
     subs.clear();
-    subs.resize(n, (GlvScalar::default(), GlvScalar::default()));
-    let base = MatPtr(subs.as_mut_ptr());
-    pool.parallel_for(n, usize::MAX, 512, |_, range| {
-        for i in range {
-            // SAFETY: chunks partition 0..n; each slot written once.
-            unsafe { base.at(i).write(glv.decompose(&scalars[i])) };
+    subs.resize(scalars.len(), (GlvScalar::default(), GlvScalar::default()));
+    pool.for_each_chunk_mut(subs, 512, |_, offset, chunk| {
+        for (slot, k) in chunk.iter_mut().zip(&scalars[offset..]) {
+            *slot = glv.decompose(k);
         }
     });
 }
@@ -701,95 +700,113 @@ pub(crate) fn glv_expand_points_into<Cu: SwCurve>(
     out.extend(points.iter().map(|p| glv.endomorphism(p)));
 }
 
-/// Doubles the point set via the endomorphism: `[P₀..Pₙ, φ(P₀)..φ(Pₙ)]`.
-/// One `FF_mul` per point.
-pub(crate) fn glv_expand_points<Cu: SwCurve>(
-    points: &[Affine<Cu>],
-    glv: &GlvParams<Cu>,
-) -> Vec<Affine<Cu>> {
-    let mut expanded = Vec::new();
-    glv_expand_points_into(points, glv, &mut expanded);
-    expanded
-}
+/// Scalar limbs copied to the stack on the per-row hot path; every
+/// supported scalar field fits (BLS12 Fr has 4 limbs).
+const SCALAR_LIMBS_STACK: usize = 8;
 
-/// Fills the flat `2n × w` digit matrix for decomposed subscalars: row `i`
-/// holds `k1` of scalar `i` (paired with `Pᵢ`), row `n + i` holds `k2`
-/// (paired with `φ(Pᵢ)`). Negative subscalars negate their whole row.
-pub(crate) fn glv_digit_matrix_into(
+/// A full (pre-scatter) digit row fits on the stack: even `s = 3` over a
+/// 256-bit scalar needs only 86 windows.
+const FULL_ROW_STACK: usize = 128;
+
+/// The recoder: fills the flat `(copies·ppc) × W` digit matrix over the
+/// layout's table. Row `r < ppc` is scalar `r` or, under GLV, subscalar
+/// `k1` of scalar `r` (paired with `Pᵣ`) / `k2` of scalar `r − n` (paired
+/// with `φ(Pᵣ₋ₙ)`). Each row is recoded over its FULL `w` windows first —
+/// the signed-digit carry crosses copy boundaries — then digit `q`
+/// scatters to copy `q / W`, column `q % W`.
+fn fill_digit_matrix<Cu: SwCurve>(
+    layout: &Layout<Cu>,
+    scalars: &[Cu::Scalar],
     subs: &[(GlvScalar, GlvScalar)],
-    window_bits: u32,
-    num_windows: u32,
-    signed: bool,
     pool: &ThreadPool,
     digits: &mut Vec<i32>,
 ) {
-    let n = subs.len();
-    let w = num_windows as usize;
+    let (n, ppc) = (layout.n, layout.points_per_copy());
+    let (s, signed) = (layout.window_bits, layout.signed);
+    let (full, wu) = (layout.full_windows as usize, layout.target_windows as usize);
+    // The scatter writes non-zero digits only, and the last copy's columns
+    // past `w` are never written, so the matrix is re-zeroed every run.
     digits.clear();
-    digits.resize(2 * n * w, 0);
+    digits.resize(ppc * layout.copies() as usize * wu, 0);
+    let cells = digits.len();
     let base = MatPtr(digits.as_mut_ptr());
-    pool.parallel_for(2 * n, usize::MAX, 128, |_, range| {
-        // SAFETY: row ranges are contiguous, in bounds, and pairwise
-        // disjoint across chunks, and `digits` outlives the call.
-        let rows =
-            unsafe { std::slice::from_raw_parts_mut(base.at(range.start * w), range.len() * w) };
-        for (row, i) in rows.chunks_exact_mut(w).zip(range) {
-            let sub = if i < n { subs[i].0 } else { subs[i - n].1 };
-            decompose_row_limbs(&sub.limbs(), window_bits, signed, sub.neg, row);
+    pool.parallel_for(ppc, usize::MAX, 128, |_, range| {
+        let mut stack_row = [0i32; FULL_ROW_STACK];
+        let mut heap_row = Vec::new();
+        let row: &mut [i32] = if full <= FULL_ROW_STACK {
+            &mut stack_row[..full]
+        } else {
+            heap_row.resize(full, 0);
+            &mut heap_row
+        };
+        for r in range {
+            if layout.glv.is_some() {
+                let sub = if r < n { subs[r].0 } else { subs[r - n].1 };
+                recode_row(&sub.limbs(), s, signed, sub.neg, row);
+            } else if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
+                let mut limbs = [0u64; SCALAR_LIMBS_STACK];
+                scalars[r].write_uint(&mut limbs);
+                recode_row(&limbs[..Cu::Scalar::NUM_LIMBS], s, signed, false, row);
+            } else {
+                recode_row(&scalars[r].to_uint(), s, signed, false, row);
+            }
+            for (q, &d) in row.iter().enumerate() {
+                if d != 0 {
+                    let idx = ((q / wu) * ppc + r) * wu + q % wu;
+                    debug_assert!(idx < cells, "digit cell {idx} of {cells}");
+                    // SAFETY: `q < w` gives copy `q / W < copies`, and
+                    // `r < ppc`, so `idx < copies·ppc·W = digits.len()`.
+                    // The cell is a function of `(r, q)` alone and tasks
+                    // own disjoint `r` ranges, so no two writes alias.
+                    unsafe { base.at(idx).write(d) };
+                }
+            }
         }
     });
 }
 
-/// Number of windows a GLV subscalar needs: its magnitude is bounded by
-/// `2^sub_bits`, plus one bit of headroom for the signed-digit carry.
-pub(crate) fn glv_num_windows(sub_bits: u32, window_bits: u32, signed: bool) -> u32 {
-    (sub_bits + u32::from(signed)).div_ceil(window_bits)
-}
-
-/// The GLV-decomposed Pippenger path: `2n` points, half the windows.
-fn msm_glv_in<Cu: SwCurve>(
-    points: &[Affine<Cu>],
+/// Runs one MSM of `scalars` against `table` — `layout.copies()` shifted
+/// copies of the `layout.points_per_copy()` base rows — the single road to
+/// the bucket engine: optional GLV split → recoder → engine.
+pub(crate) fn execute<Cu: SwCurve>(
+    layout: &Layout<Cu>,
+    table: &[Affine<Cu>],
     scalars: &[Cu::Scalar],
-    glv: &GlvParams<Cu>,
-    config: &MsmConfig,
     pool: &ThreadPool,
     scratch: &mut MsmScratch<Cu>,
 ) -> MsmOutput<Cu> {
-    let n = points.len();
-    if n == 0 {
+    assert_eq!(scalars.len(), layout.n, "one scalar per base point");
+    assert_eq!(
+        table.len(),
+        layout.points_per_copy() * layout.copies() as usize,
+        "table must hold every copy of every row"
+    );
+    if layout.n == 0 {
         return MsmOutput {
             point: Jacobian::identity(),
             stats: MsmStats::default(),
         };
     }
-    let s = config
-        .window_bits
-        .unwrap_or_else(|| default_window_bits(2 * n));
-    let w = glv_num_windows(glv.sub_bits, s, config.signed_digits);
-    glv_split_into(scalars, glv, pool, &mut scratch.subs);
-    glv_expand_points_into(points, glv, &mut scratch.expanded);
-    glv_digit_matrix_into(
-        &scratch.subs,
-        s,
-        w,
-        config.signed_digits,
-        pool,
-        &mut scratch.digits,
-    );
+    scratch.subs.clear();
+    if let Some(glv) = layout.glv {
+        glv_split_into(scalars, glv, pool, &mut scratch.subs);
+    }
+    fill_digit_matrix(layout, scalars, &scratch.subs, pool, &mut scratch.digits);
     let mut out = run_bucket_engine_in(
-        config.bucket_repr,
+        layout.bucket_repr,
         EngineInput {
-            points: &scratch.expanded,
+            points: table,
             digits: &scratch.digits,
-            window_bits: s,
-            windows: w,
-            buckets_per_window: buckets_for(s, config.signed_digits),
+            window_bits: layout.window_bits,
+            windows: layout.target_windows,
+            buckets_per_window: buckets_for(layout.window_bits, layout.signed),
         },
         pool,
         &mut scratch.engine,
     );
-    out.stats.glv_decompositions = n as u64;
-    out.stats.endomorphism_muls = n as u64;
+    if layout.glv.is_some() {
+        out.stats.glv_decompositions = layout.n as u64;
+    }
     out
 }
 
@@ -827,7 +844,10 @@ pub fn msm_parallel_with_config<Cu: SwCurve>(
     msm_parallel_with_config_in(points, scalars, config, pool, &mut MsmScratch::new())
 }
 
-/// [`msm_parallel_with_config`] with caller-owned scratch memory.
+/// [`msm_parallel_with_config`] with caller-owned scratch memory: a plan
+/// run over the borrowed single-copy table `points` (under GLV, over
+/// `[P…, φ(P)…]` expanded into `scratch`), identical in point and stats to
+/// a zero-budget [`MsmPlan`](crate::MsmPlan) except that `φ` is paid here.
 ///
 /// A warmed `scratch` (one prior run of the same shape) makes the call
 /// allocation-free; the result is bit-identical to the scratch-free path.
@@ -847,40 +867,18 @@ pub fn msm_parallel_with_config_in<Cu: SwCurve>(
         scalars.len(),
         "points and scalars must pair up"
     );
-    if config.endomorphism {
-        if let Some(glv) = Cu::glv() {
-            return msm_glv_in(points, scalars, glv, config, pool, scratch);
-        }
-    }
-    let n = points.len();
-    if n == 0 {
-        return MsmOutput {
-            point: Jacobian::identity(),
-            stats: MsmStats::default(),
-        };
-    }
-    let s = config.window_bits.unwrap_or_else(|| default_window_bits(n));
-    let w = num_windows::<Cu::Scalar>(s, config.signed_digits);
-    decompose_matrix_into(
-        pool,
-        scalars,
-        s,
-        w,
-        config.signed_digits,
-        &mut scratch.digits,
-    );
-    run_bucket_engine_in(
-        config.bucket_repr,
-        EngineInput {
-            points,
-            digits: &scratch.digits,
-            window_bits: s,
-            windows: w,
-            buckets_per_window: buckets_for(s, config.signed_digits),
-        },
-        pool,
-        &mut scratch.engine,
-    )
+    let layout = Layout::new(points.len(), config);
+    let Some(glv) = layout.glv else {
+        return execute(&layout, points, scalars, pool, scratch);
+    };
+    // Lend the expanded table out of the scratch for the run (moving a
+    // `Vec` neither allocates nor frees).
+    let mut expanded = std::mem::take(&mut scratch.expanded);
+    glv_expand_points_into(points, glv, &mut expanded);
+    let mut out = execute(&layout, &expanded, scalars, pool, scratch);
+    scratch.expanded = expanded;
+    out.stats.endomorphism_muls = points.len() as u64;
+    out
 }
 
 /// Pippenger MSM with defaults (unsigned digits, XYZZ buckets, auto window).

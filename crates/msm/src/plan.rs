@@ -17,14 +17,9 @@
 //! one `W`-window bucket run. The plan never changes the computed point:
 //! proofs stay byte-identical to the unplanned prover.
 
-use crate::config::{BucketRepr, MsmConfig};
-use crate::pippenger::{
-    buckets_for, decompose_row_limbs, default_window_bits, glv_expand_points, glv_num_windows,
-    glv_split_into, num_windows, run_bucket_engine_in, EngineInput, MatPtr, MsmOutput, MsmScratch,
-    SCALAR_LIMBS_STACK,
-};
+use crate::config::MsmConfig;
+use crate::pippenger::{execute, glv_expand_points_into, Layout, MsmOutput, MsmScratch};
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
-use zkp_ff::PrimeField;
 use zkp_runtime::ThreadPool;
 
 /// A reusable MSM plan for one fixed base-point set.
@@ -33,25 +28,9 @@ pub struct MsmPlan<Cu: SwCurve> {
     /// Copies-major point table: copy `j` occupies rows
     /// `[j·ppc, (j+1)·ppc)`; within a copy the layout is `[P…]` or, under
     /// GLV, `[P…, φ(P)…]`. Copy `j` is copy `j−1` doubled `W·s` times.
-    expanded: Vec<Affine<Cu>>,
-    /// Number of base points.
-    n: usize,
-    /// Whether scalars are GLV-decomposed at execute time.
-    glv: bool,
-    /// Rows per copy: `n`, or `2n` under GLV.
-    points_per_copy: usize,
-    /// Window size `s` in bits.
-    window_bits: u32,
-    /// Windows reduced per MSM (`W` of Fig. 12).
-    target_windows: u32,
-    /// Stored copies `⌈w/W⌉`.
-    copies: u32,
-    /// Full windows `w` of one (sub)scalar before folding into copies.
-    full_windows: u32,
-    /// Signed-digit recoding.
-    signed: bool,
-    /// Bucket representation for the per-proof runs.
-    bucket_repr: BucketRepr,
+    table: Vec<Affine<Cu>>,
+    /// How digits fold onto `table`.
+    layout: Layout<Cu>,
 }
 
 impl<Cu: SwCurve> MsmPlan<Cu> {
@@ -65,117 +44,94 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
         budget_bytes: Option<u64>,
         pool: &ThreadPool,
     ) -> Self {
-        let n = points.len();
-        let glv = config.endomorphism && Cu::glv().is_some();
-        let base: Vec<Affine<Cu>> = if glv {
-            glv_expand_points(points, Cu::glv().expect("checked above"))
-        } else {
-            points.to_vec()
-        };
-        let ppc = base.len().max(1);
-        let s = config
-            .window_bits
-            .unwrap_or_else(|| default_window_bits(ppc));
-        let full_windows = if glv {
-            glv_num_windows(
-                Cu::glv().expect("checked above").sub_bits,
-                s,
-                config.signed_digits,
-            )
-        } else {
-            num_windows::<Cu::Scalar>(s, config.signed_digits)
-        };
-
+        let layout = Layout::new(points.len(), config);
         // Smallest W (deepest precompute) whose table fits the budget;
         // W = w degrades gracefully to a single un-shifted copy.
+        let w = layout.full_windows;
         let point_bytes = core::mem::size_of::<Affine<Cu>>() as u64;
         let storage = |target: u32| {
-            (base.len() as u64) * u64::from(full_windows.div_ceil(target)) * point_bytes
+            layout.points_per_copy() as u64 * u64::from(w.div_ceil(target)) * point_bytes
         };
         let target_windows = match budget_bytes {
             None => 1,
-            Some(budget) => (1..=full_windows)
-                .find(|&t| storage(t) <= budget)
-                .unwrap_or(full_windows),
+            Some(budget) => (1..=w).find(|&t| storage(t) <= budget).unwrap_or(w),
         };
-        let copies = full_windows.div_ceil(target_windows);
+        Self::with_target_windows(points, layout, target_windows, pool)
+    }
 
-        // Materialize the shifted copies; each is the previous doubled
-        // W·s times. The doubling sweep parallelizes per point.
-        let mut expanded = Vec::with_capacity(base.len() * copies as usize);
-        expanded.extend_from_slice(&base);
-        let mut current: Vec<Jacobian<Cu>> = base.iter().map(|p| Jacobian::from(*p)).collect();
-        let shift = target_windows * s;
+    /// The table builder: materializes the `⌈w/W⌉` shifted copies for an
+    /// explicit `W = target_windows ∈ [1, w]`.
+    fn with_target_windows(
+        points: &[Affine<Cu>],
+        layout: Layout<Cu>,
+        target_windows: u32,
+        pool: &ThreadPool,
+    ) -> Self {
+        debug_assert!((1..=layout.full_windows).contains(&target_windows));
+        let layout = Layout {
+            target_windows,
+            ..layout
+        };
+        let copies = layout.copies();
+        let mut table = Vec::with_capacity(layout.points_per_copy() * copies as usize);
+        match layout.glv {
+            Some(glv) => glv_expand_points_into(points, glv, &mut table),
+            None => table.extend_from_slice(points),
+        }
+        // Each copy is the previous doubled W·s times; the doubling sweep
+        // parallelizes per point.
+        let mut current: Vec<Jacobian<Cu>> = table.iter().map(|p| Jacobian::from(*p)).collect();
+        let shift = target_windows * layout.window_bits;
         for _ in 1..copies {
-            let doubled = pool.map(current.len(), 64, |i| {
+            current = pool.map(current.len(), 64, |i| {
                 let mut p = current[i];
                 for _ in 0..shift {
                     p = p.double();
                 }
                 p
             });
-            current = doubled;
-            expanded.extend(batch_to_affine(&current));
+            table.extend(batch_to_affine(&current));
         }
-
-        Self {
-            expanded,
-            n,
-            glv,
-            points_per_copy: base.len(),
-            window_bits: s,
-            target_windows,
-            copies,
-            full_windows,
-            signed: config.signed_digits,
-            bucket_repr: config.bucket_repr,
-        }
+        Self { table, layout }
     }
 
     /// The original base points (row-compatible with the unplanned MSM).
     pub fn bases(&self) -> &[Affine<Cu>] {
-        &self.expanded[..self.n]
+        &self.table[..self.layout.n]
     }
 
     /// Number of base points the plan serves.
     pub fn len(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// Whether the plan holds no points.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.layout.n == 0
     }
 
     /// Bytes held by the expanded point table.
     pub fn storage_bytes(&self) -> u64 {
-        (self.expanded.len() as u64) * core::mem::size_of::<Affine<Cu>>() as u64
+        (self.table.len() as u64) * core::mem::size_of::<Affine<Cu>>() as u64
     }
 
     /// Total stored points (`ppc · copies`).
     pub fn stored_points(&self) -> usize {
-        self.expanded.len()
+        self.table.len()
     }
 
     /// Windows reduced per MSM (`W`).
     pub fn target_windows(&self) -> u32 {
-        self.target_windows
+        self.layout.target_windows
     }
 
     /// Human-readable algorithm tag for traces and benchmark metadata.
     pub fn algorithm(&self) -> String {
-        let cfg = MsmConfig {
-            window_bits: Some(self.window_bits),
-            signed_digits: self.signed,
-            bucket_repr: self.bucket_repr,
-            sort_buckets: false,
-            endomorphism: self.glv,
-        };
         format!(
             "{}+precomp(w={},copies={})",
-            cfg.describe(),
-            self.target_windows,
-            self.copies,
+            self.layout.config().describe(),
+            self.layout.target_windows,
+            self.layout.copies(),
         )
     }
 
@@ -194,6 +150,8 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
     /// `scratch` (one prior run of the same shape) makes the call
     /// allocation-free; the result is bit-identical to [`execute`].
     ///
+    /// `φ` was applied at build time, so `endomorphism_muls` is zero.
+    ///
     /// [`execute`]: MsmPlan::execute
     ///
     /// # Panics
@@ -205,109 +163,107 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
         pool: &ThreadPool,
         scratch: &mut MsmScratch<Cu>,
     ) -> MsmOutput<Cu> {
-        assert_eq!(scalars.len(), self.n, "scalar count must match the plan");
-        if self.n == 0 {
-            return MsmOutput {
-                point: Jacobian::identity(),
-                stats: Default::default(),
-            };
-        }
-        let (s, big_w, w) = (self.window_bits, self.full_windows, self.target_windows);
-        let ppc = self.points_per_copy;
-        let wu = w as usize;
+        execute(&self.layout, &self.table, scalars, pool, scratch)
+    }
+}
 
-        // Digit matrix over the expanded table, target_windows columns.
-        // Each base row is recoded over its FULL w windows first — the
-        // signed-digit carry crosses copy boundaries — then digit `q`
-        // scatters to copy `q / W`, column `q % W`.
-        if self.glv {
-            glv_split_into(
-                scalars,
-                Cu::glv().expect("glv plan on glv curve"),
-                pool,
-                &mut scratch.subs,
-            );
-        } else {
-            scratch.subs.clear();
-        }
-        let subs = &scratch.subs;
-        // The scatter only writes non-zero digits, so the matrix must be
-        // re-zeroed (unlike the dense row-major decompositions).
-        scratch.digits.clear();
-        scratch.digits.resize(self.expanded.len() * wu, 0);
-        let base = MatPtr(scratch.digits.as_mut_ptr());
-        let scatter = |row_idx: usize, full_row: &[i32]| {
-            for (q, &d) in full_row.iter().enumerate() {
-                if d != 0 {
-                    let copy = q / wu;
-                    let idx = (copy * ppc + row_idx) * wu + (q % wu);
-                    // SAFETY: copy < copies and row_idx < ppc, so idx is in
-                    // bounds; distinct base rows write disjoint cells.
-                    unsafe { base.at(idx).write(d) };
-                }
-            }
+/// Window reduction through precomputed points — §IV-D1a / Fig. 12 with
+/// the window count `W` chosen explicitly instead of by a memory budget: a
+/// façade over an unsigned, GLV-free [`MsmPlan`].
+///
+/// A λ-bit scalar at window size `c` needs `w = ⌈λ/c⌉` windows, and *Bucket
+/// Reduction* costs `2·2^c` PADDs per window. Storing `2^(W·c·j)·Pᵢ` for
+/// `j = 1..⌈w/W⌉` shrinks the reduced windows from `w` to `W` at the price
+/// of `⌈w/W⌉×` the point storage.
+#[derive(Debug, Clone)]
+pub struct PrecomputedPoints<Cu: SwCurve>(MsmPlan<Cu>);
+
+impl<Cu: SwCurve> PrecomputedPoints<Cu> {
+    /// Builds the table for the given window size and target window count
+    /// (clamped to the scalar's `w`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_windows == 0` or `window_bits == 0`.
+    pub fn build(points: &[Affine<Cu>], window_bits: u32, target_windows: u32) -> Self {
+        assert!(window_bits > 0, "window size must be positive");
+        assert!(target_windows > 0, "must keep at least one window");
+        let config = MsmConfig {
+            window_bits: Some(window_bits),
+            ..MsmConfig::default()
         };
-        // A full (pre-scatter) digit row fits on the stack: even s = 3
-        // over a 256-bit scalar needs only 86 windows.
-        const FULL_ROW_STACK: usize = 128;
-        pool.parallel_for(ppc, usize::MAX, 128, |_, range| {
-            let mut stack_row = [0i32; FULL_ROW_STACK];
-            let mut heap_row: Vec<i32> = if big_w as usize > FULL_ROW_STACK {
-                vec![0; big_w as usize]
-            } else {
-                Vec::new()
-            };
-            let full_row: &mut [i32] = if big_w as usize <= FULL_ROW_STACK {
-                &mut stack_row[..big_w as usize]
-            } else {
-                &mut heap_row
-            };
-            for r in range {
-                full_row.fill(0);
-                if self.glv {
-                    let sub = if r < self.n {
-                        subs[r].0
-                    } else {
-                        subs[r - self.n].1
-                    };
-                    decompose_row_limbs(&sub.limbs(), s, self.signed, sub.neg, full_row);
-                } else {
-                    let scalar = &scalars[r];
-                    if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
-                        let mut limbs = [0u64; SCALAR_LIMBS_STACK];
-                        scalar.write_uint(&mut limbs);
-                        decompose_row_limbs(
-                            &limbs[..Cu::Scalar::NUM_LIMBS],
-                            s,
-                            self.signed,
-                            false,
-                            full_row,
-                        );
-                    } else {
-                        decompose_row_limbs(&scalar.to_uint(), s, self.signed, false, full_row);
-                    }
-                }
-                scatter(r, full_row);
-            }
-        });
+        let layout = Layout::new(points.len(), &config);
+        let target_windows = target_windows.min(layout.full_windows);
+        let pool = ThreadPool::with_threads(1);
+        Self(MsmPlan::with_target_windows(
+            points,
+            layout,
+            target_windows,
+            &pool,
+        ))
+    }
 
-        let mut out = run_bucket_engine_in(
-            self.bucket_repr,
-            EngineInput {
-                points: &self.expanded,
-                digits: &scratch.digits,
-                window_bits: s,
-                windows: w,
-                buckets_per_window: buckets_for(s, self.signed),
-            },
-            pool,
-            &mut scratch.engine,
-        );
-        if self.glv {
-            out.stats.glv_decompositions = self.n as u64;
-            // φ was applied at build time; per-proof cost is zero.
-            out.stats.endomorphism_muls = 0;
-        }
-        out
+    /// Number of stored points (`n · ⌈w/W⌉`) — the memory cost of Fig. 12.
+    pub fn stored_points(&self) -> usize {
+        self.0.stored_points()
+    }
+
+    /// The shrunken window count `W`.
+    pub fn target_windows(&self) -> u32 {
+        self.0.target_windows()
+    }
+
+    /// The stored copies `⌈w/W⌉`.
+    pub fn copies(&self) -> u32 {
+        self.0.layout.copies()
+    }
+
+    /// Computes the MSM against this table (serial schedule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scalars.len()` differs from the table's base point count.
+    pub fn msm(&self, scalars: &[Cu::Scalar]) -> MsmOutput<Cu> {
+        self.0.execute(scalars, &ThreadPool::with_threads(1))
+    }
+}
+
+/// The §IV-D1a cost model behind Fig. 12: `FF_mul` count and point storage
+/// for Bucket Reduction at scale `n`, window size `c`, and `W` remaining
+/// windows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrecomputeCost {
+    /// Windows after reduction.
+    pub windows: u32,
+    /// `FF_mul` operations in Bucket Reduction (`2·2^c` PADDs per window ×
+    /// `ff_mul_per_padd`).
+    pub bucket_reduction_ff_muls: u64,
+    /// Points stored (`n · ⌈w/W⌉`).
+    pub stored_points: u64,
+    /// Bytes of point storage in Affine form (2 coordinates).
+    pub storage_bytes: u64,
+}
+
+/// Evaluates the Fig. 12 trade-off for a 253-bit scalar field.
+///
+/// `ff_mul_per_padd` is 10 in the paper's example (§IV-D1a); Affine points
+/// store two `coord_bytes`-byte coordinates.
+pub fn precompute_cost(
+    n: u64,
+    scalar_bits: u32,
+    window_bits: u32,
+    target_windows: u32,
+    ff_mul_per_padd: u64,
+    coord_bytes: u64,
+) -> PrecomputeCost {
+    let w = scalar_bits.div_ceil(window_bits);
+    let target = target_windows.min(w).max(1);
+    let copies = w.div_ceil(target) as u64;
+    let padds_per_window = 2 * (1u64 << window_bits);
+    PrecomputeCost {
+        windows: target,
+        bucket_reduction_ff_muls: u64::from(target) * padds_per_window * ff_mul_per_padd,
+        stored_points: n * copies,
+        storage_bytes: n * copies * 2 * coord_bytes,
     }
 }

@@ -6,7 +6,7 @@ use zkp_curves::{bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, PrimeField};
 use zkp_msm::{
     default_window_bits, msm, msm_parallel, msm_serial, msm_with_config, precompute_cost,
-    BucketRepr, MsmConfig, PrecomputedPoints,
+    BucketRepr, MsmConfig, MsmPlan, PrecomputedPoints,
 };
 
 fn random_inputs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
@@ -39,7 +39,6 @@ fn all_configs() -> Vec<MsmConfig> {
                         window_bits: Some(bits),
                         signed_digits: signed,
                         bucket_repr: repr,
-                        sort_buckets: false,
                         endomorphism,
                     });
                 }
@@ -86,20 +85,61 @@ fn parallel_matches_sequential() {
     }
 }
 
+/// Degenerate inputs through the single front door: every case × {one-shot,
+/// planned with budgets `None` / `Some(0)`} × bucket representation × GLV
+/// must equal the double-and-add reference.
 #[test]
 fn empty_and_degenerate_inputs() {
-    let empty: (Vec<Affine<bls12_381::G1>>, Vec<zkp_ff::Fr381>) = (vec![], vec![]);
-    assert!(msm(&empty.0, &empty.1).is_identity());
-
-    // All-zero scalars.
-    let (points, _) = random_inputs::<bls12_381::G1>(10, 11);
-    let zeros = vec![zkp_ff::Fr381::zero(); 10];
-    assert!(msm(&points, &zeros).is_identity());
-
-    // Points at infinity are absorbed.
-    let scalars: Vec<zkp_ff::Fr381> = (1..=10).map(zkp_ff::Fr381::from_u64).collect();
-    let infs = vec![Affine::<bls12_381::G1>::identity(); 10];
-    assert!(msm(&infs, &scalars).is_identity());
+    type G1 = bls12_381::G1;
+    type Fr = zkp_ff::Fr381;
+    let (pts, ks) = random_inputs::<G1>(13, 11);
+    let inf = Affine::<G1>::identity();
+    type Case = (&'static str, Vec<Affine<G1>>, Vec<Fr>);
+    let cases: Vec<Case> = vec![
+        ("empty", vec![], vec![]),
+        ("length 1", pts[..1].to_vec(), ks[..1].to_vec()),
+        ("length 3", pts[..3].to_vec(), ks[..3].to_vec()),
+        ("length 13", pts.clone(), ks.clone()),
+        ("all-zero scalars", pts.clone(), vec![Fr::zero(); 13]),
+        ("r-1 scalars", pts.clone(), vec![-Fr::one(); 13]),
+        (
+            "(P, -P) with equal scalars",
+            vec![pts[0], pts[0].neg(), pts[1]],
+            vec![ks[0], ks[0], ks[1]],
+        ),
+        ("all-infinity bases", vec![inf; 5], ks[..5].to_vec()),
+        (
+            "infinity among bases",
+            vec![pts[0], inf, pts[2]],
+            ks[..3].to_vec(),
+        ),
+    ];
+    let pool = zkp_runtime::ThreadPool::with_threads(2);
+    for (name, points, scalars) in &cases {
+        let expect = msm_serial(points, scalars);
+        for bucket_repr in [
+            BucketRepr::Jacobian,
+            BucketRepr::Xyzz,
+            BucketRepr::BatchAffine,
+        ] {
+            for glv in [false, true] {
+                let config = MsmConfig {
+                    bucket_repr,
+                    signed_digits: glv,
+                    endomorphism: glv,
+                    ..MsmConfig::default()
+                };
+                let what = format!("{name}: {}", config.describe());
+                let one_shot = msm_with_config(points, scalars, &config);
+                assert_eq!(one_shot.point, expect, "{what} one-shot");
+                for budget in [None, Some(0)] {
+                    let plan = MsmPlan::build(points, &config, budget, &pool);
+                    let planned = plan.execute(scalars, &pool);
+                    assert_eq!(planned.point, expect, "{what} budget {budget:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

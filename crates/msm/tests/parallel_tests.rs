@@ -10,8 +10,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, Fr381};
 use zkp_msm::{
-    default_window_bits, msm_batch_affine, msm_parallel_with_config, msm_serial, msm_with_config,
-    num_windows, BucketRepr, MsmConfig,
+    default_window_bits, msm_parallel_with_config, msm_serial, msm_with_config, num_windows,
+    BucketRepr, MsmConfig,
 };
 use zkp_runtime::ThreadPool;
 
@@ -195,7 +195,6 @@ proptest! {
             window_bits: Some(window_bits),
             signed_digits: signed,
             bucket_repr: if xyzz { BucketRepr::Xyzz } else { BucketRepr::Jacobian },
-            sort_buckets: false,
             endomorphism,
         };
         let expect = msm_serial(&points, &scalars);
@@ -208,9 +207,15 @@ proptest! {
         assert_bit_identical(&parallel.point, &serial.point);
         prop_assert_eq!(parallel.stats, serial.stats);
 
-        // The batch-affine engine is a separate code path; cross-check it
-        // against the same ground truth.
-        let affine = msm_batch_affine(&points, &scalars, Some(window_bits));
+        // Batch-affine buckets share the recoder but not the accumulator;
+        // cross-check them against the same ground truth. Every non-zero
+        // digit is one bucket update in either representation.
+        let affine = msm_with_config(
+            &points,
+            &scalars,
+            &MsmConfig { bucket_repr: BucketRepr::BatchAffine, ..config },
+        );
         prop_assert_eq!(affine.point, expect);
+        prop_assert_eq!(affine.stats.accumulation_padds, serial.stats.accumulation_padds);
     }
 }

@@ -6,7 +6,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{batch_to_affine, bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::Field;
-use zkp_msm::{msm_parallel_with_config, msm_serial, BucketRepr, MsmConfig, MsmPlan};
+use zkp_msm::{msm_parallel_with_config, msm_serial, BucketRepr, MsmConfig, MsmOutput, MsmPlan};
 use zkp_runtime::ThreadPool;
 
 fn random_inputs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
@@ -48,7 +48,6 @@ fn plan_configs() -> Vec<MsmConfig> {
             window_bits: Some(7),
             signed_digits: true,
             bucket_repr: BucketRepr::Jacobian,
-            sort_buckets: false,
             endomorphism: false,
         },
     ]
@@ -117,6 +116,78 @@ fn plan_is_bit_identical_across_thread_counts() {
         assert_eq!(out.point.y, reference.point.y, "{threads} threads");
         assert_eq!(out.point.z, reference.point.z, "{threads} threads");
         assert_eq!(out.stats, reference.stats, "{threads} threads");
+    }
+}
+
+/// Same coordinates (not merely the same group element) and same stats.
+fn assert_same_run<Cu: SwCurve>(a: &MsmOutput<Cu>, b: &MsmOutput<Cu>, what: &str) {
+    assert_eq!(a.point.x, b.point.x, "{what}");
+    assert_eq!(a.point.y, b.point.y, "{what}");
+    assert_eq!(a.point.z, b.point.z, "{what}");
+    assert_eq!(a.stats, b.stats, "{what}");
+}
+
+/// A one-shot MSM *is* a plan run over a borrowed single-copy table: the
+/// zero-budget plan reproduces its point bit for bit and its stats exactly,
+/// except that the plan paid `φ` at build time.
+#[test]
+fn one_shot_is_the_zero_budget_plan() {
+    let (points, scalars) = random_inputs::<bls12_381::G1>(150, 38);
+    let pool = ThreadPool::with_threads(3);
+    for config in plan_configs() {
+        let mut one_shot = msm_parallel_with_config(&points, &scalars, &config, &pool);
+        let planned = MsmPlan::build(&points, &config, Some(0), &pool).execute(&scalars, &pool);
+        let glv = u64::from(config.endomorphism);
+        assert_eq!(one_shot.stats.endomorphism_muls, 150 * glv, "{config:?}");
+        one_shot.stats.endomorphism_muls = 0;
+        assert_same_run(&planned, &one_shot, &format!("{config:?}"));
+    }
+}
+
+/// Boundary test for the raw-pointer writes of the recoder and the engine:
+/// row counts that are no multiple of the recoder's 128-row grain or of the
+/// engine's chunk count, and a table whose last copy is only partly used
+/// (`w % W ≠ 0`), at every pool width. Debug builds also check each
+/// computed digit cell against the matrix length.
+#[test]
+fn uneven_splits_stay_in_bounds_and_bit_identical() {
+    const N: usize = 3 * 128 + 5;
+    let points = incremental_points::<bls12_381::G1>(N);
+    let mut rng = StdRng::seed_from_u64(39);
+    let scalars: Vec<zkp_ff::Fr381> = (0..N).map(|_| zkp_ff::Fr381::random(&mut rng)).collect();
+    let expect = msm_serial(&points, &scalars);
+    let serial_pool = ThreadPool::with_threads(1);
+    for config in [
+        MsmConfig {
+            window_bits: Some(5),
+            ..MsmConfig::glv_style()
+        },
+        MsmConfig {
+            window_bits: Some(3),
+            bucket_repr: BucketRepr::BatchAffine,
+            ..MsmConfig::default()
+        },
+    ] {
+        let rows = if config.endomorphism { 2 * N } else { N };
+        // Room for 7 copies: the plan picks the smallest W with ⌈w/W⌉ ≤ 7.
+        let budget = (7 * rows * core::mem::size_of::<Affine<bls12_381::G1>>()) as u64;
+        let plan = MsmPlan::build(&points, &config, Some(budget), &serial_pool);
+        let planned = plan.execute(&scalars, &serial_pool);
+        let one_shot = msm_parallel_with_config(&points, &scalars, &config, &serial_pool);
+        assert_eq!(planned.point, expect, "{config:?}");
+        assert_eq!(one_shot.point, expect, "{config:?}");
+        // The last copy is ragged: copies·W exceeds the w windows in use.
+        let copies = (plan.stored_points() / rows) as u32;
+        assert!(copies > 1 && copies * plan.target_windows() > one_shot.stats.windows);
+        for threads in [2usize, 3, 8] {
+            let pool = ThreadPool::with_threads(threads);
+            let what = format!("{threads} threads, {config:?}");
+            assert_same_run(&plan.execute(&scalars, &pool), &planned, &what);
+            let rebuilt = MsmPlan::build(&points, &config, Some(budget), &pool);
+            assert_same_run(&rebuilt.execute(&scalars, &pool), &planned, &what);
+            let again = msm_parallel_with_config(&points, &scalars, &config, &pool);
+            assert_same_run(&again, &one_shot, &what);
+        }
     }
 }
 

@@ -44,7 +44,7 @@ fn main() {
 
     let configs: Vec<(&str, MsmConfig)> = vec![
         ("bellperson-style (Jacobian)", MsmConfig::bellperson_style()),
-        ("sppark-style (XYZZ, sorted)", MsmConfig::sppark_style()),
+        ("sppark-style (XYZZ)", MsmConfig::sppark_style()),
         ("ymc-style (XYZZ + signed digits)", MsmConfig::ymc_style()),
         (
             "narrow windows (c=8)",
