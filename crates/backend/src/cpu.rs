@@ -4,14 +4,9 @@
 use crate::{witness_maps_into, BackendError, ExecBackend, G1Bases, G1Msm};
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
 use zkp_msm::{msm_parallel_with_config_in, MsmConfig, MsmScratch};
-use zkp_ntt::{distribute_powers_parallel, ntt_parallel_on, TwiddleTable};
+use zkp_ntt::{ntt_parallel_on, scale_by_powers, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
-
-/// Chunk floor for the element-wise scaling passes — matches
-/// `zkp_ntt::quotient_poly_in` so decompositions (and therefore rounding
-/// of nothing — these are exact field ops) stay structurally identical.
-const SCALE_CHUNK: usize = 4096;
 
 /// Executes every op with the real CPU kernels.
 #[derive(Clone, Copy)]
@@ -92,13 +87,7 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
     }
 
     fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        distribute_powers_parallel(self.pool, values, g);
-        self.pool
-            .for_each_chunk_mut(values, SCALE_CHUNK, |_, _, chunk| {
-                for x in chunk.iter_mut() {
-                    *x *= scale;
-                }
-            });
+        scale_by_powers(self.pool, values, g, scale);
         Ok(())
     }
 

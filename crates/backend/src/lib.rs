@@ -31,9 +31,9 @@ pub mod trace;
 use gpu_sim::DeviceSpec;
 use std::time::Instant;
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_ff::{Field, PrimeField};
+use zkp_ff::PrimeField;
 use zkp_msm::{MsmPlan, MsmScratch};
-use zkp_ntt::{Domain, TwiddleTable};
+use zkp_ntt::{Domain, QuotientOps, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
 
@@ -330,13 +330,40 @@ pub fn witness_maps_into<F: PrimeField>(
     }
 }
 
-/// The 7-transform quotient pipeline `h = (a·b − c)/Z`, fully in place,
-/// with every transform and coset scaling issued through `backend`:
-/// consumes the evaluation vectors and leaves the coefficients of `h` in
-/// `a` (`b`, `c` clobbered as scratch), allocating nothing. The structure
-/// — three concurrent INTT→coset→NTT chains, the element-wise quotient,
-/// one final coset INTT — matches `zkp_ntt::quotient_poly_in` exactly, so
-/// the CPU backend reproduces it bit for bit.
+/// [`QuotientOps`] through an [`ExecBackend`]: the transforms and coset
+/// scalings are backend ops, and every stage boundary checks `deadline`.
+struct BackendOps<'a, C: Bls12Config, B: ?Sized> {
+    backend: &'a B,
+    table: &'a TwiddleTable<C::Fr>,
+    deadline: Option<Instant>,
+}
+
+impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> QuotientOps<C::Fr> for BackendOps<'_, C, B> {
+    type Error = BackendError;
+
+    fn pool(&self) -> &ThreadPool {
+        self.backend.pool()
+    }
+    fn ntt_forward(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
+        self.backend.ntt_forward(self.table, values)
+    }
+    fn ntt_inverse(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
+        self.backend.ntt_inverse(self.table, values)
+    }
+    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
+        self.backend.coset_mul(values, g, scale)
+    }
+    fn checkpoint(&self, stage: &'static str) -> Result<(), BackendError> {
+        check_deadline(self.deadline, stage)
+    }
+}
+
+/// The 7-transform quotient pipeline `h = (a·b − c)/Z`, fully in place:
+/// [`zkp_ntt::quotient_schedule`] with every transform and coset scaling
+/// issued through `backend`. Consumes the evaluation vectors and leaves
+/// the coefficients of `h` in `a` (`b`, `c` clobbered as scratch),
+/// allocating nothing. It is the schedule `zkp_ntt::quotient_poly_in`
+/// runs, so on the CPU backend the two are the same computation.
 ///
 /// `deadline` is checked before every transform group so an expired job
 /// is abandoned at the next stage boundary instead of finishing dead
@@ -362,54 +389,12 @@ pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     backend: &B,
     deadline: Option<Instant>,
 ) -> Result<u32, BackendError> {
-    let n = domain.size() as usize;
-    assert!(
-        a.len() == n && b.len() == n && c.len() == n,
-        "evaluation vectors must match the domain size"
-    );
-    let pool = backend.pool();
-    let n_inv = domain.size_inv();
-    // (1–3) INTT + (4–6) coset NTT per input vector; the three chains are
-    // independent and run concurrently on the backend's pool.
-    let intt_then_coset = |v: &mut [C::Fr], stage: &'static str| -> Result<(), BackendError> {
-        check_deadline(deadline, stage)?;
-        backend.ntt_inverse(table, v)?;
-        backend.coset_mul(v, domain.coset_gen(), n_inv)?;
-        check_deadline(deadline, stage)?;
-        backend.ntt_forward(table, v)
+    let ops = BackendOps {
+        backend,
+        table,
+        deadline,
     };
-    let (ra, (rb, rc)) = pool.join(
-        || intt_then_coset(&mut *a, "quotient-a"),
-        || {
-            pool.join(
-                || intt_then_coset(&mut *b, "quotient-b"),
-                || intt_then_coset(&mut *c, "quotient-c"),
-            )
-        },
-    );
-    ra?;
-    rb?;
-    rc?;
-    check_deadline(deadline, "quotient-combine")?;
-    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
-    // This stays on the pool: it is part of the serial-residual phase, not
-    // a backend-accelerated kernel.
-    let z_inv = domain
-        .vanishing_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
-    let b: &[C::Fr] = b;
-    let c: &[C::Fr] = c;
-    pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
-        for (j, x) in chunk.iter_mut().enumerate() {
-            *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
-        }
-    });
-    // (7) coset INTT: back to coefficients of h.
-    check_deadline(deadline, "quotient-final-intt")?;
-    backend.ntt_inverse(table, a)?;
-    backend.coset_mul(a, domain.coset_gen_inv(), n_inv)?;
-    Ok(7)
+    zkp_ntt::quotient_schedule(domain, &ops, a, b, c)
 }
 
 /// Parses a library name as the paper spells it (`"sppark"`, `"ymc"`, …).
@@ -485,7 +470,7 @@ impl BackendSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zkp_ff::Fr381;
+    use zkp_ff::{Field, Fr381};
     use zkp_r1cs::circuits::mimc;
 
     #[test]

@@ -1,15 +1,17 @@
-//! Optimized NTT paths: precomputed twiddle tables and a multithreaded
-//! transform.
+//! The production transform family: precomputed twiddle tables, one
+//! butterfly kernel, and a pooled transform and coset scaling.
 //!
 //! These mirror the optimizations §IV-A attributes to `cuZK` ("storing
 //! precomputed twiddle factors in device memory") and the stage-parallel
 //! structure every GPU NTT exploits — here realized with a lookup table
-//! and scoped CPU threads, and cross-checked against the textbook radix-2
-//! network.
+//! and a `zkp-runtime` pool. This is the path the prover and the
+//! benchmark both run; the on-the-fly network in [`crate::transform`] is
+//! the independent reference it is cross-checked against.
 
 use crate::domain::Domain;
-use crate::transform::{bit_reverse_permute, NttStats};
-use zkp_ff::PrimeField;
+use crate::transform::bit_reverse_permute;
+use zkp_ff::{Field, PrimeField};
+use zkp_runtime::ThreadPool;
 
 /// Precomputed twiddle factors for one domain: the powers `ω⁰ … ω^(n/2-1)`
 /// (and their inverses), replacing the serial `w *= w_m` chains of the
@@ -46,72 +48,30 @@ impl<F: PrimeField> TwiddleTable<F> {
     pub fn bytes(&self) -> usize {
         (self.forward.len() + self.inverse.len()) * F::NUM_LIMBS * 8
     }
+}
 
-    fn factors(&self, invert: bool) -> &[F] {
-        if invert {
-            &self.inverse
-        } else {
-            &self.forward
-        }
+/// The butterfly kernel, under every tabled stage: lanes
+/// `offset..offset + lo.len()` of one block, `lo` and `hi` being those
+/// lanes of its lower and upper half. Lane `j` takes `tw[j * stride]`.
+#[inline]
+fn butterflies<F: Field>(lo: &mut [F], hi: &mut [F], tw: &[F], stride: usize, offset: usize) {
+    let tw = tw[offset * stride..].iter().step_by(stride);
+    for ((l, h), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+        let t = *w * *h;
+        let u = *l;
+        *l = u + t;
+        *h = u - t;
     }
 }
 
-/// In-place NTT using table lookups instead of running twiddle products.
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the table's domain size.
-pub fn ntt_with_table<F: PrimeField>(
-    values: &mut [F],
-    table: &TwiddleTable<F>,
-    invert: bool,
-) -> NttStats {
-    assert_eq!(
-        values.len() as u64,
-        table.size,
-        "input length must match the table's domain"
-    );
-    let n = values.len();
-    bit_reverse_permute(values);
-    let log_n = n.trailing_zeros();
-    let tw = table.factors(invert);
-    let mut stats = NttStats::default();
-    for s in 1..=log_n {
-        let m = 1usize << s;
-        let stride = n / m;
-        for k in (0..n).step_by(m) {
-            for j in 0..m / 2 {
-                let t = tw[j * stride] * values[k + j + m / 2];
-                let u = values[k + j];
-                values[k + j] = u + t;
-                values[k + j + m / 2] = u - t;
-                stats.butterflies += 1;
-            }
-        }
-        stats.passes += 1;
-    }
-    stats
-}
-
-/// Forward NTT with a table.
-pub fn ntt_tabled<F: PrimeField>(values: &mut [F], table: &TwiddleTable<F>) {
-    ntt_with_table(values, table, false);
-}
-
-/// Inverse NTT with a table (includes the `n⁻¹` scaling).
-pub fn intt_tabled<F: PrimeField>(domain: &Domain<F>, values: &mut [F], table: &TwiddleTable<F>) {
-    ntt_with_table(values, table, true);
-    let n_inv = domain.size_inv();
-    for v in values.iter_mut() {
-        *v *= n_inv;
-    }
-}
-
-/// Multithreaded in-place NTT on a [`zkp_runtime::ThreadPool`]: every
-/// stage's butterflies are independent, so each stage fans out across the
-/// pool with a barrier between stages (the CPU shape of the GPU's
-/// one-thread-per-butterfly mapping). Butterfly values are exact, so the
-/// output is bit-identical to [`ntt_with_table`] at any thread count.
+/// In-place NTT by table lookup on a [`ThreadPool`]: every stage's
+/// butterflies are independent, so each stage fans out across the pool
+/// with a barrier between stages (the CPU shape of the GPU's
+/// one-thread-per-butterfly mapping); one-thread pools and sizes below
+/// 2^10 run the stages in line. Butterfly values are exact, so the output
+/// is bit-identical to the reference network at any thread count.
+/// `invert` does *not* apply `n⁻¹`: [`scale_by_powers`] folds it into the
+/// coset shift.
 ///
 /// # Panics
 ///
@@ -120,7 +80,7 @@ pub fn ntt_parallel_on<F: PrimeField>(
     values: &mut [F],
     table: &TwiddleTable<F>,
     invert: bool,
-    pool: &zkp_runtime::ThreadPool,
+    pool: &ThreadPool,
 ) {
     assert_eq!(
         values.len() as u64,
@@ -128,58 +88,63 @@ pub fn ntt_parallel_on<F: PrimeField>(
         "input length must match the table's domain"
     );
     let n = values.len();
-    if pool.num_threads() == 1 || n < 1 << 10 {
-        ntt_with_table(values, table, invert);
-        return;
-    }
     bit_reverse_permute(values);
-    let log_n = n.trailing_zeros();
-    let tw = table.factors(invert);
+    let tw = if invert {
+        &table.inverse
+    } else {
+        &table.forward
+    };
+    let in_line = pool.num_threads() == 1 || n < 1 << 10;
     // Tasks below ~2^11 butterflies are dominated by scheduling overhead.
     const MIN_ELEMS: usize = 1 << 12;
-    for s in 1..=log_n {
+    for s in 1..=n.trailing_zeros() {
         let m = 1usize << s;
         let stride = n / m;
-        let blocks = n / m;
-        if blocks >= pool.num_threads() {
+        let whole_block = |block: &mut [F]| {
+            let (lo, hi) = block.split_at_mut(m / 2);
+            butterflies(lo, hi, tw, stride, 0);
+        };
+        if in_line {
+            values.chunks_mut(m).for_each(whole_block);
+        } else if n / m >= pool.num_threads() {
             // Early stages: parallelize across whole blocks.
             pool.for_each_block_mut(values, m, (MIN_ELEMS / m).max(1), |_, block| {
-                let (lo, hi) = block.split_at_mut(m / 2);
-                for j in 0..m / 2 {
-                    let t = tw[j * stride] * hi[j];
-                    let u = lo[j];
-                    lo[j] = u + t;
-                    hi[j] = u - t;
-                }
+                whole_block(block)
             });
         } else {
             // Late stages, few large blocks: parallelize the lanes inside
             // each block across aligned half-slices.
             for block in values.chunks_mut(m) {
                 let (lo, hi) = block.split_at_mut(m / 2);
-                pool.zip_chunks_mut(lo, hi, MIN_ELEMS / 2, |_, offset, lo_c, hi_c| {
-                    for (j, (l, h)) in lo_c.iter_mut().zip(hi_c.iter_mut()).enumerate() {
-                        let t = tw[(offset + j) * stride] * *h;
-                        let u = *l;
-                        *l = u + t;
-                        *h = u - t;
-                    }
+                pool.zip_chunks_mut(lo, hi, MIN_ELEMS / 2, |_, offset, lo, hi| {
+                    butterflies(lo, hi, tw, stride, offset);
                 });
             }
         }
     }
 }
 
-/// [`ntt_parallel_on`] on a transient pool of `threads` threads. Prefer
-/// the pool variant in loops — it reuses workers across transforms.
-pub fn ntt_parallel<F: PrimeField>(
-    values: &mut [F],
-    table: &TwiddleTable<F>,
-    invert: bool,
-    threads: usize,
-) {
-    let pool = zkp_runtime::ThreadPool::with_threads(threads.max(1));
-    ntt_parallel_on(values, table, invert, &pool);
+/// The coset scaling `values[i] *= first · gⁱ`, in one pass on a pool:
+/// each chunk seeds its running power with `first · g^offset` and scans
+/// locally. Field multiplication is exact, so the result is bit-identical
+/// to [`crate::distribute_powers`] followed by a sweep by `first` (the
+/// inverse transform's `n⁻¹`) at any thread count.
+pub fn scale_by_powers<F: Field>(pool: &ThreadPool, values: &mut [F], g: F, first: F) {
+    // One `pow` per chunk; only worth fanning out on sizable scans.
+    const MIN_CHUNK: usize = 4096;
+    pool.for_each_chunk_mut(values, MIN_CHUNK, |_, offset, chunk| {
+        let mut acc = first * g.pow(&[offset as u64]);
+        for v in chunk.iter_mut() {
+            *v *= acc;
+            acc *= g;
+        }
+    });
+}
+
+/// [`crate::distribute_powers`] on a thread pool: [`scale_by_powers`]
+/// from `first = 1`.
+pub fn distribute_powers_parallel<F: Field>(pool: &ThreadPool, values: &mut [F], g: F) {
+    scale_by_powers(pool, values, g, F::one());
 }
 
 #[cfg(test)]
@@ -187,7 +152,7 @@ mod tests {
     use super::*;
     use crate::transform::{intt, ntt};
     use rand::{rngs::StdRng, SeedableRng};
-    use zkp_ff::{Field, Fr381};
+    use zkp_ff::Fr381;
 
     fn random_vec(n: usize, seed: u64) -> Vec<Fr381> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -196,6 +161,7 @@ mod tests {
 
     #[test]
     fn tabled_matches_on_the_fly() {
+        let pool = ThreadPool::with_threads(1);
         for log_n in [1u32, 4, 10] {
             let d = Domain::<Fr381>::new(1 << log_n).expect("small domain");
             let table = TwiddleTable::new(&d);
@@ -203,10 +169,11 @@ mod tests {
             let mut a = v.clone();
             let mut b = v.clone();
             ntt(&d, &mut a);
-            ntt_tabled(&mut b, &table);
+            ntt_parallel_on(&mut b, &table, false, &pool);
             assert_eq!(a, b, "forward 2^{log_n}");
             intt(&d, &mut a);
-            intt_tabled(&d, &mut b, &table);
+            ntt_parallel_on(&mut b, &table, true, &pool);
+            scale_by_powers(&pool, &mut b, Fr381::one(), d.size_inv());
             assert_eq!(a, b, "inverse 2^{log_n}");
             assert_eq!(b, v);
         }
@@ -221,7 +188,7 @@ mod tests {
         ntt(&d, &mut expect);
         for threads in [1usize, 2, 3, 7, 32] {
             let mut got = v.clone();
-            ntt_parallel(&mut got, &table, false, threads);
+            ntt_parallel_on(&mut got, &table, false, &ThreadPool::with_threads(threads));
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -230,14 +197,12 @@ mod tests {
     fn parallel_inverse_round_trips() {
         let d = Domain::<Fr381>::new(1 << 11).expect("small domain");
         let table = TwiddleTable::new(&d);
+        let pool = ThreadPool::with_threads(4);
         let v = random_vec(1 << 11, 4);
         let mut w = v.clone();
-        ntt_parallel(&mut w, &table, false, 4);
-        ntt_parallel(&mut w, &table, true, 4);
-        let n_inv = d.size_inv();
-        for x in w.iter_mut() {
-            *x *= n_inv;
-        }
+        ntt_parallel_on(&mut w, &table, false, &pool);
+        ntt_parallel_on(&mut w, &table, true, &pool);
+        scale_by_powers(&pool, &mut w, Fr381::one(), d.size_inv());
         assert_eq!(w, v);
     }
 
@@ -255,6 +220,6 @@ mod tests {
         let d = Domain::<Fr381>::new(16).expect("small domain");
         let table = TwiddleTable::new(&d);
         let mut v = random_vec(8, 5);
-        ntt_with_table(&mut v, &table, false);
+        ntt_parallel_on(&mut v, &table, false, &ThreadPool::with_threads(1));
     }
 }

@@ -6,12 +6,25 @@
 //! Fig. 5). This crate provides the CPU-side algorithms:
 //!
 //! * [`Domain`] — power-of-two evaluation domains with coset support,
-//! * [`ntt`] / [`intt`] / [`coset_ntt`] / [`coset_intt`] — radix-2
-//!   Cooley–Tukey transforms,
-//! * [`ntt_staged`] — the radix-2^r staged schedule GPU kernels use
-//!   (radix-256 in `bellperson`),
-//! * [`DensePoly`] and [`quotient_poly`] — the polynomial layer the Groth16
-//!   prover builds its `h` computation on (the 7-NTT pipeline of Fig. 3).
+//! * [`DensePoly`] — dense polynomials with NTT multiplication,
+//!
+//! and two transform families that share no butterfly or scaling code:
+//!
+//! * **Reference** (`transform.rs`, and the serial [`quotient_poly`]) —
+//!   the textbook on-the-fly radix-2 network [`ntt_radix2_in_place`]
+//!   (generic over `Field`, so it also runs on op-counted elements),
+//!   [`ntt`] / [`intt`] / [`coset_ntt`] / [`coset_intt`] /
+//!   [`distribute_powers`], and the quadratic [`slow_dft`]. The prover
+//!   never calls these: they are what the tests and the benchmark's output
+//!   check hold the production family against, so they are not wrappers
+//!   over it.
+//! * **Production** (`fast.rs` + `poly.rs`) — [`TwiddleTable`] lookups, one
+//!   butterfly kernel under the pooled [`ntt_parallel_on`], one fused coset
+//!   scaling [`scale_by_powers`], and one pooled 7-transform
+//!   [`quotient_schedule`] (Fig. 3) over a [`QuotientOps`] op set, run by
+//!   [`quotient_poly_in`] on the kernels directly and by
+//!   `zkp_backend::quotient_pipeline_in` through an execution backend —
+//!   what the benchmark times is what the prover runs.
 //!
 //! # Examples
 //!
@@ -33,11 +46,9 @@ mod poly;
 mod transform;
 
 pub use domain::Domain;
-pub use fast::{
-    intt_tabled, ntt_parallel, ntt_parallel_on, ntt_tabled, ntt_with_table, TwiddleTable,
-};
-pub use poly::{quotient_poly, quotient_poly_in, DensePoly};
+pub use fast::{distribute_powers_parallel, ntt_parallel_on, scale_by_powers, TwiddleTable};
+pub use poly::{quotient_poly, quotient_poly_in, quotient_schedule, DensePoly, QuotientOps};
 pub use transform::{
-    bit_reverse_permute, coset_intt, coset_ntt, distribute_powers, distribute_powers_parallel,
-    intt, ntt, ntt_radix2_in_place, ntt_staged, slow_dft, NttStats,
+    bit_reverse_permute, coset_intt, coset_ntt, distribute_powers, intt, ntt, ntt_radix2_in_place,
+    slow_dft,
 };

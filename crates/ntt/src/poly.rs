@@ -2,8 +2,9 @@
 //! quotient computation (Fig. 3: the `h` polynomial pipeline).
 
 use crate::domain::Domain;
-use crate::fast::{ntt_parallel_on, TwiddleTable};
-use crate::transform::{coset_intt, coset_ntt, distribute_powers_parallel, intt, ntt};
+use crate::fast::{ntt_parallel_on, scale_by_powers, TwiddleTable};
+use crate::transform::{coset_intt, coset_ntt, intt, ntt};
+use std::convert::Infallible;
 use zkp_ff::{Field, PrimeField};
 use zkp_runtime::ThreadPool;
 
@@ -122,13 +123,140 @@ pub fn quotient_poly<F: PrimeField>(
     (a, 7)
 }
 
+/// The operations [`quotient_schedule`] is written over: where the
+/// transforms run and what can stop them. [`quotient_poly_in`] supplies
+/// the kernels directly (nothing fails); the prover supplies an execution
+/// backend and a deadline.
+pub trait QuotientOps<F: PrimeField>: Sync {
+    /// What an op or a checkpoint can fail with.
+    type Error: Send;
+
+    /// The pool the three input chains fork on; the ops run on it too, so
+    /// nesting stays deadlock-free.
+    fn pool(&self) -> &ThreadPool;
+
+    /// Forward NTT, in place.
+    fn ntt_forward(&self, values: &mut [F]) -> Result<(), Self::Error>;
+
+    /// Inverse NTT, in place, *without* the `n⁻¹` scaling — the schedule
+    /// folds that into the following [`coset_mul`](Self::coset_mul).
+    fn ntt_inverse(&self, values: &mut [F]) -> Result<(), Self::Error>;
+
+    /// `values[i] *= scale · gⁱ`.
+    fn coset_mul(&self, values: &mut [F], g: F, scale: F) -> Result<(), Self::Error>;
+
+    /// Called with the stage's name before each transform group; an `Err`
+    /// abandons the schedule at that boundary.
+    fn checkpoint(&self, stage: &'static str) -> Result<(), Self::Error>;
+}
+
+/// The pooled 7-transform quotient schedule `h = (a·b − c)/Z`, fully in
+/// place: three concurrent INTT → coset scaling → NTT chains (one per
+/// input vector; each op also fans out internally), the chunk-parallel
+/// element-wise quotient, and one final coset INTT. Consumes the
+/// evaluation vectors and leaves the coefficients of `h` in `a` (`b`, `c`
+/// clobbered as scratch), allocating nothing. The benchmark's
+/// [`quotient_poly_in`] and the prover's
+/// `zkp_backend::quotient_pipeline_in` are each one call to it.
+///
+/// Returns the number of NTT-shaped transforms performed (7).
+///
+/// # Errors
+///
+/// The first error an op reports (chains are checked in a/b/c order), or
+/// the first a [`QuotientOps::checkpoint`] returns.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length from the domain size.
+pub fn quotient_schedule<F: PrimeField, O: QuotientOps<F> + ?Sized>(
+    domain: &Domain<F>,
+    ops: &O,
+    a: &mut [F],
+    b: &mut [F],
+    c: &mut [F],
+) -> Result<u32, O::Error> {
+    let n = domain.size() as usize;
+    assert!(
+        a.len() == n && b.len() == n && c.len() == n,
+        "evaluation vectors must match the domain size"
+    );
+    let pool = ops.pool();
+    let n_inv = domain.size_inv();
+    // (1–3) INTT + (4–6) coset NTT per input vector, the INTT's n⁻¹ folded
+    // into the coset scaling.
+    let intt_then_coset = |v: &mut [F], stage: &'static str| -> Result<(), O::Error> {
+        ops.checkpoint(stage)?;
+        ops.ntt_inverse(v)?;
+        ops.coset_mul(v, domain.coset_gen(), n_inv)?;
+        ops.checkpoint(stage)?;
+        ops.ntt_forward(v)
+    };
+    let (ra, (rb, rc)) = pool.join(
+        || intt_then_coset(&mut *a, "quotient-a"),
+        || {
+            pool.join(
+                || intt_then_coset(&mut *b, "quotient-b"),
+                || intt_then_coset(&mut *c, "quotient-c"),
+            )
+        },
+    );
+    ra?;
+    rb?;
+    rc?;
+    ops.checkpoint("quotient-combine")?;
+    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
+    // This stays on the pool rather than becoming an op: it is part of the
+    // prover's serial-residual phase, not an accelerated kernel.
+    let z_inv = domain
+        .vanishing_on_coset()
+        .inverse()
+        .expect("coset avoids the domain");
+    let (b, c): (&[F], &[F]) = (b, c);
+    pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
+        for (j, x) in chunk.iter_mut().enumerate() {
+            *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
+        }
+    });
+    // (7) coset INTT: back to coefficients of h.
+    ops.checkpoint("quotient-final-intt")?;
+    ops.ntt_inverse(a)?;
+    ops.coset_mul(a, domain.coset_gen_inv(), n_inv)?;
+    Ok(7)
+}
+
+/// [`QuotientOps`] over the tabled kernels themselves: nothing can fail.
+struct DirectKernels<'a, F: PrimeField> {
+    table: &'a TwiddleTable<F>,
+    pool: &'a ThreadPool,
+}
+
+impl<F: PrimeField> QuotientOps<F> for DirectKernels<'_, F> {
+    type Error = Infallible;
+
+    fn pool(&self) -> &ThreadPool {
+        self.pool
+    }
+    fn ntt_forward(&self, values: &mut [F]) -> Result<(), Infallible> {
+        ntt_parallel_on(values, self.table, false, self.pool);
+        Ok(())
+    }
+    fn ntt_inverse(&self, values: &mut [F]) -> Result<(), Infallible> {
+        ntt_parallel_on(values, self.table, true, self.pool);
+        Ok(())
+    }
+    fn coset_mul(&self, values: &mut [F], g: F, scale: F) -> Result<(), Infallible> {
+        scale_by_powers(self.pool, values, g, scale);
+        Ok(())
+    }
+    fn checkpoint(&self, _stage: &'static str) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
 /// [`quotient_poly`] on a thread pool with precomputed twiddles, fully in
-/// place: the same 7-transform pipeline, with every transform
-/// stage-parallel, the coset scalings chunk-parallel, and the element-wise
-/// quotient chunk-parallel. Consumes the evaluation vectors and leaves
-/// the coefficients of `h` in `a` (with `b`, `c` clobbered as scratch),
-/// performing no allocation. Output is bit-identical to the serial
-/// version at any thread count.
+/// place: [`quotient_schedule`] over the tabled kernels. Output is
+/// bit-identical to the serial reference at any thread count.
 ///
 /// Returns the number of NTT-shaped transforms performed.
 ///
@@ -143,63 +271,10 @@ pub fn quotient_poly_in<F: PrimeField>(
     c: &mut [F],
     pool: &ThreadPool,
 ) -> u32 {
-    let n = domain.size() as usize;
-    assert!(
-        a.len() == n && b.len() == n && c.len() == n,
-        "evaluation vectors must match the domain size"
-    );
-    let n_inv = domain.size_inv();
-    // (1–3) INTT + (4–6) coset NTT per input vector. The three vectors are
-    // independent, so their pipelines run concurrently; each transform
-    // also fans out internally (the pool supports nesting).
-    let intt_then_coset = |v: &mut [F]| {
-        ntt_parallel_on(v, table, true, pool);
-        // Fold the INTT's n⁻¹ into the coset scaling: gᵢ·n⁻¹ per element.
-        distribute_powers_parallel(pool, v, domain.coset_gen());
-        pool.for_each_chunk_mut(v, 4096, |_, _, chunk| {
-            for x in chunk.iter_mut() {
-                *x *= n_inv;
-            }
-        });
-        ntt_parallel_on(v, table, false, pool);
-    };
-    let (a, (b, c)) = pool.join(
-        || {
-            intt_then_coset(&mut *a);
-            a
-        },
-        || {
-            pool.join(
-                || {
-                    intt_then_coset(&mut *b);
-                    &*b
-                },
-                || {
-                    intt_then_coset(&mut *c);
-                    &*c
-                },
-            )
-        },
-    );
-    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
-    let z_inv = domain
-        .vanishing_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
-    pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
-        for (j, x) in chunk.iter_mut().enumerate() {
-            *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
-        }
-    });
-    // (7) coset INTT: back to coefficients of h.
-    ntt_parallel_on(a, table, true, pool);
-    distribute_powers_parallel(pool, a, domain.coset_gen_inv());
-    pool.for_each_chunk_mut(a, 4096, |_, _, chunk| {
-        for x in chunk.iter_mut() {
-            *x *= n_inv;
-        }
-    });
-    7
+    match quotient_schedule(domain, &DirectKernels { table, pool }, a, b, c) {
+        Ok(transforms) => transforms,
+        Err(never) => match never {},
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,13 @@
-//! The Number-Theoretic Transform kernels.
+//! The reference transform family: on-the-fly radix-2 Cooley–Tukey and
+//! the quadratic DFT.
 //!
-//! Two functionally identical schedules are provided, mirroring the GPU
-//! implementations the paper studies (§II-B):
-//!
-//! * [`ntt_radix2_in_place`] — the textbook iterative radix-2 Cooley–Tukey
-//!   network: `log₂ n` stages of `n/2` butterflies.
-//! * [`ntt_staged`] — a radix-2^r *staged* schedule that processes up to `r`
-//!   stages per pass over the data, the structure `bellperson` uses to fold
-//!   up to 8 stages into one kernel launch (radix-256). The pass count is
-//!   what becomes "kernel launches" in the GPU model.
-//!
-//! Both operate on any [`Field`] so they run equally over plain and
-//! op-counted elements.
+//! Nothing here is on the prover's path. [`ntt_radix2_in_place`] is the
+//! textbook network (§II-B): `log₂ n` stages of `n/2` butterflies with a
+//! running twiddle product, generic over any [`Field`] so it runs equally
+//! over plain and op-counted elements (Fig. 8). [`ntt`], [`intt`], the
+//! coset variants and [`slow_dft`] are what the tests and the benchmark's
+//! output check hold the tabled, pooled family in [`crate::fast`] against,
+//! which is why they share no butterfly or scaling code with it.
 
 use crate::domain::Domain;
 use zkp_ff::{Field, PrimeField};
@@ -21,6 +17,11 @@ use zkp_ff::{Field, PrimeField};
 pub fn bit_reverse_permute<T>(values: &mut [T]) {
     let n = values.len();
     assert!(n.is_power_of_two(), "NTT size must be a power of two");
+    if n <= 2 {
+        // The permutation is the identity, and at n = 1 the shift below
+        // would be by the full word width.
+        return;
+    }
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = (i as u64).reverse_bits() as usize >> (64 - bits);
@@ -30,17 +31,6 @@ pub fn bit_reverse_permute<T>(values: &mut [T]) {
     }
 }
 
-/// Statistics of one transform execution, consumed by the GPU kernel models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NttStats {
-    /// Butterfly operations executed (`n/2 · log₂ n`).
-    pub butterflies: u64,
-    /// Data passes (GPU: kernel launches).
-    pub passes: u64,
-    /// Twiddle-factor multiplications performed.
-    pub twiddle_muls: u64,
-}
-
 /// In-place radix-2 decimation-in-time NTT by the given root of unity.
 ///
 /// `omega` must be a primitive `values.len()`-th root of unity.
@@ -48,11 +38,10 @@ pub struct NttStats {
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn ntt_radix2_in_place<F: Field>(values: &mut [F], omega: F) -> NttStats {
+pub fn ntt_radix2_in_place<F: Field>(values: &mut [F], omega: F) {
     let n = values.len();
     bit_reverse_permute(values);
     let log_n = n.trailing_zeros();
-    let mut stats = NttStats::default();
     for s in 1..=log_n {
         let m = 1usize << s;
         // ω_m = ω^(n/m): primitive m-th root.
@@ -67,92 +56,47 @@ pub fn ntt_radix2_in_place<F: Field>(values: &mut [F], omega: F) -> NttStats {
                 values[k + j] = u + t;
                 values[k + j + m / 2] = u - t;
                 w *= w_m;
-                stats.butterflies += 1;
-                stats.twiddle_muls += 1;
             }
         }
-        stats.passes += 1;
     }
-    stats
-}
-
-/// In-place staged (radix-`2^r`) NTT: identical butterflies, but stages are
-/// grouped into passes of at most `r_log` stages, emulating the
-/// shared-memory blocking of GPU implementations.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two or `r_log == 0`.
-pub fn ntt_staged<F: Field>(values: &mut [F], omega: F, r_log: u32) -> NttStats {
-    assert!(r_log > 0, "stage group must be at least radix-2");
-    let n = values.len();
-    bit_reverse_permute(values);
-    let log_n = n.trailing_zeros();
-    let mut stats = NttStats::default();
-    let mut s = 1;
-    while s <= log_n {
-        let stages_this_pass = r_log.min(log_n - s + 1);
-        // One "kernel launch" covers `stages_this_pass` stages.
-        for stage in s..s + stages_this_pass {
-            let m = 1usize << stage;
-            let w_m = omega.pow(&[(n / m) as u64]);
-            for k in (0..n).step_by(m) {
-                let mut w = F::one();
-                for j in 0..m / 2 {
-                    let t = w * values[k + j + m / 2];
-                    let u = values[k + j];
-                    values[k + j] = u + t;
-                    values[k + j + m / 2] = u - t;
-                    w *= w_m;
-                    stats.butterflies += 1;
-                    stats.twiddle_muls += 1;
-                }
-            }
-        }
-        stats.passes += 1;
-        s += stages_this_pass;
-    }
-    stats
 }
 
 /// Forward NTT over a [`Domain`]: coefficients → evaluations on `⟨ω⟩`.
-pub fn ntt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) -> NttStats {
+pub fn ntt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) {
     assert_eq!(
         values.len() as u64,
         domain.size(),
         "input length must equal the domain size"
     );
-    ntt_radix2_in_place(values, domain.omega())
+    ntt_radix2_in_place(values, domain.omega());
 }
 
 /// Inverse NTT over a [`Domain`]: evaluations → coefficients (includes the
 /// `n⁻¹` scaling).
-pub fn intt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) -> NttStats {
+pub fn intt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) {
     assert_eq!(
         values.len() as u64,
         domain.size(),
         "input length must equal the domain size"
     );
-    let stats = ntt_radix2_in_place(values, domain.omega_inv());
+    ntt_radix2_in_place(values, domain.omega_inv());
     let n_inv = domain.size_inv();
     for v in values.iter_mut() {
         *v *= n_inv;
     }
-    stats
 }
 
 /// Forward NTT on the coset `g·⟨ω⟩`: scales coefficients by powers of `g`
 /// first, then transforms.
-pub fn coset_ntt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) -> NttStats {
+pub fn coset_ntt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) {
     distribute_powers(values, domain.coset_gen());
-    ntt(domain, values)
+    ntt(domain, values);
 }
 
 /// Inverse of [`coset_ntt`].
-pub fn coset_intt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) -> NttStats {
-    let stats = intt(domain, values);
+pub fn coset_intt<F: PrimeField>(domain: &Domain<F>, values: &mut [F]) {
+    intt(domain, values);
     distribute_powers(values, domain.coset_gen_inv());
-    stats
 }
 
 /// Multiplies `values[i]` by `g^i`.
@@ -162,25 +106,6 @@ pub fn distribute_powers<F: Field>(values: &mut [F], g: F) {
         *v *= acc;
         acc *= g;
     }
-}
-
-/// [`distribute_powers`] on a thread pool: each chunk seeds its own running
-/// power with `g^offset` and scans locally. Field multiplication is exact,
-/// so the result is bit-identical to the serial scan at any thread count.
-pub fn distribute_powers_parallel<F: Field>(
-    pool: &zkp_runtime::ThreadPool,
-    values: &mut [F],
-    g: F,
-) {
-    // One `pow` per chunk; only worth fanning out on sizable scans.
-    const MIN_CHUNK: usize = 4096;
-    pool.for_each_chunk_mut(values, MIN_CHUNK, |_, offset, chunk| {
-        let mut acc = g.pow(&[offset as u64]);
-        for v in chunk.iter_mut() {
-            *v *= acc;
-            acc *= g;
-        }
-    });
 }
 
 /// Reference quadratic-time DFT, for cross-checking the fast transforms.
@@ -251,30 +176,6 @@ mod tests {
         assert_ne!(w, v);
         coset_intt(&d, &mut w);
         assert_eq!(w, v);
-    }
-
-    #[test]
-    fn staged_matches_radix2_all_groupings() {
-        let d = Domain::<Fr381>::new(1 << 10).expect("small domain");
-        let v = random_vec(1 << 10, 4);
-        let mut reference = v.clone();
-        let ref_stats = ntt_radix2_in_place(&mut reference, d.omega());
-        for r_log in [1u32, 2, 3, 4, 8] {
-            let mut w = v.clone();
-            let stats = ntt_staged(&mut w, d.omega(), r_log);
-            assert_eq!(w, reference, "radix-2^{r_log} output diverged");
-            assert_eq!(stats.butterflies, ref_stats.butterflies);
-            assert_eq!(stats.passes as u32, 10u32.div_ceil(r_log));
-        }
-    }
-
-    #[test]
-    fn stats_count_butterflies() {
-        let d = Domain::<Fr381>::new(1 << 8).expect("small domain");
-        let mut v = random_vec(1 << 8, 5);
-        let stats = ntt(&d, &mut v);
-        assert_eq!(stats.butterflies, (1 << 7) * 8); // n/2 · log n
-        assert_eq!(stats.passes, 8);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Thread-count invariance tests for the parallel NTT path and the
-//! pooled quotient pipeline: parallel outputs must be bit-identical to
-//! the serial transforms at every pool width.
+//! The production family (tabled, pooled) against the reference family
+//! (on-the-fly, serial): outputs must be bit-identical at every pool
+//! width, down to the degenerate sizes.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_ff::{Field, Fr381};
 use zkp_ntt::{
-    distribute_powers, distribute_powers_parallel, ntt_parallel_on, ntt_with_table, quotient_poly,
-    quotient_poly_in, Domain, TwiddleTable,
+    coset_intt, coset_ntt, distribute_powers, distribute_powers_parallel, intt, ntt,
+    ntt_parallel_on, ntt_radix2_in_place, quotient_poly, quotient_poly_in, scale_by_powers,
+    slow_dft, DensePoly, Domain, TwiddleTable,
 };
 use zkp_runtime::ThreadPool;
 
@@ -18,23 +19,40 @@ fn random_vec(n: usize, seed: u64) -> Vec<Fr381> {
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
+/// The expectation: the on-the-fly `ntt` / `intt`.
+fn reference(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool) {
+    if invert {
+        intt(domain, values);
+    } else {
+        ntt(domain, values);
+    }
+}
+
+/// The transform as the prover composes it: the tabled network, and for
+/// the inverse the `n⁻¹` through the fused scaling pass (at `g = 1`).
+fn production(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool, pool: &ThreadPool) {
+    ntt_parallel_on(values, &TwiddleTable::new(domain), invert, pool);
+    if invert {
+        scale_by_powers(pool, values, Fr381::one(), domain.size_inv());
+    }
+}
+
 #[test]
 fn parallel_ntt_is_bit_identical() {
-    // Sizes straddling the serial-fallback threshold (2^10) and both
-    // stage regimes (block-parallel early stages, lane-parallel late
-    // stages), forward and inverse.
+    // Sizes straddling the in-line threshold (2^10) and both stage
+    // regimes (block-parallel early stages, lane-parallel late stages),
+    // forward and inverse.
     for log_n in [6u32, 10, 12, 14] {
         let n = 1usize << log_n;
         let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
-        let table = TwiddleTable::new(&domain);
         let input = random_vec(n, u64::from(log_n));
         for invert in [false, true] {
             let mut expect = input.clone();
-            ntt_with_table(&mut expect, &table, invert);
+            reference(&domain, &mut expect, invert);
             for threads in THREAD_COUNTS {
                 let pool = ThreadPool::with_threads(threads);
                 let mut got = input.clone();
-                ntt_parallel_on(&mut got, &table, invert, &pool);
+                production(&domain, &mut got, invert, &pool);
                 assert_eq!(
                     got, expect,
                     "n=2^{log_n} invert={invert} diverged at {threads} threads"
@@ -49,14 +67,22 @@ fn parallel_distribute_powers_is_bit_identical() {
     // Large enough to split into several chunks (MIN_CHUNK = 4096).
     let n = 1 << 14;
     let g = Fr381::from_u64(7);
+    let first = Fr381::from_u64(0x5eed).inverse().expect("non-zero");
     let input = random_vec(n, 99);
     let mut expect = input.clone();
     distribute_powers(&mut expect, g);
+    let expect_scaled: Vec<Fr381> = expect.iter().map(|x| *x * first).collect();
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::with_threads(threads);
         let mut got = input.clone();
         distribute_powers_parallel(&pool, &mut got, g);
         assert_eq!(got, expect, "diverged at {threads} threads");
+        let mut got = input.clone();
+        scale_by_powers(&pool, &mut got, g, first);
+        assert_eq!(
+            got, expect_scaled,
+            "first != 1 diverged at {threads} threads"
+        );
     }
 }
 
@@ -87,6 +113,57 @@ fn pooled_quotient_poly_is_bit_identical() {
     }
 }
 
+/// ROADMAP 7b, NTT half: sizes 1, 2 and 4 through both families.
+#[test]
+fn degenerate_sizes_agree_with_the_dft() {
+    let pools = [ThreadPool::with_threads(1), ThreadPool::with_threads(3)];
+    for n in [1usize, 2, 4] {
+        let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
+        let input = random_vec(n, 40 + n as u64);
+        let expect = slow_dft(&domain, &input);
+
+        let mut evals = input.clone();
+        ntt(&domain, &mut evals);
+        assert_eq!(evals, expect, "reference ntt, n={n}");
+        intt(&domain, &mut evals);
+        assert_eq!(evals, input, "reference round trip, n={n}");
+        coset_ntt(&domain, &mut evals);
+        coset_intt(&domain, &mut evals);
+        assert_eq!(evals, input, "coset round trip, n={n}");
+
+        for pool in &pools {
+            let threads = pool.num_threads();
+            let mut evals = input.clone();
+            production(&domain, &mut evals, false, pool);
+            assert_eq!(evals, expect, "tabled ntt, n={n} threads={threads}");
+            production(&domain, &mut evals, true, pool);
+            assert_eq!(evals, input, "tabled round trip, n={n} threads={threads}");
+        }
+
+        // Unconstrained c: the two families must agree on any input, not
+        // only where a·b − c vanishes on the domain.
+        let (a, b, c) = (input.clone(), random_vec(n, 50), random_vec(n, 60));
+        let (expect, _) = quotient_poly(&domain, &a, &b, &c);
+        let table = TwiddleTable::new(&domain);
+        for pool in &pools {
+            let (mut h, mut b, mut c) = (a.clone(), b.clone(), c.clone());
+            quotient_poly_in(&domain, &table, &mut h, &mut b, &mut c, pool);
+            assert_eq!(h, expect, "quotient, n={n}");
+        }
+    }
+
+    // A product of two constants runs on the size-1 domain.
+    let (x, y) = (Fr381::from_u64(6), Fr381::from_u64(7));
+    let product = DensePoly::from_coeffs(vec![x]).mul_via_ntt(&DensePoly::from_coeffs(vec![y]));
+    assert_eq!(product.coeffs, vec![x * y]);
+}
+
+#[test]
+#[should_panic(expected = "power of two")]
+fn empty_input_is_rejected() {
+    ntt_radix2_in_place::<Fr381>(&mut [], Fr381::one());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -99,13 +176,12 @@ proptest! {
     ) {
         let n = 1usize << log_n;
         let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
-        let table = TwiddleTable::new(&domain);
         let input = random_vec(n, seed);
         let mut expect = input.clone();
-        ntt_with_table(&mut expect, &table, invert);
+        reference(&domain, &mut expect, invert);
         let pool = ThreadPool::with_threads(THREAD_COUNTS[threads_idx]);
         let mut got = input.clone();
-        ntt_parallel_on(&mut got, &table, invert, &pool);
+        production(&domain, &mut got, invert, &pool);
         prop_assert_eq!(got, expect);
     }
 }

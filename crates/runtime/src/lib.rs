@@ -22,7 +22,7 @@
 //! The pool schedules *where* tasks run, never *what* they compute: every
 //! primitive assigns work by index, so outputs land in deterministic
 //! positions and callers can merge per-chunk partials in index order.
-//! All `zkp-*` consumers keep their statistics (`MsmStats`, `NttStats`,
+//! All `zkp-*` consumers keep their statistics (`MsmStats`,
 //! `ProverStats`) bit-identical across thread counts this way.
 //!
 //! # Configuration
