@@ -26,6 +26,16 @@ impl TowerConfig for Bls12377 {
         // ξ = u
         crate::tower::Fq2::new(Fq377::zero(), Fq377::one())
     }
+
+    fn mul_by_fq2_nonresidue(x: Fq377) -> Fq377 {
+        // −5x = −(4x + x)
+        -(x.double().double() + x)
+    }
+
+    fn mul_by_fq6_nonresidue(x: Fq2) -> Fq2 {
+        // (a + b u) u = β b + a u
+        Fq2::new(Self::mul_by_fq2_nonresidue(x.c1), x.c0)
+    }
 }
 
 impl Bls12Config for Bls12377 {

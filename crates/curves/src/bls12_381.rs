@@ -28,6 +28,15 @@ impl TowerConfig for Bls12381 {
         // ξ = 1 + u
         crate::tower::Fq2::new(Fq381::one(), Fq381::one())
     }
+
+    fn mul_by_fq2_nonresidue(x: Fq381) -> Fq381 {
+        -x
+    }
+
+    fn mul_by_fq6_nonresidue(x: Fq2) -> Fq2 {
+        // (a + b u)(1 + u) = (a − b) + (a + b) u
+        Fq2::new(x.c0 - x.c1, x.c0 + x.c1)
+    }
 }
 
 impl Bls12Config for Bls12381 {

@@ -30,6 +30,23 @@ pub trait TowerConfig:
 
     /// ξ ∈ Fq2 with `v³ = ξ` defining Fq6 (must be a cubic non-residue).
     fn fq6_nonresidue() -> Fq2<Self>;
+
+    /// `β · x`. Every tower operation multiplies by β through this hook, so
+    /// a curve whose β is a small constant overrides it with the few
+    /// additions that is (β = −1 is a negation) instead of paying a field
+    /// multiplication.
+    #[inline]
+    fn mul_by_fq2_nonresidue(x: Self::Fq) -> Self::Fq {
+        Self::fq2_nonresidue() * x
+    }
+
+    /// `ξ · x`, the same hook one level up: for ξ = 1 + u or ξ = u it is
+    /// additions and one [`Self::mul_by_fq2_nonresidue`], not an Fq2
+    /// multiplication.
+    #[inline]
+    fn mul_by_fq6_nonresidue(x: Fq2<Self>) -> Fq2<Self> {
+        Self::fq6_nonresidue() * x
+    }
 }
 
 macro_rules! forward_field_ops {
@@ -103,7 +120,7 @@ impl<C: TowerConfig> Fq2<C> {
 
     /// The field norm `c0² - β·c1²` (an element of Fq).
     pub fn norm(&self) -> C::Fq {
-        self.c0.square() - C::fq2_nonresidue() * self.c1.square()
+        self.c0.square() - C::mul_by_fq2_nonresidue(self.c1.square())
     }
 }
 
@@ -121,12 +138,14 @@ impl<C: TowerConfig> Field for Fq2<C> {
         Self::new(self.c0.double(), self.c1.double())
     }
     fn square(&self) -> Self {
-        // (c0 + c1 u)² = c0² + β c1² + 2 c0 c1 u
-        let t = self.c0 * self.c1;
-        Self::new(
-            self.c0.square() + C::fq2_nonresidue() * self.c1.square(),
-            t.double(),
-        )
+        // Complex squaring, two multiplications: with v = c0·c1,
+        // c0² + β c1² = (c0 + c1)(c0 + β c1) − v − β v, and the u
+        // coefficient is 2v.
+        let v = self.c0 * self.c1;
+        let c0 = (self.c0 + self.c1) * (self.c0 + C::mul_by_fq2_nonresidue(self.c1))
+            - v
+            - C::mul_by_fq2_nonresidue(v);
+        Self::new(c0, v.double())
     }
     fn inverse(&self) -> Option<Self> {
         // 1/(c0 + c1 u) = (c0 - c1 u) / (c0² - β c1²)
@@ -157,11 +176,12 @@ impl<C: TowerConfig> Sub for Fq2<C> {
 impl<C: TowerConfig> Mul for Fq2<C> {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
-        // Schoolbook: (a0 + a1 u)(b0 + b1 u) = a0b0 + β a1b1 + (a0b1 + a1b0) u
+        // Karatsuba, three multiplications: (a0 + a1 u)(b0 + b1 u) =
+        // a0b0 + β a1b1 + ((a0 + a1)(b0 + b1) − a0b0 − a1b1) u
         let a0b0 = self.c0 * rhs.c0;
         let a1b1 = self.c1 * rhs.c1;
-        let cross = self.c0 * rhs.c1 + self.c1 * rhs.c0;
-        Self::new(a0b0 + C::fq2_nonresidue() * a1b1, cross)
+        let cross = (self.c0 + self.c1) * (rhs.c0 + rhs.c1) - a0b0 - a1b1;
+        Self::new(a0b0 + C::mul_by_fq2_nonresidue(a1b1), cross)
     }
 }
 impl<C: TowerConfig> Neg for Fq2<C> {
@@ -211,7 +231,7 @@ impl<C: TowerConfig> Fq6<C> {
 
     /// Multiplies by `v` (cyclic shift with a ξ twist).
     pub fn mul_by_v(&self) -> Self {
-        Self::new(C::fq6_nonresidue() * self.c2, self.c0, self.c1)
+        Self::new(C::mul_by_fq6_nonresidue(self.c2), self.c0, self.c1)
     }
 }
 
@@ -233,11 +253,11 @@ impl<C: TowerConfig> Field for Fq6<C> {
     }
     fn inverse(&self) -> Option<Self> {
         // Standard cubic-extension inversion.
-        let xi = C::fq6_nonresidue();
-        let t0 = self.c0.square() - xi * (self.c1 * self.c2);
-        let t1 = xi * self.c2.square() - self.c0 * self.c1;
+        let xi = C::mul_by_fq6_nonresidue;
+        let t0 = self.c0.square() - xi(self.c1 * self.c2);
+        let t1 = xi(self.c2.square()) - self.c0 * self.c1;
         let t2 = self.c1.square() - self.c0 * self.c2;
-        let denom = self.c0 * t0 + xi * (self.c2 * t1) + xi * (self.c1 * t2);
+        let denom = self.c0 * t0 + xi(self.c2 * t1 + self.c1 * t2);
         denom.inverse().map(|d| Self::new(t0 * d, t1 * d, t2 * d))
     }
     fn from_u64(v: u64) -> Self {
@@ -263,12 +283,12 @@ impl<C: TowerConfig> Sub for Fq6<C> {
 impl<C: TowerConfig> Mul for Fq6<C> {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
-        let xi = C::fq6_nonresidue();
+        let xi = C::mul_by_fq6_nonresidue;
         let a = (self.c0, self.c1, self.c2);
         let b = (rhs.c0, rhs.c1, rhs.c2);
         Self::new(
-            a.0 * b.0 + xi * (a.1 * b.2 + a.2 * b.1),
-            a.0 * b.1 + a.1 * b.0 + xi * (a.2 * b.2),
+            a.0 * b.0 + xi(a.1 * b.2 + a.2 * b.1),
+            a.0 * b.1 + a.1 * b.0 + xi(a.2 * b.2),
             a.0 * b.2 + a.1 * b.1 + a.2 * b.0,
         )
     }

@@ -55,6 +55,64 @@ tower_axioms!(fq12_381, Fq12<Bls12381>);
 tower_axioms!(fq2_377, Fq2<Bls12377>);
 tower_axioms!(fq12_377, Fq12<Bls12377>);
 
+/// Fq2 multiplication as `tower.rs` spelled it before Karatsuba: four base
+/// field products and a full multiplication by β.
+fn schoolbook_mul<C: TowerConfig>(a: Fq2<C>, b: Fq2<C>) -> Fq2<C> {
+    let a0b0 = a.c0 * b.c0;
+    let a1b1 = a.c1 * b.c1;
+    let cross = a.c0 * b.c1 + a.c1 * b.c0;
+    Fq2::new(a0b0 + C::fq2_nonresidue() * a1b1, cross)
+}
+
+/// Fq2 squaring as it was before complex squaring.
+fn schoolbook_square<C: TowerConfig>(a: Fq2<C>) -> Fq2<C> {
+    let t = a.c0 * a.c1;
+    Fq2::new(
+        a.c0.square() + C::fq2_nonresidue() * a.c1.square(),
+        t.double(),
+    )
+}
+
+macro_rules! fq2_against_schoolbook {
+    ($mod_name:ident, $C:ty) => {
+        mod $mod_name {
+            use super::*;
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(48))]
+
+                #[test]
+                fn karatsuba_and_complex_squaring(a in arb::<Fq2<$C>>(), b in arb::<Fq2<$C>>()) {
+                    prop_assert_eq!(a * b, schoolbook_mul(a, b));
+                    prop_assert_eq!(a.square(), schoolbook_square(a));
+                    // Operands with a zero or shared coefficient, where the
+                    // cross term's subtractions cancel exactly.
+                    let real = Fq2::from_base(a.c0);
+                    let diagonal = Fq2::new(b.c1, b.c1);
+                    prop_assert_eq!(real * b, schoolbook_mul(real, b));
+                    prop_assert_eq!(diagonal * a, schoolbook_mul(diagonal, a));
+                    prop_assert_eq!(diagonal.square(), schoolbook_square(diagonal));
+                }
+
+                #[test]
+                fn nonresidue_hooks_multiply_by_the_nonresidues(a in arb::<Fq2<$C>>()) {
+                    prop_assert_eq!(
+                        <$C>::mul_by_fq2_nonresidue(a.c0),
+                        <$C>::fq2_nonresidue() * a.c0
+                    );
+                    prop_assert_eq!(
+                        <$C>::mul_by_fq6_nonresidue(a),
+                        schoolbook_mul(<$C>::fq6_nonresidue(), a)
+                    );
+                }
+            }
+        }
+    };
+}
+
+fq2_against_schoolbook!(fq2_381_schoolbook, Bls12381);
+fq2_against_schoolbook!(fq2_377_schoolbook, Bls12377);
+
 /// The defining relations of the tower: u² = β, v³ = ξ, w² = v.
 #[test]
 fn tower_defining_relations() {

@@ -8,8 +8,9 @@
 //! * `Fq` — the base field (elliptic-curve point coordinates live here).
 //!
 //! Only the modulus and a small multiplicative generator are transcribed
-//! from the literature; every derived quantity (Montgomery constants,
-//! two-adic roots, non-residues) is computed and sanity-checked at first use.
+//! from the literature. The Montgomery constants are evaluated (and the
+//! modulus checked) by the compiler; the two-adic roots and non-residues are
+//! computed and sanity-checked at first use.
 
 use crate::fp::{Fp, FpConfig};
 use crate::params::FieldParams;
@@ -28,7 +29,7 @@ macro_rules! field_config {
 
             fn params() -> &'static FieldParams<$limbs> {
                 static PARAMS: OnceLock<FieldParams<$limbs>> = OnceLock::new();
-                PARAMS.get_or_init(|| FieldParams::derive($modulus, $generator))
+                PARAMS.get_or_init(|| FieldParams::derive(&Self::MODULUS, Self::GENERATOR))
             }
         }
 
@@ -169,10 +170,8 @@ mod tests {
     #[test]
     fn fq377_matches_known_r_constant() {
         // R = 2^384 mod p for BLS12-377 (cross-checked against arkworks).
-        use crate::fp::FpConfig;
-        let r = Fq377Config::params().r;
         assert_eq!(
-            zkp_bigint::UBig::from(r),
+            zkp_bigint::UBig::from(Fq377Config::R),
             zkp_bigint::UBig::one()
                 .shl(384)
                 .div_rem(&zkp_bigint::UBig::from_hex(Fq377Config::MODULUS_HEX))

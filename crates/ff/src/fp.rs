@@ -5,7 +5,7 @@
 //! GPU kernels live in the `gpu-kernels` crate and are cross-validated
 //! against this implementation.
 
-use crate::params::FieldParams;
+use crate::params::{modulus_from_hex, mont_inv, pow2_mod, FieldParams};
 use crate::traits::{Field, PrimeField};
 use core::cmp::Ordering;
 use core::fmt;
@@ -18,9 +18,29 @@ use zkp_bigint::Uint;
 
 /// Static configuration of a prime field: the modulus and a small generator.
 ///
-/// Implementors are zero-sized marker types; all numeric parameters are
-/// derived once (lazily) by [`FieldParams::derive`]. The modulus must leave
-/// at least one spare bit in `N` limbs (all BLS12 fields do).
+/// Implementors are zero-sized marker types that transcribe
+/// [`MODULUS_HEX`](Self::MODULUS_HEX), [`GENERATOR`](Self::GENERATOR) and
+/// [`NAME`](Self::NAME) and leave the four provided constants alone: the
+/// compiler evaluates them from the hex string, so every field operation
+/// reads its modulus as an immediate. The modulus must be odd and leave the
+/// top bit of its `N` limbs clear (all BLS12 fields do); a configuration that
+/// does not is a build error wherever its arithmetic is used:
+///
+/// ```compile_fail
+/// use zkp_ff::{Field, FieldParams, Fp, FpConfig};
+///
+/// #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+/// struct NoSpareBit;
+/// impl FpConfig<1> for NoSpareBit {
+///     const MODULUS_HEX: &'static str = "ffffffff00000001"; // 64 bits in one limb
+///     const GENERATOR: u64 = 7;
+///     const NAME: &'static str = "Goldilocks without a spare bit";
+///     fn params() -> &'static FieldParams<1> {
+///         unimplemented!()
+///     }
+/// }
+/// let _ = Fp::<NoSpareBit, 1>::one() + Fp::<NoSpareBit, 1>::one();
+/// ```
 pub trait FpConfig<const N: usize>:
     'static + Copy + Clone + Send + Sync + fmt::Debug + Eq + core::hash::Hash + Default
 {
@@ -31,7 +51,16 @@ pub trait FpConfig<const N: usize>:
     /// Display name, e.g. `"BLS12-381 Fr"`.
     const NAME: &'static str;
 
-    /// The lazily-derived parameter block for this field.
+    /// The modulus `p`, parsed and checked at compile time.
+    const MODULUS: Uint<N> = modulus_from_hex(Self::MODULUS_HEX);
+    /// `-p⁻¹ mod 2⁶⁴` — the per-limb Montgomery factor.
+    const INV: u64 = mont_inv(Self::MODULUS.0[0]);
+    /// `R = 2^(64N) mod p` — the Montgomery representation of one.
+    const R: Uint<N> = pow2_mod(&Self::MODULUS, Uint::<N>::BITS);
+    /// `R² mod p` — multiplying by it enters the Montgomery domain.
+    const R2: Uint<N> = pow2_mod(&Self::MODULUS, 2 * Uint::<N>::BITS);
+
+    /// The two-adic structure of this field, derived at first use.
     fn params() -> &'static FieldParams<N>;
 }
 
@@ -70,14 +99,11 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
     ///
     /// Returns `None` if `value >= p`.
     pub fn from_canonical(value: Uint<N>) -> Option<Self> {
-        let p = C::params();
-        if value >= p.modulus {
+        if value >= C::MODULUS {
             return None;
         }
         // Enter the Montgomery domain: value * R² * R^{-1} = value * R.
-        Some(Self::from_repr_raw(mont_mul::<N>(
-            &value, &p.r2, &p.modulus, p.inv,
-        )))
+        Some(Self::from_repr_raw(Self::mont_mul(&value, &C::R2)))
     }
 
     /// Builds from a big-endian hex string (must be `< p`).
@@ -92,65 +118,99 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
 
     /// The canonical integer representative in `[0, p)`.
     pub fn to_canonical(&self) -> Uint<N> {
-        let p = C::params();
-        mont_mul::<N>(&self.repr, &Uint::ONE, &p.modulus, p.inv)
+        Self::mont_mul(&self.repr, &Uint::ONE)
     }
 
-    fn reduce_once(repr: Uint<N>) -> Uint<N> {
-        let p = &C::params().modulus;
-        if repr >= *p {
-            repr.wrapping_sub(p)
+    /// The one conditional subtract: `t - p` if `t >= p`, else `t`, for any
+    /// `t < 2p` — the "compare limbs then conditionally reduce" step the
+    /// paper measures at 70.5% of `FF_add` latency on GPUs (§IV-B1). Here
+    /// the subtraction is the comparison: one `SUB`/`SBB` chain against the
+    /// modulus as immediates, and its final borrow picks the result.
+    #[inline(always)]
+    fn reduce_once(t: Uint<N>) -> Uint<N> {
+        let (reduced, borrow) = t.sbb(&C::MODULUS);
+        if borrow == 0 {
+            reduced
         } else {
-            repr
+            t
         }
+    }
+
+    /// The one multiplication kernel: `a * b * R^{-1} mod p` for `a, b < p`
+    /// by interleaved ("no-carry") CIOS Montgomery multiplication.
+    ///
+    /// Every round adds `a * b[i] + m * p` to the running total and drops a
+    /// limb, which keeps the total below `2p`; [`FpConfig::MODULUS`] has a
+    /// spare bit, so `2p < 2^(64N)`, the two carry words of a round sum to
+    /// less than `2^64` and no `t[N]` word exists.
+    #[inline(always)]
+    fn mont_mul(a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
+        let (a, b, p) = (&a.0, &b.0, &C::MODULUS.0);
+        let mut t = [0u64; N];
+        for &bi in b {
+            let (t0, mut carry_ab) = mac(t[0], a[0], bi, 0);
+            let m = t0.wrapping_mul(C::INV);
+            let (_, mut carry_mp) = mac(t0, m, p[0], 0);
+            for j in 1..N {
+                let tj;
+                (tj, carry_ab) = mac(t[j], a[j], bi, carry_ab);
+                (t[j - 1], carry_mp) = mac(tj, m, p[j], carry_mp);
+            }
+            t[N - 1] = carry_ab + carry_mp;
+        }
+        Self::reduce_once(Uint(t))
+    }
+
+    /// The one squaring kernel: `a * a * R^{-1} mod p` by separated operand
+    /// scanning. The `N(N-1)/2` off-diagonal products are computed once and
+    /// doubled in one shift pass, the `N` diagonal products added, and the
+    /// `2N`-limb square Montgomery-reduced limb by limb: `N(N+1)/2 + N²`
+    /// multiplications against the `2N²` of [`Self::mont_mul`].
+    #[inline(always)]
+    fn mont_square(a: &Uint<N>) -> Uint<N> {
+        let (a, p) = (&a.0, &C::MODULUS.0);
+        // The square's low and high halves (`[u64; 2 * N]` is not
+        // expressible with stable const generics).
+        let mut r = [[0u64; N]; 2];
+        for i in 0..N {
+            let mut carry = 0;
+            for j in i + 1..N {
+                let l = limb(&mut r, i + j);
+                (*l, carry) = mac(*l, a[i], a[j], carry);
+            }
+            r[1][i] = carry;
+        }
+        let (lo, top) = Uint(r[0]).shl1();
+        let (hi, _) = Uint(r[1]).shl1();
+        r = [lo.0, hi.0];
+        r[1][0] |= top;
+        let mut carry = 0;
+        for (i, &ai) in a.iter().enumerate() {
+            let l = limb(&mut r, 2 * i);
+            (*l, carry) = mac(*l, ai, ai, carry);
+            let l = limb(&mut r, 2 * i + 1);
+            (*l, carry) = adc(*l, carry, 0);
+        }
+        // (a² + M·p) / R < 2p as in `mont_mul`, so the carry out of the top
+        // limb is zero after the last round.
+        let mut top_carry = 0;
+        for i in 0..N {
+            let m = r[0][i].wrapping_mul(C::INV);
+            let (_, mut carry) = mac(r[0][i], m, p[0], 0);
+            for (j, &pj) in p.iter().enumerate().skip(1) {
+                let l = limb(&mut r, i + j);
+                (*l, carry) = mac(*l, m, pj, carry);
+            }
+            (r[1][i], top_carry) = adc(r[1][i], carry, top_carry);
+        }
+        Self::reduce_once(Uint(r[1]))
     }
 }
 
-/// CIOS Montgomery multiplication: computes `a * b * R^{-1} mod p`.
-///
-/// Requires the modulus to leave one spare bit so intermediate sums stay
-/// below `2p` and a single conditional subtraction suffices — the same
-/// "compare limbs then conditionally reduce" structure whose branches the
-/// paper measures at 70.5% of `FF_add` latency on GPUs (§IV-B1).
-#[inline]
-pub(crate) fn mont_mul<const N: usize>(a: &Uint<N>, b: &Uint<N>, p: &Uint<N>, inv: u64) -> Uint<N> {
-    let a = a.limbs();
-    let b = b.limbs();
-    let p = Uint::<N>(*p.limbs());
-    let pl = p.limbs();
-    let mut t = [0u64; N];
-    let mut t_n = 0u64; // t[N]
-    for &ai in a.iter().take(N) {
-        // t += a[i] * b
-        let mut carry = 0;
-        for j in 0..N {
-            let (l, c) = mac(t[j], ai, b[j], carry);
-            t[j] = l;
-            carry = c;
-        }
-        let (tn, overflow) = adc(t_n, carry, 0);
-        debug_assert_eq!(overflow, 0, "modulus spare bit violated");
-        t_n = tn;
-
-        // m = t[0] * inv mod 2^64; t = (t + m*p) / 2^64
-        let m = t[0].wrapping_mul(inv);
-        let (_, mut carry) = mac(t[0], m, pl[0], 0);
-        for j in 1..N {
-            let (l, c) = mac(t[j], m, pl[j], carry);
-            t[j - 1] = l;
-            carry = c;
-        }
-        let (l, c) = adc(t_n, carry, 0);
-        t[N - 1] = l;
-        t_n = c;
-        debug_assert_eq!(t_n, 0, "modulus spare bit violated");
-    }
-    let r = Uint(t);
-    if r >= p {
-        r.wrapping_sub(&p)
-    } else {
-        r
-    }
+/// Limb `k` of a `2N`-limb integer held as its low and high halves.
+#[inline(always)]
+fn limb<const N: usize>(wide: &mut [[u64; N]; 2], k: usize) -> &mut u64 {
+    &mut wide[k / N][k % N]
 }
 
 impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
@@ -159,24 +219,26 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
     }
 
     fn one() -> Self {
-        Self::from_repr_raw(C::params().r)
+        Self::from_repr_raw(C::R)
     }
 
     fn is_zero(&self) -> bool {
         self.repr.is_zero()
     }
 
+    #[inline]
     fn double(&self) -> Self {
         // FF_dbl: left shift each limb and propagate carries (§IV-B1),
-        // then conditionally reduce.
-        let (shifted, carry) = self.repr.shl1();
-        debug_assert_eq!(carry, 0, "modulus spare bit violated");
+        // then conditionally reduce; the spare bit absorbs the shift.
+        let (shifted, _) = self.repr.shl1();
         Self::from_repr_raw(Self::reduce_once(shifted))
     }
 
+    #[inline]
     fn square(&self) -> Self {
-        // FF_sqr shares FF_mul's performance profile (§IV-B2).
-        *self * *self
+        // On the GPU FF_sqr shares FF_mul's profile (§IV-B2); on the host
+        // the symmetric products are worth a kernel of their own.
+        Self::from_repr_raw(Self::mont_square(&self.repr))
     }
 
     fn inverse(&self) -> Option<Self> {
@@ -186,13 +248,12 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
         // Binary extended-Euclidean algorithm on the Montgomery form —
         // the same algorithm the paper attributes GPU FF_inv's ~100x
         // slowdown to (divide-by-2 loops and branches, §IV-B3).
-        let p = C::params();
-        let modulus = p.modulus;
+        let modulus = C::MODULUS;
         let mut u = self.repr;
         let mut v = modulus;
         // Montgomery correction: we track b,c with b*R... Standard trick:
         // start b = R² so the result lands back in Montgomery form times R.
-        let mut b = Self::from_repr_raw(p.r2);
+        let mut b = Self::from_repr_raw(C::R2);
         let mut c = Self::zero();
         while u != Uint::ONE && v != Uint::ONE {
             while u.is_even() {
@@ -236,14 +297,14 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
     fn from_u64(v: u64) -> Self {
         Self::from_canonical(Uint::from_u64(v)).unwrap_or_else(|| {
             // Sub-64-bit moduli (test fields): reduce first.
-            let p0 = C::params().modulus.limbs()[0];
+            let p0 = C::MODULUS.0[0];
             Self::from_canonical(Uint::from_u64(v % p0)).expect("v mod p is reduced")
         })
     }
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // Rejection-sample a canonical value below p.
-        let p = C::params();
+        let num_bits = C::MODULUS.num_bits();
         loop {
             let mut limbs = [0u64; N];
             for l in &mut limbs {
@@ -254,14 +315,14 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
             // number of limbs).
             for (i, l) in limbs.iter_mut().enumerate() {
                 let lo_bit = 64 * i as u32;
-                if lo_bit >= p.num_bits {
+                if lo_bit >= num_bits {
                     *l = 0;
-                } else if p.num_bits - lo_bit < 64 {
-                    *l &= (1u64 << (p.num_bits - lo_bit)) - 1;
+                } else if num_bits - lo_bit < 64 {
+                    *l &= (1u64 << (num_bits - lo_bit)) - 1;
                 }
             }
             let candidate = Uint(limbs);
-            if candidate < p.modulus {
+            if candidate < C::MODULUS {
                 // Already uniform over [0, p); enter the Montgomery domain.
                 return Self::from_canonical(candidate).expect("candidate < p");
             }
@@ -293,11 +354,11 @@ impl<C: FpConfig<N>, const N: usize> PrimeField for Fp<C, N> {
     }
 
     fn modulus_limbs() -> Vec<u64> {
-        C::params().modulus.limbs().to_vec()
+        C::MODULUS.0.to_vec()
     }
 
     fn modulus_bits() -> u32 {
-        C::params().num_bits
+        C::MODULUS.num_bits()
     }
 
     fn two_adicity() -> u32 {
@@ -373,44 +434,42 @@ impl<C: FpConfig<N>, const N: usize> PrimeField for Fp<C, N> {
 
 impl<C: FpConfig<N>, const N: usize> Add for Fp<C, N> {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
-        // FF_add: limb adds with carry chains, then the conditional
-        // reduction whose divergence the paper quantifies (§IV-B1).
-        let (sum, carry) = self.repr.adc(&rhs.repr);
-        debug_assert_eq!(carry, 0, "modulus spare bit violated");
+        // FF_add: limb adds with carry chains (the spare bit holds the
+        // sum), then the conditional reduction whose divergence the paper
+        // quantifies (§IV-B1).
+        let (sum, _) = self.repr.adc(&rhs.repr);
         Self::from_repr_raw(Self::reduce_once(sum))
     }
 }
 
 impl<C: FpConfig<N>, const N: usize> Sub for Fp<C, N> {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         let (diff, borrow) = self.repr.sbb(&rhs.repr);
-        let repr = if borrow == 1 {
-            diff.wrapping_add(&C::params().modulus)
-        } else {
+        Self::from_repr_raw(if borrow == 0 {
             diff
-        };
-        Self::from_repr_raw(repr)
+        } else {
+            diff.wrapping_add(&C::MODULUS)
+        })
     }
 }
 
 impl<C: FpConfig<N>, const N: usize> Mul for Fp<C, N> {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
-        let p = C::params();
-        Self::from_repr_raw(mont_mul::<N>(&self.repr, &rhs.repr, &p.modulus, p.inv))
+        Self::from_repr_raw(Self::mont_mul(&self.repr, &rhs.repr))
     }
 }
 
 impl<C: FpConfig<N>, const N: usize> Neg for Fp<C, N> {
     type Output = Self;
+    #[inline]
     fn neg(self) -> Self {
-        if self.is_zero() {
-            self
-        } else {
-            Self::from_repr_raw(C::params().modulus.wrapping_sub(&self.repr))
-        }
+        Self::zero() - self
     }
 }
 
@@ -473,4 +532,144 @@ impl<C: FpConfig<N>, const N: usize> fmt::Display for Fp<C, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_canonical())
     }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Differential tests of the compile-time-modulus kernels against the
+    //! runtime-modulus code they replaced, kept here as the oracle.
+
+    use super::*;
+    use crate::configs::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
+    use crate::params::tests::{ubig_montgomery_constants, Goldilocks4};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+    use zkp_bigint::UBig;
+
+    /// The generic looped CIOS with a `t[N]` word that was `Fp`'s only
+    /// kernel: modulus and `inv` are run-time arguments, nothing is unrolled,
+    /// and the reduction is a compare followed by a subtraction.
+    fn mont_mul_oracle<const N: usize>(a: &Uint<N>, b: &Uint<N>, p: &Uint<N>, inv: u64) -> Uint<N> {
+        let (a, b, pl) = (a.limbs(), b.limbs(), p.limbs());
+        let mut t = [0u64; N];
+        let mut t_n = 0u64;
+        for &ai in a {
+            let mut carry = 0;
+            for j in 0..N {
+                (t[j], carry) = mac(t[j], ai, b[j], carry);
+            }
+            let (tn, overflow) = adc(t_n, carry, 0);
+            assert_eq!(overflow, 0, "modulus spare bit violated");
+            t_n = tn;
+
+            let m = t[0].wrapping_mul(inv);
+            let (_, mut carry) = mac(t[0], m, pl[0], 0);
+            for j in 1..N {
+                (t[j - 1], carry) = mac(t[j], m, pl[j], carry);
+            }
+            (t[N - 1], t_n) = adc(t_n, carry, 0);
+            assert_eq!(t_n, 0, "modulus spare bit violated");
+        }
+        let r = Uint(t);
+        if r >= *p {
+            r.wrapping_sub(p)
+        } else {
+            r
+        }
+    }
+
+    fn reduced<const N: usize>(x: UBig, p: &UBig) -> Uint<N> {
+        x.div_rem(p).1.to_uint().expect("a residue fits")
+    }
+
+    /// Every operation on the Montgomery forms `a, b < p` against the oracle
+    /// (`mul`, `square`, both conversions) or plain integers modulo `p`
+    /// (the additive ones: the Montgomery map is linear).
+    fn check_against_oracle<C: FpConfig<N>, const N: usize>(a: Uint<N>, b: Uint<N>) {
+        let p = C::MODULUS;
+        let (inv, _, r2) = ubig_montgomery_constants(&p);
+        let p_big = UBig::from(p);
+        assert!(a < p && b < p, "test vectors are residues");
+        let (x, y) = (Fp::<C, N>::from_repr_raw(a), Fp::<C, N>::from_repr_raw(b));
+        let (a_big, b_big) = (UBig::from(a), UBig::from(b));
+
+        assert_eq!((x * y).repr, mont_mul_oracle(&a, &b, &p, inv), "mul");
+        assert_eq!(x.square().repr, mont_mul_oracle(&a, &a, &p, inv), "square");
+        assert_eq!((x + y).repr, reduced(a_big.add(&b_big), &p_big), "add");
+        assert_eq!(
+            (x - y).repr,
+            reduced(a_big.add(&p_big).sub(&b_big), &p_big),
+            "sub"
+        );
+        assert_eq!(
+            x.double().repr,
+            reduced(a_big.add(&a_big), &p_big),
+            "double"
+        );
+        assert_eq!((-x).repr, reduced(p_big.sub(&a_big), &p_big), "neg");
+        assert_eq!(
+            x.to_canonical(),
+            mont_mul_oracle(&a, &Uint::ONE, &p, inv),
+            "to_canonical"
+        );
+        // `a` read as a canonical integer enters the domain as a·R.
+        let entered = Fp::<C, N>::from_canonical(a).expect("a < p");
+        assert_eq!(
+            entered.repr,
+            mont_mul_oracle(&a, &r2, &p, inv),
+            "from_canonical"
+        );
+        assert_eq!(entered.to_canonical(), a, "round trip");
+        for result in [x * y, x.square(), x + y, x - y, x.double(), -x] {
+            assert!(result.repr < p, "results are canonical residues");
+        }
+    }
+
+    /// `0, 1, p − 1, R mod p`, residues sharing the modulus's top limbs
+    /// (`p − 1 − k` for a few word-sized `k`), all pairs — `(p−1)·(p−1)` is
+    /// the largest product the no-carry shortcut has to hold.
+    fn edge_vectors<C: FpConfig<N>, const N: usize>() {
+        let p = C::MODULUS;
+        let p_minus_1 = p.wrapping_sub(&Uint::ONE);
+        let mut vectors = vec![Uint::ZERO, Uint::ONE, p_minus_1, C::R, C::R2];
+        for k in [1, 2, u64::MAX / 3, u64::MAX] {
+            if let Some(v) = p_minus_1.checked_sub(&Uint::from_u64(k)) {
+                vectors.push(v);
+            }
+        }
+        for &a in &vectors {
+            for &b in &vectors {
+                check_against_oracle::<C, N>(a, b);
+            }
+        }
+    }
+
+    macro_rules! differential {
+        ($mod_name:ident, $C:ty, $N:literal) => {
+            mod $mod_name {
+                use super::*;
+
+                #[test]
+                fn edge_vectors_match_the_oracle() {
+                    edge_vectors::<$C, $N>();
+                }
+
+                proptest! {
+                    #[test]
+                    fn random_residues_match_the_oracle(seed in any::<u64>()) {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let a = Fp::<$C, $N>::random(&mut rng);
+                        let b = Fp::<$C, $N>::random(&mut rng);
+                        check_against_oracle::<$C, $N>(a.repr, b.repr);
+                    }
+                }
+            }
+        };
+    }
+
+    differential!(fr381, Fr381Config, 4);
+    differential!(fq381, Fq381Config, 6);
+    differential!(fr377, Fr377Config, 4);
+    differential!(fq377, Fq377Config, 6);
+    differential!(goldilocks4, Goldilocks4, 4);
 }

@@ -6,7 +6,7 @@
 //! 64-bit limbs; this module derives the GPU-side constants (32-bit limb
 //! modulus, `-p⁻¹ mod 2³²`) and converts values between the two shapes.
 
-use zkp_ff::{FieldParams, FpConfig};
+use zkp_ff::FpConfig;
 
 /// GPU-side constants of a prime field over 32-bit limbs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,20 +24,15 @@ pub struct Field32 {
 impl Field32 {
     /// Derives the GPU view from a host field configuration.
     pub fn of<C: FpConfig<N>, const N: usize>() -> Self {
-        Self::from_params::<N>(C::params(), C::NAME)
-    }
-
-    /// Derives from raw parameters.
-    pub fn from_params<const N: usize>(p: &FieldParams<N>, name: &'static str) -> Self {
-        let modulus = split_limbs(p.modulus.limbs());
+        let modulus = split_limbs(C::MODULUS.limbs());
         // (p+1)/2: p is odd, so add one and shift right across limbs.
-        let (plus_one, carry) = p.modulus.adc(&zkp_bigint::Uint::ONE);
+        let (plus_one, carry) = C::MODULUS.adc(&zkp_bigint::Uint::ONE);
         debug_assert_eq!(carry, 0);
         let half_ceil = split_limbs(plus_one.shr1().limbs());
         // p⁻¹ mod 2⁶⁴ reduces to p⁻¹ mod 2³².
-        let inv32 = (p.inv & 0xffff_ffff) as u32;
+        let inv32 = (C::INV & 0xffff_ffff) as u32;
         Self {
-            name,
+            name: C::NAME,
             modulus,
             half_ceil,
             inv32,
