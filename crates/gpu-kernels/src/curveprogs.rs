@@ -8,56 +8,29 @@
 //! on 4 12-limb coordinates in the XYZZ representation. NTT has a lower
 //! live register count of 56."
 //!
-//! All emitters here are parameterized over register *banks* (one bank = a
-//! field element's limbs), so whole-point state lives in registers exactly
-//! like the hand-tuned CUDA kernels the paper profiles.
+//! Both kernels only load, compose and store: every field operation is an
+//! [`FfEmitter`] call over register *banks* (one bank = a field element's
+//! limbs), so whole-point state lives in registers exactly like the
+//! hand-tuned CUDA kernels the paper profiles, and a kernel's instruction
+//! count is Table V's op counts times the emitter bodies the `ffprogs`
+//! microbenchmarks measure — `tests/curve_validation.rs` holds that
+//! identity exactly and the simulated cycles to a stated residual.
 
-use crate::ffprogs::{assume_canonical_loads, double_modulus, KernelFacts};
+use crate::catalog::{Kernel, Layout, Region};
+use crate::ffprogs::{assume_canonical_loads, FfEmitter, Scratch};
 use crate::field32::Field32;
-use gpu_sim::analysis::ranges::ValueBound;
-use gpu_sim::isa::{CmpOp, Program, ProgramBuilder, Src};
+use gpu_sim::isa::Reg;
 
-fn r(x: u16) -> Src {
-    Src::Reg(x)
-}
-fn imm(x: u32) -> Src {
-    Src::Imm(x)
-}
-
-/// Register-bank layout of a kernel under construction.
+/// Bump allocator over the register file of a kernel under construction.
 struct Banks {
     n: u16,
     /// Next free register.
-    next: u16,
-    /// CIOS accumulator (n+2 regs).
-    t: u16,
-    /// Borrow-chain comparison scratch (n regs).
-    cmp: u16,
-    /// Montgomery factor.
-    m: u16,
-    /// `ge` flag.
-    ge: u16,
+    next: Reg,
 }
 
 impl Banks {
-    fn new(n: u16) -> Self {
-        let mut b = Banks {
-            n,
-            next: 0,
-            t: 0,
-            cmp: 0,
-            m: 0,
-            ge: 0,
-        };
-        b.t = b.alloc(n + 2);
-        b.cmp = b.alloc(n);
-        b.m = b.alloc(1);
-        b.ge = b.alloc(1);
-        b
-    }
-
     /// Allocates a contiguous bank of `k` registers.
-    fn alloc(&mut self, k: u16) -> u16 {
+    fn alloc(&mut self, k: u16) -> Reg {
         let base = self.next;
         self.next += k;
         assert!(self.next <= 250, "register file exhausted");
@@ -65,235 +38,38 @@ impl Banks {
     }
 
     /// Allocates a field-element bank.
-    fn elem(&mut self) -> u16 {
+    fn elem(&mut self) -> Reg {
         self.alloc(self.n)
     }
-}
 
-/// Emits `out = x - p` conditional reduction (borrow-chain compare + one
-/// data-dependent guarded copy), identical in structure to `ffprogs`.
-fn reduce(b: &mut ProgramBuilder, f: &Field32, banks: &Banks, v: u16) {
-    let n = banks.n;
-    b.iadd3(banks.cmp, r(v), imm(!f.modulus[0]), imm(1), true, false);
-    for j in 1..n {
-        b.iadd3(
-            banks.cmp + j,
-            r(v + j),
-            imm(!f.modulus[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
-    }
-    b.iadd3(banks.ge, imm(0), imm(0), imm(0), false, true);
-    let done = b.label();
-    b.setp(0, r(banks.ge), imm(0), CmpOp::Eq);
-    b.bra(done, Some((0, true)));
-    for j in 0..n {
-        b.mov(v + j, r(banks.cmp + j));
-    }
-    b.place(done);
-}
-
-/// Emits `out = x + y mod p` (out may alias x).
-fn ff_add(b: &mut ProgramBuilder, f: &Field32, banks: &Banks, out: u16, x: u16, y: u16) {
-    let n = banks.n;
-    b.iadd3(out, r(x), r(y), imm(0), true, false);
-    for j in 1..n {
-        b.iadd3(out + j, r(x + j), r(y + j), imm(0), true, true);
-    }
-    reduce(b, f, banks, out);
-}
-
-/// Emits `out = 2x mod p` via an add (out may alias x).
-fn ff_dbl(b: &mut ProgramBuilder, f: &Field32, banks: &Banks, out: u16, x: u16) {
-    ff_add(b, f, banks, out, x, x);
-}
-
-/// Emits `out = x - y mod p` (out may alias x; must not alias y).
-fn ff_sub(b: &mut ProgramBuilder, f: &Field32, banks: &Banks, out: u16, x: u16, y: u16) {
-    let n = banks.n;
-    // out = x + ~y + 1; borrow means add p back.
-    for j in 0..n {
-        b.lop3(
-            banks.cmp + j,
-            r(y + j),
-            imm(u32::MAX),
-            gpu_sim::isa::LogicOp::Xor,
-        );
-    }
-    b.iadd3(out, r(x), r(banks.cmp), imm(1), true, false);
-    for j in 1..n {
-        b.iadd3(out + j, r(x + j), r(banks.cmp + j), imm(0), true, true);
-    }
-    b.iadd3(banks.ge, imm(0), imm(0), imm(0), false, true);
-    let done = b.label();
-    b.setp(0, r(banks.ge), imm(1), CmpOp::Eq);
-    b.bra(done, Some((0, true)));
-    b.iadd3(out, r(out), imm(f.modulus[0]), imm(0), true, false);
-    for j in 1..n {
-        b.iadd3(
-            out + j,
-            r(out + j),
-            imm(f.modulus[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
-    }
-    b.place(done);
-}
-
-/// Emits the CIOS Montgomery product `out = x·y·R⁻¹ mod p` (out may alias
-/// x or y — the accumulator bank is separate).
-fn ff_mul(b: &mut ProgramBuilder, f: &Field32, banks: &Banks, out: u16, x: u16, y: u16) {
-    ff_mul_bounded(b, f, banks, out, x, y, None);
-}
-
-/// [`ff_mul`] that can additionally record the `< 2p` proof obligation on
-/// the CIOS accumulator, anchored just before the conditional reduction.
-/// The obligation is dischargeable by `gpu_sim::analysis::ranges` only
-/// when both operands are canonical (`< p`) at block entry — i.e. when
-/// they come straight from canonical loads, not from an earlier `< 2p`
-/// intermediate — so callers opt in per multiply.
-fn ff_mul_bounded(
-    b: &mut ProgramBuilder,
-    f: &Field32,
-    banks: &Banks,
-    out: u16,
-    x: u16,
-    y: u16,
-    obligation: Option<(&mut Vec<ValueBound>, &str)>,
-) {
-    let n = banks.n;
-    let t = banks.t;
-    let t_n = t + n;
-    let t_n1 = t + n + 1;
-    for j in 0..=n + 1 {
-        b.mov(t + j, imm(0));
-    }
-    for i in 0..n {
-        let a_i = r(x + i);
-        // Final row: the t[n]/t[n+1] overflow words are never read again
-        // (spare-bit moduli), so their bookkeeping would be dead writes.
-        let last = i == n - 1;
-        b.imad(t, a_i, r(y), r(t), false, true, false);
-        for j in 1..n {
-            b.imad(t + j, a_i, r(y + j), r(t + j), false, true, true);
+    /// Allocates the emitters' scratch registers.
+    fn scratch(&mut self) -> Scratch {
+        Scratch {
+            t: self.alloc(self.n + 2),
+            cmp: self.alloc(self.n),
+            m: self.alloc(1),
+            ge: self.alloc(1),
+            s0: self.alloc(1),
+            s1: self.alloc(1),
         }
-        b.iadd3(t_n, r(t_n), imm(0), imm(0), true, true);
-        if !last {
-            b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
-        }
-        b.imad(t + 1, a_i, r(y), r(t + 1), true, true, false);
-        for j in 1..n {
-            b.imad(t + j + 1, a_i, r(y + j), r(t + j + 1), true, true, true);
-        }
-        if !last {
-            b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
-        }
-
-        b.imad(banks.m, r(t), imm(f.inv32), imm(0), false, false, false);
-        b.imad(
-            banks.ge,
-            r(banks.m),
-            imm(f.modulus[0]),
-            r(t),
-            false,
-            true,
-            false,
-        );
-        for j in 1..n {
-            b.imad(
-                t + j - 1,
-                r(banks.m),
-                imm(f.modulus[j as usize]),
-                r(t + j),
-                false,
-                true,
-                true,
-            );
-        }
-        b.iadd3(t_n - 1, r(t_n), imm(0), imm(0), true, true);
-        if !last {
-            b.iadd3(t_n, r(t_n1), imm(0), imm(0), false, true);
-            // Re-zero t[n+1] for the next row — unless the next row is the
-            // last, which never accumulates into it.
-            if i + 2 < n {
-                b.mov(t_n1, imm(0));
-            }
-        }
-        b.imad(t, r(banks.m), imm(f.modulus[0]), r(t), true, true, false);
-        for j in 1..n {
-            b.imad(
-                t + j,
-                r(banks.m),
-                imm(f.modulus[j as usize]),
-                r(t + j),
-                true,
-                true,
-                true,
-            );
-        }
-        if !last {
-            b.iadd3(t_n, r(t_n), imm(0), imm(0), false, true);
-        }
-    }
-    if let Some((obligations, opname)) = obligation {
-        obligations.push(ValueBound {
-            pc: b.next_pc(),
-            regs: (0..n).map(|j| t + j).collect(),
-            bound: double_modulus(f),
-            what: format!("{opname} CIOS output < 2p ({})", f.name),
-        });
-    }
-    reduce(b, f, banks, t);
-    for j in 0..n {
-        b.mov(out + j, r(t + j));
-    }
-}
-
-/// The register layout of the generated XYZZ mixed-addition kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct XyzzMaddLayout {
-    /// Word address of the bucket (X‖Y‖ZZ‖ZZZ).
-    pub addr_bucket: u16,
-    /// Word address of the affine point (X‖Y).
-    pub addr_point: u16,
-    /// Registers the kernel touches (the §IV-C4 pressure number).
-    pub registers_used: u16,
-}
-
-impl XyzzMaddLayout {
-    /// The registers the launch environment initializes (pointer
-    /// parameters) — the `inputs` for `gpu_sim::analysis::lint`.
-    pub fn entry_regs(&self) -> Vec<u16> {
-        vec![self.addr_bucket, self.addr_point]
     }
 }
 
 /// Emits the XYZZ ← XYZZ + Affine kernel (EFD `madd-2008-s`, Table V row
-/// "XYZZ PADD"): loads a bucket and a point, applies the mixed addition,
-/// stores the bucket back.
+/// "XYZZ PADD": 10 `mul`, 6 `sub`, 1 `dbl`): loads a bucket (X‖Y‖ZZ‖ZZZ)
+/// and an affine point (X‖Y), applies the mixed addition, stores the
+/// bucket back.
 ///
 /// Identity handling is the caller's job (real bucket kernels track
 /// emptiness in a side bitmap), matching the MSM inner loop.
-pub fn xyzz_madd_program(f: &Field32) -> (Program, XyzzMaddLayout) {
-    let (p, layout, _) = xyzz_madd_program_analyzed(f);
-    (p, layout)
-}
-
-/// [`xyzz_madd_program`] plus its [`KernelFacts`]: canonical-load
-/// assumptions for the bucket and point banks, and `< 2p` obligations on
-/// the two multiplies whose operands come straight from canonical loads
-/// (`U2 = X2·ZZ1`, `S2 = Y2·ZZZ1`). Later multiplies consume `mod p`
-/// *outputs* of earlier reductions, which the interval domain can only
-/// bound by `< 2p` per-limb boxes, so their obligations would be
-/// unprovable — the per-multiply contract is established once on the
-/// canonical-input instances (and by [`mul_contract_program`]).
-pub fn xyzz_madd_program_analyzed(f: &Field32) -> (Program, XyzzMaddLayout, KernelFacts) {
+///
+/// The facts carry `< 2p` obligations on the two multiplies whose operands
+/// come straight from canonical loads (`U2 = X2·ZZ1`, `S2 = Y2·ZZZ1`);
+/// see [`FfEmitter::mul`] for why the later ones cannot.
+pub fn xyzz_madd_kernel(f: &Field32) -> Kernel {
     let n = f.num_limbs() as u16;
-    let mut banks = Banks::new(n);
+    let mut banks = Banks { n, next: 0 };
+    let scratch = banks.scratch();
     // Point state.
     let x1 = banks.elem();
     let y1 = banks.elem();
@@ -310,264 +86,137 @@ pub fn xyzz_madd_program_analyzed(f: &Field32) -> (Program, XyzzMaddLayout, Kern
     let t1 = banks.elem();
     let addr_bucket = banks.alloc(1);
     let addr_point = banks.alloc(1);
-    let registers_used = banks.next;
 
-    let mut facts = KernelFacts::new();
-    for off in 0..4 {
-        assume_canonical_loads(
-            &mut facts.assumptions,
-            f,
-            addr_bucket,
-            off * u32::from(n),
-            1,
-        );
-    }
-    for off in 0..2 {
-        assume_canonical_loads(&mut facts.assumptions, f, addr_point, off * u32::from(n), 1);
-    }
+    let mut e = FfEmitter::new(f, scratch);
     // AoS layout, deliberately kept: each lane owns a whole 4n-word bucket
     // (resp. 2n-word point), the SZKP-style scattered access the memory
     // analyzer flags as strided.
-    facts.contracts.declare(addr_bucket, 4 * u32::from(n), 8);
-    facts.contracts.declare(addr_point, 2 * u32::from(n), 8);
-
-    let mut b = ProgramBuilder::new();
-    for (bank, off) in [(x1, 0u32), (y1, 1), (zz1, 2), (zzz1, 3)] {
-        for j in 0..n {
-            b.ldg(bank + j, addr_bucket, off * u32::from(n) + u32::from(j));
-        }
+    let words = u32::from(n);
+    e.facts.contracts.declare(addr_bucket, 4 * words, 8);
+    e.facts.contracts.declare(addr_point, 2 * words, 8);
+    let bucket = [(x1, 0), (y1, words), (zz1, 2 * words), (zzz1, 3 * words)];
+    for (bank, at) in bucket {
+        e.load(bank, addr_bucket, at, 1);
     }
-    for (bank, off) in [(x2, 0u32), (y2, 1)] {
-        for j in 0..n {
-            b.ldg(bank + j, addr_point, off * u32::from(n) + u32::from(j));
-        }
+    for (bank, at) in [(x2, 0), (y2, words)] {
+        e.load(bank, addr_point, at, 1);
     }
 
     // madd-2008-s over the banks.
-    let obs = &mut facts.obligations;
-    ff_mul_bounded(&mut b, f, &banks, u2, x2, zz1, Some((obs, "XYZZ U2"))); // U2 = X2·ZZ1
-    ff_mul_bounded(&mut b, f, &banks, s2, y2, zzz1, Some((obs, "XYZZ S2"))); // S2 = Y2·ZZZ1
-    ff_sub(&mut b, f, &banks, u2, u2, x1); // P = U2 - X1
-    ff_sub(&mut b, f, &banks, s2, s2, y1); // R = S2 - Y1
-    ff_mul(&mut b, f, &banks, pp, u2, u2); // PP = P²
-    ff_mul(&mut b, f, &banks, ppp, pp, u2); // PPP = P·PP
-    ff_mul(&mut b, f, &banks, q, x1, pp); // Q = X1·PP
-    ff_mul(&mut b, f, &banks, x1, s2, s2); // X3 := R²
-    ff_sub(&mut b, f, &banks, x1, x1, ppp); // X3 -= PPP
-    ff_dbl(&mut b, f, &banks, t1, q); // T1 = 2Q
-    ff_sub(&mut b, f, &banks, x1, x1, t1); // X3 -= 2Q
-    ff_sub(&mut b, f, &banks, q, q, x1); // T = Q - X3 (reuse Q)
-    ff_mul(&mut b, f, &banks, q, s2, q); // T = R·(Q - X3)
-    ff_mul(&mut b, f, &banks, y1, y1, ppp); // Y1·PPP
-    ff_sub(&mut b, f, &banks, y1, q, y1); // Y3 = T - Y1·PPP
-    ff_mul(&mut b, f, &banks, zz1, zz1, pp); // ZZ3 = ZZ1·PP
-    ff_mul(&mut b, f, &banks, zzz1, zzz1, ppp); // ZZZ3 = ZZZ1·PPP
+    e.mul(u2, x2, zz1, Some("XYZZ U2")); // U2 = X2·ZZ1
+    e.mul(s2, y2, zzz1, Some("XYZZ S2")); // S2 = Y2·ZZZ1
+    e.sub(u2, u2, x1); // P = U2 - X1
+    e.sub(s2, s2, y1); // R = S2 - Y1
+    e.mul(pp, u2, u2, None); // PP = P²
+    e.mul(ppp, pp, u2, None); // PPP = P·PP
+    e.mul(q, x1, pp, None); // Q = X1·PP
+    e.mul(x1, s2, s2, None); // X3 := R²
+    e.sub(x1, x1, ppp); // X3 -= PPP
+    e.dbl(t1, q); // T1 = 2Q
+    e.sub(x1, x1, t1); // X3 -= 2Q
+    e.sub(q, q, x1); // T = Q - X3 (reuse Q)
+    e.mul(q, s2, q, None); // T = R·(Q - X3)
+    e.mul(y1, y1, ppp, None); // Y1·PPP
+    e.sub(y1, q, y1); // Y3 = T - Y1·PPP
+    e.mul(zz1, zz1, pp, None); // ZZ3 = ZZ1·PP
+    e.mul(zzz1, zzz1, ppp, None); // ZZZ3 = ZZZ1·PPP
 
-    for (bank, off) in [(x1, 0u32), (y1, 1), (zz1, 2), (zzz1, 3)] {
-        for j in 0..n {
-            b.stg(bank + j, addr_bucket, off * u32::from(n) + u32::from(j));
-        }
+    for (bank, at) in bucket {
+        e.store(bank, addr_bucket, at, 1);
     }
-    b.exit();
-    (
-        b.build(),
-        XyzzMaddLayout {
-            addr_bucket,
-            addr_point,
-            registers_used,
-        },
+    e.b.exit();
+    let (program, facts) = e.finish();
+    Kernel {
+        name: "XYZZ madd",
+        field: f.clone(),
+        program,
         facts,
-    )
-}
-
-/// The register layout of the generated butterfly kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct ButterflyLayout {
-    /// Word address of element `a` (updated to `a + ω·b`).
-    pub addr_a: u16,
-    /// Word address of element `b` (updated to `a - ω·b`).
-    pub addr_b: u16,
-    /// Word address of the twiddle ω.
-    pub addr_w: u16,
-    /// Registers the kernel touches.
-    pub registers_used: u16,
-}
-
-impl ButterflyLayout {
-    /// The registers the launch environment initializes (pointer
-    /// parameters) — the `inputs` for `gpu_sim::analysis::lint`.
-    pub fn entry_regs(&self) -> Vec<u16> {
-        vec![self.addr_a, self.addr_b, self.addr_w]
+        regions: vec![Region::input(addr_bucket, 4), Region::input(addr_point, 2)],
+        layout: Layout::Aos,
     }
 }
 
 /// Emits the radix-2 NTT butterfly kernel (Fig. 4b): `t = ω·b;
-/// b = a - t; a = a + t` — the workload whose "much shorter dependence
-/// chain" keeps NTT register pressure near 56 (§IV-C4).
-pub fn butterfly_program(f: &Field32) -> (Program, ButterflyLayout) {
-    let (p, layout, _) = butterfly_program_analyzed(f);
-    (p, layout)
-}
-
-/// [`butterfly_program`] plus its [`KernelFacts`]: canonical-load
-/// assumptions for `a`, `b`, and ω, and the `< 2p` obligation on the
-/// twiddle multiply `ω·b` (both operands canonical loads, so the chain
-/// certificate discharges it).
-pub fn butterfly_program_analyzed(f: &Field32) -> (Program, ButterflyLayout, KernelFacts) {
+/// b = a - t; a = a + t` over the regions `a`, `b`, `ω` — the workload
+/// whose "much shorter dependence chain" keeps NTT register pressure near
+/// 56 (§IV-C4).
+///
+/// The facts carry the `< 2p` obligation on the twiddle multiply `ω·b`
+/// (both operands canonical loads, so the chain certificate discharges
+/// it).
+pub fn butterfly_kernel(f: &Field32) -> Kernel {
     let n = f.num_limbs() as u16;
-    let mut banks = Banks::new(n);
+    let mut banks = Banks { n, next: 0 };
+    let scratch = banks.scratch();
     let a = banks.elem();
     let bb = banks.elem();
     let w = banks.elem();
     let addr_a = banks.alloc(1);
     let addr_b = banks.alloc(1);
     let addr_w = banks.alloc(1);
-    let registers_used = banks.next;
 
-    let mut facts = KernelFacts::new();
+    let mut e = FfEmitter::new(f, scratch);
     for addr in [addr_a, addr_b, addr_w] {
-        assume_canonical_loads(&mut facts.assumptions, f, addr, 0, 1);
+        assume_canonical_loads(&mut e.facts.assumptions, f, addr, 0, 1);
         // AoS: one n-word element per lane — stride-n access.
-        facts.contracts.declare(addr, u32::from(n), 8);
+        e.facts.contracts.declare(addr, u32::from(n), 8);
     }
-
-    let mut b = ProgramBuilder::new();
+    // Limb-major loads and stores: the three (two) elements stream in
+    // together instead of bank by bank.
     for j in 0..n {
-        b.ldg(a + j, addr_a, u32::from(j));
-        b.ldg(bb + j, addr_b, u32::from(j));
-        b.ldg(w + j, addr_w, u32::from(j));
+        e.b.ldg(a + j, addr_a, u32::from(j));
+        e.b.ldg(bb + j, addr_b, u32::from(j));
+        e.b.ldg(w + j, addr_w, u32::from(j));
     }
-    // t = ω·b (into b's bank).
-    let obs = Some((&mut facts.obligations, "NTT butterfly ω·b"));
-    ff_mul_bounded(&mut b, f, &banks, bb, bb, w, obs);
-    // hi = a - t into the ω bank (ω no longer needed).
-    ff_sub(&mut b, f, &banks, w, a, bb);
-    // lo = a + t in place.
-    ff_add(&mut b, f, &banks, a, a, bb);
+    e.mul(bb, bb, w, Some("NTT butterfly ω·b")); // t = ω·b (into b's bank)
+    e.sub(w, a, bb); // hi = a - t into the ω bank (ω no longer needed)
+    e.add(a, a, bb); // lo = a + t in place
     for j in 0..n {
-        b.stg(a + j, addr_a, u32::from(j));
-        b.stg(w + j, addr_b, u32::from(j));
+        e.b.stg(a + j, addr_a, u32::from(j));
+        e.b.stg(w + j, addr_b, u32::from(j));
     }
-    b.exit();
-    (
-        b.build(),
-        ButterflyLayout {
-            addr_a,
-            addr_b,
-            addr_w,
-            registers_used,
-        },
+    e.b.exit();
+    let (program, facts) = e.finish();
+    Kernel {
+        name: "NTT butterfly",
+        field: f.clone(),
+        program,
         facts,
-    )
-}
-
-/// The register layout of the generated single-multiply contract kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct MulContractLayout {
-    /// Word address of operand `x`.
-    pub addr_x: u16,
-    /// Word address of operand `y`.
-    pub addr_y: u16,
-    /// Word address of the product.
-    pub addr_out: u16,
-    /// Registers the kernel touches.
-    pub registers_used: u16,
-}
-
-impl MulContractLayout {
-    /// The registers the launch environment initializes (pointer
-    /// parameters) — the `inputs` for `gpu_sim::analysis::lint`.
-    pub fn entry_regs(&self) -> Vec<u16> {
-        vec![self.addr_x, self.addr_y, self.addr_out]
+        regions: [addr_a, addr_b, addr_w]
+            .map(|addr| Region::input(addr, 1))
+            .to_vec(),
+        layout: Layout::Aos,
     }
-}
-
-/// Emits a one-shot `out = x·y·R⁻¹ mod p` kernel from this module's own
-/// CIOS emitter, with canonical-load assumptions and the `< 2p`
-/// obligation attached.
-///
-/// This is the range-proof gate for the *second* CIOS generator: the
-/// curve kernels share `ff_mul`, but only their first multiplies see
-/// canonical operands, so this kernel states the per-multiply contract —
-/// canonical inputs in, `< 2p` before reduction, `< p` out — in
-/// isolation for every field.
-pub fn mul_contract_program(f: &Field32) -> (Program, MulContractLayout, KernelFacts) {
-    let n = f.num_limbs() as u16;
-    let mut banks = Banks::new(n);
-    let x = banks.elem();
-    let y = banks.elem();
-    let addr_x = banks.alloc(1);
-    let addr_y = banks.alloc(1);
-    let addr_out = banks.alloc(1);
-    let registers_used = banks.next;
-
-    let mut facts = KernelFacts::new();
-    assume_canonical_loads(&mut facts.assumptions, f, addr_x, 0, 1);
-    assume_canonical_loads(&mut facts.assumptions, f, addr_y, 0, 1);
-    for addr in [addr_x, addr_y, addr_out] {
-        facts.contracts.declare(addr, u32::from(n), 8);
-    }
-
-    let mut b = ProgramBuilder::new();
-    for j in 0..n {
-        b.ldg(x + j, addr_x, u32::from(j));
-        b.ldg(y + j, addr_y, u32::from(j));
-    }
-    let obs = Some((&mut facts.obligations, "curve ff_mul"));
-    ff_mul_bounded(&mut b, f, &banks, x, x, y, obs);
-    for j in 0..n {
-        b.stg(x + j, addr_out, u32::from(j));
-    }
-    b.exit();
-    (
-        b.build(),
-        MulContractLayout {
-            addr_x,
-            addr_y,
-            addr_out,
-            registers_used,
-        },
-        facts,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::analysis::StaticMetrics;
     use zkp_ff::{Fq381Config, Fr381Config};
 
     #[test]
     fn register_pressure_matches_the_paper_bands() {
-        // §IV-C4: MSM kernels 216–244 registers, NTT ~56.
+        // §IV-C4: MSM kernels 216–244 registers, NTT ~56. The bump
+        // allocator hands out a dense prefix of the register file and the
+        // kernels touch all of it, so the footprint is `registers_touched`.
         let fq = Field32::of::<Fq381Config, 6>();
-        let (_, madd) = xyzz_madd_program(&fq);
+        let madd = StaticMetrics::compute(&xyzz_madd_kernel(&fq).program).registers_touched;
         assert!(
-            (150..=250).contains(&madd.registers_used),
-            "XYZZ madd uses {} registers",
-            madd.registers_used
+            (150..=250).contains(&madd),
+            "XYZZ madd uses {madd} registers"
         );
         let fr = Field32::of::<Fr381Config, 4>();
-        let (_, bfly) = butterfly_program(&fr);
-        assert!(
-            (40..=70).contains(&bfly.registers_used),
-            "butterfly uses {} registers",
-            bfly.registers_used
-        );
+        let bfly = StaticMetrics::compute(&butterfly_kernel(&fr).program).registers_touched;
+        assert!((40..=70).contains(&bfly), "butterfly uses {bfly} registers");
         // The MSM kernel needs ~3x the registers of the NTT kernel.
-        assert!(madd.registers_used > 2 * bfly.registers_used);
+        assert!(madd > 2 * bfly);
     }
 
     #[test]
-    fn butterfly_and_mul_contract_obligations_prove() {
+    fn butterfly_obligation_proves() {
         let fr = Field32::of::<Fr381Config, 4>();
-
-        let (p, _, facts) = butterfly_program_analyzed(&fr);
-        let ra = gpu_sim::analysis::analyze_ranges(&p, &facts.assumptions, &facts.obligations);
-        assert!(ra.diagnostics.is_empty(), "{:?}", ra.diagnostics);
-        assert_eq!(ra.proved.len(), 1, "{:?}", ra.proved);
-
-        let (p, _, facts) = mul_contract_program(&fr);
-        let ra = gpu_sim::analysis::analyze_ranges(&p, &facts.assumptions, &facts.obligations);
+        let ra = butterfly_kernel(&fr).ranges();
         assert!(ra.diagnostics.is_empty(), "{:?}", ra.diagnostics);
         assert_eq!(ra.proved.len(), 1, "{:?}", ra.proved);
     }
@@ -575,9 +224,9 @@ mod tests {
     #[test]
     fn xyzz_canonical_input_obligations_prove() {
         let fr = Field32::of::<Fr381Config, 4>();
-        let (p, _, facts) = xyzz_madd_program_analyzed(&fr);
-        assert_eq!(facts.obligations.len(), 2);
-        let ra = gpu_sim::analysis::analyze_ranges(&p, &facts.assumptions, &facts.obligations);
+        let k = xyzz_madd_kernel(&fr);
+        assert_eq!(k.facts.obligations.len(), 2);
+        let ra = k.ranges();
         assert!(ra.diagnostics.is_empty(), "{:?}", ra.diagnostics);
         assert_eq!(ra.proved.len(), 2, "{:?}", ra.proved);
     }
@@ -585,8 +234,7 @@ mod tests {
     #[test]
     fn madd_is_imad_dominated() {
         let fq = Field32::of::<Fq381Config, 6>();
-        let (p, _) = xyzz_madd_program(&fq);
-        let mix = p.static_mix();
+        let mix = xyzz_madd_kernel(&fq).program.static_mix();
         let imad = mix
             .iter()
             .find(|(m, _)| *m == "IMAD")

@@ -1,23 +1,43 @@
-//! Micro-ISA code generators for the finite-field kernels (§IV-B).
+//! The finite-field emitter family in the micro-ISA, and the §IV-B
+//! microbenchmark kernels built from it.
 //!
-//! Each generator emits a complete microbenchmark kernel: load the
-//! operands from global memory once, run the field operation `iters` times
-//! in a uniform loop (feeding the result back as an input, as
-//! latency-measurement microbenchmarks do), and store the result. The
-//! bodies mirror the SASS the paper profiles:
+//! [`FfEmitter`] is the one place that knows how a field operation is
+//! spelled in instructions. Its four emitters take `(out, x, y)` register
+//! *banks* (one bank = a field element's limbs) and mirror the SASS the
+//! paper profiles:
 //!
-//! * `FF_add`/`FF_sub` — `IADD3` carry chains plus the *sequential
-//!   limb-by-limb comparison* against the modulus whose data-dependent
-//!   branches cause the 52–56% branch efficiencies of Table VI;
-//! * `FF_dbl` — `SHF` funnel-shift chains;
-//! * `FF_mul`/`FF_sqr` — 32-bit CIOS Montgomery multiplication built from
-//!   `mad{c}.lo/hi` chains (`IMAD`-dominated, §IV-B2).
+//! * [`add`](FfEmitter::add) / [`sub`](FfEmitter::sub) — `IADD3` carry
+//!   chains plus the *sequential limb-by-limb comparison* against the
+//!   modulus whose data-dependent branches cause the 52–56% branch
+//!   efficiencies of Table VI;
+//! * [`dbl`](FfEmitter::dbl) — `SHF` funnel-shift chains;
+//! * [`mul`](FfEmitter::mul) — 32-bit CIOS Montgomery multiplication built
+//!   from `mad{c}.lo/hi` chains (`IMAD`-dominated, §IV-B2), its `< 2p`
+//!   proof obligation, and the compare-and-reduce.
+//!
+//! [`ff_kernel`] wraps one of them in a microbenchmark: load the operands
+//! from global memory once, run the operation `iters` times in a uniform
+//! loop (feeding the result back as an input, as latency-measurement
+//! microbenchmarks do), and store the result. The curve kernels of
+//! [`crate::curveprogs`] are straight-line compositions of the same
+//! emitters, so a kernel's instruction count is the sum of the bodies the
+//! microbenchmarks measure (Table V × §IV-B).
+//!
+//! # Aliasing contract
+//!
+//! Every emitter consumes limb `j` of `x` and `y` before it writes limb `j`
+//! of `out`, and never reads a lower limb of an operand after writing a
+//! higher limb of `out`, so `out` may alias either operand (and the
+//! operands each other). `mul` accumulates in the scratch bank and copies
+//! out last; `dbl` copies `x` to `out` first when they differ. No scratch
+//! register carries a value from one emitted operation to the next.
 
+use crate::catalog::{Kernel, Layout, Region};
 use crate::field32::Field32;
 use gpu_sim::analysis::addr::MemContracts;
 use gpu_sim::analysis::ranges::{Interval, RangeAssumptions, ValueBound};
 use gpu_sim::analysis::schedule::{BranchHint, ScheduleHints};
-use gpu_sim::isa::{CmpOp, Label, LogicOp, Program, ProgramBuilder, Src};
+use gpu_sim::isa::{CmpOp, LogicOp, Program, ProgramBuilder, Reg, Src};
 
 /// Words between consecutive limbs of one thread's operand in the
 /// warp-interleaved layout: limb `j` of lane `t` lives at
@@ -80,7 +100,7 @@ pub fn double_modulus(field: &Field32) -> Vec<u32> {
 pub(crate) fn assume_canonical_loads(
     assumptions: &mut RangeAssumptions,
     field: &Field32,
-    addr: u16,
+    addr: Reg,
     base: u32,
     stride: u32,
 ) {
@@ -96,16 +116,31 @@ pub(crate) fn assume_canonical_loads(
     }
 }
 
-/// Fixed register map shared by every generated kernel.
+/// The registers the emitters borrow while an operation is in flight.
+#[derive(Debug, Clone, Copy)]
+pub struct Scratch {
+    /// CIOS accumulator `t` occupies `t..t+n+2`.
+    pub t: Reg,
+    /// Borrow-chain comparison bank `cmp..cmp+n`.
+    pub cmp: Reg,
+    /// Montgomery factor `m`.
+    pub m: Reg,
+    /// `ge` result of a comparison (1 ⇔ value ≥ p).
+    pub ge: Reg,
+    /// Temporary (a complemented limb, a discarded low word).
+    pub s0: Reg,
+    /// Temporary (the captured final carry of a subtraction).
+    pub s1: Reg,
+}
+
+/// Fixed register map of the [`ff_kernel`] microbenchmarks.
 pub mod regs {
+    use super::Scratch;
+
     /// First operand `a` occupies registers `A0..A0+n`.
     pub const A0: u16 = 0;
     /// Second operand `b` occupies `B0..B0+n`.
     pub const B0: u16 = 32;
-    /// CIOS accumulator `t` occupies `T0..T0+n+2`.
-    pub const T0: u16 = 64;
-    /// Montgomery factor `m`.
-    pub const M: u16 = 96;
     /// Word address of `a` in global memory.
     pub const ADDR_A: u16 = 100;
     /// Word address of `b`.
@@ -114,17 +149,18 @@ pub mod regs {
     pub const ADDR_OUT: u16 = 102;
     /// Loop counter.
     pub const LOOP: u16 = 103;
-    /// `ge` result of the comparison (1 ⇔ value ≥ p).
-    pub const GE: u16 = 105;
-    /// Scratch.
-    pub const S0: u16 = 106;
-    /// Scratch.
-    pub const S1: u16 = 107;
-    /// Borrow-chain comparison scratch bank `CMP0..CMP0+n`.
-    pub const CMP0: u16 = 128;
+    /// The emitters' scratch registers.
+    pub const SCRATCH: Scratch = Scratch {
+        t: 64,
+        cmp: 128,
+        m: 96,
+        ge: 105,
+        s0: 106,
+        s1: 107,
+    };
 }
 
-fn r(x: u16) -> Src {
+fn r(x: Reg) -> Src {
     Src::Reg(x)
 }
 fn imm(x: u32) -> Src {
@@ -164,389 +200,337 @@ impl FfOp {
     }
 }
 
-/// The registers the launch environment must initialize before an
-/// [`ff_program`] kernel runs (its pointer parameters) — the `inputs`
-/// argument for `gpu_sim::analysis::lint`. `ADDR_B` appears only for the
-/// two-operand ops (`Dbl`/`Sqr` never read `b`).
-pub fn ff_program_inputs(op: FfOp) -> Vec<u16> {
-    match op {
-        FfOp::Add | FfOp::Sub | FfOp::Mul => {
-            vec![regs::ADDR_A, regs::ADDR_B, regs::ADDR_OUT]
-        }
-        FfOp::Dbl | FfOp::Sqr => vec![regs::ADDR_A, regs::ADDR_OUT],
-    }
+/// A program under construction together with the [`KernelFacts`] its
+/// field operations record. Kernels emit their own loads, stores and
+/// control flow through [`b`](Self::b); everything that computes goes
+/// through the four emitters (see the module docs for their aliasing
+/// contract).
+#[derive(Debug)]
+pub struct FfEmitter<'f> {
+    /// The instruction stream so far.
+    pub b: ProgramBuilder,
+    /// The facts recorded so far.
+    pub facts: KernelFacts,
+    field: &'f Field32,
+    s: Scratch,
 }
 
-/// Generates the kernel program for an operation.
-pub fn ff_program(field: &Field32, op: FfOp, iters: u32) -> Program {
-    ff_program_analyzed(field, op, iters).0
-}
-
-/// [`ff_program`] plus the [`KernelFacts`] the generator records while
-/// emitting: the `FF_dbl` tie branch is hinted uniformly taken, operand
-/// loads are assumed canonical (`< p`), and each CIOS invocation carries a
-/// `< 2p` obligation on its output bank.
-pub fn ff_program_analyzed(field: &Field32, op: FfOp, iters: u32) -> (Program, KernelFacts) {
-    let n = field.num_limbs() as u16;
-    let mut b = ProgramBuilder::new();
-    let mut facts = KernelFacts::new();
-
-    // Prologue: load a (and b where used) from global memory. Offsets
-    // follow the warp-interleaved layout — limb j at `addr + j·32` — so
-    // every limb access is one coalesced 4-sector transaction.
-    for j in 0..n {
-        b.ldg(regs::A0 + j, regs::ADDR_A, u32::from(j) * LIMB_STRIDE_WORDS);
-    }
-    assume_canonical_loads(
-        &mut facts.assumptions,
-        field,
-        regs::ADDR_A,
-        0,
-        LIMB_STRIDE_WORDS,
-    );
-    facts.contracts.declare(regs::ADDR_A, 1, LIMB_STRIDE_WORDS);
-    let loads_b = matches!(op, FfOp::Add | FfOp::Sub | FfOp::Mul);
-    if loads_b {
-        for j in 0..n {
-            b.ldg(regs::B0 + j, regs::ADDR_B, u32::from(j) * LIMB_STRIDE_WORDS);
-        }
-        assume_canonical_loads(
-            &mut facts.assumptions,
+impl<'f> FfEmitter<'f> {
+    /// An empty program over `field`, borrowing `scratch` for temporaries.
+    pub fn new(field: &'f Field32, scratch: Scratch) -> Self {
+        FfEmitter {
+            b: ProgramBuilder::new(),
+            facts: KernelFacts::new(),
             field,
-            regs::ADDR_B,
-            0,
-            LIMB_STRIDE_WORDS,
-        );
-        facts.contracts.declare(regs::ADDR_B, 1, LIMB_STRIDE_WORDS);
-    }
-    facts
-        .contracts
-        .declare(regs::ADDR_OUT, 1, LIMB_STRIDE_WORDS);
-    b.mov(regs::LOOP, imm(0));
-
-    // Uniform benchmark loop.
-    let loop_top = b.label();
-    b.place(loop_top);
-    match op {
-        FfOp::Add => {
-            emit_add_chain(&mut b, field, regs::A0, regs::B0);
-            emit_compare_and_reduce(&mut b, field, regs::A0);
-        }
-        FfOp::Sub => emit_sub(&mut b, field),
-        FfOp::Dbl => emit_dbl(&mut b, field, &mut facts.hints),
-        FfOp::Mul => {
-            emit_cios(&mut b, field, regs::B0);
-            // The `< 2p` claim is a *per-application* contract: it is
-            // provable exactly when the multiplier inputs are canonical,
-            // which the analyzer can only see on the single-trip program
-            // (the back edge feeds the reduced-but-not-canonical result
-            // back into `a`). Induction — canonical in ⇒ canonical out —
-            // extends it to any iteration count.
-            if iters == 1 {
-                facts
-                    .obligations
-                    .push(cios_output_obligation(&b, field, "FF_mul"));
-            }
-            emit_compare_and_reduce(&mut b, field, regs::T0);
-            // Feed back: a = result.
-            for j in 0..n {
-                b.mov(regs::A0 + j, r(regs::T0 + j));
-            }
-        }
-        FfOp::Sqr => {
-            emit_cios(&mut b, field, regs::A0);
-            if iters == 1 {
-                facts
-                    .obligations
-                    .push(cios_output_obligation(&b, field, "FF_sqr"));
-            }
-            emit_compare_and_reduce(&mut b, field, regs::T0);
-            for j in 0..n {
-                b.mov(regs::A0 + j, r(regs::T0 + j));
-            }
+            s: scratch,
         }
     }
-    // Loop control (uniform backward branch).
-    b.iadd3(regs::LOOP, r(regs::LOOP), imm(1), imm(0), false, false);
-    b.setp(3, r(regs::LOOP), imm(iters), CmpOp::Lt);
-    b.bra(loop_top, Some((3, true)));
 
-    // Epilogue: store the result (same interleaved layout as the loads).
-    for j in 0..n {
-        b.stg(
-            regs::A0 + j,
-            regs::ADDR_OUT,
-            u32::from(j) * LIMB_STRIDE_WORDS,
-        );
+    fn n(&self) -> u16 {
+        self.field.num_limbs() as u16
     }
-    b.exit();
-    (b.build(), facts)
-}
 
-/// The `< 2p` proof obligation for a CIOS output, anchored at the pc
-/// *right after* [`emit_cios`] returned — before the conditional
-/// subtraction, whose borrow-chain wrap-around would saturate the
-/// intervals.
-fn cios_output_obligation(b: &ProgramBuilder, field: &Field32, opname: &str) -> ValueBound {
-    let n = field.num_limbs() as u16;
-    ValueBound {
-        pc: b.next_pc(),
-        regs: (0..n).map(|j| regs::T0 + j).collect(),
-        bound: double_modulus(field),
-        what: format!("{opname} CIOS output < 2p ({})", field.name),
+    /// Finishes the program.
+    pub fn finish(self) -> (Program, KernelFacts) {
+        (self.b.build(), self.facts)
     }
-}
 
-/// `a += b` with an `IADD3` carry chain (no overflow past the top limb for
-/// spare-bit moduli).
-fn emit_add_chain(b: &mut ProgramBuilder, field: &Field32, a0: u16, b0: u16) {
-    let n = field.num_limbs() as u16;
-    b.iadd3(a0, r(a0), r(b0), imm(0), true, false);
-    for j in 1..n {
-        b.iadd3(a0 + j, r(a0 + j), r(b0 + j), imm(0), true, true);
+    /// Loads a canonical (`< p`) element into `bank` from word offsets
+    /// `base + j·stride` past `addr`, and records the assumption.
+    pub fn load(&mut self, bank: Reg, addr: Reg, base: u32, stride: u32) {
+        for j in 0..self.n() {
+            self.b.ldg(bank + j, addr, base + u32::from(j) * stride);
+        }
+        assume_canonical_loads(&mut self.facts.assumptions, self.field, addr, base, stride);
     }
-}
 
-/// The paper's §IV-B1 conditional reduction: the limbs of the result are
-/// compared against the modulus (a full borrow chain, since every limb
-/// must be inspected), and threads whose value ended up `>= p` take a
-/// data-dependent branch to write back the subtracted value. With random
-/// inputs roughly half of each warp needs the reduction, so this branch is
-/// almost always divergent — the mechanism behind `FF_add`'s ~52% branch
-/// efficiency and the 2.4× cycle blow-up (72 → 244) the paper reports.
-fn emit_compare_and_reduce(b: &mut ProgramBuilder, field: &Field32, v0: u16) {
-    let n = field.num_limbs() as u16;
-    // s = v - p with a borrow chain into the scratch bank.
-    b.iadd3(
-        regs::CMP0,
-        r(v0),
-        imm(!field.modulus[0]),
-        imm(1),
-        true,
-        false,
-    );
-    for j in 1..n {
-        b.iadd3(
-            regs::CMP0 + j,
-            r(v0 + j),
-            imm(!field.modulus[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
+    /// Stores `bank` to word offsets `base + j·stride` past `addr`.
+    pub fn store(&mut self, bank: Reg, addr: Reg, base: u32, stride: u32) {
+        for j in 0..self.n() {
+            self.b.stg(bank + j, addr, base + u32::from(j) * stride);
+        }
     }
-    // ge = final carry (1 ⇔ v >= p).
-    b.iadd3(regs::GE, imm(0), imm(0), imm(0), false, true);
-    let done: Label = b.label();
-    b.setp(0, r(regs::GE), imm(0), CmpOp::Eq);
-    b.bra(done, Some((0, true))); // divergent whenever the warp disagrees
-    for j in 0..n {
-        b.mov(v0 + j, r(regs::CMP0 + j));
-    }
-    b.place(done);
-}
 
-/// `a -= b`; on borrow, add `p` back (one data-dependent branch).
-fn emit_sub(b: &mut ProgramBuilder, field: &Field32) {
-    let n = field.num_limbs() as u16;
-    // a + ~b + 1 with carry chain; final carry == 0 means borrow.
-    b.lop3(regs::S0, r(regs::B0), imm(u32::MAX), LogicOp::Xor);
-    b.iadd3(regs::A0, r(regs::A0), r(regs::S0), imm(1), true, false);
-    for j in 1..n {
-        b.lop3(regs::S0, r(regs::B0 + j), imm(u32::MAX), LogicOp::Xor);
-        b.iadd3(
-            regs::A0 + j,
-            r(regs::A0 + j),
-            r(regs::S0),
-            imm(0),
-            true,
-            true,
-        );
+    /// `out = x + y mod p`: an `IADD3` carry chain (no overflow past the
+    /// top limb for spare-bit moduli) and the conditional reduction.
+    pub fn add(&mut self, out: Reg, x: Reg, y: Reg) {
+        self.b.iadd3(out, r(x), r(y), imm(0), true, false);
+        for j in 1..self.n() {
+            self.b
+                .iadd3(out + j, r(x + j), r(y + j), imm(0), true, true);
+        }
+        self.reduce(out);
     }
-    // Capture the final carry.
-    b.iadd3(regs::S1, imm(0), imm(0), imm(0), false, true);
-    let done = b.label();
-    b.setp(0, r(regs::S1), imm(1), CmpOp::Eq);
-    b.bra(done, Some((0, true))); // no borrow -> done
-                                  // Borrowed: add p back.
-    b.iadd3(
-        regs::A0,
-        r(regs::A0),
-        imm(field.modulus[0]),
-        imm(0),
-        true,
-        false,
-    );
-    for j in 1..n {
-        b.iadd3(
-            regs::A0 + j,
-            r(regs::A0 + j),
-            imm(field.modulus[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
-    }
-    b.place(done);
-}
 
-/// `FF_dbl` (§IV-B1): doubling by `SHF` funnel shifts. The reduction is
-/// decided *before* the shift using `2a ≥ p ⇔ a ≥ ⌈p/2⌉` and the identity
-/// `2a − p = 2(a − ⌈p/2⌉) + 1` (p odd): a top-limb comparison settles
-/// almost every thread, a rare uniform branch handles top-limb ties, and a
-/// data-dependent branch guards the subtraction — then one funnel shift
-/// per limb doubles the (possibly pre-reduced) value.
-fn emit_dbl(b: &mut ProgramBuilder, field: &Field32, hints: &mut ScheduleHints) {
-    let n = field.num_limbs() as u16;
-    let h = &field.half_ceil;
-    let top = (n - 1) as usize;
-    // Quick decision from the top limb: ge = (a_top > h_top).
-    b.setp(1, r(regs::A0 + n - 1), imm(h[top] + 1), CmpOp::Ge);
-    b.sel(regs::GE, imm(1), imm(0), 1);
-    // Tie on the top limb (rare): full borrow-chain comparison vs ⌈p/2⌉.
-    let no_tie = b.label();
-    b.setp(2, r(regs::A0 + n - 1), imm(h[top]), CmpOp::Eq);
-    // A tie happens for one top-limb value in ~2^32, so in practice every
-    // lane skips the full comparison and the branch is uniformly taken.
-    hints.set(b.next_pc(), BranchHint::Taken);
-    b.bra(no_tie, Some((2, false)));
-    b.iadd3(regs::CMP0, r(regs::A0), imm(!h[0]), imm(1), true, false);
-    for j in 1..n {
-        b.iadd3(
-            regs::CMP0 + j,
-            r(regs::A0 + j),
-            imm(!h[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
-    }
-    b.iadd3(regs::GE, imm(0), imm(0), imm(0), false, true);
-    b.place(no_tie);
-    // Threads with 2a >= p subtract ⌈p/2⌉ up front (data-dependent branch).
-    let no_reduce = b.label();
-    b.setp(0, r(regs::GE), imm(0), CmpOp::Eq);
-    b.bra(no_reduce, Some((0, true)));
-    b.iadd3(regs::A0, r(regs::A0), imm(!h[0]), imm(1), true, false);
-    for j in 1..n {
-        b.iadd3(
-            regs::A0 + j,
-            r(regs::A0 + j),
-            imm(!h[j as usize]),
-            imm(0),
-            true,
-            true,
-        );
-    }
-    b.place(no_reduce);
-    // Double with funnel shifts; the low bit becomes `ge` (2(a−h)+1).
-    for i in (1..n).rev() {
-        b.shf(
-            regs::A0 + i,
-            r(regs::A0 + i),
-            r(regs::A0 + i - 1),
-            imm(1),
-            false,
-        );
-    }
-    b.shf(regs::A0, r(regs::A0), imm(0), imm(1), false);
-    b.lop3(regs::A0, r(regs::A0), r(regs::GE), LogicOp::Or);
-}
-
-/// 32-bit CIOS Montgomery multiplication `t = a·b·R⁻¹ mod⁺ p` (result may
-/// need one conditional subtraction), with `b` taken from the registers at
-/// `b_base` (pass `A0` for squaring).
-///
-/// The structure is the classic `mad.lo.cc`/`madc.hi.cc` dual-chain per
-/// row, which is why IMAD dominates the mix (§IV-B2).
-fn emit_cios(b: &mut ProgramBuilder, field: &Field32, b_base: u16) {
-    let n = field.num_limbs() as u16;
-    let t = regs::T0;
-    let t_n = t + n;
-    let t_n1 = t + n + 1;
-    // Zero the accumulator.
-    for j in 0..=n + 1 {
-        b.mov(t + j, imm(0));
-    }
-    for i in 0..n {
-        let a_i = r(regs::A0 + i);
-        // Every row emits the same t[n]/t[n+1] overflow-word schema, final
-        // row included. In the final row those words are never read again
-        // (spare-bit moduli keep the result in n limbs), but proving that
-        // — and removing the bookkeeping with an equivalence certificate —
-        // is the optimizer's job (`analysis::opt`), not the generator's.
-        // Low-product pass: t[j] += lo(a_i·b_j), chained carries.
-        b.imad(t, a_i, r(b_base), r(t), false, true, false);
+    /// The paper's §IV-B1 conditional reduction: the limbs of the result are
+    /// compared against the modulus (a full borrow chain, since every limb
+    /// must be inspected), and threads whose value ended up `>= p` take a
+    /// data-dependent branch to write back the subtracted value. With random
+    /// inputs roughly half of each warp needs the reduction, so this branch is
+    /// almost always divergent — the mechanism behind `FF_add`'s ~52% branch
+    /// efficiency and the 2.4× cycle blow-up (72 → 244) the paper reports.
+    fn reduce(&mut self, v: Reg) {
+        let (n, s, p) = (self.n(), self.s, &self.field.modulus);
+        let b = &mut self.b;
+        // s = v - p with a borrow chain into the scratch bank.
+        b.iadd3(s.cmp, r(v), imm(!p[0]), imm(1), true, false);
         for j in 1..n {
-            b.imad(t + j, a_i, r(b_base + j), r(t + j), false, true, true);
+            b.iadd3(s.cmp + j, r(v + j), imm(!p[j as usize]), imm(0), true, true);
         }
-        b.iadd3(t_n, r(t_n), imm(0), imm(0), true, true);
-        b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
-        // High-product pass: t[j+1] += hi(a_i·b_j).
-        b.imad(t + 1, a_i, r(b_base), r(t + 1), true, true, false);
-        for j in 1..n {
-            b.imad(
-                t + j + 1,
-                a_i,
-                r(b_base + j),
-                r(t + j + 1),
+        // ge = final carry (1 ⇔ v >= p).
+        b.iadd3(s.ge, imm(0), imm(0), imm(0), false, true);
+        let done = b.label();
+        b.setp(0, r(s.ge), imm(0), CmpOp::Eq);
+        b.bra(done, Some((0, true))); // divergent whenever the warp disagrees
+        for j in 0..n {
+            b.mov(v + j, r(s.cmp + j));
+        }
+        b.place(done);
+    }
+
+    /// `out = x - y mod p`; on borrow, add `p` back (one data-dependent
+    /// branch).
+    pub fn sub(&mut self, out: Reg, x: Reg, y: Reg) {
+        let (n, s, p) = (self.n(), self.s, &self.field.modulus);
+        let b = &mut self.b;
+        // x + ~y + 1 with carry chain; final carry == 0 means borrow.
+        for j in 0..n {
+            b.lop3(s.s0, r(y + j), imm(u32::MAX), LogicOp::Xor);
+            b.iadd3(
+                out + j,
+                r(x + j),
+                r(s.s0),
+                imm(u32::from(j == 0)),
                 true,
-                true,
-                true,
+                j > 0,
             );
         }
-        b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
+        // Capture the final carry.
+        b.iadd3(s.s1, imm(0), imm(0), imm(0), false, true);
+        let done = b.label();
+        b.setp(0, r(s.s1), imm(1), CmpOp::Eq);
+        b.bra(done, Some((0, true))); // no borrow -> done
+        for j in 0..n {
+            b.iadd3(out + j, r(out + j), imm(p[j as usize]), imm(0), true, j > 0);
+        }
+        b.place(done);
+    }
 
-        // Montgomery reduction row: m = t[0]·inv32 mod 2^32.
-        b.imad(regs::M, r(t), imm(field.inv32), imm(0), false, false, false);
-        // Low pass of m·p, shifting t down one word.
-        b.imad(
-            regs::S0,
-            r(regs::M),
-            imm(field.modulus[0]),
-            r(t),
-            false,
-            true,
-            false,
-        );
-        for j in 1..n {
+    /// `out = 2x mod p` (§IV-B1): doubling by `SHF` funnel shifts. The
+    /// reduction is decided *before* the shift using `2a ≥ p ⇔ a ≥ ⌈p/2⌉`
+    /// and the identity `2a − p = 2(a − ⌈p/2⌉) + 1` (p odd): a top-limb
+    /// comparison settles almost every thread, a rare uniform branch
+    /// handles top-limb ties, and a data-dependent branch guards the
+    /// subtraction — then one funnel shift per limb doubles the (possibly
+    /// pre-reduced) value.
+    pub fn dbl(&mut self, out: Reg, x: Reg) {
+        let (n, s, h) = (self.n(), self.s, &self.field.half_ceil);
+        let b = &mut self.b;
+        // The pre-reduction is a guarded in-place subtraction.
+        if out != x {
+            for j in 0..n {
+                b.mov(out + j, r(x + j));
+            }
+        }
+        let top = (n - 1) as usize;
+        // Quick decision from the top limb: ge = (a_top > h_top).
+        b.setp(1, r(out + n - 1), imm(h[top] + 1), CmpOp::Ge);
+        b.sel(s.ge, imm(1), imm(0), 1);
+        // Tie on the top limb (rare): full borrow-chain comparison vs ⌈p/2⌉.
+        let no_tie = b.label();
+        b.setp(2, r(out + n - 1), imm(h[top]), CmpOp::Eq);
+        // A tie happens for one top-limb value in ~2^32, so in practice every
+        // lane skips the full comparison and the branch is uniformly taken.
+        self.facts.hints.set(b.next_pc(), BranchHint::Taken);
+        b.bra(no_tie, Some((2, false)));
+        for j in 0..n {
+            let one = imm(u32::from(j == 0));
+            b.iadd3(s.cmp + j, r(out + j), imm(!h[j as usize]), one, true, j > 0);
+        }
+        b.iadd3(s.ge, imm(0), imm(0), imm(0), false, true);
+        b.place(no_tie);
+        // Threads with 2a >= p subtract ⌈p/2⌉ up front (data-dependent branch).
+        let no_reduce = b.label();
+        b.setp(0, r(s.ge), imm(0), CmpOp::Eq);
+        b.bra(no_reduce, Some((0, true)));
+        for j in 0..n {
+            let one = imm(u32::from(j == 0));
+            b.iadd3(out + j, r(out + j), imm(!h[j as usize]), one, true, j > 0);
+        }
+        b.place(no_reduce);
+        // Double with funnel shifts; the low bit becomes `ge` (2(a−h)+1).
+        for i in (1..n).rev() {
+            b.shf(out + i, r(out + i), r(out + i - 1), imm(1), false);
+        }
+        b.shf(out, r(out), imm(0), imm(1), false);
+        b.lop3(out, r(out), r(s.ge), LogicOp::Or);
+    }
+
+    /// `out = x·y·R⁻¹ mod p`: the CIOS product into the scratch
+    /// accumulator, the conditional reduction, and the copy out.
+    ///
+    /// `obligation` names a `< 2p` proof obligation to record on the
+    /// accumulator, anchored *before* the conditional subtraction (whose
+    /// borrow-chain wrap-around would saturate the intervals). The claim
+    /// is a *per-application* contract: `gpu_sim::analysis::ranges` can
+    /// discharge it exactly when both operands are canonical (`< p`) —
+    /// straight from canonical loads, not from an earlier `mod p` output,
+    /// which the interval domain only bounds by a `< 2p` per-limb box — so
+    /// callers opt in per multiply. Induction (canonical in ⇒ canonical
+    /// out) extends it to every other application.
+    pub fn mul(&mut self, out: Reg, x: Reg, y: Reg, obligation: Option<&str>) {
+        self.cios(x, y);
+        let (n, t) = (self.n(), self.s.t);
+        if let Some(what) = obligation {
+            self.facts.obligations.push(ValueBound {
+                pc: self.b.next_pc(),
+                regs: (0..n).map(|j| t + j).collect(),
+                bound: double_modulus(self.field),
+                what: format!("{what} CIOS output < 2p ({})", self.field.name),
+            });
+        }
+        self.reduce(t);
+        for j in 0..n {
+            self.b.mov(out + j, r(t + j));
+        }
+    }
+
+    /// 32-bit CIOS Montgomery multiplication `t = x·y·R⁻¹ mod⁺ p` (the
+    /// result may need one conditional subtraction).
+    ///
+    /// The structure is the classic `mad.lo.cc`/`madc.hi.cc` dual-chain per
+    /// row, which is why IMAD dominates the mix (§IV-B2).
+    fn cios(&mut self, x: Reg, y: Reg) {
+        let (n, s, p) = (self.n(), self.s, &self.field.modulus);
+        let b = &mut self.b;
+        let t = s.t;
+        let t_n = t + n;
+        let t_n1 = t + n + 1;
+        // Zero the accumulator.
+        for j in 0..=n + 1 {
+            b.mov(t + j, imm(0));
+        }
+        for i in 0..n {
+            let x_i = r(x + i);
+            // Every row emits the same t[n]/t[n+1] overflow-word schema, final
+            // row included. In the final row those words are never read again
+            // (spare-bit moduli keep the result in n limbs), but proving that
+            // — and removing the bookkeeping with an equivalence certificate —
+            // is the optimizer's job (`analysis::opt`), not the generator's.
+            // Low-product pass: t[j] += lo(x_i·y_j), chained carries.
+            for j in 0..n {
+                b.imad(t + j, x_i, r(y + j), r(t + j), false, true, j > 0);
+            }
+            b.iadd3(t_n, r(t_n), imm(0), imm(0), true, true);
+            b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
+            // High-product pass: t[j+1] += hi(x_i·y_j).
+            for j in 0..n {
+                b.imad(t + j + 1, x_i, r(y + j), r(t + j + 1), true, true, j > 0);
+            }
+            b.iadd3(t_n1, r(t_n1), imm(0), imm(0), false, true);
+
+            // Montgomery reduction row: m = t[0]·inv32 mod 2^32.
             b.imad(
-                t + j - 1,
-                r(regs::M),
-                imm(field.modulus[j as usize]),
-                r(t + j),
+                s.m,
+                r(t),
+                imm(self.field.inv32),
+                imm(0),
                 false,
-                true,
-                true,
+                false,
+                false,
             );
+            // Low pass of m·p, shifting t down one word.
+            b.imad(s.s0, r(s.m), imm(p[0]), r(t), false, true, false);
+            for j in 1..n {
+                b.imad(
+                    t + j - 1,
+                    r(s.m),
+                    imm(p[j as usize]),
+                    r(t + j),
+                    false,
+                    true,
+                    true,
+                );
+            }
+            b.iadd3(t_n - 1, r(t_n), imm(0), imm(0), true, true);
+            b.iadd3(t_n, r(t_n1), imm(0), imm(0), false, true);
+            // Re-zero t[n+1] for the next row.
+            b.mov(t_n1, imm(0));
+            // High pass of m·p (indices already shifted down).
+            for j in 0..n {
+                b.imad(
+                    t + j,
+                    r(s.m),
+                    imm(p[j as usize]),
+                    r(t + j),
+                    true,
+                    true,
+                    j > 0,
+                );
+            }
+            b.iadd3(t_n, r(t_n), imm(0), imm(0), false, true);
         }
-        b.iadd3(t_n - 1, r(t_n), imm(0), imm(0), true, true);
-        b.iadd3(t_n, r(t_n1), imm(0), imm(0), false, true);
-        // Re-zero t[n+1] for the next row.
-        b.mov(t_n1, imm(0));
-        // High pass of m·p (indices already shifted down).
-        b.imad(
-            t,
-            r(regs::M),
-            imm(field.modulus[0]),
-            r(t),
-            true,
-            true,
-            false,
-        );
-        for j in 1..n {
-            b.imad(
-                t + j,
-                r(regs::M),
-                imm(field.modulus[j as usize]),
-                r(t + j),
-                true,
-                true,
-                true,
-            );
-        }
-        b.iadd3(t_n, r(t_n), imm(0), imm(0), false, true);
     }
+}
+
+/// Generates the microbenchmark kernel for an operation: `iters`
+/// applications of one emitter on the [`regs`] map, operands and result in
+/// the warp-interleaved layout (limb `j` at `addr + j·32`, so every limb
+/// access is one coalesced 4-sector transaction).
+///
+/// The `FF_dbl` tie branch is hinted uniformly taken, operand loads are
+/// assumed canonical, and the multiply carries its `< 2p` obligation on
+/// the single-trip program only — the back edge feeds the
+/// reduced-but-not-provably-canonical result back into `a`.
+pub fn ff_kernel(field: &Field32, op: FfOp, iters: u32) -> Kernel {
+    let (a, b) = (regs::A0, regs::B0);
+    let mut e = FfEmitter::new(field, regs::SCRATCH);
+    let mut regions = vec![Region::input(regs::ADDR_A, 1)];
+    e.load(a, regs::ADDR_A, 0, LIMB_STRIDE_WORDS);
+    // `Dbl`/`Sqr` never read `b`.
+    if matches!(op, FfOp::Add | FfOp::Sub | FfOp::Mul) {
+        regions.push(Region::input(regs::ADDR_B, 1));
+        e.load(b, regs::ADDR_B, 0, LIMB_STRIDE_WORDS);
+    }
+    regions.push(Region::output(regs::ADDR_OUT, 1));
+    for region in &regions {
+        e.facts
+            .contracts
+            .declare(region.pointer, 1, LIMB_STRIDE_WORDS);
+    }
+    e.b.mov(regs::LOOP, imm(0));
+
+    // Uniform benchmark loop; the result feeds back into `a`.
+    let loop_top = e.b.label();
+    e.b.place(loop_top);
+    let once = (iters == 1).then_some(op.name());
+    match op {
+        FfOp::Add => e.add(a, a, b),
+        FfOp::Sub => e.sub(a, a, b),
+        FfOp::Dbl => e.dbl(a, a),
+        FfOp::Mul => e.mul(a, a, b, once),
+        FfOp::Sqr => e.mul(a, a, a, once),
+    }
+    e.b.iadd3(regs::LOOP, r(regs::LOOP), imm(1), imm(0), false, false);
+    e.b.setp(3, r(regs::LOOP), imm(iters), CmpOp::Lt);
+    e.b.bra(loop_top, Some((3, true)));
+
+    e.store(a, regs::ADDR_OUT, 0, LIMB_STRIDE_WORDS);
+    e.b.exit();
+    let (program, facts) = e.finish();
+    Kernel {
+        name: op.name(),
+        field: field.clone(),
+        program,
+        facts,
+        regions,
+        layout: Layout::Interleaved,
+    }
+}
+
+/// The program of [`ff_kernel`].
+pub fn ff_program(field: &Field32, op: FfOp, iters: u32) -> Program {
+    ff_kernel(field, op, iters).program
 }
 
 #[cfg(test)]
@@ -600,8 +584,8 @@ mod tests {
         // lives in the range_soundness integration test.
         let f = Field32::of::<Fr381Config, 4>();
         for op in [FfOp::Mul, FfOp::Sqr] {
-            let (p, facts) = ff_program_analyzed(&f, op, 1);
-            let ra = gpu_sim::analysis::analyze_ranges(&p, &facts.assumptions, &facts.obligations);
+            let k = ff_kernel(&f, op, 1);
+            let ra = k.ranges();
             assert!(ra.diagnostics.is_empty(), "{op:?}: {:?}", ra.diagnostics);
             assert_eq!(ra.proved.len(), 1, "{op:?}: {:?}", ra.proved);
         }
@@ -614,8 +598,9 @@ mod tests {
         // single-application form.
         let f = Field32::of::<Fr381Config, 4>();
         for op in FfOp::all() {
-            let (p, facts) = ff_program_analyzed(&f, op, 4);
-            let ra = gpu_sim::analysis::analyze_ranges(&p, &facts.assumptions, &[]);
+            let k = ff_kernel(&f, op, 4);
+            assert!(k.facts.obligations.is_empty(), "{op:?}");
+            let ra = k.ranges();
             assert!(ra.is_clean(), "{op:?}: {:?}", ra.diagnostics);
         }
     }

@@ -6,7 +6,7 @@
 //! 64-bit limbs; this module derives the GPU-side constants (32-bit limb
 //! modulus, `-p⁻¹ mod 2³²`) and converts values between the two shapes.
 
-use zkp_ff::FpConfig;
+use zkp_ff::{FpConfig, Fq377Config, Fq381Config, Fr377Config, Fr381Config};
 
 /// GPU-side constants of a prime field over 32-bit limbs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +37,17 @@ impl Field32 {
             half_ceil,
             inv32,
         }
+    }
+
+    /// The four fields every kernel is generated and validated over: the
+    /// scalar and base fields of BLS12-381 and BLS12-377.
+    pub fn supported() -> [Self; 4] {
+        [
+            Self::of::<Fr381Config, 4>(),
+            Self::of::<Fq381Config, 6>(),
+            Self::of::<Fr377Config, 4>(),
+            Self::of::<Fq377Config, 6>(),
+        ]
     }
 
     /// Number of 32-bit limbs (8 for the ~255-bit scalar fields, 12 for

@@ -3,11 +3,12 @@
 //! paper's per-op latencies (Table IV), microarchitecture metrics
 //! (Table VI), and warp-stall profiles (Fig. 10).
 
-use crate::ffprogs::{ff_program, regs, FfOp};
+use crate::catalog::{launch, random_canonical};
+use crate::ffprogs::{ff_kernel, regs, FfOp};
 use crate::field32::Field32;
-use gpu_sim::machine::{Machine, SimResult, SmspConfig, WarpInit};
+use gpu_sim::machine::{SimResult, SmspConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The report of one microbenchmark run.
 #[derive(Debug, Clone)]
@@ -48,34 +49,17 @@ impl FfInputs {
     /// Uniformly random canonical values below the modulus.
     pub fn random(field: &Field32, warps: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let draw = |rng: &mut StdRng| loop {
-            let cand: Vec<u32> = (0..field.num_limbs()).map(|_| rng.gen()).collect();
-            // Accept if below p (compare from the most significant limb).
-            let below = cand
-                .iter()
-                .rev()
-                .zip(field.modulus.iter().rev())
-                .find_map(|(c, p)| (c != p).then_some(c < p))
-                .unwrap_or(false);
-            if below {
-                return cand;
-            }
-        };
         let n = warps * 32;
         FfInputs {
-            a: (0..n).map(|_| draw(&mut rng)).collect(),
-            b: (0..n).map(|_| draw(&mut rng)).collect(),
+            a: (0..n).map(|_| random_canonical(field, &mut rng)).collect(),
+            b: (0..n).map(|_| random_canonical(field, &mut rng)).collect(),
         }
     }
 }
 
-/// Runs one FF-op microbenchmark.
-///
-/// Memory layout is warp-interleaved (the coalesced layout the memory
-/// analyzer certifies): limb `j` of thread `t` in warp `w` lives at
-/// `region_base + w·32·n + j·32 + t`, so each of the kernel's limb
-/// accesses is one fully-coalesced 4-sector warp transaction. The three
-/// regions (`a`, `b`, output) each span `warps·32·n` words.
+/// Runs one FF-op microbenchmark: [`ff_kernel`] through [`launch`], with
+/// `inputs.a` and `inputs.b` behind the kernel's `a` and `b` pointers
+/// (`b` is ignored by the one-operand ops).
 ///
 /// # Panics
 ///
@@ -88,87 +72,30 @@ pub fn run_ff_op(
     warps: usize,
     iters: u32,
 ) -> FfOpReport {
-    let program = ff_program(field, op, iters);
-    run_ff_program(&program, field, op, config, inputs, warps, iters)
-}
-
-/// [`run_ff_op`] for an explicit program — the same launch harness
-/// (warp-interleaved operand layout, per-warp pointer registers) applied
-/// to any program with the `ff_program` ABI. This is how optimized
-/// variants of a kernel are simulated against the original: same inputs,
-/// same machine, different instruction stream.
-///
-/// # Panics
-///
-/// Panics if `inputs` does not provide `warps × 32` operand pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ff_program(
-    program: &gpu_sim::isa::Program,
-    field: &Field32,
-    op: FfOp,
-    config: &SmspConfig,
-    inputs: &FfInputs,
-    warps: usize,
-    iters: u32,
-) -> FfOpReport {
-    let n = field.num_limbs();
-    let threads = warps * 32;
-    assert_eq!(inputs.a.len(), threads, "need one `a` per thread");
-    assert_eq!(inputs.b.len(), threads, "need one `b` per thread");
-
-    let base_b = (threads * n) as u32;
-    let base_out = 2 * base_b;
-    // Word index of limb j of global thread t in a region starting at 0.
-    let slot = |t: usize, j: usize| (t / 32) * 32 * n + j * 32 + (t % 32);
-    let mut machine = Machine::new(config.clone(), 3 * threads * n);
-    for (t, (a, b)) in inputs.a.iter().zip(&inputs.b).enumerate() {
-        for (j, limb) in a.iter().enumerate() {
-            machine.global_mem[slot(t, j)] = *limb;
-        }
-        for (j, limb) in b.iter().enumerate() {
-            machine.global_mem[base_b as usize + slot(t, j)] = *limb;
-        }
-    }
-
-    let warp_inits: Vec<WarpInit> = (0..warps)
-        .map(|w| {
-            let mut init = WarpInit::default();
-            let mut addr_a = [0u32; 32];
-            let mut addr_b = [0u32; 32];
-            let mut addr_out = [0u32; 32];
-            for t in 0..32 {
-                let lane0 = (w * 32 * n) as u32;
-                addr_a[t] = lane0 + t as u32;
-                addr_b[t] = base_b + lane0 + t as u32;
-                addr_out[t] = base_out + lane0 + t as u32;
-            }
-            init.per_thread(regs::ADDR_A as usize, addr_a);
-            init.per_thread(regs::ADDR_B as usize, addr_b);
-            init.per_thread(regs::ADDR_OUT as usize, addr_out);
-            init
+    assert_eq!(inputs.b.len(), warps * 32, "need one `b` per thread");
+    let kernel = ff_kernel(field, op, iters);
+    let operands: Vec<&[Vec<u32>]> = kernel
+        .regions
+        .iter()
+        .map(|region| match region.pointer {
+            regs::ADDR_A => &inputs.a[..],
+            regs::ADDR_B => &inputs.b[..],
+            _ => &[],
         })
         .collect();
-
-    let sim = machine.run(program, &warp_inits);
-    let outputs = (0..threads)
-        .map(|t| {
-            (0..n)
-                .map(|j| machine.global_mem[base_out as usize + slot(t, j)])
-                .collect()
-        })
-        .collect();
+    let mut run = launch(&kernel, &kernel.program, config, warps, &operands);
 
     // Each warp performs `iters` ops; warps overlap, so per-op latency is
     // wall cycles divided by per-warp iterations.
-    let cycles_per_op = sim.cycles as f64 / f64::from(iters);
+    let cycles_per_op = run.sim.cycles as f64 / f64::from(iters);
     FfOpReport {
         op,
         field: field.name,
         warps: warps as u32,
         iters,
-        sim,
+        sim: run.sim,
         cycles_per_op,
-        outputs,
+        outputs: run.regions.pop().expect("the output region comes last"),
     }
 }
 

@@ -1,27 +1,20 @@
-//! The optimized kernel zoo: every shipped kernel run through the
+//! The optimized kernel zoo: every [`catalog`] kernel run through the
 //! verified optimizer ([`gpu_sim::analysis::optimize`]), with the
 //! translation-validation certificate attached.
 //!
-//! This is the kernel-layer face of the optimizer: it packages each
-//! generator's program together with its ABI (input registers, address
-//! contracts) and schedule-prediction facts, feeds them to the
-//! optimization pipeline for a chosen device, and returns the validated
-//! result. The zoo mirrors the `analyze` example's kernel set — the five
-//! finite-field ops over Fq381, the XYZZ mixed addition, the NTT
-//! butterfly, and the standalone CIOS multiply contract kernel — so the
-//! optimizer gate and the zkprophet report cover exactly the kernels the
-//! rest of the repo measures.
+//! This is the kernel-layer face of the optimizer: it feeds each kernel's
+//! program, ABI (input registers, address contracts) and
+//! schedule-prediction facts to the optimization pipeline for a chosen
+//! device, and returns the validated result — so the optimizer gate and
+//! the zkprophet report cover exactly the kernels the rest of the repo
+//! measures.
 
-use crate::curveprogs::{
-    butterfly_program_analyzed, mul_contract_program, xyzz_madd_program_analyzed,
-};
-use crate::ffprogs::{ff_program_analyzed, ff_program_inputs, FfOp, KernelFacts};
-use crate::field32::Field32;
+use crate::catalog::{catalog, Kernel};
+use crate::ffprogs::KernelFacts;
 use gpu_sim::analysis::{self, OptError, OptOptions, Optimized};
 use gpu_sim::isa::{Program, Reg};
 use gpu_sim::machine::SmspConfig;
 use gpu_sim::DeviceSpec;
-use zkp_ff::{Fq381Config, Fr381Config};
 
 /// §IV-B: two resident warps per SMSP, "representative of MSM
 /// configurations" — the occupancy every optimizer prediction models.
@@ -30,16 +23,8 @@ pub const OPT_WARPS: u32 = 2;
 /// One zoo kernel, before and after the verified optimizer.
 #[derive(Debug, Clone)]
 pub struct OptimizedKernel {
-    /// Kernel display name (matches the `analyze` example).
-    pub name: String,
-    /// Field the kernel computes over.
-    pub field: &'static str,
-    /// The original generated program.
-    pub program: Program,
-    /// Launch-parameter registers.
-    pub inputs: Vec<Reg>,
-    /// Generator-declared analysis facts (original-pc keyed).
-    pub facts: KernelFacts,
+    /// The kernel as generated.
+    pub kernel: Kernel,
     /// The validated optimization result.
     pub optimized: Optimized,
 }
@@ -53,39 +38,17 @@ pub struct OptimizedKernel {
 /// Returns [`OptError::Rejected`] if the translation validator refuses
 /// the transformed program (a pass bug), or [`OptError::EmptyProgram`]
 /// for an empty input.
-pub fn optimize_kernel(
-    name: &str,
-    field: &'static str,
-    program: Program,
-    inputs: Vec<Reg>,
-    facts: KernelFacts,
-    config: &SmspConfig,
-) -> Result<OptimizedKernel, OptError> {
-    let memory = analysis::analyze_memory(
-        &program,
-        &inputs,
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        config,
-    );
+pub fn optimize_kernel(kernel: Kernel, config: &SmspConfig) -> Result<OptimizedKernel, OptError> {
     let opts = OptOptions {
-        inputs: inputs.clone(),
-        contracts: facts.contracts.clone(),
-        hints: facts.hints.clone(),
-        timings: memory.mem_timings(),
+        inputs: kernel.entry_regs(),
+        contracts: kernel.facts.contracts.clone(),
+        hints: kernel.facts.hints.clone(),
+        timings: kernel.memory(config).mem_timings(),
         warps: OPT_WARPS,
         ..OptOptions::default()
     };
-    let optimized = analysis::optimize_with_config(&program, config, &opts)?;
-    Ok(OptimizedKernel {
-        name: name.to_owned(),
-        field,
-        program,
-        inputs,
-        facts,
-        optimized,
-    })
+    let optimized = analysis::optimize_with_config(&kernel.program, config, &opts)?;
+    Ok(OptimizedKernel { kernel, optimized })
 }
 
 /// Optimizes the full kernel zoo for `device`. Panics only if a shipped
@@ -93,56 +56,24 @@ pub fn optimize_kernel(
 /// break, because it means a transform pass silently miscompiled.
 pub fn optimized_zoo(device: &DeviceSpec) -> Vec<OptimizedKernel> {
     let config = SmspConfig::from(device);
-    zoo_entries()
+    catalog()
         .into_iter()
-        .map(|(name, field, program, inputs, facts)| {
-            optimize_kernel(&name, field, program, inputs, facts, &config)
+        .map(|kernel| {
+            let name = kernel.name;
+            optimize_kernel(kernel, &config)
                 .unwrap_or_else(|e| panic!("optimizer rejected shipped kernel {name}: {e}"))
         })
         .collect()
 }
 
-/// The raw zoo: `(name, field, program, inputs, facts)` per kernel,
-/// identical to the `analyze` example's kernel set.
+/// The raw zoo as `(name, field, program, inputs, facts)` tuples: a view
+/// of [`catalog`] for callers that predate the [`Kernel`] record.
 pub fn zoo_entries() -> Vec<(String, &'static str, Program, Vec<Reg>, KernelFacts)> {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
-    let mut zoo: Vec<(String, &'static str, Program, Vec<Reg>, KernelFacts)> = FfOp::all()
+    catalog()
         .into_iter()
-        .map(|op| {
-            let (program, facts) = ff_program_analyzed(&fq, op, 1);
-            (
-                op.name().to_owned(),
-                fq.name,
-                program,
-                ff_program_inputs(op),
-                facts,
-            )
+        .map(|k| {
+            let inputs = k.entry_regs();
+            (k.name.to_owned(), k.field.name, k.program, inputs, k.facts)
         })
-        .collect();
-    let (program, layout, facts) = xyzz_madd_program_analyzed(&fq);
-    zoo.push((
-        "XYZZ madd".to_owned(),
-        fq.name,
-        program,
-        layout.entry_regs(),
-        facts,
-    ));
-    let (program, layout, facts) = butterfly_program_analyzed(&fr);
-    zoo.push((
-        "NTT butterfly".to_owned(),
-        fr.name,
-        program,
-        layout.entry_regs(),
-        facts,
-    ));
-    let (program, layout, facts) = mul_contract_program(&fr);
-    zoo.push((
-        "curve FF_mul".to_owned(),
-        fr.name,
-        program,
-        layout.entry_regs(),
-        facts,
-    ));
-    zoo
+        .collect()
 }

@@ -1,61 +1,49 @@
 //! Static-analysis gate: every kernel the generators emit — all five
-//! `FfOp`s over all four fields, plus both curve kernels — must pass the
+//! `FfOp`s plus both curve kernels, over all four fields — must pass the
 //! `gpu_sim::analysis` lint suite with zero error-severity diagnostics,
 //! and deliberately broken programs must be rejected with diagnostics
 //! naming the pc and register. This is the micro-ISA's substitute for a
-//! compiler front end. Dead-write *warnings* are tolerated on the raw FF
-//! generator output: the CIOS emitter ships the uniform overflow-word
+//! compiler front end. Dead-write *warnings* are tolerated on the raw
+//! generator output: the one CIOS emitter ships the uniform overflow-word
 //! schema and `analysis::opt` removes it with an equivalence certificate
 //! (the optimizer gate asserts the optimized kernels are warning-free).
 
-use gpu_kernels::curveprogs::{butterfly_program, xyzz_madd_program};
-use gpu_kernels::ffprogs::{ff_program, ff_program_inputs, FfOp};
+use gpu_kernels::catalog::{kernels_over, Kernel};
+use gpu_kernels::curveprogs::xyzz_madd_kernel;
+use gpu_kernels::ffprogs::{ff_kernel, ff_program, FfOp};
 use gpu_kernels::field32::Field32;
 use gpu_sim::analysis::{self, LintKind, Severity};
 use gpu_sim::isa::{CmpOp, ProgramBuilder, Src};
-use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
+use gpu_sim::machine::SmspConfig;
+use zkp_ff::Fq381Config;
 
-fn fields() -> Vec<(&'static str, Field32)> {
-    vec![
-        ("Fr381", Field32::of::<Fr381Config, 4>()),
-        ("Fq381", Field32::of::<Fq381Config, 6>()),
-        ("Fr377", Field32::of::<Fr377Config, 4>()),
-        ("Fq377", Field32::of::<Fq377Config, 6>()),
-    ]
+/// The one rule for generator output: no error, and the only tolerated
+/// warning is the dead overflow-word bookkeeping the uniform CIOS schema
+/// emits — which the verified optimizer removes (see
+/// tests/optimizer_gate.rs).
+fn assert_lint_rule(tag: &str, kernel: &Kernel) {
+    let diags = analysis::lint(&kernel.program, &kernel.entry_regs());
+    assert!(
+        diags
+            .iter()
+            .all(|d| d.severity() != Severity::Error && d.kind == LintKind::DeadWrite),
+        "{tag}/{}:\n{}",
+        kernel.name,
+        diags
+            .iter()
+            .map(|d| d.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 #[test]
 fn every_ff_program_is_lint_clean() {
-    for (name, f) in fields() {
+    for f in Field32::supported() {
+        let name = f.name;
         for op in FfOp::all() {
             for iters in [1u32, 4] {
-                let p = ff_program(&f, op, iters);
-                let diags = analysis::lint(&p, &ff_program_inputs(op));
-                let errors: Vec<_> = diags
-                    .iter()
-                    .filter(|d| d.severity() == Severity::Error)
-                    .collect();
-                assert!(
-                    errors.is_empty(),
-                    "{name}/{op:?} iters={iters}:\n{}",
-                    errors
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                );
-                // The only tolerated warning is the dead overflow-word
-                // bookkeeping the uniform CIOS schema emits — which the
-                // verified optimizer removes (see tests/optimizer_gate.rs).
-                assert!(
-                    diags.iter().all(|d| d.kind == LintKind::DeadWrite),
-                    "{name}/{op:?} iters={iters}: unexpected warning:\n{}",
-                    diags
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                );
+                assert_lint_rule(&format!("{name} iters={iters}"), &ff_kernel(&f, op, iters));
             }
         }
     }
@@ -63,29 +51,11 @@ fn every_ff_program_is_lint_clean() {
 
 #[test]
 fn curve_programs_are_lint_clean() {
-    for (name, f) in fields() {
-        let (p, layout) = xyzz_madd_program(&f);
-        let diags = analysis::lint(&p, &layout.entry_regs());
-        assert!(
-            diags.is_empty(),
-            "{name}/xyzz_madd:\n{}",
-            diags
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        let (p, layout) = butterfly_program(&f);
-        let diags = analysis::lint(&p, &layout.entry_regs());
-        assert!(
-            diags.is_empty(),
-            "{name}/butterfly:\n{}",
-            diags
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+    for f in Field32::supported() {
+        let name = f.name;
+        for kernel in kernels_over(&f, &f) {
+            assert_lint_rule(name, &kernel);
+        }
     }
 }
 
@@ -93,14 +63,14 @@ fn curve_programs_are_lint_clean() {
 fn declared_inputs_match_inferred_entry_liveness() {
     // The analyzer's entry-live set must be exactly the declared pointer
     // parameters — no forgotten input, no over-declared one.
-    for (name, f) in fields() {
-        for op in FfOp::all() {
-            let p = ff_program(&f, op, 2);
-            let mut inferred = analysis::entry_live_registers(&p);
+    for f in Field32::supported() {
+        let name = f.name;
+        for k in kernels_over(&f, &f) {
+            let mut inferred = analysis::entry_live_registers(&k.program);
             inferred.sort_unstable();
-            let mut declared = ff_program_inputs(op);
+            let mut declared = k.entry_regs();
             declared.sort_unstable();
-            assert_eq!(inferred, declared, "{name}/{op:?}");
+            assert_eq!(inferred, declared, "{name}/{}", k.name);
         }
     }
 }
@@ -161,7 +131,8 @@ fn ff_mul_static_mix_regression() {
     // Satellite check: the analyzer's IMAD share for FF_mul must agree
     // with Program::static_mix and stay in the paper's ~70% ballpark
     // (Table VI: FF_mul is 70.8% IMAD).
-    for (name, f) in fields() {
+    for f in Field32::supported() {
+        let name = f.name;
         let p = ff_program(&f, FfOp::Mul, 1);
         let metrics = analysis::analyze(&p).metrics;
         let mix = p.static_mix();
@@ -186,21 +157,17 @@ fn lint_strict_surfaces_memory_lints_with_severity() {
     // scattered MSM bucket case): the default suite stays quiet about it,
     // the opt-in strict suite reports every access as an uncoalesced
     // warning, and no error-severity diagnostic appears either way.
-    use gpu_kernels::curveprogs::xyzz_madd_program_analyzed;
-    use gpu_sim::machine::SmspConfig;
+    let k = xyzz_madd_kernel(&Field32::of::<Fq381Config, 6>());
+    let (p, facts, inputs) = (&k.program, &k.facts, k.entry_regs());
 
-    let f = Field32::of::<Fq381Config, 6>();
-    let (p, layout, facts) = xyzz_madd_program_analyzed(&f);
-    let inputs = layout.entry_regs();
-
-    let base = analysis::lint(&p, &inputs);
+    let base = analysis::lint(p, &inputs);
     assert!(
         base.iter().all(|d| d.kind != LintKind::UncoalescedAccess),
         "memory lints must be opt-in"
     );
 
     let strict = analysis::lint_strict(
-        &p,
+        p,
         &inputs,
         &facts.contracts,
         &facts.assumptions,

@@ -19,9 +19,8 @@
 //!    the uncoalesced lint fires), and a load past a may-aliasing store
 //!    is *not* reported redundant.
 
-use gpu_kernels::curveprogs::{butterfly_program_analyzed, xyzz_madd_program_analyzed};
-use gpu_kernels::ffprogs::{ff_program_analyzed, ff_program_inputs};
-use gpu_kernels::microbench::{run_ff_op, FfInputs};
+use gpu_kernels::catalog::{catalog, launch, random_operands, Layout};
+use gpu_kernels::ffprogs::ff_kernel;
 use gpu_kernels::{FfOp, Field32};
 use gpu_sim::analysis::{
     analyze_memory, AccessPattern, LintKind, MemContracts, RangeAssumptions, ScheduleHints,
@@ -31,19 +30,9 @@ use gpu_sim::isa::{Program, ProgramBuilder, Src};
 use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
 
 fn generations() -> [DeviceSpec; 3] {
     [v100(), a100(), h100()]
-}
-
-fn fields() -> Vec<(&'static str, Field32)> {
-    vec![
-        ("Fr381", Field32::of::<Fr381Config, 4>()),
-        ("Fq381", Field32::of::<Fq381Config, 6>()),
-        ("Fr377", Field32::of::<Fr377Config, 4>()),
-        ("Fq377", Field32::of::<Fq377Config, 6>()),
-    ]
 }
 
 /// Every FF kernel: fully coalesced, lint-clean, and byte-exact against
@@ -52,25 +41,19 @@ fn fields() -> Vec<(&'static str, Field32)> {
 fn ff_kernels_are_fully_coalesced_and_byte_exact() {
     for device in &generations() {
         let config = SmspConfig::from(device);
-        for (fname, field) in &fields() {
+        for field in &Field32::supported() {
+            let fname = field.name;
             for op in FfOp::all() {
-                let (program, facts) = ff_program_analyzed(field, op, 1);
-                let mem = analyze_memory(
-                    &program,
-                    &ff_program_inputs(op),
-                    &facts.contracts,
-                    &facts.assumptions,
-                    &facts.hints,
-                    &config,
-                );
+                let kernel = ff_kernel(field, op, 1);
+                let mem = kernel.memory(&config);
                 assert!(mem.exact, "{op:?} {fname}");
                 assert!(mem.lints.is_empty(), "{op:?} {fname}: {:?}", mem.lints);
                 for a in &mem.accesses {
                     assert_eq!(a.pattern, AccessPattern::Coalesced, "{op:?} {fname}");
                 }
                 for warps in [1usize, 2, 8] {
-                    let inputs = FfInputs::random(field, warps, 3 + warps as u64);
-                    let sim = run_ff_op(field, op, &config, &inputs, warps, 1).sim;
+                    let operands = random_operands(&kernel, warps, 3 + warps as u64);
+                    let sim = launch(&kernel, &kernel.program, &config, warps, &operands).sim;
                     let w = warps as u64;
                     let tag = format!("{} {fname} x{warps}w on {}", op.name(), device.name);
                     assert_eq!(mem.transactions_per_warp * w, sim.mem_transactions, "{tag}");
@@ -94,111 +77,42 @@ fn ff_kernels_are_fully_coalesced_and_byte_exact() {
     }
 }
 
-fn random_canonical(field: &Field32, rng: &mut StdRng) -> Vec<u32> {
-    loop {
-        let cand: Vec<u32> = (0..field.num_limbs()).map(|_| rng.gen()).collect();
-        let below = cand
-            .iter()
-            .rev()
-            .zip(field.modulus.iter().rev())
-            .find_map(|(c, p)| (c != p).then_some(c < p))
-            .unwrap_or(false);
-        if below {
-            return cand;
-        }
-    }
-}
-
 /// The curve kernels keep the paper's scattered AoS layout: strided but
 /// affine, so the static traffic prediction is still exact.
 #[test]
 fn curve_kernels_are_strided_but_exact() {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
     let config = SmspConfig::default();
-    let mut rng = StdRng::seed_from_u64(5);
-
-    // XYZZ madd over per-thread (bucket, point) pairs.
-    let (program, layout, facts) = xyzz_madd_program_analyzed(&fq);
-    let n = fq.num_limbs();
-    let words_bucket = 4 * n;
-    let words_point = 2 * n;
-    let mut machine = Machine::new(config.clone(), 32 * (words_bucket + words_point));
-    let point_base = 32 * words_bucket;
-    for t in 0..32 {
-        for k in 0..4 {
-            let v = random_canonical(&fq, &mut rng);
-            let base = t * words_bucket + k * n;
-            machine.global_mem[base..base + n].copy_from_slice(&v);
-        }
-        for k in 0..2 {
-            let v = random_canonical(&fq, &mut rng);
-            let base = point_base + t * words_point + k * n;
-            machine.global_mem[base..base + n].copy_from_slice(&v);
-        }
+    let curve: Vec<_> = catalog()
+        .into_iter()
+        .filter(|k| k.layout == Layout::Aos)
+        .collect();
+    assert_eq!(curve.len(), 2);
+    for kernel in curve {
+        let operands = random_operands(&kernel, 1, 5);
+        let sim = launch(&kernel, &kernel.program, &config, 1, &operands).sim;
+        let mem = kernel.memory(&config);
+        assert!(mem.exact, "{}", kernel.name);
+        assert!(
+            mem.accesses
+                .iter()
+                .all(|a| matches!(a.pattern, AccessPattern::Strided(_))),
+            "{}",
+            kernel.name
+        );
+        assert_eq!(
+            mem.transactions_per_warp, sim.mem_transactions,
+            "{}",
+            kernel.name
+        );
+        assert_eq!(mem.bytes_per_warp(), sim.dram_bytes(), "{}", kernel.name);
+        assert!(
+            mem.lints
+                .iter()
+                .any(|l| l.kind == LintKind::UncoalescedAccess),
+            "{}",
+            kernel.name
+        );
     }
-    let mut init = WarpInit::default();
-    let mut addr_bucket = [0u32; 32];
-    let mut addr_point = [0u32; 32];
-    for t in 0..32 {
-        addr_bucket[t] = (t * words_bucket) as u32;
-        addr_point[t] = (point_base + t * words_point) as u32;
-    }
-    init.per_thread(layout.addr_bucket as usize, addr_bucket);
-    init.per_thread(layout.addr_point as usize, addr_point);
-    let sim = machine.run(&program, &[init]);
-    let mem = analyze_memory(
-        &program,
-        &layout.entry_regs(),
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        &config,
-    );
-    assert!(mem.exact, "xyzz");
-    assert!(mem
-        .accesses
-        .iter()
-        .all(|a| matches!(a.pattern, AccessPattern::Strided(_))));
-    assert_eq!(mem.transactions_per_warp, sim.mem_transactions, "xyzz");
-    assert_eq!(mem.bytes_per_warp(), sim.dram_bytes(), "xyzz");
-    assert!(mem
-        .lints
-        .iter()
-        .any(|l| l.kind == LintKind::UncoalescedAccess));
-
-    // NTT butterfly over three element banks.
-    let (program, layout, facts) = butterfly_program_analyzed(&fr);
-    let n = fr.num_limbs();
-    let mut machine = Machine::new(config.clone(), 32 * 3 * n);
-    for t in 0..32 {
-        for base in [0usize, 32 * n, 64 * n] {
-            let v = random_canonical(&fr, &mut rng);
-            machine.global_mem[base + t * n..base + (t + 1) * n].copy_from_slice(&v);
-        }
-    }
-    let mut init = WarpInit::default();
-    let mut addr = [[0u32; 32]; 3];
-    for (bank, base) in addr.iter_mut().zip([0usize, 32 * n, 64 * n]) {
-        for (t, slot) in bank.iter_mut().enumerate() {
-            *slot = (base + t * n) as u32;
-        }
-    }
-    init.per_thread(layout.addr_a as usize, addr[0]);
-    init.per_thread(layout.addr_b as usize, addr[1]);
-    init.per_thread(layout.addr_w as usize, addr[2]);
-    let sim = machine.run(&program, &[init]);
-    let mem = analyze_memory(
-        &program,
-        &layout.entry_regs(),
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        &config,
-    );
-    assert!(mem.exact, "butterfly");
-    assert_eq!(mem.transactions_per_warp, sim.mem_transactions, "butterfly");
-    assert_eq!(mem.bytes_per_warp(), sim.dram_bytes(), "butterfly");
 }
 
 /// A synthetic straight-line kernel with `loads` LDGs and `stores` STGs

@@ -3,9 +3,9 @@
 //! near 56) and against the occupancy model: feeding the inferred pressure
 //! into `occupancy()` must reproduce the documented limiter story.
 
-use gpu_kernels::curveprogs::{butterfly_program, xyzz_madd_program};
+use gpu_kernels::curveprogs::{butterfly_kernel, xyzz_madd_kernel};
 use gpu_kernels::field32::Field32;
-use gpu_sim::analysis;
+use gpu_sim::analysis::{self, StaticMetrics};
 use gpu_sim::device::a40;
 use gpu_sim::occupancy::{occupancy, registers_per_thread_from, LaunchConfig};
 use zkp_ff::{Fq381Config, Fr381Config};
@@ -13,17 +13,17 @@ use zkp_ff::{Fq381Config, Fr381Config};
 #[test]
 fn inferred_pressure_is_consistent_with_documented_figures() {
     let fq = Field32::of::<Fq381Config, 6>();
-    let (madd, madd_layout) = xyzz_madd_program(&fq);
+    let madd = xyzz_madd_kernel(&fq).program;
     let fr = Field32::of::<Fr381Config, 4>();
-    let (bfly, bfly_layout) = butterfly_program(&fr);
+    let bfly = butterfly_kernel(&fr).program;
 
     let madd_live = registers_per_thread_from(&madd);
     let bfly_live = registers_per_thread_from(&bfly);
 
     // Max-live is a lower bound on any allocation; it can never exceed the
     // registers the generator actually touched.
-    assert!(madd_live <= u32::from(madd_layout.registers_used));
-    assert!(bfly_live <= u32::from(bfly_layout.registers_used));
+    assert!(madd_live <= StaticMetrics::compute(&madd).registers_touched);
+    assert!(bfly_live <= StaticMetrics::compute(&bfly).registers_touched);
 
     // The MSM kernel's pressure is genuinely high (three-digit, like the
     // paper's 228–244 allocations) and the NTT butterfly's genuinely low
@@ -47,7 +47,7 @@ fn inferred_pressure_reproduces_the_register_limiter() {
     // analyzer-inferred pressure must agree on the limiter.
     let d = a40();
     let fq = Field32::of::<Fq381Config, 6>();
-    let (madd, _) = xyzz_madd_program(&fq);
+    let madd = xyzz_madd_kernel(&fq).program;
 
     let documented = LaunchConfig {
         blocks: 84,
@@ -69,7 +69,7 @@ fn inferred_pressure_reproduces_the_register_limiter() {
     // The butterfly is the counterpoint: low pressure, high occupancy,
     // not register limited.
     let fr = Field32::of::<Fr381Config, 4>();
-    let (bfly, _) = butterfly_program(&fr);
+    let bfly = butterfly_kernel(&fr).program;
     let occ_bfly = occupancy(&d, &LaunchConfig::for_program(&bfly, 168, 128, 0));
     assert_ne!(occ_bfly.limiter, "registers");
     assert!(occ_bfly.theoretical > 0.75);
@@ -78,7 +78,7 @@ fn inferred_pressure_reproduces_the_register_limiter() {
 #[test]
 fn inferred_pressure_matches_liveness_by_construction() {
     let fq = Field32::of::<Fq381Config, 6>();
-    let (p, _) = xyzz_madd_program(&fq);
+    let p = xyzz_madd_kernel(&fq).program;
     assert_eq!(
         registers_per_thread_from(&p),
         analysis::max_live_registers(&p)

@@ -15,10 +15,10 @@
 //! (the simulator produces bit-identical results for original and
 //! optimized kernels across random input seeds and thread counts).
 
-use gpu_kernels::ffprogs::{ff_program_analyzed, FfOp};
+use gpu_kernels::catalog::{catalog, launch, random_operands};
+use gpu_kernels::ffprogs::{ff_kernel, FfOp};
 use gpu_kernels::field32::Field32;
-use gpu_kernels::microbench::{run_ff_program, FfInputs};
-use gpu_kernels::optimized::{optimize_kernel, zoo_entries, OPT_WARPS};
+use gpu_kernels::optimized::{optimize_kernel, OPT_WARPS};
 use gpu_sim::analysis::dataflow::{instr_defs, instr_uses};
 use gpu_sim::analysis::{validate, RegMap, Resource};
 use gpu_sim::isa::{Instr, Program, Src};
@@ -199,8 +199,10 @@ fn reorder_mutants(instrs: &[Instr]) -> Vec<(usize, String, Vec<Instr>)> {
 #[test]
 fn randomized_mutations_are_rejected_on_every_kernel() {
     let mut rejected = 0usize;
-    for (idx, (name, _field, program, _inputs, facts)) in zoo_entries().into_iter().enumerate() {
-        let instrs: Vec<Instr> = (0..program.len()).map(|pc| program.fetch(pc)).collect();
+    let zoo = catalog();
+    for (idx, kernel) in zoo.iter().enumerate() {
+        let (name, program, facts) = (kernel.name, &kernel.program, &kernel.facts);
+        let instrs = instr_seq(program);
         let n_regs = program.len(); // generous register universe bound
         let identity = RegMap::identity(n_regs);
 
@@ -231,7 +233,7 @@ fn randomized_mutations_are_rejected_on_every_kernel() {
             }
             for (pc, _, mutated) in sites.into_iter().take(PICKS_PER_CLASS) {
                 let mutant = Program::from_instrs(mutated.clone());
-                let verdict = validate(&program, &mutant, &identity, &facts.contracts, 32);
+                let verdict = validate(program, &mutant, &identity, &facts.contracts, 32);
                 assert!(
                     verdict.is_err(),
                     "{name}: {class} at pc {pc} was ACCEPTED — validator soundness hole"
@@ -243,7 +245,7 @@ fn randomized_mutations_are_rejected_on_every_kernel() {
     // Every kernel has stores and loads; the suite must have exercised
     // a meaningful number of mutants, not vacuously passed.
     assert!(
-        rejected >= 8 * 2 * PICKS_PER_CLASS,
+        rejected >= zoo.len() * 2 * PICKS_PER_CLASS,
         "only {rejected} mutants tried"
     );
 }
@@ -253,12 +255,11 @@ fn randomized_mutations_are_rejected_on_every_kernel() {
 /// that rejects everything.
 #[test]
 fn identity_roundtrip_still_validates() {
-    for (name, _field, program, _inputs, facts) in zoo_entries() {
-        let instrs: Vec<Instr> = (0..program.len()).map(|pc| program.fetch(pc)).collect();
-        let copy = Program::from_instrs(instrs);
-        let identity = RegMap::identity(program.len());
-        validate(&program, &copy, &identity, &facts.contracts, 32)
-            .unwrap_or_else(|e| panic!("{name}: identity copy rejected: {e}"));
+    for k in catalog() {
+        let copy = Program::from_instrs(instr_seq(&k.program));
+        let identity = RegMap::identity(k.program.len());
+        validate(&k.program, &copy, &identity, &k.facts.contracts, 32)
+            .unwrap_or_else(|e| panic!("{}: identity copy rejected: {e}", k.name));
     }
 }
 
@@ -267,40 +268,23 @@ fn fr() -> Field32 {
 }
 
 fn optimize_ff(op: FfOp, warps: u32) -> gpu_sim::analysis::Optimized {
-    let f = fr();
-    let (program, facts) = ff_program_analyzed(&f, op, 1);
-    let inputs = gpu_kernels::ffprogs::ff_program_inputs(op);
-    let mut k = optimize_kernel(
-        op.name(),
-        f.name,
-        program,
-        inputs,
-        facts,
-        &SmspConfig::default(),
-    )
-    .expect("shipped kernel must optimize");
+    let config = SmspConfig::default();
+    let mut k =
+        optimize_kernel(ff_kernel(&fr(), op, 1), &config).expect("shipped kernel must optimize");
     // `optimize_kernel` models OPT_WARPS; re-run at the requested count
     // only matters for predictions, which determinism must ignore.
     if warps != OPT_WARPS {
-        let memory = gpu_sim::analysis::analyze_memory(
-            &k.program,
-            &k.inputs,
-            &k.facts.contracts,
-            &k.facts.assumptions,
-            &k.facts.hints,
-            &SmspConfig::default(),
-        );
+        let kernel = &k.kernel;
         let opts = gpu_sim::analysis::OptOptions {
-            inputs: k.inputs.clone(),
-            contracts: k.facts.contracts.clone(),
-            hints: k.facts.hints.clone(),
-            timings: memory.mem_timings(),
+            inputs: kernel.entry_regs(),
+            contracts: kernel.facts.contracts.clone(),
+            hints: kernel.facts.hints.clone(),
+            timings: kernel.memory(&config).mem_timings(),
             warps,
             ..Default::default()
         };
-        k.optimized =
-            gpu_sim::analysis::optimize_with_config(&k.program, &SmspConfig::default(), &opts)
-                .expect("re-optimize");
+        k.optimized = gpu_sim::analysis::optimize_with_config(&kernel.program, &config, &opts)
+            .expect("re-optimize");
     }
     k.optimized
 }
@@ -328,14 +312,12 @@ proptest! {
     /// random input seeds and resident-warp counts.
     #[test]
     fn optimized_outputs_bit_identical(seed in 0u64..1 << 32, warps in 1usize..=4) {
-        let f = fr();
-        let op = FfOp::Mul;
-        let (program, _) = ff_program_analyzed(&f, op, 1);
-        let optimized = optimize_ff(op, OPT_WARPS);
+        let kernel = ff_kernel(&fr(), FfOp::Mul, 1);
+        let optimized = optimize_ff(FfOp::Mul, OPT_WARPS);
         let config = SmspConfig::default();
-        let inputs = FfInputs::random(&f, warps, seed);
-        let before = run_ff_program(&program, &f, op, &config, &inputs, warps, 1);
-        let after = run_ff_program(&optimized.program, &f, op, &config, &inputs, warps, 1);
-        prop_assert_eq!(before.outputs, after.outputs);
+        let operands = random_operands(&kernel, warps, seed);
+        let before = launch(&kernel, &kernel.program, &config, warps, &operands);
+        let after = launch(&kernel, &optimized.program, &config, warps, &operands);
+        prop_assert_eq!(before.regions, after.regions);
     }
 }

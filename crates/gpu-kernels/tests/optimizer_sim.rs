@@ -1,78 +1,50 @@
 //! Simulator confirmation of the verified optimizer: for every shipped
-//! zoo kernel, the optimized program must produce bit-identical outputs
-//! to the original on the cycle-level simulator — the FF ops across all
-//! four fields (Fr381, Fq381, Fr377, Fq377), and the curve kernels on
-//! real BLS12-381 points. The translation validator's certificate claims
-//! observational equivalence; this suite checks that claim against the
-//! machine the rest of the repo measures with.
+//! kernel, the optimized program must leave bit-identical memory to the
+//! original on the cycle-level simulator — the FF ops across all four
+//! fields (Fr381, Fq381, Fr377, Fq377) and both curve kernels, launched
+//! from the same recipe on the same random canonical operands. The
+//! translation validator's certificate claims observational equivalence;
+//! this suite checks that claim against the machine the rest of the repo
+//! measures with.
 
-use gpu_kernels::curveprogs::{
-    butterfly_program_analyzed, mul_contract_program, xyzz_madd_program_analyzed,
-};
-use gpu_kernels::ffprogs::{ff_program_analyzed, ff_program_inputs, FfOp, KernelFacts};
-use gpu_kernels::microbench::{run_ff_program, FfInputs};
+use gpu_kernels::catalog::{launch, random_operands, Kernel};
+use gpu_kernels::curveprogs::{butterfly_kernel, xyzz_madd_kernel};
+use gpu_kernels::ffprogs::{ff_kernel, FfOp};
 use gpu_kernels::optimized::optimize_kernel;
-use gpu_kernels::{split_limbs, Field32};
-use gpu_sim::isa::Program;
-use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
-use rand::{rngs::StdRng, SeedableRng};
-use zkp_curves::bls12_381::G1;
-use zkp_curves::{Affine, Jacobian, SwCurve, Xyzz};
-use zkp_ff::{Field, Fq377Config, Fq381Config, Fr377Config, Fr381, Fr381Config};
+use gpu_kernels::Field32;
+use gpu_sim::machine::SmspConfig;
+use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
 
-/// Runs the verified optimizer on one kernel, panicking on rejection.
-fn optimized(
-    name: &str,
-    field: &Field32,
-    program: &Program,
-    inputs: Vec<u16>,
-    facts: KernelFacts,
-) -> Program {
-    optimize_kernel(
-        name,
-        field.name,
-        program.clone(),
-        inputs,
-        facts,
-        &SmspConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: optimizer rejected shipped kernel: {e}"))
-    .optimized
-    .program
-}
-
-/// Runs `program` on a fresh machine seeded with `mem` and the given
-/// per-thread pointer registers, returning the final global memory.
-fn run_with_pointers(program: &Program, mem: &[u32], pointers: &[(u16, [u32; 32])]) -> Vec<u32> {
-    let mut machine = Machine::new(SmspConfig::default(), mem.len());
-    machine.global_mem.copy_from_slice(mem);
-    let mut init = WarpInit::default();
-    for (reg, values) in pointers {
-        init.per_thread(*reg as usize, *values);
-    }
-    let sim = machine.run(program, &[init]);
-    assert!(sim.instructions > 0, "kernel executed nothing");
-    machine.global_mem
-}
-
-/// FF ops, all four fields: identical `FfInputs` through the original
-/// and optimized programs must leave identical per-lane outputs.
-fn ff_bit_identical(field: &Field32, seed: u64) {
-    let warps = 2;
+/// Identical operands through the original and the optimized program must
+/// leave identical regions behind.
+fn bit_identical(kernel: Kernel, warps: usize, seed: u64) {
     let config = SmspConfig::default();
+    let tag = format!("{} {}", kernel.field.name, kernel.name);
+    let optimized = optimize_kernel(kernel.clone(), &config)
+        .unwrap_or_else(|e| panic!("{tag}: optimizer rejected shipped kernel: {e}"))
+        .optimized
+        .program;
+    let operands = random_operands(&kernel, warps, seed);
+    let before = launch(&kernel, &kernel.program, &config, warps, &operands);
+    let after = launch(&kernel, &optimized, &config, warps, &operands);
+    assert_eq!(
+        before.regions, after.regions,
+        "{tag}: optimized kernel diverged from original"
+    );
+    // An output-only region is seeded with zeros.
+    let wrote = before.regions.iter().zip(&operands).any(|(end, seeded)| {
+        if seeded.is_empty() {
+            end.iter().flatten().any(|word| *word != 0)
+        } else {
+            end != seeded
+        }
+    });
+    assert!(wrote, "{tag}: kernel wrote nothing");
+}
+
+fn ff_bit_identical(field: &Field32, seed: u64) {
     for op in FfOp::all() {
-        let (program, facts) = ff_program_analyzed(field, op, 1);
-        let opt = optimized(op.name(), field, &program, ff_program_inputs(op), facts);
-        let inputs = FfInputs::random(field, warps, seed);
-        let before = run_ff_program(&program, field, op, &config, &inputs, warps, 1);
-        let after = run_ff_program(&opt, field, op, &config, &inputs, warps, 1);
-        assert_eq!(
-            before.outputs,
-            after.outputs,
-            "{} {}: optimized kernel diverged from original",
-            field.name,
-            op.name()
-        );
+        bit_identical(ff_kernel(field, op, 1), 2, seed);
     }
 }
 
@@ -96,125 +68,12 @@ fn ff_ops_bit_identical_fq377() {
     ff_bit_identical(&Field32::of::<Fq377Config, 6>(), 4);
 }
 
-fn random_point(seed: u64) -> Affine<G1> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Jacobian::from(G1::generator())
-        .mul_scalar(&Fr381::random(&mut rng))
-        .to_affine()
-}
-
 #[test]
 fn xyzz_madd_bit_identical() {
-    let field = Field32::of::<Fq381Config, 6>();
-    let n = field.num_limbs();
-    let (program, layout, facts) = xyzz_madd_program_analyzed(&field);
-    let opt = optimized("XYZZ madd", &field, &program, layout.entry_regs(), facts);
-
-    let words_bucket = 4 * n;
-    let words_point = 2 * n;
-    let point_base = (32 * words_bucket) as u32;
-    let mut mem = vec![0u32; 32 * (words_bucket + words_point)];
-    let mut addr_bucket = [0u32; 32];
-    let mut addr_point = [0u32; 32];
-    for t in 0..32 {
-        let b = Xyzz::from(random_point(13 + t as u64)).double();
-        let base = t * words_bucket;
-        for (k, coord) in [b.x, b.y, b.zz, b.zzz].into_iter().enumerate() {
-            mem[base + k * n..base + (k + 1) * n]
-                .copy_from_slice(&split_limbs(coord.montgomery_repr().limbs()));
-        }
-        let p = random_point(11_000 + t as u64);
-        let base = point_base as usize + t * words_point;
-        for (k, coord) in [p.x, p.y].into_iter().enumerate() {
-            mem[base + k * n..base + (k + 1) * n]
-                .copy_from_slice(&split_limbs(coord.montgomery_repr().limbs()));
-        }
-        addr_bucket[t] = (t * words_bucket) as u32;
-        addr_point[t] = point_base + (t * words_point) as u32;
-    }
-    let pointers = [
-        (layout.addr_bucket, addr_bucket),
-        (layout.addr_point, addr_point),
-    ];
-    let before = run_with_pointers(&program, &mem, &pointers);
-    let after = run_with_pointers(&opt, &mem, &pointers);
-    assert_eq!(before, after, "XYZZ madd: optimized kernel diverged");
-    assert_ne!(before, mem, "kernel wrote nothing");
+    bit_identical(xyzz_madd_kernel(&Field32::of::<Fq381Config, 6>()), 1, 13);
 }
 
 #[test]
 fn butterfly_bit_identical() {
-    let field = Field32::of::<Fr381Config, 4>();
-    let n = field.num_limbs();
-    let (program, layout, facts) = butterfly_program_analyzed(&field);
-    let opt = optimized(
-        "NTT butterfly",
-        &field,
-        &program,
-        layout.entry_regs(),
-        facts,
-    );
-
-    let mut rng = StdRng::seed_from_u64(11);
-    let b_base = (32 * n) as u32;
-    let w_base = 2 * b_base;
-    let mut mem = vec![0u32; 32 * 3 * n];
-    let mut addr_a = [0u32; 32];
-    let mut addr_b = [0u32; 32];
-    let mut addr_w = [0u32; 32];
-    for t in 0..32 {
-        for region in [0u32, b_base, w_base] {
-            let base = region as usize + t * n;
-            mem[base..base + n].copy_from_slice(&split_limbs(
-                Fr381::random(&mut rng).montgomery_repr().limbs(),
-            ));
-        }
-        addr_a[t] = (t * n) as u32;
-        addr_b[t] = b_base + (t * n) as u32;
-        addr_w[t] = w_base + (t * n) as u32;
-    }
-    let pointers = [
-        (layout.addr_a, addr_a),
-        (layout.addr_b, addr_b),
-        (layout.addr_w, addr_w),
-    ];
-    let before = run_with_pointers(&program, &mem, &pointers);
-    let after = run_with_pointers(&opt, &mem, &pointers);
-    assert_eq!(before, after, "NTT butterfly: optimized kernel diverged");
-    assert_ne!(before, mem, "kernel wrote nothing");
-}
-
-#[test]
-fn mul_contract_bit_identical() {
-    let field = Field32::of::<Fr377Config, 4>();
-    let n = field.num_limbs();
-    let (program, layout, facts) = mul_contract_program(&field);
-    let opt = optimized("curve FF_mul", &field, &program, layout.entry_regs(), facts);
-
-    let mut rng = StdRng::seed_from_u64(17);
-    let y_base = (32 * n) as u32;
-    let out_base = 2 * y_base;
-    let mut mem = vec![0u32; 32 * 3 * n];
-    let mut addr_x = [0u32; 32];
-    let mut addr_y = [0u32; 32];
-    let mut addr_out = [0u32; 32];
-    for t in 0..32 {
-        for region in [0u32, y_base] {
-            let base = region as usize + t * n;
-            let v = zkp_ff::Fr377::random(&mut rng);
-            mem[base..base + n].copy_from_slice(&split_limbs(v.montgomery_repr().limbs()));
-        }
-        addr_x[t] = (t * n) as u32;
-        addr_y[t] = y_base + (t * n) as u32;
-        addr_out[t] = out_base + (t * n) as u32;
-    }
-    let pointers = [
-        (layout.addr_x, addr_x),
-        (layout.addr_y, addr_y),
-        (layout.addr_out, addr_out),
-    ];
-    let before = run_with_pointers(&program, &mem, &pointers);
-    let after = run_with_pointers(&opt, &mem, &pointers);
-    assert_eq!(before, after, "curve FF_mul: optimized kernel diverged");
-    assert_ne!(before, mem, "kernel wrote nothing");
+    bit_identical(butterfly_kernel(&Field32::of::<Fr381Config, 4>()), 1, 11);
 }

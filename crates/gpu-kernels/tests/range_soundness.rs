@@ -4,9 +4,10 @@
 //!    execution of every FF kernel stores lies inside the statically
 //!    inferred [`StoreBound`] interval, on all four supported fields.
 //! 2. **The `< 2p` Montgomery contract**: the analyzer proves the CIOS
-//!    accumulator of *both* generators — `ffprogs::emit_cios` and the
-//!    curve kernels' private `ff_mul` copy — stays below `2p` before the
-//!    final conditional reduction, for every supported field.
+//!    accumulator stays below `2p` before the final conditional reduction
+//!    in the programs of *both* generators — the `ffprogs` microbenchmarks
+//!    and the `curveprogs` kernels, which compose the same
+//!    `FfEmitter::mul` — for every supported field.
 //! 3. **The gate actually fires**: a deliberately broken kernel (a carry
 //!    chain whose `IADD3.CC` can produce a two-bit carry) raises
 //!    `PossibleOverflow`.
@@ -18,26 +19,15 @@
 //! Overflow-freedom needs no such restriction and is checked at
 //! `iters = 4` too.
 
-use gpu_kernels::curveprogs::{
-    butterfly_program_analyzed, mul_contract_program, xyzz_madd_program_analyzed,
-};
-use gpu_kernels::ffprogs::{ff_program_analyzed, regs, LIMB_STRIDE_WORDS};
+use gpu_kernels::catalog::kernels_over;
+use gpu_kernels::ffprogs::{ff_kernel, regs, LIMB_STRIDE_WORDS};
 use gpu_kernels::microbench::{run_ff_op, FfInputs};
 use gpu_kernels::{FfOp, Field32};
 use gpu_sim::analysis::{analyze_ranges, LintKind};
 use gpu_sim::isa::{ProgramBuilder, Src};
 use gpu_sim::machine::SmspConfig;
 use proptest::prelude::*;
-use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
-
-fn fields() -> Vec<(&'static str, Field32)> {
-    vec![
-        ("Fr381", Field32::of::<Fr381Config, 4>()),
-        ("Fq381", Field32::of::<Fq381Config, 6>()),
-        ("Fr377", Field32::of::<Fr377Config, 4>()),
-        ("Fq377", Field32::of::<Fq377Config, 6>()),
-    ]
-}
+use zkp_ff::Fr381Config;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -46,10 +36,10 @@ proptest! {
     #[test]
     fn ff_outputs_stay_inside_inferred_intervals(seed in 0u64..1 << 48, iters in 1u32..3) {
         let config = SmspConfig::default();
-        for (fname, field) in &fields() {
+        for field in &Field32::supported() {
+            let fname = field.name;
             for op in FfOp::all() {
-                let (program, facts) = ff_program_analyzed(field, op, iters);
-                let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
+                let ra = ff_kernel(field, op, iters).ranges();
                 prop_assert!(ra.is_clean(), "{op:?} {fname}: {:?}", ra.diagnostics);
 
                 let inputs = FfInputs::random(field, 1, seed);
@@ -74,50 +64,41 @@ proptest! {
     }
 }
 
-/// Both CIOS generators' `< 2p` obligations prove on all four fields.
+/// Both generators' `< 2p` obligations prove on all four fields: one per
+/// canonical-input multiply — `FF_mul`, `FF_sqr`, the butterfly's `ω·b`,
+/// and the XYZZ madd's `U2` and `S2`.
 #[test]
 fn cios_output_bound_proves_for_both_generators_on_all_fields() {
-    for (fname, field) in &fields() {
-        // Generator 1: ffprogs::emit_cios, via FF_mul and FF_sqr.
-        for op in [FfOp::Mul, FfOp::Sqr] {
-            let (program, facts) = ff_program_analyzed(field, op, 1);
-            assert_eq!(facts.obligations.len(), 1, "{op:?} {fname}");
-            let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
+    for field in &Field32::supported() {
+        let fname = field.name;
+        let mut obligations = Vec::new();
+        for kernel in kernels_over(field, field) {
+            let ra = kernel.ranges();
             assert!(
                 ra.diagnostics.is_empty(),
-                "{op:?} {fname}: {:?}",
+                "{} {fname}: {:?}",
+                kernel.name,
                 ra.diagnostics
             );
-            assert_eq!(ra.proved.len(), 1, "{op:?} {fname}");
+            assert_eq!(
+                ra.proved.len(),
+                kernel.facts.obligations.len(),
+                "{} {fname}",
+                kernel.name
+            );
+            obligations.push((kernel.name, ra.proved.len()));
         }
-        // Generator 2: curveprogs' private ff_mul, in isolation and in
-        // both curve kernels where its operands are canonical loads.
-        let (program, _, facts) = mul_contract_program(field);
-        let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
-        assert!(
-            ra.diagnostics.is_empty(),
-            "contract {fname}: {:?}",
-            ra.diagnostics
+        obligations.retain(|(_, proved)| *proved > 0);
+        assert_eq!(
+            obligations,
+            [
+                ("FF_mul", 1),
+                ("FF_sqr", 1),
+                ("XYZZ madd", 2),
+                ("NTT butterfly", 1)
+            ],
+            "{fname}"
         );
-        assert_eq!(ra.proved.len(), 1, "contract {fname}");
-
-        let (program, _, facts) = butterfly_program_analyzed(field);
-        let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
-        assert!(
-            ra.diagnostics.is_empty(),
-            "butterfly {fname}: {:?}",
-            ra.diagnostics
-        );
-        assert_eq!(ra.proved.len(), 1, "butterfly {fname}");
-
-        let (program, _, facts) = xyzz_madd_program_analyzed(field);
-        let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
-        assert!(
-            ra.diagnostics.is_empty(),
-            "xyzz {fname}: {:?}",
-            ra.diagnostics
-        );
-        assert_eq!(ra.proved.len(), 2, "xyzz {fname}");
     }
 }
 
@@ -155,12 +136,13 @@ fn broken_carry_chain_triggers_possible_overflow() {
 #[test]
 fn false_obligation_is_reported_unprovable() {
     let field = Field32::of::<Fr381Config, 4>();
-    let (program, mut facts) = ff_program_analyzed(&field, FfOp::Mul, 1);
+    let mut kernel = ff_kernel(&field, FfOp::Mul, 1);
     // Tighten the real `< 2p` obligation into a false `< p` one.
-    assert_eq!(facts.obligations.len(), 1);
-    facts.obligations[0].bound = field.modulus.clone();
-    facts.obligations[0].what = format!("FALSE claim: CIOS output < p ({})", field.name);
-    let ra = analyze_ranges(&program, &facts.assumptions, &facts.obligations);
+    let obligations = &mut kernel.facts.obligations;
+    assert_eq!(obligations.len(), 1);
+    obligations[0].bound = field.modulus.clone();
+    obligations[0].what = format!("FALSE claim: CIOS output < p ({})", field.name);
+    let ra = kernel.ranges();
     assert!(
         ra.diagnostics
             .iter()

@@ -23,29 +23,17 @@
 //! expected outcome, and the three-device sweep validates the
 //! `DeviceSpec -> SmspConfig` conversion path.
 
-use gpu_kernels::curveprogs::{butterfly_program_analyzed, xyzz_madd_program_analyzed};
-use gpu_kernels::ffprogs::ff_program_analyzed;
-use gpu_kernels::microbench::{run_ff_op, FfInputs};
+use gpu_kernels::catalog::{catalog, launch, random_operands, Layout};
+use gpu_kernels::ffprogs::ff_kernel;
 use gpu_kernels::{FfOp, Field32};
-use gpu_sim::analysis::{analyze_memory, predict_schedule, predict_schedule_mem};
+use gpu_sim::analysis::predict_schedule;
 use gpu_sim::device::{a100, h100, v100, DeviceSpec};
-use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
+use gpu_sim::machine::SmspConfig;
 
 const TOLERANCE_PCT: f64 = 3.0;
 
 fn generations() -> [DeviceSpec; 3] {
     [v100(), a100(), h100()]
-}
-
-fn fields() -> Vec<(&'static str, Field32)> {
-    vec![
-        ("Fr381", Field32::of::<Fr381Config, 4>()),
-        ("Fq381", Field32::of::<Fq381Config, 6>()),
-        ("Fr377", Field32::of::<Fr377Config, 4>()),
-        ("Fq377", Field32::of::<Fq377Config, 6>()),
-    ]
 }
 
 fn assert_within(kernel: &str, device: &str, predicted: u64, simulated: u64) {
@@ -60,14 +48,15 @@ fn assert_within(kernel: &str, device: &str, predicted: u64, simulated: u64) {
 fn ff_kernel_predictions_track_the_simulator() {
     for device in &generations() {
         let config = SmspConfig::from(device);
-        for (fname, field) in &fields() {
+        for field in &Field32::supported() {
+            let fname = field.name;
             for op in FfOp::all() {
                 for warps in [1usize, 2, 8] {
-                    let (program, facts) = ff_program_analyzed(field, op, 1);
-                    let pred = predict_schedule(&program, &config, warps as u32, &facts.hints)
+                    let k = ff_kernel(field, op, 1);
+                    let pred = predict_schedule(&k.program, &config, warps as u32, &k.facts.hints)
                         .expect("FF kernels are schedulable");
-                    let inputs = FfInputs::random(field, warps, 7 + warps as u64);
-                    let sim = run_ff_op(field, op, &config, &inputs, warps, 1).sim;
+                    let operands = random_operands(&k, warps, 7 + warps as u64);
+                    let sim = launch(&k, &k.program, &config, warps, &operands).sim;
                     // The predicted trace takes every reduce fall-through;
                     // a uniformly-taken branch lets the simulator skip a
                     // few instructions, never add any.
@@ -90,13 +79,13 @@ fn ff_kernel_predictions_track_the_simulator() {
 fn looped_ff_kernel_predictions_track_the_simulator() {
     let device = a100();
     let config = SmspConfig::from(&device);
-    for (fname, field) in &fields() {
+    for field in &Field32::supported() {
+        let fname = field.name;
         for op in [FfOp::Mul, FfOp::Add] {
-            let (program, facts) = ff_program_analyzed(field, op, 4);
-            let pred = predict_schedule(&program, &config, 2, &facts.hints)
+            let k = ff_kernel(field, op, 4);
+            let pred = predict_schedule(&k.program, &config, 2, &k.facts.hints)
                 .expect("FF kernels are schedulable");
-            let inputs = FfInputs::random(field, 2, 99);
-            let sim = run_ff_op(field, op, &config, &inputs, 2, 4).sim;
+            let sim = launch(&k, &k.program, &config, 2, &random_operands(&k, 2, 99)).sim;
             assert_within(
                 &format!("{} {} iters=4", op.name(), fname),
                 device.name,
@@ -107,107 +96,20 @@ fn looped_ff_kernel_predictions_track_the_simulator() {
     }
 }
 
-fn random_canonical(field: &Field32, rng: &mut StdRng) -> Vec<u32> {
-    loop {
-        let cand: Vec<u32> = (0..field.num_limbs()).map(|_| rng.gen()).collect();
-        let below = cand
-            .iter()
-            .rev()
-            .zip(field.modulus.iter().rev())
-            .find_map(|(c, p)| (c != p).then_some(c < p))
-            .unwrap_or(false);
-        if below {
-            return cand;
-        }
-    }
-}
-
+/// One warp of each curve kernel over 32 independent lanes of random
+/// canonical coordinates (timing only — the schedule does not care whether
+/// points lie on the curve). The AoS accesses serialize into multiple LSU
+/// wavefronts; the static memory analysis supplies the per-access timings.
 #[test]
 fn curve_kernel_predictions_track_the_simulator() {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
     for device in &generations() {
         let config = SmspConfig::from(device);
-
-        // XYZZ madd: one warp, 32 independent (bucket, point) pairs of
-        // random canonical coordinates (timing only — the schedule does
-        // not care whether points lie on the curve).
-        let (program, layout, facts) = xyzz_madd_program_analyzed(&fq);
-        let n = fq.num_limbs();
-        let mut rng = StdRng::seed_from_u64(21);
-        let words_bucket = 4 * n;
-        let words_point = 2 * n;
-        let mut machine = Machine::new(config.clone(), 32 * (words_bucket + words_point));
-        let point_base = 32 * words_bucket;
-        for t in 0..32 {
-            for k in 0..4 {
-                let v = random_canonical(&fq, &mut rng);
-                let base = t * words_bucket + k * n;
-                machine.global_mem[base..base + n].copy_from_slice(&v);
-            }
-            for k in 0..2 {
-                let v = random_canonical(&fq, &mut rng);
-                let base = point_base + t * words_point + k * n;
-                machine.global_mem[base..base + n].copy_from_slice(&v);
-            }
+        for k in catalog().iter().filter(|k| k.layout == Layout::Aos) {
+            let sim = launch(k, &k.program, &config, 1, &random_operands(k, 1, 21)).sim;
+            let pred = k
+                .predict(&config, 1, &k.memory(&config))
+                .expect("curve kernels are schedulable");
+            assert_within(k.name, device.name, pred.cycles, sim.cycles);
         }
-        let mut init = WarpInit::default();
-        let mut addr_bucket = [0u32; 32];
-        let mut addr_point = [0u32; 32];
-        for t in 0..32 {
-            addr_bucket[t] = (t * words_bucket) as u32;
-            addr_point[t] = (point_base + t * words_point) as u32;
-        }
-        init.per_thread(layout.addr_bucket as usize, addr_bucket);
-        init.per_thread(layout.addr_point as usize, addr_point);
-        let sim = machine.run(&program, &[init]);
-        // The AoS bucket accesses serialize into multiple LSU wavefronts;
-        // the static memory analysis supplies the per-access timings.
-        let mem = analyze_memory(
-            &program,
-            &layout.entry_regs(),
-            &facts.contracts,
-            &facts.assumptions,
-            &facts.hints,
-            &config,
-        );
-        let pred = predict_schedule_mem(&program, &config, 1, &facts.hints, &mem.mem_timings())
-            .expect("madd is schedulable");
-        assert_within("XYZZ madd", device.name, pred.cycles, sim.cycles);
-
-        // NTT butterfly, same setup over three element banks.
-        let (program, layout, facts) = butterfly_program_analyzed(&fr);
-        let n = fr.num_limbs();
-        let mut machine = Machine::new(config.clone(), 32 * 3 * n);
-        for t in 0..32 {
-            for base in [0usize, 32 * n, 64 * n] {
-                let v = random_canonical(&fr, &mut rng);
-                machine.global_mem[base + t * n..base + (t + 1) * n].copy_from_slice(&v);
-            }
-        }
-        let mut init = WarpInit::default();
-        let mut addr_a = [0u32; 32];
-        let mut addr_b = [0u32; 32];
-        let mut addr_w = [0u32; 32];
-        for t in 0..32 {
-            addr_a[t] = (t * n) as u32;
-            addr_b[t] = (32 * n + t * n) as u32;
-            addr_w[t] = (64 * n + t * n) as u32;
-        }
-        init.per_thread(layout.addr_a as usize, addr_a);
-        init.per_thread(layout.addr_b as usize, addr_b);
-        init.per_thread(layout.addr_w as usize, addr_w);
-        let sim = machine.run(&program, &[init]);
-        let mem = analyze_memory(
-            &program,
-            &layout.entry_regs(),
-            &facts.contracts,
-            &facts.assumptions,
-            &facts.hints,
-            &config,
-        );
-        let pred = predict_schedule_mem(&program, &config, 1, &facts.hints, &mem.mem_timings())
-            .expect("butterfly is schedulable");
-        assert_within("NTT butterfly", device.name, pred.cycles, sim.cycles);
     }
 }

@@ -73,8 +73,8 @@ fn actual_table() -> String {
             let pred = pred.as_ref().expect("zoo kernels are schedulable");
             rows.push(format!(
                 "zoo {} {} {label}: {}",
-                k.name,
-                k.field,
+                k.kernel.name,
+                k.kernel.field.name,
                 prediction(pred)
             ));
         }
@@ -132,10 +132,8 @@ zoo FF_mul BLS12-381 Fq before: cycles=2984 selected=1532 wait=3608 throttle=474
 zoo FF_mul BLS12-381 Fq after: cycles=2816 selected=1446 wait=3286 throttle=522 not_selected=363 other=14 no_eligible=1370 critical_path=321 trace_len=723
 zoo FF_sqr BLS12-381 Fq before: cycles=2960 selected=1508 wait=3608 throttle=474 not_selected=329 other=0 no_eligible=1452 critical_path=321 trace_len=754
 zoo FF_sqr BLS12-381 Fq after: cycles=2792 selected=1422 wait=3286 throttle=522 not_selected=339 other=14 no_eligible=1370 critical_path=321 trace_len=711
-zoo XYZZ madd BLS12-381 Fq before: cycles=31672 selected=15168 wait=36230 throttle=5229 not_selected=3397 other=3296 no_eligible=16504 critical_path=1087 trace_len=7584
-zoo XYZZ madd BLS12-381 Fq after: cycles=29598 selected=14428 wait=32770 throttle=5855 not_selected=3517 other=2610 no_eligible=15170 critical_path=1087 trace_len=7214
-zoo NTT butterfly BLS12-381 Fr before: cycles=2216 selected=892 wait=1688 throttle=427 not_selected=345 other=1056 no_eligible=1324 critical_path=233 trace_len=446
-zoo NTT butterfly BLS12-381 Fr after: cycles=1968 selected=842 wait=1348 throttle=475 not_selected=349 other=906 no_eligible=1126 critical_path=233 trace_len=421
-zoo curve FF_mul BLS12-381 Fr before: cycles=1752 selected=752 wait=1620 throttle=291 not_selected=209 other=608 no_eligible=1000 critical_path=225 trace_len=376
-zoo curve FF_mul BLS12-381 Fr after: cycles=1556 selected=702 wait=1324 throttle=336 not_selected=221 other=521 no_eligible=854 critical_path=225 trace_len=351
+zoo XYZZ madd BLS12-381 Fq before: cycles=31924 selected=15296 wait=36388 throttle=5361 not_selected=3483 other=3296 no_eligible=16628 critical_path=1133 trace_len=7648
+zoo XYZZ madd BLS12-381 Fq after: cycles=29611 selected=14436 wait=32866 throttle=5770 not_selected=3524 other=2610 no_eligible=15175 critical_path=1133 trace_len=7218
+zoo NTT butterfly BLS12-381 Fr before: cycles=2240 selected=904 wait=1706 throttle=437 not_selected=353 other=1056 no_eligible=1336 critical_path=233 trace_len=452
+zoo NTT butterfly BLS12-381 Fr after: cycles=1968 selected=842 wait=1350 throttle=473 not_selected=349 other=906 no_eligible=1126 critical_path=233 trace_len=421
 ";

@@ -31,7 +31,8 @@ pub enum BucketRepr {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsmConfig {
-    /// Window size `s` in bits; `None` picks a size-dependent default.
+    /// Window size `s` in bits, `1..=20` (anything else panics when the
+    /// run is laid out); `None` picks a size-dependent default.
     pub window_bits: Option<u32>,
     /// Signed-digit recoding, halving the bucket count (the endomorphism-
     /// style trick `ymc` uses, §IV-A).

@@ -4,7 +4,7 @@
 //! generator (`uᵢ(τ)·G`). With a per-window table of all `2^c` multiples,
 //! each scalar multiplication collapses to `⌈λ/c⌉` point additions.
 
-use crate::pippenger::window_digit;
+use crate::pippenger::{check_window_bits, window_digit};
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
 use zkp_ff::PrimeField;
 
@@ -35,10 +35,7 @@ impl<Cu: SwCurve> FixedBase<Cu> {
     ///
     /// Panics unless `1 <= window_bits <= 20` (table growth is `2^c`).
     pub fn new(base: Affine<Cu>, window_bits: u32) -> Self {
-        assert!(
-            (1..=20).contains(&window_bits),
-            "window bits must be in 1..=20"
-        );
+        check_window_bits(window_bits);
         let scalar_bits = Cu::Scalar::modulus_bits();
         let num_windows = scalar_bits.div_ceil(window_bits);
         let digits = (1usize << window_bits) - 1;

@@ -91,6 +91,25 @@ pub struct MsmOutput<Cu: SwCurve> {
     pub stats: MsmStats,
 }
 
+/// Largest accepted window size: a window of `s` bits costs `2^s` buckets
+/// (or table entries), and a signed digit must fit an `i32`.
+pub(crate) const MAX_WINDOW_BITS: u32 = 20;
+
+/// Rejects a window size outside `1..=MAX_WINDOW_BITS` — the one bound
+/// every caller-supplied window size passes through.
+///
+/// # Panics
+///
+/// Panics on an out-of-range `window_bits`: 0 would divide by zero in the
+/// window count, and 32 or more overflow the digit type or the shift that
+/// builds the digit mask.
+pub(crate) fn check_window_bits(window_bits: u32) {
+    assert!(
+        (1..=MAX_WINDOW_BITS).contains(&window_bits),
+        "window bits must be in 1..={MAX_WINDOW_BITS}, got {window_bits}"
+    );
+}
+
 /// Chooses the window size by balancing accumulation (`w·n` PADDs) against
 /// bucket reduction (`w·2^(s+1)` PADDs): `s ≈ log2(n) - 3`, clamped to a
 /// practical range.
@@ -185,7 +204,9 @@ fn recode_row(limbs: &[u64], window_bits: u32, signed: bool, negate: bool, row: 
             d as i32
         };
     }
-    debug_assert_eq!(carry, 0, "top window must absorb the final carry");
+    // The only guard between an over-wide (sub)scalar and a silently wrong
+    // point, so it holds in release builds too.
+    assert_eq!(carry, 0, "top window must absorb the final carry");
     if negate {
         for slot in row {
             *slot = -*slot;
@@ -627,12 +648,18 @@ pub(crate) struct Layout<Cu: SwCurve> {
 
 impl<Cu: SwCurve> Layout<Cu> {
     /// The single-copy layout of `n` points under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.window_bits` is out of range
+    /// ([`check_window_bits`]).
     pub(crate) fn new(n: usize, config: &MsmConfig) -> Self {
         let glv = if config.endomorphism { Cu::glv() } else { None };
         let rows = if glv.is_some() { 2 * n } else { n };
         let s = config
             .window_bits
             .unwrap_or_else(|| default_window_bits(rows));
+        check_window_bits(s);
         let full_windows = match glv {
             // A subscalar magnitude is bounded by `2^sub_bits`.
             Some(glv) => (glv.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
@@ -910,4 +937,25 @@ pub fn msm_serial<Cu: SwCurve>(points: &[Affine<Cu>], scalars: &[Cu::Scalar]) ->
         .fold(Jacobian::identity(), |acc, (p, k)| {
             acc.add(&p.mul_scalar(k))
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::recode_row;
+
+    #[test]
+    fn signed_rows_round_trip_with_a_spare_top_window() {
+        // 0xff in 4-bit signed digits: [-1, 0, 1] = -1 + 0·16 + 1·256.
+        let mut row = [0i32; 3];
+        recode_row(&[0xff], 4, true, false, &mut row);
+        assert_eq!(row, [-1, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "top window must absorb the final carry")]
+    fn over_wide_magnitude_is_rejected_in_release_too() {
+        // Two windows cannot hold 0xff in signed digits: the carry out of
+        // the top window would be dropped and the MSM silently wrong.
+        recode_row(&[0xff], 4, true, false, &mut [0i32; 2]);
+    }
 }

@@ -184,9 +184,8 @@ impl<Cu: SwCurve> PrecomputedPoints<Cu> {
     ///
     /// # Panics
     ///
-    /// Panics if `target_windows == 0` or `window_bits == 0`.
+    /// Panics if `target_windows == 0` or `window_bits` is outside `1..=20`.
     pub fn build(points: &[Affine<Cu>], window_bits: u32, target_windows: u32) -> Self {
-        assert!(window_bits > 0, "window size must be positive");
         assert!(target_windows > 0, "must keep at least one window");
         let config = MsmConfig {
             window_bits: Some(window_bits),

@@ -142,6 +142,38 @@ fn empty_and_degenerate_inputs() {
     }
 }
 
+/// An out-of-range window size is rejected where the run is laid out,
+/// instead of dividing by zero (0), masking every digit to zero and
+/// returning the identity in release (64), or overflowing the `i32` digit
+/// (signed 32).
+fn msm_with_window_bits(window_bits: u32, signed_digits: bool) {
+    let (points, scalars) = random_inputs::<bls12_381::G1>(4, 3);
+    let config = MsmConfig {
+        window_bits: Some(window_bits),
+        signed_digits,
+        ..MsmConfig::default()
+    };
+    msm_with_config(&points, &scalars, &config);
+}
+
+#[test]
+#[should_panic(expected = "window bits must be in 1..=20, got 0")]
+fn zero_window_bits_are_rejected() {
+    msm_with_window_bits(0, false);
+}
+
+#[test]
+#[should_panic(expected = "window bits must be in 1..=20, got 64")]
+fn word_wide_window_bits_are_rejected() {
+    msm_with_window_bits(64, false);
+}
+
+#[test]
+#[should_panic(expected = "window bits must be in 1..=20, got 32")]
+fn digit_overflowing_signed_window_bits_are_rejected() {
+    msm_with_window_bits(32, true);
+}
+
 #[test]
 fn single_pair_is_scalar_mul() {
     let (points, scalars) = random_inputs::<bls12_381::G1>(1, 12);

@@ -9,7 +9,7 @@
 
 use crate::prover_model::{best_msm, best_ntt, gpu_prover};
 use crate::report::{f, secs, Table};
-use gpu_kernels::curveprogs::xyzz_madd_program;
+use gpu_kernels::curveprogs::xyzz_madd_kernel;
 use gpu_kernels::field32::Field32;
 use gpu_kernels::libraries::LibraryId;
 use gpu_sim::device::DeviceSpec;
@@ -62,7 +62,7 @@ pub fn recommend(device: &DeviceSpec, log_scale: u32) -> Recommendation {
     // inferred by the static analyzer from the XYZZ mixed-addition kernel
     // the bucket phase actually runs (a live-range lower bound on what
     // sppark/ymc's 228–244-register allocations must accommodate).
-    let madd = xyzz_madd_program(&Field32::of::<Fq381Config, 6>()).0;
+    let madd = xyzz_madd_kernel(&Field32::of::<Fq381Config, 6>()).program;
     let launch = LaunchConfig {
         blocks: u64::from(device.sm_count),
         threads_per_block: 128,

@@ -1,8 +1,8 @@
 //! Microarchitecture-layer experiments (§IV-C): Fig. 9, Fig. 10, Table VI.
 
 use crate::report::{f, Table};
-use gpu_kernels::curveprogs::{butterfly_program, xyzz_madd_program};
-use gpu_kernels::{run_ff_op, FfInputs, FfOp, Field32};
+use gpu_kernels::{catalog, run_ff_op, FfInputs, FfOp, Field32};
+use gpu_sim::analysis::StaticMetrics;
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::machine::{SimResult, SmspConfig};
 use gpu_sim::occupancy::{occupancy, LaunchConfig};
@@ -241,14 +241,17 @@ pub struct RegisterPressure {
     pub ntt_occupancy: f64,
 }
 
-/// Measures register pressure from the generated kernels themselves — both
-/// the allocation footprint the generator's bank allocator used and the
-/// dataflow max-live lower bound from `gpu_sim::analysis`.
+/// Measures register pressure from the catalog's kernels themselves — both
+/// the allocation footprint (the generator's bump allocator hands out a
+/// dense prefix of the register file, all of it touched) and the dataflow
+/// max-live lower bound from `gpu_sim::analysis`.
 pub fn register_pressure(device: &DeviceSpec) -> RegisterPressure {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<zkp_ff::Fr381Config, 4>();
-    let (madd_prog, madd) = xyzz_madd_program(&fq);
-    let (bfly_prog, bfly) = butterfly_program(&fr);
+    let zoo = catalog();
+    let metrics = |name: &str| {
+        let k = zoo.iter().find(|k| k.name == name).expect("in the catalog");
+        StaticMetrics::compute(&k.program)
+    };
+    let (madd, bfly) = (metrics("XYZZ madd"), metrics("NTT butterfly"));
     let occ = |regs: u32| {
         occupancy(
             device,
@@ -262,12 +265,12 @@ pub fn register_pressure(device: &DeviceSpec) -> RegisterPressure {
         .theoretical
     };
     RegisterPressure {
-        msm_madd_regs: u32::from(madd.registers_used),
-        ntt_butterfly_regs: u32::from(bfly.registers_used),
-        msm_madd_live: gpu_sim::analysis::max_live_registers(&madd_prog),
-        ntt_butterfly_live: gpu_sim::analysis::max_live_registers(&bfly_prog),
-        msm_occupancy: occ(u32::from(madd.registers_used)),
-        ntt_occupancy: occ(u32::from(bfly.registers_used)),
+        msm_madd_regs: madd.registers_touched,
+        ntt_butterfly_regs: bfly.registers_touched,
+        msm_madd_live: madd.max_live_regs,
+        ntt_butterfly_live: bfly.max_live_regs,
+        msm_occupancy: occ(madd.registers_touched),
+        ntt_occupancy: occ(bfly.registers_touched),
     }
 }
 

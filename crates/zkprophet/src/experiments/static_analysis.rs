@@ -19,28 +19,26 @@
 //!   against the measured Fig. 9-style placement, per device;
 //! - [`range_proof_report`] — the value-range pass
 //!   ([`gpu_sim::analysis::ranges`]) discharging the `< 2p` Montgomery
-//!   output obligations of *both* CIOS generators on all four fields;
+//!   output obligations of every canonical-input multiply on all four
+//!   fields;
 //! - [`optimizer_report`] — the verified optimizer
 //!   ([`gpu_sim::analysis::optimize`]) over the full zoo per device:
 //!   instruction and predicted issue-cycle reductions plus the
 //!   stall-breakdown deltas, every row backed by a translation-validation
 //!   certificate.
+//!
+//! Every section iterates the one kernel [`catalog`] and simulates through
+//! the one [`launch`] harness, so all tables show the same kernel set at
+//! the same occupancy ([`OPT_WARPS`]).
 
 use crate::report::{f, Table};
-use gpu_kernels::curveprogs::{
-    butterfly_program, butterfly_program_analyzed, mul_contract_program, xyzz_madd_program,
-    xyzz_madd_program_analyzed,
-};
-use gpu_kernels::ffprogs::{ff_program_analyzed, ff_program_inputs, KernelFacts};
-use gpu_kernels::microbench::{run_ff_op, FfInputs};
-use gpu_kernels::{ff_program, FfOp, Field32};
-use gpu_sim::analysis::{self, analyze_memory, predict_schedule_mem, StaticMetrics};
+use gpu_kernels::catalog::{catalog, kernels_over, launch, random_operands, Kernel};
+use gpu_kernels::optimized::OPT_WARPS;
+use gpu_kernels::Field32;
+use gpu_sim::analysis::{self, StaticMetrics};
 use gpu_sim::device::DeviceSpec;
-use gpu_sim::isa::{Program, Reg};
-use gpu_sim::machine::{Machine, SimResult, SmspConfig, WarpInit};
+use gpu_sim::machine::{SimResult, SmspConfig};
 use gpu_sim::{Roofline, RooflinePoint};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use zkp_ff::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
 
 /// One row of the static report.
 #[derive(Debug, Clone)]
@@ -50,40 +48,26 @@ pub struct KernelReport {
     /// Analyzer metrics.
     pub metrics: StaticMetrics,
     /// Number of error-severity lint diagnostics (0 for every shipped
-    /// kernel). The uniform CIOS generators do ship warning-severity
+    /// kernel). The uniform CIOS emitter does ship warning-severity
     /// dead writes — the overflow-word bookkeeping of the final row —
     /// which the verified optimizer removes; see [`optimizer_report`].
     pub lints: usize,
 }
 
-fn report_one(name: &str, program: &Program, inputs: &[Reg]) -> KernelReport {
-    KernelReport {
-        name: name.to_owned(),
-        metrics: StaticMetrics::compute(program),
-        lints: analysis::lint(program, inputs)
-            .iter()
-            .filter(|d| d.severity() == analysis::Severity::Error)
-            .count(),
-    }
-}
-
 /// Analyzes the full kernel zoo: the five `FF` ops over the base field plus
 /// both curve kernels.
 pub fn static_report() -> Vec<KernelReport> {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
-    let mut rows: Vec<KernelReport> = FfOp::all()
-        .into_iter()
-        .map(|op| {
-            let p = ff_program(&fq, op, 1);
-            report_one(op.name(), &p, &ff_program_inputs(op))
+    catalog()
+        .iter()
+        .map(|k| KernelReport {
+            name: k.name.to_owned(),
+            metrics: StaticMetrics::compute(&k.program),
+            lints: analysis::lint(&k.program, &k.entry_regs())
+                .iter()
+                .filter(|d| d.severity() == analysis::Severity::Error)
+                .count(),
         })
-        .collect();
-    let (p, layout) = xyzz_madd_program(&fq);
-    rows.push(report_one("XYZZ madd", &p, &layout.entry_regs()));
-    let (p, layout) = butterfly_program(&fr);
-    rows.push(report_one("NTT butterfly", &p, &layout.entry_regs()));
-    rows
+        .collect()
 }
 
 /// Renders the static report table.
@@ -139,118 +123,13 @@ pub struct PredictionRow {
     pub ilp_headroom: f64,
 }
 
-fn prediction_row(
-    kernel: &str,
-    device: &DeviceSpec,
-    program: &Program,
-    inputs: &[Reg],
-    facts: &KernelFacts,
-    warps: u32,
-    simulated: u64,
-) -> PredictionRow {
-    let cfg = SmspConfig::from(device);
-    // The memory analyzer supplies per-access LSU wavefront counts, so
-    // strided (AoS) kernels are predicted with the same serialization the
-    // simulator charges; for the coalesced FF kernels the timings are the
-    // default single wavefront.
-    let mem = analyze_memory(
-        program,
-        inputs,
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        &cfg,
-    );
-    let pred = predict_schedule_mem(program, &cfg, warps, &facts.hints, &mem.mem_timings())
-        .expect("schedulable kernel");
-    let err = 100.0 * (pred.cycles as f64 - simulated as f64) / simulated as f64;
-    PredictionRow {
-        kernel: kernel.to_owned(),
-        device: device.name.to_owned(),
-        warps,
-        predicted_cycles: pred.cycles,
-        simulated_cycles: simulated,
-        error_pct: err,
-        critical_path: pred.critical_path,
-        ilp_headroom: pred.ilp_headroom,
-    }
-}
-
-/// A uniformly random canonical (`< p`) field element as 32-bit limbs.
-fn random_canonical(field: &Field32, rng: &mut StdRng) -> Vec<u32> {
-    loop {
-        let cand: Vec<u32> = (0..field.num_limbs()).map(|_| rng.gen()).collect();
-        let below = cand
-            .iter()
-            .rev()
-            .zip(field.modulus.iter().rev())
-            .find_map(|(c, p)| (c != p).then_some(c < p))
-            .unwrap_or(false);
-        if below {
-            return cand;
-        }
-    }
-}
-
-/// Simulates one warp of the butterfly kernel on random canonical inputs
-/// and returns the measured counters.
-fn simulate_butterfly(field: &Field32, cfg: &SmspConfig) -> SimResult {
-    let n = field.num_limbs();
-    let (program, layout) = butterfly_program(field);
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut machine = Machine::new(cfg.clone(), 32 * 3 * n);
-    for t in 0..32 {
-        for base in [0usize, 32 * n, 64 * n] {
-            let v = random_canonical(field, &mut rng);
-            machine.global_mem[base + t * n..base + (t + 1) * n].copy_from_slice(&v);
-        }
-    }
-    let mut init = WarpInit::default();
-    let mut addr = [[0u32; 32]; 3];
-    for (bank, base) in addr.iter_mut().zip([0usize, 32 * n, 64 * n]) {
-        for (t, slot) in bank.iter_mut().enumerate() {
-            *slot = (base + t * n) as u32;
-        }
-    }
-    init.per_thread(layout.addr_a as usize, addr[0]);
-    init.per_thread(layout.addr_b as usize, addr[1]);
-    init.per_thread(layout.addr_w as usize, addr[2]);
-    machine.run(&program, &[init])
-}
-
-/// Simulates one warp of the XYZZ madd kernel on random canonical
-/// coordinates (timing only — points need not lie on the curve) and
-/// returns the measured counters.
-fn simulate_xyzz(field: &Field32, cfg: &SmspConfig) -> SimResult {
-    let n = field.num_limbs();
-    let (program, layout) = xyzz_madd_program(field);
-    let mut rng = StdRng::seed_from_u64(13);
-    let words_bucket = 4 * n;
-    let words_point = 2 * n;
-    let mut machine = Machine::new(cfg.clone(), 32 * (words_bucket + words_point));
-    let point_base = 32 * words_bucket;
-    for t in 0..32 {
-        for k in 0..4 {
-            let v = random_canonical(field, &mut rng);
-            let base = t * words_bucket + k * n;
-            machine.global_mem[base..base + n].copy_from_slice(&v);
-        }
-        for k in 0..2 {
-            let v = random_canonical(field, &mut rng);
-            let base = point_base + t * words_point + k * n;
-            machine.global_mem[base..base + n].copy_from_slice(&v);
-        }
-    }
-    let mut init = WarpInit::default();
-    let mut addr_bucket = [0u32; 32];
-    let mut addr_point = [0u32; 32];
-    for t in 0..32 {
-        addr_bucket[t] = (t * words_bucket) as u32;
-        addr_point[t] = (point_base + t * words_point) as u32;
-    }
-    init.per_thread(layout.addr_bucket as usize, addr_bucket);
-    init.per_thread(layout.addr_point as usize, addr_point);
-    machine.run(&program, &[init])
+/// Simulates [`OPT_WARPS`] warps of `kernel` on random canonical operands
+/// (timing only — curve coordinates need not lie on the curve) and returns
+/// the measured counters.
+fn simulate(kernel: &Kernel, cfg: &SmspConfig) -> SimResult {
+    let warps = OPT_WARPS as usize;
+    let operands = random_operands(kernel, warps, 42);
+    launch(kernel, &kernel.program, cfg, warps, &operands).sim
 }
 
 /// Validates the static scoreboard model against the simulator for the
@@ -264,48 +143,30 @@ fn simulate_xyzz(field: &Field32, cfg: &SmspConfig) -> SimResult {
 /// validates the conversion path per device; matching rows across
 /// devices are the expected physical outcome, not a shortcut.
 pub fn prediction_report(devices: &[DeviceSpec]) -> Vec<PredictionRow> {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
-    let warps = 2u32;
+    let zoo = catalog();
     let mut rows = Vec::new();
     for device in devices {
         let cfg = SmspConfig::from(device);
-        for op in FfOp::all() {
-            let (p, facts) = ff_program_analyzed(&fq, op, 1);
-            let inputs = FfInputs::random(&fq, warps as usize, 42);
-            let sim = run_ff_op(&fq, op, &cfg, &inputs, warps as usize, 1).sim;
-            rows.push(prediction_row(
-                op.name(),
-                device,
-                &p,
-                &ff_program_inputs(op),
-                &facts,
-                warps,
-                sim.cycles,
-            ));
+        for k in &zoo {
+            // The memory analyzer supplies per-access LSU wavefront counts,
+            // so strided (AoS) kernels are predicted with the same
+            // serialization the simulator charges; for the coalesced FF
+            // kernels the timings are the default single wavefront.
+            let pred = k
+                .predict(&cfg, OPT_WARPS, &k.memory(&cfg))
+                .expect("schedulable kernel");
+            let simulated = simulate(k, &cfg).cycles;
+            rows.push(PredictionRow {
+                kernel: k.name.to_owned(),
+                device: device.name.to_owned(),
+                warps: OPT_WARPS,
+                predicted_cycles: pred.cycles,
+                simulated_cycles: simulated,
+                error_pct: 100.0 * (pred.cycles as f64 - simulated as f64) / simulated as f64,
+                critical_path: pred.critical_path,
+                ilp_headroom: pred.ilp_headroom,
+            });
         }
-        let (p, layout, facts) = xyzz_madd_program_analyzed(&fq);
-        let sim = simulate_xyzz(&fq, &cfg);
-        rows.push(prediction_row(
-            "XYZZ madd",
-            device,
-            &p,
-            &layout.entry_regs(),
-            &facts,
-            1,
-            sim.cycles,
-        ));
-        let (p, layout, facts) = butterfly_program_analyzed(&fr);
-        let sim = simulate_butterfly(&fr, &cfg);
-        rows.push(prediction_row(
-            "NTT butterfly",
-            device,
-            &p,
-            &layout.entry_regs(),
-            &facts,
-            1,
-            sim.cycles,
-        ));
     }
     rows
 }
@@ -367,90 +228,38 @@ pub struct MemoryRow {
     pub lints: usize,
 }
 
-fn memory_row(
-    kernel: &str,
-    program: &Program,
-    inputs: &[Reg],
-    facts: &KernelFacts,
-    cfg: &SmspConfig,
-    sim: &SimResult,
-    sim_warps: u64,
-) -> MemoryRow {
-    let mem = analyze_memory(
-        program,
-        inputs,
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        cfg,
-    );
-    let mut patterns: Vec<String> = Vec::new();
-    for a in &mem.accesses {
-        let label = a.pattern.label();
-        if !patterns.contains(&label) {
-            patterns.push(label);
-        }
-    }
-    MemoryRow {
-        kernel: kernel.to_owned(),
-        accesses: mem.accesses.len(),
-        patterns: patterns.join("/"),
-        transactions_per_warp: mem.transactions_per_warp,
-        static_bytes_per_warp: mem.bytes_per_warp(),
-        simulated_bytes_per_warp: sim.dram_bytes() / sim_warps,
-        arithmetic_intensity: mem.arithmetic_intensity(),
-        exact: mem.exact,
-        lints: mem.lints.len(),
-    }
-}
-
 /// Static memory analysis of the kernel zoo: the five FF ops (coalesced
 /// warp-interleaved layout) and both curve kernels (deliberately AoS —
 /// the scattered access pattern the paper's MSM bucket phase exhibits).
 /// Each row pairs the static prediction with the simulator's measured
 /// DRAM traffic; they agree byte-for-byte.
 pub fn memory_report() -> Vec<MemoryRow> {
-    let fq = Field32::of::<Fq381Config, 6>();
-    let fr = Field32::of::<Fr381Config, 4>();
     let cfg = SmspConfig::default();
-    let mut rows = Vec::new();
-    for op in FfOp::all() {
-        let (p, facts) = ff_program_analyzed(&fq, op, 1);
-        let inputs = FfInputs::random(&fq, 2, 42);
-        let sim = run_ff_op(&fq, op, &cfg, &inputs, 2, 1).sim;
-        rows.push(memory_row(
-            op.name(),
-            &p,
-            &ff_program_inputs(op),
-            &facts,
-            &cfg,
-            &sim,
-            2,
-        ));
-    }
-    let (p, layout, facts) = xyzz_madd_program_analyzed(&fq);
-    let sim = simulate_xyzz(&fq, &cfg);
-    rows.push(memory_row(
-        "XYZZ madd",
-        &p,
-        &layout.entry_regs(),
-        &facts,
-        &cfg,
-        &sim,
-        1,
-    ));
-    let (p, layout, facts) = butterfly_program_analyzed(&fr);
-    let sim = simulate_butterfly(&fr, &cfg);
-    rows.push(memory_row(
-        "NTT butterfly",
-        &p,
-        &layout.entry_regs(),
-        &facts,
-        &cfg,
-        &sim,
-        1,
-    ));
-    rows
+    catalog()
+        .iter()
+        .map(|k| {
+            let mem = k.memory(&cfg);
+            let sim = simulate(k, &cfg);
+            let mut patterns: Vec<String> = Vec::new();
+            for a in &mem.accesses {
+                let label = a.pattern.label();
+                if !patterns.contains(&label) {
+                    patterns.push(label);
+                }
+            }
+            MemoryRow {
+                kernel: k.name.to_owned(),
+                accesses: mem.accesses.len(),
+                patterns: patterns.join("/"),
+                transactions_per_warp: mem.transactions_per_warp,
+                static_bytes_per_warp: mem.bytes_per_warp(),
+                simulated_bytes_per_warp: sim.dram_bytes() / u64::from(OPT_WARPS),
+                arithmetic_intensity: mem.arithmetic_intensity(),
+                exact: mem.exact,
+                lints: mem.lints.len(),
+            }
+        })
+        .collect()
 }
 
 /// Renders the static memory table.
@@ -513,82 +322,46 @@ pub struct StaticRooflineRow {
     pub compute_fraction_err_pct: f64,
 }
 
-fn static_roofline_row(
-    kernel: &str,
-    device: &DeviceSpec,
-    program: &Program,
-    inputs: &[Reg],
-    facts: &KernelFacts,
-    warps: u32,
-    sim: &SimResult,
-) -> StaticRooflineRow {
-    let cfg = SmspConfig::from(device);
-    let roof = Roofline::of(device);
-    let mem = analyze_memory(
-        program,
-        inputs,
-        &facts.contracts,
-        &facts.assumptions,
-        &facts.hints,
-        &cfg,
-    );
-    let pred = predict_schedule_mem(program, &cfg, warps, &facts.hints, &mem.mem_timings())
-        .expect("schedulable kernel");
-    let ai = mem.arithmetic_intensity();
-    let static_point = roof.place_static(
-        device,
-        kernel,
-        pred.cycles,
-        mem.int_ops_per_warp * u64::from(warps),
-        ai,
-    );
-    let measured_point = roof.place(device, kernel, sim);
-    let err = 100.0 * (static_point.compute_fraction - measured_point.compute_fraction)
-        / measured_point.compute_fraction;
-    StaticRooflineRow {
-        kernel: kernel.to_owned(),
-        device: device.name.to_owned(),
-        warps,
-        bound: roof.bound(ai).label(),
-        measured_bound: roof.bound(sim.arithmetic_intensity()).label(),
-        static_point,
-        measured_point,
-        compute_fraction_err_pct: err,
-    }
-}
-
-/// Places `FF_mul` (Fig. 9 methodology: 2 warps, coalesced layout) and
-/// the XYZZ madd kernel (1 warp, scattered AoS buckets) in each device's
-/// roofline envelope from static analysis alone, next to the measured
-/// placement.
+/// Places `FF_mul` (Fig. 9 methodology: coalesced layout) and the XYZZ
+/// madd kernel (scattered AoS buckets) in each device's roofline envelope
+/// from static analysis alone, next to the measured placement.
 pub fn static_roofline_report(devices: &[DeviceSpec]) -> Vec<StaticRooflineRow> {
-    let fq = Field32::of::<Fq381Config, 6>();
+    let zoo = catalog();
     let mut rows = Vec::new();
     for device in devices {
         let cfg = SmspConfig::from(device);
-        let (p, facts) = ff_program_analyzed(&fq, FfOp::Mul, 1);
-        let inputs = FfInputs::random(&fq, 2, 42);
-        let sim = run_ff_op(&fq, FfOp::Mul, &cfg, &inputs, 2, 1).sim;
-        rows.push(static_roofline_row(
-            "FF_mul",
-            device,
-            &p,
-            &ff_program_inputs(FfOp::Mul),
-            &facts,
-            2,
-            &sim,
-        ));
-        let (p, layout, facts) = xyzz_madd_program_analyzed(&fq);
-        let sim = simulate_xyzz(&fq, &cfg);
-        rows.push(static_roofline_row(
-            "XYZZ madd",
-            device,
-            &p,
-            &layout.entry_regs(),
-            &facts,
-            1,
-            &sim,
-        ));
+        let roof = Roofline::of(device);
+        for k in zoo
+            .iter()
+            .filter(|k| matches!(k.name, "FF_mul" | "XYZZ madd"))
+        {
+            let mem = k.memory(&cfg);
+            let pred = k
+                .predict(&cfg, OPT_WARPS, &mem)
+                .expect("schedulable kernel");
+            let sim = simulate(k, &cfg);
+            let ai = mem.arithmetic_intensity();
+            let static_point = roof.place_static(
+                device,
+                k.name,
+                pred.cycles,
+                mem.int_ops_per_warp * u64::from(OPT_WARPS),
+                ai,
+            );
+            let measured_point = roof.place(device, k.name, &sim);
+            rows.push(StaticRooflineRow {
+                kernel: k.name.to_owned(),
+                device: device.name.to_owned(),
+                warps: OPT_WARPS,
+                bound: roof.bound(ai).label(),
+                measured_bound: roof.bound(sim.arithmetic_intensity()).label(),
+                compute_fraction_err_pct: 100.0
+                    * (static_point.compute_fraction - measured_point.compute_fraction)
+                    / measured_point.compute_fraction,
+                static_point,
+                measured_point,
+            });
+        }
     }
     rows
 }
@@ -641,44 +414,26 @@ pub struct RangeProofRow {
     pub diagnostics: usize,
 }
 
-fn range_proof_row(
-    kernel: &str,
-    field_name: &str,
-    program: &Program,
-    facts: &gpu_kernels::ffprogs::KernelFacts,
-) -> RangeProofRow {
-    let ra = analysis::analyze_ranges(program, &facts.assumptions, &facts.obligations);
-    RangeProofRow {
-        kernel: kernel.to_owned(),
-        field: field_name.to_owned(),
-        obligations: facts.obligations.len(),
-        proved: ra.proved.len(),
-        diagnostics: ra.diagnostics.len(),
-    }
-}
-
-/// Discharges the `< 2p` Montgomery output obligations of both CIOS
-/// generators (the `ffprogs` field kernels and the curve kernels' private
-/// copy) on all four supported fields.
+/// Discharges the `< 2p` Montgomery output obligations of every kernel
+/// that carries one — `FF_mul`, `FF_sqr` and the canonical-input
+/// multiplies of both curve kernels, all instances of the one
+/// `FfEmitter::mul` — on all four supported fields.
 pub fn range_proof_report() -> Vec<RangeProofRow> {
-    let fields = [
-        ("BLS12-381 Fr", Field32::of::<Fr381Config, 4>()),
-        ("BLS12-381 Fq", Field32::of::<Fq381Config, 6>()),
-        ("BLS12-377 Fr", Field32::of::<Fr377Config, 4>()),
-        ("BLS12-377 Fq", Field32::of::<Fq377Config, 6>()),
-    ];
     let mut rows = Vec::new();
-    for (name, field) in &fields {
-        for op in [FfOp::Mul, FfOp::Sqr] {
-            let (p, facts) = ff_program_analyzed(field, op, 1);
-            rows.push(range_proof_row(op.name(), name, &p, &facts));
+    for field in &Field32::supported() {
+        for k in kernels_over(field, field) {
+            if k.facts.obligations.is_empty() {
+                continue;
+            }
+            let ra = k.ranges();
+            rows.push(RangeProofRow {
+                kernel: k.name.to_owned(),
+                field: field.name.to_owned(),
+                obligations: k.facts.obligations.len(),
+                proved: ra.proved.len(),
+                diagnostics: ra.diagnostics.len(),
+            });
         }
-        let (p, _, facts) = mul_contract_program(field);
-        rows.push(range_proof_row("curve FF_mul", name, &p, &facts));
-        let (p, _, facts) = butterfly_program_analyzed(field);
-        rows.push(range_proof_row("NTT butterfly", name, &p, &facts));
-        let (p, _, facts) = xyzz_madd_program_analyzed(field);
-        rows.push(range_proof_row("XYZZ madd", name, &p, &facts));
     }
     rows
 }
@@ -686,7 +441,7 @@ pub fn range_proof_report() -> Vec<RangeProofRow> {
 /// Renders the range-proof table.
 pub fn render_range_proof_report(rows: &[RangeProofRow]) -> String {
     let mut t = Table::new(
-        "Value-range soundness: Montgomery `< 2p` output proofs  (interval + chain-certificate tiers; both CIOS generators)",
+        "Value-range soundness: Montgomery `< 2p` output proofs  (interval + chain-certificate tiers; every canonical-input multiply)",
         &["Kernel", "Field", "obligations", "proved", "diags", "status"],
     );
     for r in rows {
@@ -752,7 +507,7 @@ pub fn optimizer_report(devices: &[DeviceSpec]) -> Vec<OptimizerRow> {
             };
             let d = |b: u64, a: u64| b as i64 - a as i64;
             rows.push(OptimizerRow {
-                kernel: k.name.clone(),
+                kernel: k.kernel.name.to_owned(),
                 device: device.name.to_owned(),
                 instructions_before: r.instructions_before,
                 instructions_after: r.instructions_after,
@@ -832,7 +587,11 @@ mod tests {
             gpu_sim::device::h100(),
         ];
         let rows = optimizer_report(&devices);
-        assert_eq!(rows.len(), 3 * 8, "one row per kernel per device");
+        assert_eq!(
+            rows.len(),
+            3 * catalog().len(),
+            "one row per kernel per device"
+        );
         for r in &rows {
             assert!(r.cycles_after <= r.cycles_before, "{} regressed", r.kernel);
             assert!(r.stores_certified > 0, "{}: no stores certified", r.kernel);
@@ -872,7 +631,7 @@ mod tests {
             gpu_sim::device::h100(),
         ];
         let rows = prediction_report(&devices);
-        assert_eq!(rows.len(), 7 * devices.len());
+        assert_eq!(rows.len(), catalog().len() * devices.len());
         for r in &rows {
             assert!(
                 r.error_pct.abs() <= 3.0,
@@ -889,8 +648,7 @@ mod tests {
     #[test]
     fn memory_report_certifies_coalescing_and_exact_traffic() {
         let rows = memory_report();
-        // 5 FF ops + XYZZ madd + NTT butterfly.
-        assert_eq!(rows.len(), 7);
+        assert_eq!(rows.len(), catalog().len());
         for r in &rows {
             // Every kernel's accesses are provably affine, so the static
             // traffic prediction is exact — and it matches the simulator
@@ -903,17 +661,16 @@ mod tests {
             );
         }
         // FF kernels: warp-interleaved layout, fully coalesced, clean.
-        for op in FfOp::all() {
-            let r = rows.iter().find(|r| r.kernel == op.name()).expect("FF row");
-            assert_eq!(r.patterns, "coalesced", "{}", r.kernel);
-            assert_eq!(r.lints, 0, "{}", r.kernel);
-        }
         // Curve kernels: deliberately AoS — strided accesses that the
         // analyzer flags as uncoalesced.
-        for name in ["XYZZ madd", "NTT butterfly"] {
-            let r = rows.iter().find(|r| r.kernel == name).expect("curve row");
-            assert!(r.patterns.contains("strided"), "{}: {}", name, r.patterns);
-            assert!(r.lints > 0, "{name}");
+        for r in &rows {
+            if matches!(r.kernel.as_str(), "XYZZ madd" | "NTT butterfly") {
+                assert!(r.patterns.contains("strided"), "{}", r.kernel);
+                assert!(r.lints > 0, "{}", r.kernel);
+            } else {
+                assert_eq!(r.patterns, "coalesced", "{}", r.kernel);
+                assert_eq!(r.lints, 0, "{}", r.kernel);
+            }
         }
     }
 
@@ -939,8 +696,9 @@ mod tests {
     #[test]
     fn range_proofs_cover_both_generators_on_all_fields() {
         let rows = range_proof_report();
-        // 4 fields x (FF_mul, FF_sqr, curve FF_mul, butterfly, xyzz).
-        assert_eq!(rows.len(), 20);
+        // 4 fields x (FF_mul, FF_sqr, xyzz, butterfly): the microbenchmark
+        // generator and the curve-kernel generator, one emitter.
+        assert_eq!(rows.len(), 16);
         for r in &rows {
             assert!(r.obligations >= 1, "{} {}", r.kernel, r.field);
             assert_eq!(r.proved, r.obligations, "{} on {}", r.kernel, r.field);

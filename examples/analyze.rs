@@ -18,7 +18,8 @@
 //!
 //! [`OptReport`]: gpu_sim::analysis::OptReport
 
-use gpu_kernels::optimized::{optimize_kernel, zoo_entries, OPT_WARPS};
+use gpu_kernels::catalog;
+use gpu_kernels::optimized::{optimize_kernel, OPT_WARPS};
 use gpu_sim::analysis::{self, StaticMetrics};
 use gpu_sim::machine::SmspConfig;
 use zkp_examples::device_from_args;
@@ -39,18 +40,19 @@ fn main() {
     let warps = OPT_WARPS; // §IV-B: two resident warps per SMSP.
 
     let mut objects = Vec::new();
-    for (name, field, program, inputs, facts) in zoo_entries() {
+    for kernel in catalog() {
+        let (name, field) = (kernel.name, kernel.field.name);
         if let Some(fr) = &filter {
             if !name.to_lowercase().contains(fr.as_str()) {
                 continue;
             }
         }
         if optimize_mode {
-            let object = match optimize_kernel(&name, field, program, inputs, facts, &config) {
+            let object = match optimize_kernel(kernel, &config) {
                 Ok(k) => format!(
                     "{{\"kernel\":{},\"field\":{},\"device\":{},\
                      \"report\":{},\"certificate\":{}}}",
-                    json_str(&name),
+                    json_str(name),
                     json_str(field),
                     json_str(device.name),
                     k.optimized.report.to_json(),
@@ -58,7 +60,7 @@ fn main() {
                 ),
                 Err(e) => format!(
                     "{{\"kernel\":{},\"field\":{},\"device\":{},\"error\":{}}}",
-                    json_str(&name),
+                    json_str(name),
                     json_str(field),
                     json_str(device.name),
                     json_str(&e.to_string())
@@ -67,35 +69,22 @@ fn main() {
             objects.push(object);
             continue;
         }
-        let metrics = StaticMetrics::compute(&program);
-        let lints: Vec<String> = analysis::lint(&program, &inputs)
+        let metrics = StaticMetrics::compute(&kernel.program);
+        let lints: Vec<String> = analysis::lint(&kernel.program, &kernel.entry_regs())
             .iter()
             .map(|d| json_str(&d.to_string()))
             .collect();
-        let memory = analysis::analyze_memory(
-            &program,
-            &inputs,
-            &facts.contracts,
-            &facts.assumptions,
-            &facts.hints,
-            &config,
-        );
         // Memory-aware prediction: strided (AoS) kernels issue multiple
         // LSU wavefronts per access, which the schedule must charge.
-        let schedule = analysis::predict_schedule_mem(
-            &program,
-            &config,
-            warps,
-            &facts.hints,
-            &memory.mem_timings(),
-        )
-        .map(|p| p.to_json())
-        .unwrap_or_else(|e| format!("{{\"error\":{}}}", json_str(&e.to_string())));
-        let ranges = analysis::analyze_ranges(&program, &facts.assumptions, &facts.obligations);
+        let memory = kernel.memory(&config);
+        let schedule = kernel
+            .predict(&config, warps, &memory)
+            .map(|p| p.to_json())
+            .unwrap_or_else(|e| format!("{{\"error\":{}}}", json_str(&e.to_string())));
         objects.push(format!(
             "{{\"kernel\":{},\"field\":{},\"device\":{},\"warps\":{},\
              \"metrics\":{},\"lints\":[{}],\"schedule\":{},\"memory\":{},\"ranges\":{}}}",
-            json_str(&name),
+            json_str(name),
             json_str(field),
             json_str(device.name),
             warps,
@@ -103,7 +92,7 @@ fn main() {
             lints.join(","),
             schedule,
             memory.to_json(),
-            ranges.to_json()
+            kernel.ranges().to_json()
         ));
     }
     println!("[{}]", objects.join(",\n"));
