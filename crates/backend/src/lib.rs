@@ -131,9 +131,9 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     /// same pool so nesting stays deadlock-free.
     fn pool(&self) -> &ThreadPool;
 
-    /// Human-readable tag of the G1 MSM algorithm this backend runs over
-    /// plain bases (e.g. `"glv+signed+xyzz"`), for traces and benchmark
-    /// metadata.
+    /// Human-readable tag of the MSM algorithm this backend runs over
+    /// plain bases — unplanned G1 MSMs and the G2 MSM — e.g.
+    /// `"glv+signed+xyzz"`, for traces and benchmark metadata.
     fn msm_algorithm(&self) -> String {
         "default".into()
     }

@@ -418,8 +418,8 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        let size = scalars.len() as u64;
-        self.rec.time(OpKind::MsmG2, size, None, None, || {
+        let (size, algo) = (scalars.len() as u64, self.inner.msm_algorithm());
+        self.rec.time(OpKind::MsmG2, size, None, Some(algo), || {
             self.inner.msm_g2(bases, scalars, scratch)
         })
     }

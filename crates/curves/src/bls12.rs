@@ -64,6 +64,9 @@ pub struct Derived<C: Bls12Config> {
     /// GLV endomorphism parameters for G1 (`φ(x,y) = (β·x, y)`, eigenvalue
     /// `λ = X² - 1`), derived and cross-checked against `φ(G) = λ·G`.
     pub glv_g1: GlvParams<G1Curve<C>>,
+    /// The same for G2: the sextic twist also has `j = 0`, its cube roots
+    /// of unity are Fq's embedded in Fq2, and `φ(G₂) = λ·G₂` picks `β`.
+    pub glv_g2: GlvParams<G2Curve<C>>,
 }
 
 impl<C: Bls12Config> Derived<C> {
@@ -101,10 +104,10 @@ impl<C: Bls12Config> Derived<C> {
             .checked_exact_div(&r)
             .expect("r divides q⁴ - q² + 1 (12th cyclotomic polynomial)");
 
-        // GLV endomorphism for G1 (the generator is passed explicitly: we
-        // are *inside* the lazy initializer, so G1Curve::generator() would
-        // re-enter it).
+        // GLV endomorphisms (the generators are passed explicitly: we are
+        // *inside* the lazy initializer, so `generator()` would re-enter it).
         let glv_g1 = derive_glv::<G1Curve<C>>(C::X, &q.sub(&UBig::one()), &g1);
+        let glv_g2 = derive_glv::<G2Curve<C>>(C::X, &orders.fq2_units, &g2);
 
         Derived {
             n1: orders.n1,
@@ -118,6 +121,7 @@ impl<C: Bls12Config> Derived<C> {
             hard_exponent: hard,
             fq2_units: orders.fq2_units,
             glv_g1,
+            glv_g2,
         }
     }
 }
@@ -196,6 +200,10 @@ impl<C: Bls12Config> SwCurve for G2Curve<C> {
 
     fn generator() -> Affine<Self> {
         C::derived().g2
+    }
+
+    fn glv() -> Option<&'static GlvParams<Self>> {
+        Some(&C::derived().glv_g2)
     }
 
     const NAME: &'static str = "G2";

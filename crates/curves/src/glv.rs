@@ -1,11 +1,14 @@
-//! The GLV endomorphism for BLS12 G1 (§IV-D of the paper's MSM study).
+//! The GLV endomorphism for BLS12 G1 and G2 (§IV-D of the paper's MSM
+//! study).
 //!
-//! BLS12 curves have `j`-invariant 0 (`y² = x³ + b`), so the base field's
+//! BLS12 curves have `j`-invariant 0 (`y² = x³ + b`), and so do their
+//! sextic twists (`y² = x³ + b·ξ^±1` over Fq2), so the coordinate field's
 //! cube roots of unity act on the curve: `φ(x, y) = (β·x, y)` is a group
-//! endomorphism whenever `β³ = 1`. On the r-order subgroup `φ` acts as
-//! multiplication by a scalar `λ` with `λ² + λ + 1 ≡ 0 (mod r)` — for the
-//! BLS12 family concretely `λ = X² - 1`, since `r = X⁴ - X² + 1` gives
-//! `(X²-1)² + (X²-1) + 1 = r`.
+//! endomorphism whenever `β³ = 1`. (On G2, `β` is one of Fq's two primitive
+//! roots embedded in Fq2: `q ≡ 1 mod 3` already puts all three in Fq.) On
+//! the r-order subgroup `φ` acts as multiplication by a scalar `λ` with
+//! `λ² + λ + 1 ≡ 0 (mod r)` — for the BLS12 family concretely
+//! `λ = X² - 1`, since `r = X⁴ - X² + 1` gives `(X²-1)² + (X²-1) + 1 = r`.
 //!
 //! Combined with the lattice decomposition in [`zkp_ff::glv`], this turns a
 //! (point, full-width scalar) pair into two (point, half-width scalar) pairs
@@ -13,9 +16,11 @@
 //! window passes in an MSM.
 //!
 //! Following the repo's derivation-first convention, nothing here is
-//! transcribed: `β` is derived as a cube root of unity in Fq and
-//! disambiguated (against `β²`) by checking `φ(G) = λ·G` on the actual
-//! generator, and every identity is cross-checked at construction.
+//! transcribed: `β` is derived as a cube root of unity in the coordinate
+//! field and disambiguated (against `β²`) by checking `φ(G) = λ·G` on the
+//! actual generator of *that* group — G1 and G2 share `λ` and the lattice,
+//! not necessarily `β` — and every identity is cross-checked at
+//! construction.
 
 use crate::derive::find_cube_root_of_unity;
 use crate::sw::{Affine, Jacobian, SwCurve};
@@ -70,10 +75,12 @@ impl<Cu: SwCurve> GlvParams<Cu> {
     }
 }
 
-/// Derives the GLV parameters for a BLS12 G1 curve from first principles.
+/// Derives the GLV parameters for a BLS12 G1 or G2 curve from first
+/// principles.
 ///
 /// `x_abs` is the absolute value of the BLS parameter (its sign is
-/// irrelevant — only `X²` enters), `base_units` is `q - 1`, and `g` is the
+/// irrelevant — only `X²` enters), `base_units` is the coordinate field's
+/// unit-group order (`q - 1`, or `q² - 1` on G2), and `g` is the
 /// subgroup generator (passed explicitly so this can run *inside* the
 /// curve's lazy-derivation initializer without re-entering it).
 ///
@@ -103,7 +110,7 @@ pub fn derive_glv<Cu: SwCurve>(x_abs: u64, base_units: &UBig, g: &Affine<Cu>) ->
         "λ is not a primitive cube root of unity mod r"
     );
 
-    // β is one of the two primitive cube roots of unity in Fq; pick the one
+    // β is one of the two primitive cube roots of unity; pick the one
     // whose induced map on the curve is multiplication by λ (the other
     // corresponds to λ² = -λ - 1).
     let omega: Cu::Base = find_cube_root_of_unity(base_units);

@@ -31,7 +31,7 @@ pub trait SwCurve:
     fn generator() -> Affine<Self>;
 
     /// GLV endomorphism parameters, for curves with an efficiently
-    /// computable endomorphism (BLS12 G1). `None` — the default — makes
+    /// computable endomorphism (BLS12 G1 and G2). `None` — the default — makes
     /// callers such as the MSM engine fall back to the plain path.
     fn glv() -> Option<&'static crate::glv::GlvParams<Self>> {
         None

@@ -1,6 +1,7 @@
-//! GLV endomorphism properties on both BLS12 G1 curves: `φ(P) = λ·P`,
-//! the decomposition identity `k = k1 + λ·k2 (mod r)` realized on points,
-//! and the half-width subscalar bound.
+//! GLV endomorphism properties on G1 and G2 of both BLS12 curves, over
+//! random points of the r-order subgroup: `φ(P) = λ·P`, the decomposition
+//! identity `k = k1 + λ·k2 (mod r)` realized on points, and the half-width
+//! subscalar bound.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -24,7 +25,7 @@ macro_rules! glv_tests {
 
             #[test]
             fn params_are_nontrivial_cube_roots() {
-                let glv = Cu::glv().expect("BLS12 G1 has a GLV endomorphism");
+                let glv = Cu::glv().expect("BLS12 G1 and G2 have a GLV endomorphism");
                 let beta = glv.beta;
                 assert!(!beta.is_one());
                 assert!((beta * beta * beta).is_one());
@@ -76,3 +77,5 @@ macro_rules! glv_tests {
 
 glv_tests!(bls381_g1, bls12_381::G1);
 glv_tests!(bls377_g1, bls12_377::G1);
+glv_tests!(bls381_g2, bls12_381::G2);
+glv_tests!(bls377_g2, bls12_377::G2);

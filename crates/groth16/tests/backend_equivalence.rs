@@ -7,11 +7,12 @@
 //! only observe — must match it byte for byte.
 
 use rand::{rngs::StdRng, SeedableRng};
+use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{CpuBackend, ExecBackend, LibraryId, OpKind, SimGpuBackend, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{prove_with_backend, setup, verify, ProverSession, ProverStats, ProvingKey};
-use zkp_msm::MsmConfig;
+use zkp_msm::{msm_with_config, MsmConfig};
 use zkp_r1cs::circuits::mimc;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -193,6 +194,17 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
             .all(|a| a.as_deref().is_some_and(|s| s.contains("precomp"))),
         "planned MSMs must carry the plan's algorithm tag: {g1_algos:?}"
     );
+
+    // The G2 MSM is tagged with the backend's one-shot algorithm, and the
+    // tag is true: a G2 one-shot under that configuration really splits.
+    let g2 = trace.records.iter().find(|r| r.kind == OpKind::MsmG2);
+    let g2_algo = g2.and_then(|r| r.algo.as_deref()).expect("tagged G2 MSM");
+    assert_eq!(g2_algo, default_msm_config().describe());
+    assert!(g2_algo.contains("glv"), "{g2_algo}");
+    let bases = &session.pk().b_g2_query[..8];
+    let scalars: Vec<Fr381> = (1..=8).map(Fr381::from_u64).collect();
+    let stats = msm_with_config(bases, &scalars, &default_msm_config()).stats;
+    assert_eq!(stats.glv_decompositions, 8);
 }
 
 #[test]

@@ -32,7 +32,10 @@ pub enum BucketRepr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsmConfig {
     /// Window size `s` in bits, `1..=20` (anything else panics when the
-    /// run is laid out); `None` picks a size-dependent default.
+    /// run is laid out); `None` picks the cheapest of `3..=16` under the
+    /// crate's cost model for the shape that runs — a one-shot's `w`
+    /// separate windows, or a plan's folded table (see
+    /// [`msm_shape`](crate::msm_shape)).
     pub window_bits: Option<u32>,
     /// Signed-digit recoding, halving the bucket count (the endomorphism-
     /// style trick `ymc` uses, §IV-A).
@@ -41,8 +44,10 @@ pub struct MsmConfig {
     pub bucket_repr: BucketRepr,
     /// GLV endomorphism decomposition: split every scalar as
     /// `k = k1 + λ·k2` with half-width subscalars and double the point
-    /// set via the one-`FF_mul` map `φ`. Silently ignored on curves
-    /// without GLV parameters (e.g. G2).
+    /// set via the one-`FF_mul` map `φ`. BLS12 G1 and G2 both have it;
+    /// silently ignored on a curve whose [`SwCurve::glv`] is `None`.
+    ///
+    /// [`SwCurve::glv`]: zkp_curves::SwCurve::glv
     pub endomorphism: bool,
 }
 
@@ -105,7 +110,7 @@ impl MsmConfig {
     }
 
     /// GLV decomposition + signed-digit XYZZ buckets — the fastest CPU
-    /// configuration measured on BLS12 G1 (§IV-D).
+    /// configuration measured on BLS12 G1 and G2 (§IV-D).
     pub fn glv_style() -> Self {
         Self {
             window_bits: None,

@@ -47,8 +47,8 @@ mod plan;
 pub use config::{BucketRepr, MsmConfig};
 pub use fixed_base::FixedBase;
 pub use pippenger::{
-    default_window_bits, msm, msm_parallel, msm_parallel_with_config, msm_parallel_with_config_in,
-    msm_serial, msm_with_config, num_windows, MsmOutput, MsmScratch, MsmStats,
+    msm, msm_parallel, msm_parallel_with_config, msm_parallel_with_config_in, msm_serial,
+    msm_shape, msm_with_config, num_windows, MsmOutput, MsmScratch, MsmShape, MsmStats,
 };
 pub use plan::{precompute_cost, MsmPlan, PrecomputeCost, PrecomputedPoints};
 

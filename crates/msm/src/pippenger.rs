@@ -14,8 +14,16 @@
 //! `k = k1 + λ·k2 (mod r)` with half-width signed subscalars, and the point
 //! set is doubled with the one-`FF_mul` endomorphism `φ(x,y) = (β·x, y)`.
 //! The engine then runs over `2n` points but *half* the windows — the
-//! first-order MSM lever of §IV-D / SZKP. Curves without an endomorphism
-//! (G2) fall back to the plain path transparently.
+//! first-order MSM lever of §IV-D / SZKP. BLS12 G1 and G2 both split; a
+//! curve without GLV parameters falls back to the plain path
+//! transparently.
+//!
+//! # The window
+//!
+//! An unpinned window size is the argmin of one cost model
+//! ([`msm_shape`]) over the shape that runs: a one-shot reduces each of
+//! its `w` windows, a plan folded onto shifted copies reduces `W ≤ w`, and
+//! the fewer reductions a run pays the larger the window it affords.
 //!
 //! # One front door
 //!
@@ -108,16 +116,6 @@ pub(crate) fn check_window_bits(window_bits: u32) {
         (1..=MAX_WINDOW_BITS).contains(&window_bits),
         "window bits must be in 1..={MAX_WINDOW_BITS}, got {window_bits}"
     );
-}
-
-/// Chooses the window size by balancing accumulation (`w·n` PADDs) against
-/// bucket reduction (`w·2^(s+1)` PADDs): `s ≈ log2(n) - 3`, clamped to a
-/// practical range.
-pub fn default_window_bits(n: usize) -> u32 {
-    match n {
-        0..=1 => 3,
-        _ => n.ilog2().saturating_sub(3).clamp(3, 16),
-    }
 }
 
 /// Generic bucket accumulator abstracting the point representation
@@ -646,20 +644,39 @@ pub(crate) struct Layout<Cu: SwCurve> {
     pub(crate) bucket_repr: BucketRepr,
 }
 
+/// Table V costs in `FF_mul` units, as `Counted<F>` reports them for the
+/// XYZZ formulas: mixed addition, full addition, doubling.
+const MADD_FF_MULS: u64 = 10;
+const ADD_FF_MULS: u64 = 14;
+const DBL_FF_MULS: u64 = 7;
+
 impl<Cu: SwCurve> Layout<Cu> {
-    /// The single-copy layout of `n` points under `config`.
+    /// The layout of `n` points under `config` whose table fits
+    /// `budget_bytes` (`None` = unbounded; `Some(0)` is the one-shot run
+    /// over a single borrowed copy) — the one window picker: an unpinned
+    /// `window_bits` is the cheapest of `3..=16` by [`Layout::cost`], each
+    /// candidate folded as deep as the budget allows; ties go to the
+    /// smaller window.
     ///
     /// # Panics
     ///
     /// Panics if `config.window_bits` is out of range
     /// ([`check_window_bits`]).
-    pub(crate) fn new(n: usize, config: &MsmConfig) -> Self {
-        let glv = if config.endomorphism { Cu::glv() } else { None };
-        let rows = if glv.is_some() { 2 * n } else { n };
-        let s = config
-            .window_bits
-            .unwrap_or_else(|| default_window_bits(rows));
+    pub(crate) fn new(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> Self {
+        let folded = |s| Self::at(n, config, s).fit(budget_bytes);
+        match config.window_bits {
+            Some(s) => folded(s),
+            None => (3..=16)
+                .map(folded)
+                .min_by_key(Self::cost)
+                .expect("non-empty window range"),
+        }
+    }
+
+    /// The single-copy layout at window size `s`.
+    fn at(n: usize, config: &MsmConfig, s: u32) -> Self {
         check_window_bits(s);
+        let glv = if config.endomorphism { Cu::glv() } else { None };
         let full_windows = match glv {
             // A subscalar magnitude is bounded by `2^sub_bits`.
             Some(glv) => (glv.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
@@ -674,6 +691,34 @@ impl<Cu: SwCurve> Layout<Cu> {
             signed: config.signed_digits,
             bucket_repr: config.bucket_repr,
         }
+    }
+
+    /// Folds onto the smallest `W` (deepest precompute) whose table fits
+    /// the budget; nothing fitting degrades to the single un-shifted copy.
+    fn fit(self, budget_bytes: Option<u64>) -> Self {
+        let w = self.full_windows;
+        let copy_bytes = (self.points_per_copy() * core::mem::size_of::<Affine<Cu>>()) as u64;
+        let fits =
+            |&t: &u32| budget_bytes.is_none_or(|b| copy_bytes * u64::from(w.div_ceil(t)) <= b);
+        Self {
+            target_windows: (1..=w).find(fits).unwrap_or(w),
+            ..self
+        }
+    }
+
+    /// Modeled work of one run in `FF_mul` units: `rows·w` mixed additions
+    /// into the buckets, then per reduced window the chunk merges the
+    /// engine performs plus the two sum-of-sums passes, `s` doublings and
+    /// one addition of the Horner tail.
+    pub(crate) fn cost(&self) -> u64 {
+        let rows = self.points_per_copy();
+        let buckets = buckets_for(self.window_bits, self.signed);
+        let chunks = chunk_grid(rows * self.copies() as usize, buckets) as u64;
+        rows as u64 * u64::from(self.full_windows) * MADD_FF_MULS
+            + u64::from(self.target_windows)
+                * ((chunks + 1) * buckets * ADD_FF_MULS
+                    + u64::from(self.window_bits) * DBL_FF_MULS
+                    + ADD_FF_MULS)
     }
 
     /// Table rows per copy: `n`, or `2n` under GLV.
@@ -697,6 +742,30 @@ impl<Cu: SwCurve> Layout<Cu> {
     }
 }
 
+/// How the picker sizes one MSM run: see [`msm_shape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsmShape {
+    /// Window size `s` in bits.
+    pub window_bits: u32,
+    /// Windows reduced per run (`W`), the `windows` of the run's stats.
+    pub target_windows: u32,
+    /// Modeled work of one run in `FF_mul` units.
+    pub cost: u64,
+}
+
+/// The shape an MSM of `n` points runs at under `config` when its table may
+/// spend `budget_bytes` (as in [`MsmPlan::build`](crate::MsmPlan::build);
+/// a one-shot MSM is `Some(0)`), and what the cost model charges for it.
+/// `window_bits: Some(s)` prices that window instead of choosing one.
+pub fn msm_shape<Cu: SwCurve>(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> MsmShape {
+    let layout = Layout::<Cu>::new(n, config, budget_bytes);
+    MsmShape {
+        window_bits: layout.window_bits,
+        target_windows: layout.target_windows,
+        cost: layout.cost(),
+    }
+}
+
 /// Decomposes every scalar as `k = k1 + λ·k2` in parallel, reusing
 /// `subs`' capacity.
 fn glv_split_into<Cu: SwCurve>(
@@ -714,17 +783,19 @@ fn glv_split_into<Cu: SwCurve>(
     });
 }
 
-/// Doubles the point set via the endomorphism into `out`:
-/// `[P₀..Pₙ, φ(P₀)..φ(Pₙ)]`. One `FF_mul` per point.
-pub(crate) fn glv_expand_points_into<Cu: SwCurve>(
-    points: &[Affine<Cu>],
-    glv: &GlvParams<Cu>,
+/// Appends one table copy over `rows` to `out`: the rows themselves and,
+/// under GLV, their images `[P₀..Pₙ, φ(P₀)..φ(Pₙ)]` — one `FF_mul` per
+/// point, whichever multiple of the bases the rows are, since
+/// `φ(2^k·P) = 2^k·φ(P)`.
+pub(crate) fn push_copy<Cu: SwCurve>(
+    rows: &[Affine<Cu>],
+    glv: Option<&GlvParams<Cu>>,
     out: &mut Vec<Affine<Cu>>,
 ) {
-    out.clear();
-    out.reserve(2 * points.len());
-    out.extend_from_slice(points);
-    out.extend(points.iter().map(|p| glv.endomorphism(p)));
+    out.extend_from_slice(rows);
+    if let Some(glv) = glv {
+        out.extend(rows.iter().map(|p| glv.endomorphism(p)));
+    }
 }
 
 /// Scalar limbs copied to the stack on the per-row hot path; every
@@ -894,14 +965,15 @@ pub fn msm_parallel_with_config_in<Cu: SwCurve>(
         scalars.len(),
         "points and scalars must pair up"
     );
-    let layout = Layout::new(points.len(), config);
+    let layout = Layout::new(points.len(), config, Some(0));
     let Some(glv) = layout.glv else {
         return execute(&layout, points, scalars, pool, scratch);
     };
     // Lend the expanded table out of the scratch for the run (moving a
     // `Vec` neither allocates nor frees).
     let mut expanded = std::mem::take(&mut scratch.expanded);
-    glv_expand_points_into(points, glv, &mut expanded);
+    expanded.clear();
+    push_copy(points, Some(glv), &mut expanded);
     let mut out = execute(&layout, &expanded, scalars, pool, scratch);
     scratch.expanded = expanded;
     out.stats.endomorphism_muls = points.len() as u64;

@@ -18,7 +18,7 @@
 //! proofs stay byte-identical to the unplanned prover.
 
 use crate::config::MsmConfig;
-use crate::pippenger::{execute, glv_expand_points_into, Layout, MsmOutput, MsmScratch};
+use crate::pippenger::{execute, push_copy, Layout, MsmOutput, MsmScratch};
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
 use zkp_runtime::ThreadPool;
 
@@ -37,51 +37,32 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
     /// Builds a plan for `points` under `config`, spending at most
     /// `budget_bytes` on the expanded table (`None` = unbounded, i.e. the
     /// full `W = 1` precompute). The budget knob walks the Fig. 12
-    /// trade-off: more memory → fewer reduced windows.
+    /// trade-off: more memory → fewer reduced windows, and — unless
+    /// `config.window_bits` pins it — the larger window that the folded
+    /// table pays for (the picker prices the shape that runs).
     pub fn build(
         points: &[Affine<Cu>],
         config: &MsmConfig,
         budget_bytes: Option<u64>,
         pool: &ThreadPool,
     ) -> Self {
-        let layout = Layout::new(points.len(), config);
-        // Smallest W (deepest precompute) whose table fits the budget;
-        // W = w degrades gracefully to a single un-shifted copy.
-        let w = layout.full_windows;
-        let point_bytes = core::mem::size_of::<Affine<Cu>>() as u64;
-        let storage = |target: u32| {
-            layout.points_per_copy() as u64 * u64::from(w.div_ceil(target)) * point_bytes
-        };
-        let target_windows = match budget_bytes {
-            None => 1,
-            Some(budget) => (1..=w).find(|&t| storage(t) <= budget).unwrap_or(w),
-        };
-        Self::with_target_windows(points, layout, target_windows, pool)
+        let layout = Layout::new(points.len(), config, budget_bytes);
+        Self::from_layout(points, layout, pool)
     }
 
-    /// The table builder: materializes the `⌈w/W⌉` shifted copies for an
-    /// explicit `W = target_windows ∈ [1, w]`.
-    fn with_target_windows(
-        points: &[Affine<Cu>],
-        layout: Layout<Cu>,
-        target_windows: u32,
-        pool: &ThreadPool,
-    ) -> Self {
-        debug_assert!((1..=layout.full_windows).contains(&target_windows));
-        let layout = Layout {
-            target_windows,
-            ..layout
-        };
+    /// The table builder: materializes the `⌈w/W⌉` shifted copies of
+    /// `layout`.
+    fn from_layout(points: &[Affine<Cu>], layout: Layout<Cu>, pool: &ThreadPool) -> Self {
+        debug_assert!((1..=layout.full_windows).contains(&layout.target_windows));
         let copies = layout.copies();
         let mut table = Vec::with_capacity(layout.points_per_copy() * copies as usize);
-        match layout.glv {
-            Some(glv) => glv_expand_points_into(points, glv, &mut table),
-            None => table.extend_from_slice(points),
-        }
+        push_copy(points, layout.glv, &mut table);
         // Each copy is the previous doubled W·s times; the doubling sweep
-        // parallelizes per point.
-        let mut current: Vec<Jacobian<Cu>> = table.iter().map(|p| Jacobian::from(*p)).collect();
-        let shift = target_windows * layout.window_bits;
+        // parallelizes per point and carries the base rows only — the φ
+        // half of a copy is mapped from its affine rows, which is the same
+        // canonical point as doubling φ(P).
+        let mut current: Vec<Jacobian<Cu>> = points.iter().map(|p| Jacobian::from(*p)).collect();
+        let shift = layout.target_windows * layout.window_bits;
         for _ in 1..copies {
             current = pool.map(current.len(), 64, |i| {
                 let mut p = current[i];
@@ -90,7 +71,7 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
                 }
                 p
             });
-            table.extend(batch_to_affine(&current));
+            push_copy(&batch_to_affine(&current), layout.glv, &mut table);
         }
         Self { table, layout }
     }
@@ -98,6 +79,12 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
     /// The original base points (row-compatible with the unplanned MSM).
     pub fn bases(&self) -> &[Affine<Cu>] {
         &self.table[..self.layout.n]
+    }
+
+    /// The whole copies-major table: copy `j` is `2^(W·s·j)` times the
+    /// first, whose rows are `[P…]` or, under GLV, `[P…, φ(P)…]`.
+    pub fn table(&self) -> &[Affine<Cu>] {
+        &self.table
     }
 
     /// Number of base points the plan serves.
@@ -191,15 +178,10 @@ impl<Cu: SwCurve> PrecomputedPoints<Cu> {
             window_bits: Some(window_bits),
             ..MsmConfig::default()
         };
-        let layout = Layout::new(points.len(), &config);
-        let target_windows = target_windows.min(layout.full_windows);
+        let mut layout = Layout::new(points.len(), &config, Some(0));
+        layout.target_windows = target_windows.min(layout.full_windows);
         let pool = ThreadPool::with_threads(1);
-        Self(MsmPlan::with_target_windows(
-            points,
-            layout,
-            target_windows,
-            &pool,
-        ))
+        Self(MsmPlan::from_layout(points, layout, &pool))
     }
 
     /// Number of stored points (`n · ⌈w/W⌉`) — the memory cost of Fig. 12.

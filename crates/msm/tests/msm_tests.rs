@@ -5,8 +5,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, PrimeField};
 use zkp_msm::{
-    default_window_bits, msm, msm_parallel, msm_serial, msm_with_config, precompute_cost,
-    BucketRepr, MsmConfig, MsmPlan, PrecomputedPoints,
+    msm, msm_parallel, msm_serial, msm_shape, msm_with_config, precompute_cost, BucketRepr,
+    MsmConfig, MsmPlan, PrecomputedPoints,
 };
 
 fn random_inputs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
@@ -237,7 +237,8 @@ fn glv_stats_reflect_decomposition() {
     assert_eq!(out.stats.endomorphism_muls, 64);
     // Half-width subscalars need roughly half the windows of the plain
     // signed path at the same window size.
-    let s = default_window_bits(128);
+    let s = msm_shape::<bls12_381::G1>(64, &MsmConfig::glv_style(), Some(0)).window_bits;
+    assert_eq!(out.stats.buckets_per_window, 1 << (s - 1));
     let plain_w = zkp_msm::num_windows::<zkp_ff::Fr381>(s, true);
     assert!(out.stats.windows <= plain_w.div_ceil(2) + 1);
 
@@ -247,13 +248,56 @@ fn glv_stats_reflect_decomposition() {
     assert_eq!(plain.stats.endomorphism_muls, 0);
 }
 
+/// G2 splits like G1: same `λ` and lattice, its own `β`, half the windows.
+fn assert_g2_splits<Cu: SwCurve>(seed: u64) {
+    const N: usize = 16;
+    let (points, scalars) = random_inputs::<Cu>(N, seed);
+    let config = MsmConfig::glv_style();
+    let out = msm_with_config(&points, &scalars, &config);
+    assert_eq!(out.point, msm_serial(&points, &scalars));
+    assert_eq!(out.stats.glv_decompositions, N as u64);
+    assert_eq!(out.stats.endomorphism_muls, N as u64);
+    let s = msm_shape::<Cu>(N, &config, Some(0)).window_bits;
+    let plain_w = zkp_msm::num_windows::<Cu::Scalar>(s, true);
+    assert!(out.stats.windows <= plain_w.div_ceil(2) + 1);
+}
+
 #[test]
-fn endomorphism_config_falls_back_on_g2() {
-    // G2 exposes no GLV parameters; the flag must be a silent no-op.
-    let (points, scalars) = random_inputs::<bls12_381::G2>(16, 22);
+fn endomorphism_config_splits_on_g2() {
+    assert_g2_splits::<bls12_381::G2>(22);
+    assert_g2_splits::<bls12_377::G2>(24);
+}
+
+/// A curve without GLV parameters (the trait default): G1's equation and
+/// generator under a marker type of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+struct PlainG1;
+
+impl SwCurve for PlainG1 {
+    type Base = <bls12_381::G1 as SwCurve>::Base;
+    type Scalar = zkp_ff::Fr381;
+    fn b() -> Self::Base {
+        bls12_381::G1::b()
+    }
+    fn generator() -> Affine<Self> {
+        let g = bls12_381::G1::generator();
+        Affine::new(g.x, g.y).expect("same curve equation")
+    }
+    const NAME: &'static str = "G1 without GLV";
+}
+
+#[test]
+fn endomorphism_config_falls_back_without_glv_params() {
+    // No GLV parameters: the flag must be a silent no-op.
+    let (points, scalars) = random_inputs::<PlainG1>(16, 25);
     let out = msm_with_config(&points, &scalars, &MsmConfig::glv_style());
     assert_eq!(out.point, msm_serial(&points, &scalars));
     assert_eq!(out.stats.glv_decompositions, 0);
+    assert_eq!(out.stats.endomorphism_muls, 0);
+    assert_eq!(
+        out.stats,
+        msm_with_config(&points, &scalars, &MsmConfig::ymc_style()).stats
+    );
 }
 
 #[test]
@@ -340,8 +384,11 @@ proptest! {
     }
 
     #[test]
-    fn window_default_is_sane(n in 1usize..5_000_000) {
-        let w = default_window_bits(n);
-        prop_assert!((3..=16).contains(&w));
+    fn window_default_is_sane(n in 1usize..5_000_000, signed in any::<bool>(), glv in any::<bool>()) {
+        let config = MsmConfig { signed_digits: signed, endomorphism: glv, ..MsmConfig::default() };
+        for budget in [Some(0), None] {
+            let w = msm_shape::<bls12_381::G1>(n, &config, budget).window_bits;
+            prop_assert!((3..=16).contains(&w));
+        }
     }
 }

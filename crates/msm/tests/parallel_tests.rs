@@ -1,5 +1,6 @@
-//! Thread-count invariance, work accounting, and window-size regression
-//! tests for the parallel Pippenger engine.
+//! Thread-count invariance and work accounting tests for the parallel
+//! Pippenger engine (the window picker is held to its cost model in
+//! `plan_tests.rs`).
 //!
 //! The engine's chunk grid is a pure function of problem shape, so every
 //! output here — the Jacobian coordinates *and* the stats — must be
@@ -10,8 +11,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, Fr381};
 use zkp_msm::{
-    default_window_bits, msm_parallel_with_config, msm_serial, msm_with_config, num_windows,
-    BucketRepr, MsmConfig,
+    msm_parallel_with_config, msm_serial, msm_with_config, num_windows, BucketRepr, MsmConfig,
 };
 use zkp_runtime::ThreadPool;
 
@@ -36,46 +36,6 @@ fn assert_bit_identical<Cu: SwCurve>(a: &Jacobian<Cu>, b: &Jacobian<Cu>) {
 }
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
-/// Modeled PADD-dominated cost of one MSM at window size `s`:
-/// `w` windows of up to `n` accumulation adds, plus the `2·buckets`
-/// sum-of-sums reduction per window, plus the Horner tail.
-fn modeled_cost(n: u64, s: u32, signed: bool) -> u64 {
-    let w = u64::from(num_windows::<Fr381>(s, signed));
-    let buckets = if signed {
-        1u64 << (s - 1)
-    } else {
-        (1u64 << s) - 1
-    };
-    w * n + w * 2 * buckets + w * u64::from(s) + w
-}
-
-#[test]
-fn window_default_tracks_cost_model() {
-    // Regression for the `ln`-based pick (12 bits at 2^16, 14 at 2^20,
-    // 13.5% over the signed optimum at the top end): the chosen window
-    // must stay within 8% of the model optimum across the paper's
-    // 2^16..2^20 sweep, for both digit encodings.
-    for log_n in 16u32..=20 {
-        let n = 1u64 << log_n;
-        let chosen = default_window_bits(n as usize);
-        for signed in [false, true] {
-            let best = (3..=16)
-                .map(|s| modeled_cost(n, s, signed))
-                .min()
-                .expect("non-empty range");
-            let got = modeled_cost(n, chosen, signed);
-            assert!(
-                got * 100 <= best * 108,
-                "n=2^{log_n} signed={signed}: chose s={chosen} at cost {got}, \
-                 but the model optimum costs {best}"
-            );
-        }
-    }
-    // Pin the endpoints so silent drift in the formula is caught.
-    assert_eq!(default_window_bits(1 << 16), 13);
-    assert_eq!(default_window_bits(1 << 20), 16);
-}
 
 #[test]
 fn parallel_is_bit_identical_across_thread_counts() {

@@ -1,12 +1,16 @@
 //! MsmPlan correctness: the cached GLV + precompute path must compute the
 //! same group element as every other MSM path, stay bit-identical across
-//! thread counts, respect its memory budget, and deliver the ≥30%
-//! point-addition saving the plan exists for.
+//! thread counts, respect its memory budget, run at the window the cost
+//! model picks for the folded table, and deliver the ≥30% point-addition
+//! saving the plan exists for.
 
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{batch_to_affine, bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::Field;
-use zkp_msm::{msm_parallel_with_config, msm_serial, BucketRepr, MsmConfig, MsmOutput, MsmPlan};
+use zkp_msm::{
+    msm_parallel_with_config, msm_serial, msm_shape, num_windows, BucketRepr, MsmConfig, MsmOutput,
+    MsmPlan, MsmShape,
+};
 use zkp_runtime::ThreadPool;
 
 fn random_inputs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
@@ -189,6 +193,177 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
             assert_same_run(&again, &one_shot, &what);
         }
     }
+}
+
+/// The one picker, held to the exported cost model by counts alone: at
+/// every scale, digit encoding, GLV setting and budget the chosen `(s, W)`
+/// is the cheapest of `3..=16` (the smaller window on a tie), each
+/// candidate folded onto the smallest `W` whose table fits.
+#[test]
+fn picker_is_the_argmin_of_the_cost_model() {
+    type G1 = bls12_381::G1;
+    let point_bytes = core::mem::size_of::<Affine<G1>>() as u64;
+    for log_n in [8u32, 10, 12, 16] {
+        let n = 1usize << log_n;
+        for (signed, glv) in [(false, false), (false, true), (true, false), (true, true)] {
+            let config = MsmConfig {
+                signed_digits: signed,
+                endomorphism: glv,
+                ..MsmConfig::default()
+            };
+            let copy_bytes = (n as u64) * if glv { 2 } else { 1 } * point_bytes;
+            let what = format!("n = 2^{log_n}, signed {signed}, glv {glv}");
+            let mut last_cost = 0;
+            // Shrinking budgets: unbounded, four copies, the one-shot run.
+            for budget in [None, Some(4 * copy_bytes), Some(0)] {
+                let priced = |s| {
+                    let pinned = MsmConfig {
+                        window_bits: Some(s),
+                        ..config
+                    };
+                    msm_shape::<G1>(n, &pinned, budget)
+                };
+                for s in 3..=16 {
+                    // A pinned window is never overridden, and it folds as
+                    // deep as the budget allows and no deeper.
+                    let MsmShape {
+                        window_bits,
+                        target_windows: big_w,
+                        ..
+                    } = priced(s);
+                    assert_eq!(window_bits, s, "{what}, budget {budget:?}");
+                    let w = if glv {
+                        let sub_bits = G1::glv().expect("G1 has GLV parameters").sub_bits;
+                        (sub_bits + u32::from(signed)).div_ceil(s)
+                    } else {
+                        num_windows::<zkp_ff::Fr381>(s, signed)
+                    };
+                    let fits =
+                        |t: u32| budget.is_none_or(|b| copy_bytes * u64::from(w.div_ceil(t)) <= b);
+                    assert!(fits(big_w) || big_w == w, "{what}, s = {s}: W = {big_w}");
+                    assert!(
+                        big_w == 1 || !fits(big_w - 1),
+                        "{what}, s = {s}: W = {big_w}"
+                    );
+                }
+                let best = (3..=16)
+                    .map(priced)
+                    .min_by_key(|shape| (shape.cost, shape.window_bits))
+                    .expect("non-empty range");
+                let chosen = msm_shape::<G1>(n, &config, budget);
+                assert_eq!(chosen, best, "{what}, budget {budget:?}");
+                assert!(
+                    chosen.cost >= last_cost,
+                    "{what}: a smaller budget got cheaper"
+                );
+                last_cost = chosen.cost;
+            }
+        }
+    }
+
+    // The shape is what runs: the prover's 1 026-base GLV plan folds every
+    // window into one and so affords s = 12 (2 052·11 mixed additions and
+    // one 2·2 048-bucket reduction; 283 162 `FF_mul` by Table V), where the
+    // one-shot rule sized for 16 separate windows said 8.
+    let config = MsmConfig::glv_style();
+    let shape = msm_shape::<G1>(1026, &config, None);
+    assert_eq!((shape.window_bits, shape.target_windows), (12, 1));
+    assert_eq!(shape.cost, 2052 * 11 * 10 + 2 * 2048 * 14 + 12 * 7 + 14);
+    let (points, scalars) = random_inputs::<G1>(40, 41);
+    let pool = ThreadPool::with_threads(2);
+    for budget in [None, Some(4 * 80 * point_bytes), Some(0)] {
+        let shape = msm_shape::<G1>(40, &config, budget);
+        let plan = MsmPlan::build(&points, &config, budget, &pool);
+        let stats = plan.execute(&scalars, &pool).stats;
+        assert_eq!(plan.target_windows(), shape.target_windows);
+        assert_eq!(stats.windows, shape.target_windows);
+        assert_eq!(stats.buckets_per_window, 1 << (shape.window_bits - 1));
+    }
+}
+
+/// The point of sizing the window for the folded table: the prover-sized
+/// GLV plan does 19% fewer point additions than the same table at the
+/// one-shot window (32 957 → 26 651: 2 052 rows × 16 windows of 8 bits
+/// against 11 of 12 bits plus one 2·2 048-bucket reduction) — *and* stores
+/// 11 copies instead of 16.
+#[test]
+fn plan_window_beats_the_one_shot_window() {
+    const N: usize = 1026;
+    let points = incremental_points::<bls12_381::G1>(N);
+    let mut rng = StdRng::seed_from_u64(42);
+    let scalars: Vec<zkp_ff::Fr381> = (0..N).map(|_| zkp_ff::Fr381::random(&mut rng)).collect();
+    let pool = ThreadPool::with_threads(2);
+    let pinned = MsmConfig {
+        window_bits: Some(8),
+        ..MsmConfig::glv_style()
+    };
+    let old = MsmPlan::build(&points, &pinned, None, &pool);
+    let new = MsmPlan::build(&points, &MsmConfig::glv_style(), None, &pool);
+    let (old_run, new_run) = (old.execute(&scalars, &pool), new.execute(&scalars, &pool));
+    assert_eq!(new_run.point, msm_serial(&points, &scalars));
+    assert_eq!(new_run.point, old_run.point);
+    let (before, after) = (old_run.stats.total_padds(), new_run.stats.total_padds());
+    assert!(
+        after * 100 <= before * 82,
+        "expected ≥ 18% fewer PADDs: {before} at s = 8, {after} picked"
+    );
+    assert!(new.storage_bytes() < old.storage_bytes());
+}
+
+/// The φ half of every copy is mapped from the copy's affine rows; that is
+/// the table the builder used to get by carrying `φ(Pᵢ)` through the
+/// doubling sweep.
+fn assert_phi_mapped_table_is_the_doubled_table<Cu: SwCurve>(seed: u64) {
+    let glv = Cu::glv().expect("GLV parameters");
+    let g = Jacobian::from(Cu::generator());
+    let (mut points, _) = random_inputs::<Cu>(5, seed);
+    // Small multiples of the generator and bases at infinity.
+    points.extend(batch_to_affine(&[g, g.double(), g.double().add(&g)]));
+    points.insert(2, Affine::identity());
+    points.push(Affine::identity());
+    let n = points.len();
+    let pool = ThreadPool::with_threads(2);
+    let config = MsmConfig {
+        window_bits: Some(12),
+        ..MsmConfig::glv_style()
+    };
+    let copy_bytes = (2 * n * core::mem::size_of::<Affine<Cu>>()) as u64;
+    for (budget, copies) in [(Some(3 * copy_bytes), 3), (None, 11)] {
+        let plan = MsmPlan::build(&points, &config, budget, &pool);
+        assert_eq!(plan.stored_points(), copies * 2 * n);
+        let mut rows: Vec<Jacobian<Cu>> = points
+            .iter()
+            .chain(
+                &points
+                    .iter()
+                    .map(|p| glv.endomorphism(p))
+                    .collect::<Vec<_>>(),
+            )
+            .map(|p| Jacobian::from(*p))
+            .collect();
+        for (j, copy) in plan.table().chunks_exact(2 * n).enumerate() {
+            if j > 0 {
+                for row in &mut rows {
+                    for _ in 0..plan.target_windows() * 12 {
+                        *row = row.double();
+                    }
+                }
+            }
+            for (i, (got, want)) in copy.iter().zip(batch_to_affine(&rows)).enumerate() {
+                assert_eq!(
+                    (got.x, got.y, got.infinity),
+                    (want.x, want.y, want.infinity)
+                );
+                assert_eq!(got.is_identity(), points[i % n].is_identity());
+            }
+        }
+    }
+}
+
+#[test]
+fn phi_mapped_table_is_the_doubled_table() {
+    assert_phi_mapped_table_is_the_doubled_table::<bls12_381::G1>(43);
+    assert_phi_mapped_table_is_the_doubled_table::<bls12_377::G1>(44);
 }
 
 #[test]

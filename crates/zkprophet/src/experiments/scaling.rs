@@ -191,7 +191,8 @@ const TRADEOFF_LOG_N: u32 = 10;
 /// digits, GLV decomposition, and GLV + precomputed windows at shrinking
 /// memory budgets — and reports the *measured* `MsmStats` counters. This
 /// is the CPU-side analogue of Fig. 12: each precompute step trades table
-/// storage for bucket-reduction PADDs.
+/// storage for a larger window (fewer accumulation PADDs) and fewer bucket
+/// reductions.
 pub fn glv_tradeoff() -> Vec<GlvTradeoffRow> {
     let n = 1usize << TRADEOFF_LOG_N;
     let g = Jacobian::from(<bls12_381::G1 as zkp_curves::SwCurve>::generator());
@@ -254,8 +255,8 @@ pub fn glv_tradeoff() -> Vec<GlvTradeoffRow> {
 pub fn render_glv_tradeoff(rows: &[GlvTradeoffRow]) -> String {
     let mut t = Table::new(
         "GLV/precompute trade-off, measured at 2^10 BLS12-381 G1 points \
-         (real MsmStats counters; storage buys fewer bucket-reduction PADDs, \
-          the CPU-side analogue of Fig 12)",
+         (real MsmStats counters; storage buys a larger window and fewer \
+          reductions, the CPU-side analogue of Fig 12)",
         &[
             "Algorithm",
             "Windows",
@@ -438,7 +439,8 @@ mod tests {
         // Row 0 is the unsigned baseline it normalizes against.
         assert_eq!(rows[0].saved_pct, 0.0);
         assert!(rows[0].algorithm.starts_with("unsigned"));
-        // The GLV split roughly halves the windows of the plain path.
+        // The GLV split roughly halves the windows of the plain path
+        // (each row runs at the window the cost model picks for it).
         assert!(rows[2].windows <= rows[0].windows.div_ceil(2) + 1);
         // Plan rows (3..6) run at shrinking budgets: storage falls,
         // windows rise — the Fig. 12 frontier, measured.
@@ -446,9 +448,11 @@ mod tests {
             assert!(w[0].storage_kib >= w[1].storage_kib);
             assert!(w[0].windows <= w[1].windows);
         }
-        // The unlimited-budget plan delivers the headline saving.
+        // The unlimited-budget plan delivers the headline saving: its
+        // folded table affords a larger window than any one-shot row.
+        assert!(rows[3].accumulation_padds < rows[2].accumulation_padds);
         assert!(
-            rows[3].saved_pct > 25.0,
+            rows[3].saved_pct > 40.0,
             "full precompute saved only {:.1}%",
             rows[3].saved_pct
         );

@@ -5,7 +5,9 @@
 //! subscalars are largest exactly where a rounding flips: `c1 =
 //! round(k·X²/r)` steps from `j` to `j + 1` at `k = ⌈(2j+1)·r / (2·X²)⌉`,
 //! and `c2 = round(k/r)` steps at `⌊r/2⌋ + 1`. These fixed vectors sit on
-//! and beside those steps, on both curves.
+//! and beside those steps, on both curves — and on G1 and G2 of each, which
+//! share `λ` and the lattice but not `β`, the point set or the engine's
+//! coordinate field.
 
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_bigint::UBig;
@@ -15,7 +17,7 @@ use zkp_msm::{msm_serial, msm_with_config, MsmConfig};
 
 /// `(label, k)` for every boundary scalar of the curve's lattice.
 fn boundary_scalars<Cu: SwCurve>() -> Vec<(String, UBig)> {
-    let glv = Cu::glv().expect("BLS12 G1 has a GLV endomorphism");
+    let glv = Cu::glv().expect("BLS12 G1 and G2 have a GLV endomorphism");
     let (x2, r, one) = (&glv.x2, &glv.r, UBig::one());
     let mut out = Vec::new();
     let mut around = |label: &str, k: UBig| {
@@ -44,7 +46,7 @@ fn boundary_scalars<Cu: SwCurve>() -> Vec<(String, UBig)> {
 }
 
 fn check_curve<Cu: SwCurve>() {
-    let glv = Cu::glv().expect("BLS12 G1 has a GLV endomorphism");
+    let glv = Cu::glv().expect("BLS12 G1 and G2 have a GLV endomorphism");
     let vectors = boundary_scalars::<Cu>();
     let mut scalars = Vec::new();
     for (label, k) in &vectors {
@@ -105,4 +107,14 @@ fn glv_decomposition_holds_at_the_rounding_boundaries_bls12_381() {
 #[test]
 fn glv_decomposition_holds_at_the_rounding_boundaries_bls12_377() {
     check_curve::<bls12_377::G1>();
+}
+
+#[test]
+fn glv_g2_msm_holds_at_the_rounding_boundaries_bls12_381() {
+    check_curve::<bls12_381::G2>();
+}
+
+#[test]
+fn glv_g2_msm_holds_at_the_rounding_boundaries_bls12_377() {
+    check_curve::<bls12_377::G2>();
 }
