@@ -23,6 +23,8 @@
 //! [`BackendSpec::build`] can hand back a boxed backend chosen at runtime
 //! from a spec string like `sim:a40:sppark`.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod fault;
 pub mod sim;

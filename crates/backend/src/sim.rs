@@ -27,8 +27,8 @@ use gpu_kernels::calibration::{
     cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_HOST_THREADS,
     CPU_MUL_CYCLES, G2_COST_FACTOR,
 };
-use gpu_kernels::libraries::{LAUNCH_OVERHEAD_S, SCALAR_BYTES};
-use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId, PhaseEstimate};
+use gpu_kernels::libraries::{best_library, LAUNCH_OVERHEAD_S, SCALAR_BYTES};
+use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId};
 use gpu_sim::DeviceSpec;
 use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
 use zkp_msm::MsmScratch;
@@ -129,7 +129,8 @@ impl GpuCostModel {
                 return (est.seconds(), lib);
             }
         }
-        best_phase(|lib| msm_estimate(lib, &self.device, log_n))
+        let (lib, est) = best_library(|lib| msm_estimate(lib, &self.device, log_n));
+        (est.seconds(), lib)
     }
 
     /// NTT seconds at `2^log_n`, with the library that produced them.
@@ -139,16 +140,9 @@ impl GpuCostModel {
                 return (est.seconds(), lib);
             }
         }
-        best_phase(|lib| ntt_estimate(lib, &self.device, log_n))
+        let (lib, est) = best_library(|lib| ntt_estimate(lib, &self.device, log_n));
+        (est.seconds(), lib)
     }
-}
-
-fn best_phase(estimate: impl Fn(LibraryId) -> Option<PhaseEstimate>) -> (f64, LibraryId) {
-    LibraryId::gpu_libraries()
-        .into_iter()
-        .filter_map(|lib| estimate(lib).map(|e| (e.seconds(), lib)))
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"))
-        .expect("at least one GPU library models every phase")
 }
 
 /// Single-threaded calibrated-CPU seconds for one op — the baseline the

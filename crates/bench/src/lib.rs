@@ -1,19 +1,2 @@
-//! Benchmark support: deterministic input generation shared by the
-//! Criterion targets.
-
-use rand::{rngs::StdRng, SeedableRng};
-use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
-use zkp_ff::Field;
-
-/// `n` random points and scalars on a curve, deterministically seeded.
-pub fn random_pairs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = Jacobian::from(Cu::generator());
-    let points = batch_to_affine(
-        &(0..n)
-            .map(|_| base.mul_scalar(&Cu::Scalar::random(&mut rng)))
-            .collect::<Vec<_>>(),
-    );
-    let scalars = (0..n).map(|_| Cu::Scalar::random(&mut rng)).collect();
-    (points, scalars)
-}
+//! Home of the `paper_tables` regenerator (`benches/paper_tables.rs`). Speed
+//! is measured by the `zkbench/` package, not here.

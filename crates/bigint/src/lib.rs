@@ -29,6 +29,8 @@
 //! assert!(!r_minus_1.is_multiple_of(&UBig::one().shl(33)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arith;
 mod ubig;
 mod uint;

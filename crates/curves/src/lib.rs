@@ -29,6 +29,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bls12;
 pub mod bls12_377;
 pub mod bls12_381;

@@ -30,6 +30,8 @@
 //! assert!(omega.pow(&[1 << 10]).is_one());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod configs;
 pub mod counter;

@@ -6,6 +6,8 @@
 //! data and cross-validated against the 64-bit host fields of `zkp-ff` —
 //! the same algorithm at the two limb widths the paper contrasts (§II).
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod catalog;
 pub mod curveprogs;

@@ -143,6 +143,27 @@ impl PhaseEstimate {
     }
 }
 
+/// The fastest GPU library for one phase: the first argmin of `estimate`'s
+/// seconds over [`LibraryId::gpu_libraries`], skipping libraries that do
+/// not implement the phase (`None`).
+///
+/// # Panics
+///
+/// Panics if no library implements the phase.
+pub fn best_library(
+    estimate: impl Fn(LibraryId) -> Option<PhaseEstimate>,
+) -> (LibraryId, PhaseEstimate) {
+    LibraryId::gpu_libraries()
+        .into_iter()
+        .filter_map(|lib| estimate(lib).map(|e| (lib, e)))
+        .min_by(|a, b| {
+            a.1.seconds()
+                .partial_cmp(&b.1.seconds())
+                .expect("finite estimates")
+        })
+        .expect("at least one GPU library models every phase")
+}
+
 /// Fixed cost per kernel launch.
 pub const LAUNCH_OVERHEAD_S: f64 = 5e-6;
 /// Scalar bytes (8 × 32-bit limbs).

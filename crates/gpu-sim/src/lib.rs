@@ -41,6 +41,8 @@
 //! assert!(result.issue_interval() > 3.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod device;
 pub mod energy;

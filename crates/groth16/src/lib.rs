@@ -23,6 +23,8 @@
 //! assert!(verify(&pk.vk, &proof, &cs.assignment.public));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod protocol;
 mod qap;

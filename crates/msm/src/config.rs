@@ -9,10 +9,6 @@ pub enum BucketRepr {
     /// XYZZ buckets — the cheaper mixed addition `sppark`/`ymc` use.
     #[default]
     Xyzz,
-    /// Affine buckets with per-round batched slope inversions (§IV-D1b);
-    /// the merge/reduction tail still runs in XYZZ. Cheapest per-add
-    /// `FF_mul` count at the price of collision-deferral rounds.
-    BatchAffine,
 }
 
 /// Configuration of a Pippenger MSM run.
@@ -77,7 +73,6 @@ impl MsmConfig {
             match self.bucket_repr {
                 BucketRepr::Jacobian => "jacobian",
                 BucketRepr::Xyzz => "xyzz",
-                BucketRepr::BatchAffine => "batch-affine",
             },
         )
     }

@@ -47,10 +47,11 @@
 //! and the [`MsmStats`] are bit-identical at any pool width.
 
 use crate::config::{BucketRepr, MsmConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use zkp_curves::glv::GlvParams;
 use zkp_curves::{Affine, Jacobian, SwCurve, Xyzz};
 use zkp_ff::glv::GlvScalar;
-use zkp_ff::{batch_inverse, Field, PrimeField};
+use zkp_ff::PrimeField;
 use zkp_runtime::ThreadPool;
 
 /// Execution statistics of one MSM, consumed by the GPU kernel models.
@@ -78,8 +79,8 @@ pub struct MsmStats {
     /// `FF_mul` operations spent applying the endomorphism `φ` (one per
     /// mapped point; zero when the `φ`-table was precomputed).
     pub endomorphism_muls: u64,
-    /// Batched inversions performed by batch-affine bucket accumulation
-    /// (zero for projective bucket representations).
+    /// Always 0 — no bucket representation inverts. Kept only because the
+    /// benchmark harness reads it (ROADMAP item 4 drops it).
     pub batch_inversions: u64,
 }
 
@@ -212,34 +213,6 @@ fn recode_row(limbs: &[u64], window_bits: u32, signed: bool, negate: bool, row: 
     }
 }
 
-/// A raw element pointer handed to pool tasks writing disjoint cells of a
-/// caller-owned buffer.
-struct MatPtr<T = i32>(*mut T);
-
-impl<T> MatPtr<T> {
-    /// Pointer to element `i`. A method keeps closure capture on the whole
-    /// `MatPtr` (which is `Sync`) rather than the bare field.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the underlying allocation.
-    unsafe fn at(&self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-
-impl<T> Clone for MatPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for MatPtr<T> {}
-
-// SAFETY: only used to hand disjoint, in-bounds cell ranges to pool tasks
-// while the owning frame keeps the buffer alive.
-unsafe impl<T: Send> Send for MatPtr<T> {}
-unsafe impl<T: Send> Sync for MatPtr<T> {}
-
 /// How many windows a scalar field needs at a given window size.
 ///
 /// For signed digits one extra bit is required for the final carry.
@@ -273,37 +246,22 @@ fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
 // Reusable scratch state
 // ---------------------------------------------------------------------------
 
-/// Retained per-task state of batch-affine bucket accumulation; cleared
-/// (capacity kept) at the start of every run.
-#[derive(Default)]
-struct AffineChunkScratch<Cu: SwCurve> {
-    buckets: Vec<Option<Affine<Cu>>>,
-    busy: Vec<bool>,
-    jobs: Vec<(usize, Affine<Cu>)>,
-    round: Vec<(usize, Affine<Cu>)>,
-    deferred: Vec<(usize, Affine<Cu>)>,
-    denoms: Vec<Cu::Base>,
-}
-
 /// Bucket-engine arenas: one flat task-major bucket arena per point
-/// representation (block `t` holds the `buckets_per_window` buckets of
-/// task `t = win·chunks + chunk`, so one window's chunk partials are
-/// contiguous), per-task counters, and the per-window sums.
+/// representation. Block `t` holds the `buckets_per_window` buckets of task
+/// `t = win·chunks + chunk`, so one window's chunk partials are contiguous;
+/// after the reduction pass, slot 0 of a window's first block holds that
+/// window's sum-of-sums.
 #[derive(Default)]
 struct EngineScratch<Cu: SwCurve> {
     jac: Vec<Jacobian<Cu>>,
     xyzz: Vec<Xyzz<Cu>>,
-    affine: Vec<AffineChunkScratch<Cu>>,
-    /// Per task: (non-zero digits consumed, batched inversions).
-    counts: Vec<(u64, u64)>,
-    window_sums: Vec<Jacobian<Cu>>,
 }
 
 /// Reusable scratch memory for one MSM call site.
 ///
-/// Every transient buffer an MSM needs — digit matrix, GLV subscalars,
-/// the expanded `[P…, φ(P)…]` point set, bucket arenas, per-round
-/// batch-affine state — lives here and is reused run to run, so a warmed
+/// Every transient buffer an MSM needs — both digit matrices, GLV
+/// subscalars, the expanded `[P…, φ(P)…]` point set, bucket arenas — lives
+/// here and is reused run to run, so a warmed
 /// scratch makes [`msm_parallel_with_config_in`] /
 /// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
 /// steady state. Buffers only ever grow; results are bit-identical to the
@@ -311,6 +269,9 @@ struct EngineScratch<Cu: SwCurve> {
 #[derive(Default)]
 pub struct MsmScratch<Cu: SwCurve> {
     engine: EngineScratch<Cu>,
+    /// `ppc × w`: every (sub)scalar's digits over its full window count.
+    full_digits: Vec<i32>,
+    /// `(copies·ppc) × W`: `full_digits` folded onto the table's copies.
     digits: Vec<i32>,
     subs: Vec<(GlvScalar, GlvScalar)>,
     expanded: Vec<Affine<Cu>>,
@@ -350,144 +311,16 @@ fn run_bucket_engine_in<Cu: SwCurve>(
     pool: &ThreadPool,
     scratch: &mut EngineScratch<Cu>,
 ) -> MsmOutput<Cu> {
-    let EngineScratch {
-        jac,
-        xyzz,
-        affine,
-        counts,
-        window_sums,
-    } = scratch;
     match repr {
-        BucketRepr::Jacobian => {
-            bucket_engine_in::<Cu, Jacobian<Cu>>(inp, false, pool, jac, affine, counts, window_sums)
-        }
-        BucketRepr::Xyzz => {
-            bucket_engine_in::<Cu, Xyzz<Cu>>(inp, false, pool, xyzz, affine, counts, window_sums)
-        }
-        // Batch-affine accumulation; merged partials and the reduction tail
-        // still run in XYZZ (the affine trick only pays in accumulation).
-        BucketRepr::BatchAffine => {
-            bucket_engine_in::<Cu, Xyzz<Cu>>(inp, true, pool, xyzz, affine, counts, window_sums)
-        }
+        BucketRepr::Jacobian => bucket_engine_in(inp, pool, &mut scratch.jac),
+        BucketRepr::Xyzz => bucket_engine_in(inp, pool, &mut scratch.xyzz),
     }
 }
 
-/// Batch-affine bucket accumulation for one (window, chunk) task —
-/// §IV-D1b inside the parallel engine. Affine buckets, per-round batched
-/// slope inversions (serial [`batch_inverse`]: we are already inside a
-/// pool task), collisions deferred to the next round. All per-round state
-/// lives in the task's retained [`AffineChunkScratch`].
-///
-/// Leaves the affine buckets in `sc.buckets` and returns the non-zero
-/// digit count and the number of batched inversions performed.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_affine_chunk<Cu: SwCurve>(
-    points: &[Affine<Cu>],
-    digits: &[i32],
-    w: usize,
-    win: usize,
-    lo: usize,
-    hi: usize,
-    buckets_per_window: usize,
-    sc: &mut AffineChunkScratch<Cu>,
-) -> (u64, u64) {
-    sc.buckets.clear();
-    sc.buckets.resize(buckets_per_window, None);
-    sc.busy.clear();
-    sc.busy.resize(buckets_per_window, false);
-    sc.jobs.clear();
-    let mut nonzero = 0u64;
-    for i in lo..hi {
-        let d = digits[i * w + win];
-        if d == 0 {
-            continue;
-        }
-        nonzero += 1;
-        let p = if d > 0 { points[i] } else { points[i].neg() };
-        if !p.is_identity() {
-            sc.jobs.push((d.unsigned_abs() as usize - 1, p));
-        }
-    }
-
-    let mut inversions = 0u64;
-    while !sc.jobs.is_empty() {
-        // ≤ 1 update per bucket per round; the rest waits.
-        sc.round.clear();
-        sc.deferred.clear();
-        for job in sc.jobs.drain(..) {
-            if sc.busy[job.0] {
-                sc.deferred.push(job);
-            } else {
-                sc.busy[job.0] = true;
-                sc.round.push(job);
-            }
-        }
-        for job in &sc.round {
-            sc.busy[job.0] = false;
-        }
-
-        // Phase 1: slope denominators (x₂-x₁ for chords, 2y for tangents;
-        // trivial cases batch-invert a harmless 1).
-        sc.denoms.clear();
-        sc.denoms
-            .extend(sc.round.iter().map(|(b, p)| match &sc.buckets[*b] {
-                None => Cu::Base::one(),
-                Some(q) if q.x == p.x && q.y == p.y => p.y.double(),
-                Some(q) if q.x == p.x => Cu::Base::one(),
-                Some(q) => p.x - q.x,
-            }));
-        if !sc.denoms.is_empty() {
-            batch_inverse(&mut sc.denoms);
-            inversions += 1;
-        }
-
-        // Phase 2: apply the affine formulas with the shared inverses.
-        for ((b, p), dinv) in sc.round.iter().zip(&sc.denoms) {
-            match sc.buckets[*b] {
-                None => sc.buckets[*b] = Some(*p),
-                Some(q) if q.x == p.x && q.y == p.y => {
-                    // Affine doubling: λ = 3x² / 2y.
-                    let xx = q.x.square();
-                    let lambda = (xx.double() + xx) * *dinv;
-                    let x3 = lambda.square() - q.x.double();
-                    let y3 = lambda * (q.x - x3) - q.y;
-                    sc.buckets[*b] = Some(Affine {
-                        x: x3,
-                        y: y3,
-                        infinity: false,
-                    });
-                }
-                Some(q) if q.x == p.x => {
-                    // P + (−P): the bucket empties.
-                    sc.buckets[*b] = None;
-                }
-                Some(q) => {
-                    // Affine addition: λ = (y₂-y₁)/(x₂-x₁).
-                    let lambda = (p.y - q.y) * *dinv;
-                    let x3 = lambda.square() - q.x - p.x;
-                    let y3 = lambda * (q.x - x3) - q.y;
-                    sc.buckets[*b] = Some(Affine {
-                        x: x3,
-                        y: y3,
-                        infinity: false,
-                    });
-                }
-            }
-        }
-        std::mem::swap(&mut sc.jobs, &mut sc.deferred);
-    }
-    (nonzero, inversions)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
     inp: EngineInput<'_, Cu>,
-    batch_affine: bool,
     pool: &ThreadPool,
     arena: &mut Vec<Acc>,
-    affine: &mut Vec<AffineChunkScratch<Cu>>,
-    counts: &mut Vec<(u64, u64)>,
-    window_sums: &mut Vec<Jacobian<Cu>>,
 ) -> MsmOutput<Cu> {
     let n = inp.points.len();
     let (s, w, buckets_per_window) = (inp.window_bits, inp.windows, inp.buckets_per_window);
@@ -496,122 +329,79 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
 
     // Bucket accumulation over the windows × chunks task grid. Task
     // `t = win·chunks + chunk` owns arena block `t` (its partial buckets,
-    // re-initialized then filled) and `counts[t]` (the non-zero digits it
-    // consumed — the canonical accumulation-PADD count — plus its
-    // batched-inversion count). Block layout keeps one window's chunk
+    // re-initialized then filled). Block layout keeps one window's chunk
     // partials contiguous for the merge pass.
     let chunks = chunk_grid(n, buckets_per_window);
     let chunk_len = n.div_ceil(chunks);
     let wu = w as usize;
     let bpw = buckets_per_window as usize;
-    let tasks = wu * chunks;
     let (points, digits) = (inp.points, inp.digits);
 
     // Stale values from a previous run are fine: every task fully
     // re-initializes its own block before accumulating into it.
-    arena.resize(tasks * bpw, Acc::acc_identity());
-    counts.clear();
-    counts.resize(tasks, (0, 0));
-    if batch_affine && affine.len() < tasks {
-        affine.resize_with(tasks, AffineChunkScratch::default);
-    }
-    let counts_ptr = MatPtr(counts.as_mut_ptr());
-    let affine_ptr = MatPtr(affine.as_mut_ptr());
+    arena.resize(wu * chunks * bpw, Acc::acc_identity());
+    // Non-zero digits consumed — the canonical accumulation-PADD count. A
+    // sum commutes, so the total is the same whichever task adds first;
+    // `Relaxed` because the counter publishes nothing else, and the pool
+    // call returning orders every add before the read.
+    let accumulation_padds = AtomicU64::new(0);
     pool.for_each_block_mut(arena, bpw, 1, |t, block| {
         let win = t / chunks;
         let lo = (t % chunks) * chunk_len;
         let hi = (lo + chunk_len).min(n);
-        debug_assert!(t < tasks);
-        let task_counts = if batch_affine {
-            // SAFETY: the arena holds exactly `tasks` blocks and each block
-            // index `t` is visited by one task, so `t < tasks ≤
-            // affine.len()` (grown above) and `affine[t]` is unaliased.
-            let sc = unsafe { &mut *affine_ptr.at(t) };
-            let (nonzero, inversions) =
-                accumulate_affine_chunk(points, digits, wu, win, lo, hi, bpw, sc);
-            for (slot, bucket) in sc.buckets.iter().zip(block.iter_mut()) {
-                let mut acc = Acc::acc_identity();
-                if let Some(p) = slot {
-                    acc.acc_affine(p);
-                }
-                *bucket = acc;
+        for bucket in block.iter_mut() {
+            *bucket = Acc::acc_identity();
+        }
+        let mut nonzero = 0u64;
+        for i in lo..hi {
+            let d = digits[i * wu + win];
+            if d > 0 {
+                block[d as usize - 1].acc_affine(&points[i]);
+                nonzero += 1;
+            } else if d < 0 {
+                block[(-d) as usize - 1].acc_affine(&points[i].neg());
+                nonzero += 1;
             }
-            (nonzero, inversions)
-        } else {
-            for bucket in block.iter_mut() {
-                *bucket = Acc::acc_identity();
-            }
-            let mut nonzero = 0u64;
-            for i in lo..hi {
-                let d = digits[i * wu + win];
-                if d > 0 {
-                    block[d as usize - 1].acc_affine(&points[i]);
-                    nonzero += 1;
-                } else if d < 0 {
-                    block[(-d) as usize - 1].acc_affine(&points[i].neg());
-                    nonzero += 1;
-                }
-            }
-            (nonzero, 0)
-        };
-        // SAFETY: `counts.len() == tasks > t`, and block index `t` is
-        // visited by exactly one task, so the slot is unaliased.
-        unsafe { counts_ptr.at(t).write(task_counts) };
+        }
+        accumulation_padds.fetch_add(nonzero, Ordering::Relaxed);
     });
-    let accumulation_padds = counts.iter().map(|(c, _)| c).sum();
-    let batch_inversions = counts.iter().map(|(_, b)| b).sum();
 
     // Per-window: merge chunk partials bucket-wise (in chunk order, into
     // the chunk-0 block), then Sum-of-Sums Σ (i+1)·B_i via running suffix
-    // sums. Same operation order as a fresh-buffer run, so the resulting
-    // point is bit-identical.
-    window_sums.clear();
-    window_sums.resize(wu, Jacobian::identity());
-    let sums_ptr = MatPtr(window_sums.as_mut_ptr());
-    pool.for_each_block_mut(arena, chunks * bpw, 1, |win, wblock| {
-        let sum_of_sums = |buckets: &[Acc]| {
-            let mut running = Acc::acc_identity();
-            let mut sum = Acc::acc_identity();
-            for b in buckets.iter().rev() {
-                running.acc_merge(b);
-                sum.acc_merge(&running);
+    // sums, left in the block's slot 0. Same operation order as a
+    // fresh-buffer run, so the resulting point is bit-identical.
+    pool.for_each_block_mut(arena, chunks * bpw, 1, |_, wblock| {
+        let (merged, rest) = wblock.split_at_mut(bpw);
+        for part in rest.chunks_exact(bpw) {
+            for (m, p) in merged.iter_mut().zip(part) {
+                m.acc_merge(p);
             }
-            sum.into_jacobian()
-        };
-        let sum = if chunks == 1 {
-            sum_of_sums(wblock)
-        } else {
-            let (merged, rest) = wblock.split_at_mut(bpw);
-            for part in rest.chunks_exact(bpw) {
-                for (m, p) in merged.iter_mut().zip(part) {
-                    m.acc_merge(p);
-                }
-            }
-            sum_of_sums(merged)
-        };
-        debug_assert!(win < wu);
-        // SAFETY: the arena splits into exactly `wu = window_sums.len()`
-        // blocks of `chunks·bpw`, each index `win` visited by one task.
-        unsafe { sums_ptr.at(win).write(sum) };
+        }
+        let mut running = Acc::acc_identity();
+        let mut sum = Acc::acc_identity();
+        for b in merged.iter().rev() {
+            running.acc_merge(b);
+            sum.acc_merge(&running);
+        }
+        merged[0] = sum;
     });
 
     // Window reduction (serial; Fig. 4a bottom): Horner over 2^s.
     let mut acc = Jacobian::identity();
-    for ws in window_sums.iter().rev() {
+    for wblock in arena.chunks_exact(chunks * bpw).rev() {
         for _ in 0..s {
             acc = acc.double();
         }
-        acc = acc.add(ws);
+        acc = acc.add(&wblock[0].clone().into_jacobian());
     }
 
     let stats = MsmStats {
-        accumulation_padds,
+        accumulation_padds: accumulation_padds.into_inner(),
         reduction_padds: 2 * buckets_per_window * u64::from(w),
         window_padds: u64::from(w),
         window_pdbls: u64::from(s) * u64::from(w),
         windows: w,
         buckets_per_window,
-        batch_inversions,
         ..MsmStats::default()
     };
     MsmOutput { point: acc, stats }
@@ -802,62 +592,53 @@ pub(crate) fn push_copy<Cu: SwCurve>(
 /// supported scalar field fits (BLS12 Fr has 4 limbs).
 const SCALAR_LIMBS_STACK: usize = 8;
 
-/// A full (pre-scatter) digit row fits on the stack: even `s = 3` over a
-/// 256-bit scalar needs only 86 windows.
-const FULL_ROW_STACK: usize = 128;
-
 /// The recoder: fills the flat `(copies·ppc) × W` digit matrix over the
-/// layout's table. Row `r < ppc` is scalar `r` or, under GLV, subscalar
-/// `k1` of scalar `r` (paired with `Pᵣ`) / `k2` of scalar `r − n` (paired
-/// with `φ(Pᵣ₋ₙ)`). Each row is recoded over its FULL `w` windows first —
-/// the signed-digit carry crosses copy boundaries — then digit `q`
-/// scatters to copy `q / W`, column `q % W`.
+/// layout's table in two contiguous passes. Row `r < ppc` is scalar `r` or,
+/// under GLV, subscalar `k1` of scalar `r` (paired with `Pᵣ`) / `k2` of
+/// scalar `r − n` (paired with `φ(Pᵣ₋ₙ)`). Pass 1 recodes each row over its
+/// FULL `w` windows into `full` — the signed-digit carry crosses copy
+/// boundaries; pass 2 copies digits `j·W ..` of row `r` into row `j·ppc + r`
+/// of `digits`, zero-padding the last copy's columns past `w`.
 fn fill_digit_matrix<Cu: SwCurve>(
     layout: &Layout<Cu>,
     scalars: &[Cu::Scalar],
     subs: &[(GlvScalar, GlvScalar)],
     pool: &ThreadPool,
+    full: &mut Vec<i32>,
     digits: &mut Vec<i32>,
 ) {
     let (n, ppc) = (layout.n, layout.points_per_copy());
     let (s, signed) = (layout.window_bits, layout.signed);
-    let (full, wu) = (layout.full_windows as usize, layout.target_windows as usize);
-    // The scatter writes non-zero digits only, and the last copy's columns
-    // past `w` are never written, so the matrix is re-zeroed every run.
-    digits.clear();
-    digits.resize(ppc * layout.copies() as usize * wu, 0);
-    let cells = digits.len();
-    let base = MatPtr(digits.as_mut_ptr());
-    pool.parallel_for(ppc, usize::MAX, 128, |_, range| {
-        let mut stack_row = [0i32; FULL_ROW_STACK];
-        let mut heap_row = Vec::new();
-        let row: &mut [i32] = if full <= FULL_ROW_STACK {
-            &mut stack_row[..full]
+    let (w, wu) = (layout.full_windows as usize, layout.target_windows as usize);
+    // Both passes write every cell, so stale contents need no clearing.
+    full.resize(ppc * w, 0);
+    pool.for_each_block_mut(full, w, 128, |r, row| {
+        if layout.glv.is_some() {
+            let sub = if r < n { subs[r].0 } else { subs[r - n].1 };
+            recode_row(&sub.limbs(), s, signed, sub.neg, row);
+        } else if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
+            let mut limbs = [0u64; SCALAR_LIMBS_STACK];
+            scalars[r].write_uint(&mut limbs);
+            recode_row(&limbs[..Cu::Scalar::NUM_LIMBS], s, signed, false, row);
         } else {
-            heap_row.resize(full, 0);
-            &mut heap_row
-        };
-        for r in range {
-            if layout.glv.is_some() {
-                let sub = if r < n { subs[r].0 } else { subs[r - n].1 };
-                recode_row(&sub.limbs(), s, signed, sub.neg, row);
-            } else if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
-                let mut limbs = [0u64; SCALAR_LIMBS_STACK];
-                scalars[r].write_uint(&mut limbs);
-                recode_row(&limbs[..Cu::Scalar::NUM_LIMBS], s, signed, false, row);
-            } else {
-                recode_row(&scalars[r].to_uint(), s, signed, false, row);
-            }
-            for (q, &d) in row.iter().enumerate() {
-                if d != 0 {
-                    let idx = ((q / wu) * ppc + r) * wu + q % wu;
-                    debug_assert!(idx < cells, "digit cell {idx} of {cells}");
-                    // SAFETY: `q < w` gives copy `q / W < copies`, and
-                    // `r < ppc`, so `idx < copies·ppc·W = digits.len()`.
-                    // The cell is a function of `(r, q)` alone and tasks
-                    // own disjoint `r` ranges, so no two writes alias.
-                    unsafe { base.at(idx).write(d) };
-                }
+            recode_row(&scalars[r].to_uint(), s, signed, false, row);
+        }
+    });
+    let full = &full[..];
+    digits.resize(ppc * layout.copies() as usize * wu, 0);
+    pool.for_each_block_mut(digits, ppc * wu, 1, |j, copy| {
+        let lo = j * wu;
+        let len = wu.min(w - lo);
+        // An element loop, not `copy_from_slice`: a deeply folded plan's
+        // rows are one or two digits wide, and a `memcpy` call per row
+        // would cost more than the copy.
+        for (out, row) in copy.chunks_exact_mut(wu).zip(full.chunks_exact(w)) {
+            let padded = row[lo..lo + len]
+                .iter()
+                .copied()
+                .chain(std::iter::repeat(0));
+            for (slot, d) in out.iter_mut().zip(padded) {
+                *slot = d;
             }
         }
     });
@@ -889,7 +670,14 @@ pub(crate) fn execute<Cu: SwCurve>(
     if let Some(glv) = layout.glv {
         glv_split_into(scalars, glv, pool, &mut scratch.subs);
     }
-    fill_digit_matrix(layout, scalars, &scratch.subs, pool, &mut scratch.digits);
+    fill_digit_matrix(
+        layout,
+        scalars,
+        &scratch.subs,
+        pool,
+        &mut scratch.full_digits,
+        &mut scratch.digits,
+    );
     let mut out = run_bucket_engine_in(
         layout.bucket_repr,
         EngineInput {

@@ -13,7 +13,7 @@
 //!    bounded by an explicit memory budget exactly like the paper's
 //!    "provided enough device memory is available" trade-off.
 //!
-//! Per-proof work then reduces to scalar decomposition + digit scatter +
+//! Per-proof work then reduces to scalar decomposition + digit recoding +
 //! one `W`-window bucket run. The plan never changes the computed point:
 //! proofs stay byte-identical to the unplanned prover.
 

@@ -29,11 +29,7 @@ fn all_configs() -> Vec<MsmConfig> {
     ];
     for bits in [3, 5, 8, 13] {
         for signed in [false, true] {
-            for repr in [
-                BucketRepr::Jacobian,
-                BucketRepr::Xyzz,
-                BucketRepr::BatchAffine,
-            ] {
+            for repr in [BucketRepr::Jacobian, BucketRepr::Xyzz] {
                 for endomorphism in [false, true] {
                     configs.push(MsmConfig {
                         window_bits: Some(bits),
@@ -107,6 +103,11 @@ fn empty_and_degenerate_inputs() {
             vec![pts[0], pts[0].neg(), pts[1]],
             vec![ks[0], ks[0], ks[1]],
         ),
+        (
+            "(P, P) with equal scalars",
+            vec![pts[0], pts[0], pts[1]],
+            vec![ks[0], ks[0], ks[1]],
+        ),
         ("all-infinity bases", vec![inf; 5], ks[..5].to_vec()),
         (
             "infinity among bases",
@@ -117,11 +118,7 @@ fn empty_and_degenerate_inputs() {
     let pool = zkp_runtime::ThreadPool::with_threads(2);
     for (name, points, scalars) in &cases {
         let expect = msm_serial(points, scalars);
-        for bucket_repr in [
-            BucketRepr::Jacobian,
-            BucketRepr::Xyzz,
-            BucketRepr::BatchAffine,
-        ] {
+        for bucket_repr in [BucketRepr::Jacobian, BucketRepr::Xyzz] {
             for glv in [false, true] {
                 let config = MsmConfig {
                     bucket_repr,
@@ -298,24 +295,6 @@ fn endomorphism_config_falls_back_without_glv_params() {
         out.stats,
         msm_with_config(&points, &scalars, &MsmConfig::ymc_style()).stats
     );
-}
-
-#[test]
-fn batch_affine_buckets_count_inversions() {
-    let (points, scalars) = random_inputs::<bls12_381::G1>(48, 23);
-    let batched = msm_with_config(
-        &points,
-        &scalars,
-        &MsmConfig {
-            bucket_repr: BucketRepr::BatchAffine,
-            ..MsmConfig::default()
-        },
-    );
-    assert_eq!(batched.point, msm_serial(&points, &scalars));
-    assert!(batched.stats.batch_inversions > 0);
-    // Projective buckets never invert.
-    let xyzz = msm_with_config(&points, &scalars, &MsmConfig::default());
-    assert_eq!(xyzz.stats.batch_inversions, 0);
 }
 
 #[test]

@@ -9,9 +9,10 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{bls12_381, Affine, Jacobian, SwCurve};
-use zkp_ff::{Field, Fr381};
+use zkp_ff::{Field, Fr381, PrimeField};
 use zkp_msm::{
     msm_parallel_with_config, msm_serial, msm_with_config, num_windows, BucketRepr, MsmConfig,
+    MsmPlan, MsmStats,
 };
 use zkp_runtime::ThreadPool;
 
@@ -55,10 +56,6 @@ fn parallel_is_bit_identical_across_thread_counts() {
             ..MsmConfig::default()
         },
         MsmConfig::glv_style(),
-        MsmConfig {
-            bucket_repr: BucketRepr::BatchAffine,
-            ..MsmConfig::glv_style()
-        },
     ] {
         let serial = msm_with_config(&points, &scalars, &config);
         for threads in THREAD_COUNTS {
@@ -137,6 +134,152 @@ fn parallel_edge_cases_match_serial() {
     }
 }
 
+/// Non-zero digits of a little-endian magnitude in base `2^s`, read bit by
+/// bit (the engine reads words): a signed digit above `2^(s-1)` borrows from
+/// the next window and is zero only when a carry filled it to exactly `2^s`.
+fn nonzero_digits(limbs: &[u64], s: u32, signed: bool) -> u64 {
+    let bit = |i: u32| {
+        limbs
+            .get((i / 64) as usize)
+            .map_or(0, |w| (w >> (i % 64)) & 1)
+    };
+    let (mut carry, mut count) = (0u64, 0u64);
+    for lo in (0..64 * limbs.len() as u32 + s).step_by(s as usize) {
+        let d = (0..s).fold(carry, |d, b| d + (bit(lo + b) << b));
+        carry = u64::from(signed && d > 1 << (s - 1));
+        count += u64::from(d != 0 && d != 1 << s);
+    }
+    count
+}
+
+/// FNV-1a over the canonical limbs of `(x, y, z)`: equal fingerprints here
+/// mean equal Jacobian coordinates, not merely the same point.
+fn fingerprint(p: &Jacobian<G1>) -> u64 {
+    [p.x, p.y, p.z]
+        .iter()
+        .flat_map(|c| c.to_uint())
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn chunked_shape_reproduces_the_recorded_coordinates() {
+    // 300 bases, every fourth at infinity, at s = 4: 4 chunks per window
+    // signed (8 buckets), 2 unsigned (15), 8 once a plan folds the rows
+    // onto 4 copies. Signed runs also take the GLV split, so both recoder
+    // inputs (scalars, negated subscalars) are covered. The accumulation
+    // counts, window counts and coordinate fingerprints were recorded at
+    // the last commit whose engine wrote through raw pointers.
+    const N: usize = 300;
+    const S: u32 = 4;
+    let (mut points, scalars) = random_inputs::<G1>(N, 25);
+    for p in points.iter_mut().step_by(4) {
+        *p = Affine::identity();
+    }
+    // (repr, signed, planned, accumulation_padds, windows, fingerprint)
+    let recorded = [
+        (
+            BucketRepr::Jacobian,
+            false,
+            false,
+            18080,
+            64,
+            0xe1131538f9eb9c2b,
+        ),
+        (
+            BucketRepr::Jacobian,
+            false,
+            true,
+            18080,
+            16,
+            0x92c4d96fa7cfa202,
+        ),
+        (
+            BucketRepr::Jacobian,
+            true,
+            false,
+            17996,
+            32,
+            0x0a50203f1f274c51,
+        ),
+        (
+            BucketRepr::Jacobian,
+            true,
+            true,
+            17996,
+            8,
+            0x415cd5597f533421,
+        ),
+        (
+            BucketRepr::Xyzz,
+            false,
+            false,
+            18080,
+            64,
+            0x6f8908c78ba8ee10,
+        ),
+        (BucketRepr::Xyzz, false, true, 18080, 16, 0x6a2b7ad46580438f),
+        (BucketRepr::Xyzz, true, false, 17996, 32, 0xc9735566faa201c7),
+        (BucketRepr::Xyzz, true, true, 17996, 8, 0xd3b2408f129d5e84),
+    ];
+    let glv = G1::glv().expect("BLS12-381 G1 has GLV parameters");
+    for (repr, signed, planned, accumulation_padds, windows, xyz) in recorded {
+        let config = MsmConfig {
+            window_bits: Some(S),
+            signed_digits: signed,
+            bucket_repr: repr,
+            endomorphism: signed,
+        };
+        // Every non-zero digit is one bucket update, at-infinity bases
+        // included, however the digits fold onto copies.
+        let counted: u64 = scalars
+            .iter()
+            .map(|k| {
+                if signed {
+                    let (k1, k2) = glv.decompose(k);
+                    nonzero_digits(&k1.limbs(), S, true) + nonzero_digits(&k2.limbs(), S, true)
+                } else {
+                    nonzero_digits(&k.to_uint(), S, false)
+                }
+            })
+            .sum();
+        assert_eq!(counted, accumulation_padds, "{config:?}");
+
+        let buckets_per_window = if signed { 8 } else { 15 };
+        let glv_rows = if signed { 2 } else { 1 };
+        let stats = MsmStats {
+            accumulation_padds,
+            reduction_padds: 2 * buckets_per_window * u64::from(windows),
+            window_padds: u64::from(windows),
+            window_pdbls: u64::from(S * windows),
+            windows,
+            buckets_per_window,
+            glv_decompositions: if signed { N as u64 } else { 0 },
+            endomorphism_muls: if signed && !planned { N as u64 } else { 0 },
+            batch_inversions: 0,
+        };
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPool::with_threads(threads);
+            let out = if planned {
+                let table_bytes = 4 * glv_rows * N * core::mem::size_of::<Affine<G1>>();
+                let plan = MsmPlan::build(&points, &config, Some(table_bytes as u64), &pool);
+                assert_eq!(plan.stored_points(), 4 * glv_rows * N, "four copies");
+                plan.execute(&scalars, &pool)
+            } else {
+                msm_parallel_with_config(&points, &scalars, &config, &pool)
+            };
+            assert_eq!(out.stats, stats, "{config:?} planned={planned}");
+            assert_eq!(
+                fingerprint(&out.point),
+                xyz,
+                "(x, y, z) moved at {threads} threads: {config:?} planned={planned}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -166,16 +309,5 @@ proptest! {
         prop_assert_eq!(parallel.point, expect);
         assert_bit_identical(&parallel.point, &serial.point);
         prop_assert_eq!(parallel.stats, serial.stats);
-
-        // Batch-affine buckets share the recoder but not the accumulator;
-        // cross-check them against the same ground truth. Every non-zero
-        // digit is one bucket update in either representation.
-        let affine = msm_with_config(
-            &points,
-            &scalars,
-            &MsmConfig { bucket_repr: BucketRepr::BatchAffine, ..config },
-        );
-        prop_assert_eq!(affine.point, expect);
-        prop_assert_eq!(affine.stats.accumulation_padds, serial.stats.accumulation_padds);
     }
 }

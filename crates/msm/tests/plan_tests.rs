@@ -45,10 +45,6 @@ fn plan_configs() -> Vec<MsmConfig> {
             ..MsmConfig::glv_style()
         },
         MsmConfig {
-            bucket_repr: BucketRepr::BatchAffine,
-            ..MsmConfig::glv_style()
-        },
-        MsmConfig {
             window_bits: Some(7),
             signed_digits: true,
             bucket_repr: BucketRepr::Jacobian,
@@ -168,7 +164,6 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
         },
         MsmConfig {
             window_bits: Some(3),
-            bucket_repr: BucketRepr::BatchAffine,
             ..MsmConfig::default()
         },
     ] {

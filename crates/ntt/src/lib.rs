@@ -40,6 +40,8 @@
 //! assert_eq!(evals, coeffs);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod domain;
 mod fast;
 mod poly;

@@ -18,6 +18,8 @@
 //! assert!(cs.is_satisfied());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod circuits;
 mod cs;
 

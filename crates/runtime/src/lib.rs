@@ -68,6 +68,7 @@ struct TaskPtr(*const (dyn Fn(usize) + Sync));
 // only dereferenced while the submitting `ThreadPool::run` frame — which
 // owns the closure — is still blocked waiting on the batch.
 unsafe impl Send for TaskPtr {}
+// SAFETY: as for `Send` — sharing the pointer shares a `Sync` closure.
 unsafe impl Sync for TaskPtr {}
 
 #[derive(Default)]
@@ -266,21 +267,45 @@ impl ThreadPool {
         use std::mem::MaybeUninit;
         let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(len);
         out.resize_with(len, MaybeUninit::uninit);
-        {
-            let slots = SlicePtr(out.as_mut_ptr());
-            self.parallel_for(len, usize::MAX, min_chunk, |_, range| {
-                for i in range {
-                    // SAFETY: chunks partition 0..len, so every slot is
-                    // written exactly once and no two tasks alias.
-                    unsafe { (*slots.at(i)).write(f(i)) };
-                }
-            });
-        }
-        // SAFETY: parallel_for returned, so all len slots are initialized.
+        self.for_each_chunk_mut(&mut out, min_chunk, |_, offset, chunk| {
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                slot.write(f(offset + j));
+            }
+        });
+        // SAFETY: the chunks partition `0..len` and the call above returned
+        // without unwinding, so all `len` slots are initialized;
+        // `MaybeUninit<T>` has `T`'s layout, and `ManuallyDrop` hands the
+        // allocation to the new `Vec` exactly once.
         unsafe {
             let mut out = std::mem::ManuallyDrop::new(out);
             Vec::from_raw_parts(out.as_mut_ptr().cast::<T>(), out.len(), out.capacity())
         }
+    }
+
+    /// The one place a slice is split across tasks: runs `f(c, lo, span)`
+    /// for every span `data[c·per .. min((c+1)·per, len)]` of
+    /// `data.chunks_mut(per)`, where `lo = c·per`.
+    fn for_each_span<T, F>(&self, data: &mut [T], per: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, usize, &mut [T]) + Sync,
+    {
+        let len = data.len();
+        if len == 0 {
+            return;
+        }
+        let base = SlicePtr(data.as_mut_ptr());
+        self.run(len.div_ceil(per), |c| {
+            let lo = c * per;
+            let hi = (lo + per).min(len);
+            // SAFETY: `c < ⌈len/per⌉` gives `lo < hi ≤ len`, so the span is
+            // inside `data`, which this frame's `&mut` borrow keeps alive
+            // and otherwise untouched until `run` returns; `run` gives each
+            // `c` to exactly one task, and spans of distinct `c` start
+            // `per` apart and are at most `per` long, so none overlap.
+            let span = unsafe { std::slice::from_raw_parts_mut(base.at(lo), hi - lo) };
+            f(c, lo, span);
+        });
     }
 
     /// Runs `f(chunk_index, offset, chunk)` over disjoint mutable chunks
@@ -292,26 +317,8 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize, usize, &mut [T]) + Sync,
     {
-        let len = data.len();
-        let chunks = chunk_count(len, self.threads, min_chunk);
-        if chunks <= 1 {
-            if len > 0 {
-                f(0, 0, data);
-            }
-            return;
-        }
-        let per = len.div_ceil(chunks);
-        let base = SlicePtr(data.as_mut_ptr());
-        self.run(chunks, |c| {
-            let lo = c * per;
-            let hi = (lo + per).min(len);
-            if lo < hi {
-                // SAFETY: [lo, hi) ranges are pairwise disjoint across
-                // chunk indices and in bounds of `data`.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.at(lo), hi - lo) };
-                f(c, lo, chunk);
-            }
-        });
+        let chunks = chunk_count(data.len(), self.threads, min_chunk);
+        self.for_each_span(data, data.len().div_ceil(chunks.max(1)), f);
     }
 
     /// Runs `f(block_index, block)` over consecutive disjoint mutable
@@ -341,23 +348,10 @@ impl ThreadPool {
         );
         let blocks = data.len() / block_len;
         let chunks = chunk_count(blocks, self.threads, min_blocks);
-        if chunks <= 1 {
-            for (b, block) in data.chunks_mut(block_len).enumerate() {
-                f(b, block);
-            }
-            return;
-        }
-        let per = blocks.div_ceil(chunks);
-        let base = SlicePtr(data.as_mut_ptr());
-        self.run(chunks, |c| {
-            let lo = c * per;
-            let hi = (lo + per).min(blocks);
-            for b in lo..hi {
-                // SAFETY: block ranges are pairwise disjoint across block
-                // indices and in bounds of `data`.
-                let block =
-                    unsafe { std::slice::from_raw_parts_mut(base.at(b * block_len), block_len) };
-                f(b, block);
+        let per = blocks.div_ceil(chunks.max(1));
+        self.for_each_span(data, per * block_len, |_, lo, span| {
+            for (b, block) in span.chunks_mut(block_len).enumerate() {
+                f(lo / block_len + b, block);
             }
         });
     }
@@ -376,31 +370,15 @@ impl ThreadPool {
         F: Fn(usize, usize, &mut [A], &mut [B]) + Sync,
     {
         assert_eq!(a.len(), b.len(), "zipped slices must match in length");
-        let len = a.len();
-        let chunks = chunk_count(len, self.threads, min_chunk);
-        if chunks <= 1 {
-            if len > 0 {
-                f(0, 0, a, b);
-            }
-            return;
-        }
-        let per = len.div_ceil(chunks);
-        let base_a = SlicePtr(a.as_mut_ptr());
         let base_b = SlicePtr(b.as_mut_ptr());
-        self.run(chunks, |c| {
-            let lo = c * per;
-            let hi = (lo + per).min(len);
-            if lo < hi {
-                // SAFETY: [lo, hi) ranges are pairwise disjoint across
-                // chunk indices and in bounds of both slices.
-                let (ca, cb) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(base_a.at(lo), hi - lo),
-                        std::slice::from_raw_parts_mut(base_b.at(lo), hi - lo),
-                    )
-                };
-                f(c, lo, ca, cb);
-            }
+        self.for_each_chunk_mut(a, min_chunk, |c, offset, ca| {
+            // SAFETY: `ca` is `a[offset .. offset + ca.len()]` and `b` is as
+            // long as `a`, so the same range is inside `b`; the chunks of
+            // `a` are disjoint and each is handed to one task, so the
+            // matching ranges of `b` are too; this frame's `&mut b`
+            // outlives the call.
+            let cb = unsafe { std::slice::from_raw_parts_mut(base_b.at(offset), ca.len()) };
+            f(c, offset, ca, cb);
         });
     }
 
@@ -461,6 +439,7 @@ impl<T> SlicePtr<T> {
     ///
     /// `i` must be in bounds of the underlying allocation.
     unsafe fn at(&self, i: usize) -> *mut T {
+        // SAFETY: in bounds by the caller's contract.
         unsafe { self.0.add(i) }
     }
 }
@@ -475,6 +454,7 @@ impl<T> Copy for SlicePtr<T> {}
 // SAFETY: used only to hand pairwise-disjoint, in-bounds regions to tasks
 // while the owning call frame keeps the allocation alive.
 unsafe impl<T: Send> Send for SlicePtr<T> {}
+// SAFETY: as for `Send` — tasks sharing the pointer reach disjoint regions.
 unsafe impl<T: Send> Sync for SlicePtr<T> {}
 
 /// How many chunks to split `len` elements into: enough to occupy
@@ -676,6 +656,106 @@ mod tests {
         // The pool stays usable afterwards.
         let out = pool.map(8, 1, |i| i + 1);
         assert_eq!(out[7], 8);
+    }
+
+    /// `v[i] == scale·(i + 1)` for all `i`: every index was written exactly
+    /// once (the tasks add) and with the right offset.
+    fn assert_each_index_once(v: &[usize], scale: usize, what: &str) {
+        for (i, x) in v.iter().enumerate() {
+            assert_eq!(*x, scale * (i + 1), "{what}: index {i} of {}", v.len());
+        }
+    }
+
+    #[test]
+    fn slice_primitives_cover_boundary_lengths_exactly_once() {
+        for threads in [1usize, 2, 3, 8] {
+            let pool = ThreadPool::with_threads(threads);
+            // `threads + 1` at grain 1 leaves trailing chunk indices empty;
+            // 1009 is prime, so no chunk count divides it.
+            for len in [0, 1, threads - 1, threads + 1, 1009] {
+                let what = format!("{threads} threads, len {len}");
+
+                let mut data = vec![0usize; len];
+                pool.for_each_chunk_mut(&mut data, 1, |_, offset, chunk| {
+                    for (j, v) in chunk.iter_mut().enumerate() {
+                        *v += offset + j + 1;
+                    }
+                });
+                assert_each_index_once(&data, 1, &what);
+
+                let mut data = vec![0usize; 3 * len];
+                pool.for_each_block_mut(&mut data, 3, 1, |b, block| {
+                    assert_eq!(block.len(), 3, "{what}");
+                    for (j, v) in block.iter_mut().enumerate() {
+                        *v += 3 * b + j + 1;
+                    }
+                });
+                assert_each_index_once(&data, 1, &what);
+
+                let (mut a, mut b) = (vec![0usize; len], vec![0usize; len]);
+                pool.zip_chunks_mut(&mut a, &mut b, 1, |_, offset, ca, cb| {
+                    assert_eq!(ca.len(), cb.len(), "{what}");
+                    for (j, (x, y)) in ca.iter_mut().zip(cb).enumerate() {
+                        *x += offset + j + 1;
+                        *y += 2 * (offset + j + 1);
+                    }
+                });
+                assert_each_index_once(&a, 1, &what);
+                assert_each_index_once(&b, 2, &what);
+
+                let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let out = pool.map(len, 1, |i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    i + 1
+                });
+                assert_each_index_once(&out, 1, &what);
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_in_any_slice_primitive_reaches_the_submitter() {
+        fn boom(i: usize) {
+            if i == 5 {
+                panic!("boom");
+            }
+        }
+        for threads in [1usize, 3] {
+            let pool = ThreadPool::with_threads(threads);
+            let mut a = vec![0usize; 12];
+            let mut b = vec![0usize; 12];
+            type Primitive<'a> = &'a dyn Fn(&mut [usize], &mut [usize]);
+            let primitives: [(&str, Primitive); 4] = [
+                ("for_each_chunk_mut", &|a, _| {
+                    pool.for_each_chunk_mut(a, 1, |_, offset, c| {
+                        (offset..offset + c.len()).for_each(boom)
+                    })
+                }),
+                ("for_each_block_mut", &|a, _| {
+                    pool.for_each_block_mut(a, 1, 1, |i, _| boom(i))
+                }),
+                ("zip_chunks_mut", &|a, b| {
+                    pool.zip_chunks_mut(a, b, 1, |_, offset, c, _| {
+                        (offset..offset + c.len()).for_each(boom)
+                    })
+                }),
+                ("map", &|a, _| drop(pool.map(a.len(), 1, boom))),
+            ];
+            for (name, primitive) in primitives {
+                let result = catch_unwind(AssertUnwindSafe(|| primitive(&mut a, &mut b)));
+                assert!(
+                    result.is_err(),
+                    "{name} at {threads} threads swallowed the panic"
+                );
+                // The pool runs the next batch normally.
+                let out = pool.map(8, 1, |i| i + 1);
+                assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8], "after {name}");
+            }
+        }
     }
 
     #[test]

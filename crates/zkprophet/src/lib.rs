@@ -19,6 +19,8 @@
 //! println!("{}", kernel_layer::render_table2(&rows));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod autotune;
 pub mod experiments;
 pub mod prover_model;

@@ -7,7 +7,8 @@
 //! from the GPU critical path.
 
 use gpu_kernels::libraries::{
-    cpu_msm_seconds, cpu_ntt_seconds, msm_estimate, ntt_estimate, LibraryId, PhaseEstimate,
+    best_library, cpu_msm_seconds, cpu_ntt_seconds, msm_estimate, ntt_estimate, LibraryId,
+    PhaseEstimate,
 };
 use gpu_sim::device::DeviceSpec;
 
@@ -49,28 +50,12 @@ impl ProverBreakdown {
 
 /// The fastest MSM library and estimate at a scale.
 pub fn best_msm(device: &DeviceSpec, log_n: u32) -> (LibraryId, PhaseEstimate) {
-    LibraryId::gpu_libraries()
-        .into_iter()
-        .filter_map(|l| msm_estimate(l, device, log_n).map(|e| (l, e)))
-        .min_by(|a, b| {
-            a.1.seconds()
-                .partial_cmp(&b.1.seconds())
-                .expect("finite times")
-        })
-        .expect("every scale has an MSM implementation")
+    best_library(|lib| msm_estimate(lib, device, log_n))
 }
 
 /// The fastest NTT library and estimate at a scale.
 pub fn best_ntt(device: &DeviceSpec, log_n: u32) -> (LibraryId, PhaseEstimate) {
-    LibraryId::gpu_libraries()
-        .into_iter()
-        .filter_map(|l| ntt_estimate(l, device, log_n).map(|e| (l, e)))
-        .min_by(|a, b| {
-            a.1.seconds()
-                .partial_cmp(&b.1.seconds())
-                .expect("finite times")
-        })
-        .expect("every scale has an NTT implementation")
+    best_library(|lib| ntt_estimate(lib, device, log_n))
 }
 
 /// Composes the optimized GPU prover at a scale (best kernel per phase —
