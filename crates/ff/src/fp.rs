@@ -126,6 +126,16 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
     /// paper measures at 70.5% of `FF_add` latency on GPUs (§IV-B1). Here
     /// the subtraction is the comparison: one `SUB`/`SBB` chain against the
     /// modulus as immediates, and its final borrow picks the result.
+    ///
+    /// This is the branching form, and only [`Self::mont_mul`] and
+    /// [`Self::mont_square`] end in it, on purpose: the additive operators
+    /// take [`Self::select_on_borrow`] instead. Ending the two kernels in
+    /// the select as well was measured with `zkbench` (two alternating pairs
+    /// per workload) and lost on both sides: `quotient_32k`
+    /// `latency_p50_cal_s` 0.053 → 0.060 (+12%) and `prove_dense_1k`
+    /// 0.100 → 0.106 (+6%). The CIOS is issue-bound, so the ~3N extra ALU
+    /// operations are not free, while the branch resolves in the shadow of
+    /// the next multiplication's `MUL`s.
     #[inline(always)]
     fn reduce_once(t: Uint<N>) -> Uint<N> {
         let (reduced, borrow) = t.sbb(&C::MODULUS);
@@ -134,6 +144,29 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
         } else {
             t
         }
+    }
+
+    /// The branch-free select under `add`, `double` and `sub` (hence `neg`):
+    /// `on_borrow` if `borrow == 1`, `otherwise` if `borrow == 0`, as
+    /// `(on_borrow & mask) | (otherwise & !mask)` per limb with
+    /// `mask = 0 − borrow`. On the residues a transform or a curve formula
+    /// carries, the final borrow of an addition or a subtraction is a coin
+    /// flip, and as a jump it is mispredicted about as often — the CPU shape
+    /// of the divergence §IV-B1 attributes 70.5% of `FF_add` to. Measured
+    /// over 2^15 independent random `Fr381` operand pairs (ns per operation,
+    /// loads and store included): `add` 6.5 → 3.3, `sub` 6.1 → 3.1, `double`
+    /// 5.9 → 2.5. Compiled, `add` is `ADD`/`ADC`, `SUB`/`SBB` against the
+    /// modulus, `SETB` + `NEG`/`DEC` for the two masks and `AND`/`AND`/`OR`
+    /// per limb; `sub` is `SUB`/`SBB`, one `SBB r,r` for the mask, `AND` per
+    /// limb of `p` and `ADD`/`ADC` — no conditional jump in either.
+    #[inline(always)]
+    fn select_on_borrow(borrow: u64, on_borrow: &Uint<N>, otherwise: &Uint<N>) -> Uint<N> {
+        let mask = borrow.wrapping_neg();
+        let mut out = [0u64; N];
+        for (o, (b, k)) in out.iter_mut().zip(on_borrow.0.iter().zip(&otherwise.0)) {
+            *o = (b & mask) | (k & !mask);
+        }
+        Uint(out)
     }
 
     /// The one multiplication kernel: `a * b * R^{-1} mod p` for `a, b < p`
@@ -231,7 +264,8 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
         // FF_dbl: left shift each limb and propagate carries (§IV-B1),
         // then conditionally reduce; the spare bit absorbs the shift.
         let (shifted, _) = self.repr.shl1();
-        Self::from_repr_raw(Self::reduce_once(shifted))
+        let (reduced, borrow) = shifted.sbb(&C::MODULUS);
+        Self::from_repr_raw(Self::select_on_borrow(borrow, &shifted, &reduced))
     }
 
     #[inline]
@@ -438,9 +472,10 @@ impl<C: FpConfig<N>, const N: usize> Add for Fp<C, N> {
     fn add(self, rhs: Self) -> Self {
         // FF_add: limb adds with carry chains (the spare bit holds the
         // sum), then the conditional reduction whose divergence the paper
-        // quantifies (§IV-B1).
+        // quantifies (§IV-B1) — a select here, so nothing diverges.
         let (sum, _) = self.repr.adc(&rhs.repr);
-        Self::from_repr_raw(Self::reduce_once(sum))
+        let (reduced, borrow) = sum.sbb(&C::MODULUS);
+        Self::from_repr_raw(Self::select_on_borrow(borrow, &sum, &reduced))
     }
 }
 
@@ -448,12 +483,10 @@ impl<C: FpConfig<N>, const N: usize> Sub for Fp<C, N> {
     type Output = Self;
     #[inline]
     fn sub(self, rhs: Self) -> Self {
+        // Add `p` back on a borrow: `diff + (p & mask)`.
         let (diff, borrow) = self.repr.sbb(&rhs.repr);
-        Self::from_repr_raw(if borrow == 0 {
-            diff
-        } else {
-            diff.wrapping_add(&C::MODULUS)
-        })
+        let p_or_zero = Self::select_on_borrow(borrow, &C::MODULUS, &Uint::ZERO);
+        Self::from_repr_raw(diff.wrapping_add(&p_or_zero))
     }
 }
 
@@ -642,6 +675,31 @@ mod tests {
                 check_against_oracle::<C, N>(a, b);
             }
         }
+        assert_eq!(-Fp::<C, N>::zero(), Fp::<C, N>::zero(), "-0 == 0");
+    }
+
+    /// Pairs that straddle the reduction, where the select on the final
+    /// borrow flips: `a + b ∈ {p − 1, p, p + 1}`, `a − b ∈ {−1, 0, 1}`, and
+    /// `a = (p ± 1)/2`, whose doubles are `p ± 1`.
+    fn select_boundary_vectors<C: FpConfig<N>, const N: usize>() {
+        let p = C::MODULUS;
+        let one = Uint::ONE;
+        let half_down = p.shr1(); // (p − 1)/2: p is odd
+        let half_up = half_down.wrapping_add(&one);
+        let interior = C::R2; // a residue away from every boundary
+        for a in [one, half_down, half_up, interior, p.wrapping_sub(&one)] {
+            // a + b = p + k and a − b' = k for k ∈ {−1, 0, 1}.
+            for b in [p.wrapping_sub(&a), a] {
+                check_against_oracle::<C, N>(a, b);
+                if let Some(less) = b.checked_sub(&one) {
+                    check_against_oracle::<C, N>(a, less);
+                }
+                let more = b.wrapping_add(&one);
+                if more < p {
+                    check_against_oracle::<C, N>(a, more);
+                }
+            }
+        }
     }
 
     macro_rules! differential {
@@ -652,6 +710,11 @@ mod tests {
                 #[test]
                 fn edge_vectors_match_the_oracle() {
                     edge_vectors::<$C, $N>();
+                }
+
+                #[test]
+                fn select_boundaries_match_the_oracle() {
+                    select_boundary_vectors::<$C, $N>();
                 }
 
                 proptest! {

@@ -25,6 +25,7 @@ pub struct Domain<F: PrimeField> {
     size_inv: F,
     coset_gen: F,
     coset_gen_inv: F,
+    vanishing_on_coset_inv: F,
 }
 
 impl<F: PrimeField> Domain<F> {
@@ -38,6 +39,7 @@ impl<F: PrimeField> Domain<F> {
         }
         let omega = F::root_of_unity(size)?;
         let coset_gen = F::multiplicative_generator();
+        let vanishing_on_coset = coset_gen.pow(&[size]) - F::one();
         Some(Self {
             size,
             log_size: size.trailing_zeros(),
@@ -46,6 +48,9 @@ impl<F: PrimeField> Domain<F> {
             size_inv: F::from_u64(size).inverse().expect("n < p"),
             coset_gen,
             coset_gen_inv: coset_gen.inverse().expect("generator is a unit"),
+            vanishing_on_coset_inv: vanishing_on_coset
+                .inverse()
+                .expect("the coset avoids the domain"),
         })
     }
 
@@ -117,6 +122,12 @@ impl<F: PrimeField> Domain<F> {
     pub fn vanishing_on_coset(&self) -> F {
         self.coset_gen.pow(&[self.size]) - F::one()
     }
+
+    /// `1 / (gⁿ - 1)`, computed once with the domain: the quotient divides
+    /// by `Z` on every proof.
+    pub fn vanishing_on_coset_inv(&self) -> F {
+        self.vanishing_on_coset_inv
+    }
 }
 
 impl<F: PrimeField> fmt::Debug for Domain<F> {
@@ -169,6 +180,10 @@ mod tests {
     fn vanishing_nonzero_off_domain() {
         let d = Domain::<Fr381>::new(8).expect("small domain");
         assert!(!d.vanishing_on_coset().is_zero());
+        assert_eq!(
+            d.vanishing_on_coset() * d.vanishing_on_coset_inv(),
+            Fr381::one()
+        );
         assert!(!d.eval_vanishing(&Fr381::from_u64(12345)).is_zero());
     }
 }

@@ -1,5 +1,6 @@
-//! The production transform family: precomputed twiddle tables, one
-//! butterfly kernel, and a pooled transform and coset scaling.
+//! The production transform family: one stage-ordered twiddle table, a
+//! multiplication-free head pass, one butterfly kernel, and a pooled
+//! transform and coset scaling.
 //!
 //! These mirror the optimizations §IV-A attributes to `cuZK` ("storing
 //! precomputed twiddle factors in device memory") and the stage-parallel
@@ -7,38 +8,49 @@
 //! and a `zkp-runtime` pool. This is the path the prover and the
 //! benchmark both run; the on-the-fly network in [`crate::transform`] is
 //! the independent reference it is cross-checked against.
+//!
+//! The table is laid out the way the kernel walks it: each stage reads one
+//! contiguous run of twiddles, there is one direction (the inverse
+//! transform is the forward network on the index-negated input), and no
+//! butterfly multiplies by `ω⁰ = 1`.
 
 use crate::domain::Domain;
 use crate::transform::bit_reverse_permute;
 use zkp_ff::{Field, PrimeField};
 use zkp_runtime::ThreadPool;
 
-/// Precomputed twiddle factors for one domain: the powers `ω⁰ … ω^(n/2-1)`
-/// (and their inverses), replacing the serial `w *= w_m` chains of the
-/// on-the-fly transform with independent lookups.
+/// Precomputed twiddle factors for one domain, in stage order: the stage
+/// with block size `m` reads its `m/2` twiddles `ω_m⁰ … ω_m^(m/2−1)`
+/// (`ω_m = ω^(n/m)`) contiguously at `[m/2 − 1, m − 1)` — `n − 1` entries
+/// in all — replacing the serial `w *= w_m` chains of the on-the-fly
+/// transform with independent, unit-stride lookups.
 #[derive(Debug, Clone)]
 pub struct TwiddleTable<F: PrimeField> {
-    forward: Vec<F>,
-    inverse: Vec<F>,
+    stages: Vec<F>,
     size: u64,
 }
 
 impl<F: PrimeField> TwiddleTable<F> {
-    /// Builds the table for a domain (O(n) multiplications, done once).
+    /// Builds the table for a domain (n/2 multiplications, done once): the
+    /// last stage by the running product `ωʲ`, every earlier stage as every
+    /// other entry of the one after it (`ω_(m/2)ʲ = ω_m²ʲ`).
     pub fn new(domain: &Domain<F>) -> Self {
-        let half = (domain.size() / 2).max(1) as usize;
-        let mut forward = Vec::with_capacity(half);
-        let mut inverse = Vec::with_capacity(half);
-        let (mut fw, mut iv) = (F::one(), F::one());
-        for _ in 0..half {
-            forward.push(fw);
-            inverse.push(iv);
-            fw *= domain.omega();
-            iv *= domain.omega_inv();
+        let n = domain.size() as usize;
+        let mut stages = vec![F::one(); n - 1];
+        let mut power = F::one();
+        for entry in &mut stages[n / 2..] {
+            power *= domain.omega();
+            *entry = power;
+        }
+        let mut m = n;
+        while m > 2 {
+            for j in 0..m / 4 {
+                stages[m / 4 - 1 + j] = stages[m / 2 - 1 + 2 * j];
+            }
+            m /= 2;
         }
         Self {
-            forward,
-            inverse,
+            stages,
             size: domain.size(),
         }
     }
@@ -46,21 +58,50 @@ impl<F: PrimeField> TwiddleTable<F> {
     /// Memory the table occupies in bytes (the "device memory" cost cuZK
     /// pays for this optimization).
     pub fn bytes(&self) -> usize {
-        (self.forward.len() + self.inverse.len()) * F::NUM_LIMBS * 8
+        self.stages.len() * F::NUM_LIMBS * 8
+    }
+
+    /// The twiddles of the stage with block size `m`.
+    fn stage(&self, m: usize) -> &[F] {
+        &self.stages[m / 2 - 1..m - 1]
     }
 }
 
-/// The butterfly kernel, under every tabled stage: lanes
-/// `offset..offset + lo.len()` of one block, `lo` and `hi` being those
-/// lanes of its lower and upper half. Lane `j` takes `tw[j * stride]`.
+/// Stages 1 and 2 of one bit-reversed quadruple in a single pass. Their
+/// twiddles are `1`, `1` and `ω^(n/4)`, so of the four butterflies only the
+/// last multiplies: `a ± b`, `c ± d`, one product by `quarter = ω^(n/4)`,
+/// four more additions and subtractions.
 #[inline]
-fn butterflies<F: Field>(lo: &mut [F], hi: &mut [F], tw: &[F], stride: usize, offset: usize) {
-    let tw = tw[offset * stride..].iter().step_by(stride);
-    for ((l, h), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let t = *w * *h;
+fn head_pass<F: Field>(quad: &mut [F], quarter: F) {
+    let [a, b, c, d] = quad else {
+        unreachable!("the head pass runs on blocks of four")
+    };
+    let (ab, a_b, cd) = (*a + *b, *a - *b, *c + *d);
+    let t = quarter * (*c - *d);
+    (*a, *b, *c, *d) = (ab + cd, a_b + t, ab - cd, a_b - t);
+}
+
+/// The butterfly kernel, under every stage after the head pass: lanes
+/// `offset..offset + lo.len()` of one block, `lo` and `hi` being those
+/// lanes of its lower and upper half and `tw` the block's stage of the
+/// table. Lane 0 takes `ω⁰ = 1` and is not multiplied.
+#[inline]
+fn butterflies<F: Field>(lo: &mut [F], hi: &mut [F], tw: &[F], offset: usize) {
+    let butterfly = |l: &mut F, h: &mut F, t: F| {
         let u = *l;
         *l = u + t;
         *h = u - t;
+    };
+    let mut lanes = lo.iter_mut().zip(hi.iter_mut()).zip(&tw[offset..]);
+    if offset == 0 {
+        if let Some(((l, h), _one)) = lanes.next() {
+            let t = *h;
+            butterfly(l, h, t);
+        }
+    }
+    for ((l, h), w) in lanes {
+        let t = *w * *h;
+        butterfly(l, h, t);
     }
 }
 
@@ -70,8 +111,11 @@ fn butterflies<F: Field>(lo: &mut [F], hi: &mut [F], tw: &[F], stride: usize, of
 /// one-thread-per-butterfly mapping); one-thread pools and sizes below
 /// 2^10 run the stages in line. Butterfly values are exact, so the output
 /// is bit-identical to the reference network at any thread count.
-/// `invert` does *not* apply `n⁻¹`: [`scale_by_powers`] folds it into the
-/// coset shift.
+///
+/// `invert` runs the same network: the DFT by `ω⁻¹` is the DFT by `ω` of
+/// the index-negated input (`x[(n − i) mod n]`, i.e. `values[1..]`
+/// reversed), so there is no inverse table. It does *not* apply `n⁻¹`:
+/// [`scale_by_powers`] folds it into the coset shift.
 ///
 /// # Panics
 ///
@@ -88,21 +132,33 @@ pub fn ntt_parallel_on<F: PrimeField>(
         "input length must match the table's domain"
     );
     let n = values.len();
+    if invert {
+        values[1..].reverse();
+    }
     bit_reverse_permute(values);
-    let tw = if invert {
-        &table.inverse
-    } else {
-        &table.forward
-    };
     let in_line = pool.num_threads() == 1 || n < 1 << 10;
     // Tasks below ~2^11 butterflies are dominated by scheduling overhead.
     const MIN_ELEMS: usize = 1 << 12;
-    for s in 1..=n.trailing_zeros() {
+    // Stages 1–2 are the head pass; a lone pair (n = 2) is lane 0 of the
+    // loop below.
+    let first_stage = if n < 4 {
+        1
+    } else {
+        let quarter = table.stage(4)[1];
+        let head = |quad: &mut [F]| head_pass(quad, quarter);
+        if in_line {
+            values.chunks_mut(4).for_each(head);
+        } else {
+            pool.for_each_block_mut(values, 4, MIN_ELEMS / 4, |_, quad| head(quad));
+        }
+        3
+    };
+    for s in first_stage..=n.trailing_zeros() {
         let m = 1usize << s;
-        let stride = n / m;
+        let tw = table.stage(m);
         let whole_block = |block: &mut [F]| {
             let (lo, hi) = block.split_at_mut(m / 2);
-            butterflies(lo, hi, tw, stride, 0);
+            butterflies(lo, hi, tw, 0);
         };
         if in_line {
             values.chunks_mut(m).for_each(whole_block);
@@ -117,7 +173,7 @@ pub fn ntt_parallel_on<F: PrimeField>(
             for block in values.chunks_mut(m) {
                 let (lo, hi) = block.split_at_mut(m / 2);
                 pool.zip_chunks_mut(lo, hi, MIN_ELEMS / 2, |_, offset, lo, hi| {
-                    butterflies(lo, hi, tw, stride, offset);
+                    butterflies(lo, hi, tw, offset);
                 });
             }
         }
@@ -207,11 +263,31 @@ mod tests {
     }
 
     #[test]
+    fn table_is_laid_out_in_stage_order() {
+        for log_n in 0u32..=12 {
+            let n = 1usize << log_n;
+            let d = Domain::<Fr381>::new(n as u64).expect("small domain");
+            let table = TwiddleTable::new(&d);
+            assert_eq!(table.bytes(), (n - 1) * Fr381::NUM_LIMBS * 8);
+            for s in 1..=log_n {
+                let m = 1usize << s;
+                for j in 0..m / 2 {
+                    assert_eq!(
+                        table.stages[m / 2 - 1 + j],
+                        d.element((j * (n / m)) as u64),
+                        "n=2^{log_n} m={m} j={j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn table_memory_accounting() {
         let d = Domain::<Fr381>::new(1 << 10).expect("small domain");
         let table = TwiddleTable::new(&d);
-        // n/2 forward + n/2 inverse twiddles of 4 limbs each.
-        assert_eq!(table.bytes(), (1 << 10) * 32);
+        // n/2 + n/4 + … + 1 twiddles of 4 limbs each, one direction.
+        assert_eq!(table.bytes(), ((1 << 10) - 1) * 32);
     }
 
     #[test]

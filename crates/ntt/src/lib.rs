@@ -18,9 +18,12 @@
 //!   never calls these: they are what the tests and the benchmark's output
 //!   check hold the production family against, so they are not wrappers
 //!   over it.
-//! * **Production** (`fast.rs` + `poly.rs`) — [`TwiddleTable`] lookups, one
-//!   butterfly kernel under the pooled [`ntt_parallel_on`], one fused coset
-//!   scaling [`scale_by_powers`], and one pooled 7-transform
+//! * **Production** (`fast.rs` + `poly.rs`) — one stage-ordered
+//!   [`TwiddleTable`] (`n − 1` entries, each stage's twiddles contiguous, no
+//!   inverse copy: the inverse transform is the forward network on the
+//!   index-negated input), a multiplication-free head pass over stages 1–2
+//!   and one butterfly kernel under the pooled [`ntt_parallel_on`], one
+//!   fused coset scaling [`scale_by_powers`], and one pooled 7-transform
 //!   [`quotient_schedule`] (Fig. 3) over a [`QuotientOps`] op set, run by
 //!   [`quotient_poly_in`] on the kernels directly and by
 //!   `zkp_backend::quotient_pipeline_in` through an execution backend —

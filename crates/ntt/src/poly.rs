@@ -153,7 +153,8 @@ pub trait QuotientOps<F: PrimeField>: Sync {
 /// The pooled 7-transform quotient schedule `h = (a·b − c)/Z`, fully in
 /// place: three concurrent INTT → coset scaling → NTT chains (one per
 /// input vector; each op also fans out internally), the chunk-parallel
-/// element-wise quotient, and one final coset INTT. Consumes the
+/// element-wise `a·b − c`, and one final coset INTT whose scaling pass
+/// carries `n⁻¹·Z⁻¹` (`Z` is constant on the coset). Consumes the
 /// evaluation vectors and leaves the coefficients of `h` in `a` (`b`, `c`
 /// clobbered as scratch), allocating nothing. The benchmark's
 /// [`quotient_poly_in`] and the prover's
@@ -205,23 +206,25 @@ pub fn quotient_schedule<F: PrimeField, O: QuotientOps<F> + ?Sized>(
     rb?;
     rc?;
     ops.checkpoint("quotient-combine")?;
-    // Element-wise (a·b - c) / Z — Z is the constant gⁿ - 1 on the coset.
-    // This stays on the pool rather than becoming an op: it is part of the
-    // prover's serial-residual phase, not an accelerated kernel.
-    let z_inv = domain
-        .vanishing_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
+    // Element-wise a·b - c. The division by Z — the constant gⁿ - 1 on the
+    // coset — commutes with the linear transform that follows and rides in
+    // its scaling pass. This stays on the pool rather than becoming an op:
+    // it is part of the prover's serial-residual phase, not an accelerated
+    // kernel.
     let (b, c): (&[F], &[F]) = (b, c);
     pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
         for (j, x) in chunk.iter_mut().enumerate() {
-            *x = (*x * b[offset + j] - c[offset + j]) * z_inv;
+            *x = *x * b[offset + j] - c[offset + j];
         }
     });
-    // (7) coset INTT: back to coefficients of h.
+    // (7) coset INTT: back to coefficients of h, scaled by n⁻¹·Z⁻¹.
     ops.checkpoint("quotient-final-intt")?;
     ops.ntt_inverse(a)?;
-    ops.coset_mul(a, domain.coset_gen_inv(), n_inv)?;
+    ops.coset_mul(
+        a,
+        domain.coset_gen_inv(),
+        n_inv * domain.vanishing_on_coset_inv(),
+    )?;
     Ok(7)
 }
 

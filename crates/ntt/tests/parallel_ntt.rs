@@ -19,7 +19,7 @@ fn random_vec(n: usize, seed: u64) -> Vec<Fr381> {
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// The expectation: the on-the-fly `ntt` / `intt`.
+/// The expectation: the on-the-fly `ntt` / `intt` (with its `n⁻¹`).
 fn reference(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool) {
     if invert {
         intt(domain, values);
@@ -37,27 +37,60 @@ fn production(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool, pool: 
     }
 }
 
+/// The tabled network alone at every pool width: forward against the
+/// reference network by `ω`, inverse against it by `ω⁻¹`, with no scaling
+/// pass in between.
+fn assert_matches_reference(domain: &Domain<Fr381>, input: &[Fr381], what: &str) {
+    for invert in [false, true] {
+        let omega = if invert {
+            domain.omega_inv()
+        } else {
+            domain.omega()
+        };
+        let mut expect = input.to_vec();
+        ntt_radix2_in_place(&mut expect, omega);
+        let table = TwiddleTable::new(domain);
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPool::with_threads(threads);
+            let mut got = input.to_vec();
+            ntt_parallel_on(&mut got, &table, invert, &pool);
+            assert_eq!(
+                got,
+                expect,
+                "{what}: n={} invert={invert} diverged at {threads} threads",
+                input.len()
+            );
+        }
+    }
+}
+
+/// Every log-size 0..=12 (and 14): 0–3 are the head-pass boundaries (no
+/// stage, one butterfly, one quadruple, the first tabled stage), ≥ 10 the
+/// pooled shapes and ≥ 12 the lane-parallel one.
 #[test]
 fn parallel_ntt_is_bit_identical() {
-    // Sizes straddling the in-line threshold (2^10) and both stage
-    // regimes (block-parallel early stages, lane-parallel late stages),
-    // forward and inverse.
-    for log_n in [6u32, 10, 12, 14] {
+    for log_n in (0u32..=12).chain([14]) {
         let n = 1usize << log_n;
         let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
-        let input = random_vec(n, u64::from(log_n));
-        for invert in [false, true] {
-            let mut expect = input.clone();
-            reference(&domain, &mut expect, invert);
-            for threads in THREAD_COUNTS {
-                let pool = ThreadPool::with_threads(threads);
-                let mut got = input.clone();
-                production(&domain, &mut got, invert, &pool);
-                assert_eq!(
-                    got, expect,
-                    "n=2^{log_n} invert={invert} diverged at {threads} threads"
-                );
-            }
+        assert_matches_reference(&domain, &random_vec(n, u64::from(log_n)), "random");
+    }
+}
+
+/// Inputs that sit on the field's reduction boundary or single out one
+/// index: all `p − 1` (every sum wraps), all zero (every difference is
+/// `0 − 0`), and a unit impulse at index 0, 1 and `n − 1` — the inverse
+/// transform's index negation fixes the first and swaps the other two.
+#[test]
+fn adversarial_inputs_match_the_reference() {
+    for log_n in [0u32, 1, 2, 3, 5, 10, 12] {
+        let n = 1usize << log_n;
+        let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
+        assert_matches_reference(&domain, &vec![-Fr381::one(); n], "all p-1");
+        assert_matches_reference(&domain, &vec![Fr381::zero(); n], "all zero");
+        for at in [0, 1, n - 1] {
+            let mut impulse = vec![Fr381::zero(); n];
+            impulse[at % n] = Fr381::one();
+            assert_matches_reference(&domain, &impulse, "impulse");
         }
     }
 }
@@ -113,11 +146,11 @@ fn pooled_quotient_poly_is_bit_identical() {
     }
 }
 
-/// ROADMAP 7b, NTT half: sizes 1, 2 and 4 through both families.
+/// ROADMAP 7b, NTT half: sizes 1, 2, 4 and 8 through both families.
 #[test]
 fn degenerate_sizes_agree_with_the_dft() {
     let pools = [ThreadPool::with_threads(1), ThreadPool::with_threads(3)];
-    for n in [1usize, 2, 4] {
+    for n in [1usize, 2, 4, 8] {
         let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
         let input = random_vec(n, 40 + n as u64);
         let expect = slow_dft(&domain, &input);
