@@ -1,8 +1,8 @@
 //! The reference CPU backend: real `zkp-msm`/`zkp-ntt` kernels on a
 //! `zkp-runtime` pool, bit-identical to the pre-backend prover.
 
-use crate::{witness_maps_into, BackendError, ExecBackend, G1Bases, G1Msm};
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use crate::{witness_maps_into, BackendError, Bases, ExecBackend, G1Msm};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
 use zkp_msm::{msm_parallel_with_config_in, MsmConfig, MsmScratch};
 use zkp_ntt::{ntt_parallel_on, scale_by_powers, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
@@ -40,6 +40,23 @@ impl<'p> CpuBackend<'p> {
     pub fn with_msm_config(mut self, cfg: MsmConfig) -> Self {
         self.msm_cfg = cfg;
         self
+    }
+
+    /// One MSM in either group: the plan's run, or a one-shot under the
+    /// backend's configuration.
+    fn msm<Cu: SwCurve>(
+        &self,
+        bases: Bases<'_, Cu>,
+        scalars: &[Cu::Scalar],
+        scratch: &mut MsmScratch<Cu>,
+    ) -> Jacobian<Cu> {
+        match bases {
+            Bases::Affine(points) => {
+                msm_parallel_with_config_in(points, scalars, &self.msm_cfg, self.pool, scratch)
+            }
+            Bases::Planned(plan) => plan.execute_in(scalars, self.pool, scratch),
+        }
+        .point
     }
 }
 
@@ -94,25 +111,19 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
     fn msm_g1(
         &self,
         _which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        Ok(match bases {
-            G1Bases::Affine(points) => {
-                msm_parallel_with_config_in(points, scalars, &self.msm_cfg, self.pool, scratch)
-            }
-            G1Bases::Planned(plan) => plan.execute_in(scalars, self.pool, scratch),
-        }
-        .point)
+        Ok(self.msm(bases, scalars, scratch))
     }
 
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        Ok(msm_parallel_with_config_in(bases, scalars, &self.msm_cfg, self.pool, scratch).point)
+        Ok(self.msm(bases, scalars, scratch))
     }
 }

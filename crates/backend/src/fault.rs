@@ -14,10 +14,10 @@
 //! `zkp-runtime` pool forwards them to the submitting call — and
 //! **delays** sleep before delegating.
 
-use crate::{BackendError, ExecBackend, ExecTrace, G1Bases, G1Msm};
+use crate::{BackendError, Bases, ExecBackend, ExecTrace, G1Msm};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
 use zkp_msm::MsmScratch;
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
@@ -307,7 +307,7 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
@@ -317,7 +317,7 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
 
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {

@@ -32,7 +32,7 @@ pub mod trace;
 
 use gpu_sim::DeviceSpec;
 use std::time::Instant;
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
 use zkp_ff::PrimeField;
 use zkp_msm::{MsmPlan, MsmScratch};
 use zkp_ntt::{Domain, QuotientOps, TwiddleTable};
@@ -103,15 +103,15 @@ pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<
     }
 }
 
-/// The bases of one G1 MSM: the proving key's affine points, or the
-/// per-key [`MsmPlan`] built over them (GLV expansion + window precompute
-/// cached across proofs).
-pub enum G1Bases<'a, C: Bls12Config> {
+/// The bases of one MSM, in G1 or G2: the proving key's affine points, or
+/// the per-key [`MsmPlan`] built over them (endomorphism images and window
+/// precompute cached across proofs).
+pub enum Bases<'a, Cu: SwCurve> {
     /// Plain affine bases; the backend picks the schedule.
-    Affine(&'a [Affine<G1Curve<C>>]),
+    Affine(&'a [Affine<Cu>]),
     /// A prebuilt plan over the same points. A backend without a planned
     /// kernel may run the plain path over [`MsmPlan::bases`].
-    Planned(&'a MsmPlan<G1Curve<C>>),
+    Planned(&'a MsmPlan<Cu>),
 }
 
 /// The heavy-operation interface the prover dispatches through: two
@@ -134,7 +134,7 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     fn pool(&self) -> &ThreadPool;
 
     /// Human-readable tag of the MSM algorithm this backend runs over
-    /// plain bases — unplanned G1 MSMs and the G2 MSM — e.g.
+    /// plain bases (unplanned MSMs), e.g.
     /// `"glv+signed+xyzz"`, for traces and benchmark metadata.
     fn msm_algorithm(&self) -> String {
         "default".into()
@@ -203,19 +203,20 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError>;
 
-    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A).
+    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A), over
+    /// plain or planned `bases`.
     ///
     /// # Errors
     ///
     /// [`BackendError`] when the backend cannot complete the MSM.
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError>;
@@ -265,7 +266,7 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
@@ -273,7 +274,7 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     }
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {

@@ -22,7 +22,7 @@
 
 use crate::cpu::CpuBackend;
 use crate::trace::{ExecTrace, ModeledCost, Recorder};
-use crate::{BackendError, ExecBackend, G1Bases, G1Msm, OpClass, OpKind};
+use crate::{BackendError, Bases, ExecBackend, G1Msm, OpClass, OpKind};
 use gpu_kernels::calibration::{
     cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_HOST_THREADS,
     CPU_MUL_CYCLES, G2_COST_FACTOR,
@@ -30,7 +30,7 @@ use gpu_kernels::calibration::{
 use gpu_kernels::libraries::{best_library, LAUNCH_OVERHEAD_S, SCALAR_BYTES};
 use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId};
 use gpu_sim::DeviceSpec;
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
 use zkp_msm::MsmScratch;
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
@@ -275,7 +275,7 @@ impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
@@ -286,7 +286,7 @@ impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
 
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {

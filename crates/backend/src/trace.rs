@@ -9,11 +9,11 @@
 //! inner backend; the simulated-GPU backend records through the same
 //! recorder and attaches modeled costs.
 
-use crate::{BackendError, ExecBackend, G1Bases};
+use crate::{BackendError, Bases, ExecBackend};
 use gpu_kernels::LibraryId;
 use std::sync::Mutex;
 use std::time::Instant;
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
 use zkp_msm::MsmScratch;
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
@@ -397,14 +397,11 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: G1Bases<'_, C>,
+        bases: Bases<'_, G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        let algo = match bases {
-            G1Bases::Planned(plan) => plan.algorithm(),
-            G1Bases::Affine(_) => self.inner.msm_algorithm(),
-        };
+        let algo = run_tag(&bases, || ExecBackend::<C>::msm_algorithm(self));
         let size = scalars.len() as u64;
         self.rec
             .time(OpKind::MsmG1(which), size, None, Some(algo), || {
@@ -414,14 +411,24 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
 
     fn msm_g2(
         &self,
-        bases: &[Affine<G2Curve<C>>],
+        bases: Bases<'_, G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        let (size, algo) = (scalars.len() as u64, self.inner.msm_algorithm());
+        let algo = run_tag(&bases, || ExecBackend::<C>::msm_algorithm(self));
+        let size = scalars.len() as u64;
         self.rec.time(OpKind::MsmG2, size, None, Some(algo), || {
             self.inner.msm_g2(bases, scalars, scratch)
         })
+    }
+}
+
+/// The algorithm tag of the run `bases` get: the plan's, or the backend's
+/// plain-base tag.
+fn run_tag<Cu: SwCurve>(bases: &Bases<'_, Cu>, plain: impl FnOnce() -> String) -> String {
+    match bases {
+        Bases::Planned(plan) => plan.algorithm(),
+        Bases::Affine(_) => plain(),
     }
 }
 

@@ -8,8 +8,8 @@
 //! *performance* of pairing components is not part of the paper's study
 //! (Groth16 verification is "constant time, < 1 ms" and out of scope).
 
-use crate::derive::{bls_orders, find_subgroup_generator, select_twist_order};
-use crate::glv::{derive_glv, GlvParams};
+use crate::derive::{bls_orders, derive_psi, find_subgroup_generator, select_twist_order};
+use crate::endo::{derive_glv, Endomorphism};
 use crate::sw::{Affine, Jacobian, SwCurve};
 use crate::tower::{Fq12, Fq2, TowerConfig};
 use core::fmt;
@@ -61,12 +61,12 @@ pub struct Derived<C: Bls12Config> {
     pub hard_exponent: UBig,
     /// `q² - 1`, the Fq2 unit-group order.
     pub fq2_units: UBig,
-    /// GLV endomorphism parameters for G1 (`φ(x,y) = (β·x, y)`, eigenvalue
-    /// `λ = X² - 1`), derived and cross-checked against `φ(G) = λ·G`.
-    pub glv_g1: GlvParams<G1Curve<C>>,
-    /// The same for G2: the sextic twist also has `j = 0`, its cube roots
-    /// of unity are Fq's embedded in Fq2, and `φ(G₂) = λ·G₂` picks `β`.
-    pub glv_g2: GlvParams<G2Curve<C>>,
+    /// G1's GLV endomorphism `φ(x,y) = (β·x, y)`, eigenvalue `λ = X² - 1`,
+    /// derived and cross-checked against `φ(G) = λ·G`; splits 2 ways.
+    pub phi: Endomorphism<G1Curve<C>>,
+    /// G2's `σψ` (untwist, Frobenius, twist; `σ` the sign of `x`),
+    /// eigenvalue `|x|`, picked by `ψ(G₂) = [x]·G₂`; splits 4 ways.
+    pub psi: Endomorphism<G2Curve<C>>,
 }
 
 impl<C: Bls12Config> Derived<C> {
@@ -104,10 +104,10 @@ impl<C: Bls12Config> Derived<C> {
             .checked_exact_div(&r)
             .expect("r divides q⁴ - q² + 1 (12th cyclotomic polynomial)");
 
-        // GLV endomorphisms (the generators are passed explicitly: we are
+        // Endomorphisms (the generators are passed explicitly: we are
         // *inside* the lazy initializer, so `generator()` would re-enter it).
-        let glv_g1 = derive_glv::<G1Curve<C>>(C::X, &q.sub(&UBig::one()), &g1);
-        let glv_g2 = derive_glv::<G2Curve<C>>(C::X, &orders.fq2_units, &g2);
+        let phi = derive_glv::<G1Curve<C>>(C::X, &q.sub(&UBig::one()), &g1);
+        let psi = derive_psi::<C>(&q, &r, &g2);
 
         Derived {
             n1: orders.n1,
@@ -120,8 +120,8 @@ impl<C: Bls12Config> Derived<C> {
             q_squared: q2,
             hard_exponent: hard,
             fq2_units: orders.fq2_units,
-            glv_g1,
-            glv_g2,
+            phi,
+            psi,
         }
     }
 }
@@ -177,8 +177,8 @@ impl<C: Bls12Config> SwCurve for G1Curve<C> {
         C::derived().g1
     }
 
-    fn glv() -> Option<&'static GlvParams<Self>> {
-        Some(&C::derived().glv_g1)
+    fn endomorphism() -> Option<&'static Endomorphism<Self>> {
+        Some(&C::derived().phi)
     }
 
     const NAME: &'static str = "G1";
@@ -202,8 +202,8 @@ impl<C: Bls12Config> SwCurve for G2Curve<C> {
         C::derived().g2
     }
 
-    fn glv() -> Option<&'static GlvParams<Self>> {
-        Some(&C::derived().glv_g2)
+    fn endomorphism() -> Option<&'static Endomorphism<Self>> {
+        Some(&C::derived().psi)
     }
 
     const NAME: &'static str = "G2";
@@ -214,9 +214,13 @@ pub fn g1_in_subgroup<C: Bls12Config>(p: &Affine<G1Curve<C>>) -> bool {
     Jacobian::from(*p).mul_ubig(&C::derived().r).is_identity()
 }
 
-/// Checks that a G2 point lies in the r-order subgroup.
+/// Checks that a G2 point lies in the r-order subgroup: `ψ(P) = [x]·P`
+/// (Scott 2021) — a 64-bit multiplication where `[r]·P = O` is a 255-bit
+/// one. The stored map is `σψ`, so the check reads `σψ(P) = [|x|]·P`.
+/// `g2_subgroup_props.rs` holds it to the `[r]·P = O` test on subgroup
+/// points and on twist points whose cofactor was not cleared.
 pub fn g2_in_subgroup<C: Bls12Config>(p: &Affine<G2Curve<C>>) -> bool {
-    Jacobian::from(*p).mul_ubig(&C::derived().r).is_identity()
+    Jacobian::from(C::derived().psi.map(p)) == Jacobian::from(*p).mul_limbs(&[C::X])
 }
 
 /// An untwisted G2 point: affine coordinates in Fq12 on `E: y² = x³ + b`.

@@ -10,12 +10,17 @@
 //!   −3) and its base-change `4q² = t₂² + 3(t·f)²`,
 //! * the two candidate sextic-twist orders `q² + 1 - (±3f₂ + t₂)/2`,
 //!   disambiguated by exponentiating sample points,
-//! * cofactor clearing to manufacture subgroup generators.
+//! * cofactor clearing to manufacture subgroup generators,
+//! * untwist → Frobenius → twist for G2's endomorphism `ψ`
+//!   ([`derive_psi`]), its direction picked by `ψ(G₂) = [x]·G₂`.
 //!
 //! Every derived value is cross-checked (`#E(Fq) = h₁·r`, `r·G = O`, …) so a
 //! wrong constant cannot propagate.
 
+use crate::bls12::{Bls12Config, G2Curve};
+use crate::endo::{scalar_from, Action, Endomorphism, Split};
 use crate::sw::{Affine, Jacobian, SwCurve};
+use crate::tower::Fq2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkp_bigint::UBig;
@@ -297,7 +302,7 @@ pub fn select_twist_order<Cu: SwCurve>(orders: &BlsOrders, r: &UBig) -> (UBig, U
 /// `ω²`. Which of the two corresponds to a specific endomorphism (e.g. the
 /// GLV `φ(x,y) = (β·x, y)` acting as `λ`) must be disambiguated by the
 /// caller against that endomorphism's defining equation — see
-/// [`crate::glv::derive_glv`].
+/// [`crate::endo::derive_glv`].
 ///
 /// # Panics
 ///
@@ -338,6 +343,87 @@ pub fn find_nonresidue<F: Field>(order: &UBig) -> F {
 /// `n·P = O`.
 pub fn annihilates<Cu: SwCurve>(p: &Affine<Cu>, n: &UBig) -> bool {
     Jacobian::from(*p).mul_ubig(n).is_identity()
+}
+
+/// Derives `ψ`, the untwist–Frobenius–twist endomorphism of a BLS12 G2,
+/// and returns it as `σψ` (`σ` the sign of `x`), whose eigenvalue on the
+/// r-order subgroup is `|x|` and whose split is the base-`|x|` digits of a
+/// scalar (see [`crate::endo`]).
+///
+/// Untwisting multiplies `x` by `v^{±1}` and `y` by `(v·w)^{±1}` (the sign
+/// of the exponent is the twist's direction), the Frobenius of `E(Fq12)`
+/// raises both coordinates to the `q`, and twisting back divides again, so
+/// `ψ(x, y) = (x̄·v^{±(q−1)}, ȳ·(v·w)^{±(q−1)})` with `x̄` the conjugate in
+/// Fq2 — and since `w⁶ = v³ = ξ`, `v^{q−1} = ξ^{(q−1)/3}` and
+/// `(v·w)^{q−1} = ξ^{(q−1)/2}`, both in Fq2. Of the two directions, the
+/// one with `ψ(G₂) = [x]·G₂` on the generator is kept (`ψ` acts as `q`, and
+/// `q ≡ x (mod r)` because `r` divides `#E(Fq) = q − x`). `g2` is passed
+/// explicitly for the same reason as in [`crate::endo::derive_glv`].
+///
+/// # Panics
+///
+/// Panics if neither direction satisfies `ψ(G₂) = [x]·G₂`, if `|x|` is not
+/// a root of `e⁴ − e² + 1` mod `r`, or if `r` needs more than four
+/// base-`|x|` digits — each a sign of inconsistent curve parameters.
+pub fn derive_psi<C: Bls12Config>(
+    q: &UBig,
+    r: &UBig,
+    g2: &Affine<G2Curve<C>>,
+) -> Endomorphism<G2Curve<C>> {
+    let q_minus_1 = q.sub(&UBig::one());
+    let third = q_minus_1
+        .checked_exact_div(&UBig::from(3u64))
+        .expect("q ≡ 1 mod 3 on a BLS12 curve");
+    let xi = C::fq6_nonresidue();
+    let (cx, cy) = (xi.pow(third.limbs()), xi.pow(q_minus_1.shr(1).limbs()));
+    let unit = |c: Fq2<C>| c.inverse().expect("ξ is a unit");
+
+    let x_abs_g = Jacobian::from(*g2).mul_limbs(&[C::X]);
+    let x_g = if C::X_IS_NEGATIVE {
+        x_abs_g.neg()
+    } else {
+        x_abs_g
+    };
+    let (cx, cy) = [(cx, cy), (unit(cx), unit(cy))]
+        .into_iter()
+        .find(|(cx, cy)| {
+            let psi_g = Affine::<G2Curve<C>> {
+                x: g2.x.conjugate() * *cx,
+                y: g2.y.conjugate() * *cy,
+                infinity: false,
+            };
+            Jacobian::from(psi_g) == x_g
+        })
+        .unwrap_or_else(|| panic!("{}: no twist direction gives ψ(G₂) = [x]·G₂", C::NAME));
+    // σψ(x, y) = (x, σ·y) ∘ ψ.
+    let cy = if C::X_IS_NEGATIVE { -cy } else { cy };
+
+    let base = UBig::from(C::X);
+    let eigenvalue: C::Fr = scalar_from::<G2Curve<C>>(&base);
+    let e2 = eigenvalue.square();
+    assert!(
+        (e2.square() - e2 + C::Fr::one()).is_zero(),
+        "{}: |x| is not a root of e⁴ − e² + 1 mod r",
+        C::NAME
+    );
+    // Digits below |x|: as many as it takes for |x|^rows to exceed r.
+    let (mut rows, mut span) = (0, UBig::one());
+    while span <= *r {
+        span = span.mul(&base);
+        rows += 1;
+    }
+    Endomorphism::new(
+        "psi",
+        eigenvalue,
+        64 - (C::X - 1).leading_zeros(),
+        rows,
+        Action::Frobenius {
+            cx,
+            cy,
+            frobenius: Fq2::conjugate,
+        },
+        Split::Radix(C::X),
+    )
 }
 
 #[cfg(test)]

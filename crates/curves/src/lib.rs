@@ -36,7 +36,7 @@ pub mod bls12_377;
 pub mod bls12_381;
 pub mod codec;
 pub mod derive;
-pub mod glv;
+pub mod endo;
 pub mod sw;
 pub mod tower;
 
@@ -47,6 +47,6 @@ pub use bls12::{
 pub use codec::{
     compress_g1, compress_g2, decompress_g1, decompress_g2, DecodePointError, G1_BYTES, G2_BYTES,
 };
-pub use glv::GlvParams;
+pub use endo::Endomorphism;
 pub use sw::{batch_to_affine, Affine, Jacobian, SwCurve, Xyzz};
 pub use tower::{Fq12, Fq2, Fq6, TowerConfig};

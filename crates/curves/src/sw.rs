@@ -30,10 +30,10 @@ pub trait SwCurve:
     /// A generator of the prime-order subgroup.
     fn generator() -> Affine<Self>;
 
-    /// GLV endomorphism parameters, for curves with an efficiently
-    /// computable endomorphism (BLS12 G1 and G2). `None` — the default — makes
-    /// callers such as the MSM engine fall back to the plain path.
-    fn glv() -> Option<&'static crate::glv::GlvParams<Self>> {
+    /// The efficiently computable endomorphism an MSM splits scalars on
+    /// (`φ` on BLS12 G1, `ψ` on G2). `None` — the default — makes callers
+    /// such as the MSM engine fall back to the plain path.
+    fn endomorphism() -> Option<&'static crate::endo::Endomorphism<Self>> {
         None
     }
 

@@ -5,15 +5,16 @@ use crate::workspace::ProverWorkspace;
 use core::fmt;
 use rand::Rng;
 use std::time::Instant;
+use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{
-    check_deadline, quotient_pipeline_in, BackendError, CpuBackend, ExecBackend, G1Bases, G1Msm,
+    check_deadline, quotient_pipeline_in, BackendError, Bases, CpuBackend, ExecBackend, G1Msm,
 };
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
     multi_pairing, pairing, Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve,
 };
 use zkp_ff::Field;
-use zkp_msm::{FixedBase, MsmConfig, MsmPlan, MsmScratch};
+use zkp_msm::{msm_parallel_with_config_in, FixedBase, MsmConfig, MsmPlan, MsmScratch};
 use zkp_ntt::{Domain, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -185,12 +186,13 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
     }
 }
 
-/// Cached per-proving-key MSM plans for the prover's four G1 MSMs.
+/// Cached per-proving-key MSM plans for the prover's five MSMs.
 ///
-/// The MSM bases — `a_query`, `b_g1_query`, `l_query`, `h_query` — are
-/// fixed for the life of a proving key; only the scalars change per
-/// witness. Building a `ProverPlan` pays the GLV point expansion and the
-/// Fig. 12 window precompute once, after which every proof of a
+/// The MSM bases — `a_query`, `b_g1_query`, `l_query`, `h_query` and
+/// `b_g2_query` — are fixed for the life of a proving key; only the
+/// scalars change per witness. Building a `ProverPlan` pays the
+/// endomorphism images of the finite bases and, on G1, the Fig. 12 window
+/// precompute once, after which every proof of a
 /// [`ProverSession`](crate::ProverSession) reuses the tables. Proof bytes
 /// are identical to the unplanned prover: the plan changes the
 /// *schedule*, never the group element.
@@ -203,13 +205,19 @@ pub struct ProverPlan<C: Bls12Config> {
     pub l: MsmPlan<G1Curve<C>>,
     /// Plan over `pk.h_query`.
     pub h: MsmPlan<G1Curve<C>>,
+    /// Plan over `pk.b_g2_query`: always the single copy
+    /// `[P…, ψ(P)…, ψ²(P)…, ψ³(P)…]` of the finite bases — three `ψ` maps
+    /// per base and no doubling. A folded copy costs 255 G2 doublings per
+    /// base, which `setup_s` and `peak_rss_mb` of `prove_bits_1k` rule out
+    /// (ROADMAP 2b).
+    pub b2: MsmPlan<G2Curve<C>>,
 }
 
 impl<C: Bls12Config> ProverPlan<C> {
-    /// Builds the four plans under an explicit MSM configuration and an
+    /// Builds the five plans under an explicit MSM configuration and an
     /// optional total memory budget in bytes. The budget is split across
-    /// the queries proportionally to their base counts — the Fig. 12
-    /// memory/window trade-off applied key-wide.
+    /// the G1 queries proportionally to their base counts — the Fig. 12
+    /// memory/window trade-off applied key-wide; B2 is the single copy.
     pub fn build_with(
         pk: &ProvingKey<C>,
         config: &MsmConfig,
@@ -224,15 +232,17 @@ impl<C: Bls12Config> ProverPlan<C> {
             b1: MsmPlan::build(&pk.b_g1_query, config, share(pk.b_g1_query.len()), pool),
             l: MsmPlan::build(&pk.l_query, config, share(pk.l_query.len()), pool),
             h: MsmPlan::build(&pk.h_query, config, share(pk.h_query.len()), pool),
+            b2: MsmPlan::build(&pk.b_g2_query, config, Some(0), pool),
         }
     }
 
-    /// Total bytes held by the four expanded point tables.
+    /// Total bytes held by the five expanded point tables.
     pub fn storage_bytes(&self) -> u64 {
         self.a.storage_bytes()
             + self.b1.storage_bytes()
             + self.l.storage_bytes()
             + self.h.storage_bytes()
+            + self.b2.storage_bytes()
     }
 
     /// Algorithm tag of the dominant (A-query) plan.
@@ -379,10 +389,14 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                   scratch: &mut MsmScratch<G1Curve<C>>| {
         check_deadline(deadline, stage)?;
         let bases = match plan {
-            Some(p) => G1Bases::Planned(p.for_msm(which)),
-            None => G1Bases::Affine(points),
+            Some(p) => Bases::Planned(p.for_msm(which)),
+            None => Bases::Affine(points),
         };
         backend.msm_g1(which, bases, scalars, scratch)
+    };
+    let b2_bases = match plan {
+        Some(p) => Bases::Planned(&p.b2),
+        None => Bases::Affine(&pk.b_g2_query),
     };
 
     // --- Task graph. ---
@@ -421,7 +435,7 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                             pool.join(
                                 || {
                                     check_deadline(deadline, "b2-msm")?;
-                                    backend.msm_g2(&pk.b_g2_query, z, g2)
+                                    backend.msm_g2(b2_bases, z, g2)
                                 },
                                 || g1_msm(G1Msm::L, "l-msm", &pk.l_query, priv_z, sl),
                             )
@@ -438,31 +452,35 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let l_acc = rl?;
     check_deadline(deadline, "finalize")?;
 
+    // The blinding products are 1- and 2-point MSMs through the same
+    // engine, on the arms' (warm) scratch: split on the endomorphism, they
+    // double through a half (G1) or a quarter (G2) of the 255 bits a
+    // double-and-add walks. They are not backend ops.
+    let config = default_msm_config();
+    let run = |points: &[Affine<G1Curve<C>>], scalars: &[C::Fr], scratch| {
+        msm_parallel_with_config_in(points, scalars, &config, pool, scratch).point
+    };
+
     // A = α + Σ zᵢ·uᵢ(τ) + r·δ
-    let a_acc = a_msm
+    let a = a_msm
         .add_affine(&pk.alpha_g1)
-        .add(&Jacobian::from(pk.delta_g1).mul_scalar(&r));
+        .add(&run(&[pk.delta_g1], &[r], sa))
+        .to_affine();
 
-    // B = β + Σ zᵢ·vᵢ(τ) + s·δ  (G2, with a G1 twin for C)
-    let b_g2_acc = b2_msm
-        .add_affine(&pk.beta_g2)
-        .add(&Jacobian::from(pk.delta_g2).mul_scalar(&s));
-    let b_g1_acc = b1_msm
-        .add_affine(&pk.beta_g1)
-        .add(&Jacobian::from(pk.delta_g1).mul_scalar(&s));
+    // B = β + Σ zᵢ·vᵢ(τ) + s·δ  (G2)
+    let s_delta_g2 = msm_parallel_with_config_in(&[pk.delta_g2], &[s], &config, pool, g2).point;
+    let b_g2_acc = b2_msm.add_affine(&pk.beta_g2).add(&s_delta_g2);
 
-    // C = Σ_priv zᵢ·lᵢ + Σ hᵢ·(τⁱZ(τ)/δ) + s·A + r·B₁ - r·s·δ
-    let rs = r * s;
-    let c_acc = l_acc
-        .add(&h_acc)
-        .add(&a_acc.mul_scalar(&s))
-        .add(&b_g1_acc.mul_scalar(&r))
-        .add(&Jacobian::from(pk.delta_g1).mul_scalar(&(-rs)));
+    // C = Σ_priv zᵢ·lᵢ + Σ hᵢ·(τⁱZ(τ)/δ) + s·A + r·B₁ − r·s·δ, where B₁ is
+    // B's G1 twin β + Σ zᵢ·vᵢ(τ) + s·δ: its s·δ term cancels the −r·s·δ,
+    // so C = … + s·A + r·(β + Σ zᵢ·vᵢ(τ)).
+    let b_g1 = b1_msm.add_affine(&pk.beta_g1).to_affine();
+    let c_acc = l_acc.add(&h_acc).add(&run(&[a, b_g1], &[s, r], sl));
 
     // Individual affine conversions: a batched normalization would need a
     // temporary vector on the allocation-free path.
     let proof = Proof {
-        a: a_acc.to_affine(),
+        a,
         b: b_g2_acc.to_affine(),
         c: c_acc.to_affine(),
     };

@@ -31,8 +31,9 @@ pub(crate) struct SessionShared<C: Bls12Config> {
 
 /// A reusable proving session for one proving key.
 ///
-/// Construction pays every per-key cost once — the GLV point expansion
-/// and window precompute of the four G1 [`MsmPlan`](zkp_msm::MsmPlan)s,
+/// Construction pays every per-key cost once — the endomorphism images of
+/// the five [`MsmPlan`](zkp_msm::MsmPlan)s and the window precompute of
+/// the four G1 ones,
 /// the twiddle table — and the embedded workspace amortizes the
 /// per-proof buffers. Sessions are `Send`; to prove concurrently, create
 /// one per worker with [`ProverSession::fork`] (the shared key and plans

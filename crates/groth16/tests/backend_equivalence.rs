@@ -189,22 +189,33 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
         .collect();
     assert_eq!(g1_algos.len(), 4);
     assert!(
-        g1_algos
-            .iter()
-            .all(|a| a.as_deref().is_some_and(|s| s.contains("precomp"))),
+        g1_algos.iter().all(|a| a
+            .as_deref()
+            .is_some_and(|s| s.starts_with("glv+") && s.contains("precomp"))),
         "planned MSMs must carry the plan's algorithm tag: {g1_algos:?}"
     );
 
-    // The G2 MSM is tagged with the backend's one-shot algorithm, and the
-    // tag is true: a G2 one-shot under that configuration really splits.
+    // The G2 MSM runs the session's B2 plan — the single ψ copy — and its
+    // tag is true: the plan really splits 4 ways, over the finite bases.
     let g2 = trace.records.iter().find(|r| r.kind == OpKind::MsmG2);
     let g2_algo = g2.and_then(|r| r.algo.as_deref()).expect("tagged G2 MSM");
-    assert_eq!(g2_algo, default_msm_config().describe());
-    assert!(g2_algo.contains("glv"), "{g2_algo}");
-    let bases = &session.pk().b_g2_query[..8];
-    let scalars: Vec<Fr381> = (1..=8).map(Fr381::from_u64).collect();
-    let stats = msm_with_config(bases, &scalars, &default_msm_config()).stats;
-    assert_eq!(stats.glv_decompositions, 8);
+    let b2 = &session.plan().b2;
+    assert_eq!(g2_algo, b2.algorithm());
+    assert!(
+        g2_algo.starts_with("psi+") && g2_algo.ends_with("copies=1)"),
+        "{g2_algo}"
+    );
+    let query = &session.pk().b_g2_query;
+    let finite = query.iter().filter(|p| !p.is_identity()).count();
+    assert!(finite < query.len(), "MiMC leaves some B bases at infinity");
+    assert_eq!(b2.stored_points(), 4 * finite);
+    let scalars: Vec<Fr381> = (1..=query.len() as u64).map(Fr381::from_u64).collect();
+    let stats = b2.execute(&scalars, &ThreadPool::with_threads(1)).stats;
+    assert_eq!(stats.glv_decompositions, finite as u64);
+    assert_eq!(stats.endomorphism_muls, 0, "the plan holds the ψ images");
+    let one_shot = msm_with_config(query, &scalars, &default_msm_config()).stats;
+    assert_eq!(one_shot.glv_decompositions, finite as u64);
+    assert_eq!(one_shot.endomorphism_muls, 3 * 2 * finite as u64);
 }
 
 #[test]

@@ -38,12 +38,12 @@ pub struct MsmConfig {
     pub signed_digits: bool,
     /// Bucket point representation.
     pub bucket_repr: BucketRepr,
-    /// GLV endomorphism decomposition: split every scalar as
-    /// `k = k1 + λ·k2` with half-width subscalars and double the point
-    /// set via the one-`FF_mul` map `φ`. BLS12 G1 and G2 both have it;
-    /// silently ignored on a curve whose [`SwCurve::glv`] is `None`.
+    /// Endomorphism split: write every scalar as `D` short subscalars and
+    /// give every base `D` rows through the curve's cheap map — GLV's `φ`
+    /// on BLS12 G1 (`D = 2`), `ψ` on G2 (`D = 4`); silently ignored on a
+    /// curve whose [`SwCurve::endomorphism`] is `None`.
     ///
-    /// [`SwCurve::glv`]: zkp_curves::SwCurve::glv
+    /// [`SwCurve::endomorphism`]: zkp_curves::SwCurve::endomorphism
     pub endomorphism: bool,
 }
 
@@ -104,7 +104,7 @@ impl MsmConfig {
         }
     }
 
-    /// GLV decomposition + signed-digit XYZZ buckets — the fastest CPU
+    /// Endomorphism split + signed-digit XYZZ buckets — the fastest CPU
     /// configuration measured on BLS12 G1 and G2 (§IV-D).
     pub fn glv_style() -> Self {
         Self {

@@ -4,7 +4,7 @@
 //! generator (`uᵢ(τ)·G`). With a per-window table of all `2^c` multiples,
 //! each scalar multiplication collapses to `⌈λ/c⌉` point additions.
 
-use crate::pippenger::{check_window_bits, window_digit};
+use crate::pippenger::{check_window_bits, window_digit, SCALAR_LIMBS_STACK};
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
 use zkp_ff::PrimeField;
 
@@ -57,13 +57,22 @@ impl<Cu: SwCurve> FixedBase<Cu> {
         }
     }
 
-    /// Multiplies the base by `k` using only table lookups and additions.
+    /// Multiplies the base by `k` using only table lookups and additions,
+    /// without allocating.
     pub fn mul(&self, k: &Cu::Scalar) -> Jacobian<Cu> {
-        let limbs = k.to_uint();
+        let mut stack = [0u64; SCALAR_LIMBS_STACK];
+        let heap;
+        let limbs: &[u64] = if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
+            k.write_uint(&mut stack);
+            &stack
+        } else {
+            heap = k.to_uint();
+            &heap
+        };
         let mut acc = Jacobian::identity();
         for (w, table) in self.windows.iter().enumerate() {
             let lo = w as u32 * self.window_bits;
-            let digit = window_digit(&limbs, lo, self.window_bits) as usize;
+            let digit = window_digit(limbs, lo, self.window_bits) as usize;
             if digit != 0 {
                 acc = acc.add_affine(&table[digit - 1]);
             }

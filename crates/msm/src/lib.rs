@@ -8,11 +8,12 @@
 //!   Pippenger's bucket algorithm (Fig. 4a) with the algorithmic options
 //!   that differentiate the studied libraries ([`MsmConfig`]): bucket
 //!   representation (Jacobian, XYZZ), signed-digit recoding,
-//!   window sizing, and the GLV split (`k = k1 + λ·k2` with half-width
-//!   signed subscalars over `[P…, φ(P)…]`) on curves that expose an
-//!   endomorphism. [`msm_parallel`] is the same on a transient pool.
-//! * [`MsmPlan`] — a per-base-set plan caching the GLV expansion and the
-//!   Fig. 12 window precompute for bases reused across proofs (the
+//!   window sizing, and the endomorphism split on curves that expose one
+//!   (`D` short subscalars per scalar over `[P…, map(P)…, …]`: GLV's `φ`,
+//!   `D = 2`, on BLS12 G1; `ψ`, `D = 4`, on G2). Bases at infinity get no
+//!   table rows. [`msm_parallel`] is the same on a transient pool.
+//! * [`MsmPlan`] — a per-base-set plan caching the endomorphism images and
+//!   the Fig. 12 window precompute for bases reused across proofs (the
 //!   Groth16 proving key); [`PrecomputedPoints`] is the same table with
 //!   the window count given explicitly (§IV-D1a).
 //! * [`FixedBase`] — a per-window comb for many multiples of one base.
@@ -21,7 +22,7 @@
 //! There is one front door: every MSM is a *plan run* — a layout (how
 //! digits fold onto a table of shifted point copies), one scalar→digit
 //! recoder, one bucket engine. A one-shot MSM is the single-copy layout
-//! over the caller's points, so it equals a zero-budget [`MsmPlan`] bit for
+//! over the caller's finite points, so it equals a zero-budget [`MsmPlan`] bit for
 //! bit; see `docs/msm.md`.
 //!
 //! # Examples

@@ -7,16 +7,23 @@
 //! per window), and finally combine window sums with doublings (*Window
 //! Reduction* — the serial part, "often performed on the CPU").
 //!
-//! # GLV decomposition
+//! # The endomorphism split
 //!
-//! When [`MsmConfig::endomorphism`] is set and the curve exposes GLV
-//! parameters ([`SwCurve::glv`]), every scalar is first split as
-//! `k = k1 + λ·k2 (mod r)` with half-width signed subscalars, and the point
-//! set is doubled with the one-`FF_mul` endomorphism `φ(x,y) = (β·x, y)`.
-//! The engine then runs over `2n` points but *half* the windows — the
-//! first-order MSM lever of §IV-D / SZKP. BLS12 G1 and G2 both split; a
-//! curve without GLV parameters falls back to the plain path
-//! transparently.
+//! When [`MsmConfig::endomorphism`] is set and the curve exposes one
+//! ([`SwCurve::endomorphism`]), every scalar is first split into `D` short
+//! subscalars `k = Σ kᵢ·eⁱ (mod r)` and each base contributes `D` rows
+//! `P, map(P), …, map^{D−1}(P)`: `D = 2` on BLS12 G1 (GLV's `φ`, ~128-bit
+//! signed halves), `D = 4` on G2 (`ψ`, 64-bit base-`|x|` digits). The
+//! engine then runs over `D·n` rows but `1/D` of the windows — the
+//! first-order MSM lever of §IV-D / SZKP. A curve without an endomorphism
+//! falls back to the plain path transparently.
+//!
+//! # Bases at infinity
+//!
+//! A base at infinity contributes nothing whatever its scalar, so no table
+//! holds one: tables — a plan's and the one-shot expansion alike — are built
+//! over the finite bases only, with a row → scalar index map, and the
+//! window is sized for the rows that remain.
 //!
 //! # The window
 //!
@@ -48,8 +55,7 @@
 
 use crate::config::{BucketRepr, MsmConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use zkp_curves::glv::GlvParams;
-use zkp_curves::{Affine, Jacobian, SwCurve, Xyzz};
+use zkp_curves::{Affine, Endomorphism, Jacobian, SwCurve, Xyzz};
 use zkp_ff::glv::GlvScalar;
 use zkp_ff::PrimeField;
 use zkp_runtime::ThreadPool;
@@ -74,10 +80,12 @@ pub struct MsmStats {
     pub windows: u32,
     /// Buckets per window.
     pub buckets_per_window: u64,
-    /// Scalars split into half-width subscalars by GLV decomposition.
+    /// Scalars split into subscalars by the endomorphism (one per finite
+    /// base).
     pub glv_decompositions: u64,
-    /// `FF_mul` operations spent applying the endomorphism `φ` (one per
-    /// mapped point; zero when the `φ`-table was precomputed).
+    /// Coordinate-field multiplications spent mapping bases through the
+    /// endomorphism (`D − 1` images per finite base, one multiplication
+    /// each under `φ`, two under `ψ`; zero when a plan's table holds them).
     pub endomorphism_muls: u64,
     /// Always 0 — no bucket representation inverts. Kept only because the
     /// benchmark harness reads it (ROADMAP item 4 drops it).
@@ -181,7 +189,7 @@ pub(crate) fn window_digit(limbs: &[u64], lo: u32, bits: u32) -> u64 {
 }
 
 /// Recodes a raw little-endian magnitude into its row of the signed-digit
-/// matrix, optionally negating every digit (how a negative GLV subscalar
+/// matrix, optionally negating every digit (how a negative subscalar
 /// enters the bucket engine: `-Σ d·2^(qs) = Σ (-d)·2^(qs)`).
 ///
 /// A digit `d` is stored as a plain `i32`: `d > 0` adds the point to
@@ -259,9 +267,10 @@ struct EngineScratch<Cu: SwCurve> {
 
 /// Reusable scratch memory for one MSM call site.
 ///
-/// Every transient buffer an MSM needs — both digit matrices, GLV
-/// subscalars, the expanded `[P…, φ(P)…]` point set, bucket arenas — lives
-/// here and is reused run to run, so a warmed
+/// Every transient buffer an MSM needs — both digit matrices, the
+/// subscalars, the one-shot table of finite bases and their images with
+/// its row → scalar index, bucket arenas — lives here and is reused run to
+/// run, so a warmed
 /// scratch makes [`msm_parallel_with_config_in`] /
 /// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
 /// steady state. Buffers only ever grow; results are bit-identical to the
@@ -273,8 +282,10 @@ pub struct MsmScratch<Cu: SwCurve> {
     full_digits: Vec<i32>,
     /// `(copies·ppc) × W`: `full_digits` folded onto the table's copies.
     digits: Vec<i32>,
-    subs: Vec<(GlvScalar, GlvScalar)>,
+    /// `n × D` subscalars, scalar-major.
+    subs: Vec<GlvScalar>,
     expanded: Vec<Affine<Cu>>,
+    index: Vec<usize>,
 }
 
 impl<Cu: SwCurve> MsmScratch<Cu> {
@@ -413,15 +424,14 @@ fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
 
 /// The shape of one plan run: how the full-width digits of every
 /// (sub)scalar fold onto a table of shifted copies of the base rows. A
-/// one-shot MSM is the single-copy case (`target_windows = full_windows`)
-/// over a borrowed table.
+/// one-shot MSM is the single-copy case (`target_windows = full_windows`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout<Cu: SwCurve> {
-    /// Number of base points, i.e. scalars per run.
+    /// Finite base points, i.e. rows per endomorphism power.
     pub(crate) n: usize,
-    /// GLV parameters when scalars are decomposed at run time; the table
-    /// rows of one copy are then `[P…, φ(P)…]`.
-    pub(crate) glv: Option<&'static GlvParams<Cu>>,
+    /// The endomorphism scalars are split on at run time; the rows of one
+    /// copy are then `[P…, map(P)…, …, map^{D−1}(P)…]`.
+    pub(crate) endo: Option<&'static Endomorphism<Cu>>,
     /// Window size `s` in bits.
     pub(crate) window_bits: u32,
     /// Windows `w` of one (sub)scalar before folding into copies.
@@ -441,9 +451,9 @@ const ADD_FF_MULS: u64 = 14;
 const DBL_FF_MULS: u64 = 7;
 
 impl<Cu: SwCurve> Layout<Cu> {
-    /// The layout of `n` points under `config` whose table fits
+    /// The layout of `n` finite points under `config` whose table fits
     /// `budget_bytes` (`None` = unbounded; `Some(0)` is the one-shot run
-    /// over a single borrowed copy) — the one window picker: an unpinned
+    /// over a single copy) — the one window picker: an unpinned
     /// `window_bits` is the cheapest of `3..=16` by [`Layout::cost`], each
     /// candidate folded as deep as the budget allows; ties go to the
     /// smaller window.
@@ -466,15 +476,19 @@ impl<Cu: SwCurve> Layout<Cu> {
     /// The single-copy layout at window size `s`.
     fn at(n: usize, config: &MsmConfig, s: u32) -> Self {
         check_window_bits(s);
-        let glv = if config.endomorphism { Cu::glv() } else { None };
-        let full_windows = match glv {
+        let endo = if config.endomorphism {
+            Cu::endomorphism()
+        } else {
+            None
+        };
+        let full_windows = match endo {
             // A subscalar magnitude is bounded by `2^sub_bits`.
-            Some(glv) => (glv.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
+            Some(endo) => (endo.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
             None => num_windows::<Cu::Scalar>(s, config.signed_digits),
         };
         Self {
             n,
-            glv,
+            endo,
             window_bits: s,
             full_windows,
             target_windows: full_windows,
@@ -511,9 +525,9 @@ impl<Cu: SwCurve> Layout<Cu> {
                     + ADD_FF_MULS)
     }
 
-    /// Table rows per copy: `n`, or `2n` under GLV.
+    /// Table rows per copy: `n`, or `D·n` under a `D`-way endomorphism.
     pub(crate) fn points_per_copy(&self) -> usize {
-        self.n * if self.glv.is_some() { 2 } else { 1 }
+        self.n * self.endo.map_or(1, |endo| endo.rows())
     }
 
     /// Stored copies `⌈w/W⌉`; copy `j` is copy `j−1` doubled `W·s` times.
@@ -521,13 +535,19 @@ impl<Cu: SwCurve> Layout<Cu> {
         self.full_windows.div_ceil(self.target_windows)
     }
 
-    /// The configuration this layout was derived from, window size pinned.
-    pub(crate) fn config(&self) -> MsmConfig {
-        MsmConfig {
+    /// The algorithm tag of this run: [`MsmConfig::describe`] naming the
+    /// split that really runs (`glv` or `psi`).
+    pub(crate) fn describe(&self) -> String {
+        let plain = MsmConfig {
             window_bits: Some(self.window_bits),
             signed_digits: self.signed,
             bucket_repr: self.bucket_repr,
-            endomorphism: self.glv.is_some(),
+            endomorphism: false,
+        }
+        .describe();
+        match self.endo {
+            Some(endo) => format!("{}+{plain}", endo.name),
+            None => plain,
         }
     }
 }
@@ -556,53 +576,65 @@ pub fn msm_shape<Cu: SwCurve>(n: usize, config: &MsmConfig, budget_bytes: Option
     }
 }
 
-/// Decomposes every scalar as `k = k1 + λ·k2` in parallel, reusing
-/// `subs`' capacity.
-fn glv_split_into<Cu: SwCurve>(
+/// Splits the scalar of every finite base into its `D` subscalars in
+/// parallel, scalar-major, reusing `subs`' capacity.
+fn split_into<Cu: SwCurve>(
     scalars: &[Cu::Scalar],
-    glv: &GlvParams<Cu>,
+    index: &[usize],
+    endo: &Endomorphism<Cu>,
     pool: &ThreadPool,
-    subs: &mut Vec<(GlvScalar, GlvScalar)>,
+    subs: &mut Vec<GlvScalar>,
 ) {
-    subs.clear();
-    subs.resize(scalars.len(), (GlvScalar::default(), GlvScalar::default()));
-    pool.for_each_chunk_mut(subs, 512, |_, offset, chunk| {
-        for (slot, k) in chunk.iter_mut().zip(&scalars[offset..]) {
-            *slot = glv.decompose(k);
-        }
+    // Every block is rewritten, so stale contents need no clearing.
+    subs.resize(index.len() * endo.rows(), GlvScalar::default());
+    pool.for_each_block_mut(subs, endo.rows(), 512, |i, block| {
+        endo.split(&scalars[index[i]], block);
     });
 }
 
+/// The table's row → scalar index: the positions of the finite `points`,
+/// written into `index` (capacity reused).
+pub(crate) fn finite_positions<Cu: SwCurve>(points: &[Affine<Cu>], index: &mut Vec<usize>) {
+    index.clear();
+    index.extend((0..points.len()).filter(|&i| !points[i].infinity));
+}
+
 /// Appends one table copy over `rows` to `out`: the rows themselves and,
-/// under GLV, their images `[P₀..Pₙ, φ(P₀)..φ(Pₙ)]` — one `FF_mul` per
-/// point, whichever multiple of the bases the rows are, since
-/// `φ(2^k·P) = 2^k·φ(P)`.
+/// under a `D`-way endomorphism, their images
+/// `[P…, map(P)…, …, map^{D−1}(P)…]`, each power mapped from the one
+/// before — a multiplication or two per image, whichever multiple of the
+/// bases the rows are, since `map(2^k·P) = 2^k·map(P)`.
 pub(crate) fn push_copy<Cu: SwCurve>(
-    rows: &[Affine<Cu>],
-    glv: Option<&GlvParams<Cu>>,
+    rows: impl IntoIterator<Item = Affine<Cu>>,
+    endo: Option<&Endomorphism<Cu>>,
     out: &mut Vec<Affine<Cu>>,
 ) {
-    out.extend_from_slice(rows);
-    if let Some(glv) = glv {
-        out.extend(rows.iter().map(|p| glv.endomorphism(p)));
+    let start = out.len();
+    out.extend(rows);
+    let Some(endo) = endo else { return };
+    for prev in start..start + (endo.rows() - 1) * (out.len() - start) {
+        let image = endo.map(&out[prev]);
+        out.push(image);
     }
 }
 
 /// Scalar limbs copied to the stack on the per-row hot path; every
 /// supported scalar field fits (BLS12 Fr has 4 limbs).
-const SCALAR_LIMBS_STACK: usize = 8;
+pub(crate) const SCALAR_LIMBS_STACK: usize = 8;
 
 /// The recoder: fills the flat `(copies·ppc) × W` digit matrix over the
-/// layout's table in two contiguous passes. Row `r < ppc` is scalar `r` or,
-/// under GLV, subscalar `k1` of scalar `r` (paired with `Pᵣ`) / `k2` of
-/// scalar `r − n` (paired with `φ(Pᵣ₋ₙ)`). Pass 1 recodes each row over its
-/// FULL `w` windows into `full` — the signed-digit carry crosses copy
-/// boundaries; pass 2 copies digits `j·W ..` of row `r` into row `j·ppc + r`
-/// of `digits`, zero-padding the last copy's columns past `w`.
+/// layout's table in two contiguous passes. Row `r = j·n + i < ppc` pairs
+/// with `mapʲ(Pᵢ)`, the `i`-th finite base's `j`-th image, and carries
+/// subscalar `j` of scalar `index[i]` (without an endomorphism, `j = 0`
+/// and the scalar itself). Pass 1 recodes each row over its FULL `w`
+/// windows into `full` — the signed-digit carry crosses copy boundaries;
+/// pass 2 copies digits `j·W ..` of row `r` into row `j·ppc + r` of
+/// `digits`, zero-padding the last copy's columns past `w`.
 fn fill_digit_matrix<Cu: SwCurve>(
     layout: &Layout<Cu>,
     scalars: &[Cu::Scalar],
-    subs: &[(GlvScalar, GlvScalar)],
+    index: &[usize],
+    subs: &[GlvScalar],
     pool: &ThreadPool,
     full: &mut Vec<i32>,
     digits: &mut Vec<i32>,
@@ -613,15 +645,15 @@ fn fill_digit_matrix<Cu: SwCurve>(
     // Both passes write every cell, so stale contents need no clearing.
     full.resize(ppc * w, 0);
     pool.for_each_block_mut(full, w, 128, |r, row| {
-        if layout.glv.is_some() {
-            let sub = if r < n { subs[r].0 } else { subs[r - n].1 };
+        if let Some(endo) = layout.endo {
+            let sub = subs[(r % n) * endo.rows() + r / n];
             recode_row(&sub.limbs(), s, signed, sub.neg, row);
         } else if Cu::Scalar::NUM_LIMBS <= SCALAR_LIMBS_STACK {
             let mut limbs = [0u64; SCALAR_LIMBS_STACK];
-            scalars[r].write_uint(&mut limbs);
+            scalars[index[r]].write_uint(&mut limbs);
             recode_row(&limbs[..Cu::Scalar::NUM_LIMBS], s, signed, false, row);
         } else {
-            recode_row(&scalars[r].to_uint(), s, signed, false, row);
+            recode_row(&scalars[index[r]].to_uint(), s, signed, false, row);
         }
     });
     let full = &full[..];
@@ -645,16 +677,18 @@ fn fill_digit_matrix<Cu: SwCurve>(
 }
 
 /// Runs one MSM of `scalars` against `table` — `layout.copies()` shifted
-/// copies of the `layout.points_per_copy()` base rows — the single road to
-/// the bucket engine: optional GLV split → recoder → engine.
+/// copies of the `layout.points_per_copy()` rows over the finite bases
+/// `index` names — the single road to the bucket engine: optional
+/// endomorphism split → recoder → engine.
 pub(crate) fn execute<Cu: SwCurve>(
     layout: &Layout<Cu>,
     table: &[Affine<Cu>],
+    index: &[usize],
     scalars: &[Cu::Scalar],
     pool: &ThreadPool,
     scratch: &mut MsmScratch<Cu>,
 ) -> MsmOutput<Cu> {
-    assert_eq!(scalars.len(), layout.n, "one scalar per base point");
+    assert_eq!(index.len(), layout.n, "one index per finite base");
     assert_eq!(
         table.len(),
         layout.points_per_copy() * layout.copies() as usize,
@@ -666,13 +700,13 @@ pub(crate) fn execute<Cu: SwCurve>(
             stats: MsmStats::default(),
         };
     }
-    scratch.subs.clear();
-    if let Some(glv) = layout.glv {
-        glv_split_into(scalars, glv, pool, &mut scratch.subs);
+    if let Some(endo) = layout.endo {
+        split_into(scalars, index, endo, pool, &mut scratch.subs);
     }
     fill_digit_matrix(
         layout,
         scalars,
+        index,
         &scratch.subs,
         pool,
         &mut scratch.full_digits,
@@ -690,7 +724,7 @@ pub(crate) fn execute<Cu: SwCurve>(
         pool,
         &mut scratch.engine,
     );
-    if layout.glv.is_some() {
+    if layout.endo.is_some() {
         out.stats.glv_decompositions = layout.n as u64;
     }
     out
@@ -731,9 +765,10 @@ pub fn msm_parallel_with_config<Cu: SwCurve>(
 }
 
 /// [`msm_parallel_with_config`] with caller-owned scratch memory: a plan
-/// run over the borrowed single-copy table `points` (under GLV, over
-/// `[P…, φ(P)…]` expanded into `scratch`), identical in point and stats to
-/// a zero-budget [`MsmPlan`](crate::MsmPlan) except that `φ` is paid here.
+/// run over the single-copy table of the finite `points` (and, under an
+/// endomorphism, their images) built into `scratch`, identical in point and
+/// stats to a zero-budget [`MsmPlan`](crate::MsmPlan) except that the
+/// images are paid here.
 ///
 /// A warmed `scratch` (one prior run of the same shape) makes the call
 /// allocation-free; the result is bit-identical to the scratch-free path.
@@ -753,18 +788,21 @@ pub fn msm_parallel_with_config_in<Cu: SwCurve>(
         scalars.len(),
         "points and scalars must pair up"
     );
-    let layout = Layout::new(points.len(), config, Some(0));
-    let Some(glv) = layout.glv else {
-        return execute(&layout, points, scalars, pool, scratch);
-    };
-    // Lend the expanded table out of the scratch for the run (moving a
-    // `Vec` neither allocates nor frees).
-    let mut expanded = std::mem::take(&mut scratch.expanded);
-    expanded.clear();
-    push_copy(points, Some(glv), &mut expanded);
-    let mut out = execute(&layout, &expanded, scalars, pool, scratch);
-    scratch.expanded = expanded;
-    out.stats.endomorphism_muls = points.len() as u64;
+    // Lend the table and its index out of the scratch for the run (moving
+    // a `Vec` neither allocates nor frees).
+    let (mut table, mut index) = (
+        std::mem::take(&mut scratch.expanded),
+        std::mem::take(&mut scratch.index),
+    );
+    finite_positions(points, &mut index);
+    let layout = Layout::new(index.len(), config, Some(0));
+    table.clear();
+    push_copy(index.iter().map(|&i| points[i]), layout.endo, &mut table);
+    let mut out = execute(&layout, &table, &index, scalars, pool, scratch);
+    if let Some(endo) = layout.endo {
+        out.stats.endomorphism_muls = (table.len() - index.len()) as u64 * endo.map_muls();
+    }
+    (scratch.expanded, scratch.index) = (table, index);
     out
 }
 

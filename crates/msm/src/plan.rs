@@ -5,29 +5,35 @@
 //! only the scalars change per witness. A [`MsmPlan`] exploits this by
 //! paying the per-base preparation once:
 //!
-//! 1. **GLV expansion** — the endomorphism-mapped copies `φ(Pᵢ)` are
-//!    computed at build time, so per-proof MSMs skip the `n` `FF_mul`s
-//!    and run over half-width subscalars with half the windows (§IV-D).
+//! 1. **Endomorphism expansion** — the images `mapʲ(Pᵢ)` (`φ` on G1, `ψ`
+//!    on G2) are computed at build time, so per-proof MSMs skip them and
+//!    run over `D` short subscalars per scalar with `1/D` of the windows
+//!    (§IV-D). Bases at infinity get no rows at all.
 //! 2. **Window precompute** (§IV-D1a / Fig. 12) — shifted copies
 //!    `2^(W·s·j)·Pᵢ` shrink the reduced window count from `w` to `W`,
 //!    bounded by an explicit memory budget exactly like the paper's
 //!    "provided enough device memory is available" trade-off.
 //!
-//! Per-proof work then reduces to scalar decomposition + digit recoding +
+//! Per-proof work then reduces to scalar splitting + digit recoding +
 //! one `W`-window bucket run. The plan never changes the computed point:
 //! proofs stay byte-identical to the unplanned prover.
 
 use crate::config::MsmConfig;
-use crate::pippenger::{execute, push_copy, Layout, MsmOutput, MsmScratch};
+use crate::pippenger::{execute, finite_positions, push_copy, Layout, MsmOutput, MsmScratch};
 use zkp_curves::{batch_to_affine, Affine, Jacobian, SwCurve};
 use zkp_runtime::ThreadPool;
 
 /// A reusable MSM plan for one fixed base-point set.
 #[derive(Debug, Clone)]
 pub struct MsmPlan<Cu: SwCurve> {
-    /// Copies-major point table: copy `j` occupies rows
-    /// `[j·ppc, (j+1)·ppc)`; within a copy the layout is `[P…]` or, under
-    /// GLV, `[P…, φ(P)…]`. Copy `j` is copy `j−1` doubled `W·s` times.
+    /// The caller's base set, bases at infinity included.
+    bases: Vec<Affine<Cu>>,
+    /// Row → scalar index: the positions of the finite bases.
+    index: Vec<usize>,
+    /// Copies-major point table over the finite bases: copy `j` occupies
+    /// rows `[j·ppc, (j+1)·ppc)`; within a copy the layout is `[P…]` or,
+    /// under a `D`-way endomorphism, `[P…, map(P)…, …, map^{D−1}(P)…]`.
+    /// Copy `j` is copy `j−1` doubled `W·s` times.
     table: Vec<Affine<Cu>>,
     /// How digits fold onto `table`.
     layout: Layout<Cu>,
@@ -46,22 +52,30 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
         budget_bytes: Option<u64>,
         pool: &ThreadPool,
     ) -> Self {
-        let layout = Layout::new(points.len(), config, budget_bytes);
-        Self::from_layout(points, layout, pool)
+        let mut index = Vec::new();
+        finite_positions(points, &mut index);
+        let layout = Layout::new(index.len(), config, budget_bytes);
+        Self::from_layout(points, index, layout, pool)
     }
 
     /// The table builder: materializes the `⌈w/W⌉` shifted copies of
-    /// `layout`.
-    fn from_layout(points: &[Affine<Cu>], layout: Layout<Cu>, pool: &ThreadPool) -> Self {
+    /// `layout` over the finite `points` that `index` names.
+    fn from_layout(
+        points: &[Affine<Cu>],
+        index: Vec<usize>,
+        layout: Layout<Cu>,
+        pool: &ThreadPool,
+    ) -> Self {
         debug_assert!((1..=layout.full_windows).contains(&layout.target_windows));
         let copies = layout.copies();
+        let finite = || index.iter().map(|&i| points[i]);
         let mut table = Vec::with_capacity(layout.points_per_copy() * copies as usize);
-        push_copy(points, layout.glv, &mut table);
+        push_copy(finite(), layout.endo, &mut table);
         // Each copy is the previous doubled W·s times; the doubling sweep
-        // parallelizes per point and carries the base rows only — the φ
-        // half of a copy is mapped from its affine rows, which is the same
-        // canonical point as doubling φ(P).
-        let mut current: Vec<Jacobian<Cu>> = points.iter().map(|p| Jacobian::from(*p)).collect();
+        // parallelizes per point and carries the base rows only — the
+        // images in a copy are mapped from its affine rows, which is the
+        // same canonical point as doubling mapʲ(P).
+        let mut current: Vec<Jacobian<Cu>> = finite().map(Jacobian::from).collect();
         let shift = layout.target_windows * layout.window_bits;
         for _ in 1..copies {
             current = pool.map(current.len(), 64, |i| {
@@ -71,30 +85,37 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
                 }
                 p
             });
-            push_copy(&batch_to_affine(&current), layout.glv, &mut table);
+            push_copy(batch_to_affine(&current), layout.endo, &mut table);
         }
-        Self { table, layout }
+        Self {
+            bases: points.to_vec(),
+            index,
+            table,
+            layout,
+        }
     }
 
-    /// The original base points (row-compatible with the unplanned MSM).
+    /// The caller's base points, bases at infinity included
+    /// (row-compatible with the unplanned MSM).
     pub fn bases(&self) -> &[Affine<Cu>] {
-        &self.table[..self.layout.n]
+        &self.bases
     }
 
-    /// The whole copies-major table: copy `j` is `2^(W·s·j)` times the
-    /// first, whose rows are `[P…]` or, under GLV, `[P…, φ(P)…]`.
+    /// The whole copies-major table over the finite bases: copy `j` is
+    /// `2^(W·s·j)` times the first, whose rows are `[P…]` or, under a
+    /// `D`-way endomorphism, `[P…, map(P)…, …, map^{D−1}(P)…]`.
     pub fn table(&self) -> &[Affine<Cu>] {
         &self.table
     }
 
-    /// Number of base points the plan serves.
+    /// Number of base points the plan serves (one scalar each).
     pub fn len(&self) -> usize {
-        self.layout.n
+        self.bases.len()
     }
 
-    /// Whether the plan holds no points.
+    /// Whether the plan serves no points.
     pub fn is_empty(&self) -> bool {
-        self.layout.n == 0
+        self.bases.is_empty()
     }
 
     /// Bytes held by the expanded point table.
@@ -102,7 +123,7 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
         (self.table.len() as u64) * core::mem::size_of::<Affine<Cu>>() as u64
     }
 
-    /// Total stored points (`ppc · copies`).
+    /// Total stored table points (`ppc · copies`).
     pub fn stored_points(&self) -> usize {
         self.table.len()
     }
@@ -116,7 +137,7 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
     pub fn algorithm(&self) -> String {
         format!(
             "{}+precomp(w={},copies={})",
-            self.layout.config().describe(),
+            self.layout.describe(),
             self.layout.target_windows,
             self.layout.copies(),
         )
@@ -137,7 +158,8 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
     /// `scratch` (one prior run of the same shape) makes the call
     /// allocation-free; the result is bit-identical to [`execute`].
     ///
-    /// `φ` was applied at build time, so `endomorphism_muls` is zero.
+    /// The endomorphism images were mapped at build time, so
+    /// `endomorphism_muls` is zero.
     ///
     /// [`execute`]: MsmPlan::execute
     ///
@@ -150,13 +172,21 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
         pool: &ThreadPool,
         scratch: &mut MsmScratch<Cu>,
     ) -> MsmOutput<Cu> {
-        execute(&self.layout, &self.table, scalars, pool, scratch)
+        assert_eq!(scalars.len(), self.len(), "one scalar per base point");
+        execute(
+            &self.layout,
+            &self.table,
+            &self.index,
+            scalars,
+            pool,
+            scratch,
+        )
     }
 }
 
 /// Window reduction through precomputed points — §IV-D1a / Fig. 12 with
 /// the window count `W` chosen explicitly instead of by a memory budget: a
-/// façade over an unsigned, GLV-free [`MsmPlan`].
+/// façade over an unsigned, endomorphism-free [`MsmPlan`].
 ///
 /// A λ-bit scalar at window size `c` needs `w = ⌈λ/c⌉` windows, and *Bucket
 /// Reduction* costs `2·2^c` PADDs per window. Storing `2^(W·c·j)·Pᵢ` for
@@ -178,13 +208,16 @@ impl<Cu: SwCurve> PrecomputedPoints<Cu> {
             window_bits: Some(window_bits),
             ..MsmConfig::default()
         };
-        let mut layout = Layout::new(points.len(), &config, Some(0));
+        let mut index = Vec::new();
+        finite_positions(points, &mut index);
+        let mut layout = Layout::new(index.len(), &config, Some(0));
         layout.target_windows = target_windows.min(layout.full_windows);
         let pool = ThreadPool::with_threads(1);
-        Self(MsmPlan::from_layout(points, layout, &pool))
+        Self(MsmPlan::from_layout(points, index, layout, &pool))
     }
 
-    /// Number of stored points (`n · ⌈w/W⌉`) — the memory cost of Fig. 12.
+    /// Number of stored points (`n · ⌈w/W⌉` over the finite bases) — the
+    /// memory cost of Fig. 12.
     pub fn stored_points(&self) -> usize {
         self.0.stored_points()
     }

@@ -1,7 +1,7 @@
 //! MSM correctness across configurations, curves, and the precompute path.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use zkp_curves::{bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, PrimeField};
 use zkp_msm::{
@@ -245,7 +245,8 @@ fn glv_stats_reflect_decomposition() {
     assert_eq!(plain.stats.endomorphism_muls, 0);
 }
 
-/// G2 splits like G1: same `λ` and lattice, its own `β`, half the windows.
+/// G2 splits 4 ways on `ψ`: 64-bit base-`|x|` digits, a quarter of the
+/// windows, three images per base at two `Fq2` multiplications each.
 fn assert_g2_splits<Cu: SwCurve>(seed: u64) {
     const N: usize = 16;
     let (points, scalars) = random_inputs::<Cu>(N, seed);
@@ -253,10 +254,11 @@ fn assert_g2_splits<Cu: SwCurve>(seed: u64) {
     let out = msm_with_config(&points, &scalars, &config);
     assert_eq!(out.point, msm_serial(&points, &scalars));
     assert_eq!(out.stats.glv_decompositions, N as u64);
-    assert_eq!(out.stats.endomorphism_muls, N as u64);
+    assert_eq!(out.stats.endomorphism_muls, 3 * 2 * N as u64);
     let s = msm_shape::<Cu>(N, &config, Some(0)).window_bits;
+    assert_eq!(out.stats.windows, 65u32.div_ceil(s));
     let plain_w = zkp_msm::num_windows::<Cu::Scalar>(s, true);
-    assert!(out.stats.windows <= plain_w.div_ceil(2) + 1);
+    assert!(out.stats.windows <= plain_w.div_ceil(4) + 1);
 }
 
 #[test]
@@ -295,6 +297,72 @@ fn endomorphism_config_falls_back_without_glv_params() {
         out.stats,
         msm_with_config(&points, &scalars, &MsmConfig::ymc_style()).stats
     );
+}
+
+/// Bases at infinity have no table rows: at random positions, all of
+/// them, or mixed with zero scalars, one-shot and planned runs equal the
+/// double-and-add reference on G1 (`φ`) and G2 (`ψ`), and a plan still
+/// answers `bases()`/`len()` with the caller's base set.
+fn assert_infinity_rows_are_dropped<Cu: SwCurve>(seed: u64) {
+    const N: usize = 23;
+    let (points, scalars) = random_inputs::<Cu>(N, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let inf = Affine::<Cu>::identity();
+    let holes: Vec<Affine<Cu>> = points
+        .iter()
+        .map(|p| if rng.gen::<bool>() { inf } else { *p })
+        .collect();
+    let zeroed: Vec<Cu::Scalar> = scalars
+        .iter()
+        .map(|k| {
+            if rng.gen::<bool>() {
+                Cu::Scalar::zero()
+            } else {
+                *k
+            }
+        })
+        .collect();
+    let mut ends = points.clone();
+    (ends[0], ends[N - 1]) = (inf, inf);
+    let cases = [
+        ("random positions", holes.clone(), &scalars[..]),
+        ("all at infinity", vec![inf; N], &scalars[..]),
+        ("with zero scalars", holes, &zeroed[..]),
+        ("first and last", ends, &scalars[..]),
+    ];
+    let pool = zkp_runtime::ThreadPool::with_threads(2);
+    for (name, bases, scalars) in &cases {
+        let finite = bases.iter().filter(|p| !p.is_identity()).count();
+        let expect = msm_serial(bases, scalars);
+        for config in [MsmConfig::glv_style(), MsmConfig::default()] {
+            let what = format!("{} {name}: {}", Cu::NAME, config.describe());
+            let one_shot = msm_with_config(bases, scalars, &config);
+            assert_eq!(one_shot.point, expect, "{what} one-shot");
+            if config.endomorphism {
+                assert_eq!(one_shot.stats.glv_decompositions, finite as u64, "{what}");
+            }
+            for budget in [None, Some(0)] {
+                let plan = MsmPlan::build(bases, &config, budget, &pool);
+                assert_eq!(
+                    plan.execute(scalars, &pool).point,
+                    expect,
+                    "{what} {budget:?}"
+                );
+                assert_eq!((plan.bases(), plan.len()), (&bases[..], N), "{what}");
+                // The table holds finite rows only, as many per finite base.
+                assert!(plan.table().iter().all(|p| !p.is_identity()), "{what}");
+                assert_eq!(plan.stored_points() == 0, finite == 0, "{what}");
+                assert_eq!(plan.stored_points() % finite.max(1), 0, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn infinity_rows_are_dropped_on_g1_and_g2() {
+    assert_infinity_rows_are_dropped::<bls12_381::G1>(26);
+    assert_infinity_rows_are_dropped::<bls12_381::G2>(27);
+    assert_infinity_rows_are_dropped::<bls12_377::G2>(28);
 }
 
 #[test]

@@ -228,7 +228,7 @@ fn picker_is_the_argmin_of_the_cost_model() {
                     } = priced(s);
                     assert_eq!(window_bits, s, "{what}, budget {budget:?}");
                     let w = if glv {
-                        let sub_bits = G1::glv().expect("G1 has GLV parameters").sub_bits;
+                        let sub_bits = G1::endomorphism().expect("G1 has φ").sub_bits;
                         (sub_bits + u32::from(signed)).div_ceil(s)
                     } else {
                         num_windows::<zkp_ff::Fr381>(s, signed)
@@ -305,38 +305,41 @@ fn plan_window_beats_the_one_shot_window() {
     assert!(new.storage_bytes() < old.storage_bytes());
 }
 
-/// The φ half of every copy is mapped from the copy's affine rows; that is
-/// the table the builder used to get by carrying `φ(Pᵢ)` through the
-/// doubling sweep.
+/// The image rows of every copy are mapped from the copy's affine rows;
+/// that is the table the builder would get by carrying `mapʲ(Pᵢ)` through
+/// the doubling sweep. Bases at infinity get no rows.
 fn assert_phi_mapped_table_is_the_doubled_table<Cu: SwCurve>(seed: u64) {
-    let glv = Cu::glv().expect("GLV parameters");
+    let endo = Cu::endomorphism().expect("an endomorphism");
+    let d = endo.rows();
     let g = Jacobian::from(Cu::generator());
     let (mut points, _) = random_inputs::<Cu>(5, seed);
     // Small multiples of the generator and bases at infinity.
     points.extend(batch_to_affine(&[g, g.double(), g.double().add(&g)]));
     points.insert(2, Affine::identity());
     points.push(Affine::identity());
-    let n = points.len();
+    let finite: Vec<Affine<Cu>> = points
+        .iter()
+        .copied()
+        .filter(|p| !p.is_identity())
+        .collect();
+    let n = finite.len();
     let pool = ThreadPool::with_threads(2);
     let config = MsmConfig {
         window_bits: Some(12),
         ..MsmConfig::glv_style()
     };
-    let copy_bytes = (2 * n * core::mem::size_of::<Affine<Cu>>()) as u64;
+    let copy_bytes = (d * n * core::mem::size_of::<Affine<Cu>>()) as u64;
     for (budget, copies) in [(Some(3 * copy_bytes), 3), (None, 11)] {
         let plan = MsmPlan::build(&points, &config, budget, &pool);
-        assert_eq!(plan.stored_points(), copies * 2 * n);
-        let mut rows: Vec<Jacobian<Cu>> = points
-            .iter()
-            .chain(
-                &points
-                    .iter()
-                    .map(|p| glv.endomorphism(p))
-                    .collect::<Vec<_>>(),
-            )
-            .map(|p| Jacobian::from(*p))
-            .collect();
-        for (j, copy) in plan.table().chunks_exact(2 * n).enumerate() {
+        assert_eq!(plan.stored_points(), copies * d * n);
+        assert_eq!(plan.bases(), &points[..]);
+        let mut rows: Vec<Jacobian<Cu>> = Vec::new();
+        let mut power = finite.clone();
+        for _ in 0..d {
+            rows.extend(power.iter().map(|p| Jacobian::from(*p)));
+            power = power.iter().map(|p| endo.map(p)).collect();
+        }
+        for (j, copy) in plan.table().chunks_exact(d * n).enumerate() {
             if j > 0 {
                 for row in &mut rows {
                     for _ in 0..plan.target_windows() * 12 {
@@ -344,12 +347,12 @@ fn assert_phi_mapped_table_is_the_doubled_table<Cu: SwCurve>(seed: u64) {
                     }
                 }
             }
-            for (i, (got, want)) in copy.iter().zip(batch_to_affine(&rows)).enumerate() {
+            for (got, want) in copy.iter().zip(batch_to_affine(&rows)) {
                 assert_eq!(
                     (got.x, got.y, got.infinity),
                     (want.x, want.y, want.infinity)
                 );
-                assert_eq!(got.is_identity(), points[i % n].is_identity());
+                assert!(!got.is_identity());
             }
         }
     }
