@@ -1,9 +1,9 @@
 //! The reference CPU backend: real `zkp-msm`/`zkp-ntt` kernels on a
 //! `zkp-runtime` pool, bit-identical to the pre-backend prover.
 
-use crate::{witness_maps_into, BackendError, Bases, ExecBackend, G1Msm};
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
-use zkp_msm::{msm_parallel_with_config_in, MsmConfig, MsmScratch};
+use crate::{witness_maps_into, BackendError, ExecBackend, G1Msm};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_msm::{MsmConfig, MsmPlan, MsmScratch};
 use zkp_ntt::{ntt_parallel_on, scale_by_powers, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -12,12 +12,10 @@ use zkp_runtime::ThreadPool;
 #[derive(Clone, Copy)]
 pub struct CpuBackend<'p> {
     pool: &'p ThreadPool,
-    msm_cfg: MsmConfig,
 }
 
-/// The fastest measured CPU configuration: GLV-decomposed, signed-digit
-/// XYZZ buckets. [`CpuBackend::with_msm_config`] selects another; proofs
-/// match byte for byte either way.
+/// The fastest measured CPU configuration: endomorphism-split,
+/// signed-digit XYZZ buckets. Every prover plan is built under it.
 pub fn default_msm_config() -> MsmConfig {
     MsmConfig::glv_style()
 }
@@ -25,38 +23,12 @@ pub fn default_msm_config() -> MsmConfig {
 impl<'p> CpuBackend<'p> {
     /// A backend on an explicit pool.
     pub fn on(pool: &'p ThreadPool) -> Self {
-        Self {
-            pool,
-            msm_cfg: default_msm_config(),
-        }
+        Self { pool }
     }
 
     /// A backend on the process-global pool (`ZKP_THREADS` sized).
     pub fn global() -> CpuBackend<'static> {
         CpuBackend::on(zkp_runtime::global())
-    }
-
-    /// Overrides the MSM configuration (window size, signed digits, …).
-    pub fn with_msm_config(mut self, cfg: MsmConfig) -> Self {
-        self.msm_cfg = cfg;
-        self
-    }
-
-    /// One MSM in either group: the plan's run, or a one-shot under the
-    /// backend's configuration.
-    fn msm<Cu: SwCurve>(
-        &self,
-        bases: Bases<'_, Cu>,
-        scalars: &[Cu::Scalar],
-        scratch: &mut MsmScratch<Cu>,
-    ) -> Jacobian<Cu> {
-        match bases {
-            Bases::Affine(points) => {
-                msm_parallel_with_config_in(points, scalars, &self.msm_cfg, self.pool, scratch)
-            }
-            Bases::Planned(plan) => plan.execute_in(scalars, self.pool, scratch),
-        }
-        .point
     }
 }
 
@@ -67,10 +39,6 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
 
     fn pool(&self) -> &ThreadPool {
         self.pool
-    }
-
-    fn msm_algorithm(&self) -> String {
-        self.msm_cfg.describe()
     }
 
     fn witness_eval(
@@ -111,19 +79,19 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
     fn msm_g1(
         &self,
         _which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        Ok(self.msm(bases, scalars, scratch))
+        Ok(plan.execute_in(scalars, self.pool, scratch).point)
     }
 
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        Ok(self.msm(bases, scalars, scratch))
+        Ok(plan.execute_in(scalars, self.pool, scratch).point)
     }
 }

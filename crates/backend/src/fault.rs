@@ -14,11 +14,11 @@
 //! `zkp-runtime` pool forwards them to the submitting call — and
 //! **delays** sleep before delegating.
 
-use crate::{BackendError, Bases, ExecBackend, ExecTrace, G1Msm};
+use crate::{BackendError, ExecBackend, ExecTrace, G1Msm};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::MsmScratch;
+use zkp_msm::{MsmPlan, MsmScratch};
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -261,10 +261,6 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
         self.inner.pool()
     }
 
-    fn msm_algorithm(&self) -> String {
-        self.inner.msm_algorithm()
-    }
-
     fn take_trace(&self) -> ExecTrace {
         self.inner.take_trace()
     }
@@ -307,22 +303,22 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
         self.gate(FaultStage::MsmG1, "msm_g1")?;
-        self.inner.msm_g1(which, bases, scalars, scratch)
+        self.inner.msm_g1(which, plan, scalars, scratch)
     }
 
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
         self.gate(FaultStage::MsmG2, "msm_g2")?;
-        self.inner.msm_g2(bases, scalars, scratch)
+        self.inner.msm_g2(plan, scalars, scratch)
     }
 }
 

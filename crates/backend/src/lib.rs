@@ -32,7 +32,7 @@ pub mod trace;
 
 use gpu_sim::DeviceSpec;
 use std::time::Instant;
-use zkp_curves::{Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
 use zkp_ff::PrimeField;
 use zkp_msm::{MsmPlan, MsmScratch};
 use zkp_ntt::{Domain, QuotientOps, TwiddleTable};
@@ -103,19 +103,14 @@ pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<
     }
 }
 
-/// The bases of one MSM, in G1 or G2: the proving key's affine points, or
-/// the per-key [`MsmPlan`] built over them (endomorphism images and window
-/// precompute cached across proofs).
-pub enum Bases<'a, Cu: SwCurve> {
-    /// Plain affine bases; the backend picks the schedule.
-    Affine(&'a [Affine<Cu>]),
-    /// A prebuilt plan over the same points. A backend without a planned
-    /// kernel may run the plain path over [`MsmPlan::bases`].
-    Planned(&'a MsmPlan<Cu>),
-}
-
 /// The heavy-operation interface the prover dispatches through: two
-/// identity methods, two reporting hooks, and six ops.
+/// identity methods, one reporting hook, and six ops.
+///
+/// Bases reach a backend only as an [`MsmPlan`]: the per-key plan built
+/// over the proving key's points (endomorphism images and window
+/// precompute cached across proofs), or the zero-budget plan a one-shot
+/// proof builds. The plan fixes the schedule, so every backend runs the
+/// same MSM and [`MsmPlan::algorithm`] names it.
 ///
 /// Every op is fallible and threads caller-owned buffers, and none has a
 /// default body — a decorator has to forward each one, so it cannot drop
@@ -132,13 +127,6 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     /// The pool the prover's stage graph forks on. Backend ops run on the
     /// same pool so nesting stays deadlock-free.
     fn pool(&self) -> &ThreadPool;
-
-    /// Human-readable tag of the MSM algorithm this backend runs over
-    /// plain bases (unplanned MSMs), e.g.
-    /// `"glv+signed+xyzz"`, for traces and benchmark metadata.
-    fn msm_algorithm(&self) -> String {
-        "default".into()
-    }
 
     /// Drains and returns the trace recorded since the last call. Backends
     /// that do not record return an empty trace.
@@ -193,7 +181,7 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     /// [`BackendError`] when the scaling fails.
     fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError>;
 
-    /// One of the prover's four G1 MSMs, over plain or planned `bases`.
+    /// One of the prover's four G1 MSMs: `plan`'s run over `scalars`.
     /// A warmed `scratch` (one prior MSM of the same shape) makes the CPU
     /// kernels allocation-free.
     ///
@@ -203,20 +191,20 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError>;
 
-    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A), over
-    /// plain or planned `bases`.
+    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A):
+    /// `plan`'s run over `scalars`.
     ///
     /// # Errors
     ///
     /// [`BackendError`] when the backend cannot complete the MSM.
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError>;
@@ -229,9 +217,6 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     }
     fn pool(&self) -> &ThreadPool {
         (**self).pool()
-    }
-    fn msm_algorithm(&self) -> String {
-        (**self).msm_algorithm()
     }
     fn take_trace(&self) -> ExecTrace {
         (**self).take_trace()
@@ -266,19 +251,19 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        (**self).msm_g1(which, bases, scalars, scratch)
+        (**self).msm_g1(which, plan, scalars, scratch)
     }
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        (**self).msm_g2(bases, scalars, scratch)
+        (**self).msm_g2(plan, scalars, scratch)
     }
 }
 

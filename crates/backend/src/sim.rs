@@ -22,7 +22,7 @@
 
 use crate::cpu::CpuBackend;
 use crate::trace::{ExecTrace, ModeledCost, Recorder};
-use crate::{BackendError, Bases, ExecBackend, G1Msm, OpClass, OpKind};
+use crate::{BackendError, ExecBackend, G1Msm, OpClass, OpKind};
 use gpu_kernels::calibration::{
     cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_HOST_THREADS,
     CPU_MUL_CYCLES, G2_COST_FACTOR,
@@ -31,7 +31,7 @@ use gpu_kernels::libraries::{best_library, LAUNCH_OVERHEAD_S, SCALAR_BYTES};
 use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId};
 use gpu_sim::DeviceSpec;
 use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::MsmScratch;
+use zkp_msm::{MsmPlan, MsmScratch};
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -222,10 +222,6 @@ impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
         ExecBackend::<C>::pool(&self.cpu)
     }
 
-    fn msm_algorithm(&self) -> String {
-        format!("model:{}", self.msm_lib.name())
-    }
-
     fn take_trace(&self) -> ExecTrace {
         self.rec.take(
             ExecBackend::<C>::name(self),
@@ -275,23 +271,23 @@ impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
         self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
-            self.cpu.msm_g1(which, bases, scalars, scratch)
+            self.cpu.msm_g1(which, plan, scalars, scratch)
         })
     }
 
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
         self.run(OpKind::MsmG2, scalars.len() as u64, || {
-            self.cpu.msm_g2(bases, scalars, scratch)
+            self.cpu.msm_g2(plan, scalars, scratch)
         })
     }
 }

@@ -9,12 +9,12 @@
 //! inner backend; the simulated-GPU backend records through the same
 //! recorder and attaches modeled costs.
 
-use crate::{BackendError, Bases, ExecBackend};
+use crate::{BackendError, ExecBackend};
 use gpu_kernels::LibraryId;
 use std::sync::Mutex;
 use std::time::Instant;
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve};
-use zkp_msm::MsmScratch;
+use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_msm::{MsmPlan, MsmScratch};
 use zkp_ntt::TwiddleTable;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -127,9 +127,9 @@ pub struct OpRecord {
     pub wall_s: f64,
     /// Modeled device cost, if the backend charges one.
     pub modeled: Option<ModeledCost>,
-    /// Algorithm tag for MSM ops (e.g. `"glv+signed+xyzz"`, or the plan
-    /// tag with its precompute shape); `None` for non-MSM ops and
-    /// backends that do not annotate.
+    /// The plan's [`MsmPlan::algorithm`] tag for MSM ops (e.g.
+    /// `"glv+signed+xyzz+precomp(w=…,copies=1)"`); `None` for non-MSM ops
+    /// and backends that do not annotate.
     pub algo: Option<String>,
 }
 
@@ -340,10 +340,6 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         self.inner.pool()
     }
 
-    fn msm_algorithm(&self) -> String {
-        self.inner.msm_algorithm()
-    }
-
     fn take_trace(&self) -> ExecTrace {
         self.rec.take(
             ExecBackend::<C>::name(self),
@@ -397,38 +393,26 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
     fn msm_g1(
         &self,
         which: G1Msm,
-        bases: Bases<'_, G1Curve<C>>,
+        plan: &MsmPlan<G1Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        let algo = run_tag(&bases, || ExecBackend::<C>::msm_algorithm(self));
-        let size = scalars.len() as u64;
-        self.rec
-            .time(OpKind::MsmG1(which), size, None, Some(algo), || {
-                self.inner.msm_g1(which, bases, scalars, scratch)
-            })
+        let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
+        self.rec.time(OpKind::MsmG1(which), size, None, algo, || {
+            self.inner.msm_g1(which, plan, scalars, scratch)
+        })
     }
 
     fn msm_g2(
         &self,
-        bases: Bases<'_, G2Curve<C>>,
+        plan: &MsmPlan<G2Curve<C>>,
         scalars: &[C::Fr],
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        let algo = run_tag(&bases, || ExecBackend::<C>::msm_algorithm(self));
-        let size = scalars.len() as u64;
-        self.rec.time(OpKind::MsmG2, size, None, Some(algo), || {
-            self.inner.msm_g2(bases, scalars, scratch)
+        let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
+        self.rec.time(OpKind::MsmG2, size, None, algo, || {
+            self.inner.msm_g2(plan, scalars, scratch)
         })
-    }
-}
-
-/// The algorithm tag of the run `bases` get: the plan's, or the backend's
-/// plain-base tag.
-fn run_tag<Cu: SwCurve>(bases: &Bases<'_, Cu>, plain: impl FnOnce() -> String) -> String {
-    match bases {
-        Bases::Planned(plan) => plan.algorithm(),
-        Bases::Affine(_) => plain(),
     }
 }
 

@@ -7,14 +7,14 @@ use rand::Rng;
 use std::time::Instant;
 use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{
-    check_deadline, quotient_pipeline_in, BackendError, Bases, CpuBackend, ExecBackend, G1Msm,
+    check_deadline, quotient_pipeline_in, BackendError, CpuBackend, ExecBackend, G1Msm,
 };
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
     multi_pairing, pairing, Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve,
 };
 use zkp_ff::Field;
-use zkp_msm::{msm_parallel_with_config_in, FixedBase, MsmConfig, MsmPlan, MsmScratch};
+use zkp_msm::{msm_parallel_with_config_in, FixedBase, MsmPlan, MsmScratch};
 use zkp_ntt::{Domain, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -193,9 +193,10 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
 /// scalars change per witness. Building a `ProverPlan` pays the
 /// endomorphism images of the finite bases and, on G1, the Fig. 12 window
 /// precompute once, after which every proof of a
-/// [`ProverSession`](crate::ProverSession) reuses the tables. Proof bytes
-/// are identical to the unplanned prover: the plan changes the
-/// *schedule*, never the group element.
+/// [`ProverSession`](crate::ProverSession) reuses the tables. The one-shot
+/// [`prove_with_backend`] builds the zero-budget plan per call. Proof
+/// bytes are identical under any budget: the plan changes the *schedule*,
+/// never the group element.
 pub struct ProverPlan<C: Bls12Config> {
     /// Plan over `pk.a_query`.
     pub a: MsmPlan<G1Curve<C>>,
@@ -214,25 +215,24 @@ pub struct ProverPlan<C: Bls12Config> {
 }
 
 impl<C: Bls12Config> ProverPlan<C> {
-    /// Builds the five plans under an explicit MSM configuration and an
-    /// optional total memory budget in bytes. The budget is split across
-    /// the G1 queries proportionally to their base counts — the Fig. 12
-    /// memory/window trade-off applied key-wide; B2 is the single copy.
-    pub fn build_with(
-        pk: &ProvingKey<C>,
-        config: &MsmConfig,
-        budget_bytes: Option<u64>,
-        pool: &ThreadPool,
-    ) -> Self {
+    /// Builds the five plans under [`default_msm_config`] and an optional
+    /// total memory budget in bytes (`Some(0)` is the one-shot single
+    /// copy). The budget is split across the G1 queries proportionally to
+    /// their base counts — the Fig. 12 memory/window trade-off applied
+    /// key-wide; B2 is the single copy.
+    pub fn build_with(pk: &ProvingKey<C>, budget_bytes: Option<u64>, pool: &ThreadPool) -> Self {
+        let config = default_msm_config();
         let total = (pk.a_query.len() + pk.b_g1_query.len() + pk.l_query.len() + pk.h_query.len())
-            .max(1) as u64;
-        let share = |n: usize| budget_bytes.map(|b| b * n as u64 / total);
+            .max(1) as u128;
+        // In u128: `b · n` overflows u64 for budgets near `u64::MAX`, and
+        // the share is at most `b`, so it narrows back losslessly.
+        let share = |n: usize| budget_bytes.map(|b| (u128::from(b) * n as u128 / total) as u64);
         Self {
-            a: MsmPlan::build(&pk.a_query, config, share(pk.a_query.len()), pool),
-            b1: MsmPlan::build(&pk.b_g1_query, config, share(pk.b_g1_query.len()), pool),
-            l: MsmPlan::build(&pk.l_query, config, share(pk.l_query.len()), pool),
-            h: MsmPlan::build(&pk.h_query, config, share(pk.h_query.len()), pool),
-            b2: MsmPlan::build(&pk.b_g2_query, config, Some(0), pool),
+            a: MsmPlan::build(&pk.a_query, &config, share(pk.a_query.len()), pool),
+            b1: MsmPlan::build(&pk.b_g1_query, &config, share(pk.b_g1_query.len()), pool),
+            l: MsmPlan::build(&pk.l_query, &config, share(pk.l_query.len()), pool),
+            h: MsmPlan::build(&pk.h_query, &config, share(pk.h_query.len()), pool),
+            b2: MsmPlan::build(&pk.b_g2_query, &config, Some(0), pool),
         }
     }
 
@@ -278,11 +278,11 @@ pub fn prove<C: Bls12Config, R: Rng + ?Sized>(
 
 /// Generates one proof with every heavy operation dispatched through an
 /// execution backend (see `zkp-backend`): the one-shot form of
-/// [`ProverSession::prove_in_on`](crate::ProverSession::prove_in_on), with
-/// plain (unplanned) MSM bases, a fresh twiddle table and throwaway
-/// scratch. Proof bytes are identical to the session's for the same `rng`
-/// stream, at any thread count, under any correct backend. Drain a
-/// recording backend with [`ExecBackend::take_trace`] afterwards.
+/// [`ProverSession::prove_in_on`](crate::ProverSession::prove_in_on) over
+/// the key's zero-budget [`ProverPlan`], a fresh twiddle table and
+/// throwaway scratch. Proof bytes are identical to the session's for the
+/// same `rng` stream, at any thread count, under any correct backend.
+/// Drain a recording backend with [`ExecBackend::take_trace`] afterwards.
 ///
 /// # Panics
 ///
@@ -297,10 +297,11 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
     rng: &mut R,
     backend: &B,
 ) -> (Proof<C>, ProverStats) {
+    let plan = ProverPlan::build_with(pk, Some(0), backend.pool());
     let domain = Qap::for_system(cs).domain;
     let table = TwiddleTable::new(&domain);
     let mut ws = ProverWorkspace::new();
-    prove_core(pk, None, &domain, &table, &mut ws, cs, rng, backend, None)
+    prove_core(pk, &plan, &domain, &table, &mut ws, cs, rng, backend, None)
         .unwrap_or_else(|e| panic!("prove failed: {e}"))
 }
 
@@ -308,20 +309,20 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
 ///
 /// The 7-transform NTT pipeline — and the h-query MSM that consumes its
 /// output — executes concurrently with the four witness MSMs (A, B₁, B₂,
-/// L), each of which fans out internally. Every buffer is borrowed from
-/// `ws`, so with a warmed workspace and a prebuilt `plan` the success path
-/// allocates nothing. The proof is identical at any thread count *and
-/// under any correct backend* given the same `rng` stream, because the
-/// blinding factors are drawn before the graph is spawned and every
-/// backend op is schedule-deterministic. `deadline` is checked before
-/// every stage.
+/// L), each of which fans out internally and runs over its `plan`. Every
+/// buffer is borrowed from `ws`, so with a warmed workspace and a prebuilt
+/// `plan` the success path allocates nothing. The proof is identical at
+/// any thread count *and under any correct backend* given the same `rng`
+/// stream, because the blinding factors are drawn before the graph is
+/// spawned and every backend op is schedule-deterministic. `deadline` is
+/// checked before every stage.
 ///
 /// After an `Err` the workspace remains usable: every buffer is cleared
 /// or refilled at the start of the next call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?Sized>(
     pk: &ProvingKey<C>,
-    plan: Option<&ProverPlan<C>>,
+    plan: &ProverPlan<C>,
     domain: &Domain<C::Fr>,
     table: &TwiddleTable<C::Fr>,
     ws: &mut ProverWorkspace<C>,
@@ -380,23 +381,12 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         "private witness length does not match the proving key"
     );
     let [sa, sb1, sl, sh] = g1;
-    // G1 MSM dispatch: over the per-key plan when the caller holds one,
-    // else over the key's affine points.
     let g1_msm = |which: G1Msm,
                   stage: &'static str,
-                  points: &[Affine<G1Curve<C>>],
                   scalars: &[C::Fr],
                   scratch: &mut MsmScratch<G1Curve<C>>| {
         check_deadline(deadline, stage)?;
-        let bases = match plan {
-            Some(p) => Bases::Planned(p.for_msm(which)),
-            None => Bases::Affine(points),
-        };
-        backend.msm_g1(which, bases, scalars, scratch)
-    };
-    let b2_bases = match plan {
-        Some(p) => Bases::Planned(&p.b2),
-        None => Bases::Affine(&pk.b_g2_query),
+        backend.msm_g1(which, plan.for_msm(which), scalars, scratch)
     };
 
     // --- Task graph. ---
@@ -415,29 +405,23 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
             // leaves in `a_evals`.
             let ntt_count =
                 quotient_pipeline_in(domain, table, a_evals, b_evals, c_evals, backend, deadline)?;
-            let h_len = pk.h_query.len().min(a_evals.len());
-            let h_acc = g1_msm(
-                G1Msm::H,
-                "h-msm",
-                &pk.h_query[..h_len],
-                &a_evals[..h_len],
-                sh,
-            )?;
+            let h_len = plan.h.len();
+            let h_acc = g1_msm(G1Msm::H, "h-msm", &a_evals[..h_len], sh)?;
             Ok((h_acc, ntt_count, h_len))
         },
         || {
             pool.join(
-                || g1_msm(G1Msm::A, "a-msm", &pk.a_query, z, sa),
+                || g1_msm(G1Msm::A, "a-msm", z, sa),
                 || {
                     pool.join(
-                        || g1_msm(G1Msm::B1, "b1-msm", &pk.b_g1_query, z, sb1),
+                        || g1_msm(G1Msm::B1, "b1-msm", z, sb1),
                         || {
                             pool.join(
                                 || {
                                     check_deadline(deadline, "b2-msm")?;
-                                    backend.msm_g2(b2_bases, z, g2)
+                                    backend.msm_g2(&plan.b2, z, g2)
                                 },
-                                || g1_msm(G1Msm::L, "l-msm", &pk.l_query, priv_z, sl),
+                                || g1_msm(G1Msm::L, "l-msm", priv_z, sl),
                             )
                         },
                     )

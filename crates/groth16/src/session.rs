@@ -47,8 +47,7 @@ impl<C: Bls12Config> ProverSession<C> {
     /// Builds a session, consuming the proving key. Plans are built with
     /// the default (fastest) MSM configuration on the global pool.
     pub fn new(pk: ProvingKey<C>) -> Self {
-        let config = zkp_backend::cpu::default_msm_config();
-        let plan = ProverPlan::build_with(&pk, &config, None, zkp_runtime::global());
+        let plan = ProverPlan::build_with(&pk, None, zkp_runtime::global());
         // setup() emits one h-query base per domain element except the
         // last, so the key pins the domain size.
         let domain = Domain::new((pk.h_query.len() + 1) as u64)
@@ -171,7 +170,7 @@ impl<C: Bls12Config> ProverSession<C> {
         let shared = &*self.shared;
         prove_core(
             &shared.pk,
-            Some(&shared.plan),
+            &shared.plan,
             &shared.domain,
             &shared.table,
             &mut self.ws,

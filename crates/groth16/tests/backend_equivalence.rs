@@ -11,8 +11,10 @@ use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{CpuBackend, ExecBackend, LibraryId, OpKind, SimGpuBackend, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
-use zkp_groth16::{prove_with_backend, setup, verify, ProverSession, ProverStats, ProvingKey};
-use zkp_msm::{msm_with_config, MsmConfig};
+use zkp_groth16::{
+    prove_with_backend, setup, verify, ProverPlan, ProverSession, ProverStats, ProvingKey,
+};
+use zkp_msm::msm_with_config;
 use zkp_r1cs::circuits::mimc;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
@@ -97,21 +99,18 @@ fn all_backends_agree_at_every_thread_count() {
 
 #[test]
 fn glv_and_planned_provers_reproduce_the_digest_at_every_thread_count() {
-    // The GLV-decomposed MSM path and the per-key precompute plan change
-    // the *schedule*, never the group elements — the proof bytes must
-    // match the pre-refactor digest at every thread count.
+    // The one-shot prover's zero-budget GLV plans and the session's
+    // precompute plans change the *schedule*, never the group elements —
+    // the proof bytes must match the pre-refactor digest at every thread
+    // count. (Plain-vs-GLV equality is pinned in zkp-msm's suites.)
     let (cs, pk) = fixture();
     let reference = reference_proof_hex();
     let mut planned = ProverSession::new(pk);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::with_threads(threads);
-        let plain = CpuBackend::on(&pool).with_msm_config(MsmConfig::default());
-        let glv = CpuBackend::on(&pool).with_msm_config(MsmConfig::glv_style());
-        let (d_plain, s_plain) = prove_with(planned.pk(), &cs, &plain);
+        let glv = CpuBackend::on(&pool);
         let (d_glv, s_glv) = prove_with(planned.pk(), &cs, &glv);
-        assert_eq!(d_plain, reference, "plain diverged at {threads} threads");
         assert_eq!(d_glv, reference, "glv diverged at {threads} threads");
-        assert_eq!(s_plain, s_glv);
 
         let mut rng = StdRng::seed_from_u64(9);
         let (proof, s_planned) = planned.prove_in_on(&cs, &mut rng, &glv);
@@ -120,7 +119,7 @@ fn glv_and_planned_provers_reproduce_the_digest_at_every_thread_count() {
             reference,
             "planned prover diverged at {threads} threads"
         );
-        assert_eq!(s_planned, s_plain);
+        assert_eq!(s_planned, s_glv);
     }
 }
 
@@ -219,6 +218,17 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
 }
 
 #[test]
+fn unbounded_budget_share_does_not_overflow() {
+    // The G1 share of a key-wide budget is `b · n / total`: at `u64::MAX`
+    // the product needs 128 bits, and the plan must fold as deep as `None`.
+    let (_, pk) = fixture();
+    let pool = ThreadPool::with_threads(1);
+    let max = ProverPlan::build_with(&pk, Some(u64::MAX), &pool);
+    let unbounded = ProverPlan::build_with(&pk, None, &pool);
+    assert_eq!(max.storage_bytes(), unbounded.storage_bytes());
+}
+
+#[test]
 fn traced_run_records_the_whole_stage_graph() {
     let (cs, pk) = fixture();
     let backend = TracingBackend::new(CpuBackend::global());
@@ -255,6 +265,27 @@ fn traced_run_records_the_whole_stage_graph() {
     assert_eq!(size_of("G1 MSM (A)"), stats.g1_msm_sizes[0]);
     assert_eq!(size_of("G1 MSM (H)"), stats.g1_msm_sizes[3]);
     assert_eq!(size_of("NTT inverse"), stats.domain_size);
+
+    // The one-shot prover runs the key's zero-budget plans, and every MSM
+    // record names the single-copy plan that ran: φ-split on G1, ψ on G2.
+    let msms: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| matches!(r.kind, OpKind::MsmG1(_) | OpKind::MsmG2))
+        .collect();
+    assert_eq!(msms.len(), 5);
+    for r in msms {
+        let algo = r.algo.as_deref().expect("tagged MSM");
+        let split = match r.kind {
+            OpKind::MsmG2 => "psi+",
+            _ => "glv+",
+        };
+        assert!(
+            algo.starts_with(split) && algo.ends_with("copies=1)"),
+            "{}: {algo}",
+            r.kind.stage()
+        );
+    }
 
     // The trace drained; a second take is empty.
     assert!(ExecBackend::<Bls12381>::take_trace(&backend)

@@ -16,7 +16,7 @@
 //!
 //! Per-proof work then reduces to scalar splitting + digit recoding +
 //! one `W`-window bucket run. The plan never changes the computed point:
-//! proofs stay byte-identical to the unplanned prover.
+//! it equals the one-shot MSM over the same points under any budget.
 
 use crate::config::MsmConfig;
 use crate::pippenger::{execute, finite_positions, push_copy, Layout, MsmOutput, MsmScratch};
@@ -26,8 +26,8 @@ use zkp_runtime::ThreadPool;
 /// A reusable MSM plan for one fixed base-point set.
 #[derive(Debug, Clone)]
 pub struct MsmPlan<Cu: SwCurve> {
-    /// The caller's base set, bases at infinity included.
-    bases: Vec<Affine<Cu>>,
+    /// Size of the caller's base set, bases at infinity included.
+    len: usize,
     /// Row → scalar index: the positions of the finite bases.
     index: Vec<usize>,
     /// Copies-major point table over the finite bases: copy `j` occupies
@@ -88,17 +88,11 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
             push_copy(batch_to_affine(&current), layout.endo, &mut table);
         }
         Self {
-            bases: points.to_vec(),
+            len: points.len(),
             index,
             table,
             layout,
         }
-    }
-
-    /// The caller's base points, bases at infinity included
-    /// (row-compatible with the unplanned MSM).
-    pub fn bases(&self) -> &[Affine<Cu>] {
-        &self.bases
     }
 
     /// The whole copies-major table over the finite bases: copy `j` is
@@ -110,12 +104,12 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
 
     /// Number of base points the plan serves (one scalar each).
     pub fn len(&self) -> usize {
-        self.bases.len()
+        self.len
     }
 
     /// Whether the plan serves no points.
     pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
+        self.len == 0
     }
 
     /// Bytes held by the expanded point table.

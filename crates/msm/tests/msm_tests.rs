@@ -301,8 +301,8 @@ fn endomorphism_config_falls_back_without_glv_params() {
 
 /// Bases at infinity have no table rows: at random positions, all of
 /// them, or mixed with zero scalars, one-shot and planned runs equal the
-/// double-and-add reference on G1 (`φ`) and G2 (`ψ`), and a plan still
-/// answers `bases()`/`len()` with the caller's base set.
+/// double-and-add reference on G1 (`φ`) and G2 (`ψ`), and a plan's
+/// `len()` still counts the caller's whole base set.
 fn assert_infinity_rows_are_dropped<Cu: SwCurve>(seed: u64) {
     const N: usize = 23;
     let (points, scalars) = random_inputs::<Cu>(N, seed);
@@ -348,7 +348,7 @@ fn assert_infinity_rows_are_dropped<Cu: SwCurve>(seed: u64) {
                     expect,
                     "{what} {budget:?}"
                 );
-                assert_eq!((plan.bases(), plan.len()), (&bases[..], N), "{what}");
+                assert_eq!(plan.len(), N, "{what}");
                 // The table holds finite rows only, as many per finite base.
                 assert!(plan.table().iter().all(|p| !p.is_identity()), "{what}");
                 assert_eq!(plan.stored_points() == 0, finite == 0, "{what}");

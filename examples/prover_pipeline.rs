@@ -57,7 +57,6 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     });
     let backend = spec.build::<Bls12381>();
     println!("backend: {}", backend.name());
-    println!("msm:     {}", backend.msm_algorithm());
     println!("circuit: mimc, {mimc_rounds} rounds");
 
     let cs = mimc(Fr381::from_u64(11), mimc_rounds);
