@@ -11,17 +11,19 @@
 //! * [`TracingBackend`] — a decorator that forwards to an inner backend
 //!   and records an [`ExecTrace`] (op kind, size, wall time) for
 //!   per-stage breakdowns.
-//! * [`SimGpuBackend`] — executes on the CPU path for functional
-//!   correctness but *charges* modeled time from the calibrated
-//!   `gpu-kernels` library models and the `gpu-sim` device/transfer
-//!   model, so one real proof yields a modeled end-to-end GPU latency
-//!   (the paper's runtime-breakdown tables, derived from an actual
-//!   execution trace).
+//! * [`FaultInjectingBackend`] — a decorator that fails, panics or delays
+//!   ops per a seeded [`FaultPlan`].
+//!
+//! A simulated GPU is not a backend: it is a [`GpuCostModel`] that prices
+//! a recorded trace ([`ExecTrace::summarize`]) with the calibrated
+//! `gpu-kernels` library models and the `gpu-sim` device/transfer model,
+//! so one real proof yields a modeled end-to-end GPU latency (the paper's
+//! runtime-breakdown tables, derived from an actual execution trace).
 //!
 //! Dispatch is object-safe: the trait is generic over the curve
 //! configuration at the *trait* level, so `&dyn ExecBackend<C>` works and
 //! [`BackendSpec::build`] can hand back a boxed backend chosen at runtime
-//! from a spec string like `sim:a40:sppark`.
+//! from a spec string like `tracing` or `sim:a40:sppark`.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +44,7 @@ use zkp_runtime::ThreadPool;
 pub use cpu::CpuBackend;
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultStage, InjectedFaults};
 pub use gpu_kernels::LibraryId;
-pub use sim::{cpu_op_seconds, GpuCostModel, SimGpuBackend};
+pub use sim::{cpu_op_seconds, GpuCostModel};
 pub use trace::{
     ExecTrace, G1Msm, ModeledCost, OpClass, OpKind, OpRecord, StageRow, TraceSummary,
     TracingBackend,
@@ -121,7 +123,7 @@ pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<
 /// decomposition of every kernel is a pure function of problem shape).
 pub trait ExecBackend<C: Bls12Config>: Sync {
     /// Backend name for traces and reports (e.g. `"cpu"`,
-    /// `"sim:NVIDIA A40:sppark"`).
+    /// `"traced:cpu"`).
     fn name(&self) -> String;
 
     /// The pool the prover's stage graph forks on. Backend ops run on the
@@ -406,7 +408,8 @@ pub enum BackendSpec {
     Cpu,
     /// The CPU backend wrapped in a [`TracingBackend`].
     Traced,
-    /// The simulated-GPU backend on `device`, with `msm_lib`'s MSM model.
+    /// A simulated GPU: the traced CPU backend, whose trace the caller
+    /// prices with `GpuCostModel::for_library(device, msm_lib)`.
     Sim {
         /// Target device.
         device: DeviceSpec,
@@ -436,6 +439,9 @@ impl BackendSpec {
             Some((d, l)) => (d, l),
             None => (rest, "sppark"),
         };
+        if device_name.is_empty() {
+            return Err(format!("missing device in backend spec '{spec}'"));
+        }
         let device = gpu_sim::device::by_name(device_name)
             .ok_or_else(|| format!("unknown device '{device_name}' in backend spec '{spec}'"))?;
         let msm_lib = library_by_name(lib_name)
@@ -443,13 +449,13 @@ impl BackendSpec {
         Ok(BackendSpec::Sim { device, msm_lib })
     }
 
-    /// Builds the backend on the global thread pool.
+    /// Builds the backend on the global thread pool: `tracing` and `sim:`
+    /// specs both run the traced CPU backend.
     pub fn build<C: Bls12Config>(&self) -> Box<dyn ExecBackend<C>> {
         match self {
             BackendSpec::Cpu => Box::new(CpuBackend::global()),
-            BackendSpec::Traced => Box::new(TracingBackend::new(CpuBackend::global())),
-            BackendSpec::Sim { device, msm_lib } => {
-                Box::new(SimGpuBackend::global(device.clone(), *msm_lib))
+            BackendSpec::Traced | BackendSpec::Sim { .. } => {
+                Box::new(TracingBackend::new(CpuBackend::global()))
             }
         }
     }
@@ -500,5 +506,8 @@ mod tests {
         assert!(BackendSpec::parse("gpu").is_err());
         assert!(BackendSpec::parse("sim:nosuchdevice").is_err());
         assert!(BackendSpec::parse("sim:a40:nosuchlib").is_err());
+        // An empty device fragment would match the catalog's first entry.
+        assert!(BackendSpec::parse("sim:").is_err());
+        assert!(BackendSpec::parse("sim::ymc").is_err());
     }
 }

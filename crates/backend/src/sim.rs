@@ -1,8 +1,10 @@
-//! The simulated-GPU backend: real CPU execution, modeled device time.
+//! The simulated GPU: a price list applied to a recorded trace.
 //!
-//! Every op runs through the same kernels as [`CpuBackend`] — so proofs
-//! stay bit-identical — but each dispatch also *charges* modeled seconds
-//! against a target device:
+//! A simulated-GPU run is a [`TracingBackend`](crate::TracingBackend) run
+//! over the CPU kernels — so proofs stay real and bit-identical — whose
+//! [`ExecTrace`](crate::ExecTrace) is priced afterwards.
+//! [`GpuCostModel::charge`] is a pure function of an op's kind and size,
+//! charging modeled seconds against a target device:
 //!
 //! * G1 MSMs and NTTs use the calibrated per-library analytical models in
 //!   `gpu_kernels::libraries` (`msm_estimate` / `ntt_estimate`), which
@@ -15,14 +17,14 @@
 //!   memory-bandwidth-bound device passes (the stacks the paper studies
 //!   keep vectors resident, so these are streaming kernels).
 //!
-//! The same [`GpuCostModel`] is exposed standalone so report code can
-//! re-charge a recorded trace at *other* problem scales — that is how the
-//! trace-derived Amdahl table in `zkprophet` extrapolates one real proof
-//! to the paper's 2^15–2^26 range.
+//! [`ExecTrace::summarize`](crate::ExecTrace::summarize) charges each record
+//! at its recorded size for the per-stage breakdown; report code re-charges
+//! the same records at *other* problem scales — that is how the
+//! trace-derived Amdahl table in `zkprophet` extrapolates one real proof to
+//! the paper's 2^15–2^26 range.
 
-use crate::cpu::CpuBackend;
-use crate::trace::{ExecTrace, ModeledCost, Recorder};
-use crate::{BackendError, ExecBackend, G1Msm, OpClass, OpKind};
+use crate::trace::ModeledCost;
+use crate::{OpClass, OpKind};
 use gpu_kernels::calibration::{
     cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_HOST_THREADS,
     CPU_MUL_CYCLES, G2_COST_FACTOR,
@@ -30,11 +32,6 @@ use gpu_kernels::calibration::{
 use gpu_kernels::libraries::{best_library, LAUNCH_OVERHEAD_S, SCALAR_BYTES};
 use gpu_kernels::{msm_estimate, ntt_estimate, LibraryId};
 use gpu_sim::DeviceSpec;
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{MsmPlan, MsmScratch};
-use zkp_ntt::TwiddleTable;
-use zkp_r1cs::ConstraintSystem;
-use zkp_runtime::ThreadPool;
 
 /// `⌈log₂ n⌉`, floored at 1 so degenerate sizes stay in model range.
 pub fn log2_ceil(n: u64) -> u32 {
@@ -169,132 +166,10 @@ pub fn cpu_op_seconds(kind: OpKind, size: u64) -> f64 {
     }
 }
 
-/// Executes on the CPU path, charges modeled time on a simulated device.
-pub struct SimGpuBackend<'p> {
-    cpu: CpuBackend<'p>,
-    model: GpuCostModel,
-    msm_lib: LibraryId,
-    rec: Recorder,
-}
-
-impl<'p> SimGpuBackend<'p> {
-    /// A simulated `device` charging `msm_lib`'s MSM model, executing on
-    /// `pool`.
-    pub fn new(device: DeviceSpec, msm_lib: LibraryId, pool: &'p ThreadPool) -> Self {
-        Self {
-            cpu: CpuBackend::on(pool),
-            model: GpuCostModel::for_library(device, msm_lib),
-            msm_lib,
-            rec: Recorder::new(),
-        }
-    }
-
-    /// [`SimGpuBackend::new`] on the process-global pool.
-    pub fn global(device: DeviceSpec, msm_lib: LibraryId) -> SimGpuBackend<'static> {
-        SimGpuBackend::new(device, msm_lib, zkp_runtime::global())
-    }
-
-    /// The cost model this backend charges with.
-    pub fn model(&self) -> &GpuCostModel {
-        &self.model
-    }
-
-    /// Runs `f` on the CPU path and records it with its modeled cost. The
-    /// modeled library (in `modeled.lib`) is the algorithm identity here;
-    /// `algo` stays unset to avoid double-reporting.
-    fn run<T>(
-        &self,
-        kind: OpKind,
-        size: u64,
-        f: impl FnOnce() -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let modeled = Some(self.model.charge(kind, size));
-        self.rec.time(kind, size, modeled, None, f)
-    }
-}
-
-impl<C: Bls12Config> ExecBackend<C> for SimGpuBackend<'_> {
-    fn name(&self) -> String {
-        format!("sim:{}:{}", self.model.device.name, self.msm_lib.name())
-    }
-
-    fn pool(&self) -> &ThreadPool {
-        ExecBackend::<C>::pool(&self.cpu)
-    }
-
-    fn take_trace(&self) -> ExecTrace {
-        self.rec.take(
-            ExecBackend::<C>::name(self),
-            ExecBackend::<C>::pool(self).num_threads(),
-        )
-    }
-
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        self.run(OpKind::WitnessEval, domain_size, || {
-            ExecBackend::<C>::witness_eval(&self.cpu, cs, domain_size, a, b, c)
-        })
-    }
-
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.run(OpKind::NttForward, values.len() as u64, || {
-            ExecBackend::<C>::ntt_forward(&self.cpu, table, values)
-        })
-    }
-
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.run(OpKind::NttInverse, values.len() as u64, || {
-            ExecBackend::<C>::ntt_inverse(&self.cpu, table, values)
-        })
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        self.run(OpKind::CosetMul, values.len() as u64, || {
-            ExecBackend::<C>::coset_mul(&self.cpu, values, g, scale)
-        })
-    }
-
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        self.run(OpKind::MsmG1(which), scalars.len() as u64, || {
-            self.cpu.msm_g1(which, plan, scalars, scratch)
-        })
-    }
-
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        self.run(OpKind::MsmG2, scalars.len() as u64, || {
-            self.cpu.msm_g2(plan, scalars, scratch)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::G1Msm;
     use gpu_sim::device;
 
     fn a40() -> DeviceSpec {

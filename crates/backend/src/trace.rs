@@ -6,10 +6,10 @@
 //! per-stage breakdown the reports print — the paper's Fig. 5 runtime
 //! decomposition derived from a real execution rather than a closed-form
 //! op count. [`TracingBackend`] is the decorator that records around any
-//! inner backend; the simulated-GPU backend records through the same
-//! recorder and attaches modeled costs.
+//! inner backend. Records hold only what was measured: a simulated GPU
+//! prices them afterwards, when `summarize` is given a [`GpuCostModel`].
 
-use crate::{BackendError, ExecBackend};
+use crate::{BackendError, ExecBackend, GpuCostModel};
 use gpu_kernels::LibraryId;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -30,18 +30,6 @@ pub enum G1Msm {
     L,
     /// The H-query MSM over the quotient coefficients.
     H,
-}
-
-impl G1Msm {
-    /// Index into `ProverStats::g1_msm_sizes` order (A, B₁, L, H).
-    pub fn index(self) -> usize {
-        match self {
-            G1Msm::A => 0,
-            G1Msm::B1 => 1,
-            G1Msm::L => 2,
-            G1Msm::H => 3,
-        }
-    }
 }
 
 /// Coarse class of an operation, for phase-level aggregation (the axis the
@@ -104,7 +92,7 @@ impl OpKind {
     }
 }
 
-/// Modeled cost attached to an op by a simulating backend.
+/// Modeled cost of one op, as [`GpuCostModel::charge`] prices it.
 #[derive(Debug, Clone, Copy)]
 pub struct ModeledCost {
     /// Modeled wall seconds on the target device.
@@ -125,8 +113,6 @@ pub struct OpRecord {
     pub size: u64,
     /// Measured wall seconds of the actual CPU execution.
     pub wall_s: f64,
-    /// Modeled device cost, if the backend charges one.
-    pub modeled: Option<ModeledCost>,
     /// The plan's [`MsmPlan::algorithm`] tag for MSM ops (e.g.
     /// `"glv+signed+xyzz+precomp(w=…,copies=1)"`); `None` for non-MSM ops
     /// and backends that do not annotate.
@@ -154,10 +140,13 @@ impl ExecTrace {
         }
     }
 
-    /// Folds the records into per-stage rows.
-    pub fn summarize(&self) -> TraceSummary {
+    /// Folds the records into per-stage rows. With a `model`, every record
+    /// is charged at its size and the rows carry modeled device seconds and
+    /// the overlap flag; `None` leaves both zero.
+    pub fn summarize(&self, model: Option<&GpuCostModel>) -> TraceSummary {
         let mut rows: Vec<StageRow> = Vec::new();
         for rec in &self.records {
+            let charge = model.map(|m| m.charge(rec.kind, rec.size));
             let stage = rec.kind.stage();
             let row = match rows.iter_mut().find(|r| r.stage == stage) {
                 Some(r) => r,
@@ -169,7 +158,7 @@ impl ExecTrace {
                         elements: 0,
                         wall_s: 0.0,
                         modeled_s: 0.0,
-                        overlapped: rec.modeled.is_some_and(|m| m.overlapped),
+                        overlapped: charge.is_some_and(|c| c.overlapped),
                     });
                     rows.last_mut().expect("just pushed")
                 }
@@ -177,8 +166,8 @@ impl ExecTrace {
             row.calls += 1;
             row.elements += rec.size;
             row.wall_s += rec.wall_s;
-            if let Some(m) = rec.modeled {
-                row.modeled_s += m.seconds;
+            if let Some(c) = charge {
+                row.modeled_s += c.seconds;
             }
         }
         TraceSummary {
@@ -203,7 +192,7 @@ pub struct StageRow {
     /// Summed measured CPU wall seconds (CPU work, not elapsed time —
     /// parallel stages overlap).
     pub wall_s: f64,
-    /// Summed modeled device seconds (zero unless a simulating backend ran).
+    /// Summed modeled device seconds (zero unless the trace was priced).
     pub modeled_s: f64,
     /// Whether this stage is hidden from the device critical path.
     pub overlapped: bool,
@@ -244,38 +233,35 @@ impl TraceSummary {
             .sum();
         on_path.max(hidden)
     }
-
-    /// Summed modeled seconds for one phase class (critical-path stages
-    /// only).
-    pub fn modeled_class_s(&self, class: OpClass) -> f64 {
-        self.rows
-            .iter()
-            .filter(|r| r.class == class && !r.overlapped)
-            .map(|r| r.modeled_s)
-            .sum()
-    }
 }
 
-/// The op log behind the recording backends: times an op and, when it
-/// completes, appends its [`OpRecord`].
-pub(crate) struct Recorder {
+/// Forwards every op to an inner backend and appends an [`OpRecord`]
+/// (kind, size, measured wall seconds) for each op that completes.
+pub struct TracingBackend<B> {
+    inner: B,
     records: Mutex<Vec<OpRecord>>,
 }
 
-impl Recorder {
-    pub(crate) fn new() -> Self {
+impl<B> TracingBackend<B> {
+    /// Wraps `inner` with a fresh, empty trace.
+    pub fn new(inner: B) -> Self {
         Self {
+            inner,
             records: Mutex::new(Vec::new()),
         }
     }
 
+    /// The wrapped backend.
+    pub fn inner(&self) -> &B {
+        &self.inner
+    }
+
     /// Runs `f` under a wall clock. A failed op leaves no record: the
     /// trace describes work that was done.
-    pub(crate) fn time<T>(
+    fn time<T>(
         &self,
         kind: OpKind,
         size: u64,
-        modeled: Option<ModeledCost>,
         algo: Option<String>,
         f: impl FnOnce() -> Result<T, BackendError>,
     ) -> Result<T, BackendError> {
@@ -289,45 +275,9 @@ impl Recorder {
                 kind,
                 size,
                 wall_s,
-                modeled,
                 algo,
             });
         Ok(out)
-    }
-
-    /// Drains the log into a trace labelled with the backend and pool width.
-    pub(crate) fn take(&self, backend: String, threads: usize) -> ExecTrace {
-        let records = std::mem::take(&mut *self.records.lock().expect("trace lock poisoned"));
-        ExecTrace {
-            backend,
-            threads,
-            records,
-        }
-    }
-}
-
-/// Forwards every op to an inner backend and appends an [`OpRecord`]
-/// (kind, size, measured wall seconds) for each op that completes.
-///
-/// Wrap a backend that does not record itself: the simulated-GPU backend
-/// keeps its own trace, and stacking two recorders would double-count.
-pub struct TracingBackend<B> {
-    inner: B,
-    rec: Recorder,
-}
-
-impl<B> TracingBackend<B> {
-    /// Wraps `inner` with a fresh, empty trace.
-    pub fn new(inner: B) -> Self {
-        Self {
-            inner,
-            rec: Recorder::new(),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 }
 
@@ -341,10 +291,12 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
     }
 
     fn take_trace(&self) -> ExecTrace {
-        self.rec.take(
-            ExecBackend::<C>::name(self),
-            self.inner.pool().num_threads(),
-        )
+        let records = std::mem::take(&mut *self.records.lock().expect("trace lock poisoned"));
+        ExecTrace {
+            backend: ExecBackend::<C>::name(self),
+            threads: self.inner.pool().num_threads(),
+            records,
+        }
     }
 
     fn witness_eval(
@@ -355,10 +307,9 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         b: &mut Vec<C::Fr>,
         c: &mut Vec<C::Fr>,
     ) -> Result<(), BackendError> {
-        self.rec
-            .time(OpKind::WitnessEval, domain_size, None, None, || {
-                self.inner.witness_eval(cs, domain_size, a, b, c)
-            })
+        self.time(OpKind::WitnessEval, domain_size, None, || {
+            self.inner.witness_eval(cs, domain_size, a, b, c)
+        })
     }
 
     fn ntt_forward(
@@ -367,7 +318,7 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         values: &mut [C::Fr],
     ) -> Result<(), BackendError> {
         let size = values.len() as u64;
-        self.rec.time(OpKind::NttForward, size, None, None, || {
+        self.time(OpKind::NttForward, size, None, || {
             self.inner.ntt_forward(table, values)
         })
     }
@@ -378,14 +329,14 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         values: &mut [C::Fr],
     ) -> Result<(), BackendError> {
         let size = values.len() as u64;
-        self.rec.time(OpKind::NttInverse, size, None, None, || {
+        self.time(OpKind::NttInverse, size, None, || {
             self.inner.ntt_inverse(table, values)
         })
     }
 
     fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
         let size = values.len() as u64;
-        self.rec.time(OpKind::CosetMul, size, None, None, || {
+        self.time(OpKind::CosetMul, size, None, || {
             self.inner.coset_mul(values, g, scale)
         })
     }
@@ -398,7 +349,7 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         scratch: &mut MsmScratch<G1Curve<C>>,
     ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
         let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
-        self.rec.time(OpKind::MsmG1(which), size, None, algo, || {
+        self.time(OpKind::MsmG1(which), size, algo, || {
             self.inner.msm_g1(which, plan, scalars, scratch)
         })
     }
@@ -410,7 +361,7 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         scratch: &mut MsmScratch<G2Curve<C>>,
     ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
         let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
-        self.rec.time(OpKind::MsmG2, size, None, algo, || {
+        self.time(OpKind::MsmG2, size, algo, || {
             self.inner.msm_g2(plan, scalars, scratch)
         })
     }
@@ -419,76 +370,74 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LibraryId;
 
     #[test]
     fn summary_groups_by_stage() {
+        let rec = |kind, size, wall_s| OpRecord {
+            kind,
+            size,
+            wall_s,
+            algo: None,
+        };
         let trace = ExecTrace {
             backend: "test".into(),
             threads: 1,
             records: vec![
-                OpRecord {
-                    kind: OpKind::NttForward,
-                    size: 8,
-                    wall_s: 1.0,
-                    modeled: None,
-                    algo: None,
-                },
-                OpRecord {
-                    kind: OpKind::NttForward,
-                    size: 8,
-                    wall_s: 2.0,
-                    modeled: None,
-                    algo: None,
-                },
-                OpRecord {
-                    kind: OpKind::MsmG1(G1Msm::A),
-                    size: 4,
-                    wall_s: 0.5,
-                    modeled: None,
-                    algo: None,
-                },
+                rec(OpKind::NttForward, 8, 1.0),
+                rec(OpKind::NttForward, 8, 2.0),
+                rec(OpKind::MsmG1(G1Msm::A), 4, 0.5),
             ],
         };
-        let summary = trace.summarize();
+        let summary = trace.summarize(None);
         assert_eq!(summary.rows.len(), 2);
         let ntt = &summary.rows[0];
         assert_eq!(ntt.calls, 2);
         assert_eq!(ntt.elements, 16);
         assert!((ntt.wall_s - 3.0).abs() < 1e-12);
         assert!((summary.wall_total_s() - 3.5).abs() < 1e-12);
+        assert!(summary
+            .rows
+            .iter()
+            .all(|r| r.modeled_s == 0.0 && !r.overlapped));
     }
 
     #[test]
     fn overlapped_stages_are_hidden_unless_dominant() {
-        let mk = |kind, modeled: ModeledCost| OpRecord {
+        let device = gpu_sim::device::by_name("a40").expect("a40 in catalog");
+        let model = GpuCostModel::for_library(device, LibraryId::Sppark);
+        let rec = |kind, size| OpRecord {
             kind,
-            size: 16,
+            size,
             wall_s: 0.0,
-            modeled: Some(modeled),
             algo: None,
         };
-        let trace = ExecTrace {
-            backend: "sim".into(),
-            threads: 1,
-            records: vec![
-                mk(
-                    OpKind::MsmG1(G1Msm::A),
-                    ModeledCost {
-                        seconds: 2.0,
-                        lib: None,
-                        overlapped: false,
-                    },
-                ),
-                mk(
-                    OpKind::MsmG2,
-                    ModeledCost {
-                        seconds: 1.0,
-                        lib: None,
-                        overlapped: true,
-                    },
-                ),
-            ],
-        };
-        assert!((trace.summarize().modeled_end_to_end_s() - 2.0).abs() < 1e-12);
+        let g1 = OpKind::MsmG1(G1Msm::A);
+        // A 2^9 G2 MSM hides behind two 2^9 G1 MSMs; a 2^26 one dominates.
+        for (g2_size, dominant) in [(1 << 9, false), (1 << 26, true)] {
+            let trace = ExecTrace {
+                backend: "test".into(),
+                threads: 1,
+                records: vec![
+                    rec(g1, 1 << 9),
+                    rec(g1, 1 << 9),
+                    rec(OpKind::MsmG2, g2_size),
+                ],
+            };
+            let summary = trace.summarize(Some(&model));
+            for row in &summary.rows {
+                let charged: f64 = trace
+                    .records
+                    .iter()
+                    .filter(|r| r.kind.stage() == row.stage)
+                    .map(|r| model.charge(r.kind, r.size).seconds)
+                    .sum();
+                assert_eq!(row.modeled_s, charged, "{}", row.stage);
+                assert_eq!(row.overlapped, row.class == OpClass::G2Msm);
+            }
+            let (on_path, hidden) = (summary.rows[0].modeled_s, summary.rows[1].modeled_s);
+            assert_eq!(hidden > on_path, dominant);
+            assert_eq!(summary.modeled_end_to_end_s(), on_path.max(hidden));
+        }
     }
 }

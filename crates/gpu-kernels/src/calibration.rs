@@ -2,10 +2,10 @@
 //!
 //! Three consumers need the same numbers: the analytical library models in
 //! [`crate::libraries`], the closed-form prover composition in
-//! `zkprophet::prover_model`, and the `SimGpuBackend` of `zkp-backend`
-//! that charges modeled time against a real execution trace. Keeping the
-//! CPU baseline and the Fig. 3 pipeline shape here means the model and the
-//! dispatchable prover can never drift apart.
+//! `zkprophet::prover_model`, and the `GpuCostModel` of `zkp-backend`
+//! that prices a real execution trace. Keeping the CPU baseline and the
+//! Fig. 3 pipeline shape here means the model and the dispatchable prover
+//! can never drift apart.
 
 /// G1 MSMs on the GPU critical path of one proof (A, B₁, C/L — the
 /// H-query MSM is folded into the C cost in the closed-form model; the

@@ -2,10 +2,10 @@
 //!
 //! Unlike the closed-form composition in [`crate::prover_model`] — which
 //! *assumes* the Fig. 3 op counts — this module runs a **real proof**
-//! through the simulated-GPU execution backend and derives the breakdown
-//! from the recorded trace: every MSM, transform, coset scaling, and
-//! witness evaluation the prover actually dispatched, with modeled device
-//! time charged per op.
+//! through the tracing execution backend and derives the breakdown from
+//! the recorded trace: every MSM, transform, coset scaling, and witness
+//! evaluation the prover actually dispatched, priced per op by a
+//! [`GpuCostModel`] of the simulated device.
 //!
 //! Two artifacts come out:
 //!
@@ -22,7 +22,9 @@ use gpu_kernels::LibraryId;
 use gpu_sim::device::DeviceSpec;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-use zkp_backend::{cpu_op_seconds, ExecBackend, ExecTrace, GpuCostModel, OpClass, SimGpuBackend};
+use zkp_backend::{
+    cpu_op_seconds, CpuBackend, ExecBackend, ExecTrace, GpuCostModel, OpClass, TracingBackend,
+};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{prove_with_backend, setup, verify};
@@ -36,19 +38,22 @@ pub const TRACE_ROUNDS: usize = 1023;
 /// The scales the Amdahl table extrapolates the trace to (paper range).
 pub const AMDAHL_SCALES: core::ops::RangeInclusive<u32> = 15..=26;
 
-/// One real proof, executed on the simulated-GPU backend.
+/// One real proof, traced on the CPU backend.
 #[derive(Debug, Clone)]
 pub struct TracedProof {
     /// The op-level execution trace.
     pub trace: ExecTrace,
+    /// The simulated device that prices the breakdown; `None` leaves its
+    /// modeled columns zero.
+    pub model: Option<GpuCostModel>,
     /// Whether the proof verified (it must).
     pub verified: bool,
     /// Measured wall seconds of the CPU execution of `prove`.
     pub measured_prove_s: f64,
 }
 
-/// Proves a fixed MiMC instance of `rounds` rounds on `device` with
-/// `msm_lib`'s MSM model and returns the recorded trace.
+/// Proves a fixed MiMC instance of `rounds` rounds and returns the
+/// recorded trace, priced on `device` with `msm_lib`'s MSM model.
 pub fn traced_proof_with_rounds(
     device: &DeviceSpec,
     msm_lib: LibraryId,
@@ -57,7 +62,7 @@ pub fn traced_proof_with_rounds(
     let cs = mimc(Fr381::from_u64(11), rounds);
     let mut rng = StdRng::seed_from_u64(42);
     let pk = setup::<Bls12381, _>(&cs, &mut rng);
-    let backend = SimGpuBackend::global(device.clone(), msm_lib);
+    let backend = TracingBackend::new(CpuBackend::global());
     let start = Instant::now();
     let (proof, _) = prove_with_backend(&pk, &cs, &mut rng, &backend);
     let measured_prove_s = start.elapsed().as_secs_f64();
@@ -65,6 +70,7 @@ pub fn traced_proof_with_rounds(
     let verified = verify(&pk.vk, &proof, &cs.assignment.public);
     TracedProof {
         trace,
+        model: Some(GpuCostModel::for_library(device.clone(), msm_lib)),
         verified,
         measured_prove_s,
     }
@@ -77,10 +83,14 @@ pub fn traced_proof(device: &DeviceSpec, msm_lib: LibraryId) -> TracedProof {
 
 /// Renders the per-stage breakdown of a traced proof.
 pub fn render_trace_breakdown(tp: &TracedProof) -> String {
-    let summary = tp.trace.summarize();
+    let summary = tp.trace.summarize(tp.model.as_ref());
+    let priced = tp.model.as_ref().map_or(String::new(), |m| {
+        let lib = m.msm_lib.map_or("best", |lib| lib.name());
+        format!(" priced as sim:{}:{lib}", m.device.name)
+    });
     let mut t = Table::new(
         &format!(
-            "E2E trace: per-stage breakdown of one real proof on {} \
+            "E2E trace: per-stage breakdown of one real proof on {}{priced} \
              ({} threads, proved in {}, verified: {})",
             summary.backend,
             summary.threads,
@@ -279,7 +289,8 @@ mod tests {
             .filter(|r| r.kind.class() == OpClass::Ntt)
             .count();
         assert_eq!(ntts, 7, "the Fig. 3 pipeline has 7 transforms");
-        assert!(tp.trace.records.iter().all(|r| r.modeled.is_some()));
+        let summary = tp.trace.summarize(tp.model.as_ref());
+        assert!(summary.rows.iter().all(|r| r.modeled_s > 0.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! zero-reallocation workspace buys.
 //!
 //! Everything here is **measured on the host CPU** (real proofs, wall
-//! clock), not modeled: it characterizes the serving layer itself.
+//! clock) rather than modeled — it characterizes the serving layer itself.
 
 use crate::report::{f, secs, Table};
 use rand::{rngs::StdRng, SeedableRng};

@@ -27,7 +27,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-use zkp_backend::BackendSpec;
+use zkp_backend::{BackendSpec, GpuCostModel};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_examples::device_from_args;
 use zkp_ff::{Field, Fr381};
@@ -48,14 +48,20 @@ fn arg_value(flag: &str) -> Option<String> {
 
 /// Runs `session_rounds` real proofs through one [`ProverSession`] on the
 /// chosen backend, prints the cold/warm timing split and the
-/// trace-derived per-stage breakdown (plus the Amdahl extrapolation when
-/// the backend simulates a device).
+/// trace-derived per-stage breakdown (priced, plus the Amdahl
+/// extrapolation, when the spec names a simulated device).
 fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     let spec = BackendSpec::parse(spec_str).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
     let backend = spec.build::<Bls12381>();
+    let model = match &spec {
+        BackendSpec::Sim { device, msm_lib } => {
+            Some(GpuCostModel::for_library(device.clone(), *msm_lib))
+        }
+        _ => None,
+    };
     println!("backend: {}", backend.name());
     println!("circuit: mimc, {mimc_rounds} rounds");
 
@@ -135,11 +141,12 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     }
     let tp = e2e_trace::TracedProof {
         trace,
+        model,
         verified,
         measured_prove_s,
     };
     println!("{}", e2e_trace::render_trace_breakdown(&tp));
-    if let BackendSpec::Sim { device, .. } = &spec {
+    if let Some(GpuCostModel { device, .. }) = &tp.model {
         let rows = e2e_trace::amdahl_table(device, &tp.trace, e2e_trace::AMDAHL_SCALES);
         println!("{}", e2e_trace::render_amdahl(device, &rows));
     }
