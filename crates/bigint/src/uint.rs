@@ -194,6 +194,12 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Full schoolbook multiplication into `2N` limbs, returned `(lo, hi)`.
+    ///
+    /// Always inlined: it is the unreduced product under every `Fq2`
+    /// multiplication, and left to the inliner some call sites kept it out
+    /// of line, which measured a G2 mixed addition at 1 418 ns against
+    /// 1 340 (BLS12-381, one thread, 2-vCPU Xeon).
+    #[inline(always)]
     pub fn widening_mul(&self, rhs: &Self) -> (Self, Self) {
         let mut lo = [0u64; N];
         let mut hi = [0u64; N];

@@ -9,7 +9,7 @@ use crate::bls12::{Bls12Config, Derived, G1Curve, G2Curve};
 use crate::sw::Affine;
 use crate::tower::TowerConfig;
 use std::sync::OnceLock;
-use zkp_ff::{Field, Fq377, Fr377};
+use zkp_ff::{Field, Fq377, Fr377, PrimeField, Wide};
 
 /// Marker type selecting the BLS12-377 curve family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -27,9 +27,18 @@ impl TowerConfig for Bls12377 {
         crate::tower::Fq2::new(Fq377::zero(), Fq377::one())
     }
 
+    #[inline]
     fn mul_by_fq2_nonresidue(x: Fq377) -> Fq377 {
         // −5x = −(4x + x)
         -(x.double().double() + x)
+    }
+
+    #[inline]
+    fn wide_add_mul_by_fq2_nonresidue(t0: Wide<6>, t1: Wide<6>) -> Wide<6> {
+        // t0 − 5·t1 = t0 − (4·t1 + t1)
+        let t1_x2 = Fq377::wide_add(t1, t1);
+        let t1_x4 = Fq377::wide_add(t1_x2, t1_x2);
+        Fq377::wide_sub(t0, Fq377::wide_add(t1_x4, t1))
     }
 
     fn mul_by_fq6_nonresidue(x: Fq2) -> Fq2 {

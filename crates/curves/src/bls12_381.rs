@@ -11,7 +11,7 @@ use crate::bls12::{Bls12Config, Derived, G1Curve, G2Curve};
 use crate::sw::Affine;
 use crate::tower::TowerConfig;
 use std::sync::OnceLock;
-use zkp_ff::{Field, Fq381, Fr381};
+use zkp_ff::{Field, Fq381, Fr381, PrimeField, Wide};
 
 /// Marker type selecting the BLS12-381 curve family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -29,8 +29,14 @@ impl TowerConfig for Bls12381 {
         crate::tower::Fq2::new(Fq381::one(), Fq381::one())
     }
 
+    #[inline]
     fn mul_by_fq2_nonresidue(x: Fq381) -> Fq381 {
         -x
+    }
+
+    #[inline]
+    fn wide_add_mul_by_fq2_nonresidue(t0: Wide<6>, t1: Wide<6>) -> Wide<6> {
+        Fq381::wide_sub(t0, t1)
     }
 
     fn mul_by_fq6_nonresidue(x: Fq2) -> Fq2 {

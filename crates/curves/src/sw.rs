@@ -7,6 +7,11 @@
 //! variants the GPU libraries use — `madd-2007-bl`/`dbl-2009-l` for Jacobian
 //! and `madd-2008-s`/`dbl-2008-s` for XYZZ — so that counting them with
 //! [`zkp_ff::Counted`] reproduces the paper's Table V.
+//!
+//! Every XYZZ `Y3` has the shape `a·b − c·d` and is computed by
+//! [`Field::mul_sub_mul`]: on `Fq` and `Fq2` the two products are subtracted
+//! unreduced and reduced once, while `Counted` keeps the trait's default and
+//! tallies the 2 `FF_mul` and 1 `FF_sub` the formula is written with.
 
 use core::fmt;
 use core::hash::Hash;
@@ -458,7 +463,7 @@ impl<Cu: SwCurve> Xyzz<Cu> {
         let xx = self.x.square();
         let m = xx.double() + xx; // 3X²
         let x3 = m.square() - s.double();
-        let y3 = m * (s - x3) - w * self.y;
+        let y3 = Cu::Base::mul_sub_mul(m, s - x3, w, self.y);
         Self {
             x: x3,
             y: y3,
@@ -492,7 +497,7 @@ impl<Cu: SwCurve> Xyzz<Cu> {
         let ppp = p * pp;
         let q = self.x * pp;
         let x3 = r.square() - ppp - q.double();
-        let y3 = r * (q - x3) - self.y * ppp;
+        let y3 = Cu::Base::mul_sub_mul(r, q - x3, self.y, ppp);
         Self {
             x: x3,
             y: y3,
@@ -526,7 +531,7 @@ impl<Cu: SwCurve> Xyzz<Cu> {
         let ppp = p * pp;
         let q = u1 * pp;
         let x3 = r.square() - ppp - q.double();
-        let y3 = r * (q - x3) - s1 * ppp;
+        let y3 = Cu::Base::mul_sub_mul(r, q - x3, s1, ppp);
         Self {
             x: x3,
             y: y3,
@@ -545,15 +550,14 @@ impl<Cu: SwCurve> Xyzz<Cu> {
         }
     }
 
-    /// Converts to Jacobian coordinates without an inversion
-    /// (`Z = ZZZ / ZZ`, so `X_j = X·Z²/ZZ... ` — implemented by scaling).
+    /// Converts to Jacobian coordinates without an inversion: the affine
+    /// point `(X/ZZ, Y/ZZZ)` is `(X'/Z'², Y'/Z'³)` for `Z' = ZZ·ZZZ`,
+    /// `X' = X·ZZ·ZZZ²` and `Y' = Y·ZZ³·ZZZ²`.
     pub fn to_jacobian(&self) -> Jacobian<Cu> {
         if self.is_identity() {
             return Jacobian::identity();
         }
-        // With z = zzz/zz: (x, y, zz, zzz) ≡ affine (x/zz, y/zzz).
-        // Scale to Jacobian (X', Y', Z') with Z' = zz·zzz:
-        // X' = x·(Z'²)/zz = x·zz·zzz², Y' = y·(Z'³)/zzz = y·zz³·zzz².
+        // X' = X·Z'²/ZZ and Y' = Y·Z'³/ZZZ, with the divisions cancelled.
         let z = self.zz * self.zzz;
         let zz2 = self.zzz.square();
         Jacobian {

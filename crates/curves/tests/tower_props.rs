@@ -113,6 +113,96 @@ macro_rules! fq2_against_schoolbook {
 fq2_against_schoolbook!(fq2_381_schoolbook, Bls12381);
 fq2_against_schoolbook!(fq2_377_schoolbook, Bls12377);
 
+/// Fq6 multiplication as `tower.rs` spelled it before Karatsuba: nine Fq2
+/// products.
+fn schoolbook_fq6_mul<C: TowerConfig>(a: Fq6<C>, b: Fq6<C>) -> Fq6<C> {
+    let xi = C::mul_by_fq6_nonresidue;
+    Fq6::new(
+        a.c0 * b.c0 + xi(a.c1 * b.c2 + a.c2 * b.c1),
+        a.c0 * b.c1 + a.c1 * b.c0 + xi(a.c2 * b.c2),
+        a.c0 * b.c2 + a.c1 * b.c1 + a.c2 * b.c0,
+    )
+}
+
+/// The base field element whose Montgomery form is `p − 1`: `−R⁻¹`, since
+/// the form of `R⁻¹` is `1`. Its products are the largest the wide layer
+/// holds.
+fn top_residue<C: TowerConfig>() -> C::Fq {
+    let r = C::Fq::from_u64(2).pow(&[64 * C::Fq::NUM_LIMBS as u64]);
+    -r.inverse().expect("R is a unit")
+}
+
+macro_rules! wide_layer {
+    ($mod_name:ident, $C:ty) => {
+        mod $mod_name {
+            use super::*;
+            type Fq = <$C as TowerConfig>::Fq;
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(48))]
+
+                #[test]
+                fn fq6_karatsuba_matches_schoolbook(a in arb::<Fq6<$C>>(), b in arb::<Fq6<$C>>()) {
+                    prop_assert_eq!(a * b, schoolbook_fq6_mul(a, b));
+                    prop_assert_eq!(a.square(), schoolbook_fq6_mul(a, a));
+                    let sparse = Fq6::new(a.c0, Fq2::zero(), b.c2);
+                    prop_assert_eq!(sparse * b, schoolbook_fq6_mul(sparse, b));
+                }
+
+                #[test]
+                fn wide_nonresidue_hook_multiplies_by_beta(x in arb::<Fq>(), y in arb::<Fq>(), z in arb::<Fq>(), w in arb::<Fq>()) {
+                    let hook = <$C>::wide_add_mul_by_fq2_nonresidue;
+                    prop_assert_eq!(
+                        Fq::redc(hook(x.mul_wide(&y), z.mul_wide(&w))),
+                        x * y + <$C>::mul_by_fq2_nonresidue(z * w)
+                    );
+                    let m = top_residue::<$C>();
+                    let big = m.mul_wide(&m);
+                    prop_assert_eq!(
+                        Fq::redc(hook(big, big)),
+                        m * m + <$C>::mul_by_fq2_nonresidue(m * m)
+                    );
+                    prop_assert_eq!(
+                        Fq::redc(hook(x.mul_wide(&Fq::one()), big)),
+                        x + <$C>::mul_by_fq2_nonresidue(m * m)
+                    );
+                }
+
+                #[test]
+                fn mul_sub_mul_is_a_times_b_minus_c_times_d(
+                    a in arb::<Fq2<$C>>(), b in arb::<Fq2<$C>>(), c in arb::<Fq2<$C>>(), d in arb::<Fq2<$C>>()
+                ) {
+                    // Both orders, so the subtracted products are the larger
+                    // ones about half the time on every coefficient.
+                    prop_assert_eq!(Fq2::mul_sub_mul(a, b, c, d), a * b - c * d);
+                    prop_assert_eq!(Fq2::mul_sub_mul(c, d, a, b), c * d - a * b);
+                    prop_assert!(Fq2::mul_sub_mul(a, b, b, a).is_zero());
+                    prop_assert_eq!(Fq::mul_sub_mul(a.c0, b.c0, c.c1, d.c1), a.c0 * b.c0 - c.c1 * d.c1);
+                    prop_assert_eq!(Fq::mul_sub_mul(c.c1, d.c1, a.c0, b.c0), c.c1 * d.c1 - a.c0 * b.c0);
+                }
+            }
+
+            #[test]
+            fn karatsuba_cross_term_at_p_minus_1() {
+                let m = top_residue::<$C>();
+                let mut p_minus_1 = Fq::modulus_limbs();
+                p_minus_1[0] -= 1; // p is odd
+                assert_eq!(m.montgomery_repr().limbs()[..], p_minus_1[..]);
+                let [t0, t1, cross] = Fq::karatsuba_wide([m, m], [m, m]);
+                assert_eq!(t0, m.mul_wide(&m));
+                assert_eq!(t1, t0);
+                assert_eq!(Fq::redc(cross), (m * m).double());
+                let top = Fq2::<$C>::new(m, m);
+                assert_eq!(top * top, schoolbook_mul(top, top));
+                assert_eq!(Fq2::mul_sub_mul(top, top, -top, top), (top * top).double());
+            }
+        }
+    };
+}
+
+wide_layer!(wide_381, Bls12381);
+wide_layer!(wide_377, Bls12377);
+
 /// The defining relations of the tower: u² = β, v³ = ξ, w² = v.
 #[test]
 fn tower_defining_relations() {

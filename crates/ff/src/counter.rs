@@ -273,6 +273,24 @@ mod tests {
     }
 
     #[test]
+    fn mul_sub_mul_counts_as_the_formula_is_written() {
+        let (a, b) = (
+            Counted::from(Fr381::from_u64(7)),
+            Counted::from(Fr381::from_u64(3)),
+        );
+        let (v, counts) = with_counting(|| Counted::mul_sub_mul(b, b, a, b));
+        assert_eq!(v.into_inner(), -Fr381::from_u64(12));
+        assert_eq!(
+            counts,
+            OpCounts {
+                mul: 2,
+                sub: 1,
+                ..OpCounts::default()
+            }
+        );
+    }
+
+    #[test]
     fn nested_windows_compose() {
         reset_counts();
         let a = Counted::from(Fr381::from_u64(2));

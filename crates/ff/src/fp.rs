@@ -4,6 +4,15 @@
 //! natively process 64-bit data elements", §IV-B). The matching 32-bit-limb
 //! GPU kernels live in the `gpu-kernels` crate and are cross-validated
 //! against this implementation.
+//!
+//! A lone product goes through one fused CIOS kernel (`*`) or one SOS
+//! squaring; both end in a conditional subtract, the squaring through the
+//! one Montgomery reduction [`PrimeField::redc`]. Where products are summed
+//! before anything reads them, the [`Wide`] layer keeps them unreduced —
+//! [`PrimeField::mul_wide`], [`PrimeField::karatsuba_wide`],
+//! [`PrimeField::wide_add`] / [`PrimeField::wide_sub`] modulo `p·R` — so a
+//! sum of products pays one reduction: [`Field::mul_sub_mul`] here, `Fq2`
+//! multiplication in `zkp-curves`.
 
 use crate::params::{modulus_from_hex, mont_inv, pow2_mod, FieldParams};
 use crate::traits::{Field, PrimeField};
@@ -13,7 +22,7 @@ use core::iter::{Product, Sum};
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
-use zkp_bigint::arith::{adc, mac};
+use zkp_bigint::arith::{adc, mac, sbb};
 use zkp_bigint::Uint;
 
 /// Static configuration of a prime field: the modulus and a small generator.
@@ -127,8 +136,8 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
     /// the subtraction is the comparison: one `SUB`/`SBB` chain against the
     /// modulus as immediates, and its final borrow picks the result.
     ///
-    /// This is the branching form, and only [`Self::mont_mul`] and
-    /// [`Self::mont_square`] end in it, on purpose: the additive operators
+    /// This is the branching form, and only [`Self::mont_mul`] and `redc`
+    /// (hence [`Self::mont_square`]) end in it, on purpose: the additive operators
     /// take [`Self::select_on_borrow`] instead. Ending the two kernels in
     /// the select as well was measured with `zkbench` (two alternating pairs
     /// per workload) and lost on both sides: `quotient_32k`
@@ -169,13 +178,18 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
         Uint(out)
     }
 
-    /// The one multiplication kernel: `a * b * R^{-1} mod p` for `a, b < p`
-    /// by interleaved ("no-carry") CIOS Montgomery multiplication.
+    /// The one fused multiplication kernel: `a * b * R^{-1} mod p` for
+    /// `a, b < p` by interleaved ("no-carry") CIOS Montgomery multiplication.
     ///
     /// Every round adds `a * b[i] + m * p` to the running total and drops a
     /// limb, which keeps the total below `2p`; [`FpConfig::MODULUS`] has a
     /// spare bit, so `2p < 2^(64N)`, the two carry words of a round sum to
     /// less than `2^64` and no `t[N]` word exists.
+    ///
+    /// Its `2N²` multiply-accumulates are the `N²` of [`Self::product`] plus
+    /// the `N²` of `redc`, so a lone product stays fused; the split pays
+    /// where two products are summed before anything reads them
+    /// ([`Field::mul_sub_mul`], `karatsuba_wide`) and one reduction does.
     #[inline(always)]
     fn mont_mul(a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
         let (a, b, p) = (&a.0, &b.0, &C::MODULUS.0);
@@ -197,13 +211,11 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
     /// The one squaring kernel: `a * a * R^{-1} mod p` by separated operand
     /// scanning. The `N(N-1)/2` off-diagonal products are computed once and
     /// doubled in one shift pass, the `N` diagonal products added, and the
-    /// `2N`-limb square Montgomery-reduced limb by limb: `N(N+1)/2 + N²`
-    /// multiplications against the `2N²` of [`Self::mont_mul`].
+    /// `2N`-limb square handed to `redc`: `N(N+1)/2 + N²` multiplications
+    /// against the `2N²` of [`Self::mont_mul`].
     #[inline(always)]
-    fn mont_square(a: &Uint<N>) -> Uint<N> {
-        let (a, p) = (&a.0, &C::MODULUS.0);
-        // The square's low and high halves (`[u64; 2 * N]` is not
-        // expressible with stable const generics).
+    fn mont_square(a: &Uint<N>) -> Self {
+        let a = &a.0;
         let mut r = [[0u64; N]; 2];
         for i in 0..N {
             let mut carry = 0;
@@ -224,19 +236,53 @@ impl<C: FpConfig<N>, const N: usize> Fp<C, N> {
             let l = limb(&mut r, 2 * i + 1);
             (*l, carry) = adc(*l, carry, 0);
         }
-        // (a² + M·p) / R < 2p as in `mont_mul`, so the carry out of the top
-        // limb is zero after the last round.
-        let mut top_carry = 0;
-        for i in 0..N {
-            let m = r[0][i].wrapping_mul(C::INV);
-            let (_, mut carry) = mac(r[0][i], m, p[0], 0);
-            for (j, &pj) in p.iter().enumerate().skip(1) {
-                let l = limb(&mut r, i + j);
-                (*l, carry) = mac(*l, m, pj, carry);
-            }
-            (r[1][i], top_carry) = adc(r[1][i], carry, top_carry);
+        Self::redc(Wide(r))
+    }
+
+    /// The schoolbook `N²` product of two `N`-limb integers, unreduced, as a
+    /// [`Wide`]. The operands need not be residues: `karatsuba_wide` passes
+    /// sums below `2p`.
+    #[inline(always)]
+    fn product(a: &Uint<N>, b: &Uint<N>) -> Wide<N> {
+        let (lo, hi) = a.widening_mul(b);
+        Wide([lo.0, hi.0])
+    }
+}
+
+/// An unreduced double-width value below `p·R` — `2N` limbs held as the low
+/// and high halves (`[u64; 2 * N]` is not expressible with stable const
+/// generics). [`PrimeField::mul_wide`] makes one, [`PrimeField::wide_add`]
+/// and [`PrimeField::wide_sub`] combine them modulo `p·R` and
+/// [`PrimeField::redc`] reduces one to a canonical element.
+///
+/// Only a field's own operations build one, so the bound holds for the
+/// field that built it; the limbs are not exposed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Wide<const N: usize>([[u64; N]; 2]);
+
+impl<const N: usize> Wide<N> {
+    /// The `2N`-limb sum and its carry out.
+    #[inline(always)]
+    fn adc(&self, rhs: &Self) -> (Self, u64) {
+        let mut out = [[0u64; N]; 2];
+        let mut carry = 0;
+        let limbs = self.0.as_flattened().iter().zip(rhs.0.as_flattened());
+        for (o, (&x, &y)) in out.as_flattened_mut().iter_mut().zip(limbs) {
+            (*o, carry) = adc(x, y, carry);
         }
-        Self::reduce_once(Uint(r[1]))
+        (Self(out), carry)
+    }
+
+    /// The `2N`-limb difference and its borrow out.
+    #[inline(always)]
+    fn sbb(&self, rhs: &Self) -> (Self, u64) {
+        let mut out = [[0u64; N]; 2];
+        let mut borrow = 0;
+        let limbs = self.0.as_flattened().iter().zip(rhs.0.as_flattened());
+        for (o, (&x, &y)) in out.as_flattened_mut().iter_mut().zip(limbs) {
+            (*o, borrow) = sbb(x, y, borrow);
+        }
+        (Self(out), borrow)
     }
 }
 
@@ -272,7 +318,14 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
     fn square(&self) -> Self {
         // On the GPU FF_sqr shares FF_mul's profile (§IV-B2); on the host
         // the symmetric products are worth a kernel of their own.
-        Self::from_repr_raw(Self::mont_square(&self.repr))
+        Self::mont_square(&self.repr)
+    }
+
+    #[inline]
+    fn mul_sub_mul(a: Self, b: Self, c: Self, d: Self) -> Self {
+        // Two products, one subtraction modulo p·R, one reduction: 3N²
+        // multiply-accumulates where two fused multiplications are 4N².
+        Self::redc(Self::wide_sub(a.mul_wide(&b), c.mul_wide(&d)))
     }
 
     fn inverse(&self) -> Option<Self> {
@@ -367,6 +420,76 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
 impl<C: FpConfig<N>, const N: usize> PrimeField for Fp<C, N> {
     const NUM_LIMBS: usize = N;
     const NAME: &'static str = C::NAME;
+    type Wide = Wide<N>;
+
+    #[inline(always)]
+    fn mul_wide(&self, rhs: &Self) -> Wide<N> {
+        Self::product(&self.repr, &rhs.repr)
+    }
+
+    /// The reduction `mont_square` ends in, limb by limb: for a wide value
+    /// `T < p·R`, `(T + M·p) / R < 2p` as in the fused kernel, so the carry
+    /// out of the top limb is zero after the last round and one conditional
+    /// subtract leaves a residue.
+    #[inline(always)]
+    fn redc(wide: Wide<N>) -> Self {
+        let (mut r, p) = (wide.0, &C::MODULUS.0);
+        let mut top_carry = 0;
+        for i in 0..N {
+            let m = r[0][i].wrapping_mul(C::INV);
+            let (_, mut carry) = mac(r[0][i], m, p[0], 0);
+            for (j, &pj) in p.iter().enumerate().skip(1) {
+                let l = limb(&mut r, i + j);
+                (*l, carry) = mac(*l, m, pj, carry);
+            }
+            (r[1][i], top_carry) = adc(r[1][i], carry, top_carry);
+        }
+        Self::from_repr_raw(Self::reduce_once(Uint(r[1])))
+    }
+
+    /// `p·R` is `p` in the high half over a zero low half, so the sum
+    /// (below `2p·R < R²`: no carry out) is compared against it, and `p`
+    /// taken off, on the high half alone.
+    #[inline(always)]
+    fn wide_add(a: Wide<N>, b: Wide<N>) -> Wide<N> {
+        let (sum, _) = a.adc(&b);
+        let (reduced, borrow) = Uint(sum.0[1]).sbb(&C::MODULUS);
+        Wide([
+            sum.0[0],
+            Self::select_on_borrow(borrow, &Uint(sum.0[1]), &reduced).0,
+        ])
+    }
+
+    /// Adds `p·R` back on a borrow: `p` into the high half, where the
+    /// carry out cancels the borrow's wrap.
+    #[inline(always)]
+    fn wide_sub(a: Wide<N>, b: Wide<N>) -> Wide<N> {
+        let (diff, borrow) = a.sbb(&b);
+        let p_or_zero = Self::select_on_borrow(borrow, &C::MODULUS, &Uint::ZERO);
+        Wide([diff.0[0], Uint(diff.0[1]).wrapping_add(&p_or_zero).0])
+    }
+
+    /// Three `N²` products where the fused `Fp` kernel would take three
+    /// `2N²` multiplications, and the caller reduces what it needs.
+    /// `a0 + a1 < 2p` fits in `N` limbs (the spare bit), and
+    /// `(a0 + a1)(b0 + b1) − a0·b0 − a1·b1 = a0·b1 + a1·b0` is non-negative,
+    /// so neither sum nor difference needs a correction.
+    #[inline(always)]
+    fn karatsuba_wide(a: [Self; 2], b: [Self; 2]) -> [Wide<N>; 3] {
+        const {
+            assert!(
+                C::MODULUS.num_bits() + 2 <= Uint::<N>::BITS,
+                "karatsuba_wide needs 4p < R: two spare bits in the top limb"
+            )
+        };
+        let t0 = Self::product(&a[0].repr, &b[0].repr);
+        let t1 = Self::product(&a[1].repr, &b[1].repr);
+        let (sum_a, _) = a[0].repr.adc(&a[1].repr);
+        let (sum_b, _) = b[0].repr.adc(&b[1].repr);
+        let (cross, _) = Self::product(&sum_a, &sum_b).sbb(&t0);
+        let (cross, _) = cross.sbb(&t1);
+        [t0, t1, cross]
+    }
 
     fn to_uint(&self) -> Vec<u64> {
         self.to_canonical().limbs().to_vec()
@@ -653,8 +776,106 @@ mod tests {
             "from_canonical"
         );
         assert_eq!(entered.to_canonical(), a, "round trip");
-        for result in [x * y, x.square(), x + y, x - y, x.double(), -x] {
+        // The split kernel: the schoolbook product is the integer a·b, and
+        // its reduction is the fused kernel's result.
+        let wide = x.mul_wide(&y);
+        assert_eq!(to_ubig(&wide), a_big.mul(&b_big), "mul_wide");
+        assert_eq!(
+            Fp::<C, N>::redc(wide).repr,
+            mont_mul_oracle(&a, &b, &p, inv),
+            "redc(mul_wide)"
+        );
+        // a·b − c·d with c·d below, equal to and (for a < b) above a·b.
+        let mut results = vec![x * y, x.square(), x + y, x - y, x.double(), -x];
+        for (c, d) in [(x, x), (x, y), (y, y), (y, x)] {
+            let fused = Fp::mul_sub_mul(x, y, c, d);
+            assert_eq!(fused, x * y - c * d, "mul_sub_mul");
+            results.push(fused);
+        }
+        for result in results {
             assert!(result.repr < p, "results are canonical residues");
+        }
+    }
+
+    fn to_ubig<const N: usize>(w: &Wide<N>) -> UBig {
+        UBig::from_limbs(&w.0.concat())
+    }
+
+    /// `wide_add` / `wide_sub` modulo `p·R` where the correction flips:
+    /// results `0` and `p·R − 1`, reached with and without a carry or a
+    /// borrow, then every pair of a set straddling `p·R` against `UBig`.
+    fn wide_boundary_vectors<C: FpConfig<N>, const N: usize>() {
+        let (add, sub) = (Fp::<C, N>::wide_add, Fp::<C, N>::wide_sub);
+        let p = C::MODULUS;
+        let (zero, max) = ([0; N], [u64::MAX; N]);
+        let (one, p_minus_1) = (Uint::<N>::ONE.0, p.wrapping_sub(&Uint::ONE).0);
+        let w_zero = Wide([zero, zero]);
+        let w_one = Wide([one, zero]);
+        let r_minus_1 = Wide([max, zero]);
+        let r = Wide([zero, one]);
+        let pr_minus_r = Wide([zero, p_minus_1]);
+        let pr_minus_1 = Wide([max, p_minus_1]);
+
+        // A sum of exactly p·R is 0: with a carry out of the low half, and
+        // without one.
+        assert_eq!(add(pr_minus_1, w_one), w_zero, "(pR − 1) + 1");
+        assert_eq!(add(pr_minus_r, r), w_zero, "(pR − R) + R");
+        // One short of p·R is left alone.
+        assert_eq!(add(pr_minus_r, r_minus_1), pr_minus_1, "(pR − R) + (R − 1)");
+        assert_eq!(add(pr_minus_1, w_zero), pr_minus_1, "(pR − 1) + 0");
+        // x − x is 0; x − (x + 1) is −1, which is p·R − 1, with the borrow
+        // starting in the low half and in the high half; and a borrow
+        // between the halves that leaves no final borrow.
+        assert_eq!(sub(pr_minus_1, pr_minus_1), w_zero, "x − x");
+        assert_eq!(sub(w_zero, w_one), pr_minus_1, "0 − 1");
+        assert_eq!(sub(r_minus_1, r), pr_minus_1, "(R − 1) − R");
+        assert_eq!(sub(r, w_one), r_minus_1, "R − 1");
+
+        let m = Fp::<C, N>::from_repr_raw(Uint(p_minus_1));
+        let vectors = [
+            w_zero,
+            w_one,
+            r_minus_1,
+            r,
+            pr_minus_r,
+            pr_minus_1,
+            m.mul_wide(&m),
+        ];
+        let pr = UBig::from(p).shl(Uint::<N>::BITS);
+        for x in vectors {
+            for y in vectors {
+                let (xb, yb) = (to_ubig(&x), to_ubig(&y));
+                assert_eq!(to_ubig(&add(x, y)), xb.add(&yb).div_rem(&pr).1, "wide_add");
+                assert_eq!(
+                    to_ubig(&sub(x, y)),
+                    xb.add(&pr).sub(&yb).div_rem(&pr).1,
+                    "wide_sub"
+                );
+            }
+        }
+    }
+
+    /// The Karatsuba primitive at its largest operands, `a0 = a1 = b0 = b1 =
+    /// p − 1` — the product of the unreduced sums is `4(p − 1)²`, the
+    /// largest intermediate it forms — then against the fused kernel.
+    fn karatsuba_vectors<C: FpConfig<N>, const N: usize>() {
+        let m = Fp::<C, N>::from_repr_raw(C::MODULUS.wrapping_sub(&Uint::ONE));
+        let square = UBig::from(m.repr).mul(&UBig::from(m.repr));
+        let [t0, t1, cross] = Fp::karatsuba_wide([m, m], [m, m]);
+        assert_eq!(
+            (to_ubig(&t0), to_ubig(&t1)),
+            (square.clone(), square.clone())
+        );
+        assert_eq!(to_ubig(&cross), square.add(&square), "cross term");
+        assert_eq!(Fp::redc(cross), (m * m).double());
+
+        let mut rng = StdRng::seed_from_u64(N as u64);
+        for _ in 0..64 {
+            let [a0, a1, b0, b1] = [(); 4].map(|_| Fp::<C, N>::random(&mut rng));
+            let [t0, t1, cross] = Fp::karatsuba_wide([a0, a1], [b0, b1]);
+            assert_eq!(Fp::redc(t0), a0 * b0);
+            assert_eq!(Fp::redc(t1), a1 * b1);
+            assert_eq!(Fp::redc(cross), a0 * b1 + a1 * b0);
         }
     }
 
@@ -702,8 +923,10 @@ mod tests {
         }
     }
 
+    /// One suite per field; a field with `4p < R` also names a Karatsuba
+    /// test (on BLS12-381 Fr the primitive does not build).
     macro_rules! differential {
-        ($mod_name:ident, $C:ty, $N:literal) => {
+        ($mod_name:ident, $C:ty, $N:literal $(, $karatsuba:ident)?) => {
             mod $mod_name {
                 use super::*;
 
@@ -716,6 +939,18 @@ mod tests {
                 fn select_boundaries_match_the_oracle() {
                     select_boundary_vectors::<$C, $N>();
                 }
+
+                #[test]
+                fn wide_add_sub_straddle_p_times_r() {
+                    wide_boundary_vectors::<$C, $N>();
+                }
+
+                $(
+                    #[test]
+                    fn $karatsuba() {
+                        karatsuba_vectors::<$C, $N>();
+                    }
+                )?
 
                 proptest! {
                     #[test]
@@ -731,8 +966,13 @@ mod tests {
     }
 
     differential!(fr381, Fr381Config, 4);
-    differential!(fq381, Fq381Config, 6);
-    differential!(fr377, Fr377Config, 4);
-    differential!(fq377, Fq377Config, 6);
-    differential!(goldilocks4, Goldilocks4, 4);
+    differential!(fq381, Fq381Config, 6, karatsuba_cross_term_at_p_minus_1);
+    differential!(fr377, Fr377Config, 4, karatsuba_cross_term_at_p_minus_1);
+    differential!(fq377, Fq377Config, 6, karatsuba_cross_term_at_p_minus_1);
+    differential!(
+        goldilocks4,
+        Goldilocks4,
+        4,
+        karatsuba_cross_term_at_p_minus_1
+    );
 }

@@ -7,7 +7,9 @@
 //! * [`Field`] / [`PrimeField`] — the trait surface used by the NTT, MSM,
 //!   curve, and Groth16 crates.
 //! * [`Fp`] — Montgomery-form arithmetic over 64-bit limbs (the CPU-native
-//!   representation the paper contrasts with the GPU's 32-bit pipeline).
+//!   representation the paper contrasts with the GPU's 32-bit pipeline), and
+//!   [`Wide`], its unreduced double-width products, so a sum of products is
+//!   reduced once.
 //! * Concrete fields [`Fr381`], [`Fq381`], [`Fr377`], [`Fq377`] for the two
 //!   curves the studied libraries support.
 //! * [`batch_inverse`] — the Montgomery inversion trick of §IV-D1b.
@@ -43,7 +45,7 @@ mod traits;
 pub use batch::{batch_inverse, batch_inverse_counted};
 pub use configs::{Fq377, Fq377Config, Fq381, Fq381Config, Fr377, Fr377Config, Fr381, Fr381Config};
 pub use counter::{Counted, OpCounts};
-pub use fp::{Fp, FpConfig};
+pub use fp::{Fp, FpConfig, Wide};
 pub use glv::{decompose_glv, GlvScalar};
 pub use params::FieldParams;
 pub use traits::{pow_uint, Field, PrimeField};

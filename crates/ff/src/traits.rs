@@ -75,6 +75,16 @@ pub trait Field:
     /// A uniformly random element.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
 
+    /// `a·b − c·d`, the shape of every XYZZ `Y3`. The default is exactly
+    /// that expression, so [`Counted`](crate::counter::Counted) tallies it as
+    /// 2 `FF_mul` and 1 `FF_sub`; [`Fp`](crate::Fp) and the `zkp-curves`
+    /// `Fq2` override it to reduce the difference of the two unreduced
+    /// products once instead of each product on its own.
+    #[inline]
+    fn mul_sub_mul(a: Self, b: Self, c: Self, d: Self) -> Self {
+        a * b - c * d
+    }
+
     /// Exponentiation by a little-endian limb-encoded exponent.
     fn pow(&self, exp: &[u64]) -> Self {
         let mut acc = Self::one();
@@ -100,6 +110,49 @@ pub trait PrimeField: Field + Ord {
 
     /// Human-readable field name (e.g. `"BLS12-381 Fr"`).
     const NAME: &'static str;
+
+    /// An unreduced double-width value below `p·R`
+    /// ([`Wide`](crate::Wide) for [`Fp`](crate::Fp)): the product of two
+    /// Montgomery forms before its reduction, so sums of products can be
+    /// formed first and reduced once.
+    type Wide: Copy + Debug + Eq;
+
+    /// `self · rhs` as the schoolbook `N²` product of the two Montgomery
+    /// forms, not reduced. [`Self::redc`] of it is `self * rhs`.
+    fn mul_wide(&self, rhs: &Self) -> Self::Wide;
+
+    /// The Montgomery reduction `wide · R⁻¹ mod p`, as a canonical element.
+    fn redc(wide: Self::Wide) -> Self;
+
+    /// `a + b mod p·R`, which is `a + b` once reduced.
+    fn wide_add(a: Self::Wide, b: Self::Wide) -> Self::Wide;
+
+    /// `a − b mod p·R`, which is `a − b` once reduced.
+    fn wide_sub(a: Self::Wide, b: Self::Wide) -> Self::Wide;
+
+    /// The three products of a Karatsuba multiplication of `a0 + a1·X` by
+    /// `b0 + b1·X`, unreduced: `[a0·b0, a1·b1, a0·b1 + a1·b0]`, the last one
+    /// as `(a0 + a1)(b0 + b1) − a0·b0 − a1·b1` over sums that are *not*
+    /// reduced. Those sums are below `2p`, so their product is below `4p²`,
+    /// a [`Self::Wide`] only where `4p < R`; a field with fewer than two
+    /// spare bits does not build the call:
+    ///
+    /// ```
+    /// use zkp_ff::{Field, PrimeField, Fq381};
+    /// let (a, b) = (Fq381::from_u64(3), Fq381::from_u64(5));
+    /// let [t0, t1, cross] = Fq381::karatsuba_wide([a, b], [b, a]);
+    /// assert_eq!(Fq381::redc(t0), a * b);
+    /// assert_eq!(Fq381::redc(t1), b * a);
+    /// assert_eq!(Fq381::redc(cross), a * a + b * b);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// use zkp_ff::{Field, PrimeField, Fr381};
+    /// // BLS12-381 Fr is 255 bits in four limbs: 4p > R.
+    /// let a = Fr381::from_u64(3);
+    /// let _ = Fr381::karatsuba_wide([a, a], [a, a]);
+    /// ```
+    fn karatsuba_wide(a: [Self; 2], b: [Self; 2]) -> [Self::Wide; 3];
 
     /// The canonical (non-Montgomery) integer representative in `[0, p)`.
     fn to_uint(&self) -> Vec<u64>;
