@@ -191,7 +191,7 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
 /// The MSM bases — `a_query`, `b_g1_query`, `l_query`, `h_query` and
 /// `b_g2_query` — are fixed for the life of a proving key; only the
 /// scalars change per witness. Building a `ProverPlan` pays the
-/// endomorphism images of the finite bases and, on G1, the Fig. 12 window
+/// endomorphism images of the finite bases and the Fig. 12 window
 /// precompute once, after which every proof of a
 /// [`ProverSession`](crate::ProverSession) reuses the tables. The one-shot
 /// [`prove_with_backend`] builds the zero-budget plan per call. Proof
@@ -206,24 +206,26 @@ pub struct ProverPlan<C: Bls12Config> {
     pub l: MsmPlan<G1Curve<C>>,
     /// Plan over `pk.h_query`.
     pub h: MsmPlan<G1Curve<C>>,
-    /// Plan over `pk.b_g2_query`: always the single copy
-    /// `[P…, ψ(P)…, ψ²(P)…, ψ³(P)…]` of the finite bases — three `ψ` maps
-    /// per base and no doubling. A folded copy costs 255 G2 doublings per
-    /// base, which `setup_s` and `peak_rss_mb` of `prove_bits_1k` rule out
-    /// (ROADMAP 2b).
+    /// Plan over `pk.b_g2_query`. Each copy is `[P…, ψ(P)…, ψ²(P)…,
+    /// ψ³(P)…]` over the finite bases; under `ψ` a sub-scalar has 64 bits,
+    /// so even the deepest fold doubles each base about 64 times in all.
     pub b2: MsmPlan<G2Curve<C>>,
 }
 
 impl<C: Bls12Config> ProverPlan<C> {
     /// Builds the five plans under [`default_msm_config`] and an optional
     /// total memory budget in bytes (`Some(0)` is the one-shot single
-    /// copy). The budget is split across the G1 queries proportionally to
-    /// their base counts — the Fig. 12 memory/window trade-off applied
-    /// key-wide; B2 is the single copy.
+    /// copy). The budget is split across the five queries proportionally
+    /// to their base counts — the Fig. 12 memory/window trade-off applied
+    /// key-wide.
     pub fn build_with(pk: &ProvingKey<C>, budget_bytes: Option<u64>, pool: &ThreadPool) -> Self {
         let config = default_msm_config();
-        let total = (pk.a_query.len() + pk.b_g1_query.len() + pk.l_query.len() + pk.h_query.len())
-            .max(1) as u128;
+        let total = (pk.a_query.len()
+            + pk.b_g1_query.len()
+            + pk.l_query.len()
+            + pk.h_query.len()
+            + pk.b_g2_query.len())
+        .max(1) as u128;
         // In u128: `b · n` overflows u64 for budgets near `u64::MAX`, and
         // the share is at most `b`, so it narrows back losslessly.
         let share = |n: usize| budget_bytes.map(|b| (u128::from(b) * n as u128 / total) as u64);
@@ -232,7 +234,7 @@ impl<C: Bls12Config> ProverPlan<C> {
             b1: MsmPlan::build(&pk.b_g1_query, &config, share(pk.b_g1_query.len()), pool),
             l: MsmPlan::build(&pk.l_query, &config, share(pk.l_query.len()), pool),
             h: MsmPlan::build(&pk.h_query, &config, share(pk.h_query.len()), pool),
-            b2: MsmPlan::build(&pk.b_g2_query, &config, Some(0), pool),
+            b2: MsmPlan::build(&pk.b_g2_query, &config, share(pk.b_g2_query.len()), pool),
         }
     }
 
@@ -245,9 +247,17 @@ impl<C: Bls12Config> ProverPlan<C> {
             + self.b2.storage_bytes()
     }
 
-    /// Algorithm tag of the dominant (A-query) plan.
+    /// Algorithm tags of all five plans, in task-graph order:
+    /// `H: …; A: …; B1: …; B2: …; L: …`.
     pub fn algorithm(&self) -> String {
-        self.a.algorithm()
+        format!(
+            "H: {}; A: {}; B1: {}; B2: {}; L: {}",
+            self.h.algorithm(),
+            self.a.algorithm(),
+            self.b1.algorithm(),
+            self.b2.algorithm(),
+            self.l.algorithm(),
+        )
     }
 
     fn for_msm(&self, which: G1Msm) -> &MsmPlan<G1Curve<C>> {

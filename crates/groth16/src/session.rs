@@ -31,10 +31,9 @@ pub(crate) struct SessionShared<C: Bls12Config> {
 
 /// A reusable proving session for one proving key.
 ///
-/// Construction pays every per-key cost once — the endomorphism images of
-/// the five [`MsmPlan`](zkp_msm::MsmPlan)s and the window precompute of
-/// the four G1 ones,
-/// the twiddle table — and the embedded workspace amortizes the
+/// Construction pays every per-key cost once — the endomorphism images and
+/// the window precompute of the five [`MsmPlan`](zkp_msm::MsmPlan)s, the
+/// twiddle table — and the embedded workspace amortizes the
 /// per-proof buffers. Sessions are `Send`; to prove concurrently, create
 /// one per worker with [`ProverSession::fork`] (the shared key and plans
 /// are reference-counted, only the scratch is duplicated).

@@ -187,20 +187,22 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
         "planned MSMs must carry the plan's algorithm tag: {g1_algos:?}"
     );
 
-    // The G2 MSM runs the session's B2 plan — the single ψ copy — and its
-    // tag is true: the plan really splits 4 ways, over the finite bases.
+    // The G2 MSM runs the session's B2 plan — folded like the G1 plans,
+    // onto nine ψ copies at this size — and its tag is true: the plan
+    // really splits 4 ways, over the finite bases, in every copy.
     let g2 = trace.records.iter().find(|r| r.kind == OpKind::MsmG2);
     let g2_algo = g2.and_then(|r| r.algo.as_deref()).expect("tagged G2 MSM");
     let b2 = &session.plan().b2;
     assert_eq!(g2_algo, b2.algorithm());
     assert!(
-        g2_algo.starts_with("psi+") && g2_algo.ends_with("copies=1)"),
+        g2_algo.starts_with("psi+") && g2_algo.ends_with("copies=9)"),
         "{g2_algo}"
     );
+    assert!(session.plan().algorithm().contains(g2_algo));
     let query = &session.pk().b_g2_query;
     let finite = query.iter().filter(|p| !p.is_identity()).count();
     assert!(finite < query.len(), "MiMC leaves some B bases at infinity");
-    assert_eq!(b2.stored_points(), 4 * finite);
+    assert_eq!(b2.stored_points(), 9 * 4 * finite);
     let scalars: Vec<Fr381> = (1..=query.len() as u64).map(Fr381::from_u64).collect();
     let stats = b2.execute(&scalars, &ThreadPool::with_threads(1)).stats;
     assert_eq!(stats.glv_decompositions, finite as u64);
@@ -212,13 +214,16 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
 
 #[test]
 fn unbounded_budget_share_does_not_overflow() {
-    // The G1 share of a key-wide budget is `b · n / total`: at `u64::MAX`
-    // the product needs 128 bits, and the plan must fold as deep as `None`.
+    // Each query's share of a key-wide budget is `b · n / total`: at
+    // `u64::MAX` the product needs 128 bits, and every plan — B2 included —
+    // must fold as deep as under `None`.
     let (_, pk) = fixture();
     let pool = ThreadPool::with_threads(1);
     let max = ProverPlan::build_with(&pk, Some(u64::MAX), &pool);
     let unbounded = ProverPlan::build_with(&pk, None, &pool);
     assert_eq!(max.storage_bytes(), unbounded.storage_bytes());
+    assert_eq!(max.algorithm(), unbounded.algorithm());
+    assert!(max.b2.algorithm().ends_with("copies=9)"));
 }
 
 #[test]

@@ -28,10 +28,9 @@ pub enum BucketRepr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsmConfig {
     /// Window size `s` in bits, `1..=20` (anything else panics when the
-    /// run is laid out); `None` picks the cheapest of `3..=16` under the
-    /// crate's cost model for the shape that runs — a one-shot's `w`
-    /// separate windows, or a plan's folded table (see
-    /// [`msm_shape`](crate::msm_shape)).
+    /// run is laid out); `None` picks from `3..=16` by the crate's cost
+    /// model for the shape that runs — a one-shot's `w` separate windows,
+    /// or a plan's folded table (see [`msm_shape`](crate::msm_shape)).
     pub window_bits: Option<u32>,
     /// Signed-digit recoding, halving the bucket count (the endomorphism-
     /// style trick `ymc` uses, §IV-A).

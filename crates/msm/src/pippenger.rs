@@ -27,10 +27,11 @@
 //!
 //! # The window
 //!
-//! An unpinned window size is the argmin of one cost model
-//! ([`msm_shape`]) over the shape that runs: a one-shot reduces each of
-//! its `w` windows, a plan folded onto shifted copies reduces `W ≤ w`, and
-//! the fewer reductions a run pays the larger the window it affords.
+//! The window size and fold are chosen by one cost model ([`msm_shape`])
+//! over the shape that runs: a one-shot reduces each of its `w` windows, a
+//! plan folded onto shifted copies reduces `W ≤ w`, and the fewer
+//! reductions a run pays the larger the window it affords. Among the folds
+//! within 1% of the cheapest the picker keeps the smallest table.
 //!
 //! # One front door
 //!
@@ -453,24 +454,63 @@ const DBL_FF_MULS: u64 = 7;
 impl<Cu: SwCurve> Layout<Cu> {
     /// The layout of `n` finite points under `config` whose table fits
     /// `budget_bytes` (`None` = unbounded; `Some(0)` is the one-shot run
-    /// over a single copy) — the one window picker: an unpinned
-    /// `window_bits` is the cheapest of `3..=16` by [`Layout::cost`], each
-    /// candidate folded as deep as the budget allows; ties go to the
-    /// smaller window.
+    /// over a single copy) — the one window picker. It prices every fold
+    /// [`Layout::folds`] yields by [`Layout::cost`] and keeps, among those
+    /// within 1% of the cheapest, the one with the fewest copies (then the
+    /// cheaper, then the smaller window). The band is inside the model's
+    /// resolution: past one chunk of rows a deeper fold only trades
+    /// reductions for chunk merges, and the band keeps a table from
+    /// doubling for a few hundredths of a percent.
+    ///
+    /// Allocation-free — the folds are walked twice, never collected —
+    /// because every one-shot MSM, the prover's 1- and 2-point blinding
+    /// products included, lays itself out here.
     ///
     /// # Panics
     ///
     /// Panics if `config.window_bits` is out of range
     /// ([`check_window_bits`]).
     pub(crate) fn new(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> Self {
-        let folded = |s| Self::at(n, config, s).fit(budget_bytes);
-        match config.window_bits {
-            Some(s) => folded(s),
-            None => (3..=16)
-                .map(folded)
-                .min_by_key(Self::cost)
-                .expect("non-empty window range"),
-        }
+        let cheapest = Self::folds(n, config, budget_bytes)
+            .map(|layout| layout.cost())
+            .min()
+            .expect("every window has its single copy");
+        Self::folds(n, config, budget_bytes)
+            .filter(|layout| layout.cost() * 100 <= cheapest * 101)
+            .min_by_key(Self::footprint)
+            .expect("the cheapest fold is inside its own band")
+    }
+
+    /// Every layout the picker prices: each window size (`3..=16`, or the
+    /// pinned one) folded onto each `W` whose table fits the budget, plus
+    /// the single un-shifted copy, which runs when nothing else fits.
+    fn folds(
+        n: usize,
+        config: &MsmConfig,
+        budget_bytes: Option<u64>,
+    ) -> impl Iterator<Item = Self> + '_ {
+        config
+            .window_bits
+            .map_or(3..=16, |s| s..=s)
+            .flat_map(move |s| {
+                let single = Self::at(n, config, s);
+                let copy_bytes =
+                    (single.points_per_copy() * core::mem::size_of::<Affine<Cu>>()) as u64;
+                (1..=single.full_windows)
+                    .map(move |target_windows| Self {
+                        target_windows,
+                        ..single
+                    })
+                    .filter(move |layout| {
+                        let copies = u64::from(layout.copies());
+                        copies == 1 || budget_bytes.is_none_or(|b| copy_bytes * copies <= b)
+                    })
+            })
+    }
+
+    /// The picker's order inside the 1% band: the smallest table first.
+    fn footprint(&self) -> (u32, u64, u32) {
+        (self.copies(), self.cost(), self.window_bits)
     }
 
     /// The single-copy layout at window size `s`.
@@ -494,19 +534,6 @@ impl<Cu: SwCurve> Layout<Cu> {
             target_windows: full_windows,
             signed: config.signed_digits,
             bucket_repr: config.bucket_repr,
-        }
-    }
-
-    /// Folds onto the smallest `W` (deepest precompute) whose table fits
-    /// the budget; nothing fitting degrades to the single un-shifted copy.
-    fn fit(self, budget_bytes: Option<u64>) -> Self {
-        let w = self.full_windows;
-        let copy_bytes = (self.points_per_copy() * core::mem::size_of::<Affine<Cu>>()) as u64;
-        let fits =
-            |&t: &u32| budget_bytes.is_none_or(|b| copy_bytes * u64::from(w.div_ceil(t)) <= b);
-        Self {
-            target_windows: (1..=w).find(fits).unwrap_or(w),
-            ..self
         }
     }
 
@@ -559,6 +586,8 @@ pub struct MsmShape {
     pub window_bits: u32,
     /// Windows reduced per run (`W`), the `windows` of the run's stats.
     pub target_windows: u32,
+    /// Stored table copies `⌈w/W⌉`.
+    pub copies: u32,
     /// Modeled work of one run in `FF_mul` units.
     pub cost: u64,
 }
@@ -572,6 +601,7 @@ pub fn msm_shape<Cu: SwCurve>(n: usize, config: &MsmConfig, budget_bytes: Option
     MsmShape {
         window_bits: layout.window_bits,
         target_windows: layout.target_windows,
+        copies: layout.copies(),
         cost: layout.cost(),
     }
 }

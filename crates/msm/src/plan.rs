@@ -41,11 +41,12 @@ pub struct MsmPlan<Cu: SwCurve> {
 
 impl<Cu: SwCurve> MsmPlan<Cu> {
     /// Builds a plan for `points` under `config`, spending at most
-    /// `budget_bytes` on the expanded table (`None` = unbounded, i.e. the
-    /// full `W = 1` precompute). The budget knob walks the Fig. 12
-    /// trade-off: more memory → fewer reduced windows, and — unless
-    /// `config.window_bits` pins it — the larger window that the folded
-    /// table pays for (the picker prices the shape that runs).
+    /// `budget_bytes` on the expanded table (`None` = unbounded). The
+    /// budget knob walks the Fig. 12 trade-off: more memory → fewer
+    /// reduced windows, and — unless `config.window_bits` pins it — the
+    /// larger window that the folded table pays for. The picker prices
+    /// every fold that fits and keeps the smallest table within 1% of the
+    /// cheapest, so an unbounded budget need not mean `W = 1`.
     pub fn build(
         points: &[Affine<Cu>],
         config: &MsmConfig,

@@ -168,7 +168,7 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
         },
     ] {
         let rows = if config.endomorphism { 2 * N } else { N };
-        // Room for 7 copies: the plan picks the smallest W with ⌈w/W⌉ ≤ 7.
+        // Room for 7 copies: the plan picks a W with ⌈w/W⌉ ≤ 7.
         let budget = (7 * rows * core::mem::size_of::<Affine<bls12_381::G1>>()) as u64;
         let plan = MsmPlan::build(&points, &config, Some(budget), &serial_pool);
         let planned = plan.execute(&scalars, &serial_pool);
@@ -190,10 +190,57 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
     }
 }
 
-/// The one picker, held to the exported cost model by counts alone: at
-/// every scale, digit encoding, GLV setting and budget the chosen `(s, W)`
-/// is the cheapest of `3..=16` (the smaller window on a tie), each
-/// candidate folded onto the smallest `W` whose table fits.
+/// Every fold `(s, W)` a budget admits for one full-width window count
+/// `w(s)` and copy size, priced by the cost model as `Layout::cost` states
+/// it: `rows·w` mixed additions (10 `FF_mul`), then per reduced window
+/// `chunks + 1` passes over the buckets (14), `s` doublings (7) and one
+/// addition (14), with `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
+fn priced_folds(
+    rows: u64,
+    signed: bool,
+    windows: impl Fn(u32) -> u32,
+    copy_bytes: u64,
+    budget: Option<u64>,
+    sizes: impl IntoIterator<Item = u32>,
+) -> Vec<MsmShape> {
+    let mut folds = Vec::new();
+    for s in sizes {
+        let w = windows(s);
+        let buckets = if signed { 1 << (s - 1) } else { (1 << s) - 1 };
+        for big_w in 1..=w {
+            let copies = w.div_ceil(big_w);
+            if copies > 1 && budget.is_some_and(|b| copy_bytes * u64::from(copies) > b) {
+                continue;
+            }
+            let chunks = (rows * u64::from(copies) / (8 * buckets)).clamp(1, 8);
+            let reduce = (chunks + 1) * buckets * 14 + u64::from(s) * 7 + 14;
+            folds.push(MsmShape {
+                window_bits: s,
+                target_windows: big_w,
+                copies,
+                cost: rows * u64::from(w) * 10 + u64::from(big_w) * reduce,
+            });
+        }
+    }
+    folds
+}
+
+/// The picker's rule over `folds`: within 1% of the cheapest, and no fold
+/// inside that band stores fewer copies.
+fn assert_in_band(chosen: &MsmShape, folds: &[MsmShape], what: &str) {
+    assert!(folds.contains(chosen), "{what}: {chosen:?} is not a fold");
+    let cheapest = folds.iter().map(|f| f.cost).min().expect("folds");
+    assert!(chosen.cost * 100 <= cheapest * 101, "{what}: {chosen:?}");
+    let band = folds.iter().filter(|f| f.cost * 100 <= cheapest * 101);
+    let fewest = band.map(|f| f.copies).min().expect("band");
+    assert_eq!(chosen.copies, fewest, "{what}: {chosen:?}");
+}
+
+/// The one picker, held to the cost model by counts alone: at every
+/// scale, digit encoding, GLV setting and budget the chosen `(s, W)` is a
+/// fold that fits, costs at most 1% over the argmin of every fold that
+/// fits, and no fold inside that band stores fewer copies. A pinned window
+/// is never overridden and follows the same rule over its own folds.
 #[test]
 fn picker_is_the_argmin_of_the_cost_model() {
     type G1 = bls12_381::G1;
@@ -206,49 +253,39 @@ fn picker_is_the_argmin_of_the_cost_model() {
                 endomorphism: glv,
                 ..MsmConfig::default()
             };
-            let copy_bytes = (n as u64) * if glv { 2 } else { 1 } * point_bytes;
+            let rows = (n as u64) * if glv { 2 } else { 1 };
+            let copy_bytes = rows * point_bytes;
+            let windows = |s: u32| {
+                if glv {
+                    let sub_bits = G1::endomorphism().expect("G1 has φ").sub_bits;
+                    (sub_bits + u32::from(signed)).div_ceil(s)
+                } else {
+                    num_windows::<zkp_ff::Fr381>(s, signed)
+                }
+            };
             let what = format!("n = 2^{log_n}, signed {signed}, glv {glv}");
             let mut last_cost = 0;
             // Shrinking budgets: unbounded, four copies, the one-shot run.
             for budget in [None, Some(4 * copy_bytes), Some(0)] {
-                let priced = |s| {
+                let what = format!("{what}, budget {budget:?}");
+                for s in 3..=16 {
                     let pinned = MsmConfig {
                         window_bits: Some(s),
                         ..config
                     };
-                    msm_shape::<G1>(n, &pinned, budget)
-                };
-                for s in 3..=16 {
-                    // A pinned window is never overridden, and it folds as
-                    // deep as the budget allows and no deeper.
-                    let MsmShape {
-                        window_bits,
-                        target_windows: big_w,
-                        ..
-                    } = priced(s);
-                    assert_eq!(window_bits, s, "{what}, budget {budget:?}");
-                    let w = if glv {
-                        let sub_bits = G1::endomorphism().expect("G1 has φ").sub_bits;
-                        (sub_bits + u32::from(signed)).div_ceil(s)
-                    } else {
-                        num_windows::<zkp_ff::Fr381>(s, signed)
-                    };
-                    let fits =
-                        |t: u32| budget.is_none_or(|b| copy_bytes * u64::from(w.div_ceil(t)) <= b);
-                    assert!(fits(big_w) || big_w == w, "{what}, s = {s}: W = {big_w}");
-                    assert!(
-                        big_w == 1 || !fits(big_w - 1),
-                        "{what}, s = {s}: W = {big_w}"
-                    );
+                    let shape = msm_shape::<G1>(n, &pinned, budget);
+                    assert_eq!(shape.window_bits, s, "{what}");
+                    let own = priced_folds(rows, signed, windows, copy_bytes, budget, [s]);
+                    assert_in_band(&shape, &own, &format!("{what}, s = {s}"));
                 }
-                let best = (3..=16)
-                    .map(priced)
-                    .min_by_key(|shape| (shape.cost, shape.window_bits))
-                    .expect("non-empty range");
                 let chosen = msm_shape::<G1>(n, &config, budget);
-                assert_eq!(chosen, best, "{what}, budget {budget:?}");
+                let all = priced_folds(rows, signed, windows, copy_bytes, budget, 3..=16);
+                assert_in_band(&chosen, &all, &what);
+                // A smaller budget admits a subset of the folds, so its
+                // pick costs at least the larger budget's argmin — at
+                // least its pick less the 1% band.
                 assert!(
-                    chosen.cost >= last_cost,
+                    chosen.cost * 101 >= last_cost * 100,
                     "{what}: a smaller budget got cheaper"
                 );
                 last_cost = chosen.cost;
@@ -274,6 +311,25 @@ fn picker_is_the_argmin_of_the_cost_model() {
         assert_eq!(stats.windows, shape.target_windows);
         assert_eq!(stats.buckets_per_window, 1 << (shape.window_bits - 1));
     }
+}
+
+/// The prover's unbounded plans as `(s, W, copies)`. On G2 the dense key's
+/// 513 finite B2 bases fold fully onto six copies; the bits key's 1 025
+/// stop at three, because the full fold would double the table for 91
+/// `FF_mul` units (0.03%) — past one chunk of rows a deeper fold only
+/// trades reductions for chunk merges. The G1 keys fold fully.
+#[test]
+fn prover_plan_shapes_are_pinned() {
+    fn shape<Cu: SwCurve>(n: usize) -> (u32, u32, u32) {
+        let s = msm_shape::<Cu>(n, &MsmConfig::glv_style(), None);
+        (s.window_bits, s.target_windows, s.copies)
+    }
+    assert_eq!(shape::<bls12_381::G2>(513), (11, 1, 6));
+    assert_eq!(shape::<bls12_381::G2>(1025), (11, 2, 3));
+    assert_eq!(shape::<bls12_381::G1>(1026), (12, 1, 11));
+    assert_eq!(shape::<bls12_381::G1>(513), (11, 1, 12));
+    assert_eq!(shape::<bls12_381::G1>(1024), (12, 1, 11));
+    assert_eq!(shape::<bls12_381::G1>(2047), (13, 1, 10));
 }
 
 /// The point of sizing the window for the folded table: the prover-sized
@@ -383,6 +439,9 @@ fn plan_handles_empty_and_zero() {
 #[test]
 fn budget_knob_walks_the_fig12_tradeoff() {
     // Smaller budgets → fewer copies → more reduced windows, monotonically.
+    // No slack for the picker's 1% band is needed: on these 128 rows one
+    // more reduced window costs ~3 650 `FF_mul` units of ~25 000, so the
+    // band never holds a shallower fold than the deepest that fits.
     let (points, scalars) = random_inputs::<bls12_381::G1>(64, 36);
     let pool = ThreadPool::with_threads(4);
     let expect = msm_serial(&points, &scalars);

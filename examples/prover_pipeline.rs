@@ -70,8 +70,9 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     let pk = setup::<Bls12381, _>(&cs, &mut rng);
     let mut session = ProverSession::new(pk);
     println!(
-        "session: domain 2^{}, plan `{}`",
+        "session: domain 2^{}, plans {:.2} MiB `{}`",
         session.domain_size().trailing_zeros(),
+        session.plan().storage_bytes() as f64 / (1024.0 * 1024.0),
         session.plan().algorithm()
     );
 
