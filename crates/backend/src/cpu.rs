@@ -1,14 +1,12 @@
-//! The reference CPU backend: real `zkp-msm`/`zkp-ntt` kernels on a
-//! `zkp-runtime` pool, bit-identical to the pre-backend prover.
+//! The reference CPU backend: every op's kernel, run as it is on a
+//! `zkp-runtime` pool.
 
-use crate::{witness_maps_into, BackendError, ExecBackend, G1Msm};
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{MsmConfig, MsmPlan, MsmScratch};
-use zkp_ntt::{ntt_parallel_on, scale_by_powers, TwiddleTable};
-use zkp_r1cs::ConstraintSystem;
+use crate::{BackendError, ExecBackend, Op};
+use zkp_curves::Bls12Config;
+use zkp_msm::MsmConfig;
 use zkp_runtime::ThreadPool;
 
-/// Executes every op with the real CPU kernels.
+/// Runs every op's kernel on its pool; never fails, records nothing.
 #[derive(Clone, Copy)]
 pub struct CpuBackend<'p> {
     pool: &'p ThreadPool,
@@ -41,57 +39,8 @@ impl<C: Bls12Config> ExecBackend<C> for CpuBackend<'_> {
         self.pool
     }
 
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        witness_maps_into(cs, domain_size, a, b, c);
+    fn run_op(&self, _op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError> {
+        kernel();
         Ok(())
-    }
-
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        ntt_parallel_on(values, table, false, self.pool);
-        Ok(())
-    }
-
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        ntt_parallel_on(values, table, true, self.pool);
-        Ok(())
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        scale_by_powers(self.pool, values, g, scale);
-        Ok(())
-    }
-
-    fn msm_g1(
-        &self,
-        _which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        Ok(plan.execute_in(scalars, self.pool, scratch).point)
-    }
-
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        Ok(plan.execute_in(scalars, self.pool, scratch).point)
     }
 }

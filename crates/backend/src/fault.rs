@@ -14,13 +14,10 @@
 //! `zkp-runtime` pool forwards them to the submitting call — and
 //! **delays** sleep before delegating.
 
-use crate::{BackendError, ExecBackend, ExecTrace, G1Msm};
+use crate::{BackendError, ExecBackend, ExecTrace, Op, OpKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{MsmPlan, MsmScratch};
-use zkp_ntt::TwiddleTable;
-use zkp_r1cs::ConstraintSystem;
+use zkp_curves::Bls12Config;
 use zkp_runtime::ThreadPool;
 
 /// SplitMix64 — the workspace's standalone deterministic hash, used for
@@ -183,8 +180,8 @@ pub struct InjectedFaults {
 
 /// An [`ExecBackend`] decorator that injects faults per a [`FaultPlan`].
 ///
-/// Every dispatched op consumes one index from an internal counter and
-/// asks the plan for a decision before delegating to the inner backend.
+/// Every op consumes one index from an internal counter and asks the plan
+/// for a decision before the inner backend's `run_op`.
 /// Values that *are* produced are always the inner backend's values — a
 /// fault either prevents the op or delays it, it never corrupts data, so
 /// proofs that survive injection must still be byte-correct.
@@ -227,9 +224,10 @@ impl<B> FaultInjectingBackend<B> {
     /// Claims the next op index and applies the plan's decision for it:
     /// `Err` for an injected error, a panic for an injected panic, a
     /// sleep (then `Ok`) for a delay.
-    fn gate(&self, stage: FaultStage, op: &'static str) -> Result<(), BackendError> {
+    fn gate(&self, kind: OpKind) -> Result<(), BackendError> {
         let index = self.ops.fetch_add(1, Ordering::Relaxed);
-        match self.plan.decide(stage, index) {
+        let op = kind.name();
+        match self.plan.decide(kind.fault_stage(), index) {
             None => Ok(()),
             Some(FaultKind::Error) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -265,60 +263,9 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for FaultInjectingBackend
         self.inner.take_trace()
     }
 
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::WitnessEval, "witness_eval")?;
-        self.inner.witness_eval(cs, domain_size, a, b, c)
-    }
-
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::Ntt, "ntt_forward")?;
-        self.inner.ntt_forward(table, values)
-    }
-
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        self.gate(FaultStage::Ntt, "ntt_inverse")?;
-        self.inner.ntt_inverse(table, values)
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        self.gate(FaultStage::Coset, "coset_mul")?;
-        self.inner.coset_mul(values, g, scale)
-    }
-
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        self.gate(FaultStage::MsmG1, "msm_g1")?;
-        self.inner.msm_g1(which, plan, scalars, scratch)
-    }
-
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        self.gate(FaultStage::MsmG2, "msm_g2")?;
-        self.inner.msm_g2(plan, scalars, scratch)
+    fn run_op(&self, op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError> {
+        self.gate(op.kind)?;
+        self.inner.run_op(op, kernel)
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! The prover in `zkp-groth16` is a *stage graph* — witness-map
 //! evaluation, the 7-transform quotient pipeline, four G1 MSMs and one G2
-//! MSM — and every heavy operation in it is issued through the
-//! [`ExecBackend`] trait defined here. Three implementations ship:
+//! MSM — and every heavy operation in it runs through [`dispatch`]: the
+//! prover hands each kernel, as an [`Op`], to the one hook of the
+//! [`ExecBackend`] trait defined here, [`ExecBackend::run_op`]. Three
+//! implementations ship:
 //!
-//! * [`CpuBackend`] — dispatches to the real `zkp-msm`/`zkp-ntt` kernels
-//!   on a `zkp-runtime` thread pool. Bit-identical to the pre-backend
-//!   prover at any thread count.
-//! * [`TracingBackend`] — a decorator that forwards to an inner backend
-//!   and records an [`ExecTrace`] (op kind, size, wall time) for
+//! * [`CpuBackend`] — runs the kernel on its `zkp-runtime` thread pool.
+//! * [`TracingBackend`] — a decorator that times the inner backend's
+//!   `run_op` and records an [`ExecTrace`] (op kind, size, wall time) for
 //!   per-stage breakdowns.
 //! * [`FaultInjectingBackend`] — a decorator that fails, panics or delays
 //!   ops per a seeded [`FaultPlan`].
@@ -34,10 +34,9 @@ pub mod trace;
 
 use gpu_sim::DeviceSpec;
 use std::time::Instant;
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
+use zkp_curves::Bls12Config;
 use zkp_ff::PrimeField;
-use zkp_msm::{MsmPlan, MsmScratch};
-use zkp_ntt::{Domain, QuotientOps, TwiddleTable};
+use zkp_ntt::{ntt_parallel_on, scale_by_powers, Domain, QuotientOps, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
 
@@ -55,7 +54,7 @@ pub type WitnessMaps<F> = (Vec<F>, Vec<F>, Vec<F>);
 
 /// Why a fallible backend operation did not complete.
 ///
-/// This is the typed error every [`ExecBackend`] op returns; it propagates
+/// This is the typed error every [`ExecBackend::run_op`] returns; it propagates
 /// up through `ProverSession::try_prove_in_on` to the proof service's
 /// retry loop instead of unwinding the worker thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,9 +62,10 @@ pub enum BackendError {
     /// The operation failed — an injected fault in tests/experiments, or
     /// a real device error in a hardware backend.
     OpFailed {
-        /// The op that failed (e.g. `"msm_g1"`, `"ntt_forward"`).
+        /// The op that failed ([`OpKind::name`], e.g. `"ntt_forward"`).
         op: &'static str,
-        /// The backend-local op index (dispatch order).
+        /// The backend-local op index (dispatch order); `u64::MAX` when
+        /// the backend skipped the kernel without numbering the op.
         index: u64,
         /// Backend-specific failure description.
         reason: String,
@@ -105,28 +105,37 @@ pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<
     }
 }
 
-/// The heavy-operation interface the prover dispatches through: two
-/// identity methods, one reporting hook, and six ops.
+/// One op as a backend hook sees it: what runs and at what size. The
+/// kernel is not part of it — a hook decides only whether, when and
+/// between what the kernel runs, never what it computes.
+pub struct Op<'a> {
+    /// What runs.
+    pub kind: OpKind,
+    /// Problem size in elements (MSM length, transform size or domain
+    /// size).
+    pub size: u64,
+    /// For MSMs, the plan's
+    /// [`MsmPlan::algorithm`](zkp_msm::MsmPlan::algorithm) tag. Lazy: a
+    /// run that records nothing never formats it, so it costs no
+    /// allocation.
+    pub tag: Option<&'a dyn Fn() -> String>,
+}
+
+/// The boundary the prover dispatches its heavy ops through: two identity
+/// methods, one reporting hook, and one op hook.
 ///
-/// Bases reach a backend only as an [`MsmPlan`]: the per-key plan built
-/// over the proving key's points (endomorphism images and window
-/// precompute cached across proofs), or the zero-budget plan a one-shot
-/// proof builds. The plan fixes the schedule, so every backend runs the
-/// same MSM and [`MsmPlan::algorithm`] names it.
-///
-/// Every op is fallible and threads caller-owned buffers, and none has a
-/// default body — a decorator has to forward each one, so it cannot drop
-/// the error channel or the scratch by omission.
-///
-/// Implementations must be schedule-deterministic: for a fixed input the
-/// returned values are bit-identical at any pool thread count (the work
-/// decomposition of every kernel is a pure function of problem shape).
+/// The prover owns every kernel and calls each one once, through
+/// [`dispatch`]; a backend only wraps it. [`run_op`](Self::run_op) sees
+/// the [`Op`] and a kernel it may run (or refuse to run, with an `Err`),
+/// so a backend can time, record, fail, delay or panic an op but never
+/// compute a different value, and never sees — so cannot drop — the
+/// op's buffers. The equivalence contract holds by construction.
 pub trait ExecBackend<C: Bls12Config>: Sync {
     /// Backend name for traces and reports (e.g. `"cpu"`,
     /// `"traced:cpu"`).
     fn name(&self) -> String;
 
-    /// The pool the prover's stage graph forks on. Backend ops run on the
+    /// The pool the prover's stage graph forks on. Kernels run on the
     /// same pool so nesting stays deadlock-free.
     fn pool(&self) -> &ThreadPool;
 
@@ -136,80 +145,14 @@ pub trait ExecBackend<C: Bls12Config>: Sync {
         ExecTrace::empty(self.name(), self.pool().num_threads())
     }
 
-    /// Evaluates the QAP witness maps over the (padded) domain into `a`,
-    /// `b`, `c` (cleared and refilled; capacity reused). Must agree with
-    /// [`witness_maps_into`].
+    /// Runs one op: calls `kernel` once and returns `Ok`, or returns the
+    /// `Err` that stops the op. Decorators wrap their inner backend's
+    /// `run_op`.
     ///
     /// # Errors
     ///
-    /// [`BackendError`] when the backend cannot complete the evaluation.
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError>;
-
-    /// Forward NTT over the table's domain, in place.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the transform fails.
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError>;
-
-    /// Inverse NTT *without* the `n⁻¹` scaling — the pipeline folds that
-    /// into the following [`coset_mul`](Self::coset_mul).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the transform fails.
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError>;
-
-    /// `values[i] *= gⁱ · scale` — the coset shift fused with the INTT's
-    /// `n⁻¹` scaling.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the scaling fails.
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError>;
-
-    /// One of the prover's four G1 MSMs: `plan`'s run over `scalars`.
-    /// A warmed `scratch` (one prior MSM of the same shape) makes the CPU
-    /// kernels allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the backend cannot complete the MSM.
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError>;
-
-    /// The G2 MSM (the one the paper notes runs on the CPU, §II-A):
-    /// `plan`'s run over `scalars`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the backend cannot complete the MSM.
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError>;
+    /// [`BackendError`] when the backend cannot complete the op.
+    fn run_op(&self, op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError>;
 }
 
 /// Delegation so decorators and the prover can hold backends by reference.
@@ -223,50 +166,34 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> ExecBackend<C> for &B {
     fn take_trace(&self) -> ExecTrace {
         (**self).take_trace()
     }
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        (**self).witness_eval(cs, domain_size, a, b, c)
+    fn run_op(&self, op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError> {
+        (**self).run_op(op, kernel)
     }
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        (**self).ntt_forward(table, values)
-    }
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        (**self).ntt_inverse(table, values)
-    }
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        (**self).coset_mul(values, g, scale)
-    }
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        (**self).msm_g1(which, plan, scalars, scratch)
-    }
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        (**self).msm_g2(plan, scalars, scratch)
-    }
+}
+
+/// Runs `kernel` as `op` through `backend`'s [`ExecBackend::run_op`] and
+/// returns its value: the one place a prover kernel runs.
+///
+/// # Errors
+///
+/// The hook's error, or [`BackendError::OpFailed`] if the hook returned
+/// `Ok` without running the kernel.
+pub fn dispatch<C: Bls12Config, B: ExecBackend<C> + ?Sized, T>(
+    backend: &B,
+    op: &Op<'_>,
+    kernel: impl FnOnce() -> T,
+) -> Result<T, BackendError> {
+    let (mut kernel, mut out) = (Some(kernel), None);
+    backend.run_op(op, &mut || {
+        if let Some(kernel) = kernel.take() {
+            out = Some(kernel());
+        }
+    })?;
+    out.ok_or_else(|| BackendError::OpFailed {
+        op: op.kind.name(),
+        index: u64::MAX,
+        reason: "the backend returned Ok without running the kernel".into(),
+    })
 }
 
 /// The prover-side QAP witness maps: `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` per
@@ -284,9 +211,8 @@ pub fn witness_maps<F: PrimeField>(cs: &ConstraintSystem<F>, domain_size: u64) -
 }
 
 /// The QAP witness maps into caller-owned buffers: clears and refills
-/// `a`, `b`, `c` (reusing their capacity). This is the reference every
-/// backend's `witness_eval` must agree with, and the allocation-free form
-/// the session hot path uses.
+/// `a`, `b`, `c` (reusing their capacity): the witness-eval kernel the
+/// prover dispatches, allocation-free once the buffers are warm.
 ///
 /// # Panics
 ///
@@ -321,11 +247,28 @@ pub fn witness_maps_into<F: PrimeField>(
 }
 
 /// [`QuotientOps`] through an [`ExecBackend`]: the transforms and coset
-/// scalings are backend ops, and every stage boundary checks `deadline`.
+/// scalings are dispatched ops, and every stage boundary checks `deadline`.
 struct BackendOps<'a, C: Bls12Config, B: ?Sized> {
     backend: &'a B,
     table: &'a TwiddleTable<C::Fr>,
     deadline: Option<Instant>,
+}
+
+impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> BackendOps<'_, C, B> {
+    /// Dispatches `kernel` over `values` as a `kind` op.
+    fn run(
+        &self,
+        kind: OpKind,
+        values: &mut [C::Fr],
+        kernel: impl FnOnce(&mut [C::Fr]),
+    ) -> Result<(), BackendError> {
+        let op = Op {
+            kind,
+            size: values.len() as u64,
+            tag: None,
+        };
+        dispatch(self.backend, &op, || kernel(values))
+    }
 }
 
 impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> QuotientOps<C::Fr> for BackendOps<'_, C, B> {
@@ -335,13 +278,19 @@ impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> QuotientOps<C::Fr> for BackendO
         self.backend.pool()
     }
     fn ntt_forward(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
-        self.backend.ntt_forward(self.table, values)
+        self.run(OpKind::NttForward, values, |v| {
+            ntt_parallel_on(v, self.table, false, self.pool())
+        })
     }
     fn ntt_inverse(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
-        self.backend.ntt_inverse(self.table, values)
+        self.run(OpKind::NttInverse, values, |v| {
+            ntt_parallel_on(v, self.table, true, self.pool())
+        })
     }
     fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        self.backend.coset_mul(values, g, scale)
+        self.run(OpKind::CosetMul, values, |v| {
+            scale_by_powers(self.pool(), v, g, scale)
+        })
     }
     fn checkpoint(&self, stage: &'static str) -> Result<(), BackendError> {
         check_deadline(self.deadline, stage)

@@ -1,7 +1,7 @@
 //! Execution traces: what a prover run actually did, op by op.
 //!
-//! Every [`ExecBackend`] implementation may record the heavy operations
-//! it dispatches as [`OpRecord`]s. A completed run yields an
+//! An [`ExecBackend`] may record the ops that run through it as
+//! [`OpRecord`]s. A completed run yields an
 //! [`ExecTrace`], and [`ExecTrace::summarize`] folds it into the
 //! per-stage breakdown the reports print — the paper's Fig. 5 runtime
 //! decomposition derived from a real execution rather than a closed-form
@@ -9,14 +9,11 @@
 //! inner backend. Records hold only what was measured: a simulated GPU
 //! prices them afterwards, when `summarize` is given a [`GpuCostModel`].
 
-use crate::{BackendError, ExecBackend, GpuCostModel};
+use crate::{BackendError, ExecBackend, FaultStage, GpuCostModel, Op};
 use gpu_kernels::LibraryId;
 use std::sync::Mutex;
 use std::time::Instant;
-use zkp_curves::{Bls12Config, G1Curve, G2Curve, Jacobian};
-use zkp_msm::{MsmPlan, MsmScratch};
-use zkp_ntt::TwiddleTable;
-use zkp_r1cs::ConstraintSystem;
+use zkp_curves::Bls12Config;
 use zkp_runtime::ThreadPool;
 
 /// Which of the prover's four G1 MSMs an op record belongs to.
@@ -66,6 +63,29 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The op's name in errors and fault reports (e.g. `"ntt_forward"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            OpKind::WitnessEval => "witness_eval",
+            OpKind::NttForward => "ntt_forward",
+            OpKind::NttInverse => "ntt_inverse",
+            OpKind::CosetMul => "coset_mul",
+            OpKind::MsmG1(_) => "msm_g1",
+            OpKind::MsmG2 => "msm_g2",
+        }
+    }
+
+    /// The stage a [`FaultPlan`](crate::FaultPlan) targets the op by.
+    pub(crate) fn fault_stage(&self) -> FaultStage {
+        match self {
+            OpKind::WitnessEval => FaultStage::WitnessEval,
+            OpKind::NttForward | OpKind::NttInverse => FaultStage::Ntt,
+            OpKind::CosetMul => FaultStage::Coset,
+            OpKind::MsmG1(_) => FaultStage::MsmG1,
+            OpKind::MsmG2 => FaultStage::MsmG2,
+        }
+    }
+
     /// Human-readable stage label used in report tables.
     pub fn stage(&self) -> &'static str {
         match self {
@@ -113,9 +133,8 @@ pub struct OpRecord {
     pub size: u64,
     /// Measured wall seconds of the actual CPU execution.
     pub wall_s: f64,
-    /// The plan's [`MsmPlan::algorithm`] tag for MSM ops (e.g.
-    /// `"glv+signed+xyzz+precomp(w=…,copies=1)"`); `None` for non-MSM ops
-    /// and backends that do not annotate.
+    /// The op's [`Op::tag`] — for MSMs the plan's algorithm (e.g.
+    /// `"glv+signed+xyzz+precomp(w=…,copies=1)"`); `None` for non-MSM ops.
     pub algo: Option<String>,
 }
 
@@ -235,8 +254,8 @@ impl TraceSummary {
     }
 }
 
-/// Forwards every op to an inner backend and appends an [`OpRecord`]
-/// (kind, size, measured wall seconds) for each op that completes.
+/// Runs every op through an inner backend and appends an [`OpRecord`]
+/// (kind, size, measured wall seconds, tag) for each op that completes.
 pub struct TracingBackend<B> {
     inner: B,
     records: Mutex<Vec<OpRecord>>,
@@ -254,30 +273,6 @@ impl<B> TracingBackend<B> {
     /// The wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// Runs `f` under a wall clock. A failed op leaves no record: the
-    /// trace describes work that was done.
-    fn time<T>(
-        &self,
-        kind: OpKind,
-        size: u64,
-        algo: Option<String>,
-        f: impl FnOnce() -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let start = Instant::now();
-        let out = f()?;
-        let wall_s = start.elapsed().as_secs_f64();
-        self.records
-            .lock()
-            .expect("trace lock poisoned")
-            .push(OpRecord {
-                kind,
-                size,
-                wall_s,
-                algo,
-            });
-        Ok(out)
     }
 }
 
@@ -299,71 +294,23 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
         }
     }
 
-    fn witness_eval(
-        &self,
-        cs: &ConstraintSystem<C::Fr>,
-        domain_size: u64,
-        a: &mut Vec<C::Fr>,
-        b: &mut Vec<C::Fr>,
-        c: &mut Vec<C::Fr>,
-    ) -> Result<(), BackendError> {
-        self.time(OpKind::WitnessEval, domain_size, None, || {
-            self.inner.witness_eval(cs, domain_size, a, b, c)
-        })
-    }
-
-    fn ntt_forward(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        let size = values.len() as u64;
-        self.time(OpKind::NttForward, size, None, || {
-            self.inner.ntt_forward(table, values)
-        })
-    }
-
-    fn ntt_inverse(
-        &self,
-        table: &TwiddleTable<C::Fr>,
-        values: &mut [C::Fr],
-    ) -> Result<(), BackendError> {
-        let size = values.len() as u64;
-        self.time(OpKind::NttInverse, size, None, || {
-            self.inner.ntt_inverse(table, values)
-        })
-    }
-
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        let size = values.len() as u64;
-        self.time(OpKind::CosetMul, size, None, || {
-            self.inner.coset_mul(values, g, scale)
-        })
-    }
-
-    fn msm_g1(
-        &self,
-        which: G1Msm,
-        plan: &MsmPlan<G1Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G1Curve<C>>,
-    ) -> Result<Jacobian<G1Curve<C>>, BackendError> {
-        let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
-        self.time(OpKind::MsmG1(which), size, algo, || {
-            self.inner.msm_g1(which, plan, scalars, scratch)
-        })
-    }
-
-    fn msm_g2(
-        &self,
-        plan: &MsmPlan<G2Curve<C>>,
-        scalars: &[C::Fr],
-        scratch: &mut MsmScratch<G2Curve<C>>,
-    ) -> Result<Jacobian<G2Curve<C>>, BackendError> {
-        let (size, algo) = (scalars.len() as u64, Some(plan.algorithm()));
-        self.time(OpKind::MsmG2, size, algo, || {
-            self.inner.msm_g2(plan, scalars, scratch)
-        })
+    /// Times the inner backend's `run_op`. A failed op leaves no record:
+    /// the trace describes work that was done.
+    fn run_op(&self, op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError> {
+        let start = Instant::now();
+        self.inner.run_op(op, kernel)?;
+        let wall_s = start.elapsed().as_secs_f64();
+        let record = OpRecord {
+            kind: op.kind,
+            size: op.size,
+            wall_s,
+            algo: op.tag.map(|tag| tag()),
+        };
+        self.records
+            .lock()
+            .expect("trace lock poisoned")
+            .push(record);
+        Ok(())
     }
 }
 

@@ -125,10 +125,16 @@ mod tests {
     #[test]
     fn one_bad_proof_fails_the_batch() {
         let mut rng = StdRng::seed_from_u64(3);
-        let (pk, mut batch) = make_batch(3, 4);
-        // Corrupt the middle proof's C component.
-        batch[1].0.c = Jacobian::from(batch[1].0.c).double().to_affine();
-        assert!(!verify_batch(&pk.vk, &batch, &mut rng));
+        let (pk, batch) = make_batch(3, 4);
+        // Corrupt one proof's C component, at every position.
+        for bad in 0..batch.len() {
+            let mut batch = batch.clone();
+            batch[bad].0.c = Jacobian::from(batch[bad].0.c).double().to_affine();
+            assert!(
+                !verify_batch(&pk.vk, &batch, &mut rng),
+                "bad proof at {bad}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@ use rand::Rng;
 use std::time::Instant;
 use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{
-    check_deadline, quotient_pipeline_in, BackendError, CpuBackend, ExecBackend, G1Msm,
+    check_deadline, dispatch, quotient_pipeline_in, witness_maps_into, BackendError, CpuBackend,
+    ExecBackend, G1Msm, Op, OpKind,
 };
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
@@ -291,7 +292,7 @@ pub fn prove<C: Bls12Config, R: Rng + ?Sized>(
 /// [`ProverSession::prove_in_on`](crate::ProverSession::prove_in_on) over
 /// the key's zero-budget [`ProverPlan`], a fresh twiddle table and
 /// throwaway scratch. Proof bytes are identical to the session's for the
-/// same `rng` stream, at any thread count, under any correct backend.
+/// same `rng` stream, at any thread count, under any backend.
 /// Drain a recording backend with [`ExecBackend::take_trace`] afterwards.
 ///
 /// # Panics
@@ -322,10 +323,11 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
 /// L), each of which fans out internally and runs over its `plan`. Every
 /// buffer is borrowed from `ws`, so with a warmed workspace and a prebuilt
 /// `plan` the success path allocates nothing. The proof is identical at
-/// any thread count *and under any correct backend* given the same `rng`
-/// stream, because the blinding factors are drawn before the graph is
-/// spawned and every backend op is schedule-deterministic. `deadline` is
-/// checked before every stage.
+/// any thread count *and under any backend* given the same `rng` stream,
+/// because the blinding factors are drawn before the graph is spawned,
+/// every kernel is schedule-deterministic, and every kernel is the
+/// prover's, [`dispatch`]ed once through the backend's hook. `deadline`
+/// is checked before every stage.
 ///
 /// After an `Err` the workspace remains usable: every buffer is cleared
 /// or refilled at the start of the next call.
@@ -366,13 +368,20 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let s = C::Fr::random(rng);
 
     check_deadline(deadline, "witness-eval")?;
-    backend.witness_eval(
-        cs,
-        domain.size(),
-        &mut ws.a_evals,
-        &mut ws.b_evals,
-        &mut ws.c_evals,
-    )?;
+    let witness_eval = Op {
+        kind: OpKind::WitnessEval,
+        size: domain.size(),
+        tag: None,
+    };
+    dispatch(backend, &witness_eval, || {
+        witness_maps_into(
+            cs,
+            domain.size(),
+            &mut ws.a_evals,
+            &mut ws.b_evals,
+            &mut ws.c_evals,
+        )
+    })?;
     let pool = backend.pool();
 
     let ProverWorkspace {
@@ -396,7 +405,13 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                   scalars: &[C::Fr],
                   scratch: &mut MsmScratch<G1Curve<C>>| {
         check_deadline(deadline, stage)?;
-        backend.msm_g1(which, plan.for_msm(which), scalars, scratch)
+        msm_op(
+            backend,
+            OpKind::MsmG1(which),
+            plan.for_msm(which),
+            scalars,
+            scratch,
+        )
     };
 
     // --- Task graph. ---
@@ -429,7 +444,7 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                             pool.join(
                                 || {
                                     check_deadline(deadline, "b2-msm")?;
-                                    backend.msm_g2(&plan.b2, z, g2)
+                                    msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2)
                                 },
                                 || g1_msm(G1Msm::L, "l-msm", priv_z, sl),
                             )
@@ -490,6 +505,26 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         domain_size: domain.size(),
     };
     Ok((proof, stats))
+}
+
+/// One MSM dispatched as a `kind` op: `plan`'s run over `scalars` on the
+/// backend's pool, tagged with the plan's algorithm.
+fn msm_op<C: Bls12Config, B: ExecBackend<C> + ?Sized, Cu: SwCurve>(
+    backend: &B,
+    kind: OpKind,
+    plan: &MsmPlan<Cu>,
+    scalars: &[Cu::Scalar],
+    scratch: &mut MsmScratch<Cu>,
+) -> Result<Jacobian<Cu>, BackendError> {
+    let tag = || plan.algorithm();
+    let op = Op {
+        kind,
+        size: scalars.len() as u64,
+        tag: Some(&tag),
+    };
+    dispatch(backend, &op, || {
+        plan.execute_in(scalars, backend.pool(), scratch).point
+    })
 }
 
 /// Verifies a proof against public inputs:

@@ -92,9 +92,8 @@ impl<F: PrimeField> Qap<F> {
     /// The prover-side evaluation vectors: `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` for
     /// every domain row, zero-padded to the domain size.
     ///
-    /// Delegates to [`zkp_backend::witness_maps`] — the reference
-    /// implementation every execution backend's `witness_eval` must agree
-    /// with.
+    /// Delegates to [`zkp_backend::witness_maps`], the allocating form of
+    /// the witness-eval kernel the prover dispatches.
     pub fn witness_maps(&self, cs: &ConstraintSystem<F>) -> (Vec<F>, Vec<F>, Vec<F>) {
         zkp_backend::witness_maps(cs, self.domain.size())
     }

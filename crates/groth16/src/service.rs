@@ -642,7 +642,8 @@ fn run_job<C: Bls12Config>(
         shared.enter_degraded();
     }
 
-    let deadline = job.deadline.map(|d| job.submitted + d);
+    // A deadline past what `Instant` can represent is no deadline.
+    let deadline = job.deadline.and_then(|d| job.submitted.checked_add(d));
     let attempts = shared.cfg.retry.max_retries.saturating_add(1);
     let mut panicked = false;
     let t0 = Instant::now();

@@ -118,7 +118,7 @@ impl<C: Bls12Config> ProverSession<C> {
     /// [`prove_in`](Self::prove_in) through an explicit execution
     /// backend. Proof bytes are identical to
     /// [`prove_with_backend`](crate::prove_with_backend) for the same
-    /// `rng` stream, at any thread count, under any correct backend.
+    /// `rng` stream, at any thread count, under any backend.
     ///
     /// # Panics
     ///

@@ -19,7 +19,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use zkp_backend::{
-    BackendError, CpuBackend, ExecBackend, FaultInjectingBackend, FaultPlan, TracingBackend,
+    BackendError, CpuBackend, ExecBackend, FaultInjectingBackend, FaultPlan, FaultStage, G1Msm, Op,
+    OpKind, TracingBackend,
 };
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
@@ -338,6 +339,115 @@ fn injected_error_is_an_err_under_either_decorator_nesting() {
 
     let fault_traced = FaultInjectingBackend::new(TracingBackend::new(CpuBackend::on(&pool)), plan);
     fails_at_op_3_then_recovers(&fault_traced, || fault_traced.ops_dispatched());
+}
+
+/// A hook that returns `Ok` for ops of one kind without running their
+/// kernel: a broken backend the prover must refuse, not trust.
+struct SkipsKernel<'p> {
+    inner: CpuBackend<'p>,
+    skip: OpKind,
+}
+
+impl ExecBackend<Bls12381> for SkipsKernel<'_> {
+    fn name(&self) -> String {
+        "skips-kernel".into()
+    }
+    fn pool(&self) -> &ThreadPool {
+        ExecBackend::<Bls12381>::pool(&self.inner)
+    }
+    fn run_op(&self, op: &Op<'_>, kernel: &mut dyn FnMut()) -> Result<(), BackendError> {
+        if op.kind == self.skip {
+            return Ok(());
+        }
+        ExecBackend::<Bls12381>::run_op(&self.inner, op, kernel)
+    }
+}
+
+/// A skipped kernel is an `Err`, never a panic and never a proof.
+#[test]
+fn a_hook_that_skips_the_kernel_is_an_err() {
+    let pool = ThreadPool::with_threads(1);
+    let cs = circuit(3);
+    for skip in [
+        OpKind::WitnessEval,
+        OpKind::NttInverse,
+        OpKind::CosetMul,
+        OpKind::NttForward,
+        OpKind::MsmG1(G1Msm::H),
+        OpKind::MsmG1(G1Msm::L),
+        OpKind::MsmG2,
+    ] {
+        let backend = SkipsKernel {
+            inner: CpuBackend::on(&pool),
+            skip,
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let err = session()
+            .fork()
+            .try_prove_in_on(&cs, &mut rng, &backend, None)
+            .expect_err("a skipped kernel yields no proof");
+        assert!(
+            matches!(err, BackendError::OpFailed { op, .. } if op == skip.name()),
+            "{skip:?}: {err}"
+        );
+    }
+}
+
+/// Every fault stage, end to end: a plan that fails only that stage's
+/// ops reports the first of them, by op name and dispatch index, where a
+/// traced run of the same proof places it.
+#[test]
+fn each_fault_stage_fails_its_first_op() {
+    let pool = ThreadPool::with_threads(1);
+    let cs = circuit(3);
+    let traced = TracingBackend::new(CpuBackend::on(&pool));
+    let mut rng = StdRng::seed_from_u64(11);
+    session()
+        .fork()
+        .try_prove_in_on(&cs, &mut rng, &traced, None)
+        .expect("no faults");
+    // One thread: completion order is dispatch order.
+    let kinds: Vec<OpKind> = ExecBackend::<Bls12381>::take_trace(&traced)
+        .records
+        .iter()
+        .map(|r| r.kind)
+        .collect();
+    assert_eq!(kinds.len(), 17);
+    // The expected stage and name of each kind, written out here: the
+    // backend's own mapping is what is under test.
+    let stage_and_name = |kind: OpKind| match kind {
+        OpKind::WitnessEval => (FaultStage::WitnessEval, "witness_eval"),
+        OpKind::NttForward => (FaultStage::Ntt, "ntt_forward"),
+        OpKind::NttInverse => (FaultStage::Ntt, "ntt_inverse"),
+        OpKind::CosetMul => (FaultStage::Coset, "coset_mul"),
+        OpKind::MsmG1(_) => (FaultStage::MsmG1, "msm_g1"),
+        OpKind::MsmG2 => (FaultStage::MsmG2, "msm_g2"),
+    };
+    for stage in [
+        FaultStage::WitnessEval,
+        FaultStage::Ntt,
+        FaultStage::Coset,
+        FaultStage::MsmG1,
+        FaultStage::MsmG2,
+    ] {
+        let first = kinds
+            .iter()
+            .position(|k| stage_and_name(*k).0 == stage)
+            .expect("stage traced");
+        let name = stage_and_name(kinds[first]).1;
+        let first = first as u64;
+        let plan = FaultPlan::new(5).only_stages(&[stage]).with_error_rate(1.0);
+        let backend = FaultInjectingBackend::new(CpuBackend::on(&pool), plan);
+        let mut rng = StdRng::seed_from_u64(11);
+        let err = session()
+            .fork()
+            .try_prove_in_on(&cs, &mut rng, &backend, None)
+            .expect_err("every op of the stage fails");
+        assert!(
+            matches!(err, BackendError::OpFailed { op, index, .. } if op == name && index == first),
+            "{stage:?}: expected {name} #{first}, got {err}"
+        );
+    }
 }
 
 /// Errors at ops 0, 1, and 2 kill all three attempts (each failed

@@ -1,14 +1,17 @@
 //! Property tests for the proof wire format: arbitrary valid proofs
-//! roundtrip byte-identically, and every class of invalid point encoding
-//! is rejected with the right [`DecodePointError`].
+//! roundtrip byte-identically, every class of invalid point encoding is
+//! rejected with the right [`DecodePointError`], and a real proof with
+//! one bit flipped never verifies.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
+use std::sync::OnceLock;
 use zkp_curves::bls12_381::Bls12381;
 use zkp_curves::codec::DecodePointError;
 use zkp_curves::{G1Curve, G2Curve, Jacobian, SwCurve};
-use zkp_ff::Field;
-use zkp_groth16::{Proof, PROOF_BYTES};
+use zkp_ff::{Field, Fr381};
+use zkp_groth16::{prove, setup, verify, Proof, VerifyingKey, PROOF_BYTES};
+use zkp_r1cs::circuits::squaring_chain;
 
 const G1_BYTES: usize = 48;
 const G2_BYTES: usize = 96;
@@ -28,6 +31,35 @@ fn proof_from_seed(seed: u64) -> Proof<Bls12381> {
         a: g1.mul_scalar(&Fr::random(&mut rng)).to_affine(),
         b: g2.mul_scalar(&Fr::random(&mut rng)).to_affine(),
         c: g1.mul_scalar(&Fr::random(&mut rng)).to_affine(),
+    }
+}
+
+/// A real proof of a small circuit, its bytes, its verifying key and its
+/// public inputs, built once for the binary.
+fn real_proof() -> &'static ([u8; PROOF_BYTES], VerifyingKey<Bls12381>, Vec<Fr381>) {
+    static REAL: OnceLock<([u8; PROOF_BYTES], VerifyingKey<Bls12381>, Vec<Fr381>)> =
+        OnceLock::new();
+    REAL.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(29);
+        let cs = squaring_chain(Fr381::from_u64(3), 6);
+        let pk = setup::<Bls12381, _>(&cs, &mut rng);
+        let (proof, _) = prove(&pk, &cs, &mut rng);
+        assert!(verify(&pk.vk, &proof, &cs.assignment.public));
+        (proof.to_bytes(), pk.vk, cs.assignment.public.clone())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_single_bit_flip_is_rejected_or_fails_verification(bit in 0..PROOF_BYTES * 8) {
+        let (bytes, vk, public) = real_proof();
+        let mut flipped = *bytes;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(proof) = Proof::<Bls12381>::from_bytes(&flipped) {
+            prop_assert!(!verify(vk, &proof, public), "bit {} flipped still verifies", bit);
+        }
     }
 }
 

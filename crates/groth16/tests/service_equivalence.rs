@@ -103,6 +103,22 @@ fn zero_deadline_jobs_expire_at_dequeue() {
     assert_eq!(stats.expired, 1);
 }
 
+/// A deadline too far to add to the submission instant means no deadline:
+/// the job proves, and the sole worker lives on to prove the next one.
+#[test]
+fn far_deadline_is_no_deadline() {
+    let session = session();
+    let service = ProofService::start(session, 1, 8);
+    let far = service
+        .submit_with_deadline(circuit(3), 1, Some(Duration::MAX))
+        .expect("queue has room");
+    let plain = service.submit(circuit(4), 2).expect("queue has room");
+    far.wait().expect("a far deadline does not stop the job");
+    plain.wait().expect("the worker survives the far deadline");
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 2);
+}
+
 #[test]
 fn admission_control_counts_rejections() {
     let session = session();

@@ -89,7 +89,7 @@ pub struct MsmStats {
     /// each under `φ`, two under `ψ`; zero when a plan's table holds them).
     pub endomorphism_muls: u64,
     /// Always 0 — no bucket representation inverts. Kept only because the
-    /// benchmark harness reads it (ROADMAP item 4 drops it).
+    /// benchmark harness reads it (ROADMAP item 1d drops it).
     pub batch_inversions: u64,
 }
 
