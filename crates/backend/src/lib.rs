@@ -14,25 +14,20 @@
 //! * [`FaultInjectingBackend`] — a decorator that fails, panics or delays
 //!   ops per a seeded [`FaultPlan`].
 //!
-//! A simulated GPU is not a backend: it is a [`GpuCostModel`] that prices
-//! a recorded trace ([`ExecTrace::summarize`]) with the calibrated
-//! `gpu-kernels` library models and the `gpu-sim` device/transfer model,
-//! so one real proof yields a modeled end-to-end GPU latency (the paper's
-//! runtime-breakdown tables, derived from an actual execution trace).
+//! A simulated GPU is not a backend: `zkprophet` prices a recorded trace
+//! ([`ExecTrace::summarize`] takes the per-record price from its caller),
+//! so this crate records and groups ops and models nothing.
 //!
 //! Dispatch is object-safe: the trait is generic over the curve
 //! configuration at the *trait* level, so `&dyn ExecBackend<C>` works and
-//! [`BackendSpec::build`] can hand back a boxed backend chosen at runtime
-//! from a spec string like `tracing` or `sim:a40:sppark`.
+//! a boxed backend can be chosen at runtime.
 
 #![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod fault;
-pub mod sim;
 pub mod trace;
 
-use gpu_sim::DeviceSpec;
 use std::time::Instant;
 use zkp_curves::Bls12Config;
 use zkp_ff::PrimeField;
@@ -42,11 +37,8 @@ use zkp_runtime::ThreadPool;
 
 pub use cpu::CpuBackend;
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultStage, InjectedFaults};
-pub use gpu_kernels::LibraryId;
-pub use sim::{cpu_op_seconds, GpuCostModel};
 pub use trace::{
-    ExecTrace, G1Msm, ModeledCost, OpClass, OpKind, OpRecord, StageRow, TraceSummary,
-    TracingBackend,
+    ExecTrace, G1Msm, OpClass, OpKind, OpRecord, StageRow, TraceSummary, TracingBackend,
 };
 
 /// The three QAP witness maps `(⟨A,z⟩, ⟨B,z⟩, ⟨C,z⟩)` over the domain.
@@ -336,80 +328,6 @@ pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     zkp_ntt::quotient_schedule(domain, &ops, a, b, c)
 }
 
-/// Parses a library name as the paper spells it (`"sppark"`, `"ymc"`, …).
-pub fn library_by_name(name: &str) -> Option<LibraryId> {
-    let all = [
-        LibraryId::Arkworks,
-        LibraryId::Bellperson,
-        LibraryId::Sppark,
-        LibraryId::Cuzk,
-        LibraryId::Yrrid,
-        LibraryId::Ymc,
-    ];
-    all.into_iter()
-        .find(|lib| lib.name().eq_ignore_ascii_case(name))
-}
-
-/// A parsed backend selection, e.g. from a `--backend` CLI flag.
-#[derive(Debug, Clone)]
-pub enum BackendSpec {
-    /// The plain CPU backend.
-    Cpu,
-    /// The CPU backend wrapped in a [`TracingBackend`].
-    Traced,
-    /// A simulated GPU: the traced CPU backend, whose trace the caller
-    /// prices with `GpuCostModel::for_library(device, msm_lib)`.
-    Sim {
-        /// Target device.
-        device: DeviceSpec,
-        /// Library whose MSM model charges the G1 MSMs. NTTs use the same
-        /// library when it has an NTT at the scale, else the best model.
-        msm_lib: LibraryId,
-    },
-}
-
-impl BackendSpec {
-    /// Parses `cpu`, `tracing`/`traced`, or `sim:<device>:<lib>` (library
-    /// optional, default `sppark`; device matched by name fragment against
-    /// the `gpu-sim` catalog, e.g. `a40`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let lower = spec.to_ascii_lowercase();
-        match lower.as_str() {
-            "cpu" => return Ok(BackendSpec::Cpu),
-            "tracing" | "traced" => return Ok(BackendSpec::Traced),
-            _ => {}
-        }
-        let Some(rest) = lower.strip_prefix("sim:") else {
-            return Err(format!(
-                "unknown backend '{spec}' (expected cpu, tracing, or sim:<device>[:<lib>])"
-            ));
-        };
-        let (device_name, lib_name) = match rest.split_once(':') {
-            Some((d, l)) => (d, l),
-            None => (rest, "sppark"),
-        };
-        if device_name.is_empty() {
-            return Err(format!("missing device in backend spec '{spec}'"));
-        }
-        let device = gpu_sim::device::by_name(device_name)
-            .ok_or_else(|| format!("unknown device '{device_name}' in backend spec '{spec}'"))?;
-        let msm_lib = library_by_name(lib_name)
-            .ok_or_else(|| format!("unknown library '{lib_name}' in backend spec '{spec}'"))?;
-        Ok(BackendSpec::Sim { device, msm_lib })
-    }
-
-    /// Builds the backend on the global thread pool: `tracing` and `sim:`
-    /// specs both run the traced CPU backend.
-    pub fn build<C: Bls12Config>(&self) -> Box<dyn ExecBackend<C>> {
-        match self {
-            BackendSpec::Cpu => Box::new(CpuBackend::global()),
-            BackendSpec::Traced | BackendSpec::Sim { .. } => {
-                Box::new(TracingBackend::new(CpuBackend::global()))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,32 +349,5 @@ mod tests {
         // Consistency rows carry the public inputs; padding is zero.
         assert!(a[cs.num_constraints()].is_one());
         assert!(a[rows..].iter().all(|x| x.is_zero()));
-    }
-
-    #[test]
-    fn spec_parses_the_three_families() {
-        assert!(matches!(BackendSpec::parse("cpu"), Ok(BackendSpec::Cpu)));
-        assert!(matches!(
-            BackendSpec::parse("tracing"),
-            Ok(BackendSpec::Traced)
-        ));
-        match BackendSpec::parse("sim:a40:ymc") {
-            Ok(BackendSpec::Sim { device, msm_lib }) => {
-                assert!(device.name.contains("A40"));
-                assert_eq!(msm_lib, LibraryId::Ymc);
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        // Library defaults to sppark.
-        match BackendSpec::parse("sim:l40") {
-            Ok(BackendSpec::Sim { msm_lib, .. }) => assert_eq!(msm_lib, LibraryId::Sppark),
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        assert!(BackendSpec::parse("gpu").is_err());
-        assert!(BackendSpec::parse("sim:nosuchdevice").is_err());
-        assert!(BackendSpec::parse("sim:a40:nosuchlib").is_err());
-        // An empty device fragment would match the catalog's first entry.
-        assert!(BackendSpec::parse("sim:").is_err());
-        assert!(BackendSpec::parse("sim::ymc").is_err());
     }
 }

@@ -4,13 +4,12 @@
 //! [`OpRecord`]s. A completed run yields an
 //! [`ExecTrace`], and [`ExecTrace::summarize`] folds it into the
 //! per-stage breakdown the reports print — the paper's Fig. 5 runtime
-//! decomposition derived from a real execution rather than a closed-form
-//! op count. [`TracingBackend`] is the decorator that records around any
-//! inner backend. Records hold only what was measured: a simulated GPU
-//! prices them afterwards, when `summarize` is given a [`GpuCostModel`].
+//! decomposition derived from a real execution. [`TracingBackend`] is the
+//! decorator that records around any inner backend. Records hold only
+//! what was measured; the caller of `summarize` decides what a record
+//! costs (its wall time, or a simulated GPU's price for it).
 
-use crate::{BackendError, ExecBackend, FaultStage, GpuCostModel, Op};
-use gpu_kernels::LibraryId;
+use crate::{BackendError, ExecBackend, FaultStage, Op};
 use std::sync::Mutex;
 use std::time::Instant;
 use zkp_curves::Bls12Config;
@@ -112,18 +111,6 @@ impl OpKind {
     }
 }
 
-/// Modeled cost of one op, as [`GpuCostModel::charge`] prices it.
-#[derive(Debug, Clone, Copy)]
-pub struct ModeledCost {
-    /// Modeled wall seconds on the target device.
-    pub seconds: f64,
-    /// The library model that produced the estimate, when one applies.
-    pub lib: Option<LibraryId>,
-    /// `true` if the op runs off the GPU critical path (the CPU-side G2
-    /// MSM, §II-A) and is therefore hidden rather than added.
-    pub overlapped: bool,
-}
-
 /// One recorded operation.
 #[derive(Debug, Clone)]
 pub struct OpRecord {
@@ -159,13 +146,11 @@ impl ExecTrace {
         }
     }
 
-    /// Folds the records into per-stage rows. With a `model`, every record
-    /// is charged at its size and the rows carry modeled device seconds and
-    /// the overlap flag; `None` leaves both zero.
-    pub fn summarize(&self, model: Option<&GpuCostModel>) -> TraceSummary {
+    /// Folds the records into per-stage rows, each record costing
+    /// `price(record)` seconds.
+    pub fn summarize(&self, price: impl Fn(&OpRecord) -> f64) -> TraceSummary {
         let mut rows: Vec<StageRow> = Vec::new();
         for rec in &self.records {
-            let charge = model.map(|m| m.charge(rec.kind, rec.size));
             let stage = rec.kind.stage();
             let row = match rows.iter_mut().find(|r| r.stage == stage) {
                 Some(r) => r,
@@ -175,19 +160,14 @@ impl ExecTrace {
                         class: rec.kind.class(),
                         calls: 0,
                         elements: 0,
-                        wall_s: 0.0,
-                        modeled_s: 0.0,
-                        overlapped: charge.is_some_and(|c| c.overlapped),
+                        seconds: 0.0,
                     });
                     rows.last_mut().expect("just pushed")
                 }
             };
             row.calls += 1;
             row.elements += rec.size;
-            row.wall_s += rec.wall_s;
-            if let Some(c) = charge {
-                row.modeled_s += c.seconds;
-            }
+            row.seconds += price(rec);
         }
         TraceSummary {
             backend: self.backend.clone(),
@@ -208,13 +188,9 @@ pub struct StageRow {
     pub calls: u32,
     /// Total elements processed.
     pub elements: u64,
-    /// Summed measured CPU wall seconds (CPU work, not elapsed time —
-    /// parallel stages overlap).
-    pub wall_s: f64,
-    /// Summed modeled device seconds (zero unless the trace was priced).
-    pub modeled_s: f64,
-    /// Whether this stage is hidden from the device critical path.
-    pub overlapped: bool,
+    /// Summed price of the row's records (for measured wall time: CPU
+    /// work, not elapsed time — parallel stages overlap).
+    pub seconds: f64,
 }
 
 /// Per-stage breakdown of one recorded run.
@@ -229,28 +205,9 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Total measured CPU work seconds.
-    pub fn wall_total_s(&self) -> f64 {
-        self.rows.iter().map(|r| r.wall_s).sum()
-    }
-
-    /// Modeled end-to-end device seconds: the sum of critical-path stages.
-    /// Overlapped stages (the CPU-side G2 MSM) contribute only if they
-    /// exceed the device work they hide behind.
-    pub fn modeled_end_to_end_s(&self) -> f64 {
-        let on_path: f64 = self
-            .rows
-            .iter()
-            .filter(|r| !r.overlapped)
-            .map(|r| r.modeled_s)
-            .sum();
-        let hidden: f64 = self
-            .rows
-            .iter()
-            .filter(|r| r.overlapped)
-            .map(|r| r.modeled_s)
-            .sum();
-        on_path.max(hidden)
+    /// Summed price of every record.
+    pub fn total_s(&self) -> f64 {
+        self.rows.iter().map(|r| r.seconds).sum()
     }
 }
 
@@ -317,7 +274,6 @@ impl<C: Bls12Config, B: ExecBackend<C>> ExecBackend<C> for TracingBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LibraryId;
 
     #[test]
     fn summary_groups_by_stage() {
@@ -336,55 +292,16 @@ mod tests {
                 rec(OpKind::MsmG1(G1Msm::A), 4, 0.5),
             ],
         };
-        let summary = trace.summarize(None);
+        let summary = trace.summarize(|r| r.wall_s);
         assert_eq!(summary.rows.len(), 2);
         let ntt = &summary.rows[0];
         assert_eq!(ntt.calls, 2);
         assert_eq!(ntt.elements, 16);
-        assert!((ntt.wall_s - 3.0).abs() < 1e-12);
-        assert!((summary.wall_total_s() - 3.5).abs() < 1e-12);
-        assert!(summary
-            .rows
-            .iter()
-            .all(|r| r.modeled_s == 0.0 && !r.overlapped));
-    }
-
-    #[test]
-    fn overlapped_stages_are_hidden_unless_dominant() {
-        let device = gpu_sim::device::by_name("a40").expect("a40 in catalog");
-        let model = GpuCostModel::for_library(device, LibraryId::Sppark);
-        let rec = |kind, size| OpRecord {
-            kind,
-            size,
-            wall_s: 0.0,
-            algo: None,
-        };
-        let g1 = OpKind::MsmG1(G1Msm::A);
-        // A 2^9 G2 MSM hides behind two 2^9 G1 MSMs; a 2^26 one dominates.
-        for (g2_size, dominant) in [(1 << 9, false), (1 << 26, true)] {
-            let trace = ExecTrace {
-                backend: "test".into(),
-                threads: 1,
-                records: vec![
-                    rec(g1, 1 << 9),
-                    rec(g1, 1 << 9),
-                    rec(OpKind::MsmG2, g2_size),
-                ],
-            };
-            let summary = trace.summarize(Some(&model));
-            for row in &summary.rows {
-                let charged: f64 = trace
-                    .records
-                    .iter()
-                    .filter(|r| r.kind.stage() == row.stage)
-                    .map(|r| model.charge(r.kind, r.size).seconds)
-                    .sum();
-                assert_eq!(row.modeled_s, charged, "{}", row.stage);
-                assert_eq!(row.overlapped, row.class == OpClass::G2Msm);
-            }
-            let (on_path, hidden) = (summary.rows[0].modeled_s, summary.rows[1].modeled_s);
-            assert_eq!(hidden > on_path, dominant);
-            assert_eq!(summary.modeled_end_to_end_s(), on_path.max(hidden));
-        }
+        assert!((ntt.seconds - 3.0).abs() < 1e-12);
+        assert!((summary.total_s() - 3.5).abs() < 1e-12);
+        // The caller's price, not the wall time, fills the rows.
+        let by_size = trace.summarize(|r| r.size as f64);
+        assert_eq!(by_size.rows[0].seconds, 16.0);
+        assert_eq!(by_size.total_s(), 20.0);
     }
 }

@@ -1,29 +1,13 @@
-//! The single home of the cross-layer calibration constants.
+//! The CPU baseline (arkworks on the dual EPYC 7742, §III-B) and the
+//! Pippenger work model.
 //!
-//! Three consumers need the same numbers: the analytical library models in
-//! [`crate::libraries`], the closed-form prover composition in
-//! `zkprophet::prover_model`, and the `GpuCostModel` of `zkp-backend`
-//! that prices a real execution trace. Keeping the CPU baseline and the
-//! Fig. 3 pipeline shape here means the model and the dispatchable prover
-//! can never drift apart.
-
-/// G1 MSMs on the GPU critical path of one proof (A, B₁, C/L — the
-/// H-query MSM is folded into the C cost in the closed-form model; the
-/// execution trace records it explicitly).
-pub const G1_MSMS: u32 = 3;
-/// NTT-shaped transforms in the `h` pipeline (Fig. 3).
-pub const NTTS: u32 = 7;
-/// A G2 point operation costs ~3× its G1 counterpart (Fq2 arithmetic).
-pub const G2_COST_FACTOR: f64 = 3.0;
+//! The analytical library models in [`crate::libraries`] count GPU MSM
+//! work with the Pippenger model. `zkprophet` reads the baseline in two
+//! places: its price list (`zkprophet::sim`, where a proof's ops are
+//! priced) and the per-kernel CPU columns of Tables II and III.
 
 /// CPU clock used for the calibrated baseline (EPYC 7742 boost-ish).
 pub const CPU_CLOCK_HZ: f64 = 2.25e9;
-
-/// Hardware threads of the paper's host (dual-socket EPYC 7742: 128
-/// cores, SMT-2). The CPU *baseline* below is single-threaded like the
-/// arkworks prover it calibrates, but the G2 MSM that deployments overlap
-/// with GPU work gets the whole host, so its hidden cost divides by this.
-pub const CPU_HOST_THREADS: f64 = 256.0;
 
 /// Table IV CPU multiply latency in cycles.
 pub const CPU_MUL_CYCLES: f64 = 402.0;

@@ -21,8 +21,7 @@ pub use catalog::{catalog, launch, Kernel};
 pub use ffprogs::{ff_program, FfOp};
 pub use field32::{join_limbs, split_limbs, Field32};
 pub use libraries::{
-    cpu_msm_seconds, cpu_ntt_seconds, kernel_costs, msm_estimate, ntt_estimate, KernelCosts,
-    LibraryId, PhaseEstimate,
+    kernel_costs, msm_estimate, ntt_estimate, KernelCosts, LibraryId, PhaseEstimate,
 };
 pub use microbench::{bench_ff_op, run_ff_op, FfInputs, FfOpReport};
 pub use optimized::{optimize_kernel, optimized_zoo, OptimizedKernel, OPT_WARPS};

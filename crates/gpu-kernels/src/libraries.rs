@@ -94,15 +94,27 @@ pub enum LibraryId {
 }
 
 impl LibraryId {
+    /// Every library, the CPU baseline first.
+    const ALL: [LibraryId; 6] = [
+        LibraryId::Arkworks,
+        LibraryId::Bellperson,
+        LibraryId::Sppark,
+        LibraryId::Cuzk,
+        LibraryId::Yrrid,
+        LibraryId::Ymc,
+    ];
+
     /// All GPU libraries.
     pub fn gpu_libraries() -> [LibraryId; 5] {
-        [
-            LibraryId::Bellperson,
-            LibraryId::Sppark,
-            LibraryId::Cuzk,
-            LibraryId::Yrrid,
-            LibraryId::Ymc,
-        ]
+        let [_, gpu @ ..] = Self::ALL;
+        gpu
+    }
+
+    /// The library a name spells (`"sppark"`, `"ymc"`, …; any case).
+    pub fn by_name(name: &str) -> Option<LibraryId> {
+        Self::ALL
+            .into_iter()
+            .find(|lib| lib.name().eq_ignore_ascii_case(name))
     }
 
     /// Display name (paper spelling).
@@ -324,18 +336,6 @@ pub fn ntt_estimate(lib: LibraryId, device: &DeviceSpec, log_n: u32) -> Option<P
         activity: 0.25 + 0.3 * eff.min(1.0) * 0.3,
     })
 }
-
-// ---------------------------------------------------------------------------
-// CPU baseline (arkworks on the dual EPYC 7742, §III-B)
-// ---------------------------------------------------------------------------
-
-// The CPU baseline and the Pippenger work model are calibration constants
-// shared with `zkprophet::prover_model` and `zkp-backend`'s simulated-GPU
-// backend; they live in [`crate::calibration`] so the consumers can never
-// drift, and are re-exported here for compatibility.
-pub use crate::calibration::{
-    cpu_msm_seconds, cpu_ntt_seconds, CPU_ADD_CYCLES, CPU_CLOCK_HZ, CPU_DBL_CYCLES, CPU_MUL_CYCLES,
-};
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_backend::cpu::default_msm_config;
-use zkp_backend::{CpuBackend, ExecBackend, GpuCostModel, LibraryId, OpKind, TracingBackend};
+use zkp_backend::{CpuBackend, ExecBackend, OpKind, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{
@@ -236,7 +236,7 @@ fn traced_run_records_the_whole_stage_graph() {
     assert!(verify(&pk.vk, &proof, &cs.assignment.public));
 
     assert_eq!(trace.records.len(), 1 + 7 + 4 + 4 + 1); // witness, NTTs, cosets, G1 MSMs, G2
-    let summary = trace.summarize(None);
+    let summary = trace.summarize(|r| r.wall_s);
     let count = |stage: &str| {
         summary
             .rows
@@ -289,32 +289,4 @@ fn traced_run_records_the_whole_stage_graph() {
     assert!(ExecBackend::<Bls12381>::take_trace(&backend)
         .records
         .is_empty());
-}
-
-#[test]
-fn sim_backend_charges_every_op_and_verifies() {
-    // A simulated-GPU run is a one-shot traced proof priced afterwards.
-    let (cs, pk) = fixture();
-    let device = gpu_sim::device::by_name("a40").expect("a40 in catalog");
-    let model = GpuCostModel::for_library(device, LibraryId::Sppark);
-    let backend = TracingBackend::new(CpuBackend::global());
-    let mut rng = StdRng::seed_from_u64(9);
-    let (proof, _) = prove_with_backend(&pk, &cs, &mut rng, &backend);
-    let trace = ExecBackend::<Bls12381>::take_trace(&backend);
-    assert!(verify(&pk.vk, &proof, &cs.assignment.public));
-    assert!(!trace.records.is_empty());
-    assert!(trace
-        .records
-        .iter()
-        .all(|r| model.charge(r.kind, r.size).seconds > 0.0));
-    let summary = trace.summarize(Some(&model));
-    let hidden: Vec<_> = summary
-        .rows
-        .iter()
-        .filter(|r| r.overlapped)
-        .map(|r| r.stage)
-        .collect();
-    assert_eq!(hidden, ["G2 MSM (B2)"]);
-    assert!(summary.modeled_end_to_end_s() > 0.0);
-    assert!(summary.wall_total_s() > 0.0);
 }

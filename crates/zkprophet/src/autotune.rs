@@ -7,8 +7,9 @@
 //! configuration that fits the device memory (Fig. 12), and a launch
 //! configuration within the occupancy limits (§IV-C4).
 
-use crate::prover_model::{best_msm, best_ntt, gpu_prover};
+use crate::prover_model::gpu_prover;
 use crate::report::{f, secs, Table};
+use crate::sim::GpuCostModel;
 use gpu_kernels::curveprogs::xyzz_madd_kernel;
 use gpu_kernels::field32::Field32;
 use gpu_kernels::libraries::LibraryId;
@@ -42,8 +43,9 @@ pub struct Recommendation {
 
 /// Produces a recommendation.
 pub fn recommend(device: &DeviceSpec, log_scale: u32) -> Recommendation {
-    let (msm_library, _) = best_msm(device, log_scale);
-    let (ntt_library, _) = best_ntt(device, log_scale + 1);
+    let gpu = GpuCostModel::best_of_breed(device.clone());
+    let (msm_library, _) = gpu.msm(log_scale);
+    let (ntt_library, _) = gpu.ntt(log_scale + 1);
 
     // Smallest window count whose table fits in 90% of device memory,
     // leaving room for buckets and working sets.
@@ -80,7 +82,7 @@ pub fn recommend(device: &DeviceSpec, log_scale: u32) -> Recommendation {
         precompute_gib: cost.storage_bytes as f64 / (1u64 << 30) as f64,
         launch,
         occupancy_pct: 100.0 * occ.theoretical,
-        predicted_seconds: gpu_prover(device, log_scale).total_s(),
+        predicted_seconds: gpu_prover(device, log_scale).critical_path_s(),
     }
 }
 

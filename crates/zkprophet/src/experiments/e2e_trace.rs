@@ -1,30 +1,29 @@
 //! Trace-derived end-to-end prover breakdown.
 //!
-//! Unlike the closed-form composition in [`crate::prover_model`] — which
-//! *assumes* the Fig. 3 op counts — this module runs a **real proof**
-//! through the tracing execution backend and derives the breakdown from
-//! the recorded trace: every MSM, transform, coset scaling, and witness
-//! evaluation the prover actually dispatched, priced per op by a
-//! [`GpuCostModel`] of the simulated device.
+//! This module runs a **real proof** through the tracing execution backend
+//! and prices the recorded trace — every MSM, transform, coset scaling,
+//! and witness evaluation the prover actually dispatched — per op with a
+//! [`GpuCostModel`] of the simulated device, through the same
+//! [`price`] sum that composes Figs. 1 and 5.
 //!
 //! Two artifacts come out:
 //!
 //! 1. A per-stage table of the traced proof (calls, sizes, measured CPU
 //!    wall time, modeled device time).
-//! 2. An Amdahl table across the paper's 2^15–2^26 scales: the traced op
-//!    *multiset* is rescaled to each target size and re-charged with the
-//!    per-scale best library models, so the MSM-dominant → NTT-bottleneck
-//!    shape (Fig. 5, §IV) falls out of an actual execution trace rather
-//!    than a hard-coded phase list.
+//! 2. An Amdahl table across the paper's 2^15–2^26 scales: [`gpu_prover`]
+//!    and [`cpu_prover_seconds`] of the op list the trace pins
+//!    (`prover_model`'s tests hold [`crate::canonical_ops`] to it), so the
+//!    MSM-dominant → NTT-bottleneck shape (Fig. 5, §IV) reads the numbers
+//!    Figs. 1 and 5 print, 2^k constraints on a 2^(k+1) domain.
 
+use crate::prover_model::{cpu_prover_seconds, gpu_prover, price};
 use crate::report::{f, secs, Table};
+use crate::sim::GpuCostModel;
 use gpu_kernels::LibraryId;
 use gpu_sim::device::DeviceSpec;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-use zkp_backend::{
-    cpu_op_seconds, CpuBackend, ExecBackend, ExecTrace, GpuCostModel, OpClass, TracingBackend,
-};
+use zkp_backend::{CpuBackend, ExecBackend, ExecTrace, OpClass, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{prove_with_backend, setup, verify};
@@ -35,7 +34,7 @@ use zkp_r1cs::circuits::mimc;
 /// every stage, small enough to prove for real inside a report run.
 pub const TRACE_ROUNDS: usize = 1023;
 
-/// The scales the Amdahl table extrapolates the trace to (paper range).
+/// The scales of the Amdahl table (paper range).
 pub const AMDAHL_SCALES: core::ops::RangeInclusive<u32> = 15..=26;
 
 /// One real proof, traced on the CPU backend.
@@ -83,7 +82,11 @@ pub fn traced_proof(device: &DeviceSpec, msm_lib: LibraryId) -> TracedProof {
 
 /// Renders the per-stage breakdown of a traced proof.
 pub fn render_trace_breakdown(tp: &TracedProof) -> String {
-    let summary = tp.trace.summarize(tp.model.as_ref());
+    let charge = |kind, size| tp.model.as_ref().map_or(0.0, |m| m.charge(kind, size));
+    let wall = tp.trace.summarize(|r| r.wall_s);
+    let modeled = tp.trace.summarize(|r| charge(r.kind, r.size));
+    let records = tp.trace.records.iter().map(|r| (r.kind, r.size));
+    let e2e = price(records, charge).critical_path_s();
     let priced = tp.model.as_ref().map_or(String::new(), |m| {
         let lib = m.msm_lib.map_or("best", |lib| lib.name());
         format!(" priced as sim:{}:{lib}", m.device.name)
@@ -92,8 +95,8 @@ pub fn render_trace_breakdown(tp: &TracedProof) -> String {
         &format!(
             "E2E trace: per-stage breakdown of one real proof on {}{priced} \
              ({} threads, proved in {}, verified: {})",
-            summary.backend,
-            summary.threads,
+            wall.backend,
+            wall.threads,
             secs(tp.measured_prove_s),
             tp.verified,
         ),
@@ -101,28 +104,29 @@ pub fn render_trace_breakdown(tp: &TracedProof) -> String {
             "Stage", "Calls", "Elems", "CPU wall", "Modeled", "Share %", "Hidden",
         ],
     );
-    let e2e = summary.modeled_end_to_end_s();
-    for row in &summary.rows {
-        let share = if row.overlapped || e2e == 0.0 {
+    for (w, m) in wall.rows.iter().zip(&modeled.rows) {
+        // The class `price` keeps off the critical path.
+        let hidden = m.class == OpClass::G2Msm;
+        let share = if hidden || e2e == 0.0 {
             0.0
         } else {
-            100.0 * row.modeled_s / e2e
+            100.0 * m.seconds / e2e
         };
         t.row(vec![
-            row.stage.into(),
-            row.calls.to_string(),
-            row.elements.to_string(),
-            secs(row.wall_s),
-            secs(row.modeled_s),
+            w.stage.into(),
+            w.calls.to_string(),
+            w.elements.to_string(),
+            secs(w.seconds),
+            secs(m.seconds),
             f(share),
-            if row.overlapped { "yes" } else { "" }.into(),
+            if hidden { "yes" } else { "" }.into(),
         ]);
     }
     t.row(vec![
         "end-to-end".into(),
         String::new(),
         String::new(),
-        secs(summary.wall_total_s()),
+        secs(wall.total_s()),
         secs(e2e),
         "100".into(),
         String::new(),
@@ -130,98 +134,12 @@ pub fn render_trace_breakdown(tp: &TracedProof) -> String {
     t.render()
 }
 
-/// One row of the trace-derived Amdahl table.
-#[derive(Debug, Clone)]
-pub struct AmdahlRow {
-    /// Target scale exponent.
-    pub log_n: u32,
-    /// Modeled G1 MSM seconds (best library per scale).
-    pub msm_s: f64,
-    /// Modeled NTT seconds (best library per scale).
-    pub ntt_s: f64,
-    /// Modeled residual seconds (witness eval + coset scalings).
-    pub residual_s: f64,
-    /// Host-side G2 seconds, overlapped with the GPU phases.
-    pub g2_hidden_s: f64,
-    /// Calibrated single-thread CPU baseline for the same op multiset.
-    pub cpu_s: f64,
-}
-
-impl AmdahlRow {
-    /// Modeled end-to-end seconds: critical path, with the overlapped G2
-    /// contributing only if it dominates.
-    pub fn total_s(&self) -> f64 {
-        (self.msm_s + self.ntt_s + self.residual_s).max(self.g2_hidden_s)
-    }
-
-    /// End-to-end speedup over the CPU baseline.
-    pub fn speedup(&self) -> f64 {
-        self.cpu_s / self.total_s()
-    }
-
-    /// MSM share of the critical path.
-    pub fn msm_fraction(&self) -> f64 {
-        self.msm_s / (self.msm_s + self.ntt_s + self.residual_s)
-    }
-
-    /// NTT share of the critical path (the Fig. 5 y-axis).
-    pub fn ntt_fraction(&self) -> f64 {
-        self.ntt_s / (self.msm_s + self.ntt_s + self.residual_s)
-    }
-}
-
-/// Rescales the traced op multiset to each target scale and re-charges it
-/// with the per-scale best library models — the plug-and-play composition
-/// of §V, driven by what the prover actually executed.
-pub fn amdahl_table(
-    device: &DeviceSpec,
-    trace: &ExecTrace,
-    scales: impl IntoIterator<Item = u32>,
-) -> Vec<AmdahlRow> {
-    // The traced domain anchors the rescaling: every op size scales by
-    // target_domain / traced_domain, preserving the multiset's shape
-    // (MSMs slightly under the domain, transforms exactly on it).
-    let traced_domain = trace
-        .records
-        .iter()
-        .filter(|r| r.kind.class() == OpClass::Ntt)
-        .map(|r| r.size)
-        .max()
-        .expect("trace contains NTT records");
-    let model = GpuCostModel::best_of_breed(device.clone());
-    scales
-        .into_iter()
-        .map(|log_n| {
-            let target = 1u64 << log_n;
-            let mut row = AmdahlRow {
-                log_n,
-                msm_s: 0.0,
-                ntt_s: 0.0,
-                residual_s: 0.0,
-                g2_hidden_s: 0.0,
-                cpu_s: 0.0,
-            };
-            for rec in &trace.records {
-                let scaled = (rec.size * target / traced_domain).max(1);
-                let charge = model.charge(rec.kind, scaled);
-                match rec.kind.class() {
-                    OpClass::G1Msm => row.msm_s += charge.seconds,
-                    OpClass::Ntt => row.ntt_s += charge.seconds,
-                    OpClass::Residual => row.residual_s += charge.seconds,
-                    OpClass::G2Msm => row.g2_hidden_s += charge.seconds,
-                }
-                row.cpu_s += cpu_op_seconds(rec.kind, scaled);
-            }
-            row
-        })
-        .collect()
-}
-
-/// Renders the Amdahl table.
-pub fn render_amdahl(device: &DeviceSpec, rows: &[AmdahlRow]) -> String {
+/// Renders the Amdahl table: the GPU prover against the CPU prover at
+/// every [`AMDAHL_SCALES`] scale.
+pub fn render_amdahl(device: &DeviceSpec) -> String {
     let mut t = Table::new(
         &format!(
-            "E2E trace: Amdahl extrapolation of the traced op multiset on {} \
+            "E2E: Amdahl table of the prover's op list on {} at 2^k constraints \
              (MSM-dominant at small scales; NTT becomes the bottleneck once \
              MSM is GPU-accelerated)",
             device.name
@@ -239,16 +157,18 @@ pub fn render_amdahl(device: &DeviceSpec, rows: &[AmdahlRow]) -> String {
             "NTT %",
         ],
     );
-    for r in rows {
+    for log_n in AMDAHL_SCALES {
+        let r = gpu_prover(device, log_n);
+        let cpu_s = cpu_prover_seconds(log_n);
         t.row(vec![
-            format!("2^{}", r.log_n),
+            format!("2^{log_n}"),
             secs(r.msm_s),
             secs(r.ntt_s),
             secs(r.residual_s),
             secs(r.g2_hidden_s),
-            secs(r.total_s()),
-            secs(r.cpu_s),
-            format!("{:.0}x", r.speedup()),
+            secs(r.critical_path_s()),
+            secs(cpu_s),
+            format!("{:.0}x", cpu_s / r.critical_path_s()),
             f(100.0 * r.msm_fraction()),
             f(100.0 * r.ntt_fraction()),
         ]);
@@ -257,25 +177,32 @@ pub fn render_amdahl(device: &DeviceSpec, rows: &[AmdahlRow]) -> String {
 }
 
 /// The full trace-derived section for [`super::full_report`]: runs one
-/// real proof on the simulated device and derives both tables from it.
+/// real proof on the simulated device and renders both tables.
 pub fn render_e2e_section(device: &DeviceSpec) -> String {
     let tp = traced_proof(device, LibraryId::Sppark);
-    let rows = amdahl_table(device, &tp.trace, AMDAHL_SCALES);
     let mut out = render_trace_breakdown(&tp);
     out += "\n";
-    out += &render_amdahl(device, &rows);
+    out += &render_amdahl(device);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProverBreakdown;
     use gpu_sim::device::a40;
 
     fn small_trace() -> TracedProof {
         // 255 rounds → 2^9 domain: cheap enough for a unit test, same
         // stage graph as the report's 2^11 run.
         traced_proof_with_rounds(&a40(), LibraryId::Sppark, 255)
+    }
+
+    /// The Amdahl table's rows: the GPU breakdown and the CPU seconds.
+    fn amdahl_rows() -> Vec<(ProverBreakdown, f64)> {
+        AMDAHL_SCALES
+            .map(|lg| (gpu_prover(&a40(), lg), cpu_prover_seconds(lg)))
+            .collect()
     }
 
     #[test]
@@ -289,18 +216,37 @@ mod tests {
             .filter(|r| r.kind.class() == OpClass::Ntt)
             .count();
         assert_eq!(ntts, 7, "the Fig. 3 pipeline has 7 transforms");
-        let summary = tp.trace.summarize(tp.model.as_ref());
-        assert!(summary.rows.iter().all(|r| r.modeled_s > 0.0));
+        // Every record is charged, every stage row is priced, and `price`
+        // hides exactly the G2 MSM.
+        let model = tp.model.as_ref().expect("priced on the a40");
+        let charge = |kind, size| model.charge(kind, size);
+        assert!(tp
+            .trace
+            .records
+            .iter()
+            .all(|r| charge(r.kind, r.size) > 0.0));
+        let modeled = tp.trace.summarize(|r| charge(r.kind, r.size));
+        assert!(modeled.rows.iter().all(|r| r.seconds > 0.0));
+        let hidden: Vec<_> = tp
+            .trace
+            .records
+            .iter()
+            .filter(|r| price([(r.kind, r.size)], charge).g2_hidden_s > 0.0)
+            .map(|r| r.kind.stage())
+            .collect();
+        assert_eq!(hidden, ["G2 MSM (B2)"]);
+        let records = tp.trace.records.iter().map(|r| (r.kind, r.size));
+        assert!(price(records, charge).critical_path_s() > 0.0);
+        assert!(tp.trace.summarize(|r| r.wall_s).total_s() > 0.0);
     }
 
     #[test]
     fn amdahl_shape_matches_the_paper_narrative() {
         // The acceptance shape: MSM dominates at 2^15; by 2^26 NTT is the
         // bottleneck of the accelerated prover (Fig. 5: up to ~91%).
-        let tp = small_trace();
-        let rows = amdahl_table(&a40(), &tp.trace, AMDAHL_SCALES);
-        let small = rows.first().expect("non-empty");
-        let large = rows.last().expect("non-empty");
+        let rows = amdahl_rows();
+        let (small, _) = rows.first().expect("non-empty");
+        let (large, _) = rows.last().expect("non-empty");
         assert!(
             small.msm_fraction() > small.ntt_fraction(),
             "MSM must dominate at 2^15: msm={} ntt={}",
@@ -318,23 +264,22 @@ mod tests {
     #[test]
     fn speedup_lands_in_the_paper_range() {
         // Fig. 1: end-to-end GPU speedups in the hundreds at scale.
-        let tp = small_trace();
-        let rows = amdahl_table(&a40(), &tp.trace, AMDAHL_SCALES);
-        let peak = rows.iter().map(AmdahlRow::speedup).fold(0.0f64, f64::max);
+        let speedups: Vec<f64> = amdahl_rows()
+            .iter()
+            .map(|(gpu, cpu_s)| cpu_s / gpu.critical_path_s())
+            .collect();
+        let peak = speedups.iter().copied().fold(0.0f64, f64::max);
         assert!((50.0..1000.0).contains(&peak), "peak speedup {peak}");
         // Speedup grows from small to large scales (the GPU amortizes).
-        assert!(rows.last().unwrap().speedup() > rows.first().unwrap().speedup());
+        assert!(speedups.last().unwrap() > speedups.first().unwrap());
     }
 
     #[test]
     fn g2_stays_hidden_behind_the_gpu_phases() {
-        let tp = small_trace();
-        let rows = amdahl_table(&a40(), &tp.trace, AMDAHL_SCALES);
-        for r in &rows {
+        for (lg, (r, _)) in AMDAHL_SCALES.zip(amdahl_rows()) {
             assert!(
                 r.g2_hidden_s < r.msm_s + r.ntt_s + r.residual_s,
-                "G2 must hide behind GPU work at 2^{}",
-                r.log_n
+                "G2 must hide behind GPU work at 2^{lg}"
             );
         }
     }

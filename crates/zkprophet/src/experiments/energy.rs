@@ -9,9 +9,9 @@
 //! calibration, documented in DESIGN.md; the *trends* — NTT's flat ~3×,
 //! MSM's growth to ~400× — emerge from the time models.
 
-use crate::prover_model::{best_msm, best_ntt};
 use crate::report::{f, Table};
-use gpu_kernels::libraries::{cpu_msm_seconds, cpu_ntt_seconds};
+use crate::sim::GpuCostModel;
+use gpu_kernels::calibration::{cpu_msm_seconds, cpu_ntt_seconds};
 use gpu_sim::device::DeviceSpec;
 use gpu_sim::energy::{cpu_energy_joules, epyc_7742_dual, gpu_energy_joules};
 
@@ -45,13 +45,14 @@ pub struct Table3Row {
 /// Reproduces Table III on a device.
 pub fn table3(device: &DeviceSpec) -> Vec<Table3Row> {
     let cpu = epyc_7742_dual();
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     PAPER_TABLE3
         .iter()
         .map(|&(lg, ..)| {
             // --- NTT ---
             let cpu_ntt_wall = cpu_ntt_seconds(lg) / CPU_NTT_PARALLEL_SPEEDUP;
             let e_cpu_ntt = cpu_energy_joules(&cpu, cpu_ntt_wall, 128);
-            let (_, ntt) = best_ntt(device, lg);
+            let (_, ntt) = gpu.ntt(lg);
             let e_gpu_ntt = gpu_energy_joules(
                 device,
                 ntt.seconds(),
@@ -61,7 +62,7 @@ pub fn table3(device: &DeviceSpec) -> Vec<Table3Row> {
 
             // --- MSM ---
             let e_cpu_msm = cpu_energy_joules(&cpu, cpu_msm_seconds(lg), 1);
-            let (_, msm) = best_msm(device, lg);
+            let (_, msm) = gpu.msm(lg);
             let wall = msm.seconds() + GPU_MSM_TAIL_S;
             let e_gpu_msm = gpu_energy_joules(device, wall, 0.0, 0.5) + 90.0 * wall;
 

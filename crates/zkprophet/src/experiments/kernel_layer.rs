@@ -1,9 +1,11 @@
 //! Kernel-layer experiments (§IV-A): Table II, Fig. 1, Fig. 5, Fig. 6,
 //! Fig. 7.
 
-use crate::prover_model::{best_msm, best_ntt, cpu_prover_seconds, gpu_prover};
+use crate::prover_model::{cpu_prover_seconds, gpu_prover};
 use crate::report::{f, secs, Table};
-use gpu_kernels::libraries::{cpu_msm_seconds, cpu_ntt_seconds, LibraryId};
+use crate::sim::GpuCostModel;
+use gpu_kernels::calibration::{cpu_msm_seconds, cpu_ntt_seconds};
+use gpu_kernels::LibraryId;
 use gpu_sim::device::DeviceSpec;
 
 /// The scales every kernel-layer experiment sweeps.
@@ -58,11 +60,12 @@ pub struct Table2Row {
 
 /// Reproduces Table II on a device.
 pub fn table2(device: &DeviceSpec) -> Vec<Table2Row> {
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     SCALES
         .iter()
         .map(|&lg| {
-            let (msm_lib, msm) = best_msm(device, lg);
-            let (ntt_lib, ntt) = best_ntt(device, lg);
+            let (msm_lib, msm) = gpu.msm(lg);
+            let (ntt_lib, ntt) = gpu.ntt(lg);
             Table2Row {
                 log_scale: lg,
                 msm_lib,
@@ -129,7 +132,7 @@ pub fn fig1(device: &DeviceSpec) -> Vec<Fig1Point> {
         .iter()
         .map(|&lg| Fig1Point {
             log_scale: lg,
-            speedup: cpu_prover_seconds(lg) / gpu_prover(device, lg).total_s(),
+            speedup: cpu_prover_seconds(lg) / gpu_prover(device, lg).critical_path_s(),
         })
         .collect()
 }
@@ -165,16 +168,18 @@ pub struct Fig5Row {
 
 /// Reproduces Fig. 5: execution-time breakdown into MSM and NTT.
 pub fn fig5(device: &DeviceSpec) -> Vec<Fig5Row> {
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     SCALES
         .iter()
         .map(|&lg| {
             let b = gpu_prover(device, lg);
             Fig5Row {
                 log_scale: lg,
-                msm_pct: 100.0 * (1.0 - b.ntt_fraction()),
+                msm_pct: 100.0 * b.msm_fraction(),
                 ntt_pct: 100.0 * b.ntt_fraction(),
-                msm_lib: b.msm_lib,
-                ntt_lib: b.ntt_lib,
+                // The A/B₁/L MSMs run at 2^lg, the transforms on 2^(lg+1).
+                msm_lib: gpu.msm(lg).0,
+                ntt_lib: gpu.ntt(lg + 1).0,
             }
         })
         .collect()
@@ -213,11 +218,12 @@ pub struct Fig6Row {
 /// Reproduces Fig. 6: kilo-instructions per second for the fastest MSM and
 /// NTT at each scale.
 pub fn fig6(device: &DeviceSpec) -> Vec<Fig6Row> {
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     SCALES
         .iter()
         .map(|&lg| {
-            let (_, msm) = best_msm(device, lg);
-            let (_, ntt) = best_ntt(device, lg);
+            let (_, msm) = gpu.msm(lg);
+            let (_, ntt) = gpu.ntt(lg);
             Fig6Row {
                 log_scale: lg,
                 msm_kips: msm.kips(),
@@ -259,16 +265,17 @@ pub struct Fig7Result {
 
 /// Reproduces Fig. 7.
 pub fn fig7(device: &DeviceSpec) -> Fig7Result {
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     let scales = [23u32, 24, 25, 26];
     let mut msm_c = 0.0;
     let mut msm_t = 0.0;
     let mut ntt_c = 0.0;
     let mut ntt_t = 0.0;
     for &lg in &scales {
-        let (_, m) = best_msm(device, lg);
+        let (_, m) = gpu.msm(lg);
         msm_c += m.time.compute_fraction();
         msm_t += m.time.transfer_fraction();
-        let (_, n) = best_ntt(device, lg);
+        let (_, n) = gpu.ntt(lg);
         ntt_c += n.time.compute_fraction();
         ntt_t += n.time.transfer_fraction();
     }
@@ -308,9 +315,10 @@ pub fn render_absolute_times(device: &DeviceSpec) -> String {
         "Absolute modeled kernel times (A40)",
         &["Scale", "CPU MSM", "GPU MSM", "CPU NTT", "GPU NTT"],
     );
+    let gpu = GpuCostModel::best_of_breed(device.clone());
     for &lg in &SCALES {
-        let (_, m) = best_msm(device, lg);
-        let (_, n) = best_ntt(device, lg);
+        let (_, m) = gpu.msm(lg);
+        let (_, n) = gpu.ntt(lg);
         t.row(vec![
             format!("2^{lg}"),
             secs(cpu_msm_seconds(lg)),

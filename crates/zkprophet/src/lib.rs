@@ -5,7 +5,9 @@
 //! functional ZKP layers (`zkp-ff` … `zkp-groth16`), the GPU simulator
 //! (`gpu-sim`), and the kernel/library models (`gpu-kernels`) into the
 //! paper's experiments — every table and figure of the evaluation — plus
-//! the §V autotuner the paper calls for.
+//! the §V autotuner the paper calls for. It is the one modelling crate:
+//! [`sim`] is the GPU price list and [`prover_model::price`] the one
+//! composition of a proof's cost.
 //!
 //! # Quickstart
 //!
@@ -25,6 +27,8 @@ pub mod autotune;
 pub mod experiments;
 pub mod prover_model;
 pub mod report;
+pub mod sim;
 
 pub use experiments::full_report;
-pub use prover_model::{best_msm, best_ntt, cpu_prover_seconds, gpu_prover, ProverBreakdown};
+pub use prover_model::{canonical_ops, cpu_prover_seconds, gpu_prover, price, ProverBreakdown};
+pub use sim::{BackendSpec, GpuCostModel};

@@ -27,14 +27,13 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-use zkp_backend::{BackendSpec, GpuCostModel};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_examples::device_from_args;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{setup, verify, ProverSession};
 use zkp_r1cs::circuits::mimc;
 use zkprophet::experiments::{e2e_trace, energy, kernel_layer, scaling};
-use zkprophet::full_report;
+use zkprophet::{full_report, BackendSpec};
 
 fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -57,9 +56,7 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
     });
     let backend = spec.build::<Bls12381>();
     let model = match &spec {
-        BackendSpec::Sim { device, msm_lib } => {
-            Some(GpuCostModel::for_library(device.clone(), *msm_lib))
-        }
+        BackendSpec::Sim(model) => Some(model.clone()),
         _ => None,
     };
     println!("backend: {}", backend.name());
@@ -147,9 +144,8 @@ fn run_backend_demo(spec_str: &str, mimc_rounds: usize, session_rounds: usize) {
         measured_prove_s,
     };
     println!("{}", e2e_trace::render_trace_breakdown(&tp));
-    if let Some(GpuCostModel { device, .. }) = &tp.model {
-        let rows = e2e_trace::amdahl_table(device, &tp.trace, e2e_trace::AMDAHL_SCALES);
-        println!("{}", e2e_trace::render_amdahl(device, &rows));
+    if let Some(model) = &tp.model {
+        println!("{}", e2e_trace::render_amdahl(&model.device));
     }
     if !verified {
         std::process::exit(1);
