@@ -7,6 +7,7 @@
 //! match it byte for byte. A simulated GPU is a traced run priced
 //! afterwards, so it proves nothing of its own.
 
+use gpu_kernels::LibraryId;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{CpuBackend, ExecBackend, OpKind, TracingBackend};
@@ -19,6 +20,7 @@ use zkp_msm::msm_with_config;
 use zkp_r1cs::circuits::mimc;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
+use zkprophet::{price, GpuCostModel};
 
 /// Hex of `Proof::to_bytes()` for the fixture below, captured from the
 /// prover *before* the backend refactor (same circuit, same seeds). The
@@ -289,4 +291,32 @@ fn traced_run_records_the_whole_stage_graph() {
     assert!(ExecBackend::<Bls12381>::take_trace(&backend)
         .records
         .is_empty());
+}
+
+#[test]
+fn sim_backend_charges_every_op_and_verifies() {
+    // A simulated-GPU run is a one-shot traced proof priced afterwards.
+    let (cs, pk) = fixture();
+    let device = gpu_sim::device::by_name("a40").expect("a40 in catalog");
+    let model = GpuCostModel::for_library(device, LibraryId::Sppark);
+    let charge = |kind, size| model.charge(kind, size);
+    let backend = TracingBackend::new(CpuBackend::global());
+    let mut rng = StdRng::seed_from_u64(9);
+    let (proof, _) = prove_with_backend(&pk, &cs, &mut rng, &backend);
+    let trace = ExecBackend::<Bls12381>::take_trace(&backend);
+    assert!(verify(&pk.vk, &proof, &cs.assignment.public));
+    assert!(!trace.records.is_empty());
+    assert!(trace.records.iter().all(|r| charge(r.kind, r.size) > 0.0));
+    let summary = trace.summarize(|r| charge(r.kind, r.size));
+    assert!(summary.rows.iter().all(|r| r.seconds > 0.0));
+    let hidden: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| price([(r.kind, r.size)], charge).g2_hidden_s > 0.0)
+        .map(|r| r.kind.stage())
+        .collect();
+    assert_eq!(hidden, ["G2 MSM (B2)"]);
+    let records = trace.records.iter().map(|r| (r.kind, r.size));
+    assert!(price(records, charge).critical_path_s() > 0.0);
+    assert!(trace.summarize(|r| r.wall_s).total_s() > 0.0);
 }
