@@ -12,8 +12,8 @@ pub struct CpuBackend<'p> {
     pool: &'p ThreadPool,
 }
 
-/// The fastest measured CPU configuration: endomorphism-split,
-/// signed-digit XYZZ buckets. Every prover plan is built under it.
+/// The fastest measured CPU configuration: endomorphism split and signed
+/// digits. Every prover plan is built under it.
 pub fn default_msm_config() -> MsmConfig {
     MsmConfig::glv_style()
 }

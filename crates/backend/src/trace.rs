@@ -121,7 +121,7 @@ pub struct OpRecord {
     /// Measured wall seconds of the actual CPU execution.
     pub wall_s: f64,
     /// The op's [`Op::tag`] — for MSMs the plan's algorithm (e.g.
-    /// `"glv+signed+xyzz+precomp(w=…,copies=1)"`); `None` for non-MSM ops.
+    /// `"glv+signed+precomp(w=…,copies=1)"`); `None` for non-MSM ops.
     pub algo: Option<String>,
 }
 

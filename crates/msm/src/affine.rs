@@ -2,11 +2,12 @@
 //! applied to Pippenger's buckets.
 //!
 //! One [`AffineBuckets`] serves one (window, chunk) task of the bucket
-//! engine: affine buckets, a batch of additions that share one inversion,
-//! a bounded queue for additions to buckets already in the batch, and XYZZ
-//! buckets for the hot ones. [`affine_window_sum`] folds a window's chunk
-//! tasks into its sum-of-sums. Which runs use it is the cost model's call
-//! (`Layout::cost` in `pippenger.rs`).
+//! engine, and is the engine's only bucket store: affine buckets, a batch
+//! of additions that share one inversion, a bounded queue for additions to
+//! buckets already in the batch, and XYZZ buckets for the hot ones. A task
+//! whose batch can never repay its inversion never batches and takes every
+//! addition into an occupied bucket by an XYZZ mixed addition.
+//! [`affine_window_sum`] folds a window's chunk tasks into its sum-of-sums.
 
 use crate::pippenger::{AFFINE_ADD_FF_MULS, INV_FF_MULS, MADD_FF_MULS};
 use zkp_curves::{Affine, SwCurve, Xyzz};
@@ -31,7 +32,7 @@ pub(crate) fn affine_batch_len(buckets: u64) -> u64 {
 
 /// Whether a batch of `len` affine additions saves more multiplications
 /// over XYZZ mixed additions than its inversion costs (at least 68).
-fn worth_a_batch(len: usize) -> bool {
+pub(crate) fn worth_a_batch(len: usize) -> bool {
     len as u64 * (MADD_FF_MULS - AFFINE_ADD_FF_MULS) >= INV_FF_MULS
 }
 
@@ -74,7 +75,9 @@ impl BucketAdd {
 /// `AFFINE_ADD_FF_MULS` multiplications plus a share of one inversion per
 /// batch. An addition to a bucket already in the batch waits in a bounded
 /// queue for the next batch. Affine buckets are canonical: the order the
-/// additions complete in cannot change a bucket's value.
+/// additions complete in cannot change a bucket's value. At so few buckets
+/// that even a full batch cannot repay its inversion, the task never
+/// batches: a bucket turns XYZZ at its second addition.
 #[derive(Default)]
 pub(crate) struct AffineBuckets<Cu: SwCurve> {
     /// Bucket values, read as `slots` says.
@@ -88,6 +91,8 @@ pub(crate) struct AffineBuckets<Cu: SwCurve> {
     prefix: Vec<Cu::Base>,
     /// Additions whose bucket is already in the batch.
     queue: Vec<BucketAdd>,
+    /// Whether a full batch repays its inversion at this bucket count.
+    batches: bool,
     /// Additions taken since the last reset.
     pub(crate) adds: u64,
     /// Batch inversions spent since the last reset.
@@ -97,18 +102,24 @@ pub(crate) struct AffineBuckets<Cu: SwCurve> {
 impl<Cu: SwCurve> AffineBuckets<Cu> {
     /// Empties the task for `buckets` buckets. Every buffer is reserved to
     /// its bound here, so a warm task allocates nothing whatever the digits.
+    /// A task that never batches leaves the batch buffers and the queue
+    /// unused, so it reserves none: the blinding MSMs run 43 such tasks.
     pub(crate) fn reset(&mut self, buckets: usize) {
         debug_assert!(self.batch.is_empty() && self.queue.is_empty());
         self.buckets.resize(buckets, Xyzz::identity());
         self.slots.clear();
         self.slots.resize(buckets, Slot::Empty);
         let cap = self.cap();
+        self.batches = worth_a_batch(cap);
+        (self.adds, self.flushes) = (0, 0);
+        if !self.batches {
+            return;
+        }
         self.prefix.clear();
         self.batch.reserve(cap);
         self.dens.reserve(cap);
         self.prefix.reserve(cap);
         self.queue.reserve(AFFINE_QUEUE);
-        (self.adds, self.flushes) = (0, 0);
     }
 
     fn cap(&self) -> usize {
@@ -142,6 +153,9 @@ impl<Cu: SwCurve> AffineBuckets<Cu> {
     /// Adds into a bucket that has nothing batched.
     fn schedule(&mut self, points: &[Affine<Cu>], add: BucketAdd) {
         let b = add.bucket as usize;
+        if !self.batches && self.slots[b] == Slot::Affine {
+            self.heat(b);
+        }
         let p = add.point(points);
         let bucket = &mut self.buckets[b];
         match self.slots[b] {
@@ -220,6 +234,14 @@ impl<Cu: SwCurve> AffineBuckets<Cu> {
         }
     }
 
+    /// Turns bucket `b`'s affine point into a hot XYZZ bucket, fed by
+    /// mixed additions from now on.
+    fn heat(&mut self, b: usize) {
+        let bucket = &mut self.buckets[b];
+        (bucket.zz, bucket.zzz) = (Cu::Base::one(), Cu::Base::one());
+        self.slots[b] = Slot::Xyzz;
+    }
+
     /// Takes every batched and waiting addition by an XYZZ mixed addition
     /// instead, which turns their buckets into XYZZ ones. (A waiting
     /// addition's bucket is always batched: a flush keeps no other.)
@@ -232,9 +254,7 @@ impl<Cu: SwCurve> AffineBuckets<Cu> {
             };
             let b = add.bucket as usize;
             if self.slots[b] == Slot::Batched {
-                let bucket = &mut self.buckets[b];
-                (bucket.zz, bucket.zzz) = (Cu::Base::one(), Cu::Base::one());
-                self.slots[b] = Slot::Xyzz;
+                self.heat(b);
             }
             self.schedule(points, add);
         }
@@ -349,7 +369,7 @@ pub(crate) mod tests {
         let n = 3 * AFFINE_QUEUE;
         let points = multiples::<G1>(n);
         let schedule = (0..n as u32).map(|r| add(0, r, r % 5 == 0)).collect();
-        let tasks = check(&points, 64, &[schedule]);
+        let tasks = check(&points, 128, &[schedule]);
         assert_eq!(tasks[0].slots[0], Slot::Xyzz);
         assert!(tasks[0].flushes <= 2, "{} inversions", tasks[0].flushes);
     }
@@ -369,7 +389,7 @@ pub(crate) mod tests {
         // P then −P straight away, then P again.
         let tasks = check(
             &points,
-            16,
+            128,
             &[vec![add(3, 9, false), add(3, 9, true), add(3, 9, false)]],
         );
         assert_eq!(tasks[0].slots[3], Slot::Affine);
@@ -378,14 +398,32 @@ pub(crate) mod tests {
     #[test]
     fn a_bucket_meets_the_same_point_twice() {
         let points = multiples::<G1>(16);
-        check(&points, 16, &[vec![add(3, 4, false), add(3, 4, false)]]);
-        check(&points, 16, &[vec![add(3, 4, true), add(3, 4, true)]]);
-        // 2G + 3G = 5G is batched; 5G waits, then doubles it.
-        check(
-            &points,
-            16,
-            &[vec![add(3, 1, false), add(3, 2, false), add(3, 4, false)]],
-        );
+        // At 16 buckets the XYZZ addition doubles, at 128 the affine one.
+        for buckets in [16, 128] {
+            check(
+                &points,
+                buckets,
+                &[vec![add(3, 4, false), add(3, 4, false)]],
+            );
+            check(&points, buckets, &[vec![add(3, 4, true), add(3, 4, true)]]);
+            // 2G + 3G = 5G is batched; 5G waits, then doubles it.
+            check(
+                &points,
+                buckets,
+                &[vec![add(3, 1, false), add(3, 2, false), add(3, 4, false)]],
+            );
+        }
+    }
+
+    #[test]
+    fn a_task_too_small_to_batch_never_inverts() {
+        // Even a full batch of 8 additions cannot repay an inversion, so
+        // every bucket turns XYZZ at its second addition.
+        let points = multiples::<G1>(500);
+        let schedule = (0..500u32).map(|r| add(r % 8, r, r % 3 == 0)).collect();
+        let tasks = check(&points, 8, &[schedule]);
+        assert_eq!(tasks[0].flushes, 0);
+        assert!(tasks[0].slots.iter().all(|s| *s == Slot::Xyzz));
     }
 
     #[test]

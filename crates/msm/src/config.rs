@@ -1,33 +1,24 @@
 //! MSM configuration knobs — the algorithmic choices that distinguish the
 //! GPU libraries the paper compares (§IV-A).
 
-/// Which point representation buckets are accumulated in (Table V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BucketRepr {
-    /// Jacobian projective buckets (`bellperson`, `cuZK`).
-    Jacobian,
-    /// XYZZ buckets — the cheaper mixed addition `sppark`/`ymc` use — or,
-    /// where the cost model prices them lower, batch-affine buckets
-    /// (§IV-D1b); the run's algorithm tag names the one that ran.
-    #[default]
-    Xyzz,
-}
-
 /// Configuration of a Pippenger MSM run.
+///
+/// Every run accumulates into the one bucket store, batch-affine buckets
+/// with XYZZ ones for hot buckets (`affine.rs`), so the knobs are the
+/// digit encoding, the window and the endomorphism split.
 ///
 /// # Examples
 ///
 /// ```
-/// use zkp_msm::{BucketRepr, MsmConfig};
+/// use zkp_msm::MsmConfig;
 /// let ymc_style = MsmConfig {
 ///     window_bits: Some(16),
 ///     signed_digits: true,
-///     bucket_repr: BucketRepr::Xyzz,
 ///     endomorphism: false,
 /// };
 /// assert!(ymc_style.signed_digits);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MsmConfig {
     /// Window size `s` in bits, `1..=20` (anything else panics when the
     /// run is laid out); `None` picks from `3..=16` by the crate's cost
@@ -37,8 +28,6 @@ pub struct MsmConfig {
     /// Signed-digit recoding, halving the bucket count (the endomorphism-
     /// style trick `ymc` uses, §IV-A).
     pub signed_digits: bool,
-    /// Bucket point representation.
-    pub bucket_repr: BucketRepr,
     /// Endomorphism split: write every scalar as `D` short subscalars and
     /// give every base `D` rows through the curve's cheap map — GLV's `φ`
     /// on BLS12 G1 (`D = 2`), `ψ` on G2 (`D = 4`); silently ignored on a
@@ -48,70 +37,35 @@ pub struct MsmConfig {
     pub endomorphism: bool,
 }
 
-impl Default for MsmConfig {
-    fn default() -> Self {
-        Self {
-            window_bits: None,
-            signed_digits: false,
-            bucket_repr: BucketRepr::Xyzz,
-            endomorphism: false,
-        }
-    }
-}
-
 impl MsmConfig {
-    /// Short human-readable algorithm tag (`"glv+signed+xyzz"`) for
-    /// traces and benchmark metadata.
-    pub fn describe(&self) -> String {
-        format!(
-            "{}{}{}",
-            if self.endomorphism { "glv+" } else { "" },
-            if self.signed_digits {
-                "signed+"
-            } else {
-                "unsigned+"
-            },
-            match self.bucket_repr {
-                BucketRepr::Jacobian => "jacobian",
-                BucketRepr::Xyzz => "xyzz",
-            },
-        )
-    }
-
-    /// The configuration `sppark` models: XYZZ buckets, unsigned — the
-    /// default (its bucket sorting is a GPU load-balancing detail with no
-    /// CPU counterpart).
+    /// The configuration `sppark` models: unsigned digits — the default
+    /// (its bucket sorting is a GPU load-balancing detail with no CPU
+    /// counterpart).
     pub fn sppark_style() -> Self {
         Self::default()
     }
 
-    /// The configuration `ymc`/`yrrid` model: XYZZ + signed digits.
+    /// The configuration `ymc`/`yrrid` model: signed digits.
     pub fn ymc_style() -> Self {
         Self {
-            window_bits: None,
             signed_digits: true,
-            bucket_repr: BucketRepr::Xyzz,
-            endomorphism: false,
+            ..Self::default()
         }
     }
 
-    /// The configuration `bellperson` models: Jacobian buckets, unsigned.
+    /// The configuration `bellperson` models on the CPU: unsigned digits
+    /// through the one bucket accumulator. Its Jacobian buckets live only
+    /// in `gpu-kernels`' library model.
     pub fn bellperson_style() -> Self {
-        Self {
-            window_bits: None,
-            signed_digits: false,
-            bucket_repr: BucketRepr::Jacobian,
-            endomorphism: false,
-        }
+        Self::default()
     }
 
-    /// Endomorphism split + signed-digit XYZZ buckets — the fastest CPU
-    /// configuration measured on BLS12 G1 and G2 (§IV-D).
+    /// Endomorphism split + signed digits — the fastest CPU configuration
+    /// measured on BLS12 G1 and G2 (§IV-D).
     pub fn glv_style() -> Self {
         Self {
             window_bits: None,
             signed_digits: true,
-            bucket_repr: BucketRepr::Xyzz,
             endomorphism: true,
         }
     }

@@ -6,13 +6,12 @@
 //!
 //! * [`msm`] / [`msm_with_config`] / [`msm_parallel_with_config_in`] —
 //!   Pippenger's bucket algorithm (Fig. 4a) with the algorithmic options
-//!   that differentiate the studied libraries ([`MsmConfig`]): bucket
-//!   representation (Jacobian, or XYZZ — which runs XYZZ or batch-affine
-//!   buckets, whichever the cost model prices lower), signed-digit recoding,
-//!   window sizing, and the endomorphism split on curves that expose one
-//!   (`D` short subscalars per scalar over `[P…, map(P)…, …]`: GLV's `φ`,
-//!   `D = 2`, on BLS12 G1; `ψ`, `D = 4`, on G2). Bases at infinity get no
-//!   table rows. [`msm_parallel`] is the same on a transient pool.
+//!   that differentiate the studied libraries ([`MsmConfig`]):
+//!   signed-digit recoding, window sizing, and the endomorphism split on
+//!   curves that expose one (`D` short subscalars per scalar over
+//!   `[P…, map(P)…, …]`: GLV's `φ`, `D = 2`, on BLS12 G1; `ψ`, `D = 4`, on
+//!   G2). Bases at infinity get no table rows. [`msm_parallel`] is the same
+//!   on a transient pool.
 //! * [`MsmPlan`] — a per-base-set plan caching the endomorphism images and
 //!   the Fig. 12 window precompute for bases reused across proofs (the
 //!   Groth16 proving key); [`PrecomputedPoints`] is the same table with
@@ -22,9 +21,10 @@
 //!
 //! There is one front door: every MSM is a *plan run* — a layout (how
 //! digits fold onto a table of shifted point copies), one scalar→digit
-//! recoder, one bucket engine. A one-shot MSM is the single-copy layout
-//! over the caller's finite points, so it equals a zero-budget [`MsmPlan`] bit for
-//! bit; see `docs/msm.md`.
+//! recoder, one bucket engine over batch-affine buckets (the Montgomery
+//! trick of §IV-D1b, with XYZZ buckets for hot ones). A one-shot MSM is
+//! the single-copy layout over the caller's finite points, so it equals a
+//! zero-budget [`MsmPlan`] bit for bit; see `docs/msm.md`.
 //!
 //! # Examples
 //!
@@ -50,7 +50,7 @@ mod pippenger;
 mod plan;
 
 pub use affine::AFFINE_BATCH;
-pub use config::{BucketRepr, MsmConfig};
+pub use config::MsmConfig;
 pub use fixed_base::FixedBase;
 pub use pippenger::{
     msm, msm_parallel, msm_parallel_with_config, msm_parallel_with_config_in, msm_serial,

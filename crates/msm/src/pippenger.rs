@@ -46,18 +46,19 @@
 //!
 //! Every MSM runs on a [`zkp_runtime::ThreadPool`] over a task grid of
 //! `windows × chunks`: each task accumulates one window's buckets over one
-//! contiguous chunk of the input, per-chunk partial buckets are merged
-//! bucket-wise *before* the sum-of-sums, and the window reduction happens
-//! exactly once. (The previous scheme ran a complete Pippenger per chunk
-//! and paid the `2·2^s` bucket reduction plus `s·w` doublings again in
-//! every chunk.) The grid shape is a pure function of the problem size —
-//! never the thread count — so the computation DAG, the resulting point,
-//! and the [`MsmStats`] are bit-identical at any pool width.
+//! contiguous chunk of the input into batch-affine buckets
+//! ([`AffineBuckets`], `affine.rs` — the one bucket store), every chunk's
+//! partial buckets fold into one running sum-of-sums per window, and the
+//! window reduction happens exactly once. (The previous scheme ran a
+//! complete Pippenger per chunk and paid the `2·2^s` bucket reduction plus
+//! `s·w` doublings again in every chunk.) The grid shape is a pure function
+//! of the problem size — never the thread count — so the computation DAG,
+//! the resulting point, and the [`MsmStats`] are bit-identical at any pool
+//! width.
 
-use crate::affine::{affine_batch_len, affine_window_sum, AffineBuckets, BucketAdd};
-use crate::config::{BucketRepr, MsmConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
-use zkp_curves::{Affine, Endomorphism, Jacobian, SwCurve, Xyzz};
+use crate::affine::{affine_batch_len, affine_window_sum, worth_a_batch, AffineBuckets, BucketAdd};
+use crate::config::MsmConfig;
+use zkp_curves::{Affine, Endomorphism, Jacobian, SwCurve};
 use zkp_ff::glv::GlvScalar;
 use zkp_ff::PrimeField;
 use zkp_runtime::ThreadPool;
@@ -65,7 +66,7 @@ use zkp_runtime::ThreadPool;
 /// Execution statistics of one MSM, consumed by the GPU kernel models.
 ///
 /// Counters describe the canonical serial Pippenger schedule (one bucket
-/// array per window); the chunk-merge additions the parallel engine
+/// array per window); the chunk-fold additions the parallel engine
 /// performs are an implementation detail and are excluded, which is what
 /// keeps the stats identical at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,10 +90,10 @@ pub struct MsmStats {
     /// endomorphism (`D − 1` images per finite base, one multiplication
     /// each under `φ`, two under `ψ`; zero when a plan's table holds them).
     pub endomorphism_muls: u64,
-    /// Field inversions of the batch-affine accumulator: one per flushed
-    /// batch of bucket additions (0 under XYZZ or Jacobian buckets). A
-    /// bucket that meets the same point twice pays one more for its
-    /// doubling, which is not counted here.
+    /// Field inversions of the batch-affine buckets: one per flushed batch
+    /// of bucket additions (0 where a batch cannot repay its inversion, as
+    /// in a 1-point MSM). A bucket that meets the same point twice pays one
+    /// more for its doubling, which is not counted here.
     pub batch_inversions: u64,
 }
 
@@ -129,50 +130,6 @@ pub(crate) fn check_window_bits(window_bits: u32) {
         (1..=MAX_WINDOW_BITS).contains(&window_bits),
         "window bits must be in 1..={MAX_WINDOW_BITS}, got {window_bits}"
     );
-}
-
-/// Generic bucket accumulator abstracting the point representation
-/// (Jacobian vs XYZZ — the choice `sppark` made for its speedups, §IV-A).
-///
-/// Implemented directly on the point types so the reusable bucket arenas
-/// in [`MsmScratch`] are plain `Vec<Jacobian>` / `Vec<Xyzz>`. Method
-/// names avoid the inherent `add`/`add_affine` so call sites stay
-/// unambiguous.
-trait Accumulator<Cu: SwCurve>: Clone + Send + Sync {
-    fn acc_identity() -> Self;
-    fn acc_affine(&mut self, p: &Affine<Cu>);
-    fn acc_merge(&mut self, other: &Self);
-    fn into_jacobian(self) -> Jacobian<Cu>;
-}
-
-impl<Cu: SwCurve> Accumulator<Cu> for Jacobian<Cu> {
-    fn acc_identity() -> Self {
-        Jacobian::identity()
-    }
-    fn acc_affine(&mut self, p: &Affine<Cu>) {
-        *self = self.add_affine(p);
-    }
-    fn acc_merge(&mut self, other: &Self) {
-        *self = self.add(other);
-    }
-    fn into_jacobian(self) -> Jacobian<Cu> {
-        self
-    }
-}
-
-impl<Cu: SwCurve> Accumulator<Cu> for Xyzz<Cu> {
-    fn acc_identity() -> Self {
-        Xyzz::identity()
-    }
-    fn acc_affine(&mut self, p: &Affine<Cu>) {
-        *self = self.add_affine(p);
-    }
-    fn acc_merge(&mut self, other: &Self) {
-        *self = self.add(other);
-    }
-    fn into_jacobian(self) -> Jacobian<Cu> {
-        self.to_jacobian()
-    }
 }
 
 /// The `bits`-wide window of a little-endian magnitude starting at bit
@@ -244,9 +201,10 @@ fn buckets_for(window_bits: u32, signed: bool) -> u64 {
     }
 }
 
-/// Input chunks per window. A chunk costs one bucket-wise merge
-/// (`2^s` PADDs), so chunks are only opened once the per-window
-/// accumulation work dwarfs that; the cap bounds partial-bucket memory.
+/// Input chunks per window. A chunk costs one more addition per bucket in
+/// the sum-of-sums (`2^s` PADDs), so chunks are only opened once the
+/// per-window accumulation work dwarfs that; the cap bounds partial-bucket
+/// memory.
 /// Purely a function of problem shape — never thread count — so results
 /// stay bit-identical across pool widths.
 fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
@@ -258,32 +216,22 @@ fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
 // Reusable scratch state
 // ---------------------------------------------------------------------------
 
-/// Bucket-engine arenas: one flat task-major bucket arena per projective
-/// representation and one batch-affine accumulator per task. Block (or
-/// accumulator) `t` holds the `buckets_per_window` buckets of task
-/// `t = win·chunks + chunk`, so one window's chunk partials are contiguous;
-/// after the reduction pass, bucket 0 of a window's first task holds that
-/// window's sum-of-sums.
-#[derive(Default)]
-struct EngineScratch<Cu: SwCurve> {
-    jac: Vec<Jacobian<Cu>>,
-    xyzz: Vec<Xyzz<Cu>>,
-    affine: Vec<AffineBuckets<Cu>>,
-}
-
 /// Reusable scratch memory for one MSM call site.
 ///
 /// Every transient buffer an MSM needs — both digit matrices, the
 /// subscalars, the one-shot table of finite bases and their images with
-/// its row → scalar index, bucket arenas — lives here and is reused run to
-/// run, so a warmed
-/// scratch makes [`msm_parallel_with_config_in`] /
+/// its row → scalar index, the bucket tasks — lives here and is reused run
+/// to run, so a warmed scratch makes [`msm_parallel_with_config_in`] /
 /// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
 /// steady state. Buffers only ever grow; results are bit-identical to the
 /// scratch-free entry points.
 #[derive(Default)]
 pub struct MsmScratch<Cu: SwCurve> {
-    engine: EngineScratch<Cu>,
+    /// One bucket task per (window, chunk), task-major: task
+    /// `t = win·chunks + chunk`, so one window's chunk partials are
+    /// contiguous; after the reduction pass, bucket 0 of a window's first
+    /// task holds that window's sum-of-sums.
+    tasks: Vec<AffineBuckets<Cu>>,
     /// `ppc × w`: every (sub)scalar's digits over its full window count.
     full_digits: Vec<i32>,
     /// `(copies·ppc) × W`: `full_digits` folded onto the table's copies.
@@ -302,7 +250,7 @@ impl<Cu: SwCurve> MsmScratch<Cu> {
 }
 
 // ---------------------------------------------------------------------------
-// The shared bucket engine
+// The bucket engine
 // ---------------------------------------------------------------------------
 
 /// A fully prepared bucket-engine problem: points paired row-for-row with a
@@ -318,21 +266,6 @@ struct EngineInput<'a, Cu: SwCurve> {
     pub windows: u32,
     /// Buckets per window.
     pub buckets_per_window: u64,
-}
-
-/// Dispatches the engine over the layout's bucket accumulator, reusing
-/// `scratch`'s arenas.
-fn run_bucket_engine_in<Cu: SwCurve>(
-    buckets: Buckets,
-    inp: EngineInput<'_, Cu>,
-    pool: &ThreadPool,
-    scratch: &mut EngineScratch<Cu>,
-) -> MsmOutput<Cu> {
-    match buckets {
-        Buckets::Jacobian => bucket_engine_in(inp, pool, &mut scratch.jac),
-        Buckets::Xyzz => bucket_engine_in(inp, pool, &mut scratch.xyzz),
-        Buckets::Affine => affine_engine_in(inp, pool, &mut scratch.affine),
-    }
 }
 
 /// Window reduction (serial; Fig. 4a bottom): Horner over 2^s, from the
@@ -351,108 +284,10 @@ fn horner<Cu: SwCurve>(
     acc
 }
 
-/// The canonical counters of one engine run.
-fn engine_stats(
-    inp: &EngineInput<'_, impl SwCurve>,
-    accumulation_padds: u64,
-    batch_inversions: u64,
-) -> MsmStats {
-    let (s, w) = (u64::from(inp.window_bits), u64::from(inp.windows));
-    MsmStats {
-        accumulation_padds,
-        reduction_padds: 2 * inp.buckets_per_window * w,
-        window_padds: w,
-        window_pdbls: s * w,
-        windows: inp.windows,
-        buckets_per_window: inp.buckets_per_window,
-        batch_inversions,
-        ..MsmStats::default()
-    }
-}
-
-fn bucket_engine_in<Cu: SwCurve, Acc: Accumulator<Cu>>(
-    inp: EngineInput<'_, Cu>,
-    pool: &ThreadPool,
-    arena: &mut Vec<Acc>,
-) -> MsmOutput<Cu> {
-    let n = inp.points.len();
-    let (s, w, buckets_per_window) = (inp.window_bits, inp.windows, inp.buckets_per_window);
-    debug_assert!(n > 0, "execute() answers the empty MSM itself");
-    debug_assert_eq!(inp.digits.len(), n * w as usize);
-
-    // Bucket accumulation over the windows × chunks task grid. Task
-    // `t = win·chunks + chunk` owns arena block `t` (its partial buckets,
-    // re-initialized then filled). Block layout keeps one window's chunk
-    // partials contiguous for the merge pass.
-    let chunks = chunk_grid(n, buckets_per_window);
-    let chunk_len = n.div_ceil(chunks);
-    let wu = w as usize;
-    let bpw = buckets_per_window as usize;
-    let (points, digits) = (inp.points, inp.digits);
-
-    // Stale values from a previous run are fine: every task fully
-    // re-initializes its own block before accumulating into it.
-    arena.resize(wu * chunks * bpw, Acc::acc_identity());
-    // Non-zero digits consumed — the canonical accumulation-PADD count. A
-    // sum commutes, so the total is the same whichever task adds first;
-    // `Relaxed` because the counter publishes nothing else, and the pool
-    // call returning orders every add before the read.
-    let accumulation_padds = AtomicU64::new(0);
-    pool.for_each_block_mut(arena, bpw, 1, |t, block| {
-        let win = t / chunks;
-        let lo = (t % chunks) * chunk_len;
-        let hi = (lo + chunk_len).min(n);
-        for bucket in block.iter_mut() {
-            *bucket = Acc::acc_identity();
-        }
-        let mut nonzero = 0u64;
-        for i in lo..hi {
-            let d = digits[i * wu + win];
-            if d > 0 {
-                block[d as usize - 1].acc_affine(&points[i]);
-                nonzero += 1;
-            } else if d < 0 {
-                block[(-d) as usize - 1].acc_affine(&points[i].neg());
-                nonzero += 1;
-            }
-        }
-        accumulation_padds.fetch_add(nonzero, Ordering::Relaxed);
-    });
-
-    // Per-window: merge chunk partials bucket-wise (in chunk order, into
-    // the chunk-0 block), then Sum-of-Sums Σ (i+1)·B_i via running suffix
-    // sums, left in the block's slot 0. Same operation order as a
-    // fresh-buffer run, so the resulting point is bit-identical.
-    pool.for_each_block_mut(arena, chunks * bpw, 1, |_, wblock| {
-        let (merged, rest) = wblock.split_at_mut(bpw);
-        for part in rest.chunks_exact(bpw) {
-            for (m, p) in merged.iter_mut().zip(part) {
-                m.acc_merge(p);
-            }
-        }
-        let mut running = Acc::acc_identity();
-        let mut sum = Acc::acc_identity();
-        for b in merged.iter().rev() {
-            running.acc_merge(b);
-            sum.acc_merge(&running);
-        }
-        merged[0] = sum;
-    });
-
-    let sums = arena
-        .chunks_exact(chunks * bpw)
-        .map(|wblock| wblock[0].clone().into_jacobian());
-    MsmOutput {
-        point: horner(sums, s),
-        stats: engine_stats(&inp, accumulation_padds.into_inner(), 0),
-    }
-}
-
-/// The engine over batch-affine buckets: the same task grid, digits and
-/// window reduction as [`bucket_engine_in`], with one [`AffineBuckets`]
-/// per task in `tasks` and each window's chunk partials folded into its
-/// sum-of-sums.
-fn affine_engine_in<Cu: SwCurve>(
+/// The bucket engine: accumulation over the `windows × chunks` task grid,
+/// one [`AffineBuckets`] per task in `tasks`, then each window's chunk
+/// partials folded into its sum-of-sums, then the window reduction.
+fn bucket_engine_in<Cu: SwCurve>(
     inp: EngineInput<'_, Cu>,
     pool: &ThreadPool,
     tasks: &mut Vec<AffineBuckets<Cu>>,
@@ -468,7 +303,7 @@ fn affine_engine_in<Cu: SwCurve>(
     let bpw = inp.buckets_per_window as usize;
     let (points, digits) = (inp.points, inp.digits);
 
-    // Accumulators only ever grow in number, like the arenas.
+    // Tasks only ever grow in number, like the other scratch buffers.
     if tasks.len() < wu * chunks {
         tasks.resize_with(wu * chunks, AffineBuckets::default);
     }
@@ -499,9 +334,19 @@ fn affine_engine_in<Cu: SwCurve>(
         .chunks_exact(chunks)
         .map(|window| window[0].buckets[0].to_jacobian());
     let count = |f: fn(&AffineBuckets<Cu>) -> u64| tasks.iter().map(f).sum();
+    let (s, w) = (u64::from(inp.window_bits), u64::from(inp.windows));
     MsmOutput {
         point: horner(sums, inp.window_bits),
-        stats: engine_stats(&inp, count(|t| t.adds), count(|t| t.flushes)),
+        stats: MsmStats {
+            accumulation_padds: count(|t| t.adds),
+            reduction_padds: 2 * inp.buckets_per_window * w,
+            window_padds: w,
+            window_pdbls: s * w,
+            windows: inp.windows,
+            buckets_per_window: inp.buckets_per_window,
+            batch_inversions: count(|t| t.flushes),
+            ..MsmStats::default()
+        },
     }
 }
 
@@ -527,44 +372,13 @@ pub(crate) struct Layout<Cu: SwCurve> {
     pub(crate) target_windows: u32,
     /// Signed-digit recoding.
     pub(crate) signed: bool,
-    /// Bucket accumulator of the engine run.
-    pub(crate) buckets: Buckets,
-}
-
-/// The bucket accumulator of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Buckets {
-    /// Jacobian buckets: `BucketRepr::Jacobian`, the Table V baseline.
-    Jacobian,
-    /// XYZZ buckets fed by mixed additions.
-    Xyzz,
-    /// Batch-affine buckets ([`AffineBuckets`], `affine.rs`).
-    Affine,
-}
-
-impl Buckets {
-    /// The accumulators a configuration may run: under `BucketRepr::Xyzz`
-    /// the cost model chooses between XYZZ and batch-affine buckets.
-    fn candidates(repr: BucketRepr) -> &'static [Self] {
-        match repr {
-            BucketRepr::Jacobian => &[Self::Jacobian],
-            BucketRepr::Xyzz => &[Self::Xyzz, Self::Affine],
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Self::Jacobian => "jacobian",
-            Self::Xyzz => "xyzz",
-            Self::Affine => "affine",
-        }
-    }
 }
 
 /// Costs in `FF_mul` units (`FF_mul` + `FF_sqr`), as `Counted<F>` reports
-/// them for the formulas the engine runs: the XYZZ mixed and full addition,
-/// the Jacobian doubling of the Horner tail, and one batch-affine bucket
-/// addition with its three multiplications of the batch inversion.
+/// them for the formulas the engine runs: the XYZZ mixed and full addition
+/// of hot buckets and the sum-of-sums, the Jacobian doubling of the Horner
+/// tail, and one batch-affine bucket addition with its three
+/// multiplications of the batch inversion.
 pub(crate) const MADD_FF_MULS: u64 = 10;
 const ADD_FF_MULS: u64 = 14;
 const DBL_FF_MULS: u64 = 7;
@@ -577,7 +391,7 @@ pub(crate) const INV_FF_MULS: u64 = 270;
 
 /// The picker's band: folds within this many percent of the cheapest count
 /// as equally fast, and the one storing the fewest copies runs. Past one
-/// chunk of rows a deeper fold only trades reductions for chunk merges, and
+/// chunk of rows a deeper fold only trades reductions for chunk folds, and
 /// the band keeps a table from doubling for a percent or two of modeled
 /// work. It is inside the model's resolution: `msm.g1_padd_model_residual`
 /// reads +0.01…+0.03, and the batch-affine price carries a measured
@@ -627,14 +441,9 @@ impl<Cu: SwCurve> Layout<Cu> {
                 let copy_bytes =
                     (single.points_per_copy() * core::mem::size_of::<Affine<Cu>>()) as u64;
                 (1..=single.full_windows)
-                    .flat_map(move |target_windows| {
-                        Buckets::candidates(config.bucket_repr)
-                            .iter()
-                            .map(move |&buckets| Self {
-                                target_windows,
-                                buckets,
-                                ..single
-                            })
+                    .map(move |target_windows| Self {
+                        target_windows,
+                        ..single
                     })
                     .filter(move |layout| {
                         let copies = u64::from(layout.copies());
@@ -668,19 +477,17 @@ impl<Cu: SwCurve> Layout<Cu> {
             full_windows,
             target_windows: full_windows,
             signed: config.signed_digits,
-            buckets: Buckets::candidates(config.bucket_repr)[0],
         }
     }
 
     /// Modeled work of one run in `FF_mul` units: `rows·w` bucket
-    /// additions, then per reduced window the sum-of-sums over every
-    /// chunk's buckets, `s` doublings and one addition of the Horner tail.
+    /// additions, then per reduced window the sum-of-sums, which takes each
+    /// chunk's bucket by a mixed addition and adds the running sum once per
+    /// bucket, and the `s` doublings and one addition of the Horner tail.
     ///
-    /// Projective buckets take mixed additions, and a window merges its
-    /// chunk partials before two full-addition passes. Batch-affine
-    /// buckets take affine additions plus one inversion per full batch and
-    /// one per task for its last batch, and the running sum takes each
-    /// chunk's bucket by a mixed addition.
+    /// A bucket addition is an affine one plus a share of one inversion per
+    /// full batch and one per task for its last batch — or, where even a
+    /// full batch cannot repay its inversion, an XYZZ mixed addition.
     pub(crate) fn cost(&self) -> u64 {
         let rows = self.points_per_copy();
         let buckets = buckets_for(self.window_bits, self.signed);
@@ -688,18 +495,13 @@ impl<Cu: SwCurve> Layout<Cu> {
         let adds = rows as u64 * u64::from(self.full_windows);
         let windows = u64::from(self.target_windows);
         let tail = windows * (u64::from(self.window_bits) * DBL_FF_MULS + ADD_FF_MULS);
-        match self.buckets {
-            Buckets::Jacobian | Buckets::Xyzz => {
-                adds * MADD_FF_MULS + windows * (chunks + 1) * buckets * ADD_FF_MULS + tail
-            }
-            Buckets::Affine => {
-                let inversions = adds / affine_batch_len(buckets) + windows * chunks;
-                adds * AFFINE_ADD_FF_MULS
-                    + inversions * INV_FF_MULS
-                    + windows * buckets * (chunks * MADD_FF_MULS + ADD_FF_MULS)
-                    + tail
-            }
-        }
+        let batch = affine_batch_len(buckets);
+        let accumulation = if worth_a_batch(batch as usize) {
+            adds * AFFINE_ADD_FF_MULS + (adds / batch + windows * chunks) * INV_FF_MULS
+        } else {
+            adds * MADD_FF_MULS
+        };
+        accumulation + windows * buckets * (chunks * MADD_FF_MULS + ADD_FF_MULS) + tail
     }
 
     /// Table rows per copy: `n`, or `D·n` under a `D`-way endomorphism.
@@ -712,15 +514,13 @@ impl<Cu: SwCurve> Layout<Cu> {
         self.full_windows.div_ceil(self.target_windows)
     }
 
-    /// The algorithm tag of this run: [`MsmConfig::describe`]'s form,
-    /// naming the split (`glv` or `psi`) and the bucket accumulator
-    /// (`jacobian`, `xyzz` or `affine`) that really run.
+    /// The algorithm tag of this run, naming the split that really runs
+    /// (`glv` or `psi`) and the digit encoding: `glv+signed`, `unsigned`.
     pub(crate) fn describe(&self) -> String {
         let digits = if self.signed { "signed" } else { "unsigned" };
-        let plain = format!("{digits}+{}", self.buckets.name());
         match self.endo {
-            Some(endo) => format!("{}+{plain}", endo.name),
-            None => plain,
+            Some(endo) => format!("{}+{digits}", endo.name),
+            None => digits.to_string(),
         }
     }
 }
@@ -888,8 +688,7 @@ pub(crate) fn execute<Cu: SwCurve>(
         &mut scratch.full_digits,
         &mut scratch.digits,
     );
-    let mut out = run_bucket_engine_in(
-        layout.buckets,
+    let mut out = bucket_engine_in(
         EngineInput {
             points: table,
             digits: &scratch.digits,
@@ -898,7 +697,7 @@ pub(crate) fn execute<Cu: SwCurve>(
             buckets_per_window: buckets_for(layout.window_bits, layout.signed),
         },
         pool,
-        &mut scratch.engine,
+        &mut scratch.tasks,
     );
     if layout.endo.is_some() {
         out.stats.glv_decompositions = layout.n as u64;
@@ -982,7 +781,7 @@ pub fn msm_parallel_with_config_in<Cu: SwCurve>(
     out
 }
 
-/// Pippenger MSM with defaults (unsigned digits, XYZZ buckets, auto window).
+/// Pippenger MSM with defaults (unsigned digits, auto window).
 pub fn msm<Cu: SwCurve>(points: &[Affine<Cu>], scalars: &[Cu::Scalar]) -> Jacobian<Cu> {
     msm_with_config(points, scalars, &MsmConfig::default()).point
 }
@@ -1017,7 +816,7 @@ pub fn msm_serial<Cu: SwCurve>(points: &[Affine<Cu>], scalars: &[Cu::Scalar]) ->
 mod tests {
     use super::*;
     use crate::affine::tests::{add, multiples};
-    use zkp_curves::bls12_381;
+    use zkp_curves::{bls12_381, Xyzz};
     use zkp_ff::counter::{with_counting, Counted};
     use zkp_ff::{Fq381, Fr381};
 

@@ -5,8 +5,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use zkp_curves::{bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, PrimeField};
 use zkp_msm::{
-    msm, msm_parallel, msm_serial, msm_shape, msm_with_config, precompute_cost, BucketRepr,
-    MsmConfig, MsmPlan, PrecomputedPoints,
+    msm, msm_parallel, msm_serial, msm_shape, msm_with_config, precompute_cost, MsmConfig, MsmPlan,
+    PrecomputedPoints,
 };
 
 fn random_inputs<Cu: SwCurve>(n: usize, seed: u64) -> (Vec<Affine<Cu>>, Vec<Cu::Scalar>) {
@@ -29,15 +29,12 @@ fn all_configs() -> Vec<MsmConfig> {
     ];
     for bits in [3, 5, 8, 13] {
         for signed in [false, true] {
-            for repr in [BucketRepr::Jacobian, BucketRepr::Xyzz] {
-                for endomorphism in [false, true] {
-                    configs.push(MsmConfig {
-                        window_bits: Some(bits),
-                        signed_digits: signed,
-                        bucket_repr: repr,
-                        endomorphism,
-                    });
-                }
+            for endomorphism in [false, true] {
+                configs.push(MsmConfig {
+                    window_bits: Some(bits),
+                    signed_digits: signed,
+                    endomorphism,
+                });
             }
         }
     }
@@ -82,8 +79,8 @@ fn parallel_matches_sequential() {
 }
 
 /// Degenerate inputs through the single front door: every case × {one-shot,
-/// planned with budgets `None` / `Some(0)`} × bucket representation × GLV
-/// must equal the double-and-add reference.
+/// planned with budgets `None` / `Some(0)`} × GLV must equal the
+/// double-and-add reference.
 #[test]
 fn empty_and_degenerate_inputs() {
     type G1 = bls12_381::G1;
@@ -118,22 +115,19 @@ fn empty_and_degenerate_inputs() {
     let pool = zkp_runtime::ThreadPool::with_threads(2);
     for (name, points, scalars) in &cases {
         let expect = msm_serial(points, scalars);
-        for bucket_repr in [BucketRepr::Jacobian, BucketRepr::Xyzz] {
-            for glv in [false, true] {
-                let config = MsmConfig {
-                    bucket_repr,
-                    signed_digits: glv,
-                    endomorphism: glv,
-                    ..MsmConfig::default()
-                };
-                let what = format!("{name}: {}", config.describe());
-                let one_shot = msm_with_config(points, scalars, &config);
-                assert_eq!(one_shot.point, expect, "{what} one-shot");
-                for budget in [None, Some(0)] {
-                    let plan = MsmPlan::build(points, &config, budget, &pool);
-                    let planned = plan.execute(scalars, &pool);
-                    assert_eq!(planned.point, expect, "{what} budget {budget:?}");
-                }
+        for glv in [false, true] {
+            let config = MsmConfig {
+                signed_digits: glv,
+                endomorphism: glv,
+                ..MsmConfig::default()
+            };
+            let what = format!("{name}: {config:?}");
+            let one_shot = msm_with_config(points, scalars, &config);
+            assert_eq!(one_shot.point, expect, "{what} one-shot");
+            for budget in [None, Some(0)] {
+                let plan = MsmPlan::build(points, &config, budget, &pool);
+                let planned = plan.execute(scalars, &pool);
+                assert_eq!(planned.point, expect, "{what} budget {budget:?}");
             }
         }
     }
@@ -335,7 +329,7 @@ fn assert_infinity_rows_are_dropped<Cu: SwCurve>(seed: u64) {
         let finite = bases.iter().filter(|p| !p.is_identity()).count();
         let expect = msm_serial(bases, scalars);
         for config in [MsmConfig::glv_style(), MsmConfig::default()] {
-            let what = format!("{} {name}: {}", Cu::NAME, config.describe());
+            let what = format!("{} {name}: {config:?}", Cu::NAME);
             let one_shot = msm_with_config(bases, scalars, &config);
             assert_eq!(one_shot.point, expect, "{what} one-shot");
             if config.endomorphism {

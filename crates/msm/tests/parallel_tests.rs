@@ -11,8 +11,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, Fr381, GlvScalar, PrimeField};
 use zkp_msm::{
-    msm_parallel_with_config, msm_serial, msm_with_config, num_windows, BucketRepr, MsmConfig,
-    MsmPlan, MsmStats,
+    msm_parallel_with_config, msm_serial, msm_with_config, num_windows, MsmConfig, MsmPlan,
+    MsmStats,
 };
 use zkp_runtime::ThreadPool;
 
@@ -46,13 +46,11 @@ fn parallel_is_bit_identical_across_thread_counts() {
         MsmConfig {
             window_bits: Some(4),
             signed_digits: true,
-            bucket_repr: BucketRepr::Jacobian,
             ..MsmConfig::default()
         },
         MsmConfig {
             window_bits: Some(6),
             signed_digits: false,
-            bucket_repr: BucketRepr::Xyzz,
             ..MsmConfig::default()
         },
         MsmConfig::glv_style(),
@@ -80,7 +78,6 @@ fn window_reduction_work_does_not_scale_with_threads() {
     let config = MsmConfig {
         window_bits: Some(5),
         signed_digits: true,
-        bucket_repr: BucketRepr::Xyzz,
         ..MsmConfig::default()
     };
     let w = u64::from(num_windows::<Fr381>(5, true));
@@ -171,14 +168,11 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
     // 8 buckets), 2 unsigned (300 rows, 15 buckets), 8 once a plan folds
     // the rows onto copies (4 unsigned, 3 signed). Signed runs also take
     // the GLV split, so both recoder inputs (scalars, negated subscalars)
-    // are covered. At 8 or 15 buckets an inversion per batch would cost
-    // more than it saves, so every row runs projective buckets. The
-    // accumulation counts, window counts and coordinate fingerprints were
-    // recorded when tables started dropping bases at infinity (the counts
-    // and fingerprints of the raw-pointer engine before that are in git
-    // history at 300 bases, all rows kept); the signed planned rows were
-    // re-recorded when the picker's band widened to 2%, which keeps 3
-    // copies (11 windows) where it kept 4 (8 windows).
+    // are covered. At 8 or 15 buckets even a full batch cannot repay its
+    // inversion, so every task takes its additions by XYZZ mixed additions
+    // and inverts nothing. The coordinate fingerprints were recorded when
+    // the batch-affine task became the only bucket store (earlier ones, of
+    // the Jacobian and XYZZ arenas, are in git history).
     const N: usize = 400;
     const FINITE: usize = 300;
     const S: u32 = 4;
@@ -186,59 +180,19 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
     for p in points.iter_mut().step_by(4) {
         *p = Affine::identity();
     }
-    // (repr, signed, planned, accumulation_padds, windows, fingerprint)
+    // (signed, planned, accumulation_padds, windows, fingerprint)
     let recorded = [
-        (
-            BucketRepr::Jacobian,
-            false,
-            false,
-            17973,
-            64,
-            0x9cc3375a0949b8f6,
-        ),
-        (
-            BucketRepr::Jacobian,
-            false,
-            true,
-            17973,
-            16,
-            0x575d99be390174d9,
-        ),
-        (
-            BucketRepr::Jacobian,
-            true,
-            false,
-            17954,
-            32,
-            0xaa778b42f86a3efb,
-        ),
-        (
-            BucketRepr::Jacobian,
-            true,
-            true,
-            17954,
-            11,
-            0xd6632659e23e8c9f,
-        ),
-        (
-            BucketRepr::Xyzz,
-            false,
-            false,
-            17973,
-            64,
-            0xd6b3dd31a2a5c998,
-        ),
-        (BucketRepr::Xyzz, false, true, 17973, 16, 0x6bfded5bc5302555),
-        (BucketRepr::Xyzz, true, false, 17954, 32, 0x9b4a9f0f9b6ec4b8),
-        (BucketRepr::Xyzz, true, true, 17954, 11, 0xad5feaab4f3e803f),
+        (false, false, 17973, 64, 0xd87320bde3e0f308),
+        (false, true, 17973, 16, 0x33d54ebe546782c1),
+        (true, false, 17954, 32, 0xfc9a1fd6acceb6d7),
+        (true, true, 17954, 11, 0x5460dfdb0dd30717),
     ];
     let phi = G1::endomorphism().expect("BLS12-381 G1 has φ");
     let expect = msm_serial(&points, &scalars);
-    for (repr, signed, planned, accumulation_padds, windows, xyz) in recorded {
+    for (signed, planned, accumulation_padds, windows, xyz) in recorded {
         let config = MsmConfig {
             window_bits: Some(S),
             signed_digits: signed,
-            bucket_repr: repr,
             endomorphism: signed,
         };
         // Every non-zero digit of a finite base is one bucket update,
@@ -311,14 +265,12 @@ proptest! {
         threads_idx in 0usize..THREAD_COUNTS.len(),
         window_bits in 3u32..9,
         signed in any::<bool>(),
-        xyzz in any::<bool>(),
         endomorphism in any::<bool>(),
     ) {
         let (points, scalars) = random_inputs::<G1>(n, seed);
         let config = MsmConfig {
             window_bits: Some(window_bits),
             signed_digits: signed,
-            bucket_repr: if xyzz { BucketRepr::Xyzz } else { BucketRepr::Jacobian },
             endomorphism,
         };
         let expect = msm_serial(&points, &scalars);

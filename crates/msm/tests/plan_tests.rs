@@ -8,8 +8,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{batch_to_affine, bls12_377, bls12_381, Affine, Jacobian, SwCurve};
 use zkp_ff::Field;
 use zkp_msm::{
-    msm_parallel_with_config, msm_serial, msm_shape, num_windows, BucketRepr, MsmConfig, MsmOutput,
-    MsmPlan, MsmShape,
+    msm_parallel_with_config, msm_serial, msm_shape, num_windows, MsmConfig, MsmOutput, MsmPlan,
+    MsmShape,
 };
 use zkp_runtime::ThreadPool;
 
@@ -47,7 +47,6 @@ fn plan_configs() -> Vec<MsmConfig> {
         MsmConfig {
             window_bits: Some(7),
             signed_digits: true,
-            bucket_repr: BucketRepr::Jacobian,
             endomorphism: false,
         },
     ]
@@ -193,15 +192,13 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
 
 /// Every fold `(s, W)` a budget admits for one full-width window count
 /// `w(s)` and copy size, priced by the cost model as `Layout::cost` states
-/// it, once per accumulator `BucketRepr::Xyzz` may run:
-/// - XYZZ: `rows·w` mixed additions (10 `FF_mul`), then per reduced window
-///   `chunks + 1` passes over the buckets (14);
-/// - batch-affine: `rows·w` affine additions (6) and one inversion (270)
-///   per `min(512, buckets)` of them plus one per task, then per reduced
-///   window `chunks` mixed additions (10) and one addition (14) per bucket;
-///
-/// each plus `s` doublings (7) and one addition (14) per reduced window,
-/// with `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
+/// it: `rows·w` affine additions (6 `FF_mul`) and one inversion (270) per
+/// `min(512, buckets)` of them plus one per task — or, where a full batch
+/// saves less than its inversion (`4·min(512, buckets) < 270`), `rows·w`
+/// XYZZ mixed additions (10) and no inversion — then per reduced window
+/// `chunks` mixed additions (10) and one addition (14) per bucket, `s`
+/// doublings (7) and one addition (14), with
+/// `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
 fn priced_folds(
     rows: u64,
     signed: bool,
@@ -221,18 +218,19 @@ fn priced_folds(
             }
             let chunks = (rows * u64::from(copies) / (8 * buckets)).clamp(1, 8);
             let (adds, windows) = (rows * u64::from(w), u64::from(big_w));
-            let tail = windows * (u64::from(s) * 7 + 14);
-            let xyzz = adds * 10 + windows * (chunks + 1) * buckets * 14;
-            let inversions = adds / buckets.min(512) + windows * chunks;
-            let affine = adds * 6 + inversions * 270 + windows * buckets * (chunks * 10 + 14);
-            for cost in [xyzz, affine] {
-                folds.push(MsmShape {
-                    window_bits: s,
-                    target_windows: big_w,
-                    copies,
-                    cost: cost + tail,
-                });
-            }
+            let batch = buckets.min(512);
+            let accumulation = if batch * 4 >= 270 {
+                adds * 6 + (adds / batch + windows * chunks) * 270
+            } else {
+                adds * 10
+            };
+            let sums = windows * buckets * (chunks * 10 + 14);
+            folds.push(MsmShape {
+                window_bits: s,
+                target_windows: big_w,
+                copies,
+                cost: accumulation + sums + windows * (u64::from(s) * 7 + 14),
+            });
         }
     }
     folds
@@ -351,13 +349,13 @@ fn prover_plan_shapes_are_pinned() {
     assert_eq!(shape::<bls12_381::G1>(2047), (13, 1, 10));
 }
 
-/// Under `BucketRepr::Xyzz` the cost model picks the accumulator per run:
-/// a 2^10-base GLV plan (about 11 rows per bucket) runs batch-affine
-/// buckets and spends an inversion per batch of up to 512 additions, while
-/// a 1-point one-shot, where an inversion per window would buy a single
-/// addition, stays XYZZ. Both equal `msm_serial`.
+/// Batches invert only where they pay: a 2^10-base GLV plan (about 11
+/// rows per bucket) spends an inversion per batch of 256 to 512 additions,
+/// while a 1-point one-shot, whose few buckets could never fill a batch
+/// worth its inversion, inverts nothing. Both equal `msm_serial`. The
+/// prover's 1- and 2-point blinding products run at `s = 3` (4 buckets).
 #[test]
-fn picker_chooses_the_accumulator() {
+fn batches_invert_only_where_they_pay() {
     type G1 = bls12_381::G1;
     const N: usize = 1 << 10;
     let points = incremental_points::<G1>(N);
@@ -367,11 +365,6 @@ fn picker_chooses_the_accumulator() {
     let config = MsmConfig::glv_style();
 
     let plan = MsmPlan::build(&points, &config, None, &pool);
-    assert!(
-        plan.algorithm().starts_with("glv+signed+affine+"),
-        "{}",
-        plan.algorithm()
-    );
     let out = plan.execute(&scalars, &pool);
     assert_eq!(out.point, msm_serial(&points, &scalars));
     let adds = out.stats.accumulation_padds;
@@ -381,11 +374,16 @@ fn picker_chooses_the_accumulator() {
         out.stats.batch_inversions
     );
 
-    let one = MsmPlan::build(&points[..1], &config, Some(0), &pool);
-    assert!(one.algorithm().starts_with("glv+signed+xyzz+"));
     let out = msm_parallel_with_config(&points[..1], &scalars[..1], &config, &pool);
     assert_eq!(out.point, msm_serial(&points[..1], &scalars[..1]));
     assert_eq!(out.stats.batch_inversions, 0);
+
+    let one_shot = |shape: MsmShape| (shape.window_bits, shape.target_windows);
+    for n in [1, 2] {
+        assert_eq!(one_shot(msm_shape::<G1>(n, &config, Some(0))), (3, 43));
+    }
+    let g2 = msm_shape::<bls12_381::G2>(1, &config, Some(0));
+    assert_eq!(one_shot(g2), (3, 22));
 }
 
 /// The point of sizing the window for the folded table: the prover-sized

@@ -12,7 +12,7 @@ use std::time::Instant;
 use zkp_curves::{bls12_381, Affine, Jacobian, SwCurve, Xyzz};
 use zkp_ff::counter::{with_counting, Counted};
 use zkp_ff::{Field, Fq381, Fq381Config, Fr381, Fr381Config, OpCounts};
-use zkp_msm::{msm_with_config, BucketRepr, MsmConfig};
+use zkp_msm::{msm_with_config, MsmConfig};
 use zkp_ntt::ntt_radix2_in_place;
 
 /// A curve marker running BLS12-381 G1 arithmetic over op-counted
@@ -221,15 +221,14 @@ pub fn fig8() -> Vec<Fig8Row> {
         ntt_radix2_in_place(&mut values, Counted(omega));
     });
 
-    // MSM: 192 points on the counted curve, `BucketRepr::Xyzz` like sppark.
-    // The picker lays it out with batch-affine buckets, but a window's 192
-    // rows over 255 buckets leave too few additions to pay for a batch
-    // inversion, so they spill into XYZZ mixed additions: no `FF_inv`.
+    // MSM: 192 points on the counted curve, unsigned like sppark. Its
+    // buckets are batch-affine, but a window's 192 rows over 255 buckets
+    // leave too few additions to pay for a batch inversion, so they spill
+    // into XYZZ mixed additions: no `FF_inv`.
     let points: Vec<Affine<CountedG1>> = (0..192).map(|i| counted_point(100 + i)).collect();
     let scalars: Vec<Fr381> = (0..192).map(|_| zkp_ff::Field::random(&mut rng)).collect();
     let config = MsmConfig {
         window_bits: Some(8),
-        bucket_repr: BucketRepr::Xyzz,
         ..MsmConfig::default()
     };
     let (_, msm_counts) = with_counting(|| {

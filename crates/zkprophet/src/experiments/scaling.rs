@@ -9,9 +9,7 @@ use gpu_sim::machine::SmspConfig;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_curves::{batch_to_affine, bls12_381, Affine, Jacobian};
 use zkp_ff::{Field, Fq381, Fq381Config, Fr381};
-use zkp_msm::{
-    msm_parallel_with_config, precompute_cost, BucketRepr, MsmConfig, MsmPlan, AFFINE_BATCH,
-};
+use zkp_msm::{msm_parallel_with_config, precompute_cost, MsmConfig, MsmPlan, AFFINE_BATCH};
 
 // ---------------------------------------------------------------------------
 // Fig. 11 — FF_mul across GPU generations
@@ -183,7 +181,7 @@ fn g1_inputs(n: usize, seed: u64) -> (Vec<Affine<bls12_381::G1>>, Vec<Fr381>) {
 /// One measured MSM configuration in the GLV/precompute trade-off table.
 #[derive(Debug, Clone)]
 pub struct GlvTradeoffRow {
-    /// Algorithm tag (`MsmConfig::describe()` / `MsmPlan::algorithm()`).
+    /// Algorithm tag of the layout that ran (`MsmPlan::algorithm()`).
     pub algorithm: String,
     /// Windows actually processed by the bucket engine.
     pub windows: u32,
@@ -217,17 +215,15 @@ pub fn glv_tradeoff() -> Vec<GlvTradeoffRow> {
     let mut rows = Vec::new();
     let configs = [
         MsmConfig::default(),
-        MsmConfig {
-            signed_digits: true,
-            bucket_repr: BucketRepr::Xyzz,
-            ..MsmConfig::default()
-        },
+        MsmConfig::ymc_style(),
         MsmConfig::glv_style(),
     ];
     for cfg in &configs {
         let out = msm_parallel_with_config(&points, &scalars, cfg, pool);
+        // A one-shot run is the zero-budget plan's layout.
+        let layout = MsmPlan::build(&points, cfg, Some(0), pool);
         rows.push(GlvTradeoffRow {
-            algorithm: cfg.describe(),
+            algorithm: layout.algorithm(),
             windows: out.stats.windows,
             accumulation_padds: out.stats.accumulation_padds,
             reduction_padds: out.stats.reduction_padds,
@@ -507,6 +503,24 @@ mod tests {
             rows[3].saved_pct
         );
         assert!(rows[3].storage_kib > 0);
+    }
+
+    #[test]
+    fn glv_tradeoff_labels_name_the_layout_that_ran() {
+        let splits = ["unsigned", "signed", "glv+signed"];
+        for (i, row) in glv_tradeoff().iter().enumerate() {
+            let (split, fold) = row
+                .algorithm
+                .split_once("+precomp(")
+                .unwrap_or_else(|| panic!("row {i}: {} names no fold", row.algorithm));
+            assert_eq!(split, splits[i.min(2)], "row {i}");
+            assert!(
+                fold.starts_with(&format!("w={},", row.windows)),
+                "row {i}: {} ran {} windows",
+                row.algorithm,
+                row.windows
+            );
+        }
     }
 
     #[test]

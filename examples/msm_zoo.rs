@@ -1,6 +1,7 @@
 //! MSM algorithm zoo: runs the real CPU Pippenger implementation in every
-//! configuration the GPU libraries embody (bucket representation,
-//! signed digits, precomputed windows) and times them against each other.
+//! configuration the GPU libraries embody (signed digits, window size,
+//! precomputed windows) and times them against each other. Every run
+//! accumulates into the one bucket store, batch-affine buckets.
 //!
 //! ```sh
 //! cargo run --release -p zkp-examples --bin msm_zoo [log_scale]
@@ -10,9 +11,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 use zkp_curves::{bls12_381::G1, Affine, Jacobian, SwCurve};
 use zkp_ff::{Field, Fr381};
-use zkp_msm::{
-    msm_parallel, msm_serial, msm_with_config, BucketRepr, MsmConfig, PrecomputedPoints,
-};
+use zkp_msm::{msm_parallel, msm_serial, msm_with_config, MsmConfig, PrecomputedPoints};
 
 fn main() {
     let log_n: u32 = match std::env::args().nth(1) {
@@ -43,9 +42,8 @@ fn main() {
     let scalars: Vec<Fr381> = (0..n).map(|_| Fr381::random(&mut rng)).collect();
 
     let configs: Vec<(&str, MsmConfig)> = vec![
-        ("bellperson-style (Jacobian)", MsmConfig::bellperson_style()),
-        ("sppark-style (XYZZ)", MsmConfig::sppark_style()),
-        ("ymc-style (XYZZ + signed digits)", MsmConfig::ymc_style()),
+        ("sppark-style (unsigned digits)", MsmConfig::sppark_style()),
+        ("ymc-style (signed digits)", MsmConfig::ymc_style()),
         (
             "narrow windows (c=8)",
             MsmConfig {
@@ -59,7 +57,7 @@ fn main() {
     let reference = msm_with_config(&points, &scalars, &MsmConfig::default());
     let ref_time = t.elapsed();
     println!(
-        "reference (XYZZ, auto window): {ref_time:?}  \
+        "reference (auto window): {ref_time:?}  \
          [{} windows x {} buckets, {} PADDs]\n",
         reference.stats.windows,
         reference.stats.buckets_per_window,
@@ -107,7 +105,4 @@ fn main() {
         assert_eq!(serial, reference.point);
         println!("naive double-and-add               {:>10.1?}", t.elapsed());
     }
-
-    // Suppress an unused warning when the zoo is trimmed down.
-    let _ = BucketRepr::Xyzz;
 }
