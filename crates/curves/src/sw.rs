@@ -143,9 +143,12 @@ impl<Cu: SwCurve> Affine<Cu> {
     /// Full affine addition — the paper's Affine `PADD` (Table V:
     /// 6 `FF_sub`, 3 `FF_mul`, 1 `FF_inv`).
     ///
-    /// Returns `None` when the slope is undefined without an inversion
-    /// being well-defined, i.e. for doubling (`self == rhs`) callers should
-    /// use [`Affine::double`]; adding `P + (-P)` yields the identity.
+    /// Complete on its inputs: a point at infinity returns the other
+    /// operand, `P + (−P)` returns the identity without an inversion, and
+    /// `P + P`, where the chord slope is undefined, returns
+    /// [`Affine::double`] of `P` (the tangent slope, its own inversion).
+    /// Batch-affine bucket accumulation relies on this for the rare bucket
+    /// that meets its own point.
     pub fn add(&self, rhs: &Self) -> Self {
         if self.infinity {
             return *rhs;

@@ -48,15 +48,18 @@
 //! `windows × chunks`: each task accumulates one window's buckets over one
 //! contiguous chunk of the input into batch-affine buckets
 //! ([`AffineBuckets`], `affine.rs` — the one bucket store), every chunk's
-//! partial buckets fold into one running sum-of-sums per window, and the
-//! window reduction happens exactly once. (The previous scheme ran a
+//! partial buckets fold into one sum-of-sums per window — segmented, its
+//! additions batch-affine too, where that pays ([`affine_window_sum`]) —
+//! and the window reduction happens exactly once. (The previous scheme ran a
 //! complete Pippenger per chunk and paid the `2·2^s` bucket reduction plus
 //! `s·w` doublings again in every chunk.) The grid shape is a pure function
 //! of the problem size — never the thread count — so the computation DAG,
 //! the resulting point, and the [`MsmStats`] are bit-identical at any pool
 //! width.
 
-use crate::affine::{affine_batch_len, affine_window_sum, worth_a_batch, AffineBuckets, BucketAdd};
+use crate::affine::{
+    affine_batch_len, affine_window_sum, worth_a_batch, AffineBuckets, BucketAdd, Reduction,
+};
 use crate::config::MsmConfig;
 use zkp_curves::{Affine, Endomorphism, Jacobian, SwCurve};
 use zkp_ff::glv::GlvScalar;
@@ -90,11 +93,15 @@ pub struct MsmStats {
     /// endomorphism (`D − 1` images per finite base, one multiplication
     /// each under `φ`, two under `ψ`; zero when a plan's table holds them).
     pub endomorphism_muls: u64,
-    /// Field inversions of the batch-affine buckets: one per flushed batch
-    /// of bucket additions (0 where a batch cannot repay its inversion, as
-    /// in a 1-point MSM). A bucket that meets the same point twice pays one
-    /// more for its doubling, which is not counted here.
+    /// Field inversions of the batch-affine bucket accumulation: one per
+    /// flushed batch of bucket additions (0 where a batch cannot repay its
+    /// inversion, as in a 1-point MSM). A bucket that meets the same point
+    /// twice pays one more for its doubling, which is not counted here.
     pub batch_inversions: u64,
+    /// Field inversions of the batch-affine bucket reduction: one per round
+    /// of segment additions that repays its inversion, and one where hot
+    /// buckets are normalised (0 for an unsegmented window).
+    pub reduction_inversions: u64,
 }
 
 impl MsmStats {
@@ -345,6 +352,7 @@ fn bucket_engine_in<Cu: SwCurve>(
             windows: inp.windows,
             buckets_per_window: inp.buckets_per_window,
             batch_inversions: count(|t| t.flushes),
+            reduction_inversions: count(|t| t.reduction_inversions),
             ..MsmStats::default()
         },
     }
@@ -377,11 +385,13 @@ pub(crate) struct Layout<Cu: SwCurve> {
 /// Costs in `FF_mul` units (`FF_mul` + `FF_sqr`), as `Counted<F>` reports
 /// them for the formulas the engine runs: the XYZZ mixed and full addition
 /// of hot buckets and the sum-of-sums, the Jacobian doubling of the Horner
-/// tail, and one batch-affine bucket addition with its three
-/// multiplications of the batch inversion.
+/// tail, the XYZZ doubling of the segmented reduction's tail, and one
+/// batch-affine addition with its three multiplications of the batch
+/// inversion.
 pub(crate) const MADD_FF_MULS: u64 = 10;
-const ADD_FF_MULS: u64 = 14;
+pub(crate) const ADD_FF_MULS: u64 = 14;
 const DBL_FF_MULS: u64 = 7;
+pub(crate) const XYZZ_DBL_FF_MULS: u64 = 9;
 pub(crate) const AFFINE_ADD_FF_MULS: u64 = 6;
 /// `FF_inv` in `FF_mul` units — measured, not counted (`Counted` tallies
 /// an inversion as one op): binary extended Euclid against a Montgomery
@@ -393,9 +403,11 @@ pub(crate) const INV_FF_MULS: u64 = 270;
 /// as equally fast, and the one storing the fewest copies runs. Past one
 /// chunk of rows a deeper fold only trades reductions for chunk folds, and
 /// the band keeps a table from doubling for a percent or two of modeled
-/// work. It is inside the model's resolution: `msm.g1_padd_model_residual`
-/// reads +0.01…+0.03, and the batch-affine price carries a measured
-/// inversion whose Fq2 cost (G2) is a third of the Fq one priced here.
+/// work: at the bits key's B2 the full fold models 1.3% cheaper than the
+/// three copies that run. It is inside the model's resolution:
+/// `msm.g1_padd_model_residual` reads +0.01…+0.03, and every batch-affine
+/// price — accumulation and reduction alike — carries `INV` at the Fq
+/// rate, where G2 inverts in Fq2 at about a third of it.
 const BAND_PERCENT: u64 = 2;
 
 impl<Cu: SwCurve> Layout<Cu> {
@@ -481,9 +493,9 @@ impl<Cu: SwCurve> Layout<Cu> {
     }
 
     /// Modeled work of one run in `FF_mul` units: `rows·w` bucket
-    /// additions, then per reduced window the sum-of-sums, which takes each
-    /// chunk's bucket by a mixed addition and adds the running sum once per
-    /// bucket, and the `s` doublings and one addition of the Horner tail.
+    /// additions, then per reduced window the sum-of-sums as [`Reduction`]
+    /// prices it — the reduction that runs — and the `s` doublings and one
+    /// addition of the Horner tail.
     ///
     /// A bucket addition is an affine one plus a share of one inversion per
     /// full batch and one per task for its last batch — or, where even a
@@ -501,7 +513,7 @@ impl<Cu: SwCurve> Layout<Cu> {
         } else {
             adds * MADD_FF_MULS
         };
-        accumulation + windows * buckets * (chunks * MADD_FF_MULS + ADD_FF_MULS) + tail
+        accumulation + windows * Reduction::new(buckets, chunks).cost() + tail
     }
 
     /// Table rows per copy: `n`, or `D·n` under a `D`-way endomorphism.
@@ -853,9 +865,11 @@ mod tests {
         let (_, madds) = with_counting(|| (xyzz(0, 1), xyzz(2, 3)));
         let jac = Jacobian::from(p[0]).add_affine(&p[1]);
         let (_, dbl) = with_counting(|| jac.double());
+        let (_, xyzz_dbl) = with_counting(|| xyzz(0, 1).double());
         assert_eq!(muls(madd), MADD_FF_MULS);
         assert_eq!(muls(full) - muls(madds), ADD_FF_MULS);
         assert_eq!(muls(dbl), DBL_FF_MULS);
+        assert_eq!(muls(xyzz_dbl) - muls(madd), XYZZ_DBL_FF_MULS);
 
         // N affine additions into N filled buckets: one batch, one
         // inversion, and `AFFINE_ADD_FF_MULS` multiplications each.
@@ -874,6 +888,33 @@ mod tests {
         });
         assert_eq!((batch.inv, task.flushes), (1, 1));
         assert_eq!(muls(batch), AFFINE_ADD_FF_MULS * N as u64);
+
+        // One segmented window, every bucket of both chunk tasks affine:
+        // the reduction spends exactly what `Layout::cost` charges for it.
+        // Chunk `c`'s bucket `i` holds row `2i + c`, so no running sum
+        // meets its own point.
+        const BUCKETS: usize = 1024;
+        const CHUNKS: usize = 2;
+        let priced = Reduction::new(BUCKETS as u64, CHUNKS as u64);
+        assert_eq!(priced.segments, 128);
+        let points = multiples::<CountedG1>(CHUNKS * BUCKETS);
+        let mut window: Vec<AffineBuckets<CountedG1>> = (0..CHUNKS)
+            .map(|c| {
+                let mut task = AffineBuckets::default();
+                task.reset(BUCKETS);
+                for i in 0..BUCKETS as u32 {
+                    task.push(&points, add(i, CHUNKS as u32 * i + c as u32, false));
+                }
+                task.finish(&points);
+                task
+            })
+            .collect();
+        let (_, reduced) = with_counting(|| affine_window_sum(&mut window));
+        assert_eq!(
+            (muls(reduced), reduced.inv),
+            (priced.muls, priced.inversions)
+        );
+        assert_eq!(window[0].reduction_inversions, priced.inversions);
     }
 
     #[test]

@@ -228,6 +228,7 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
             glv_decompositions: if signed { FINITE as u64 } else { 0 },
             endomorphism_muls: if signed && !planned { FINITE as u64 } else { 0 },
             batch_inversions: 0,
+            reduction_inversions: 0,
         };
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::with_threads(threads);

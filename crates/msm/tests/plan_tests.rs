@@ -196,9 +196,8 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
 /// `min(512, buckets)` of them plus one per task — or, where a full batch
 /// saves less than its inversion (`4·min(512, buckets) < 270`), `rows·w`
 /// XYZZ mixed additions (10) and no inversion — then per reduced window
-/// `chunks` mixed additions (10) and one addition (14) per bucket, `s`
-/// doublings (7) and one addition (14), with
-/// `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
+/// its bucket reduction ([`reduction`]), `s` doublings (7) and one
+/// addition (14), with `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
 fn priced_folds(
     rows: u64,
     signed: bool,
@@ -224,7 +223,7 @@ fn priced_folds(
             } else {
                 adds * 10
             };
-            let sums = windows * buckets * (chunks * 10 + 14);
+            let sums = windows * reduction(buckets, chunks);
             folds.push(MsmShape {
                 window_bits: s,
                 target_windows: big_w,
@@ -234,6 +233,32 @@ fn priced_folds(
         }
     }
     folds
+}
+
+/// One window's bucket reduction as `Layout::cost` prices it: the serial
+/// XYZZ sum-of-sums, `chunks` mixed additions (10) and one addition (14)
+/// per bucket, unless `K` segments cost less. `K` is the power of two
+/// nearest `√(buckets·(chunks+1)·270 / 34)` (at most `buckets/2` and 512),
+/// worth it only if a round of `K` additions repays its inversion
+/// (`4·K ≥ 270`).
+/// Its `m = ⌈buckets/K⌉`-step walk takes `(chunks+1)·buckets − 2K` affine
+/// additions (6) in `(chunks+1)·m − 2` inverted rounds (270); its tail
+/// `K − 2` mixed (10) and full (14) additions, `log₂ m` XYZZ doublings (9)
+/// and `K` mixed additions (10).
+fn reduction(buckets: u64, chunks: u64) -> u64 {
+    let serial = buckets * (chunks * 10 + 14);
+    let mut k = 1;
+    while 4 * k * k <= 2 * buckets * (chunks + 1) * 270 / 34 && 2 * k <= (buckets / 2).min(512) {
+        k *= 2;
+    }
+    if 4 * k < 270 {
+        return serial;
+    }
+    let m = buckets.div_ceil(k);
+    assert!(m.is_power_of_two(), "{buckets} buckets, {k} segments");
+    let walk = ((chunks + 1) * buckets - 2 * k) * 6 + ((chunks + 1) * m - 2) * 270;
+    let tail = (k - 2) * 24 + u64::from(m.trailing_zeros()) * 9 + k * 10;
+    serial.min(walk + tail)
 }
 
 /// The picker's rule over `folds`: within 2% of the cheapest, and no fold
@@ -307,15 +332,20 @@ fn picker_is_the_argmin_of_the_cost_model() {
     // The shape is what runs: the prover's 1 026-base GLV plan folds every
     // window into one and so affords s = 12 (2 052·11 batch-affine
     // additions, 44 full batches plus the last one, and one 2 048-bucket
-    // sum-of-sums; 196 832 `FF_mul`), where the one-shot rule sized for 16
-    // separate windows said 8.
+    // sum-of-sums in 128 segments of 16: 3 840 affine additions in 30
+    // rounds, then the 128-point tail; 183 160 `FF_mul`), where the one-shot
+    // rule sized for 16 separate windows said 8.
     let config = MsmConfig::glv_style();
     let shape = msm_shape::<G1>(1026, &config, None);
     assert_eq!((shape.window_bits, shape.target_windows), (12, 1));
     let adds = 2052 * 11;
     assert_eq!(
         shape.cost,
-        adds * 6 + (adds / 512 + 1) * 270 + 2048 * (10 + 14) + 12 * 7 + 14
+        adds * 6
+            + (adds / 512 + 1) * 270
+            + (3840 * 6 + 30 * 270 + 126 * (10 + 14) + 4 * 9 + 128 * 10)
+            + 12 * 7
+            + 14
     );
     let (points, scalars) = random_inputs::<G1>(40, 41);
     let pool = ThreadPool::with_threads(2);
@@ -351,9 +381,12 @@ fn prover_plan_shapes_are_pinned() {
 
 /// Batches invert only where they pay: a 2^10-base GLV plan (about 11
 /// rows per bucket) spends an inversion per batch of 256 to 512 additions,
-/// while a 1-point one-shot, whose few buckets could never fill a batch
-/// worth its inversion, inverts nothing. Both equal `msm_serial`. The
-/// prover's 1- and 2-point blinding products run at `s = 3` (4 buckets).
+/// and its 2 048-bucket reduction one per round of its 128 segments of 16
+/// (`2·16 − 2`) and one that normalises the 60 hot buckets the
+/// accumulation's spills left, while a 1-point one-shot, whose few buckets
+/// could never fill a batch worth its inversion, inverts nothing. Both
+/// equal `msm_serial`. The prover's 1- and 2-point blinding products run
+/// at `s = 3` (4 buckets).
 #[test]
 fn batches_invert_only_where_they_pay() {
     type G1 = bls12_381::G1;
@@ -373,10 +406,12 @@ fn batches_invert_only_where_they_pay() {
         "{} inversions for {adds} additions",
         out.stats.batch_inversions
     );
+    assert_eq!(out.stats.reduction_inversions, 2 * 16 - 2 + 1);
 
     let out = msm_parallel_with_config(&points[..1], &scalars[..1], &config, &pool);
     assert_eq!(out.point, msm_serial(&points[..1], &scalars[..1]));
     assert_eq!(out.stats.batch_inversions, 0);
+    assert_eq!(out.stats.reduction_inversions, 0);
 
     let one_shot = |shape: MsmShape| (shape.window_bits, shape.target_windows);
     for n in [1, 2] {
@@ -384,6 +419,39 @@ fn batches_invert_only_where_they_pay() {
     }
     let g2 = msm_shape::<bls12_381::G2>(1, &config, Some(0));
     assert_eq!(one_shot(g2), (3, 22));
+}
+
+/// Degenerate inputs through plans whose reduction segments (`s = 11`
+/// and 12, 1 024 and 2 048 buckets): every base the same point, so buckets
+/// and running sums meet `P + P` and `P − P` at every turn, and every
+/// scalar the same, so every row of one copy lands in the same buckets.
+/// Each equals `msm_serial` and is bit-identical, stats included, at 1 and
+/// 3 threads.
+#[test]
+fn segmented_plans_survive_equal_bases_and_equal_scalars() {
+    type G1 = bls12_381::G1;
+    const N: usize = 600;
+    let (random_points, random_scalars) = random_inputs::<G1>(N, 46);
+    let equal_points = vec![random_points[0]; N];
+    let equal_scalars = vec![random_scalars[0]; N];
+    for (points, scalars) in [
+        (&equal_points, &random_scalars),
+        (&random_points, &equal_scalars),
+    ] {
+        let expect = msm_serial(points, scalars);
+        for s in [11, 12] {
+            let config = MsmConfig {
+                window_bits: Some(s),
+                ..MsmConfig::glv_style()
+            };
+            let plan = MsmPlan::build(points, &config, None, &ThreadPool::with_threads(1));
+            let serial = plan.execute(scalars, &ThreadPool::with_threads(1));
+            assert_eq!(serial.point, expect, "s = {s}");
+            assert!(serial.stats.reduction_inversions > 0, "s = {s}");
+            let parallel = plan.execute(scalars, &ThreadPool::with_threads(3));
+            assert_same_run(&parallel, &serial, &format!("s = {s}, 3 threads"));
+        }
+    }
 }
 
 /// The point of sizing the window for the folded table: the prover-sized

@@ -305,11 +305,17 @@ pub struct MontgomeryTrickResult {
     pub batch_overhead_muls: u64,
     /// Intermediate bytes for a 2^20 batch (paper: ~300 MB).
     pub intermediate_bytes_2_20: u64,
-    /// Batch inversions of one real H-shaped plan run on the host
-    /// (`MsmStats::batch_inversions`).
+    /// Batch inversions of the bucket accumulation of one real H-shaped
+    /// plan run on the host (`MsmStats::batch_inversions`).
     pub host_batch_inversions: u64,
-    /// Bucket additions per inversion in that run.
+    /// Bucket additions per accumulation inversion in that run.
     pub host_adds_per_inversion: f64,
+    /// Batch inversions of that run's segmented bucket reduction
+    /// (`MsmStats::reduction_inversions`).
+    pub host_reduction_inversions: u64,
+    /// Reduction additions (`MsmStats::reduction_padds`) per reduction
+    /// inversion.
+    pub host_reduction_adds_per_inversion: f64,
     /// Bytes one host batch holds: `AFFINE_BATCH` × 3 Fq elements.
     pub host_batch_bytes: u64,
 }
@@ -345,6 +351,9 @@ pub fn montgomery_trick() -> MontgomeryTrickResult {
         host_batch_inversions: host.batch_inversions,
         host_adds_per_inversion: host.accumulation_padds as f64
             / host.batch_inversions.max(1) as f64,
+        host_reduction_inversions: host.reduction_inversions,
+        host_reduction_adds_per_inversion: host.reduction_padds as f64
+            / host.reduction_inversions.max(1) as f64,
         host_batch_bytes: (AFFINE_BATCH * 3 * core::mem::size_of::<Fq381>()) as u64,
     }
 }
@@ -373,12 +382,20 @@ pub fn render_montgomery_trick(r: &MontgomeryTrickResult) -> String {
         format!("{} MB", r.intermediate_bytes_2_20 / 1_000_000),
     ]);
     t.row(vec![
-        "Host H-shaped plan run: batch inversions".into(),
+        "Host H-shaped plan run: accumulation inversions".into(),
         r.host_batch_inversions.to_string(),
     ]);
     t.row(vec![
-        "Host H-shaped plan run: adds per inversion".into(),
+        "Host H-shaped plan run: accumulation adds per inversion".into(),
         format!("{:.0}", r.host_adds_per_inversion),
+    ]);
+    t.row(vec![
+        "Host H-shaped plan run: reduction inversions".into(),
+        r.host_reduction_inversions.to_string(),
+    ]);
+    t.row(vec![
+        "Host H-shaped plan run: reduction adds per inversion".into(),
+        format!("{:.0}", r.host_reduction_adds_per_inversion),
     ]);
     t.row(vec![
         format!("Host batch ({AFFINE_BATCH} x 3 Fq, stays in L2)"),
@@ -475,6 +492,13 @@ mod tests {
             (256.0..1024.0).contains(&r.host_adds_per_inversion),
             "{} additions per inversion",
             r.host_adds_per_inversion
+        );
+        // Its 4 096-bucket reduction runs 256 segments of 16: one
+        // inversion per round of up to 256 additions, two rounds a step.
+        assert!(
+            (2 * 16 - 2..=2 * 16 - 1).contains(&r.host_reduction_inversions),
+            "{} reduction inversions",
+            r.host_reduction_inversions
         );
     }
 
