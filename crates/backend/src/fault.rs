@@ -34,21 +34,6 @@ pub fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The prover stage an op belongs to, for stage-targeted fault plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultStage {
-    /// QAP witness-map evaluation.
-    WitnessEval,
-    /// Forward or inverse NTT.
-    Ntt,
-    /// Coset scaling.
-    Coset,
-    /// Any of the four G1 MSMs.
-    MsmG1,
-    /// The G2 MSM.
-    MsmG2,
-}
-
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -63,17 +48,13 @@ pub enum FaultKind {
 /// A seeded, deterministic fault schedule.
 ///
 /// Rate-based faults are decided per op from `splitmix64(seed ^ f(index))`
-/// — panic, then error, then delay probability bands. Exact faults
-/// ([`fail_at`](Self::fail_at) and friends) override the rates at their
-/// op index and ignore the stage filter.
+/// — a panic band, then an error band. Exact faults ([`fail_at`](Self::fail_at)
+/// and friends) override the rates at their op index.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     error_rate: f64,
     panic_rate: f64,
-    delay_rate: f64,
-    delay: Duration,
-    stages: Option<Vec<FaultStage>>,
     exact: Vec<(u64, FaultKind)>,
 }
 
@@ -109,20 +90,6 @@ impl FaultPlan {
         self
     }
 
-    /// Per-op probability of an injected `delay`-long sleep.
-    pub fn with_delay(mut self, rate: f64, delay: Duration) -> Self {
-        self.delay_rate = rate.clamp(0.0, 1.0);
-        self.delay = delay;
-        self
-    }
-
-    /// Restricts rate-based faults to the given stages (exact faults are
-    /// unaffected).
-    pub fn only_stages(mut self, stages: &[FaultStage]) -> Self {
-        self.stages = Some(stages.to_vec());
-        self
-    }
-
     /// Forces an error at op `index`.
     pub fn fail_at(mut self, index: u64) -> Self {
         self.exact.push((index, FaultKind::Error));
@@ -141,16 +108,11 @@ impl FaultPlan {
         self
     }
 
-    /// The fault (if any) for op `index` in `stage`. Deterministic: a
-    /// pure function of the plan and the arguments.
-    pub fn decide(&self, stage: FaultStage, index: u64) -> Option<FaultKind> {
+    /// The fault (if any) for op `index`. Deterministic: a pure function
+    /// of the plan and the index.
+    pub fn decide(&self, index: u64) -> Option<FaultKind> {
         if let Some((_, kind)) = self.exact.iter().find(|(i, _)| *i == index) {
             return Some(*kind);
-        }
-        if let Some(stages) = &self.stages {
-            if !stages.contains(&stage) {
-                return None;
-            }
         }
         let u = unit_f64(splitmix64(
             self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15),
@@ -159,8 +121,6 @@ impl FaultPlan {
             Some(FaultKind::Panic)
         } else if u < self.panic_rate + self.error_rate {
             Some(FaultKind::Error)
-        } else if u < self.panic_rate + self.error_rate + self.delay_rate {
-            Some(FaultKind::Delay(self.delay))
         } else {
             None
         }
@@ -227,7 +187,7 @@ impl<B> FaultInjectingBackend<B> {
     fn gate(&self, kind: OpKind) -> Result<(), BackendError> {
         let index = self.ops.fetch_add(1, Ordering::Relaxed);
         let op = kind.name();
-        match self.plan.decide(kind.fault_stage(), index) {
+        match self.plan.decide(index) {
             None => Ok(()),
             Some(FaultKind::Error) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -276,8 +236,8 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
         let plan = FaultPlan::new(7).with_error_rate(0.3).with_panic_rate(0.1);
-        let a: Vec<_> = (0..256).map(|i| plan.decide(FaultStage::Ntt, i)).collect();
-        let b: Vec<_> = (0..256).map(|i| plan.decide(FaultStage::Ntt, i)).collect();
+        let a: Vec<_> = (0..256).map(|i| plan.decide(i)).collect();
+        let b: Vec<_> = (0..256).map(|i| plan.decide(i)).collect();
         assert_eq!(a, b, "same plan, same indices, same decisions");
         let injected = a.iter().filter(|d| d.is_some()).count();
         assert!(
@@ -285,40 +245,26 @@ mod tests {
             "rate 0.4 should inject some but not all ({injected}/256)"
         );
         let other = FaultPlan::new(8).with_error_rate(0.3).with_panic_rate(0.1);
-        let c: Vec<_> = (0..256).map(|i| other.decide(FaultStage::Ntt, i)).collect();
+        let c: Vec<_> = (0..256).map(|i| other.decide(i)).collect();
         assert_ne!(a, c, "a different seed reshuffles the schedule");
     }
 
     #[test]
-    fn exact_faults_override_rates_and_stage_filters() {
+    fn exact_faults_override_rates() {
         let plan = FaultPlan::new(1)
-            .only_stages(&[FaultStage::MsmG2])
+            .with_error_rate(1.0)
             .fail_at(3)
             .panic_at(5)
             .delay_at(9, Duration::from_millis(2));
-        // Rate faults are off, stage filter excludes Ntt — but exact
-        // entries fire regardless.
-        assert_eq!(plan.decide(FaultStage::Ntt, 3), Some(FaultKind::Error));
-        assert_eq!(plan.decide(FaultStage::Ntt, 5), Some(FaultKind::Panic));
+        // Every op fails by rate — except where an exact entry fires.
+        assert_eq!(plan.decide(3), Some(FaultKind::Error));
+        assert_eq!(plan.decide(5), Some(FaultKind::Panic));
         assert_eq!(
-            plan.decide(FaultStage::Ntt, 9),
+            plan.decide(9),
             Some(FaultKind::Delay(Duration::from_millis(2)))
         );
-        assert_eq!(plan.decide(FaultStage::Ntt, 4), None);
-        assert_eq!(plan.decide(FaultStage::MsmG2, 4), None);
-    }
-
-    #[test]
-    fn stage_filter_gates_rate_faults() {
-        let plan = FaultPlan::new(11)
-            .with_error_rate(1.0)
-            .only_stages(&[FaultStage::WitnessEval]);
-        assert_eq!(
-            plan.decide(FaultStage::WitnessEval, 0),
-            Some(FaultKind::Error)
-        );
-        assert_eq!(plan.decide(FaultStage::MsmG1, 0), None);
-        assert_eq!(plan.decide(FaultStage::Coset, 17), None);
+        assert_eq!(plan.decide(4), Some(FaultKind::Error));
+        assert_eq!(FaultPlan::new(1).fail_at(3).decide(4), None);
     }
 
     #[test]

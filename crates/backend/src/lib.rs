@@ -13,6 +13,8 @@
 //!   per-stage breakdowns.
 //! * [`FaultInjectingBackend`] — a decorator that fails, panics or delays
 //!   ops per a seeded [`FaultPlan`].
+//! * [`DeadlineBackend`] — a decorator that stops a proof whose deadline
+//!   has passed, checked before and after every op.
 //!
 //! A simulated GPU is not a backend: `zkprophet` prices a recorded trace
 //! ([`ExecTrace::summarize`] takes the per-record price from its caller),
@@ -25,24 +27,22 @@
 #![forbid(unsafe_code)]
 
 pub mod cpu;
+pub mod deadline;
 pub mod fault;
 pub mod trace;
 
-use std::time::Instant;
 use zkp_curves::Bls12Config;
 use zkp_ff::PrimeField;
-use zkp_ntt::{ntt_parallel_on, scale_by_powers, Domain, QuotientOps, TwiddleTable};
+use zkp_ntt::{Domain, QuotientStep, TwiddleTable};
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::ThreadPool;
 
 pub use cpu::CpuBackend;
-pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultStage, InjectedFaults};
+pub use deadline::DeadlineBackend;
+pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, InjectedFaults};
 pub use trace::{
     ExecTrace, G1Msm, OpClass, OpKind, OpRecord, StageRow, TraceSummary, TracingBackend,
 };
-
-/// The three QAP witness maps `(⟨A,z⟩, ⟨B,z⟩, ⟨C,z⟩)` over the domain.
-pub type WitnessMaps<F> = (Vec<F>, Vec<F>, Vec<F>);
 
 /// Why a fallible backend operation did not complete.
 ///
@@ -62,11 +62,12 @@ pub enum BackendError {
         /// Backend-specific failure description.
         reason: String,
     },
-    /// A prove deadline passed between task-graph stages; the remaining
-    /// work was abandoned instead of finishing a proof nobody can use.
+    /// A prove deadline passed at an op boundary; the remaining work was
+    /// abandoned instead of finishing a proof nobody can use.
     DeadlineExceeded {
-        /// The stage at whose boundary the deadline check fired.
-        stage: &'static str,
+        /// The op at whose start or end the deadline check fired
+        /// ([`OpKind::name`]).
+        op: &'static str,
     },
 }
 
@@ -76,26 +77,14 @@ impl std::fmt::Display for BackendError {
             BackendError::OpFailed { op, index, reason } => {
                 write!(f, "backend op {op} #{index} failed: {reason}")
             }
-            BackendError::DeadlineExceeded { stage } => {
-                write!(f, "prove deadline exceeded at stage {stage}")
+            BackendError::DeadlineExceeded { op } => {
+                write!(f, "prove deadline exceeded at op {op}")
             }
         }
     }
 }
 
 impl std::error::Error for BackendError {}
-
-/// Returns [`BackendError::DeadlineExceeded`] if `deadline` has passed.
-///
-/// The prover calls this between task-graph stages so a job whose
-/// deadline expired mid-prove is abandoned at the next stage boundary.
-/// `None` disables the check (always `Ok`).
-pub fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<(), BackendError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(BackendError::DeadlineExceeded { stage }),
-        _ => Ok(()),
-    }
-}
 
 /// One op as a backend hook sees it: what runs and at what size. The
 /// kernel is not part of it — a hook decides only whether, when and
@@ -188,23 +177,12 @@ pub fn dispatch<C: Bls12Config, B: ExecBackend<C> + ?Sized, T>(
     })
 }
 
-/// The prover-side QAP witness maps: `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` per
+/// The prover-side QAP witness maps `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` per
 /// domain row, zero-padded to `domain_size`, with the input-consistency
-/// rows appended (libsnark/arkworks construction). Allocating form of
-/// [`witness_maps_into`].
-///
-/// # Panics
-///
-/// Panics if `domain_size` cannot hold the constraint and consistency rows.
-pub fn witness_maps<F: PrimeField>(cs: &ConstraintSystem<F>, domain_size: u64) -> WitnessMaps<F> {
-    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-    witness_maps_into(cs, domain_size, &mut a, &mut b, &mut c);
-    (a, b, c)
-}
-
-/// The QAP witness maps into caller-owned buffers: clears and refills
-/// `a`, `b`, `c` (reusing their capacity): the witness-eval kernel the
-/// prover dispatches, allocation-free once the buffers are warm.
+/// rows appended (libsnark/arkworks construction), into caller-owned
+/// buffers: clears and refills `a`, `b`, `c` (reusing their capacity).
+/// The witness-eval kernel the prover dispatches, allocation-free once the
+/// buffers are warm.
 ///
 /// # Panics
 ///
@@ -238,75 +216,20 @@ pub fn witness_maps_into<F: PrimeField>(
     }
 }
 
-/// [`QuotientOps`] through an [`ExecBackend`]: the transforms and coset
-/// scalings are dispatched ops, and every stage boundary checks `deadline`.
-struct BackendOps<'a, C: Bls12Config, B: ?Sized> {
-    backend: &'a B,
-    table: &'a TwiddleTable<C::Fr>,
-    deadline: Option<Instant>,
-}
-
-impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> BackendOps<'_, C, B> {
-    /// Dispatches `kernel` over `values` as a `kind` op.
-    fn run(
-        &self,
-        kind: OpKind,
-        values: &mut [C::Fr],
-        kernel: impl FnOnce(&mut [C::Fr]),
-    ) -> Result<(), BackendError> {
-        let op = Op {
-            kind,
-            size: values.len() as u64,
-            tag: None,
-        };
-        dispatch(self.backend, &op, || kernel(values))
-    }
-}
-
-impl<C: Bls12Config, B: ExecBackend<C> + ?Sized> QuotientOps<C::Fr> for BackendOps<'_, C, B> {
-    type Error = BackendError;
-
-    fn pool(&self) -> &ThreadPool {
-        self.backend.pool()
-    }
-    fn ntt_forward(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
-        self.run(OpKind::NttForward, values, |v| {
-            ntt_parallel_on(v, self.table, false, self.pool())
-        })
-    }
-    fn ntt_inverse(&self, values: &mut [C::Fr]) -> Result<(), BackendError> {
-        self.run(OpKind::NttInverse, values, |v| {
-            ntt_parallel_on(v, self.table, true, self.pool())
-        })
-    }
-    fn coset_mul(&self, values: &mut [C::Fr], g: C::Fr, scale: C::Fr) -> Result<(), BackendError> {
-        self.run(OpKind::CosetMul, values, |v| {
-            scale_by_powers(self.pool(), v, g, scale)
-        })
-    }
-    fn checkpoint(&self, stage: &'static str) -> Result<(), BackendError> {
-        check_deadline(self.deadline, stage)
-    }
-}
-
 /// The 7-transform quotient pipeline `h = (a·b − c)/Z`, fully in place:
-/// [`zkp_ntt::quotient_schedule`] with every transform and coset scaling
-/// issued through `backend`. Consumes the evaluation vectors and leaves
-/// the coefficients of `h` in `a` (`b`, `c` clobbered as scratch),
-/// allocating nothing. It is the schedule `zkp_ntt::quotient_poly_in`
-/// runs, so on the CPU backend the two are the same computation.
-///
-/// `deadline` is checked before every transform group so an expired job
-/// is abandoned at the next stage boundary instead of finishing dead
-/// work; `None` disables the check.
+/// [`zkp_ntt::quotient_schedule`] on the backend's pool with each of its
+/// 11 steps [`dispatch`]ed as the matching [`OpKind`]. Consumes the
+/// evaluation vectors and leaves the coefficients of `h` in `a` (`b`, `c`
+/// clobbered as scratch), allocating nothing. It is the schedule
+/// `zkp_ntt::quotient_poly_in` runs, so on the CPU backend the two are the
+/// same computation.
 ///
 /// Returns the number of NTT-shaped transforms performed (7).
 ///
 /// # Errors
 ///
 /// The first [`BackendError`] any transform reports (chains are checked
-/// in a/b/c order), or [`BackendError::DeadlineExceeded`] from a stage
-/// boundary.
+/// in a/b/c order).
 ///
 /// # Panics
 ///
@@ -318,14 +241,21 @@ pub fn quotient_pipeline_in<C: Bls12Config, B: ExecBackend<C> + ?Sized>(
     b: &mut [C::Fr],
     c: &mut [C::Fr],
     backend: &B,
-    deadline: Option<Instant>,
 ) -> Result<u32, BackendError> {
-    let ops = BackendOps {
-        backend,
-        table,
-        deadline,
+    let run = |step, len: usize, transform: &mut dyn FnMut()| {
+        let kind = match step {
+            QuotientStep::NttInverse => OpKind::NttInverse,
+            QuotientStep::CosetMul => OpKind::CosetMul,
+            QuotientStep::NttForward => OpKind::NttForward,
+        };
+        let op = Op {
+            kind,
+            size: len as u64,
+            tag: None,
+        };
+        dispatch(backend, &op, transform)
     };
-    zkp_ntt::quotient_schedule(domain, &ops, a, b, c)
+    zkp_ntt::quotient_schedule(domain, table, backend.pool(), a, b, c, run)
 }
 
 #[cfg(test)]
@@ -340,7 +270,8 @@ mod tests {
         assert!(cs.is_satisfied());
         let rows = cs.num_constraints() + cs.num_public() + 1;
         let n = rows.next_power_of_two() as u64;
-        let (a, b, c) = witness_maps(&cs, n);
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        witness_maps_into(&cs, n, &mut a, &mut b, &mut c);
         assert_eq!(a.len(), n as usize);
         // Each constraint row satisfies a·b = c.
         for row in 0..cs.num_constraints() {

@@ -9,7 +9,7 @@
 //! what was measured; the caller of `summarize` decides what a record
 //! costs (its wall time, or a simulated GPU's price for it).
 
-use crate::{BackendError, ExecBackend, FaultStage, Op};
+use crate::{BackendError, ExecBackend, Op};
 use std::sync::Mutex;
 use std::time::Instant;
 use zkp_curves::Bls12Config;
@@ -71,17 +71,6 @@ impl OpKind {
             OpKind::CosetMul => "coset_mul",
             OpKind::MsmG1(_) => "msm_g1",
             OpKind::MsmG2 => "msm_g2",
-        }
-    }
-
-    /// The stage a [`FaultPlan`](crate::FaultPlan) targets the op by.
-    pub(crate) fn fault_stage(&self) -> FaultStage {
-        match self {
-            OpKind::WitnessEval => FaultStage::WitnessEval,
-            OpKind::NttForward | OpKind::NttInverse => FaultStage::Ntt,
-            OpKind::CosetMul => FaultStage::Coset,
-            OpKind::MsmG1(_) => FaultStage::MsmG1,
-            OpKind::MsmG2 => FaultStage::MsmG2,
         }
     }
 

@@ -4,11 +4,10 @@ use crate::qap::Qap;
 use crate::workspace::ProverWorkspace;
 use core::fmt;
 use rand::Rng;
-use std::time::Instant;
 use zkp_backend::cpu::default_msm_config;
 use zkp_backend::{
-    check_deadline, dispatch, quotient_pipeline_in, witness_maps_into, BackendError, CpuBackend,
-    ExecBackend, G1Msm, Op, OpKind,
+    dispatch, quotient_pipeline_in, witness_maps_into, BackendError, CpuBackend, ExecBackend,
+    G1Msm, Op, OpKind,
 };
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
@@ -312,7 +311,7 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
     let domain = Qap::for_system(cs).domain;
     let table = TwiddleTable::new(&domain);
     let mut ws = ProverWorkspace::new();
-    prove_core(pk, &plan, &domain, &table, &mut ws, cs, rng, backend, None)
+    prove_core(pk, &plan, &domain, &table, &mut ws, cs, rng, backend)
         .unwrap_or_else(|e| panic!("prove failed: {e}"))
 }
 
@@ -326,8 +325,7 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
 /// any thread count *and under any backend* given the same `rng` stream,
 /// because the blinding factors are drawn before the graph is spawned,
 /// every kernel is schedule-deterministic, and every kernel is the
-/// prover's, [`dispatch`]ed once through the backend's hook. `deadline`
-/// is checked before every stage.
+/// prover's, [`dispatch`]ed once through the backend's hook.
 ///
 /// After an `Err` the workspace remains usable: every buffer is cleared
 /// or refilled at the start of the next call.
@@ -341,7 +339,6 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     cs: &ConstraintSystem<C::Fr>,
     rng: &mut R,
     backend: &B,
-    deadline: Option<Instant>,
 ) -> Result<(Proof<C>, ProverStats), BackendError> {
     debug_assert!(cs.is_satisfied(), "witness does not satisfy the circuit");
     assert_eq!(
@@ -367,7 +364,6 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let r = C::Fr::random(rng);
     let s = C::Fr::random(rng);
 
-    check_deadline(deadline, "witness-eval")?;
     let witness_eval = Op {
         kind: OpKind::WitnessEval,
         size: domain.size(),
@@ -400,11 +396,7 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         "private witness length does not match the proving key"
     );
     let [sa, sb1, sl, sh] = g1;
-    let g1_msm = |which: G1Msm,
-                  stage: &'static str,
-                  scalars: &[C::Fr],
-                  scratch: &mut MsmScratch<G1Curve<C>>| {
-        check_deadline(deadline, stage)?;
+    let g1_msm = |which: G1Msm, scalars: &[C::Fr], scratch: &mut MsmScratch<G1Curve<C>>| {
         msm_op(
             backend,
             OpKind::MsmG1(which),
@@ -429,24 +421,21 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
             // one MSM that needs h's coefficients, which the pipeline
             // leaves in `a_evals`.
             let ntt_count =
-                quotient_pipeline_in(domain, table, a_evals, b_evals, c_evals, backend, deadline)?;
+                quotient_pipeline_in(domain, table, a_evals, b_evals, c_evals, backend)?;
             let h_len = plan.h.len();
-            let h_acc = g1_msm(G1Msm::H, "h-msm", &a_evals[..h_len], sh)?;
+            let h_acc = g1_msm(G1Msm::H, &a_evals[..h_len], sh)?;
             Ok((h_acc, ntt_count, h_len))
         },
         || {
             pool.join(
-                || g1_msm(G1Msm::A, "a-msm", z, sa),
+                || g1_msm(G1Msm::A, z, sa),
                 || {
                     pool.join(
-                        || g1_msm(G1Msm::B1, "b1-msm", z, sb1),
+                        || g1_msm(G1Msm::B1, z, sb1),
                         || {
                             pool.join(
-                                || {
-                                    check_deadline(deadline, "b2-msm")?;
-                                    msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2)
-                                },
-                                || g1_msm(G1Msm::L, "l-msm", priv_z, sl),
+                                || msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2),
+                                || g1_msm(G1Msm::L, priv_z, sl),
                             )
                         },
                     )
@@ -459,7 +448,6 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let b1_msm = rb1?;
     let b2_msm = rb2?;
     let l_acc = rl?;
-    check_deadline(deadline, "finalize")?;
 
     // The blinding products are 1- and 2-point MSMs through the same
     // engine, on the arms' (warm) scratch: split on the endomorphism, they

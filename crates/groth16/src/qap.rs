@@ -88,15 +88,6 @@ impl<F: PrimeField> Qap<F> {
             .map(|j| scale * omegas[j] * denoms[j])
             .collect()
     }
-
-    /// The prover-side evaluation vectors: `(⟨A_j,z⟩, ⟨B_j,z⟩, ⟨C_j,z⟩)` for
-    /// every domain row, zero-padded to the domain size.
-    ///
-    /// Delegates to [`zkp_backend::witness_maps`], the allocating form of
-    /// the witness-eval kernel the prover dispatches.
-    pub fn witness_maps(&self, cs: &ConstraintSystem<F>) -> (Vec<F>, Vec<F>, Vec<F>) {
-        zkp_backend::witness_maps(cs, self.domain.size())
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +129,14 @@ mod tests {
         let wc: Fr381 = w.iter().zip(&z).map(|(x, y)| *x * *y).sum();
 
         // Interpolate the witness maps and evaluate at τ — must match.
-        let (a_evals, b_evals, c_evals) = qap.witness_maps(&cs);
+        let (mut a_evals, mut b_evals, mut c_evals) = (Vec::new(), Vec::new(), Vec::new());
+        zkp_backend::witness_maps_into(
+            &cs,
+            qap.domain.size(),
+            &mut a_evals,
+            &mut b_evals,
+            &mut c_evals,
+        );
         let lagrange = qap.lagrange_coeffs_at(&tau);
         let a_tau: Fr381 = a_evals.iter().zip(&lagrange).map(|(x, l)| *x * *l).sum();
         let b_tau: Fr381 = b_evals.iter().zip(&lagrange).map(|(x, l)| *x * *l).sum();

@@ -24,18 +24,19 @@
 //!   [`RetryPolicy::max_retries`] times with capped exponential backoff
 //!   and deterministic seeded jitter (a pure function of job id, seed,
 //!   and attempt — no global RNG).
-//! * **Mid-prove deadlines** — a job's deadline is checked between
-//!   task-graph stages inside the prover, so a proof that cannot finish
-//!   in time is abandoned instead of completing dead work.
+//! * **Mid-prove deadlines** — every attempt proves through a
+//!   [`DeadlineBackend`] holding the job's deadline, which checks it
+//!   before and after every op, so a proof that cannot finish in time is
+//!   abandoned instead of completing dead work.
 //! * **Panic isolation** — each attempt runs under
 //!   [`catch_unwind`](std::panic::catch_unwind); a panic is treated as a
 //!   retryable failure, the job still resolves exactly once, and the
 //!   worker replaces itself with a fresh fork afterwards (counted in
 //!   [`ServiceStats::respawns`]).
-//! * **Graceful degradation** — consecutive job failures or queue-age
-//!   beyond a threshold trip shed-load mode: new submissions are
-//!   rejected with [`SubmitError::Degraded`] until a run of consecutive
-//!   successes recovers the service (hysteresis, so it does not flap).
+//! * **Graceful degradation** — consecutive job failures trip shed-load
+//!   mode: new submissions are rejected with [`SubmitError::Degraded`]
+//!   until a run of consecutive successes recovers the service
+//!   (hysteresis, so it does not flap).
 
 use crate::protocol::{Proof, ProverStats};
 use crate::session::ProverSession;
@@ -47,7 +48,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zkp_backend::fault::{splitmix64, unit_f64};
-use zkp_backend::{BackendError, CpuBackend, ExecBackend};
+use zkp_backend::{BackendError, CpuBackend, DeadlineBackend, ExecBackend};
 use zkp_curves::Bls12Config;
 use zkp_r1cs::ConstraintSystem;
 use zkp_runtime::service::{percentile, JobQueue};
@@ -105,9 +106,6 @@ pub struct ServiceConfig {
     /// Consecutive job failures that trip shed-load mode (0 disables
     /// failure-based degradation).
     pub degrade_after_failures: u32,
-    /// Queue age at dequeue that trips shed-load mode (`None` disables
-    /// age-based degradation).
-    pub degrade_queue_age: Option<Duration>,
     /// Consecutive job successes required to leave shed-load mode — the
     /// hysteresis that keeps a flapping backend from re-admitting load
     /// after a single lucky proof.
@@ -117,14 +115,13 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// Defaults: the given sizing, default retry policy, degradation
     /// after 8 consecutive failures, recovery after 4 consecutive
-    /// successes, no queue-age threshold.
+    /// successes.
     pub fn new(workers: usize, capacity: usize) -> Self {
         Self {
             workers,
             capacity,
             retry: RetryPolicy::default(),
             degrade_after_failures: 8,
-            degrade_queue_age: None,
             recover_after_successes: 4,
         }
     }
@@ -158,7 +155,7 @@ impl<C: Bls12Config> CompletedProof<C> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobError {
     /// The job's deadline passed — either before a worker dequeued it
-    /// (never started) or between prover stages (abandoned mid-prove;
+    /// (never started) or at an op boundary (abandoned mid-prove;
     /// counted in [`ServiceStats::abandoned`]).
     DeadlineExpired {
         /// How long the job had been in the service when it was dropped.
@@ -375,21 +372,12 @@ impl<C: Bls12Config> ProofService<C> {
     ///
     /// Panics if `workers` or `capacity` is zero.
     pub fn start(session: &ProverSession<C>, workers: usize, capacity: usize) -> Self {
-        Self::start_with_config(session, ServiceConfig::new(workers, capacity))
+        Self::start_inner(session, ServiceConfig::new(workers, capacity), None)
     }
 
-    /// [`start`](Self::start) with explicit retry/degradation tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.workers` or `config.capacity` is zero.
-    pub fn start_with_config(session: &ProverSession<C>, config: ServiceConfig) -> Self {
-        Self::start_inner(session, config, None)
-    }
-
-    /// [`start_with_config`](Self::start_with_config) with a per-worker
-    /// backend factory — the hook fault-injection tests and resilience
-    /// experiments use to put a
+    /// [`start`](Self::start) with explicit retry/degradation tuning and a
+    /// per-worker backend factory — the hook fault-injection tests and
+    /// resilience experiments use to put a
     /// [`FaultInjectingBackend`](zkp_backend::FaultInjectingBackend)
     /// under every worker.
     ///
@@ -463,8 +451,8 @@ impl<C: Bls12Config> ProofService<C> {
 
     /// [`submit`](Self::submit) with a relative deadline: if the job is
     /// still queued when the deadline elapses, the worker drops it at
-    /// dequeue; if it expires mid-prove, the prover abandons it at the
-    /// next stage boundary. Either way the ticket resolves to
+    /// dequeue; if it expires mid-prove, the proof stops at the next op
+    /// boundary. Either way the ticket resolves to
     /// [`JobError::DeadlineExpired`].
     ///
     /// # Errors
@@ -636,14 +624,9 @@ fn run_job<C: Bls12Config>(
         let _ = job.reply.send(Err(JobError::DeadlineExpired { waited }));
         return false;
     }
-    if shared.cfg.degrade_queue_age.is_some_and(|age| waited > age) {
-        // The queue is backing up past the age threshold: shed new load
-        // (this job, already admitted, still runs).
-        shared.enter_degraded();
-    }
-
     // A deadline past what `Instant` can represent is no deadline.
     let deadline = job.deadline.and_then(|d| job.submitted.checked_add(d));
+    let backend = DeadlineBackend::new(backend, deadline);
     let attempts = shared.cfg.retry.max_retries.saturating_add(1);
     let mut panicked = false;
     let t0 = Instant::now();
@@ -672,7 +655,7 @@ fn run_job<C: Bls12Config>(
         // byte-identical to one that succeeded first try.
         let mut rng = StdRng::seed_from_u64(job.seed);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            session.try_prove_in_on(&job.cs, &mut rng, backend, deadline)
+            session.try_prove_in_on(&job.cs, &mut rng, &backend)
         }));
         match outcome {
             Ok(Ok((proof, pstats))) => {

@@ -14,7 +14,6 @@ use crate::protocol::{prove_core, Proof, ProverPlan, ProverStats, ProvingKey, Ve
 use crate::workspace::ProverWorkspace;
 use rand::Rng;
 use std::sync::Arc;
-use std::time::Instant;
 use zkp_backend::{BackendError, CpuBackend, ExecBackend};
 use zkp_curves::Bls12Config;
 use zkp_ntt::{Domain, TwiddleTable};
@@ -131,16 +130,16 @@ impl<C: Bls12Config> ProverSession<C> {
         rng: &mut R,
         backend: &B,
     ) -> (Proof<C>, ProverStats) {
-        match self.try_prove_in_on(cs, rng, backend, None) {
+        match self.try_prove_in_on(cs, rng, backend) {
             Ok(out) => out,
             Err(e) => panic!("infallible prove failed: {e}"),
         }
     }
 
-    /// [`prove_in_on`](Self::prove_in_on) with an error channel: backend
-    /// op failures surface as `Err` instead of unwinding, and an optional
-    /// absolute `deadline` is checked between task-graph stages so a
-    /// doomed proof is abandoned instead of finished. Same op sequence,
+    /// [`prove_in_on`](Self::prove_in_on) with an error channel: a
+    /// backend op's `Err` — an op failure, or a deadline a
+    /// [`DeadlineBackend`](zkp_backend::DeadlineBackend) enforces — stops
+    /// the proof and is returned instead of unwinding. Same op sequence,
     /// same proof bytes, no allocation on the warm success path.
     ///
     /// After an `Err` the session remains usable — every workspace buffer
@@ -150,10 +149,9 @@ impl<C: Bls12Config> ProverSession<C> {
     ///
     /// # Errors
     ///
-    /// [`BackendError::OpFailed`] when a backend op reports failure,
-    /// [`BackendError::DeadlineExceeded`] when `deadline` passes between
-    /// stages. On concurrent arm failures the first error in task-graph
-    /// order (H, A, B1, B2, L) is returned.
+    /// The [`BackendError`] a backend op reports. On concurrent arm
+    /// failures the first error in task-graph order (H, A, B1, B2, L) is
+    /// returned.
     ///
     /// # Panics
     ///
@@ -164,7 +162,6 @@ impl<C: Bls12Config> ProverSession<C> {
         cs: &zkp_r1cs::ConstraintSystem<C::Fr>,
         rng: &mut R,
         backend: &B,
-        deadline: Option<Instant>,
     ) -> Result<(Proof<C>, ProverStats), BackendError> {
         let shared = &*self.shared;
         prove_core(
@@ -176,7 +173,6 @@ impl<C: Bls12Config> ProverSession<C> {
             cs,
             rng,
             backend,
-            deadline,
         )
     }
 }

@@ -10,7 +10,7 @@
 use gpu_kernels::LibraryId;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_backend::cpu::default_msm_config;
-use zkp_backend::{CpuBackend, ExecBackend, OpKind, TracingBackend};
+use zkp_backend::{CpuBackend, DeadlineBackend, ExecBackend, OpKind, TracingBackend};
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
 use zkp_groth16::{
@@ -74,6 +74,16 @@ fn cpu_backend_reproduces_the_committed_digest() {
             domain_size: 128,
         }
     );
+}
+
+/// The service proves every job through a `DeadlineBackend`; without a
+/// deadline it must be a pass-through: same bytes, same stats.
+#[test]
+fn deadline_backend_without_a_deadline_reproduces_the_committed_digest() {
+    let (cs, pk) = fixture();
+    let (digest, stats) = prove_with(&pk, &cs, &DeadlineBackend::new(CpuBackend::global(), None));
+    assert_eq!(digest, reference_proof_hex());
+    assert_eq!(stats, prove_with(&pk, &cs, &CpuBackend::global()).1);
 }
 
 #[test]

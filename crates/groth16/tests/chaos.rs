@@ -19,8 +19,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use zkp_backend::{
-    BackendError, CpuBackend, ExecBackend, FaultInjectingBackend, FaultPlan, FaultStage, G1Msm, Op,
-    OpKind, TracingBackend,
+    BackendError, CpuBackend, ExecBackend, FaultInjectingBackend, FaultPlan, G1Msm, Op, OpKind,
+    TracingBackend,
 };
 use zkp_curves::bls12_381::Bls12381;
 use zkp_ff::{Field, Fr381};
@@ -137,7 +137,6 @@ fn run_chaos(
         // each ticket's single resolution can be asserted. Degradation
         // has its own deterministic tests below.
         degrade_after_failures: 0,
-        degrade_queue_age: None,
         recover_after_successes: 1,
     };
     let plan = FaultPlan::new(base_seed)
@@ -296,7 +295,7 @@ fn fails_at_op_3_then_recovers<B: ExecBackend<Bls12381>>(
     let mut session = session().fork();
     let mut rng = StdRng::seed_from_u64(11);
     let err = session
-        .try_prove_in_on(&cs, &mut rng, backend, None)
+        .try_prove_in_on(&cs, &mut rng, backend)
         .expect_err("op 3 is failed by the plan");
     // On a 1-thread pool the quotient's a-chain runs first: witness eval
     // #0, INTT #1, coset #2, NTT #3.
@@ -319,7 +318,7 @@ fn fails_at_op_3_then_recovers<B: ExecBackend<Bls12381>>(
 
     let mut rng = StdRng::seed_from_u64(11);
     let (proof, _) = session
-        .try_prove_in_on(&cs, &mut rng, backend, None)
+        .try_prove_in_on(&cs, &mut rng, backend)
         .expect("the plan's only fault is spent");
     assert_eq!(proof.to_bytes(), expected_bytes(3, 11));
     assert_eq!(backend.take_trace().records.len(), 17);
@@ -384,7 +383,7 @@ fn a_hook_that_skips_the_kernel_is_an_err() {
         let mut rng = StdRng::seed_from_u64(11);
         let err = session()
             .fork()
-            .try_prove_in_on(&cs, &mut rng, &backend, None)
+            .try_prove_in_on(&cs, &mut rng, &backend)
             .expect_err("a skipped kernel yields no proof");
         assert!(
             matches!(err, BackendError::OpFailed { op, .. } if op == skip.name()),
@@ -393,18 +392,18 @@ fn a_hook_that_skips_the_kernel_is_an_err() {
     }
 }
 
-/// Every fault stage, end to end: a plan that fails only that stage's
-/// ops reports the first of them, by op name and dispatch index, where a
-/// traced run of the same proof places it.
+/// Every op kind, end to end: failing the first op of that kind, at the
+/// dispatch index a traced run of the same proof places it, reports it by
+/// op name and index.
 #[test]
-fn each_fault_stage_fails_its_first_op() {
+fn each_op_kind_fails_its_first_op() {
     let pool = ThreadPool::with_threads(1);
     let cs = circuit(3);
     let traced = TracingBackend::new(CpuBackend::on(&pool));
     let mut rng = StdRng::seed_from_u64(11);
     session()
         .fork()
-        .try_prove_in_on(&cs, &mut rng, &traced, None)
+        .try_prove_in_on(&cs, &mut rng, &traced)
         .expect("no faults");
     // One thread: completion order is dispatch order.
     let kinds: Vec<OpKind> = ExecBackend::<Bls12381>::take_trace(&traced)
@@ -413,41 +412,36 @@ fn each_fault_stage_fails_its_first_op() {
         .map(|r| r.kind)
         .collect();
     assert_eq!(kinds.len(), 17);
-    // The expected stage and name of each kind, written out here: the
-    // backend's own mapping is what is under test.
-    let stage_and_name = |kind: OpKind| match kind {
-        OpKind::WitnessEval => (FaultStage::WitnessEval, "witness_eval"),
-        OpKind::NttForward => (FaultStage::Ntt, "ntt_forward"),
-        OpKind::NttInverse => (FaultStage::Ntt, "ntt_inverse"),
-        OpKind::CosetMul => (FaultStage::Coset, "coset_mul"),
-        OpKind::MsmG1(_) => (FaultStage::MsmG1, "msm_g1"),
-        OpKind::MsmG2 => (FaultStage::MsmG2, "msm_g2"),
+    // The expected name of each kind, written out here: the backend's own
+    // mapping is what is under test.
+    let name = |kind: OpKind| match kind {
+        OpKind::WitnessEval => "witness_eval",
+        OpKind::NttForward => "ntt_forward",
+        OpKind::NttInverse => "ntt_inverse",
+        OpKind::CosetMul => "coset_mul",
+        OpKind::MsmG1(_) => "msm_g1",
+        OpKind::MsmG2 => "msm_g2",
     };
-    for stage in [
-        FaultStage::WitnessEval,
-        FaultStage::Ntt,
-        FaultStage::Coset,
-        FaultStage::MsmG1,
-        FaultStage::MsmG2,
-    ] {
-        let first = kinds
-            .iter()
-            .position(|k| stage_and_name(*k).0 == stage)
-            .expect("stage traced");
-        let name = stage_and_name(kinds[first]).1;
-        let first = first as u64;
-        let plan = FaultPlan::new(5).only_stages(&[stage]).with_error_rate(1.0);
+    let mut seen = Vec::new();
+    for (first, &kind) in kinds.iter().enumerate() {
+        if seen.contains(&kind) {
+            continue;
+        }
+        seen.push(kind);
+        let (name, first) = (name(kind), first as u64);
+        let plan = FaultPlan::none().fail_at(first);
         let backend = FaultInjectingBackend::new(CpuBackend::on(&pool), plan);
         let mut rng = StdRng::seed_from_u64(11);
         let err = session()
             .fork()
-            .try_prove_in_on(&cs, &mut rng, &backend, None)
-            .expect_err("every op of the stage fails");
+            .try_prove_in_on(&cs, &mut rng, &backend)
+            .expect_err("the kind's first op fails");
         assert!(
             matches!(err, BackendError::OpFailed { op, index, .. } if op == name && index == first),
-            "{stage:?}: expected {name} #{first}, got {err}"
+            "{kind:?}: expected {name} #{first}, got {err}"
         );
     }
+    assert_eq!(seen.len(), 9, "every op kind is traced: {seen:?}");
 }
 
 /// Errors at ops 0, 1, and 2 kill all three attempts (each failed

@@ -24,10 +24,11 @@
 //!   index-negated input), a multiplication-free head pass over stages 1–2
 //!   and one butterfly kernel under the pooled [`ntt_parallel_on`], one
 //!   fused coset scaling [`scale_by_powers`], and one pooled 7-transform
-//!   [`quotient_schedule`] (Fig. 3) over a [`QuotientOps`] op set, run by
-//!   [`quotient_poly_in`] on the kernels directly and by
-//!   `zkp_backend::quotient_pipeline_in` through an execution backend —
-//!   what the benchmark times is what the prover runs.
+//!   [`quotient_schedule`] (Fig. 3), the only caller of those two kernels
+//!   in the prover. It hands each of its 11 steps, as a
+//!   [`QuotientStep`], to one hook: [`quotient_poly_in`] runs them as they
+//!   are and `zkp_backend::quotient_pipeline_in` dispatches each as a
+//!   backend op — what the benchmark times is what the prover runs.
 //!
 //! # Examples
 //!
@@ -52,7 +53,7 @@ mod transform;
 
 pub use domain::Domain;
 pub use fast::{distribute_powers_parallel, ntt_parallel_on, scale_by_powers, TwiddleTable};
-pub use poly::{quotient_poly, quotient_poly_in, quotient_schedule, DensePoly, QuotientOps};
+pub use poly::{quotient_poly, quotient_poly_in, quotient_schedule, DensePoly, QuotientStep};
 pub use transform::{
     bit_reverse_permute, coset_intt, coset_ntt, distribute_powers, intt, ntt, ntt_radix2_in_place,
     slow_dft,

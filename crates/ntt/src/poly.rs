@@ -123,89 +123,91 @@ pub fn quotient_poly<F: PrimeField>(
     (a, 7)
 }
 
-/// The operations [`quotient_schedule`] is written over: where the
-/// transforms run and what can stop them. [`quotient_poly_in`] supplies
-/// the kernels directly (nothing fails); the prover supplies an execution
-/// backend and a deadline.
-pub trait QuotientOps<F: PrimeField>: Sync {
-    /// What an op or a checkpoint can fail with.
-    type Error: Send;
-
-    /// The pool the three input chains fork on; the ops run on it too, so
-    /// nesting stays deadlock-free.
-    fn pool(&self) -> &ThreadPool;
-
-    /// Forward NTT, in place.
-    fn ntt_forward(&self, values: &mut [F]) -> Result<(), Self::Error>;
-
+/// One transform of [`quotient_schedule`], as its hook sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuotientStep {
     /// Inverse NTT, in place, *without* the `n⁻¹` scaling — the schedule
-    /// folds that into the following [`coset_mul`](Self::coset_mul).
-    fn ntt_inverse(&self, values: &mut [F]) -> Result<(), Self::Error>;
-
+    /// folds that into the following coset scaling.
+    NttInverse,
     /// `values[i] *= scale · gⁱ`.
-    fn coset_mul(&self, values: &mut [F], g: F, scale: F) -> Result<(), Self::Error>;
-
-    /// Called with the stage's name before each transform group; an `Err`
-    /// abandons the schedule at that boundary.
-    fn checkpoint(&self, stage: &'static str) -> Result<(), Self::Error>;
+    CosetMul,
+    /// Forward NTT, in place.
+    NttForward,
 }
 
 /// The pooled 7-transform quotient schedule `h = (a·b − c)/Z`, fully in
 /// place: three concurrent INTT → coset scaling → NTT chains (one per
-/// input vector; each op also fans out internally), the chunk-parallel
-/// element-wise `a·b − c`, and one final coset INTT whose scaling pass
-/// carries `n⁻¹·Z⁻¹` (`Z` is constant on the coset). Consumes the
-/// evaluation vectors and leaves the coefficients of `h` in `a` (`b`, `c`
-/// clobbered as scratch), allocating nothing. The benchmark's
-/// [`quotient_poly_in`] and the prover's
-/// `zkp_backend::quotient_pipeline_in` are each one call to it.
+/// input vector; each transform also fans out internally on `pool`), the
+/// chunk-parallel element-wise `a·b − c`, and one final coset INTT whose
+/// scaling pass carries `n⁻¹·Z⁻¹` (`Z` is constant on the coset).
+/// Consumes the evaluation vectors and leaves the coefficients of `h` in
+/// `a` (`b`, `c` clobbered as scratch), allocating nothing.
+///
+/// Each of its 11 steps (7 transforms, 4 coset scalings) is handed to
+/// `wrap` as its [`QuotientStep`], its length and a closure that runs it:
+/// the hook runs the step or returns the error that stops the schedule. The benchmark's
+/// [`quotient_poly_in`] wraps nothing; the prover's
+/// `zkp_backend::quotient_pipeline_in` dispatches each one as a backend
+/// op.
 ///
 /// Returns the number of NTT-shaped transforms performed (7).
 ///
 /// # Errors
 ///
-/// The first error an op reports (chains are checked in a/b/c order), or
-/// the first a [`QuotientOps::checkpoint`] returns.
+/// The first error `wrap` returns (chains are checked in a/b/c order).
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length from the domain size.
-pub fn quotient_schedule<F: PrimeField, O: QuotientOps<F> + ?Sized>(
+/// Panics if the slices or the table differ in length from the domain size.
+pub fn quotient_schedule<F, E, W>(
     domain: &Domain<F>,
-    ops: &O,
+    table: &TwiddleTable<F>,
+    pool: &ThreadPool,
     a: &mut [F],
     b: &mut [F],
     c: &mut [F],
-) -> Result<u32, O::Error> {
+    wrap: W,
+) -> Result<u32, E>
+where
+    F: PrimeField,
+    E: Send,
+    W: Fn(QuotientStep, usize, &mut dyn FnMut()) -> Result<(), E> + Sync,
+{
     let n = domain.size() as usize;
     assert!(
         a.len() == n && b.len() == n && c.len() == n,
         "evaluation vectors must match the domain size"
     );
-    let pool = ops.pool();
+    let inverse = |v: &mut [F]| {
+        wrap(QuotientStep::NttInverse, v.len(), &mut || {
+            ntt_parallel_on(v, table, true, pool)
+        })
+    };
+    let coset = |v: &mut [F], g: F, scale: F| {
+        wrap(QuotientStep::CosetMul, v.len(), &mut || {
+            scale_by_powers(pool, v, g, scale)
+        })
+    };
+    let forward = |v: &mut [F]| {
+        wrap(QuotientStep::NttForward, v.len(), &mut || {
+            ntt_parallel_on(v, table, false, pool)
+        })
+    };
     let n_inv = domain.size_inv();
     // (1–3) INTT + (4–6) coset NTT per input vector, the INTT's n⁻¹ folded
     // into the coset scaling.
-    let intt_then_coset = |v: &mut [F], stage: &'static str| -> Result<(), O::Error> {
-        ops.checkpoint(stage)?;
-        ops.ntt_inverse(v)?;
-        ops.coset_mul(v, domain.coset_gen(), n_inv)?;
-        ops.checkpoint(stage)?;
-        ops.ntt_forward(v)
+    let intt_then_coset = |v: &mut [F]| -> Result<(), E> {
+        inverse(v)?;
+        coset(v, domain.coset_gen(), n_inv)?;
+        forward(v)
     };
     let (ra, (rb, rc)) = pool.join(
-        || intt_then_coset(&mut *a, "quotient-a"),
-        || {
-            pool.join(
-                || intt_then_coset(&mut *b, "quotient-b"),
-                || intt_then_coset(&mut *c, "quotient-c"),
-            )
-        },
+        || intt_then_coset(&mut *a),
+        || pool.join(|| intt_then_coset(&mut *b), || intt_then_coset(&mut *c)),
     );
     ra?;
     rb?;
     rc?;
-    ops.checkpoint("quotient-combine")?;
     // Element-wise a·b - c. The division by Z — the constant gⁿ - 1 on the
     // coset — commutes with the linear transform that follows and rides in
     // its scaling pass. This stays on the pool rather than becoming an op:
@@ -218,9 +220,8 @@ pub fn quotient_schedule<F: PrimeField, O: QuotientOps<F> + ?Sized>(
         }
     });
     // (7) coset INTT: back to coefficients of h, scaled by n⁻¹·Z⁻¹.
-    ops.checkpoint("quotient-final-intt")?;
-    ops.ntt_inverse(a)?;
-    ops.coset_mul(
+    inverse(a)?;
+    coset(
         a,
         domain.coset_gen_inv(),
         n_inv * domain.vanishing_on_coset_inv(),
@@ -228,38 +229,9 @@ pub fn quotient_schedule<F: PrimeField, O: QuotientOps<F> + ?Sized>(
     Ok(7)
 }
 
-/// [`QuotientOps`] over the tabled kernels themselves: nothing can fail.
-struct DirectKernels<'a, F: PrimeField> {
-    table: &'a TwiddleTable<F>,
-    pool: &'a ThreadPool,
-}
-
-impl<F: PrimeField> QuotientOps<F> for DirectKernels<'_, F> {
-    type Error = Infallible;
-
-    fn pool(&self) -> &ThreadPool {
-        self.pool
-    }
-    fn ntt_forward(&self, values: &mut [F]) -> Result<(), Infallible> {
-        ntt_parallel_on(values, self.table, false, self.pool);
-        Ok(())
-    }
-    fn ntt_inverse(&self, values: &mut [F]) -> Result<(), Infallible> {
-        ntt_parallel_on(values, self.table, true, self.pool);
-        Ok(())
-    }
-    fn coset_mul(&self, values: &mut [F], g: F, scale: F) -> Result<(), Infallible> {
-        scale_by_powers(self.pool, values, g, scale);
-        Ok(())
-    }
-    fn checkpoint(&self, _stage: &'static str) -> Result<(), Infallible> {
-        Ok(())
-    }
-}
-
 /// [`quotient_poly`] on a thread pool with precomputed twiddles, fully in
-/// place: [`quotient_schedule`] over the tabled kernels. Output is
-/// bit-identical to the serial reference at any thread count.
+/// place: [`quotient_schedule`] with every transform run as it is. Output
+/// is bit-identical to the serial reference at any thread count.
 ///
 /// Returns the number of NTT-shaped transforms performed.
 ///
@@ -274,7 +246,11 @@ pub fn quotient_poly_in<F: PrimeField>(
     c: &mut [F],
     pool: &ThreadPool,
 ) -> u32 {
-    match quotient_schedule(domain, &DirectKernels { table, pool }, a, b, c) {
+    let run = |_, _, transform: &mut dyn FnMut()| -> Result<(), Infallible> {
+        transform();
+        Ok(())
+    };
+    match quotient_schedule(domain, table, pool, a, b, c, run) {
         Ok(transforms) => transforms,
         Err(never) => match never {},
     }

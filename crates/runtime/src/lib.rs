@@ -11,7 +11,6 @@
 //!
 //! * [`ThreadPool::run`] — dynamic self-scheduling over `tasks` indices
 //!   (workers race on an atomic counter, so uneven tasks balance).
-//! * [`ThreadPool::parallel_for`] — chunked iteration over a range.
 //! * [`ThreadPool::map`] / [`ThreadPool::for_each_chunk_mut`] — chunked
 //!   map into a fresh `Vec` / over a mutable slice.
 //! * [`ThreadPool::join`] — two heterogeneous tasks in parallel, the
@@ -230,31 +229,6 @@ impl ThreadPool {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-    }
-
-    /// Splits `0..len` into at most `max_tasks` contiguous chunks of at
-    /// least `min_chunk` elements and runs `f(chunk_index, range)` for
-    /// each. The chunk decomposition is a pure function of the arguments,
-    /// so per-chunk outputs merge deterministically in index order.
-    pub fn parallel_for<F>(&self, len: usize, max_tasks: usize, min_chunk: usize, f: F)
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        let chunks = chunk_count(len, max_tasks.min(self.threads), min_chunk);
-        if chunks <= 1 {
-            if len > 0 {
-                f(0, 0..len);
-            }
-            return;
-        }
-        let per = len.div_ceil(chunks);
-        self.run(chunks, |c| {
-            let lo = c * per;
-            let hi = (lo + per).min(len);
-            if lo < hi {
-                f(c, lo..hi);
-            }
-        });
     }
 
     /// Maps `f` over `0..len` into a fresh `Vec`, computing chunks in

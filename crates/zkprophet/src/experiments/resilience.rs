@@ -108,7 +108,6 @@ pub fn resilience_report(
                 // Degradation off: the sweep measures goodput over a
                 // fixed offered load, so every job must be admitted.
                 degrade_after_failures: 0,
-                degrade_queue_age: None,
                 recover_after_successes: 1,
             };
             let cell_seed = splitmix64(((ri as u64) << 16) | workers as u64);
