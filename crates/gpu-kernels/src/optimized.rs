@@ -45,7 +45,6 @@ pub fn optimize_kernel(kernel: Kernel, config: &SmspConfig) -> Result<OptimizedK
         hints: kernel.facts.hints.clone(),
         timings: kernel.memory(config).mem_timings(),
         warps: OPT_WARPS,
-        ..OptOptions::default()
     };
     let optimized = analysis::optimize_with_config(&kernel.program, config, &opts)?;
     Ok(OptimizedKernel { kernel, optimized })

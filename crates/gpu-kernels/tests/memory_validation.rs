@@ -14,10 +14,11 @@
 //! 2. **Property test**: random affine access patterns (random lane
 //!    stride, alignment, offsets) over synthetic programs predict the
 //!    simulator's transactions byte-for-byte at 1/2/8 warps.
-//! 3. **Negative cases**: a data-dependent scatter is classified
+//! 3. **Negative case**: a data-dependent scatter is classified
 //!    `Unprovable` (the prediction degrades to a sound upper bound and
-//!    the uncoalesced lint fires), and a load past a may-aliasing store
-//!    is *not* reported redundant.
+//!    the uncoalesced lint fires). Which loads are redundant is the
+//!    optimizer's question: a reload past a may-aliasing store is kept
+//!    by its CSE (`gpu-sim/tests/opt_tests.rs`).
 
 use gpu_kernels::catalog::{catalog, launch, random_operands, Layout};
 use gpu_kernels::ffprogs::ff_kernel;
@@ -232,35 +233,5 @@ fn scattered_gather_is_unprovable_and_bounded() {
         "bound {} vs measured {}",
         mem.bytes_per_warp(),
         sim.dram_bytes()
-    );
-}
-
-/// A reload *past a may-aliasing store* must not be reported redundant:
-/// both pointers come from the same contract base, one limb apart, so
-/// the store may hit the loaded word.
-#[test]
-fn may_alias_store_suppresses_redundant_load_at_kernel_level() {
-    let addr = 1u16;
-    let mut b = ProgramBuilder::new();
-    b.ldg(2, addr, 0);
-    b.stg(2, addr, 1); // may alias [addr+0] across lanes (stride 1)
-    b.ldg(3, addr, 0); // NOT redundant: the store may have clobbered it
-    b.stg(3, addr, 2);
-    b.exit();
-    let program = b.build();
-    let mut contracts = MemContracts::new();
-    contracts.declare(addr, 1, 8);
-    let mem = analyze_memory(
-        &program,
-        &[addr],
-        &contracts,
-        &RangeAssumptions::new(),
-        &ScheduleHints::new(),
-        &SmspConfig::default(),
-    );
-    assert!(
-        !mem.lints.iter().any(|l| l.kind == LintKind::RedundantLoad),
-        "false redundant-load: {:?}",
-        mem.lints
     );
 }

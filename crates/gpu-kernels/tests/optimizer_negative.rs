@@ -281,7 +281,6 @@ fn optimize_ff(op: FfOp, warps: u32) -> gpu_sim::analysis::Optimized {
             hints: kernel.facts.hints.clone(),
             timings: kernel.memory(&config).mem_timings(),
             warps,
-            ..Default::default()
         };
         k.optimized = gpu_sim::analysis::optimize_with_config(&kernel.program, &config, &opts)
             .expect("re-optimize");

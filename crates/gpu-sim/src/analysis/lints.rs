@@ -6,23 +6,18 @@
 //! wrong limb somewhere deep in a functional test. Each diagnostic names the
 //! offending pc and resource so the generator bug is one grep away.
 
-use crate::analysis::addr::MemContracts;
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{instr_defs, instr_uses, Liveness, ReachingDefs, Resource};
-use crate::analysis::memory::analyze_memory;
-use crate::analysis::ranges::RangeAssumptions;
-use crate::analysis::schedule::ScheduleHints;
 use crate::isa::{Instr, Program, Reg};
-use crate::machine::SmspConfig;
 
 /// How actionable a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Performance or provability finding: the program is correct but
-    /// wastes work (dead results, redundant or uncoalesced traffic), or
-    /// an analysis could not finish a proof. Generators may ship these —
-    /// the verified optimizer (`analysis::opt`) removes the dead-work
-    /// class with an equivalence certificate.
+    /// wastes work (dead results, uncoalesced traffic), or an analysis
+    /// could not finish a proof. Generators may ship these — the verified
+    /// optimizer (`analysis::opt`) removes dead work, redundant loads and
+    /// dead stores with an equivalence certificate.
     Warning,
     /// Correctness finding: some execution can read garbage, trap in the
     /// simulator, or run off the end of the program. Never acceptable in
@@ -76,16 +71,6 @@ pub enum LintKind {
     /// minimum number of 32B sectors (strided or unprovably scattered).
     /// Reported by the memory analysis ([`crate::analysis::memory`]).
     UncoalescedAccess,
-    /// A `LDG` whose loaded value is already available from an earlier
-    /// load of the provably-same location with no intervening may-alias
-    /// store — redundant DRAM traffic.
-    RedundantLoad,
-    /// A `STG` provably overwritten by a later store to the same location
-    /// on every path, with no intervening may-alias load.
-    DeadStore,
-    /// A load/store pair whose aliasing the affine domain cannot decide —
-    /// the access that blocks a redundancy or dead-store proof.
-    AliasUnprovable,
 }
 
 impl LintKind {
@@ -105,10 +90,7 @@ impl LintKind {
             | LintKind::DeadLoad
             | LintKind::NeverTakenBranch
             | LintKind::RangeUnprovable
-            | LintKind::UncoalescedAccess
-            | LintKind::RedundantLoad
-            | LintKind::DeadStore
-            | LintKind::AliasUnprovable => Severity::Warning,
+            | LintKind::UncoalescedAccess => Severity::Warning,
         }
     }
 }
@@ -128,9 +110,6 @@ impl core::fmt::Display for LintKind {
             LintKind::PossibleOverflow => "possible carry overflow",
             LintKind::RangeUnprovable => "range bound unprovable",
             LintKind::UncoalescedAccess => "uncoalesced access",
-            LintKind::RedundantLoad => "redundant load",
-            LintKind::DeadStore => "dead store",
-            LintKind::AliasUnprovable => "alias unprovable",
         };
         f.write_str(s)
     }
@@ -177,12 +156,7 @@ impl core::fmt::Display for Diagnostic {
 /// parameters); reads of those are not uninitialized.
 pub fn lint(program: &Program, inputs: &[Reg]) -> Vec<Diagnostic> {
     let cfg = Cfg::build(program);
-    lint_with_cfg(program, &cfg, inputs)
-}
-
-/// [`lint`] with a caller-supplied CFG (avoids rebuilding it).
-pub fn lint_with_cfg(program: &Program, cfg: &Cfg, inputs: &[Reg]) -> Vec<Diagnostic> {
-    let mut diags = lint_structural_with_cfg(program, cfg);
+    let mut diags = lint_structural_with_cfg(program, &cfg);
     if program.is_empty() {
         diags.push(Diagnostic::new(
             LintKind::MissingExit,
@@ -191,32 +165,10 @@ pub fn lint_with_cfg(program: &Program, cfg: &Cfg, inputs: &[Reg]) -> Vec<Diagno
         ));
         return diags;
     }
-    unreachable_code(cfg, &mut diags);
-    uninit_reads(program, cfg, inputs, &mut diags);
-    dead_writes(program, cfg, &mut diags);
-    never_taken_branches(program, cfg, &mut diags);
-    diags.sort_by_key(|d| d.pc);
-    diags
-}
-
-/// The opt-in strict suite: everything [`lint`] reports *plus* the memory
-/// lints (uncoalesced access, redundant load, dead store, undecidable
-/// alias), which otherwise surface only through
-/// [`analyze_memory`]'s report.
-/// The memory lints need the kernel's pointer contracts and range
-/// assumptions to resolve addresses, which is why they are not part of
-/// the default suite. Returned diagnostics are sorted by pc; filter with
-/// [`Diagnostic::severity`] to gate on errors only.
-pub fn lint_strict(
-    program: &Program,
-    inputs: &[Reg],
-    contracts: &MemContracts,
-    assumptions: &RangeAssumptions,
-    hints: &ScheduleHints,
-    config: &SmspConfig,
-) -> Vec<Diagnostic> {
-    let mut diags = lint(program, inputs);
-    diags.extend(analyze_memory(program, inputs, contracts, assumptions, hints, config).lints);
+    unreachable_code(&cfg, &mut diags);
+    uninit_reads(program, &cfg, inputs, &mut diags);
+    dead_writes(program, &cfg, &mut diags);
+    never_taken_branches(program, &cfg, &mut diags);
     diags.sort_by_key(|d| d.pc);
     diags
 }

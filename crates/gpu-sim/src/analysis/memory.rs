@@ -23,20 +23,19 @@
 //! - static arithmetic intensity (INT32 ops per DRAM byte) places the
 //!   kernel on the roofline per device via
 //!   [`crate::roofline::Roofline::place_static`];
-//! - four memory lints ride on the same dataflow:
-//!   [`LintKind::UncoalescedAccess`], [`LintKind::RedundantLoad`]
-//!   (available-loads, intersection joins), [`LintKind::DeadStore`]
-//!   (all-paths overwrite-before-observe), and
-//!   [`LintKind::AliasUnprovable`].
+//! - one memory lint rides on the classification:
+//!   [`LintKind::UncoalescedAccess`] for every strided or unprovably
+//!   scattered access.
 //!
-//! The lints are deliberately *not* part of [`crate::analysis::lint`]:
+//! The lint is deliberately *not* part of [`crate::analysis::lint`]:
 //! strided access is a performance finding, not a correctness bug, and
 //! handwritten AoS kernels (the realistic SZKP-style scattered case) must
-//! stay buildable while still being reported.
+//! stay buildable while still being reported. Which loads are redundant
+//! and which stores are dead is the verified optimizer's question, not
+//! this module's: [`crate::analysis::opt`]'s CSE and DSE answer it and
+//! report the counts as `loads_eliminated` / `stores_eliminated`.
 
-use crate::analysis::addr::{
-    affine_sectors, alias, analyze_addresses, AccessPattern, Alias, Loc, MemContracts,
-};
+use crate::analysis::addr::{affine_sectors, analyze_addresses, AccessPattern, MemContracts};
 use crate::analysis::cfg::Cfg;
 use crate::analysis::lints::{Diagnostic, LintKind};
 use crate::analysis::ranges::{analyze_ranges_with_cfg, RangeAssumptions};
@@ -71,7 +70,8 @@ pub struct AccessReport {
 pub struct MemoryAnalysis {
     /// Per-access reports in program order.
     pub accesses: Vec<AccessReport>,
-    /// Memory lints (uncoalesced / redundant-load / dead-store / alias).
+    /// Memory lints: one [`LintKind::UncoalescedAccess`] per strided or
+    /// unprovably scattered access, in program order.
     pub lints: Vec<Diagnostic>,
     /// `true` when every access is provably affine *and* the execution
     /// trace resolved — the traffic prediction is then exact, not a bound.
@@ -254,12 +254,7 @@ pub fn analyze_memory(
         }
     }
 
-    let mut lints = Vec::new();
-    uncoalesced_lints(&accesses, &mut lints);
-    redundant_loads(program, &cfg, &addrs, warp_size, &mut lints);
-    dead_stores(program, &cfg, &addrs, warp_size, &mut lints);
-    lints.sort_by_key(|d| d.pc);
-
+    let lints = uncoalesced_lints(&accesses);
     let exact = trace_exact && accesses.iter().all(|a| a.sectors.is_some());
     MemoryAnalysis {
         accesses,
@@ -273,7 +268,8 @@ pub fn analyze_memory(
     }
 }
 
-fn uncoalesced_lints(accesses: &[AccessReport], lints: &mut Vec<Diagnostic>) {
+fn uncoalesced_lints(accesses: &[AccessReport]) -> Vec<Diagnostic> {
+    let mut lints = Vec::new();
     for a in accesses {
         let message = match a.pattern {
             AccessPattern::Broadcast | AccessPattern::Coalesced => continue,
@@ -291,222 +287,7 @@ fn uncoalesced_lints(accesses: &[AccessReport], lints: &mut Vec<Diagnostic>) {
         };
         lints.push(Diagnostic::new(LintKind::UncoalescedAccess, a.pc, message));
     }
-}
-
-/// The symbolic location of each access, `None` when unprovable.
-fn access_locs(
-    program: &Program,
-    addrs: &crate::analysis::addr::AddrAnalysis,
-) -> Vec<(usize, Option<Loc>)> {
-    addrs
-        .accesses
-        .iter()
-        .map(|&(pc, val)| {
-            let offset = match program.fetch(pc) {
-                Instr::Ldg { offset, .. } | Instr::Stg { offset, .. } => offset,
-                _ => 0,
-            };
-            (pc, Loc::of(val, offset))
-        })
-        .collect()
-}
-
-/// Forward available-loads analysis (a *must* analysis: intersection at
-/// joins). A load is redundant when the provably-identical location is
-/// already available on every path with no intervening may-alias store.
-fn redundant_loads(
-    program: &Program,
-    cfg: &Cfg,
-    addrs: &crate::analysis::addr::AddrAnalysis,
-    warp_size: u32,
-    lints: &mut Vec<Diagnostic>,
-) {
-    let locs = access_locs(program, addrs);
-    let loc_at = |pc: usize| locs.iter().find(|(p, _)| *p == pc).and_then(|(_, l)| *l);
-
-    let transfer =
-        |avail: &mut Vec<Loc>, pc: usize, report: Option<&mut Vec<Diagnostic>>| match program
-            .fetch(pc)
-        {
-            Instr::Ldg { .. } => {
-                if let Some(l) = loc_at(pc) {
-                    if avail.contains(&l) {
-                        if let Some(lints) = report {
-                            lints.push(Diagnostic::new(
-                                LintKind::RedundantLoad,
-                                pc,
-                                "loads a location already loaded on every path \
-                                          with no intervening may-alias store",
-                            ));
-                        }
-                    } else {
-                        avail.push(l);
-                    }
-                }
-            }
-            Instr::Stg { .. } => match loc_at(pc) {
-                Some(s) => avail.retain(|l| alias(s, *l, warp_size) == Alias::No),
-                None => {
-                    if !avail.is_empty() {
-                        if let Some(lints) = report {
-                            lints.push(Diagnostic::new(
-                                LintKind::AliasUnprovable,
-                                pc,
-                                format!(
-                                    "store address is not provably affine: may alias {} \
-                                     earlier load(s), blocking redundancy proofs",
-                                    avail.len()
-                                ),
-                            ));
-                        }
-                    }
-                    avail.clear();
-                }
-            },
-            _ => {}
-        };
-
-    // Fixpoint: None = top (unvisited), join = intersection.
-    let nb = cfg.blocks.len();
-    let mut state_in: Vec<Option<Vec<Loc>>> = vec![None; nb];
-    if nb > 0 {
-        state_in[0] = Some(Vec::new());
-    }
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let Some(entry) = state_in[b].clone() else {
-            continue;
-        };
-        let mut avail = entry;
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            transfer(&mut avail, pc, None);
-        }
-        for &s in &cfg.blocks[b].succs {
-            let changed = match &mut state_in[s] {
-                Some(existing) => {
-                    let before = existing.len();
-                    existing.retain(|l| avail.contains(l));
-                    existing.len() != before
-                }
-                slot @ None => {
-                    *slot = Some(avail.clone());
-                    true
-                }
-            };
-            if changed && !work.contains(&s) {
-                work.push(s);
-            }
-        }
-    }
-
-    // Reporting pass over the stabilized states.
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        let Some(entry) = state_in[b].clone() else {
-            continue;
-        };
-        let mut avail = entry;
-        for pc in blk.start..blk.end {
-            transfer(&mut avail, pc, Some(lints));
-        }
-    }
-    lints.dedup_by(|a, b| a.pc == b.pc && a.kind == b.kind);
-}
-
-/// Backward all-paths dead-store analysis. A store is dead when every path
-/// to `EXIT` overwrites the provably-identical location before any
-/// may-alias load observes it. Exit-reachable stores are live by
-/// definition — the launch harness reads memory after the kernel.
-fn dead_stores(
-    program: &Program,
-    cfg: &Cfg,
-    addrs: &crate::analysis::addr::AddrAnalysis,
-    warp_size: u32,
-    lints: &mut Vec<Diagnostic>,
-) {
-    let locs = access_locs(program, addrs);
-    let loc_at = |pc: usize| locs.iter().find(|(p, _)| *p == pc).and_then(|(_, l)| *l);
-
-    // overwritten[l]: on every path from this point, l is stored again
-    // before any may-alias load (and before EXIT makes memory observable).
-    let transfer =
-        |over: &mut Vec<Loc>, pc: usize, report: Option<&mut Vec<Diagnostic>>| match program
-            .fetch(pc)
-        {
-            Instr::Stg { .. } => {
-                if let Some(s) = loc_at(pc) {
-                    if over.contains(&s) {
-                        if let Some(lints) = report {
-                            lints.push(Diagnostic::new(
-                                LintKind::DeadStore,
-                                pc,
-                                "stored value is overwritten on every path before \
-                                          any may-alias load or EXIT observes it",
-                            ));
-                        }
-                    } else {
-                        over.push(s);
-                    }
-                }
-            }
-            Instr::Ldg { .. } => match loc_at(pc) {
-                Some(l) => over.retain(|s| alias(*s, l, warp_size) == Alias::No),
-                None => over.clear(),
-            },
-            Instr::Exit => over.clear(),
-            _ => {}
-        };
-
-    // Backward fixpoint over reachable blocks; join = intersection.
-    let nb = cfg.blocks.len();
-    let preds = cfg.predecessors();
-    let mut state_out: Vec<Option<Vec<Loc>>> = vec![None; nb];
-    let mut work: Vec<usize> = Vec::new();
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        // Blocks that end the kernel (EXIT or fall-off) seed the analysis.
-        if blk.succs.is_empty() {
-            state_out[b] = Some(Vec::new());
-            work.push(b);
-        }
-    }
-    while let Some(b) = work.pop() {
-        let Some(exit_state) = state_out[b].clone() else {
-            continue;
-        };
-        let mut over = exit_state;
-        for pc in (cfg.blocks[b].start..cfg.blocks[b].end).rev() {
-            transfer(&mut over, pc, None);
-        }
-        for &p in &preds[b] {
-            let changed = match &mut state_out[p] {
-                Some(existing) => {
-                    let before = existing.len();
-                    existing.retain(|l| over.contains(l));
-                    existing.len() != before
-                }
-                slot @ None => {
-                    *slot = Some(over.clone());
-                    true
-                }
-            };
-            if changed && !work.contains(&p) {
-                work.push(p);
-            }
-        }
-    }
-
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        let Some(exit_state) = state_out[b].clone() else {
-            continue;
-        };
-        let mut over = exit_state;
-        for pc in (blk.start..blk.end).rev() {
-            transfer(&mut over, pc, Some(lints));
-        }
-    }
-    lints.dedup_by(|a, b| a.pc == b.pc && a.kind == b.kind);
+    lints
 }
 
 #[cfg(test)]
@@ -628,126 +409,6 @@ mod tests {
             .lints
             .iter()
             .any(|d| d.kind == LintKind::UncoalescedAccess && d.pc == 1));
-    }
-
-    #[test]
-    fn redundant_load_fires_only_without_intervening_alias() {
-        // r1, r2 coalesced contracts on disjoint regions.
-        // load r1+0; store r2+0 (no-alias); load r1+0 again → redundant.
-        let mut b = ProgramBuilder::new();
-        b.ldg(10, 1, 0);
-        b.stg(10, 2, 0);
-        b.ldg(11, 1, 0);
-        b.stg(11, 2, 32);
-        b.exit();
-        let p = b.build();
-        let mut contracts = MemContracts::new();
-        contracts.declare(1, 1, 32);
-        contracts.declare(2, 1, 32);
-        let m = analyze_memory(
-            &p,
-            &[1, 2],
-            &contracts,
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
-        assert!(m
-            .lints
-            .iter()
-            .any(|d| d.kind == LintKind::RedundantLoad && d.pc == 2));
-    }
-
-    #[test]
-    fn may_alias_store_suppresses_redundant_load() {
-        // Same region, same affine location stored in between: the second
-        // load may observe the store, so it is NOT redundant.
-        let mut b = ProgramBuilder::new();
-        b.ldg(10, 1, 0);
-        b.stg(10, 1, 0); // must-alias store into the loaded location
-        b.ldg(11, 1, 0);
-        b.exit();
-        let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
-        assert!(!m.lints.iter().any(|d| d.kind == LintKind::RedundantLoad));
-    }
-
-    #[test]
-    fn unprovable_store_blocks_redundancy_and_reports_alias() {
-        // An unprovable store between two identical loads: no
-        // RedundantLoad, and the blocker is named.
-        let mut b = ProgramBuilder::new();
-        b.ldg(10, 1, 0);
-        b.ldg(12, 1, 32); // r12 = data → unprovable address
-        b.stg(10, 12, 0);
-        b.ldg(11, 1, 0);
-        b.exit();
-        let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
-        assert!(!m.lints.iter().any(|d| d.kind == LintKind::RedundantLoad));
-        assert!(m
-            .lints
-            .iter()
-            .any(|d| d.kind == LintKind::AliasUnprovable && d.pc == 2));
-    }
-
-    #[test]
-    fn dead_store_fires_and_exit_keeps_stores_live() {
-        // store r1+0; store r1+0 again → first is dead. The second store
-        // is observed by EXIT, hence live.
-        let mut b = ProgramBuilder::new();
-        b.stg(10, 1, 0);
-        b.stg(11, 1, 0);
-        b.exit();
-        let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1, 10, 11],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
-        let dead: Vec<usize> = m
-            .lints
-            .iter()
-            .filter(|d| d.kind == LintKind::DeadStore)
-            .map(|d| d.pc)
-            .collect();
-        assert_eq!(dead, vec![0]);
-    }
-
-    #[test]
-    fn intervening_load_keeps_store_live() {
-        let mut b = ProgramBuilder::new();
-        b.stg(10, 1, 0);
-        b.ldg(12, 1, 0); // observes the store
-        b.stg(11, 1, 0);
-        b.exit();
-        let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1, 10, 11],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
-        assert!(!m.lints.iter().any(|d| d.kind == LintKind::DeadStore));
     }
 
     #[test]

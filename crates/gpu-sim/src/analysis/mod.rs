@@ -29,13 +29,16 @@
 //! - [`memory`] — static coalescing classification, per-warp
 //!   transaction/byte prediction matching the simulator's sector rule,
 //!   LSU wavefront timings for [`schedule::predict_schedule_mem`], static
-//!   arithmetic intensity for the roofline, and the memory lint suite
-//!   (uncoalesced / redundant-load / dead-store / alias-unprovable);
-//! - [`opt`] — the verified kernel optimizer: constant propagation,
-//!   redundant-load/dead-store/dead-code elimination, list scheduling
-//!   against the scoreboard cost model, and register reallocation, with
-//!   every run re-proven equivalent to the input by a translation
-//!   validator that emits a machine-checked [`opt::Certificate`].
+//!   arithmetic intensity for the roofline, and the uncoalesced-access
+//!   lint;
+//! - [`opt`] — the verified kernel optimizer: dead-store elimination,
+//!   constant propagation, redundant-load and dead-code elimination, list
+//!   scheduling against the scoreboard cost model, and register
+//!   reallocation, with every run re-proven equivalent to the input by a
+//!   translation validator that emits a machine-checked
+//!   [`opt::Certificate`]. Its CSE and DSE are the crate's one answer to
+//!   "which loads are redundant, which stores are dead"
+//!   ([`OptReport::loads_eliminated`], [`OptReport::stores_eliminated`]).
 //!
 //! # Examples
 //!
@@ -76,12 +79,12 @@ pub use addr::{
 };
 pub use cfg::{BasicBlock, Cfg};
 pub use dataflow::{Liveness, ReachingDefs, Resource, ResourceMap};
-pub use lints::{lint, lint_strict, lint_structural, Diagnostic, LintKind, Severity};
+pub use lints::{lint, lint_structural, Diagnostic, LintKind, Severity};
 pub use memory::{analyze_memory, AccessReport, MemoryAnalysis};
 pub use metrics::StaticMetrics;
 pub use opt::{
-    optimize, optimize_with_config, validate, Certificate, OptError, OptOptions, OptPasses,
-    OptReport, Optimized, RegMap, ValidateError,
+    optimize, optimize_with_config, validate, Certificate, OptError, OptOptions, OptReport,
+    Optimized, RegMap, ValidateError,
 };
 pub use ranges::{
     analyze_ranges, Interval, RangeAnalysis, RangeAssumptions, StoreBound, ValueBound,

@@ -6,12 +6,14 @@
 //! alias oracle from [`crate::analysis::addr`], and the scoreboard cost
 //! model from [`crate::analysis::schedule`] — and applies, in order:
 //!
-//! 1. **Constant propagation** (block-local `MOV imm` folding), which
+//! 1. **Dead-store elimination** (a later store to the provably same
+//!    cell supersedes, with no observing load in between), decided on
+//!    the input program itself — the one the validator compares against —
+//!    because the next two passes turn forwarded loads into `MOV`s;
+//! 2. **Constant propagation** (block-local `MOV imm` folding), which
 //!    turns the CIOS accumulator-zeroing moves into dead code;
-//! 2. **Redundant-load elimination** (CSE over symbolic value terms,
+//! 3. **Redundant-load elimination** (CSE over symbolic value terms,
 //!    including store-to-load forwarding);
-//! 3. **Dead-store elimination** (a later store to the provably same
-//!    cell supersedes, with no observing load in between);
 //! 4. **Dead-code elimination** to a liveness fixpoint;
 //! 5. **List scheduling** within basic blocks against the SMSP issue
 //!    pipes and result latencies;
@@ -40,7 +42,7 @@ use core::fmt;
 
 use crate::analysis::addr::MemContracts;
 use crate::analysis::cfg::Cfg;
-use crate::analysis::dataflow::{max_reg, Liveness, ResourceMap};
+use crate::analysis::dataflow::{max_reg, Liveness};
 use crate::analysis::schedule::{
     predict_schedule_mem, MemTimings, ScheduleHints, SchedulePrediction,
 };
@@ -83,37 +85,6 @@ impl RegMap {
     }
 }
 
-/// Which passes [`optimize`] runs. The default enables everything.
-#[derive(Debug, Clone, Copy)]
-pub struct OptPasses {
-    /// Symbolic simplification (constant folding/propagation, provably
-    /// redundant carry-flag traffic).
-    pub simplify: bool,
-    /// Redundant-load elimination.
-    pub cse: bool,
-    /// Dead-store elimination.
-    pub dse: bool,
-    /// Dead-code elimination.
-    pub dce: bool,
-    /// List scheduling.
-    pub schedule: bool,
-    /// Register reallocation.
-    pub regalloc: bool,
-}
-
-impl Default for OptPasses {
-    fn default() -> Self {
-        Self {
-            simplify: true,
-            cse: true,
-            dse: true,
-            dce: true,
-            schedule: true,
-            regalloc: true,
-        }
-    }
-}
-
 /// Inputs to [`optimize`] beyond the program and device: the kernel's
 /// ABI (input registers and address contracts), the schedule-prediction
 /// facts ([`ScheduleHints`], [`MemTimings`]) keyed by *original* pcs,
@@ -132,8 +103,6 @@ pub struct OptOptions {
     pub timings: MemTimings,
     /// Resident warps the before/after predictions model (min 1).
     pub warps: u32,
-    /// Pass selection.
-    pub passes: OptPasses,
 }
 
 /// Why [`optimize`] refused to produce a program.
@@ -252,7 +221,7 @@ pub struct Optimized {
 
 /// Optimizes `program` for `device`, proving the result equivalent to
 /// the input before returning it. See the module docs for the pass
-/// pipeline; [`OptOptions::passes`] selects a subset.
+/// pipeline.
 pub fn optimize(
     program: &Program,
     device: &DeviceSpec,
@@ -280,60 +249,35 @@ pub fn optimize_with_config(
     let max_live_before = live0.max_live_registers(&cfg0, program);
     let max_reg_before = u32::from(max_reg(program).unwrap_or(0));
 
-    let mut cur = program.clone();
-    let mut pc_map: Vec<Option<usize>> = (0..program.len()).map(Some).collect();
+    // DSE runs first, on the program the validator compares against:
+    // simplification and CSE both turn forwarded loads into `MOV`s, and a
+    // store such a load read would look dead on the rewritten block. Each
+    // later pass reassigns `cur`, so one intermediate program is live.
+    let (mut cur, mut pc_map, stores_eliminated) = passes::dse(program, &oracle);
     let compose = |pc_map: &mut Vec<Option<usize>>, step: &[Option<usize>]| {
         for slot in pc_map.iter_mut() {
             *slot = slot.and_then(|old| step[old]);
         }
     };
-
-    let mut simplified = 0;
-    if opts.passes.simplify {
-        let (p, n) = passes::simplify(&cur, &oracle);
-        cur = p;
-        simplified = n;
-    }
-    let mut loads_eliminated = 0;
-    if opts.passes.cse {
-        let (p, n) = passes::cse(&cur, &oracle);
-        cur = p;
-        loads_eliminated = n;
-    }
-    let mut stores_eliminated = 0;
-    if opts.passes.dse {
-        let (p, map, n) = passes::dse(&cur, &oracle);
-        cur = p;
-        compose(&mut pc_map, &map);
-        stores_eliminated = n;
-    }
-    let mut dead_removed = 0;
-    if opts.passes.dce {
-        let (p, map, n) = passes::dce(&cur);
-        cur = p;
-        compose(&mut pc_map, &map);
-        dead_removed = n;
-    }
-    let mut moved = 0;
-    if opts.passes.schedule {
-        // The scheduler's cost model wants wavefront counts keyed by the
-        // *current* program's pcs.
-        let timings_now: MemTimings = opts
-            .timings
-            .iter()
-            .filter_map(|(pc, w)| pc_map.get(pc).copied().flatten().map(|n| (n, w)))
-            .collect();
-        let (p, map, n) = sched::list_schedule(&cur, &oracle, config, &timings_now);
-        cur = p;
-        compose(&mut pc_map, &map);
-        moved = n;
-    }
-    let mut reg_map = RegMap::identity(ResourceMap::of(program).num_regs());
-    if opts.passes.regalloc {
-        let (p, m) = regalloc::reallocate(&cur, &opts.inputs, &opts.contracts);
-        cur = p;
-        reg_map = m;
-    }
+    let (p, simplified) = passes::simplify(&cur, &oracle);
+    cur = p;
+    let (p, loads_eliminated) = passes::cse(&cur, &oracle);
+    cur = p;
+    let (p, map, dead_removed) = passes::dce(&cur);
+    cur = p;
+    compose(&mut pc_map, &map);
+    // The scheduler's cost model wants wavefront counts keyed by the
+    // *current* program's pcs.
+    let timings_now: MemTimings = opts
+        .timings
+        .iter()
+        .filter_map(|(pc, w)| pc_map.get(pc).copied().flatten().map(|n| (n, w)))
+        .collect();
+    let (p, map, moved) = sched::list_schedule(&cur, &oracle, config, &timings_now);
+    cur = p;
+    compose(&mut pc_map, &map);
+    let (p, reg_map) = regalloc::reallocate(&cur, &opts.inputs, &opts.contracts);
+    cur = p;
 
     let certificate = validate(program, &cur, &reg_map, &opts.contracts, config.warp_size)
         .map_err(OptError::Rejected)?;

@@ -259,7 +259,9 @@ pub(super) fn cse(program: &Program, oracle: &MemOracle) -> (Program, usize) {
 /// between is provably disjoint from it (the validator's elision rule),
 /// *and* no later load in the block reads a memory-chain state that
 /// contains the store (chain safety — deleting it would perturb that
-/// load's term and the validator would reject).
+/// load's term and the validator would reject). The validator judges
+/// deadness on the input program, so this pass runs on it before any
+/// pass rewrites a load.
 ///
 /// Returns the rewritten program, the pc remapping (`map[old] = new`,
 /// `None` for deleted), and the number of stores deleted.

@@ -107,8 +107,8 @@ impl core::fmt::Display for Interval {
     }
 }
 
-/// The input contract of a kernel: intervals for registers live at entry
-/// and for values arriving from global memory.
+/// The input contract of a kernel: intervals for values arriving from
+/// global memory.
 ///
 /// Loads are keyed by `(address register, offset)` — the generated kernels
 /// address each operand bank through a dedicated pointer register, so the
@@ -116,7 +116,6 @@ impl core::fmt::Display for Interval {
 /// value. Anything without an assumption is `⊤` (sound).
 #[derive(Debug, Clone, Default)]
 pub struct RangeAssumptions {
-    entry: Vec<(Reg, Interval)>,
     loads: Vec<(Reg, u32, Interval)>,
 }
 
@@ -126,23 +125,10 @@ impl RangeAssumptions {
         Self::default()
     }
 
-    /// Declares the interval of a register live at kernel entry.
-    pub fn assume_entry(&mut self, reg: Reg, iv: Interval) {
-        self.entry.push((reg, iv));
-    }
-
     /// Declares the interval of the value loaded by any `LDG` addressed by
     /// `addr` at word `offset`.
     pub fn assume_load(&mut self, addr: Reg, offset: u32, iv: Interval) {
         self.loads.push((addr, offset, iv));
-    }
-
-    fn entry_interval(&self, reg: Reg) -> Interval {
-        self.entry
-            .iter()
-            .rev()
-            .find(|(r, _)| *r == reg)
-            .map_or_else(Interval::full, |(_, iv)| *iv)
     }
 
     pub(crate) fn load_interval(&self, addr: Reg, offset: u32) -> Interval {
@@ -247,12 +233,9 @@ struct AbsState {
 }
 
 impl AbsState {
-    fn entry(num_regs: usize, assumptions: &RangeAssumptions) -> Self {
-        let regs = (0..num_regs)
-            .map(|r| assumptions.entry_interval(r as Reg))
-            .collect();
+    fn entry(num_regs: usize) -> Self {
         Self {
-            regs,
+            regs: vec![Interval::full(); num_regs],
             cc: Interval::new(0, 1),
             preds: [Interval::new(0, 1); 4],
         }
@@ -575,7 +558,7 @@ pub fn analyze_ranges_with_cfg(
     // Fixpoint over block-entry states.
     let n = cfg.blocks.len();
     let mut entry_state: Vec<Option<AbsState>> = vec![None; n];
-    entry_state[0] = Some(AbsState::entry(num_regs, assumptions));
+    entry_state[0] = Some(AbsState::entry(num_regs));
     let mut join_count = vec![0usize; n];
     let mut work = vec![0usize];
     while let Some(b) = work.pop() {

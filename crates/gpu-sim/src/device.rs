@@ -83,11 +83,6 @@ impl DeviceSpec {
         self.int32_lanes() as f64 * 2.0 * self.clock_ghz
     }
 
-    /// Maximum concurrently resident threads.
-    pub fn max_threads(&self) -> u32 {
-        self.sm_count * self.max_warps_per_sm * self.warp_size
-    }
-
     /// Cycles a full warp occupies one SMSP's INT32 pipe
     /// (`warp_size / lanes` = 2 on every studied part).
     pub fn int32_issue_interval(&self) -> u32 {

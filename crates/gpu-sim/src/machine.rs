@@ -197,11 +197,6 @@ impl SimResult {
         1.0 - self.divergent_branches as f64 / self.branches as f64
     }
 
-    /// Fraction of cycles with no eligible warp.
-    pub fn no_eligible_fraction(&self) -> f64 {
-        self.no_eligible_cycles as f64 / self.cycles.max(1) as f64
-    }
-
     /// Average stall cycles accumulated per issued instruction, per
     /// category — the y-axis decomposition of Fig. 10.
     pub fn stalls_per_issue(&self) -> [(&'static str, f64); 5] {

@@ -32,11 +32,6 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// Total threads launched.
-    pub fn total_threads(&self) -> u64 {
-        self.blocks * u64::from(self.threads_per_block)
-    }
-
     /// Warps per block (rounded up).
     pub fn warps_per_block(&self, warp_size: u32) -> u32 {
         self.threads_per_block.div_ceil(warp_size)

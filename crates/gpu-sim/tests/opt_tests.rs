@@ -5,7 +5,9 @@
 //! rewrites — handcrafted wrong programs are rejected with a typed
 //! error, renamings are accepted under the matching [`RegMap`].
 
-use gpu_sim::analysis::{optimize_with_config, validate, MemContracts, OptOptions, RegMap};
+use gpu_sim::analysis::{
+    optimize_with_config, validate, MemContracts, OptOptions, Optimized, RegMap,
+};
 use gpu_sim::isa::{Instr, Program, Src};
 use gpu_sim::machine::SmspConfig;
 
@@ -39,19 +41,19 @@ fn imad(dst: u16, a: Src, b: Src, c: Src) -> Instr {
 }
 
 fn ldg(dst: u16, offset: u32) -> Instr {
-    Instr::Ldg {
-        dst,
-        addr: PTR,
-        offset,
-    }
+    ldg_via(dst, PTR, offset)
 }
 
 fn stg(src: u16, offset: u32) -> Instr {
-    Instr::Stg {
-        src,
-        addr: PTR,
-        offset,
-    }
+    stg_via(src, PTR, offset)
+}
+
+fn ldg_via(dst: u16, addr: u16, offset: u32) -> Instr {
+    Instr::Ldg { dst, addr, offset }
+}
+
+fn stg_via(src: u16, addr: u16, offset: u32) -> Instr {
+    Instr::Stg { src, addr, offset }
 }
 
 fn r(reg: u16) -> Src {
@@ -74,10 +76,42 @@ fn opts() -> OptOptions {
     }
 }
 
-fn optimize(instrs: Vec<Instr>) -> gpu_sim::analysis::Optimized {
+fn optimize(instrs: Vec<Instr>) -> Optimized {
+    optimize_under(instrs, opts())
+}
+
+fn optimize_under(instrs: Vec<Instr>, opts: OptOptions) -> Optimized {
     let program = Program::from_instrs(instrs);
-    optimize_with_config(&program, &SmspConfig::default(), &opts())
+    optimize_with_config(&program, &SmspConfig::default(), &opts)
         .expect("synthetic program must optimize")
+}
+
+/// Options for pointers `r1` and `r2` on two disjoint stride-1 regions,
+/// with `extra` entry registers as further inputs.
+fn stride1_opts(extra: &[u16]) -> OptOptions {
+    let mut contracts = MemContracts::default();
+    contracts.declare(1, 1, 32);
+    contracts.declare(2, 1, 32);
+    OptOptions {
+        inputs: [&[1, 2], extra].concat(),
+        contracts,
+        warps: 1,
+        ..OptOptions::default()
+    }
+}
+
+fn count(program: &Program, pred: impl Fn(&Instr) -> bool) -> usize {
+    (0..program.len())
+        .filter(|&pc| pred(&program.fetch(pc)))
+        .count()
+}
+
+fn loads(program: &Program) -> usize {
+    count(program, |i| matches!(i, Instr::Ldg { .. }))
+}
+
+fn stores(program: &Program) -> usize {
+    count(program, |i| matches!(i, Instr::Stg { .. }))
 }
 
 #[test]
@@ -130,6 +164,116 @@ fn dse_removes_superseded_store() {
         2,
         "both original stores must be accounted for in the certificate"
     );
+    assert_eq!(stores(&out.program), 1, "EXIT observes the last store");
+}
+
+#[test]
+fn cse_forwards_reload_past_disjoint_store() {
+    // r1 and r2 are disjoint regions: the store through r2 cannot touch
+    // [r1+0], so the reload is the first load's value.
+    let out = optimize_under(
+        vec![
+            ldg_via(10, 1, 0),
+            stg_via(10, 2, 0),
+            ldg_via(11, 1, 0),
+            stg_via(11, 2, 32),
+            Instr::Exit,
+        ],
+        stride1_opts(&[]),
+    );
+    assert_eq!(out.report.loads_eliminated, 1, "{:?}", out.report);
+    assert_eq!(loads(&out.program), 1);
+}
+
+#[test]
+fn cse_forwards_reload_of_a_just_stored_register() {
+    // The store writes r10 back to the cell r10 came from, so the reload
+    // is r10 whatever the store did: forwarding replaces it.
+    let out = optimize_under(
+        vec![
+            ldg_via(10, 1, 0),
+            stg_via(10, 1, 0),
+            ldg_via(11, 1, 0),
+            stg_via(11, 1, 1),
+            Instr::Exit,
+        ],
+        stride1_opts(&[]),
+    );
+    assert_eq!(out.report.loads_eliminated, 1, "{:?}", out.report);
+    assert_eq!(loads(&out.program), 1);
+}
+
+#[test]
+fn cse_keeps_reload_past_may_alias_store() {
+    // Lane stride 1: lane t's [r1+1] is lane t+1's [r1+0], so the store
+    // may clobber the reloaded word.
+    let out = optimize_under(
+        vec![
+            ldg_via(2, 1, 0),
+            stg_via(2, 1, 1),
+            ldg_via(3, 1, 0),
+            stg_via(3, 1, 2),
+            Instr::Exit,
+        ],
+        stride1_opts(&[]),
+    );
+    assert_eq!(out.report.loads_eliminated, 0, "{:?}", out.report);
+    assert_eq!(loads(&out.program), 2);
+}
+
+#[test]
+fn cse_keeps_reload_past_data_dependent_store() {
+    // The store's address is a loaded value: no alias proof exists, so
+    // the reload must read memory again.
+    let out = optimize_under(
+        vec![
+            ldg_via(10, 1, 0),
+            ldg_via(12, 1, 32),
+            stg_via(10, 12, 0),
+            ldg_via(11, 1, 0),
+            stg_via(11, 2, 0),
+            Instr::Exit,
+        ],
+        stride1_opts(&[]),
+    );
+    assert_eq!(out.report.loads_eliminated, 0, "{:?}", out.report);
+    assert_eq!(loads(&out.program), 3);
+}
+
+#[test]
+fn dse_keeps_store_a_later_load_may_observe() {
+    // The load between the two stores to [r1+0] reads the first one.
+    let out = optimize_under(
+        vec![
+            stg_via(10, 1, 0),
+            ldg_via(12, 1, 0),
+            stg_via(12, 2, 0),
+            stg_via(11, 1, 0),
+            Instr::Exit,
+        ],
+        stride1_opts(&[10, 11]),
+    );
+    assert_eq!(out.report.stores_eliminated, 0, "{:?}", out.report);
+    assert_eq!(stores(&out.program), 3);
+}
+
+#[test]
+fn dse_keeps_store_read_by_a_forwarded_load() {
+    // The load reads the first store, and forwarding turns it into a
+    // `MOV`. Deadness is judged on the input program, where the load
+    // still observes the cell, so all three stores stay.
+    let out = optimize(vec![
+        mov(1, imm(1)),
+        mov(2, imm(2)),
+        stg(1, 0),
+        ldg(3, 0),
+        stg(2, 0),
+        stg(3, 1),
+        Instr::Exit,
+    ]);
+    assert_eq!(out.report.stores_eliminated, 0, "{:?}", out.report);
+    assert_eq!(stores(&out.program), 3);
+    assert_eq!(loads(&out.program), 0, "the load must be forwarded");
 }
 
 #[test]

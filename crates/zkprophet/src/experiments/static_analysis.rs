@@ -224,7 +224,7 @@ pub struct MemoryRow {
     /// Whether the static prediction is exact (all accesses affine and
     /// the trace resolved) rather than a bound.
     pub exact: bool,
-    /// Memory lints (uncoalesced / redundant-load / dead-store / alias).
+    /// Memory lints (one per uncoalesced access).
     pub lints: usize,
 }
 
