@@ -14,20 +14,20 @@
 //! 2. **Property test**: random affine access patterns (random lane
 //!    stride, alignment, offsets) over synthetic programs predict the
 //!    simulator's transactions byte-for-byte at 1/2/8 warps.
-//! 3. **Negative case**: a data-dependent scatter is classified
+//! 3. **Negative cases**: a data-dependent scatter is classified
 //!    `Unprovable` (the prediction degrades to a sound upper bound and
-//!    the uncoalesced lint fires). Which loads are redundant is the
-//!    optimizer's question: a reload past a may-aliasing store is kept
-//!    by its CSE (`gpu-sim/tests/opt_tests.rs`).
+//!    the uncoalesced lint fires), and the optimizer's CSE keeps a
+//!    reload past a may-aliasing store.
 
 use gpu_kernels::catalog::{catalog, launch, random_operands, Layout};
 use gpu_kernels::ffprogs::ff_kernel;
 use gpu_kernels::{FfOp, Field32};
 use gpu_sim::analysis::{
-    analyze_memory, AccessPattern, LintKind, MemContracts, RangeAssumptions, ScheduleHints,
+    analyze_memory, optimize_with_config, AccessPattern, LintKind, MemContracts, OptOptions,
+    RangeAssumptions, ScheduleHints,
 };
 use gpu_sim::device::{a100, h100, v100, DeviceSpec};
-use gpu_sim::isa::{Program, ProgramBuilder, Src};
+use gpu_sim::isa::{Instr, Program, ProgramBuilder, Src};
 use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -234,4 +234,32 @@ fn scattered_gather_is_unprovable_and_bounded() {
         mem.bytes_per_warp(),
         sim.dram_bytes()
     );
+}
+
+/// A reload *past a may-aliasing store* must not be eliminated: both
+/// pointers come from the same contract base, one limb apart, so the
+/// store may hit the loaded word.
+#[test]
+fn may_alias_store_suppresses_redundant_load_at_kernel_level() {
+    let addr = 1u16;
+    let mut b = ProgramBuilder::new();
+    b.ldg(2, addr, 0);
+    b.stg(2, addr, 1); // may alias [addr+0] across lanes (stride 1)
+    b.ldg(3, addr, 0); // NOT redundant: the store may have clobbered it
+    b.stg(3, addr, 2);
+    b.exit();
+    let program = b.build();
+    let mut contracts = MemContracts::new();
+    contracts.declare(addr, 1, 8);
+    let opts = OptOptions {
+        inputs: vec![addr],
+        contracts,
+        warps: 1,
+        ..OptOptions::default()
+    };
+    let out = optimize_with_config(&program, &SmspConfig::default(), &opts)
+        .expect("synthetic program must optimize");
+    assert_eq!(out.report.loads_eliminated, 0, "{:?}", out.report);
+    let reload = out.pc_map[2].expect("the reload must survive");
+    assert!(matches!(out.program.fetch(reload), Instr::Ldg { .. }));
 }

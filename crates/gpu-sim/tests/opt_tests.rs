@@ -168,6 +168,21 @@ fn dse_removes_superseded_store() {
 }
 
 #[test]
+fn dse_drops_first_store_and_exit_keeps_last_live() {
+    // Two stores of input registers to [r1+0]: the first is dead, the
+    // second is observed by EXIT and survives.
+    let out = optimize_under(
+        vec![stg_via(10, 1, 0), stg_via(11, 1, 0), Instr::Exit],
+        stride1_opts(&[10, 11]),
+    );
+    assert_eq!(out.report.stores_eliminated, 1, "{:?}", out.report);
+    assert_eq!(stores(&out.program), 1);
+    assert_eq!(out.pc_map[0], None, "the superseded store must go");
+    let last = out.pc_map[1].expect("the store EXIT observes must stay");
+    assert!(matches!(out.program.fetch(last), Instr::Stg { .. }));
+}
+
+#[test]
 fn cse_forwards_reload_past_disjoint_store() {
     // r1 and r2 are disjoint regions: the store through r2 cannot touch
     // [r1+0], so the reload is the first load's value.
@@ -201,24 +216,6 @@ fn cse_forwards_reload_of_a_just_stored_register() {
     );
     assert_eq!(out.report.loads_eliminated, 1, "{:?}", out.report);
     assert_eq!(loads(&out.program), 1);
-}
-
-#[test]
-fn cse_keeps_reload_past_may_alias_store() {
-    // Lane stride 1: lane t's [r1+1] is lane t+1's [r1+0], so the store
-    // may clobber the reloaded word.
-    let out = optimize_under(
-        vec![
-            ldg_via(2, 1, 0),
-            stg_via(2, 1, 1),
-            ldg_via(3, 1, 0),
-            stg_via(3, 1, 2),
-            Instr::Exit,
-        ],
-        stride1_opts(&[]),
-    );
-    assert_eq!(out.report.loads_eliminated, 0, "{:?}", out.report);
-    assert_eq!(loads(&out.program), 2);
 }
 
 #[test]
