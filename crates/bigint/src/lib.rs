@@ -11,6 +11,8 @@
 //! * [`UBig`] — arbitrary-precision integers used to *derive* curve constants
 //!   (cofactors, twist orders, final-exponentiation exponents) from first
 //!   principles so that no unverifiable magic numbers ship in the curves.
+//! * [`SInt`] — a sign plus a [`UBig`] magnitude, for the signed steps of
+//!   those derivations and for exact polynomial certificates.
 //!
 //! # Examples
 //!
@@ -32,8 +34,10 @@
 #![forbid(unsafe_code)]
 
 pub mod arith;
+mod sint;
 mod ubig;
 mod uint;
 
+pub use sint::SInt;
 pub use ubig::UBig;
 pub use uint::Uint;

@@ -23,72 +23,8 @@ use crate::sw::{Affine, Jacobian, SwCurve};
 use crate::tower::Fq2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkp_bigint::UBig;
+use zkp_bigint::{SInt, UBig};
 use zkp_ff::Field;
-
-/// A signed arbitrary-precision integer (sign–magnitude), just enough for
-/// trace arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SInt {
-    /// Absolute value.
-    pub abs: UBig,
-    /// Sign; `true` means negative. Zero is stored non-negative.
-    pub neg: bool,
-}
-
-impl SInt {
-    /// Builds a non-negative value.
-    pub fn from_ubig(abs: UBig) -> Self {
-        Self { abs, neg: false }
-    }
-
-    /// Builds with an explicit sign.
-    pub fn new(abs: UBig, neg: bool) -> Self {
-        let neg = neg && !abs.is_zero();
-        Self { abs, neg }
-    }
-
-    /// Addition.
-    pub fn add(&self, rhs: &Self) -> Self {
-        if self.neg == rhs.neg {
-            Self::new(self.abs.add(&rhs.abs), self.neg)
-        } else if self.abs >= rhs.abs {
-            Self::new(self.abs.sub(&rhs.abs), self.neg)
-        } else {
-            Self::new(rhs.abs.sub(&self.abs), rhs.neg)
-        }
-    }
-
-    /// Subtraction.
-    pub fn sub(&self, rhs: &Self) -> Self {
-        self.add(&Self::new(rhs.abs.clone(), !rhs.neg))
-    }
-
-    /// Multiplication.
-    pub fn mul(&self, rhs: &Self) -> Self {
-        Self::new(self.abs.mul(&rhs.abs), self.neg != rhs.neg)
-    }
-
-    /// Exact halving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is odd.
-    pub fn half_exact(&self) -> Self {
-        assert!(self.abs.is_even(), "SInt::half_exact on odd value");
-        Self::new(self.abs.shr(1), self.neg)
-    }
-
-    /// Converts to `UBig`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn into_ubig(self) -> UBig {
-        assert!(!self.neg, "expected non-negative value");
-        self.abs
-    }
-}
 
 /// Generic Tonelli–Shanks square root in any finite field of known order.
 ///

@@ -98,7 +98,6 @@ impl Kernel {
             &self.program,
             &self.entry_regs(),
             &self.facts.contracts,
-            &self.facts.assumptions,
             &self.facts.hints,
             config,
         )
@@ -118,7 +117,7 @@ impl Kernel {
         warps: u32,
         memory: &MemoryAnalysis,
     ) -> Result<SchedulePrediction, ScheduleError> {
-        analysis::predict_schedule_mem(
+        analysis::predict_schedule(
             &self.program,
             config,
             warps,

@@ -55,11 +55,6 @@ impl Field32 {
     pub fn num_limbs(&self) -> usize {
         self.modulus.len()
     }
-
-    /// Bytes per element.
-    pub fn element_bytes(&self) -> u64 {
-        4 * self.modulus.len() as u64
-    }
 }
 
 /// Splits 64-bit limbs into twice as many 32-bit limbs (little-endian).
@@ -93,7 +88,6 @@ mod tests {
         // §II: 377-bit -> 12 limbs; the 255-bit scalar field -> 8 limbs.
         let fq = Field32::of::<Fq381Config, 6>();
         assert_eq!(fq.num_limbs(), 12);
-        assert_eq!(fq.element_bytes(), 48);
         let fr = Field32::of::<Fr381Config, 4>();
         assert_eq!(fr.num_limbs(), 8);
     }

@@ -29,13 +29,6 @@ pub struct FfOpReport {
     pub outputs: Vec<Vec<u32>>,
 }
 
-impl FfOpReport {
-    /// Branch efficiency percentage (Table VI row 1).
-    pub fn branch_efficiency_pct(&self) -> f64 {
-        100.0 * self.sim.branch_efficiency()
-    }
-}
-
 /// Per-thread input operands: `a` and `b`, 32-bit limbs each.
 #[derive(Debug, Clone)]
 pub struct FfInputs {

@@ -12,8 +12,8 @@ use gpu_kernels::catalog::{kernels_over, Kernel};
 use gpu_kernels::curveprogs::xyzz_madd_kernel;
 use gpu_kernels::ffprogs::{ff_kernel, ff_program, FfOp};
 use gpu_kernels::field32::Field32;
-use gpu_sim::analysis::{self, LintKind, Severity};
-use gpu_sim::isa::{CmpOp, ProgramBuilder, Src};
+use gpu_sim::analysis::{self, Cfg, LintKind, Liveness, Resource, Severity, StaticMetrics};
+use gpu_sim::isa::{CmpOp, ProgramBuilder, Reg, Src};
 use gpu_sim::machine::SmspConfig;
 use zkp_ff::Fq381Config;
 
@@ -66,7 +66,15 @@ fn declared_inputs_match_inferred_entry_liveness() {
     for f in Field32::supported() {
         let name = f.name;
         for k in kernels_over(&f, &f) {
-            let mut inferred = analysis::entry_live_registers(&k.program);
+            let cfg = Cfg::build(&k.program);
+            let mut inferred: Vec<Reg> = Liveness::compute(&k.program, &cfg)
+                .entry_live(&cfg, &k.program)
+                .into_iter()
+                .filter_map(|r| match r {
+                    Resource::Reg(x) => Some(x),
+                    _ => None,
+                })
+                .collect();
             inferred.sort_unstable();
             let mut declared = k.entry_regs();
             declared.sort_unstable();
@@ -134,7 +142,7 @@ fn ff_mul_static_mix_regression() {
     for f in Field32::supported() {
         let name = f.name;
         let p = ff_program(&f, FfOp::Mul, 1);
-        let metrics = analysis::analyze(&p).metrics;
+        let metrics = StaticMetrics::compute(&p);
         let mix = p.static_mix();
         assert_eq!(metrics.mix, mix, "{name}");
         let imad = mix

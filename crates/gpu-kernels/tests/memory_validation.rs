@@ -24,7 +24,7 @@ use gpu_kernels::ffprogs::ff_kernel;
 use gpu_kernels::{FfOp, Field32};
 use gpu_sim::analysis::{
     analyze_memory, optimize_with_config, AccessPattern, LintKind, MemContracts, OptOptions,
-    RangeAssumptions, ScheduleHints,
+    ScheduleHints,
 };
 use gpu_sim::device::{a100, h100, v100, DeviceSpec};
 use gpu_sim::isa::{Instr, Program, ProgramBuilder, Src};
@@ -155,7 +155,6 @@ proptest! {
             &program,
             &[1],
             &contracts,
-            &RangeAssumptions::new(),
             &ScheduleHints::new(),
             &config,
         );
@@ -185,8 +184,9 @@ proptest! {
 }
 
 /// A data-dependent scatter (addresses loaded from memory) cannot be
-/// proven affine: the pattern is `Unprovable`, the uncoalesced lint
-/// fires, and the static byte count degrades to a sound upper bound.
+/// proven affine: the pattern is `Unprovable`, the access is charged one
+/// sector per lane, the uncoalesced lint fires, and the static byte count
+/// degrades to a sound upper bound.
 #[test]
 fn scattered_gather_is_unprovable_and_bounded() {
     let addr_tbl = 1u16;
@@ -203,13 +203,13 @@ fn scattered_gather_is_unprovable_and_bounded() {
         &program,
         &[addr_tbl],
         &contracts,
-        &RangeAssumptions::new(),
         &ScheduleHints::new(),
         &config,
     );
     assert!(!mem.exact);
     let gather = mem.accesses.iter().find(|a| a.pc == 1).expect("gather");
     assert_eq!(gather.pattern, AccessPattern::Unprovable);
+    assert_eq!(gather.sectors_bound, config.warp_size);
     assert!(mem
         .lints
         .iter()

@@ -85,6 +85,6 @@ fn inferred_pressure_matches_liveness_by_construction() {
     );
     assert_eq!(
         registers_per_thread_from(&p),
-        analysis::analyze(&p).metrics.max_live_regs
+        StaticMetrics::compute(&p).max_live_regs
     );
 }

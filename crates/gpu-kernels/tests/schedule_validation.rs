@@ -26,7 +26,7 @@
 use gpu_kernels::catalog::{catalog, launch, random_operands, Layout};
 use gpu_kernels::ffprogs::ff_kernel;
 use gpu_kernels::{FfOp, Field32};
-use gpu_sim::analysis::predict_schedule;
+use gpu_sim::analysis::{predict_schedule, MemTimings};
 use gpu_sim::device::{a100, h100, v100, DeviceSpec};
 use gpu_sim::machine::SmspConfig;
 
@@ -53,8 +53,14 @@ fn ff_kernel_predictions_track_the_simulator() {
             for op in FfOp::all() {
                 for warps in [1usize, 2, 8] {
                     let k = ff_kernel(field, op, 1);
-                    let pred = predict_schedule(&k.program, &config, warps as u32, &k.facts.hints)
-                        .expect("FF kernels are schedulable");
+                    let pred = predict_schedule(
+                        &k.program,
+                        &config,
+                        warps as u32,
+                        &k.facts.hints,
+                        &MemTimings::default(),
+                    )
+                    .expect("FF kernels are schedulable");
                     let operands = random_operands(&k, warps, 7 + warps as u64);
                     let sim = launch(&k, &k.program, &config, warps, &operands).sim;
                     // The predicted trace takes every reduce fall-through;
@@ -83,8 +89,14 @@ fn looped_ff_kernel_predictions_track_the_simulator() {
         let fname = field.name;
         for op in [FfOp::Mul, FfOp::Add] {
             let k = ff_kernel(field, op, 4);
-            let pred = predict_schedule(&k.program, &config, 2, &k.facts.hints)
-                .expect("FF kernels are schedulable");
+            let pred = predict_schedule(
+                &k.program,
+                &config,
+                2,
+                &k.facts.hints,
+                &MemTimings::default(),
+            )
+            .expect("FF kernels are schedulable");
             let sim = launch(&k, &k.program, &config, 2, &random_operands(&k, 2, 99)).sim;
             assert_within(
                 &format!("{} {} iters=4", op.name(), fname),

@@ -34,73 +34,9 @@
 use crate::analysis::ranges::{Interval, RangeAssumptions, ValueBound};
 use crate::isa::{Instr, Program, Src};
 use std::collections::BTreeMap;
-use zkp_bigint::UBig;
+use zkp_bigint::{SInt, UBig};
 
 const MASK32: u64 = 0xffff_ffff;
-
-/// A signed arbitrary-precision integer (sign + magnitude over [`UBig`]).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SInt {
-    neg: bool,
-    mag: UBig,
-}
-
-impl SInt {
-    fn zero() -> Self {
-        Self {
-            neg: false,
-            mag: UBig::zero(),
-        }
-    }
-
-    fn pos(mag: UBig) -> Self {
-        Self { neg: false, mag }
-    }
-
-    fn from_u64(v: u64) -> Self {
-        Self::pos(UBig::from(v))
-    }
-
-    fn is_zero(&self) -> bool {
-        self.mag.is_zero()
-    }
-
-    fn negated(mut self) -> Self {
-        if !self.mag.is_zero() {
-            self.neg = !self.neg;
-        }
-        self
-    }
-
-    fn add(&self, other: &SInt) -> SInt {
-        if self.neg == other.neg {
-            SInt {
-                neg: self.neg && !self.mag.is_zero(),
-                mag: self.mag.add(&other.mag),
-            }
-        } else {
-            match self.mag.cmp(&other.mag) {
-                core::cmp::Ordering::Equal => SInt::zero(),
-                core::cmp::Ordering::Greater => SInt {
-                    neg: self.neg,
-                    mag: self.mag.sub(&other.mag),
-                },
-                core::cmp::Ordering::Less => SInt {
-                    neg: other.neg,
-                    mag: other.mag.sub(&self.mag),
-                },
-            }
-        }
-    }
-
-    fn mul(&self, other: &SInt) -> SInt {
-        let mag = self.mag.mul(&other.mag);
-        SInt {
-            neg: self.neg != other.neg && !mag.is_zero(),
-            mag,
-        }
-    }
-}
 
 /// A monomial: sorted fresh-symbol ids, with multiplicity for powers.
 type Monomial = Vec<u32>;
@@ -127,7 +63,7 @@ impl Poly {
 
     fn symbol(id: u32) -> Self {
         let mut p = Self::zero();
-        p.terms.insert(vec![id], SInt::from_u64(1));
+        p.terms.insert(vec![id], SInt::from(1));
         p
     }
 
@@ -162,7 +98,7 @@ impl Poly {
     fn sub(&self, other: &Poly) -> Poly {
         let mut out = self.clone();
         for (m, c) in &other.terms {
-            out.accumulate(m.clone(), c.clone().negated());
+            out.accumulate(m.clone(), c.negated());
         }
         out
     }
@@ -190,7 +126,7 @@ impl Poly {
 
     /// `self · 2^32`.
     fn shl32(&self) -> Poly {
-        self.scaled(&SInt::pos(UBig::one().shl(32)))
+        self.scaled(&SInt::from_ubig(UBig::one().shl(32)))
     }
 
     fn num_terms(&self) -> usize {
@@ -207,7 +143,7 @@ impl Poly {
             for &id in m {
                 let (lo, hi) = bounds[id as usize];
                 let at = if c.neg { lo } else { hi };
-                v = v.mul(&SInt::from_u64(u64::from(at)));
+                v = v.mul(&SInt::from(u64::from(at)));
             }
             total = total.add(&v);
         }
@@ -227,7 +163,7 @@ struct Val {
 impl Val {
     fn constant(v: u32) -> Self {
         Self {
-            poly: Poly::constant(SInt::from_u64(u64::from(v))),
+            poly: Poly::constant(SInt::from(u64::from(v))),
             hi: u64::from(v),
         }
     }
@@ -523,8 +459,8 @@ pub fn prove_chain(
     // The weighted limb sum Σⱼ 2^{32j}·poly(regⱼ): the carry/high-half
     // cancellations telescope exactly in the polynomial algebra.
     let mut value = Poly::zero();
-    let mut weight = SInt::from_u64(1);
-    let shift = SInt::pos(UBig::one().shl(32));
+    let mut weight = SInt::from(1);
+    let shift = SInt::from_ubig(UBig::one().shl(32));
     for &r in &ob.regs {
         let v = exec.reg(r as usize);
         value = value.add(&v.poly.scaled(&weight));
@@ -532,12 +468,12 @@ pub fn prove_chain(
     }
     let ub = value.upper_bound(&exec.sym_bounds);
     let bound = ubig_from_limbs32(&ob.bound);
-    if ub.neg || ub.mag < bound {
-        Ok(if ub.neg { UBig::zero() } else { ub.mag })
+    if ub.neg || ub.abs < bound {
+        Ok(if ub.neg { UBig::zero() } else { ub.abs })
     } else {
         Err(format!(
             "certified upper bound needs {} bits, the limit has {} bits",
-            ub.mag.num_bits(),
+            ub.abs.num_bits(),
             bound.num_bits()
         ))
     }

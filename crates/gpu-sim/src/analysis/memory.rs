@@ -10,14 +10,14 @@
 //!
 //! - every global access is classified via the affine address domain of
 //!   [`crate::analysis::addr`] (coalesced / strided(k) / broadcast /
-//!   unprovable), with the interval domain of [`crate::analysis::ranges`]
-//!   as the fallback bound when affinity is unprovable;
+//!   unprovable); an access the domain cannot prove affine is charged one
+//!   sector per lane, the most a warp access can touch;
 //! - per-warp 32B-sector transaction counts and bytes moved are predicted
 //!   with the *same* sector rule [`crate::machine`] measures, so a
 //!   differential test can pin static-vs-simulated traffic exactly for
 //!   affine kernels;
 //! - [`MemoryAnalysis::mem_timings`] exports per-access LSU wavefront
-//!   counts that [`crate::analysis::schedule::predict_schedule_mem`]
+//!   counts that [`crate::analysis::schedule::predict_schedule`]
 //!   consumes, scaling Long-Scoreboard stall prediction with serialized
 //!   transactions;
 //! - static arithmetic intensity (INT32 ops per DRAM byte) places the
@@ -38,10 +38,9 @@
 use crate::analysis::addr::{affine_sectors, analyze_addresses, AccessPattern, MemContracts};
 use crate::analysis::cfg::Cfg;
 use crate::analysis::lints::{Diagnostic, LintKind};
-use crate::analysis::ranges::{analyze_ranges_with_cfg, RangeAssumptions};
 use crate::analysis::schedule::{build_trace, MemTimings, ScheduleHints, TRACE_LIMIT};
 use crate::isa::{Instr, Program, Reg};
-use crate::machine::{sectors_touched_bound, wavefronts_for, SmspConfig, SECTOR_BYTES};
+use crate::machine::{wavefronts_for, SmspConfig, SECTOR_BYTES};
 
 /// One global access as the static analysis sees it.
 #[derive(Debug, Clone)]
@@ -55,8 +54,7 @@ pub struct AccessReport {
     /// Exact per-warp 32B sectors when the address is provably affine.
     pub sectors: Option<u32>,
     /// The sector count used for traffic and timing: the exact count when
-    /// affine, otherwise the interval-domain upper bound (capped at one
-    /// sector per lane).
+    /// affine, otherwise one sector per lane (the warp size).
     pub sectors_bound: u32,
     /// LSU wavefronts (issue-port cycles) per execution.
     pub wavefronts: u64,
@@ -105,10 +103,10 @@ impl MemoryAnalysis {
         self.int_ops_per_warp as f64 / bytes as f64
     }
 
-    /// Per-access wavefront table for [`predict_schedule_mem`], so the
+    /// Per-access wavefront table for [`predict_schedule`], so the
     /// static scoreboard charges each access its serialized transactions.
     ///
-    /// [`predict_schedule_mem`]: crate::analysis::schedule::predict_schedule_mem
+    /// [`predict_schedule`]: crate::analysis::schedule::predict_schedule
     pub fn mem_timings(&self) -> MemTimings {
         self.accesses.iter().map(|a| (a.pc, a.wavefronts)).collect()
     }
@@ -160,20 +158,17 @@ impl MemoryAnalysis {
 /// Runs the full static memory analysis of `program`.
 ///
 /// `inputs` are the declared entry registers, `contracts` the declared
-/// address contracts ([`MemContracts`]), `assumptions` the PR-3 range
-/// assumptions (only the interval fallback uses them), and `hints` the
-/// branch hints that resolve loop trip counts for the traffic totals.
+/// address contracts ([`MemContracts`]), and `hints` the branch hints that
+/// resolve loop trip counts for the traffic totals.
 pub fn analyze_memory(
     program: &Program,
     inputs: &[Reg],
     contracts: &MemContracts,
-    assumptions: &RangeAssumptions,
     hints: &ScheduleHints,
     config: &SmspConfig,
 ) -> MemoryAnalysis {
     let cfg = Cfg::build(program);
     let addrs = analyze_addresses(program, &cfg, contracts, inputs);
-    let ranges = analyze_ranges_with_cfg(program, &cfg, assumptions, &[]);
     let warp_size = config.warp_size;
 
     // Per-access classification and sector counts.
@@ -186,23 +181,7 @@ pub fn analyze_memory(
         };
         let pattern = AccessPattern::of(val);
         let sectors = affine_sectors(val, offset, warp_size);
-        let sectors_bound = sectors.unwrap_or_else(|| {
-            // Interval fallback: the address register's range bounds how
-            // many sectors the warp can span; never more than one per lane.
-            let iv = ranges
-                .access_addrs
-                .iter()
-                .find(|(p, _)| *p == pc)
-                .map(|(_, iv)| *iv);
-            match iv {
-                Some(iv) => sectors_touched_bound(
-                    u64::from(iv.lo) + u64::from(offset),
-                    u64::from(iv.hi) + u64::from(offset),
-                    warp_size,
-                ),
-                None => warp_size,
-            }
-        });
+        let sectors_bound = sectors.unwrap_or(warp_size);
         accesses.push(AccessReport {
             pc,
             is_load,
@@ -317,14 +296,7 @@ mod tests {
         b.stg(20, 1, 128);
         b.exit();
         let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
+        let m = analyze_memory(&p, &[1], &contracts1(), &ScheduleHints::default(), &cfg());
         assert!(m.exact);
         assert!(m.lints.is_empty(), "{:?}", m.lints);
         assert_eq!(m.transactions_per_warp, 5 * 4); // 5 accesses × 4 sectors
@@ -349,14 +321,7 @@ mod tests {
             let mut contracts = MemContracts::new();
             contracts.declare(1, stride, 32);
             contracts.declare(2, stride, 32);
-            let m = analyze_memory(
-                &p,
-                &[1, 2],
-                &contracts,
-                &RangeAssumptions::default(),
-                &ScheduleHints::default(),
-                &cfg(),
-            );
+            let m = analyze_memory(&p, &[1, 2], &contracts, &ScheduleHints::default(), &cfg());
             assert!(m.exact);
 
             let mut machine = Machine::new(cfg(), 4096);
@@ -393,18 +358,12 @@ mod tests {
         let mut contracts = MemContracts::new();
         contracts.declare(1, 1, 32);
         contracts.declare(2, 1, 32);
-        let m = analyze_memory(
-            &p,
-            &[1, 2],
-            &contracts,
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
+        let m = analyze_memory(&p, &[1, 2], &contracts, &ScheduleHints::default(), &cfg());
         assert!(!m.exact);
         let gather = m.accesses.iter().find(|a| a.pc == 1).unwrap();
         assert_eq!(gather.pattern, AccessPattern::Unprovable);
         assert_eq!(gather.sectors, None);
+        assert_eq!(gather.sectors_bound, cfg().warp_size);
         assert!(m
             .lints
             .iter()
@@ -418,14 +377,7 @@ mod tests {
         b.stg(10, 1, 32);
         b.exit();
         let p = b.build();
-        let m = analyze_memory(
-            &p,
-            &[1],
-            &contracts1(),
-            &RangeAssumptions::default(),
-            &ScheduleHints::default(),
-            &cfg(),
-        );
+        let m = analyze_memory(&p, &[1], &contracts1(), &ScheduleHints::default(), &cfg());
         let j = m.to_json();
         for key in [
             "\"exact\"",

@@ -37,11 +37,6 @@ impl StaticMetrics {
     /// Computes all metrics for `program`.
     pub fn compute(program: &Program) -> Self {
         let cfg = Cfg::build(program);
-        Self::compute_with_cfg(program, &cfg)
-    }
-
-    /// [`StaticMetrics::compute`] with a caller-supplied CFG.
-    pub fn compute_with_cfg(program: &Program, cfg: &Cfg) -> Self {
         let instructions = program.len();
         let mix = program.static_mix();
         let int32_instructions = (0..instructions)
@@ -67,8 +62,8 @@ impl StaticMetrics {
         }
         let registers_touched = touched.iter().filter(|&&t| t).count() as u32;
 
-        let live = Liveness::compute(program, cfg);
-        let max_live_regs = live.max_live_registers(cfg, program);
+        let live = Liveness::compute(program, &cfg);
+        let max_live_regs = live.max_live_registers(&cfg, program);
 
         StaticMetrics {
             instructions,
@@ -78,7 +73,7 @@ impl StaticMetrics {
             imad_share: imad / total,
             registers_touched,
             max_live_regs,
-            dep_chain_depth: dep_chain_depth(program, cfg, &map),
+            dep_chain_depth: dep_chain_depth(program, &cfg, &map),
         }
     }
 

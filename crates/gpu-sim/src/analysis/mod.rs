@@ -28,7 +28,7 @@
 //!   and a decidable alias oracle for provably-affine accesses;
 //! - [`memory`] — static coalescing classification, per-warp
 //!   transaction/byte prediction matching the simulator's sector rule,
-//!   LSU wavefront timings for [`schedule::predict_schedule_mem`], static
+//!   LSU wavefront timings for [`schedule::predict_schedule`], static
 //!   arithmetic intensity for the roofline, and the uncoalesced-access
 //!   lint;
 //! - [`opt`] — the verified kernel optimizer: dead-store elimination,
@@ -43,7 +43,7 @@
 //! # Examples
 //!
 //! ```
-//! use gpu_sim::analysis;
+//! use gpu_sim::analysis::{self, StaticMetrics};
 //! use gpu_sim::isa::{ProgramBuilder, Src};
 //!
 //! let mut b = ProgramBuilder::new();
@@ -57,9 +57,9 @@
 //! // program is lint-clean.
 //! assert!(analysis::lint(&p, &[10]).is_empty());
 //!
-//! let a = analysis::analyze(&p);
-//! assert_eq!(a.metrics.instructions, 4);
-//! assert!(a.metrics.max_live_regs >= 1);
+//! let m = StaticMetrics::compute(&p);
+//! assert_eq!(m.instructions, 4);
+//! assert!(m.max_live_regs >= 1);
 //! ```
 
 pub mod addr;
@@ -90,27 +90,11 @@ pub use ranges::{
     analyze_ranges, Interval, RangeAnalysis, RangeAssumptions, StoreBound, ValueBound,
 };
 pub use schedule::{
-    predict_schedule, predict_schedule_mem, BlockSchedule, BranchHint, MemTimings, ScheduleError,
-    ScheduleHints, SchedulePrediction,
+    predict_schedule, BlockSchedule, BranchHint, MemTimings, ScheduleError, ScheduleHints,
+    SchedulePrediction,
 };
 
 use crate::isa::Program;
-
-/// CFG plus static metrics for one program.
-#[derive(Debug, Clone)]
-pub struct KernelAnalysis {
-    /// The program's control-flow graph.
-    pub cfg: Cfg,
-    /// Derived static metrics.
-    pub metrics: StaticMetrics,
-}
-
-/// Analyzes `program`: builds the CFG and computes static metrics.
-pub fn analyze(program: &Program) -> KernelAnalysis {
-    let cfg = Cfg::build(program);
-    let metrics = StaticMetrics::compute_with_cfg(program, &cfg);
-    KernelAnalysis { cfg, metrics }
-}
 
 /// Inferred register pressure: the maximum number of simultaneously live
 /// 32-bit registers at any reachable program point. See
@@ -118,18 +102,4 @@ pub fn analyze(program: &Program) -> KernelAnalysis {
 pub fn max_live_registers(program: &Program) -> u32 {
     let cfg = Cfg::build(program);
     Liveness::compute(program, &cfg).max_live_registers(&cfg, program)
-}
-
-/// The registers live at program entry — the kernel's implicit parameter
-/// list. Generators can cross-check this against the inputs they declare.
-pub fn entry_live_registers(program: &Program) -> Vec<crate::isa::Reg> {
-    let cfg = Cfg::build(program);
-    let live = Liveness::compute(program, &cfg);
-    live.entry_live(&cfg, program)
-        .into_iter()
-        .filter_map(|r| match r {
-            Resource::Reg(x) => Some(x),
-            _ => None,
-        })
-        .collect()
 }

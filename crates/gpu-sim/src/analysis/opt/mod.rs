@@ -43,9 +43,7 @@ use core::fmt;
 use crate::analysis::addr::MemContracts;
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{max_reg, Liveness};
-use crate::analysis::schedule::{
-    predict_schedule_mem, MemTimings, ScheduleHints, SchedulePrediction,
-};
+use crate::analysis::schedule::{predict_schedule, MemTimings, ScheduleHints, SchedulePrediction};
 use crate::device::DeviceSpec;
 use crate::isa::{Program, Reg};
 use crate::machine::SmspConfig;
@@ -243,7 +241,7 @@ pub fn optimize_with_config(
     let warps = opts.warps.max(1);
     let oracle = MemOracle::new(program, &opts.contracts, config.warp_size);
 
-    let before = predict_schedule_mem(program, config, warps, &opts.hints, &opts.timings).ok();
+    let before = predict_schedule(program, config, warps, &opts.hints, &opts.timings).ok();
     let cfg0 = Cfg::build(program);
     let live0 = Liveness::compute(program, &cfg0);
     let max_live_before = live0.max_live_registers(&cfg0, program);
@@ -292,7 +290,7 @@ pub fn optimize_with_config(
         .iter()
         .filter_map(|(pc, w)| pc_map.get(pc).copied().flatten().map(|n| (n, w)))
         .collect();
-    let after = predict_schedule_mem(&cur, config, warps, &hints, &timings).ok();
+    let after = predict_schedule(&cur, config, warps, &hints, &timings).ok();
 
     let cfg1 = Cfg::build(&cur);
     let live1 = Liveness::compute(&cur, &cfg1);

@@ -193,10 +193,6 @@ pub struct RangeAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Descriptions of the [`ValueBound`] obligations that were discharged.
     pub proved: Vec<String>,
-    /// Interval of the *address register* at every reachable `LDG`/`STG`,
-    /// in program order as `(pc, interval)` — the fallback bound the memory
-    /// analyzer uses when an access is not provably affine.
-    pub access_addrs: Vec<(usize, Interval)>,
 }
 
 impl RangeAnalysis {
@@ -525,21 +521,10 @@ pub fn analyze_ranges(
     obligations: &[ValueBound],
 ) -> RangeAnalysis {
     let cfg = Cfg::build(program);
-    analyze_ranges_with_cfg(program, &cfg, assumptions, obligations)
-}
-
-/// [`analyze_ranges`] with a caller-supplied CFG.
-pub fn analyze_ranges_with_cfg(
-    program: &Program,
-    cfg: &Cfg,
-    assumptions: &RangeAssumptions,
-    obligations: &[ValueBound],
-) -> RangeAnalysis {
     let mut result = RangeAnalysis {
         store_bounds: Vec::new(),
         diagnostics: Vec::new(),
         proved: Vec::new(),
-        access_addrs: Vec::new(),
     };
     if program.is_empty() || cfg.blocks.is_empty() {
         for ob in obligations {
@@ -569,7 +554,7 @@ pub fn analyze_ranges_with_cfg(
         for pc in cfg.blocks[b].start..cfg.blocks[b].end {
             transfer(&mut st, &program.fetch(pc), assumptions);
         }
-        for &s in &feasible_succs(program, cfg, b, &st) {
+        for &s in &feasible_succs(program, &cfg, b, &st) {
             let changed = match &mut entry_state[s] {
                 Some(existing) => {
                     let before = existing.clone();
@@ -609,9 +594,6 @@ pub fn analyze_ranges_with_cfg(
                 false
             });
             let inst = program.fetch(pc);
-            if let Instr::Ldg { addr, .. } | Instr::Stg { addr, .. } = inst {
-                result.access_addrs.push((pc, st.regs[addr as usize]));
-            }
             if let Instr::Stg { src, addr, offset } = inst {
                 result.store_bounds.push(StoreBound {
                     pc,

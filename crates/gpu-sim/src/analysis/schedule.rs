@@ -303,25 +303,18 @@ pub(crate) const TRACE_LIMIT: usize = 1 << 23;
 /// Predicts the schedule of `program` on `warps` identical resident warps
 /// of an SMSP described by `config`, without running the simulator.
 ///
+/// `mem` holds per-access LSU wavefront counts from the memory analyzer
+/// ([`crate::analysis::MemoryAnalysis::mem_timings`]): `LDG`/`STG` port
+/// occupancy and the `LDG` latency tail scale with each access's
+/// serialized sector transactions, through the same scoreboard as the
+/// simulator's coalescing-aware timing. An access missing from `mem` costs
+/// one wavefront (the coalesced case), so `&MemTimings::default()` models
+/// a fully coalesced kernel.
+///
 /// The prediction is exact for programs whose branches are resolved by
 /// constant folding, and matches the simulator to within the rarity of
 /// uniformly-taken data-dependent branches otherwise (see module docs).
 pub fn predict_schedule(
-    program: &Program,
-    config: &SmspConfig,
-    warps: u32,
-    hints: &ScheduleHints,
-) -> Result<SchedulePrediction, ScheduleError> {
-    predict_schedule_mem(program, config, warps, hints, &MemTimings::default())
-}
-
-/// [`predict_schedule`] with per-access LSU wavefront counts from the
-/// memory analyzer: `LDG`/`STG` port occupancy and the `LDG` latency tail
-/// scale with each access's serialized sector transactions, through the
-/// same scoreboard as the simulator's coalescing-aware timing. With an empty
-/// [`MemTimings`] every access costs one wavefront (the coalesced case),
-/// which is what [`predict_schedule`] assumes.
-pub fn predict_schedule_mem(
     program: &Program,
     config: &SmspConfig,
     warps: u32,
@@ -676,6 +669,7 @@ mod tests {
                     &SmspConfig::default(),
                     warps as u32,
                     &ScheduleHints::new(),
+                    &MemTimings::default(),
                 )
                 .unwrap();
                 assert_eq!(pred.cycles, sim.cycles, "{name} warps={warps}");
@@ -704,7 +698,14 @@ mod tests {
         b.exit();
         let p = b.build();
         let sim = simulate(&p, 1);
-        let pred = predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         assert_eq!(pred.trace_len as u64, sim.instructions);
         assert_eq!(pred.cycles, sim.cycles);
         assert_eq!(pred.stalls, sim.stalls);
@@ -732,7 +733,14 @@ mod tests {
         init.per_thread(0, tids);
         let mut m = Machine::new(SmspConfig::default(), 0);
         let sim = m.run(&p, &[init]);
-        let pred = predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         assert_eq!(pred.cycles, sim.cycles);
         assert_eq!(pred.stalls, sim.stalls);
     }
@@ -758,11 +766,25 @@ mod tests {
         };
         let mut hints = ScheduleHints::new();
         hints.set(bra_pc, BranchHint::Taken);
-        let pred = predict_schedule(&p, &SmspConfig::default(), 1, &hints).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &hints,
+            &MemTimings::default(),
+        )
+        .unwrap();
         assert_eq!(pred.cycles, sim.cycles);
         assert_eq!(pred.stalls, sim.stalls);
         // The not-taken default would issue 6 more instructions.
-        let nt = predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap();
+        let nt = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         assert_eq!(nt.trace_len, pred.trace_len + 6);
     }
 
@@ -776,8 +798,14 @@ mod tests {
         b.bra(top, Some((0, true)));
         b.exit();
         let p = b.build();
-        let err =
-            predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap_err();
+        let err = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, ScheduleError::UnresolvedLoop { pc: 2 }));
     }
 
@@ -791,7 +819,8 @@ mod tests {
         b.exit();
         let p = b.build();
         let cfg = SmspConfig::default();
-        let pred = predict_schedule(&p, &cfg, 1, &ScheduleHints::new()).unwrap();
+        let pred =
+            predict_schedule(&p, &cfg, 1, &ScheduleHints::new(), &MemTimings::default()).unwrap();
         // mov(2) + 10 dependent imads(4 each); EXIT adds its issue slot.
         assert_eq!(pred.critical_path, 2 + 10 * cfg.imad_latency);
         assert!(pred.ilp_headroom > 1.0, "chain is dependence-bound");
@@ -809,7 +838,14 @@ mod tests {
         }
         b.exit();
         let p = b.build();
-        let pred = predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            1,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         // Issue-bound: dependence chains are trivial.
         assert!(pred.ilp_headroom <= 1.0);
         assert!(pred.int32_utilization > 0.8);
@@ -819,7 +855,14 @@ mod tests {
     fn empty_program_is_an_error() {
         let p = ProgramBuilder::new().try_build().unwrap();
         assert_eq!(
-            predict_schedule(&p, &SmspConfig::default(), 1, &ScheduleHints::new()).unwrap_err(),
+            predict_schedule(
+                &p,
+                &SmspConfig::default(),
+                1,
+                &ScheduleHints::new(),
+                &MemTimings::default()
+            )
+            .unwrap_err(),
             ScheduleError::EmptyProgram
         );
     }
@@ -830,7 +873,14 @@ mod tests {
         b.mov(0, imm(1));
         b.exit();
         let p = b.build();
-        let pred = predict_schedule(&p, &SmspConfig::default(), 2, &ScheduleHints::new()).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &SmspConfig::default(),
+            2,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         let js = pred.to_json();
         assert!(js.starts_with('{') && js.ends_with('}'));
         assert!(js.contains("\"cycles\":"));

@@ -82,12 +82,6 @@ impl DeviceSpec {
     pub fn peak_gintops(&self) -> f64 {
         self.int32_lanes() as f64 * 2.0 * self.clock_ghz
     }
-
-    /// Cycles a full warp occupies one SMSP's INT32 pipe
-    /// (`warp_size / lanes` = 2 on every studied part).
-    pub fn int32_issue_interval(&self) -> u32 {
-        self.warp_size / self.int32_lanes_per_smsp
-    }
 }
 
 macro_rules! device {
@@ -275,6 +269,8 @@ pub fn by_name(fragment: &str) -> Option<DeviceSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::SmspConfig;
+    use crate::scoreboard::int32_interval;
 
     #[test]
     fn catalog_covers_the_paper() {
@@ -315,7 +311,8 @@ mod tests {
             assert_eq!(d.int32_lanes_per_smsp, 16, "{}", d.name);
             assert_eq!(d.warp_size, 32, "{}", d.name);
             assert_eq!(d.registers_per_sm, 65536, "{}", d.name);
-            assert_eq!(d.int32_issue_interval(), 2, "{}", d.name);
+            // A full warp occupies one SMSP's INT32 pipe for two cycles.
+            assert_eq!(int32_interval(&SmspConfig::from(&d)), 2, "{}", d.name);
         }
     }
 

@@ -84,15 +84,6 @@ pub fn wavefronts_for(sectors: u32, lsu_sectors_per_cycle: u32) -> u64 {
     u64::from(sectors.div_ceil(lsu_sectors_per_cycle.max(1)).max(1))
 }
 
-/// Upper bound on the sectors one warp access can touch when each lane's
-/// address is only known to lie in `[lo, hi]` (word addresses): the number
-/// of sectors the interval spans, capped at one sector per lane. The
-/// static analyzer's interval-domain fallback.
-pub fn sectors_touched_bound(lo: u64, hi: u64, warp_size: u32) -> u32 {
-    let span = (hi / SECTOR_WORDS).saturating_sub(lo / SECTOR_WORDS) + 1;
-    span.min(u64::from(warp_size)) as u32
-}
-
 impl From<&DeviceSpec> for SmspConfig {
     fn from(d: &DeviceSpec) -> Self {
         Self {

@@ -90,16 +90,13 @@ impl Roofline {
     /// one SMSP; performance scales by the device's SMSP count, as per-SM
     /// behaviour is constant (§IV-D).
     pub fn place(&self, device: &DeviceSpec, label: &str, sim: &SimResult) -> RooflinePoint {
-        let seconds = sim.cycles as f64 / (device.clock_ghz * 1e9);
-        let smsps = f64::from(device.sm_count * device.smsp_per_sm);
-        let gintops = sim.int_ops as f64 * smsps / seconds / 1e9;
-        let ai = sim.arithmetic_intensity();
-        RooflinePoint {
-            label: label.to_owned(),
-            arithmetic_intensity: ai,
-            gintops,
-            compute_fraction: gintops / self.peak_gintops,
-        }
+        self.place_static(
+            device,
+            label,
+            sim.cycles,
+            sim.int_ops,
+            sim.arithmetic_intensity(),
+        )
     }
 
     /// Positions a kernel from *static* analysis alone: predicted issue

@@ -2,7 +2,7 @@
 //! built-ins, and opcode-table consistency (`mnemonic` × `uses_int32_pipe`
 //! over the full instruction list — the drift guard for new opcodes).
 
-use gpu_sim::analysis::{self, StaticMetrics};
+use gpu_sim::analysis::{self, Cfg, StaticMetrics};
 use gpu_sim::isa::{CmpOp, Instr, LogicOp, ProgramBuilder, Src};
 
 /// One witness value per opcode of the micro-ISA. A new `Instr` variant
@@ -173,10 +173,10 @@ fn analysis_handles_loops() {
     b.exit();
     let p = b.build();
     assert!(analysis::lint(&p, &[2]).is_empty());
-    let a = analysis::analyze(&p);
+    let cfg = Cfg::build(&p);
     // blocks: [movs..], [loop body], [store, exit]
-    assert_eq!(a.cfg.blocks.len(), 3);
-    assert!(a.cfg.reachable.iter().all(|&r| r));
+    assert_eq!(cfg.blocks.len(), 3);
+    assert!(cfg.reachable.iter().all(|&r| r));
     // acc, i, and the store address are simultaneously live in the loop.
-    assert_eq!(a.metrics.max_live_regs, 3);
+    assert_eq!(StaticMetrics::compute(&p).max_live_regs, 3);
 }

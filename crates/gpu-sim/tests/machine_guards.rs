@@ -2,7 +2,7 @@
 //! corrupt state) on kernel bugs — out-of-bounds accesses, unsupported
 //! divergence shapes, and runaway loops.
 
-use gpu_sim::analysis::{predict_schedule, ScheduleHints};
+use gpu_sim::analysis::{predict_schedule, MemTimings, ScheduleHints};
 use gpu_sim::isa::{CmpOp, ProgramBuilder, Src};
 use gpu_sim::machine::{Machine, SmspConfig, WarpInit};
 
@@ -205,7 +205,14 @@ fn register_file_is_sized_by_the_program_for_simulator_and_predictor_alike() {
         let mut m = Machine::new(cfg.clone(), 1);
         let sim = m.run(&p, &vec![init; warps]);
         assert_eq!(m.global_mem[0], 42);
-        let pred = predict_schedule(&p, &cfg, warps as u32, &ScheduleHints::new()).unwrap();
+        let pred = predict_schedule(
+            &p,
+            &cfg,
+            warps as u32,
+            &ScheduleHints::new(),
+            &MemTimings::default(),
+        )
+        .unwrap();
         assert_eq!(pred.cycles, sim.cycles, "warps={warps}");
         assert_eq!(pred.stalls, sim.stalls, "warps={warps}");
     }

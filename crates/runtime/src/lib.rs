@@ -26,9 +26,9 @@
 //!
 //! # Configuration
 //!
-//! Thread count resolution order: [`Builder::num_threads`], then the
-//! `ZKP_THREADS` environment variable, then the machine's available
-//! parallelism. The process-wide pool behind [`global`] is built on first
+//! [`ThreadPool::with_threads`] fixes the thread count; [`ThreadPool::new`]
+//! takes it from the `ZKP_THREADS` environment variable, then the
+//! machine's available parallelism. The process-wide pool behind [`global`] is built on first
 //! use and reused by every prover component.
 //!
 //! # Nesting
@@ -84,41 +84,13 @@ struct Shared {
     done_cv: Condvar,
 }
 
-/// Configures a [`ThreadPool`].
-///
-/// # Examples
-///
-/// ```
-/// let pool = zkp_runtime::Builder::new().num_threads(2).build();
-/// assert_eq!(pool.num_threads(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Builder {
-    num_threads: Option<usize>,
-}
-
-impl Builder {
-    /// Starts a default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fixes the pool's thread count (including the calling thread).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n.max(1));
-        self
-    }
-
-    /// Builds the pool, resolving the thread count from (in order) this
-    /// builder, `ZKP_THREADS`, then the machine's available parallelism.
-    pub fn build(self) -> ThreadPool {
-        let threads = self
-            .num_threads
-            .or_else(env_threads)
-            .unwrap_or_else(default_threads)
-            .max(1);
-        ThreadPool::spawn(threads)
-    }
+/// The pool size: `requested` if given, else `ZKP_THREADS`, else the
+/// machine's available parallelism; never less than one.
+fn resolve_threads(requested: Option<usize>) -> usize {
+    requested
+        .or_else(env_threads)
+        .unwrap_or_else(default_threads)
+        .max(1)
 }
 
 fn env_threads() -> Option<usize> {
@@ -146,12 +118,20 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// A pool sized by `ZKP_THREADS` / available parallelism.
     pub fn new() -> Self {
-        Builder::new().build()
+        Self::spawn(resolve_threads(None))
     }
 
-    /// A pool with exactly `n` threads (including the caller).
+    /// A pool with exactly `n` threads (including the caller; `0` counts
+    /// as one).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let pool = zkp_runtime::ThreadPool::with_threads(2);
+    /// assert_eq!(pool.num_threads(), 2);
+    /// ```
     pub fn with_threads(n: usize) -> Self {
-        Builder::new().num_threads(n).build()
+        Self::spawn(resolve_threads(Some(n)))
     }
 
     fn spawn(threads: usize) -> Self {
@@ -742,9 +722,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_env_fallback_is_sane() {
+    fn env_fallback_is_sane() {
         // Whatever the environment, the resolved count is at least one.
-        let pool = Builder::new().build();
+        let pool = ThreadPool::new();
         assert!(pool.num_threads() >= 1);
     }
 }
