@@ -30,30 +30,58 @@
 //!   abandoned instead of completing dead work.
 //! * **Panic isolation** — each attempt runs under
 //!   [`catch_unwind`](std::panic::catch_unwind); a panic is treated as a
-//!   retryable failure, the job still resolves exactly once, and the
-//!   worker replaces itself with a fresh fork afterwards (counted in
+//!   retryable failure and the job still resolves exactly once. After
+//!   such a job the worker refreshes in place with a fresh
+//!   [`fork`](ProverSession::fork) and a fresh backend (counted in
 //!   [`ServiceStats::respawns`]).
 //! * **Graceful degradation** — consecutive job failures trip shed-load
 //!   mode: new submissions are rejected with [`SubmitError::Degraded`]
-//!   until a run of consecutive successes recovers the service
+//!   until four consecutive successes recover the service
 //!   (hysteresis, so it does not flap).
 
 use crate::protocol::{Proof, ProverStats};
 use crate::session::ProverSession;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zkp_backend::fault::{splitmix64, unit_f64};
 use zkp_backend::{BackendError, CpuBackend, DeadlineBackend, ExecBackend};
 use zkp_curves::Bls12Config;
 use zkp_r1cs::ConstraintSystem;
-use zkp_runtime::service::{percentile, JobQueue};
 
-pub use zkp_runtime::service::SubmitError;
+/// Consecutive job successes that take the service out of shed-load mode
+/// — the hysteresis that keeps a flapping backend from re-admitting load
+/// after a single lucky proof.
+const RECOVER_AFTER_SUCCESSES: u32 = 4;
+
+/// Why a job submission was not admitted. Nothing was enqueued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The queue is at capacity; the caller should retry later or shed
+    /// load.
+    QueueFull,
+    /// Shutdown began; no further jobs are accepted.
+    Closed,
+    /// The service is in shed-load (degraded) mode — consecutive job
+    /// failures tripped it — and rejects new work until it recovers.
+    Degraded,
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::QueueFull => write!(f, "job queue is full"),
+            SubmitError::Closed => write!(f, "job queue is closed"),
+            SubmitError::Degraded => write!(f, "service is degraded and shedding load"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 /// Builds one execution backend per worker (called with the worker
 /// index). Lets tests and experiments interpose e.g. a
@@ -104,25 +132,19 @@ pub struct ServiceConfig {
     /// Retry/backoff behavior per job.
     pub retry: RetryPolicy,
     /// Consecutive job failures that trip shed-load mode (0 disables
-    /// failure-based degradation).
+    /// failure-based degradation); four consecutive successes leave it.
     pub degrade_after_failures: u32,
-    /// Consecutive job successes required to leave shed-load mode — the
-    /// hysteresis that keeps a flapping backend from re-admitting load
-    /// after a single lucky proof.
-    pub recover_after_successes: u32,
 }
 
 impl ServiceConfig {
     /// Defaults: the given sizing, default retry policy, degradation
-    /// after 8 consecutive failures, recovery after 4 consecutive
-    /// successes.
+    /// after 8 consecutive failures.
     pub fn new(workers: usize, capacity: usize) -> Self {
         Self {
             workers,
             capacity,
             retry: RetryPolicy::default(),
             degrade_after_failures: 8,
-            recover_after_successes: 4,
         }
     }
 }
@@ -173,16 +195,10 @@ pub enum JobError {
 
 /// A handle to one submitted job; redeem it with [`ProofTicket::wait`].
 pub struct ProofTicket<C: Bls12Config> {
-    id: u64,
     rx: mpsc::Receiver<Result<CompletedProof<C>, JobError>>,
 }
 
 impl<C: Bls12Config> ProofTicket<C> {
-    /// The service-assigned job id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Blocks until the job completes, expires, fails, or the service
     /// stops. Every submitted ticket resolves exactly once.
     pub fn wait(self) -> Result<CompletedProof<C>, JobError> {
@@ -197,21 +213,6 @@ struct QueuedJob<C: Bls12Config> {
     deadline: Option<Duration>,
     submitted: Instant,
     reply: mpsc::Sender<Result<CompletedProof<C>, JobError>>,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    /// End-to-end latency (queue + prove) per completed job, seconds.
-    latencies: Vec<f64>,
-    /// Queue wait per completed job, seconds.
-    waits: Vec<f64>,
-    expired: u64,
-}
-
-#[derive(Default)]
-struct DegradedTime {
-    since: Option<Instant>,
-    total: Duration,
 }
 
 /// Aggregate serving statistics, reported by [`ProofService::shutdown`].
@@ -232,7 +233,8 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Retry attempts across all jobs (attempts beyond each first).
     pub retries: u64,
-    /// Workers that replaced themselves after observing a panic.
+    /// Jobs with a panicked attempt, after each of which the worker
+    /// refreshed its session fork and backend.
     pub respawns: u64,
     /// Total wall-clock time spent in shed-load (degraded) mode, seconds.
     pub degraded_s: f64,
@@ -289,65 +291,158 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-/// State shared between the handle, the workers, and their replacements.
-struct ServiceShared<C: Bls12Config> {
-    queue: JobQueue<QueuedJob<C>>,
-    cfg: ServiceConfig,
-    factory: Option<BackendFactory<C>>,
-    stats: Mutex<StatsInner>,
-    /// Every live worker JoinHandle — initial workers and respawned
-    /// replacements alike. A replacement is pushed *before* its
-    /// predecessor exits, so draining this vec until empty joins every
-    /// worker that will ever exist.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    retries: AtomicU64,
-    failed: AtomicU64,
-    abandoned: AtomicU64,
-    respawns: AtomicU64,
-    consecutive_failures: AtomicU32,
-    consecutive_successes: AtomicU32,
-    degraded: AtomicBool,
-    degraded_time: Mutex<DegradedTime>,
+/// Everything that changes while the service runs: the queue, the
+/// counters, and the degrade hysteresis.
+struct State<C: Bls12Config> {
+    jobs: VecDeque<QueuedJob<C>>,
+    closed: bool,
+    next_id: u64,
+    rejected: u64,
+    retries: u64,
+    failed: u64,
+    expired: u64,
+    abandoned: u64,
+    respawns: u64,
+    /// End-to-end latency (queue + prove) per completed job, seconds.
+    latencies: Vec<f64>,
+    /// Queue wait per completed job, seconds.
+    waits: Vec<f64>,
+    consecutive_failures: u32,
+    consecutive_successes: u32,
+    /// Start of the open shed-load interval; `Some` means degraded.
+    degraded_since: Option<Instant>,
+    /// Closed shed-load intervals so far.
+    degraded_total: Duration,
 }
 
-impl<C: Bls12Config> ServiceShared<C> {
-    fn enter_degraded(&self) {
-        if !self.degraded.swap(true, Ordering::SeqCst) {
-            let mut dt = self.degraded_time.lock().expect("degraded poisoned");
-            dt.since = Some(Instant::now());
+/// What the handle and the workers share: one lock over [`State`], and
+/// the condvar idle workers wait on.
+struct Shared<C: Bls12Config> {
+    state: Mutex<State<C>>,
+    ready: Condvar,
+    cfg: ServiceConfig,
+    factory: Option<BackendFactory<C>>,
+}
+
+impl<C: Bls12Config> Shared<C> {
+    fn new(cfg: ServiceConfig, factory: Option<BackendFactory<C>>) -> Self {
+        Self {
+            state: Mutex::new(State {
+                jobs: VecDeque::with_capacity(cfg.capacity),
+                closed: false,
+                next_id: 0,
+                rejected: 0,
+                retries: 0,
+                failed: 0,
+                expired: 0,
+                abandoned: 0,
+                respawns: 0,
+                latencies: Vec::new(),
+                waits: Vec::new(),
+                consecutive_failures: 0,
+                consecutive_successes: 0,
+                degraded_since: None,
+                degraded_total: Duration::ZERO,
+            }),
+            ready: Condvar::new(),
+            cfg,
+            factory,
         }
     }
 
-    fn exit_degraded(&self) {
-        if self.degraded.swap(false, Ordering::SeqCst) {
-            let mut dt = self.degraded_time.lock().expect("degraded poisoned");
-            if let Some(since) = dt.since.take() {
-                dt.total += since.elapsed();
+    fn lock(&self) -> MutexGuard<'_, State<C>> {
+        self.state.lock().expect("service state poisoned")
+    }
+
+    /// Admits a job or says why not: degraded first, then closed, then
+    /// full. A refusal is counted and enqueues nothing.
+    fn admit(
+        &self,
+        cs: ConstraintSystem<C::Fr>,
+        seed: u64,
+        deadline: Option<Duration>,
+    ) -> Result<ProofTicket<C>, SubmitError> {
+        let (reply, rx) = mpsc::channel();
+        let mut st = self.lock();
+        let refusal = if st.degraded_since.is_some() {
+            Some(SubmitError::Degraded)
+        } else if st.closed {
+            Some(SubmitError::Closed)
+        } else if st.jobs.len() >= self.cfg.capacity {
+            Some(SubmitError::QueueFull)
+        } else {
+            None
+        };
+        if let Some(e) = refusal {
+            st.rejected += 1;
+            return Err(e);
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        st.jobs.push_back(QueuedJob {
+            id,
+            cs,
+            seed,
+            deadline,
+            submitted: Instant::now(),
+            reply,
+        });
+        drop(st);
+        self.ready.notify_one();
+        Ok(ProofTicket { rx })
+    }
+
+    /// Blocks until a job is available; `None` means closed and drained.
+    fn pop(&self) -> Option<QueuedJob<C>> {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(job);
             }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).expect("service state poisoned");
         }
     }
 
-    fn note_success(&self) {
-        self.consecutive_failures.store(0, Ordering::SeqCst);
-        let ok = self.consecutive_successes.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.degraded.load(Ordering::SeqCst) && ok >= self.cfg.recover_after_successes {
-            self.exit_degraded();
-        }
+    /// Stops admission; queued jobs still drain, then `pop` ends.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
-    fn note_failure(&self) {
-        self.consecutive_successes.store(0, Ordering::SeqCst);
-        let bad = self.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.cfg.degrade_after_failures > 0 && bad >= self.cfg.degrade_after_failures {
-            self.enter_degraded();
+    /// Counts a started job's resolution and moves the degrade
+    /// hysteresis. Runs before the job's reply is sent, so a caller that
+    /// saw the reply sees its effect.
+    fn record(&self, run: &Run<C>) {
+        let st = &mut *self.lock();
+        st.retries += u64::from(run.retries);
+        st.respawns += u64::from(run.panicked);
+        match &run.reply {
+            Ok(done) => {
+                st.latencies.push(done.latency().as_secs_f64());
+                st.waits.push(done.queue_wait.as_secs_f64());
+                st.consecutive_failures = 0;
+                st.consecutive_successes = st.consecutive_successes.saturating_add(1);
+                if st.consecutive_successes >= RECOVER_AFTER_SUCCESSES {
+                    if let Some(since) = st.degraded_since.take() {
+                        st.degraded_total += since.elapsed();
+                    }
+                }
+            }
+            Err(JobError::Failed { .. }) => {
+                st.failed += 1;
+                st.consecutive_successes = 0;
+                st.consecutive_failures = st.consecutive_failures.saturating_add(1);
+                let trip = self.cfg.degrade_after_failures;
+                if trip > 0 && st.consecutive_failures >= trip && st.degraded_since.is_none() {
+                    st.degraded_since = Some(Instant::now());
+                }
+            }
+            // Dead work abandoned mid-prove; not a health signal.
+            Err(_) => st.abandoned += 1,
         }
-    }
-
-    /// Total degraded time so far, folding in an open interval.
-    fn degraded_secs(&self) -> f64 {
-        let dt = self.degraded_time.lock().expect("degraded poisoned");
-        let open = dt.since.map_or(Duration::ZERO, |s| s.elapsed());
-        (dt.total + open).as_secs_f64()
     }
 }
 
@@ -357,9 +452,8 @@ impl<C: Bls12Config> ServiceShared<C> {
 /// Dropping the service without calling [`shutdown`](Self::shutdown)
 /// closes the queue and joins the workers (pending jobs still drain).
 pub struct ProofService<C: Bls12Config> {
-    shared: Arc<ServiceShared<C>>,
-    rejected: AtomicU64,
-    next_id: AtomicU64,
+    shared: Arc<Shared<C>>,
+    workers: Vec<JoinHandle<()>>,
     started: Instant,
 }
 
@@ -398,34 +492,21 @@ impl<C: Bls12Config> ProofService<C> {
         factory: Option<BackendFactory<C>>,
     ) -> Self {
         assert!(config.workers > 0, "service needs at least one worker");
-        let workers = config.workers;
-        let shared = Arc::new(ServiceShared {
-            queue: JobQueue::new(config.capacity),
-            cfg: config,
-            factory,
-            stats: Mutex::new(StatsInner::default()),
-            handles: Mutex::new(Vec::with_capacity(workers)),
-            retries: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            consecutive_failures: AtomicU32::new(0),
-            consecutive_successes: AtomicU32::new(0),
-            degraded: AtomicBool::new(false),
-            degraded_time: Mutex::new(DegradedTime::default()),
-        });
-        for i in 0..workers {
-            let handle = spawn_worker(i, session.fork(), Arc::clone(&shared));
-            shared
-                .handles
-                .lock()
-                .expect("handles poisoned")
-                .push(handle);
-        }
+        assert!(config.capacity > 0, "queue capacity must be positive");
+        let shared = Arc::new(Shared::new(config, factory));
+        let workers = (0..shared.cfg.workers)
+            .map(|i| {
+                let session = session.fork();
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("zkp-prover-{i}"))
+                    .spawn(move || worker_loop(i, session, &shared))
+                    .expect("spawn proof worker")
+            })
+            .collect();
         Self {
             shared,
-            rejected: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
+            workers,
             started: Instant::now(),
         }
     }
@@ -437,10 +518,10 @@ impl<C: Bls12Config> ProofService<C> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] when the queue is at capacity,
     /// [`SubmitError::Degraded`] while the service is shedding load,
-    /// [`SubmitError::Closed`] after shutdown began. In every error case
-    /// the job is *not* enqueued.
+    /// [`SubmitError::Closed`] after shutdown began,
+    /// [`SubmitError::QueueFull`] when the queue is at capacity — checked
+    /// in that order. In every error case the job is *not* enqueued.
     pub fn submit(
         &self,
         cs: ConstraintSystem<C::Fr>,
@@ -464,82 +545,45 @@ impl<C: Bls12Config> ProofService<C> {
         seed: u64,
         deadline: Option<Duration>,
     ) -> Result<ProofTicket<C>, SubmitError> {
-        if self.shared.degraded.load(Ordering::Relaxed) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Degraded);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let job = QueuedJob {
-            id,
-            cs,
-            seed,
-            deadline,
-            submitted: Instant::now(),
-            reply: tx,
-        };
-        match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(ProofTicket { id, rx }),
-            Err(e) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// Jobs currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.admit(cs, seed, deadline)
     }
 
     /// Whether the service is currently in shed-load (degraded) mode.
     pub fn is_degraded(&self) -> bool {
-        self.shared.degraded.load(Ordering::Relaxed)
+        self.shared.lock().degraded_since.is_some()
     }
 
-    /// Workers that have replaced themselves after a panic so far.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
-    }
-
-    fn join_workers(&self) {
-        loop {
-            let handle = self.shared.handles.lock().expect("handles poisoned").pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+    fn close_and_join(&mut self) {
+        self.shared.close();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 
-    /// Stops admitting jobs, drains the backlog, joins the workers (and
-    /// any respawned replacements), and returns the aggregate statistics.
-    pub fn shutdown(self) -> ServiceStats {
-        self.shared.queue.close();
-        self.join_workers();
-        let shared = &self.shared;
+    /// Stops admitting jobs, drains the backlog, joins the workers, and
+    /// returns the aggregate statistics.
+    pub fn shutdown(mut self) -> ServiceStats {
+        self.close_and_join();
         let elapsed = self.started.elapsed().as_secs_f64();
-        let inner = shared.stats.lock().expect("stats poisoned");
-        let mut latencies = inner.latencies.clone();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let mut waits = inner.waits.clone();
-        waits.sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
-        let completed = latencies.len() as u64;
+        let st = &mut *self.shared.lock();
+        st.latencies.sort_by(f64::total_cmp);
+        st.waits.sort_by(f64::total_cmp);
+        let completed = st.latencies.len() as u64;
+        let degraded =
+            st.degraded_total + st.degraded_since.map_or(Duration::ZERO, |s| s.elapsed());
         ServiceStats {
             completed,
-            failed: shared.failed.load(Ordering::Relaxed),
-            expired: inner.expired,
-            abandoned: shared.abandoned.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            retries: shared.retries.load(Ordering::Relaxed),
-            respawns: shared.respawns.load(Ordering::Relaxed),
-            degraded_s: shared.degraded_secs(),
-            latency_p50_s: percentile(&latencies, 50.0).unwrap_or(0.0),
-            latency_p95_s: percentile(&latencies, 95.0).unwrap_or(0.0),
-            latency_max_s: latencies.last().copied().unwrap_or(0.0),
-            queue_wait_p50_s: percentile(&waits, 50.0).unwrap_or(0.0),
+            failed: st.failed,
+            expired: st.expired,
+            abandoned: st.abandoned,
+            rejected: st.rejected,
+            retries: st.retries,
+            respawns: st.respawns,
+            degraded_s: degraded.as_secs_f64(),
+            latency_p50_s: percentile(&st.latencies, 50.0).unwrap_or(0.0),
+            latency_p95_s: percentile(&st.latencies, 95.0).unwrap_or(0.0),
+            latency_max_s: st.latencies.last().copied().unwrap_or(0.0),
+            queue_wait_p50_s: percentile(&st.waits, 50.0).unwrap_or(0.0),
             elapsed_s: elapsed,
             proofs_per_sec: if elapsed > 0.0 {
                 completed as f64 / elapsed
@@ -552,47 +596,62 @@ impl<C: Bls12Config> ProofService<C> {
 
 impl<C: Bls12Config> Drop for ProofService<C> {
     fn drop(&mut self) {
-        self.shared.queue.close();
-        self.join_workers();
+        self.close_and_join();
     }
 }
 
-fn spawn_worker<C: Bls12Config>(
-    worker_id: usize,
-    session: ProverSession<C>,
-    shared: Arc<ServiceShared<C>>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("zkp-prover-{worker_id}"))
-        .spawn(move || worker_entry(worker_id, session, shared))
-        .expect("spawn proof worker")
+/// The `p`-th percentile (0–100) of an **ascending-sorted** slice, by the
+/// nearest-rank method. Returns `None` on an empty slice.
+///
+/// Out-of-range `p` is saturated rather than rejected: `p ≤ 0` (and NaN)
+/// returns the minimum, `p ≥ 100` the maximum — a single-element sample
+/// therefore answers every percentile with its one element.
+fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
+    if sorted.is_empty() {
+        return None;
+    }
+    // NaN and negative `p` both saturate to rank 0 here (float→int casts
+    // saturate), which the clamp below turns into the minimum.
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
-fn worker_entry<C: Bls12Config>(
+/// One worker: pop, prove, count, reply — until the queue is closed and
+/// drained. After a job whose attempt panicked it refreshes in place: a
+/// fresh fork (pristine workspace) and a fresh backend, what a brand-new
+/// worker would start with.
+fn worker_loop<C: Bls12Config>(
     worker_id: usize,
     mut session: ProverSession<C>,
-    shared: Arc<ServiceShared<C>>,
+    shared: &Shared<C>,
 ) {
-    let backend: Box<dyn ExecBackend<C> + Send> = match &shared.factory {
-        Some(f) => f(worker_id),
-        None => Box::new(CpuBackend::global()),
+    let new_backend = || -> Box<dyn ExecBackend<C> + Send> {
+        match &shared.factory {
+            Some(f) => f(worker_id),
+            None => Box::new(CpuBackend::global()),
+        }
     };
-    while let Some(job) = shared.queue.pop() {
-        let panicked = run_job(&mut session, backend.as_ref(), &shared, job);
+    let mut backend = new_backend();
+    while let Some(job) = shared.pop() {
+        let waited = job.submitted.elapsed();
+        if job.deadline.is_some_and(|d| waited > d) {
+            shared.lock().expired += 1;
+            let _ = job.reply.send(Err(JobError::DeadlineExpired { waited }));
+            continue;
+        }
+        let run = run_job(
+            &mut session,
+            backend.as_ref(),
+            &shared.cfg.retry,
+            &job,
+            waited,
+        );
+        shared.record(&run);
+        let panicked = run.panicked;
+        let _ = job.reply.send(run.reply);
         if panicked {
-            // The job above already resolved; replace this worker with a
-            // fresh fork (pristine workspace) before exiting, pushing the
-            // new handle *first* so shutdown's drain-until-empty join
-            // sees it. Respawn even when the queue is closed, so a dying
-            // sole worker cannot strand the backlog.
-            shared.respawns.fetch_add(1, Ordering::Relaxed);
-            let replacement = spawn_worker(worker_id, session.fork(), Arc::clone(&shared));
-            shared
-                .handles
-                .lock()
-                .expect("handles poisoned")
-                .push(replacement);
-            return;
+            session = session.fork();
+            backend = new_backend();
         }
     }
 }
@@ -609,31 +668,39 @@ fn backoff_delay(policy: &RetryPolicy, attempt: u32, job_id: u64, seed: u64) -> 
     capped.mul_f64(0.5 + 0.5 * unit_f64(bits))
 }
 
-/// Runs one job to resolution — attempts, backoff, deadline checks —
-/// and returns whether any attempt panicked (the worker then respawns).
-/// The job's ticket resolves exactly once on every path.
+/// How a started job resolved: its reply, the retries it took, and
+/// whether any attempt panicked.
+struct Run<C: Bls12Config> {
+    reply: Result<CompletedProof<C>, JobError>,
+    retries: u32,
+    panicked: bool,
+}
+
+/// Runs one dequeued job to resolution — attempts, backoff, deadline
+/// checks. Touches no shared state; the worker counts the result.
 fn run_job<C: Bls12Config>(
     session: &mut ProverSession<C>,
     backend: &dyn ExecBackend<C>,
-    shared: &ServiceShared<C>,
-    job: QueuedJob<C>,
-) -> bool {
-    let waited = job.submitted.elapsed();
-    if job.deadline.is_some_and(|d| waited > d) {
-        shared.stats.lock().expect("stats poisoned").expired += 1;
-        let _ = job.reply.send(Err(JobError::DeadlineExpired { waited }));
-        return false;
-    }
+    policy: &RetryPolicy,
+    job: &QueuedJob<C>,
+    waited: Duration,
+) -> Run<C> {
     // A deadline past what `Instant` can represent is no deadline.
     let deadline = job.deadline.and_then(|d| job.submitted.checked_add(d));
     let backend = DeadlineBackend::new(backend, deadline);
-    let attempts = shared.cfg.retry.max_retries.saturating_add(1);
+    let attempts = policy.max_retries.saturating_add(1);
     let mut panicked = false;
     let t0 = Instant::now();
+    let abandoned = |retries, panicked| Run {
+        reply: Err(JobError::DeadlineExpired {
+            waited: job.submitted.elapsed(),
+        }),
+        retries,
+        panicked,
+    };
     for attempt in 0..attempts {
         if attempt > 0 {
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-            let delay = backoff_delay(&shared.cfg.retry, attempt, job.id, job.seed);
+            let delay = backoff_delay(policy, attempt, job.id, job.seed);
             // Never sleep past the deadline; if it already passed, the
             // check below abandons instead of attempting dead work.
             let delay = match deadline {
@@ -645,11 +712,7 @@ fn run_job<C: Bls12Config>(
             }
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.abandoned.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(Err(JobError::DeadlineExpired {
-                waited: job.submitted.elapsed(),
-            }));
-            return panicked;
+            return abandoned(attempt, panicked);
         }
         // Re-seed per attempt: a proof that succeeds on retry is
         // byte-identical to one that succeeded first try.
@@ -658,51 +721,174 @@ fn run_job<C: Bls12Config>(
             session.try_prove_in_on(&job.cs, &mut rng, &backend)
         }));
         match outcome {
-            Ok(Ok((proof, pstats))) => {
-                let prove_time = t0.elapsed();
-                {
-                    let mut inner = shared.stats.lock().expect("stats poisoned");
-                    inner.latencies.push((waited + prove_time).as_secs_f64());
-                    inner.waits.push(waited.as_secs_f64());
-                }
-                shared.note_success();
-                let _ = job.reply.send(Ok(CompletedProof {
+            Ok(Ok((proof, stats))) => {
+                let reply = Ok(CompletedProof {
                     id: job.id,
                     proof,
-                    stats: pstats,
+                    stats,
                     queue_wait: waited,
-                    prove_time,
+                    prove_time: t0.elapsed(),
                     retries: attempt,
-                }));
-                return panicked;
+                });
+                return Run {
+                    reply,
+                    retries: attempt,
+                    panicked,
+                };
             }
-            Ok(Err(BackendError::DeadlineExceeded { .. })) => {
-                // Dead work abandoned mid-prove; not a health signal.
-                shared.abandoned.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send(Err(JobError::DeadlineExpired {
-                    waited: job.submitted.elapsed(),
-                }));
-                return panicked;
-            }
+            Ok(Err(BackendError::DeadlineExceeded { .. })) => return abandoned(attempt, panicked),
             Ok(Err(BackendError::OpFailed { .. })) => {}
-            Err(_payload) => {
-                // The pool forwards in-op panics to this (submitting)
-                // thread and stays usable; the workspace is refilled at
-                // the start of the next attempt, so retrying in place is
-                // sound. The worker still respawns after this job.
-                panicked = true;
-            }
+            // The pool forwards in-op panics to this (submitting) thread
+            // and stays usable; the workspace is refilled at the start of
+            // the next attempt, so retrying in place is sound.
+            Err(_payload) => panicked = true,
         }
     }
-    shared.failed.fetch_add(1, Ordering::Relaxed);
-    shared.note_failure();
-    let _ = job.reply.send(Err(JobError::Failed { attempts }));
-    panicked
+    Run {
+        reply: Err(JobError::Failed { attempts }),
+        retries: attempts - 1,
+        panicked,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::TryRecvError;
+    use zkp_curves::bls12_381::Bls12381;
+
+    /// The service's queue with no workers behind it.
+    fn queue(capacity: usize) -> Shared<Bls12381> {
+        Shared::new(ServiceConfig::new(1, capacity), None)
+    }
+
+    /// Submits an empty job whose seed tags it.
+    fn push(q: &Shared<Bls12381>, tag: u64) -> Result<ProofTicket<Bls12381>, SubmitError> {
+        q.admit(ConstraintSystem::new(), tag, None)
+    }
+
+    fn pop_tag(q: &Shared<Bls12381>) -> Option<u64> {
+        q.pop().map(|job| job.seed)
+    }
+
+    #[test]
+    fn push_pop_fifo() {
+        let q = queue(4);
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
+        assert_eq!(pop_tag(&q), Some(1));
+        assert_eq!(pop_tag(&q), Some(2));
+    }
+
+    #[test]
+    fn rejects_when_full_then_admits_after_pop() {
+        let q = queue(2);
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
+        assert_eq!(push(&q, 3).err(), Some(SubmitError::QueueFull));
+        assert_eq!(pop_tag(&q), Some(1));
+        push(&q, 3).unwrap();
+        assert_eq!(q.lock().jobs.len(), 2);
+        assert_eq!(q.lock().rejected, 1);
+    }
+
+    #[test]
+    fn close_drains_then_ends() {
+        let q = queue(4);
+        push(&q, 7).unwrap();
+        q.close();
+        assert_eq!(push(&q, 8).err(), Some(SubmitError::Closed));
+        assert_eq!(pop_tag(&q), Some(7));
+        assert_eq!(pop_tag(&q), None);
+    }
+
+    #[test]
+    fn workers_drain_concurrently() {
+        let total = 64u64;
+        let q = queue(total as usize);
+        for i in 0..total {
+            push(&q, i).unwrap();
+        }
+        q.close();
+        let sum: u64 = std::thread::scope(|s| {
+            let drains: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| std::iter::from_fn(|| pop_tag(&q)).sum::<u64>()))
+                .collect();
+            drains.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(sum, total * (total - 1) / 2);
+    }
+
+    #[test]
+    fn percentiles_nearest_rank() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&v, 50.0), Some(50.0));
+        assert_eq!(percentile(&v, 95.0), Some(95.0));
+        assert_eq!(percentile(&v, 100.0), Some(100.0));
+        assert_eq!(percentile(&[], 50.0), None);
+        assert_eq!(percentile(&[3.5], 99.0), Some(3.5));
+    }
+
+    #[test]
+    fn percentile_saturates_on_degenerate_inputs() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        // p ≤ 0 (and NaN) saturate to the minimum, p ≥ 100 to the maximum.
+        assert_eq!(percentile(&v, 0.0), Some(1.0));
+        assert_eq!(percentile(&v, -10.0), Some(1.0));
+        assert_eq!(percentile(&v, f64::NAN), Some(1.0));
+        assert_eq!(percentile(&v, 150.0), Some(4.0));
+        // A single-element sample answers every percentile with that
+        // element — including the degenerate p values above.
+        for p in [-1.0, 0.0, 50.0, 100.0, 101.0, f64::NAN] {
+            assert_eq!(percentile(&[7.25], p), Some(7.25));
+        }
+        // Empty stays None whatever p is.
+        assert_eq!(percentile(&[], f64::NAN), None);
+        assert_eq!(percentile(&[], 0.0), None);
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_pop() {
+        let q = Arc::new(queue(2));
+        let waiter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || pop_tag(&q))
+        };
+        // Give the waiter time to actually block on the condvar, then
+        // close with no jobs: pop must wake and return None, not hang.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!waiter.is_finished(), "pop returned before close");
+        assert!(!q.lock().closed);
+        q.close();
+        assert!(q.lock().closed);
+        assert_eq!(waiter.join().expect("waiter"), None);
+    }
+
+    #[test]
+    fn dropping_the_queue_drops_pending_jobs() {
+        let q = queue(4);
+        let tickets: Vec<_> = (0..3).map(|i| push(&q, i).unwrap()).collect();
+        for t in &tickets {
+            assert_eq!(t.rx.try_recv().err(), Some(TryRecvError::Empty));
+        }
+        // Queued but never popped jobs are released on drop: their reply
+        // channels disconnect, which resolves every ticket.
+        drop(q);
+        for t in tickets {
+            assert_eq!(t.wait().err(), Some(JobError::ServiceStopped));
+        }
+    }
+
+    #[test]
+    fn degraded_submit_error_is_distinct_and_displays() {
+        assert_ne!(SubmitError::Degraded, SubmitError::QueueFull);
+        assert_ne!(SubmitError::Degraded, SubmitError::Closed);
+        assert_eq!(SubmitError::Degraded, SubmitError::Degraded);
+        assert_eq!(
+            SubmitError::Degraded.to_string(),
+            "service is degraded and shedding load"
+        );
+    }
 
     #[test]
     fn stats_display_format_is_pinned() {

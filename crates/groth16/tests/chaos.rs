@@ -137,7 +137,6 @@ fn run_chaos(
         // each ticket's single resolution can be asserted. Degradation
         // has its own deterministic tests below.
         degrade_after_failures: 0,
-        recover_after_successes: 1,
     };
     let plan = FaultPlan::new(base_seed)
         .with_error_rate(error_rate)
@@ -568,7 +567,6 @@ fn consecutive_failures_trip_degraded_mode() {
     let mut cfg = ServiceConfig::new(1, 8);
     cfg.retry = RetryPolicy::none();
     cfg.degrade_after_failures = 2;
-    cfg.recover_after_successes = 1;
     let service = ProofService::start_with_backend(
         session(),
         cfg,
@@ -591,32 +589,34 @@ fn consecutive_failures_trip_degraded_mode() {
 }
 
 /// Queued successes behind the failures recover the service: the
-/// degraded window opens, then closes after `recover_after_successes`
-/// consecutive completions — hysteresis, not flapping.
+/// degraded window opens, then closes after four consecutive
+/// completions — hysteresis, not flapping.
 #[test]
 fn degraded_mode_recovers_after_consecutive_successes() {
     quiet_injected_panics();
     let mut cfg = ServiceConfig::new(1, 8);
     cfg.retry = RetryPolicy::none();
     cfg.degrade_after_failures = 2;
-    cfg.recover_after_successes = 1;
     // Hold the worker on job 0 long enough for the whole burst to queue
     // (ops: job0 = 0..17 delayed at 0, job1 fails at 17, job2 at 18,
-    // then job3 proves clean and recovers the service).
+    // then jobs 3..=6 prove clean and the fourth recovers the service).
     let plan = FaultPlan::none()
         .delay_at(0, Duration::from_millis(300))
         .fail_at(17)
         .fail_at(18);
     let service = ProofService::start_with_backend(session(), cfg, fault_factory(plan, 0));
-    let tickets: Vec<_> = (0..4u64)
+    let tickets: Vec<_> = (0..7u64)
         .map(|i| service.submit(circuit(i + 1), i).expect("admitted"))
         .collect();
     let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     assert!(outcomes[0].is_ok(), "held job still completes");
     assert!(outcomes[1].is_err() && outcomes[2].is_err());
-    assert!(outcomes[3].is_ok(), "post-recovery job completes");
+    assert!(
+        outcomes[3..].iter().all(Result::is_ok),
+        "post-failure jobs complete"
+    );
     assert!(!service.is_degraded(), "successes recovered the service");
     let stats = service.shutdown();
-    assert_eq!((stats.completed, stats.failed), (2, 2));
+    assert_eq!((stats.completed, stats.failed), (5, 2));
     assert!(stats.degraded_s > 0.0);
 }

@@ -166,3 +166,47 @@ fn submissions_after_shutdown_are_closed() {
         Ok(_) | Err(JobError::ServiceStopped)
     ));
 }
+
+/// Submitters racing on one service: admission and counting happen under
+/// one lock, so every refusal is counted once and every admitted job
+/// resolves once.
+#[test]
+fn concurrent_submitters_are_counted_exactly() {
+    let session = session();
+    let service = ProofService::start(session, 2, 2);
+    let (submitters, per_submitter) = (4u64, 8u64);
+    let (completed, rejected) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..submitters)
+            .map(|t| {
+                let service = &service;
+                s.spawn(move || {
+                    let mut tickets = Vec::new();
+                    let mut rejected = 0u64;
+                    for i in 0..per_submitter {
+                        let job = t * per_submitter + i;
+                        match service.submit(circuit(job + 1), job) {
+                            Ok(ticket) => tickets.push(ticket),
+                            Err(e) => {
+                                assert_eq!(e, SubmitError::QueueFull);
+                                rejected += 1;
+                            }
+                        }
+                    }
+                    let completed = tickets.len() as u64;
+                    for ticket in tickets {
+                        ticket.wait().expect("admitted job completes");
+                    }
+                    (completed, rejected)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("submitter"))
+            .fold((0, 0), |(c, r), (dc, dr)| (c + dc, r + dr))
+    });
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, completed);
+    assert_eq!(stats.rejected, rejected);
+    assert_eq!(stats.completed + stats.rejected, submitters * per_submitter);
+}

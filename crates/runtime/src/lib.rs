@@ -38,7 +38,6 @@
 //! depends on another thread being free and nesting cannot deadlock.
 
 mod alloc_count;
-pub mod service;
 
 pub use alloc_count::CountingAlloc;
 

@@ -19,6 +19,7 @@
 //! backtraces into the output. Panic isolation is exercised by the
 //! chaos test suite instead.
 
+use super::serving::{job_circuit, SERVING_ROUNDS};
 use crate::report::{f, secs, Table};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -26,15 +27,9 @@ use std::time::Duration;
 use zkp_backend::fault::splitmix64;
 use zkp_backend::{CpuBackend, FaultInjectingBackend, FaultPlan};
 use zkp_curves::bls12_381::Bls12381;
-use zkp_ff::{Field, Fr381};
 use zkp_groth16::{
     setup, verify, BackendFactory, ProofService, ProverSession, RetryPolicy, ServiceConfig,
 };
-use zkp_r1cs::circuits::mimc;
-use zkp_r1cs::ConstraintSystem;
-
-/// Same workload as the serving sweep: mimc(255) on a 2^9 domain.
-pub const RESILIENCE_ROUNDS: usize = 255;
 
 /// One (fault rate, worker count) cell of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +58,7 @@ pub struct ResiliencePoint {
 /// The resilience sweep.
 #[derive(Debug, Clone)]
 pub struct ResilienceReport {
-    /// Circuit rounds ([`RESILIENCE_ROUNDS`]).
+    /// Circuit rounds ([`SERVING_ROUNDS`], the serving sweep's workload).
     pub rounds: usize,
     /// NTT domain size of the workload.
     pub domain_size: u64,
@@ -71,10 +66,6 @@ pub struct ResilienceReport {
     pub max_attempts: u32,
     /// One point per (fault rate, worker count) pair.
     pub points: Vec<ResiliencePoint>,
-}
-
-fn job_circuit(i: u64) -> ConstraintSystem<Fr381> {
-    mimc(Fr381::from_u64(1 + i), RESILIENCE_ROUNDS)
 }
 
 /// Runs the sweep: `jobs_per_point` proofs at every `fault_rates` ×
@@ -108,7 +99,6 @@ pub fn resilience_report(
                 // Degradation off: the sweep measures goodput over a
                 // fixed offered load, so every job must be admitted.
                 degrade_after_failures: 0,
-                recover_after_successes: 1,
             };
             let cell_seed = splitmix64(((ri as u64) << 16) | workers as u64);
             let plan = FaultPlan::new(cell_seed).with_error_rate(rate);
@@ -160,7 +150,7 @@ pub fn resilience_report(
         }
     }
     ResilienceReport {
-        rounds: RESILIENCE_ROUNDS,
+        rounds: SERVING_ROUNDS,
         domain_size,
         max_attempts,
         points,

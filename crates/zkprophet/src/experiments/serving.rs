@@ -62,7 +62,9 @@ pub struct ServingReport {
     pub points: Vec<ServingPoint>,
 }
 
-fn job_circuit(i: u64) -> ConstraintSystem<Fr381> {
+/// Job `i` of a sweep (shared with the resilience sweep): MiMC over
+/// [`SERVING_ROUNDS`] rounds from input `1 + i`.
+pub(crate) fn job_circuit(i: u64) -> ConstraintSystem<Fr381> {
     mimc(Fr381::from_u64(1 + i), SERVING_ROUNDS)
 }
 
