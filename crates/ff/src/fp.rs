@@ -13,6 +13,12 @@
 //! [`PrimeField::wide_add`] / [`PrimeField::wide_sub`] modulo `p·R` — so a
 //! sum of products pays one reduction: [`Field::mul_sub_mul`] here, `Fq2`
 //! multiplication in `zkp-curves`.
+//!
+//! Inversion is not the binary extended Euclid the paper prices at ~100×
+//! `FF_mul` on GPUs (§IV-B3) — one multi-limb shift per bit, a branch on
+//! every bit — but Bernstein–Yang divsteps (`safegcd.rs`): 62 steps on one
+//! machine word per 2×2 matrix, applied to the full-width values through
+//! `i128` products, about 40 multiplications' worth on the 6-limb Fq.
 
 use crate::params::{modulus_from_hex, mont_inv, pow2_mod, FieldParams};
 use crate::traits::{Field, PrimeField};
@@ -29,7 +35,7 @@ use zkp_bigint::Uint;
 ///
 /// Implementors are zero-sized marker types that transcribe
 /// [`MODULUS_HEX`](Self::MODULUS_HEX), [`GENERATOR`](Self::GENERATOR) and
-/// [`NAME`](Self::NAME) and leave the four provided constants alone: the
+/// [`NAME`](Self::NAME) and leave the five provided constants alone: the
 /// compiler evaluates them from the hex string, so every field operation
 /// reads its modulus as an immediate. The modulus must be odd and leave the
 /// top bit of its `N` limbs clear (all BLS12 fields do); a configuration that
@@ -68,6 +74,8 @@ pub trait FpConfig<const N: usize>:
     const R: Uint<N> = pow2_mod(&Self::MODULUS, Uint::<N>::BITS);
     /// `R² mod p` — multiplying by it enters the Montgomery domain.
     const R2: Uint<N> = pow2_mod(&Self::MODULUS, 2 * Uint::<N>::BITS);
+    /// `R³ mod p` — multiplying a raw inverse `a⁻¹R⁻¹` by it gives `a⁻¹R`.
+    const R3: Uint<N> = pow2_mod(&Self::MODULUS, 3 * Uint::<N>::BITS);
 
     /// The two-adic structure of this field, derived at first use.
     fn params() -> &'static FieldParams<N>;
@@ -328,57 +336,16 @@ impl<C: FpConfig<N>, const N: usize> Field for Fp<C, N> {
         Self::redc(Self::wide_sub(a.mul_wide(&b), c.mul_wide(&d)))
     }
 
+    /// Bernstein–Yang divsteps (`safegcd.rs`) on the Montgomery
+    /// form: the raw inverse of `aR` is `a⁻¹R⁻¹`, and one multiplication by
+    /// [`FpConfig::R3`] makes it `a⁻¹R`. Variable time, like the binary
+    /// extended Euclid it replaced; constant time is not a goal here.
     fn inverse(&self) -> Option<Self> {
         if self.is_zero() {
             return None;
         }
-        // Binary extended-Euclidean algorithm on the Montgomery form —
-        // the same algorithm the paper attributes GPU FF_inv's ~100x
-        // slowdown to (divide-by-2 loops and branches, §IV-B3).
-        let modulus = C::MODULUS;
-        let mut u = self.repr;
-        let mut v = modulus;
-        // Montgomery correction: we track b,c with b*R... Standard trick:
-        // start b = R² so the result lands back in Montgomery form times R.
-        let mut b = Self::from_repr_raw(C::R2);
-        let mut c = Self::zero();
-        while u != Uint::ONE && v != Uint::ONE {
-            while u.is_even() {
-                u = u.shr1();
-                if b.repr.is_even() {
-                    b.repr = b.repr.shr1();
-                } else {
-                    let (sum, carry) = b.repr.adc(&modulus);
-                    let mut half = sum.shr1();
-                    if carry == 1 {
-                        // restore the carried-out bit at the top
-                        half.0[N - 1] |= 1 << 63;
-                    }
-                    b.repr = half;
-                }
-            }
-            while v.is_even() {
-                v = v.shr1();
-                if c.repr.is_even() {
-                    c.repr = c.repr.shr1();
-                } else {
-                    let (sum, carry) = c.repr.adc(&modulus);
-                    let mut half = sum.shr1();
-                    if carry == 1 {
-                        half.0[N - 1] |= 1 << 63;
-                    }
-                    c.repr = half;
-                }
-            }
-            if u >= v {
-                u = u.wrapping_sub(&v);
-                b -= c;
-            } else {
-                v = v.wrapping_sub(&u);
-                c -= b;
-            }
-        }
-        Some(if u == Uint::ONE { b } else { c })
+        let raw = crate::safegcd::inverse::<C, N>(&self.repr);
+        Some(Self::from_repr_raw(Self::mont_mul(&raw, &C::R3)))
     }
 
     fn from_u64(v: u64) -> Self {
@@ -693,7 +660,8 @@ impl<C: FpConfig<N>, const N: usize> fmt::Display for Fp<C, N> {
 #[cfg(test)]
 mod tests {
     //! Differential tests of the compile-time-modulus kernels against the
-    //! runtime-modulus code they replaced, kept here as the oracle.
+    //! runtime-modulus code they replaced, and of divsteps inversion against
+    //! the binary extended Euclid, each kept here as the oracle.
 
     use super::*;
     use crate::configs::{Fq377Config, Fq381Config, Fr377Config, Fr381Config};
@@ -923,6 +891,100 @@ mod tests {
         }
     }
 
+    /// The binary extended Euclid `Fp::inverse` ran before divsteps — the
+    /// algorithm §IV-B3 attributes GPU `FF_inv`'s ~100× `FF_mul` to: one
+    /// multi-limb shift per bit, a branch on every bit. Starting `b` at
+    /// `R²` lands the inverse of `aR` at `a⁻¹R`.
+    fn binary_eea<C: FpConfig<N>, const N: usize>(x: Fp<C, N>) -> Option<Fp<C, N>> {
+        if x.is_zero() {
+            return None;
+        }
+        let modulus = C::MODULUS;
+        let halve = |b: &mut Fp<C, N>| {
+            if b.repr.is_even() {
+                b.repr = b.repr.shr1();
+            } else {
+                let (sum, carry) = b.repr.adc(&modulus);
+                b.repr = sum.shr1();
+                // Restore the carried-out bit at the top.
+                b.repr.0[N - 1] |= carry << 63;
+            }
+        };
+        let (mut u, mut v) = (x.repr, modulus);
+        let mut b = Fp::<C, N>::from_repr_raw(C::R2);
+        let mut c = Fp::<C, N>::zero();
+        while u != Uint::ONE && v != Uint::ONE {
+            while u.is_even() {
+                u = u.shr1();
+                halve(&mut b);
+            }
+            while v.is_even() {
+                v = v.shr1();
+                halve(&mut c);
+            }
+            if u >= v {
+                u = u.wrapping_sub(&v);
+                b -= c;
+            } else {
+                v = v.wrapping_sub(&u);
+                c -= b;
+            }
+        }
+        Some(if u == Uint::ONE { b } else { c })
+    }
+
+    /// `inverse` against the binary Euclid and Fermat's `x^(p−2)`; zero has
+    /// none.
+    fn check_inverse<C: FpConfig<N>, const N: usize>(x: Fp<C, N>) {
+        let inv = x.inverse();
+        assert_eq!(inv, binary_eea(x), "binary Euclid at {x:?}");
+        match inv {
+            None => assert!(x.is_zero(), "{x:?} has no inverse"),
+            Some(inv) => {
+                let p_minus_2 = C::MODULUS.wrapping_sub(&Uint::from_u64(2));
+                assert_eq!(inv, x.pow(&p_minus_2.0), "Fermat at {x:?}");
+                assert!(inv.repr < C::MODULUS, "canonical residue");
+            }
+        }
+    }
+
+    /// Zero, `1`, `−1`, `2`, every `2^k` below the modulus, the raw
+    /// representations `1` and `p − 1`, `R mod p`, and values with long
+    /// zero runs: `2^(b−2) + 1` and `p` with its low half cleared, for a
+    /// `b`-bit `p`.
+    fn inverse_vectors<C: FpConfig<N>, const N: usize>() {
+        let p = C::MODULUS;
+        let bits = p.num_bits() as usize;
+        let one = Fp::<C, N>::one();
+        let power = |k: usize| {
+            let mut limbs = [0u64; N];
+            limbs[k / 64] = 1 << (k % 64);
+            Uint(limbs)
+        };
+        let mut low_half_cleared = p;
+        for k in 0..bits / 2 {
+            low_half_cleared.0[k / 64] &= !(1 << (k % 64));
+        }
+        let mut canonical = vec![
+            C::R,
+            power(bits - 2).wrapping_add(&Uint::ONE),
+            low_half_cleared,
+        ];
+        canonical.extend((0..bits - 1).map(power));
+        let raw = [Uint::ZERO, Uint::ONE, p.wrapping_sub(&Uint::ONE)];
+        let values = [one, -one, one.double()]
+            .into_iter()
+            .chain(raw.map(Fp::<C, N>::from_repr_raw))
+            .chain(
+                canonical
+                    .into_iter()
+                    .map(|v| Fp::<C, N>::from_canonical(v).expect("vectors are residues")),
+            );
+        for x in values {
+            check_inverse(x);
+        }
+    }
+
     /// One suite per field; a field with `4p < R` also names a Karatsuba
     /// test (on BLS12-381 Fr the primitive does not build).
     macro_rules! differential {
@@ -945,6 +1007,11 @@ mod tests {
                     wide_boundary_vectors::<$C, $N>();
                 }
 
+                #[test]
+                fn inverse_vectors_match_euclid_and_fermat() {
+                    inverse_vectors::<$C, $N>();
+                }
+
                 $(
                     #[test]
                     fn $karatsuba() {
@@ -959,6 +1026,11 @@ mod tests {
                         let a = Fp::<$C, $N>::random(&mut rng);
                         let b = Fp::<$C, $N>::random(&mut rng);
                         check_against_oracle::<$C, $N>(a.repr, b.repr);
+                    }
+
+                    #[test]
+                    fn random_inverses_match_euclid_and_fermat(seed in any::<u64>()) {
+                        check_inverse(Fp::<$C, $N>::random(&mut StdRng::seed_from_u64(seed)));
                     }
                 }
             }

@@ -41,6 +41,7 @@ pub mod counter;
 mod fp;
 pub mod glv;
 mod params;
+mod safegcd;
 mod traits;
 
 pub use batch::{batch_inverse, batch_inverse_counted, batch_inverse_in};

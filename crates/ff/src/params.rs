@@ -3,9 +3,9 @@
 //! Everything here is computed from the modulus alone (plus a chosen small
 //! multiplicative generator), so the field configurations in
 //! [`crate::configs`] contain no opaque derived constants. The four numbers
-//! every field operation reads — `p`, `-p⁻¹ mod 2⁶⁴`, `R`, `R²` — are `const
-//! fn`s the compiler evaluates into [`FpConfig`](crate::FpConfig)'s associated
-//! constants; the two-adic structure, which only set-up code asks for, is
+//! every field operation reads — `p`, `-p⁻¹ mod 2⁶⁴`, `R`, `R²` — and the
+//! `R³` of inversion are `const fn`s the compiler evaluates into
+//! [`FpConfig`](crate::FpConfig)'s associated constants; the two-adic structure, which only set-up code asks for, is
 //! derived once at first use into a [`FieldParams`].
 
 use zkp_bigint::arith::portable::sbb;

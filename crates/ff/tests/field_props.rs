@@ -71,7 +71,7 @@ macro_rules! field_axioms {
                     prop_assume!(!a.is_zero());
                     let inv = a.inverse().expect("non-zero");
                     prop_assert_eq!(a * inv, <$F>::one());
-                    // Cross-check EEA inversion against Fermat's little theorem.
+                    // Cross-check divsteps inversion against Fermat's little theorem.
                     let mut exp = <$F>::modulus_limbs();
                     exp[0] -= 2; // p - 2 (p is odd, limb 0 >= 2 for our fields)
                     prop_assert_eq!(inv, a.pow(&exp));

@@ -37,7 +37,7 @@ pub(crate) fn affine_batch_len(buckets: u64) -> u64 {
 }
 
 /// Whether a batch of `len` affine additions saves more multiplications
-/// over XYZZ mixed additions than its inversion costs (at least 68).
+/// over XYZZ mixed additions than its inversion costs (at least 11).
 pub(crate) fn worth_a_batch(len: usize) -> bool {
     len as u64 * (MADD_FF_MULS - AFFINE_ADD_FF_MULS) >= INV_FF_MULS
 }
@@ -347,7 +347,7 @@ impl<Cu: SwCurve> AffineBuckets<Cu> {
 
 /// The bucket reduction of one window of `buckets` buckets over `chunks`
 /// chunk tasks: how many segments [`affine_window_sum`] runs, and what
-/// [`Layout::cost`](crate::pippenger::Layout::cost) charges for it.
+/// [`Layout::shape`](crate::pippenger::Layout::shape) charges for it.
 ///
 /// `K` segments of `m = ⌈buckets/K⌉` buckets cost, for a window whose every
 /// bucket holds an affine point, `(chunks+1)·buckets − 2K` affine additions
@@ -401,16 +401,11 @@ impl Reduction {
             muls: ((chunks + 1) * buckets - 2 * k) * AFFINE_ADD_FF_MULS + tail,
             inversions: (chunks + 1) * m - 2,
         };
-        if segmented.cost() < serial.cost() {
+        if segmented.muls + segmented.inversions * INV_FF_MULS < serial.muls {
             segmented
         } else {
             serial
         }
-    }
-
-    /// The price in `FF_mul` units.
-    pub(crate) fn cost(&self) -> u64 {
-        self.muls + self.inversions * INV_FF_MULS
     }
 }
 

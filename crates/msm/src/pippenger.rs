@@ -394,27 +394,25 @@ const DBL_FF_MULS: u64 = 7;
 pub(crate) const XYZZ_DBL_FF_MULS: u64 = 9;
 pub(crate) const AFFINE_ADD_FF_MULS: u64 = 6;
 /// `FF_inv` in `FF_mul` units — measured, not counted (`Counted` tallies
-/// an inversion as one op): binary extended Euclid against a Montgomery
-/// multiplication on the 6-limb Fq, ≈ 13 500 over ≈ 50 cal-ns in zkbench's
-/// `ff.fq381_inv_cal_ns` / `ff.fq381_mul_cal_ns`.
-pub(crate) const INV_FF_MULS: u64 = 270;
+/// an inversion as one op): divsteps against a Montgomery multiplication on
+/// the 6-limb Fq, zkbench's `ff.fq381_inv_cal_ns` / `ff.fq381_mul_cal_ns`
+/// in three traced `prove_dense_1k` runs on a 2-vCPU Xeon: 2 633 / 64.4,
+/// 1 939 / 51.8 and 2 388 / 38.0 cal-ns, median ratio 41.
+pub(crate) const INV_FF_MULS: u64 = 41;
 
 /// The picker's band: folds within this many percent of the cheapest count
 /// as equally fast, and the one storing the fewest copies runs. Past one
 /// chunk of rows a deeper fold only trades reductions for chunk folds, and
 /// the band keeps a table from doubling for a percent or two of modeled
-/// work: at the bits key's B2 the full fold models 1.3% cheaper than the
-/// three copies that run. It is inside the model's resolution:
-/// `msm.g1_padd_model_residual` reads +0.01…+0.03, and every batch-affine
-/// price — accumulation and reduction alike — carries `INV` at the Fq
-/// rate, where G2 inverts in Fq2 at about a third of it.
+/// work: at the bits key's B2 the six-copy fold models 0.8% cheaper than
+/// the three copies that run.
 const BAND_PERCENT: u64 = 2;
 
 impl<Cu: SwCurve> Layout<Cu> {
     /// The layout of `n` finite points under `config` whose table fits
     /// `budget_bytes` (`None` = unbounded; `Some(0)` is the one-shot run
     /// over a single copy) — the one window picker. It prices every fold
-    /// [`Layout::folds`] yields by [`Layout::cost`] and keeps, among those
+    /// [`Layout::folds`] yields by [`Layout::shape`] and keeps, among those
     /// within [`BAND_PERCENT`] of the cheapest, the one with the fewest
     /// copies (then the cheaper, then the smaller window).
     ///
@@ -428,11 +426,11 @@ impl<Cu: SwCurve> Layout<Cu> {
     /// ([`check_window_bits`]).
     pub(crate) fn new(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> Self {
         let cheapest = Self::folds(n, config, budget_bytes)
-            .map(|layout| layout.cost())
+            .map(|layout| layout.shape().cost)
             .min()
             .expect("every window has its single copy");
         Self::folds(n, config, budget_bytes)
-            .filter(|layout| layout.cost() * 100 <= cheapest * (100 + BAND_PERCENT))
+            .filter(|layout| layout.shape().cost * 100 <= cheapest * (100 + BAND_PERCENT))
             .min_by_key(Self::footprint)
             .expect("the cheapest fold is inside its own band")
     }
@@ -466,7 +464,7 @@ impl<Cu: SwCurve> Layout<Cu> {
 
     /// The picker's order inside the band: the smallest table first.
     fn footprint(&self) -> (u32, u64, u32) {
-        (self.copies(), self.cost(), self.window_bits)
+        (self.copies(), self.shape().cost, self.window_bits)
     }
 
     /// The single-copy layout at window size `s`.
@@ -492,7 +490,7 @@ impl<Cu: SwCurve> Layout<Cu> {
         }
     }
 
-    /// Modeled work of one run in `FF_mul` units: `rows·w` bucket
+    /// This run's [`MsmShape`], with its modeled work: `rows·w` bucket
     /// additions, then per reduced window the sum-of-sums as [`Reduction`]
     /// prices it — the reduction that runs — and the `s` doublings and one
     /// addition of the Horner tail.
@@ -500,7 +498,7 @@ impl<Cu: SwCurve> Layout<Cu> {
     /// A bucket addition is an affine one plus a share of one inversion per
     /// full batch and one per task for its last batch — or, where even a
     /// full batch cannot repay its inversion, an XYZZ mixed addition.
-    pub(crate) fn cost(&self) -> u64 {
+    pub(crate) fn shape(&self) -> MsmShape {
         let rows = self.points_per_copy();
         let buckets = buckets_for(self.window_bits, self.signed);
         let chunks = chunk_grid(rows * self.copies() as usize, buckets) as u64;
@@ -508,12 +506,21 @@ impl<Cu: SwCurve> Layout<Cu> {
         let windows = u64::from(self.target_windows);
         let tail = windows * (u64::from(self.window_bits) * DBL_FF_MULS + ADD_FF_MULS);
         let batch = affine_batch_len(buckets);
-        let accumulation = if worth_a_batch(batch as usize) {
-            adds * AFFINE_ADD_FF_MULS + (adds / batch + windows * chunks) * INV_FF_MULS
+        let (muls, inversions) = if worth_a_batch(batch as usize) {
+            (adds * AFFINE_ADD_FF_MULS, adds / batch + windows * chunks)
         } else {
-            adds * MADD_FF_MULS
+            (adds * MADD_FF_MULS, 0)
         };
-        accumulation + windows * Reduction::new(buckets, chunks).cost() + tail
+        let sums = Reduction::new(buckets, chunks);
+        let muls = muls + windows * sums.muls + tail;
+        let inversions = inversions + windows * sums.inversions;
+        MsmShape {
+            window_bits: self.window_bits,
+            target_windows: self.target_windows,
+            copies: self.copies(),
+            cost: muls + inversions * INV_FF_MULS,
+            inversions,
+        }
     }
 
     /// Table rows per copy: `n`, or `D·n` under a `D`-way endomorphism.
@@ -546,8 +553,11 @@ pub struct MsmShape {
     pub target_windows: u32,
     /// Stored table copies `⌈w/W⌉`.
     pub copies: u32,
-    /// Modeled work of one run in `FF_mul` units.
+    /// Modeled work of one run in `FF_mul` units: its `FF_mul` + `FF_sqr`
+    /// plus `inversions` at the measured price of one.
     pub cost: u64,
+    /// Modeled field inversions of one run.
+    pub inversions: u64,
 }
 
 /// The shape an MSM of `n` points runs at under `config` when its table may
@@ -555,13 +565,7 @@ pub struct MsmShape {
 /// a one-shot MSM is `Some(0)`), and what the cost model charges for it.
 /// `window_bits: Some(s)` prices that window instead of choosing one.
 pub fn msm_shape<Cu: SwCurve>(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> MsmShape {
-    let layout = Layout::<Cu>::new(n, config, budget_bytes);
-    MsmShape {
-        window_bits: layout.window_bits,
-        target_windows: layout.target_windows,
-        copies: layout.copies(),
-        cost: layout.cost(),
-    }
+    Layout::<Cu>::new(n, config, budget_bytes).shape()
 }
 
 /// Splits the scalar of every finite base into its `D` subscalars in
@@ -890,13 +894,13 @@ mod tests {
         assert_eq!(muls(batch), AFFINE_ADD_FF_MULS * N as u64);
 
         // One segmented window, every bucket of both chunk tasks affine:
-        // the reduction spends exactly what `Layout::cost` charges for it.
+        // the reduction spends exactly what `Layout::shape` charges for it.
         // Chunk `c`'s bucket `i` holds row `2i + c`, so no running sum
         // meets its own point.
         const BUCKETS: usize = 1024;
         const CHUNKS: usize = 2;
         let priced = Reduction::new(BUCKETS as u64, CHUNKS as u64);
-        assert_eq!(priced.segments, 128);
+        assert_eq!(priced.segments, 64);
         let points = multiples::<CountedG1>(CHUNKS * BUCKETS);
         let mut window: Vec<AffineBuckets<CountedG1>> = (0..CHUNKS)
             .map(|c| {

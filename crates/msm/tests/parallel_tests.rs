@@ -168,11 +168,15 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
     // 8 buckets), 2 unsigned (300 rows, 15 buckets), 8 once a plan folds
     // the rows onto copies (4 unsigned, 3 signed). Signed runs also take
     // the GLV split, so both recoder inputs (scalars, negated subscalars)
-    // are covered. At 8 or 15 buckets even a full batch cannot repay its
-    // inversion, so every task takes its additions by XYZZ mixed additions
-    // and inverts nothing. The coordinate fingerprints were recorded when
-    // the batch-affine task became the only bucket store (earlier ones, of
-    // the Jacobian and XYZZ arenas, are in git history).
+    // are covered. At 8 buckets even a full batch cannot repay its
+    // inversion, so the signed tasks take their additions by XYZZ mixed
+    // additions and invert nothing; a batch of 15 saves 60 `FF_mul`, more
+    // than the 41 an inversion costs, so the unsigned tasks batch. The
+    // signed fingerprints were recorded when the batch-affine task became
+    // the only bucket store, the unsigned ones when inversion got cheap
+    // enough for 15 buckets to batch: affine buckets enter the XYZZ
+    // sum-of-sums as other coordinates of the same points (earlier ones,
+    // of the Jacobian and XYZZ arenas, are in git history).
     const N: usize = 400;
     const FINITE: usize = 300;
     const S: u32 = 4;
@@ -180,16 +184,17 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
     for p in points.iter_mut().step_by(4) {
         *p = Affine::identity();
     }
-    // (signed, planned, accumulation_padds, windows, fingerprint)
+    // (signed, planned, accumulation_padds, windows, batch_inversions,
+    // fingerprint)
     let recorded = [
-        (false, false, 17973, 64, 0xd87320bde3e0f308),
-        (false, true, 17973, 16, 0x33d54ebe546782c1),
-        (true, false, 17954, 32, 0xfc9a1fd6acceb6d7),
-        (true, true, 17954, 11, 0x5460dfdb0dd30717),
+        (false, false, 17973, 64, 847, 0xc05b12e8b0800b9f),
+        (false, true, 17973, 16, 847, 0x2e89dc0127fb6f88),
+        (true, false, 17954, 32, 0, 0xfc9a1fd6acceb6d7),
+        (true, true, 17954, 11, 0, 0x5460dfdb0dd30717),
     ];
     let phi = G1::endomorphism().expect("BLS12-381 G1 has φ");
     let expect = msm_serial(&points, &scalars);
-    for (signed, planned, accumulation_padds, windows, xyz) in recorded {
+    for (signed, planned, accumulation_padds, windows, batch_inversions, xyz) in recorded {
         let config = MsmConfig {
             window_bits: Some(S),
             signed_digits: signed,
@@ -227,7 +232,7 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
             buckets_per_window,
             glv_decompositions: if signed { FINITE as u64 } else { 0 },
             endomorphism_muls: if signed && !planned { FINITE as u64 } else { 0 },
-            batch_inversions: 0,
+            batch_inversions,
             reduction_inversions: 0,
         };
         for threads in THREAD_COUNTS {

@@ -190,13 +190,16 @@ fn uneven_splits_stay_in_bounds_and_bit_identical() {
     }
 }
 
+/// `FF_inv` in `FF_mul` units, as the cost model charges it.
+const INV: u64 = 41;
+
 /// Every fold `(s, W)` a budget admits for one full-width window count
-/// `w(s)` and copy size, priced by the cost model as `Layout::cost` states
-/// it: `rows·w` affine additions (6 `FF_mul`) and one inversion (270) per
-/// `min(512, buckets)` of them plus one per task — or, where a full batch
-/// saves less than its inversion (`4·min(512, buckets) < 270`), `rows·w`
-/// XYZZ mixed additions (10) and no inversion — then per reduced window
-/// its bucket reduction ([`reduction`]), `s` doublings (7) and one
+/// `w(s)` and copy size, priced by the cost model as `Layout::shape` states
+/// it: `rows·w` affine additions (6 `FF_mul`) and one inversion ([`INV`])
+/// per `min(512, buckets)` of them plus one per task — or, where a full
+/// batch saves less than its inversion (`4·min(512, buckets) < INV`),
+/// `rows·w` XYZZ mixed additions (10) and no inversion — then per reduced
+/// window its bucket reduction ([`reduction`]), `s` doublings (7) and one
 /// addition (14), with `chunks = ⌊rows·copies / 8·buckets⌋` in `1..=8`.
 fn priced_folds(
     rows: u64,
@@ -218,47 +221,56 @@ fn priced_folds(
             let chunks = (rows * u64::from(copies) / (8 * buckets)).clamp(1, 8);
             let (adds, windows) = (rows * u64::from(w), u64::from(big_w));
             let batch = buckets.min(512);
-            let accumulation = if batch * 4 >= 270 {
-                adds * 6 + (adds / batch + windows * chunks) * 270
+            let (muls, inversions) = if batch * 4 >= INV {
+                (adds * 6, adds / batch + windows * chunks)
             } else {
-                adds * 10
+                (adds * 10, 0)
             };
-            let sums = windows * reduction(buckets, chunks);
+            let (sum_muls, sum_inversions) = reduction(buckets, chunks);
+            let muls = muls + windows * (sum_muls + u64::from(s) * 7 + 14);
+            let inversions = inversions + windows * sum_inversions;
             folds.push(MsmShape {
                 window_bits: s,
                 target_windows: big_w,
                 copies,
-                cost: accumulation + sums + windows * (u64::from(s) * 7 + 14),
+                cost: muls + inversions * INV,
+                inversions,
             });
         }
     }
     folds
 }
 
-/// One window's bucket reduction as `Layout::cost` prices it: the serial
-/// XYZZ sum-of-sums, `chunks` mixed additions (10) and one addition (14)
-/// per bucket, unless `K` segments cost less. `K` is the power of two
-/// nearest `√(buckets·(chunks+1)·270 / 34)` (at most `buckets/2` and 512),
-/// worth it only if a round of `K` additions repays its inversion
-/// (`4·K ≥ 270`).
+/// One window's bucket reduction as `Layout::shape` prices it, as
+/// `(FF_mul units, inversions)`: the serial XYZZ sum-of-sums, `chunks`
+/// mixed additions (10) and one addition (14) per bucket, unless `K`
+/// segments cost less. `K` is the power of two nearest
+/// `√(buckets·(chunks+1)·INV / 34)` (at most `buckets/2` and 512), worth
+/// it only if a round of `K` additions repays its inversion (`4·K ≥ INV`).
 /// Its `m = ⌈buckets/K⌉`-step walk takes `(chunks+1)·buckets − 2K` affine
-/// additions (6) in `(chunks+1)·m − 2` inverted rounds (270); its tail
-/// `K − 2` mixed (10) and full (14) additions, `log₂ m` XYZZ doublings (9)
-/// and `K` mixed additions (10).
-fn reduction(buckets: u64, chunks: u64) -> u64 {
-    let serial = buckets * (chunks * 10 + 14);
+/// additions (6) in `(chunks+1)·m − 2` inverted rounds; its tail `K − 2`
+/// mixed (10) and full (14) additions, `log₂ m` XYZZ doublings (9) and `K`
+/// mixed additions (10).
+fn reduction(buckets: u64, chunks: u64) -> (u64, u64) {
+    let serial = (buckets * (chunks * 10 + 14), 0);
     let mut k = 1;
-    while 4 * k * k <= 2 * buckets * (chunks + 1) * 270 / 34 && 2 * k <= (buckets / 2).min(512) {
+    while 4 * k * k <= 2 * buckets * (chunks + 1) * INV / 34 && 2 * k <= (buckets / 2).min(512) {
         k *= 2;
     }
-    if 4 * k < 270 {
+    if 4 * k < INV {
         return serial;
     }
     let m = buckets.div_ceil(k);
     assert!(m.is_power_of_two(), "{buckets} buckets, {k} segments");
-    let walk = ((chunks + 1) * buckets - 2 * k) * 6 + ((chunks + 1) * m - 2) * 270;
+    let walk = ((chunks + 1) * buckets - 2 * k) * 6;
     let tail = (k - 2) * 24 + u64::from(m.trailing_zeros()) * 9 + k * 10;
-    serial.min(walk + tail)
+    let segmented = (walk + tail, (chunks + 1) * m - 2);
+    let cost = |(muls, inversions): (u64, u64)| muls + inversions * INV;
+    if cost(segmented) < cost(serial) {
+        segmented
+    } else {
+        serial
+    }
 }
 
 /// The picker's rule over `folds`: within 2% of the cheapest, and no fold
@@ -332,21 +344,19 @@ fn picker_is_the_argmin_of_the_cost_model() {
     // The shape is what runs: the prover's 1 026-base GLV plan folds every
     // window into one and so affords s = 12 (2 052·11 batch-affine
     // additions, 44 full batches plus the last one, and one 2 048-bucket
-    // sum-of-sums in 128 segments of 16: 3 840 affine additions in 30
-    // rounds, then the 128-point tail; 183 160 `FF_mul`), where the one-shot
-    // rule sized for 16 separate windows said 8.
+    // sum-of-sums in 64 segments of 32: 3 968 affine additions in 62
+    // rounds, then the 64-point tail; 107 inversions and 165 898 `FF_mul`
+    // units), where the one-shot rule sized for 16 separate windows said 8.
     let config = MsmConfig::glv_style();
     let shape = msm_shape::<G1>(1026, &config, None);
     assert_eq!((shape.window_bits, shape.target_windows), (12, 1));
     let adds = 2052 * 11;
-    assert_eq!(
-        shape.cost,
-        adds * 6
-            + (adds / 512 + 1) * 270
-            + (3840 * 6 + 30 * 270 + 126 * (10 + 14) + 4 * 9 + 128 * 10)
-            + 12 * 7
-            + 14
-    );
+    let inversions = (adds / 512 + 1) + 62;
+    let muls = adds * 6 + (3968 * 6 + 62 * (10 + 14) + 5 * 9 + 64 * 10) + 12 * 7 + 14;
+    assert_eq!(shape.inversions, 107);
+    assert_eq!(shape.inversions, inversions);
+    assert_eq!(shape.cost, muls + inversions * INV);
+    assert_eq!(shape.cost, 165_898);
     let (points, scalars) = random_inputs::<G1>(40, 41);
     let pool = ThreadPool::with_threads(2);
     for budget in [None, Some(4 * 80 * point_bytes), Some(0)] {
@@ -381,8 +391,8 @@ fn prover_plan_shapes_are_pinned() {
 
 /// Batches invert only where they pay: a 2^10-base GLV plan (about 11
 /// rows per bucket) spends an inversion per batch of 256 to 512 additions,
-/// and its 2 048-bucket reduction one per round of its 128 segments of 16
-/// (`2·16 − 2`) and one that normalises the 60 hot buckets the
+/// and its 2 048-bucket reduction one per round of its 64 segments of 32
+/// (`2·32 − 2`) and one that normalises the 10 hot buckets the
 /// accumulation's spills left, while a 1-point one-shot, whose few buckets
 /// could never fill a batch worth its inversion, inverts nothing. Both
 /// equal `msm_serial`. The prover's 1- and 2-point blinding products run
@@ -406,7 +416,7 @@ fn batches_invert_only_where_they_pay() {
         "{} inversions for {adds} additions",
         out.stats.batch_inversions
     );
-    assert_eq!(out.stats.reduction_inversions, 2 * 16 - 2 + 1);
+    assert_eq!(out.stats.reduction_inversions, 2 * 32 - 2 + 1);
 
     let out = msm_parallel_with_config(&points[..1], &scalars[..1], &config, &pool);
     assert_eq!(out.point, msm_serial(&points[..1], &scalars[..1]));

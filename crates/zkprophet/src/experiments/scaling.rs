@@ -493,10 +493,10 @@ mod tests {
             "{} additions per inversion",
             r.host_adds_per_inversion
         );
-        // Its 4 096-bucket reduction runs 256 segments of 16: one
-        // inversion per round of up to 256 additions, two rounds a step.
+        // Its 4 096-bucket reduction runs 128 segments of 32: one
+        // inversion per round of up to 128 additions, two rounds a step.
         assert!(
-            (2 * 16 - 2..=2 * 16 - 1).contains(&r.host_reduction_inversions),
+            (2 * 32 - 2..=2 * 32 - 1).contains(&r.host_reduction_inversions),
             "{} reduction inversions",
             r.host_reduction_inversions
         );
