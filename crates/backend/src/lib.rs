@@ -1,7 +1,7 @@
 //! Pluggable execution backends for the Groth16 prover.
 //!
 //! The prover in `zkp-groth16` is a *stage graph* — witness-map
-//! evaluation, the 7-transform quotient pipeline, four G1 MSMs and one G2
+//! evaluation, the 7-transform quotient pipeline, two G1 MSMs and one G2
 //! MSM — and every heavy operation in it runs through [`dispatch`]: the
 //! prover hands each kernel, as an [`Op`], to the one hook of the
 //! [`ExecBackend`] trait defined here, [`ExecBackend::run_op`]. Three

@@ -15,16 +15,23 @@ use std::time::Instant;
 use zkp_curves::Bls12Config;
 use zkp_runtime::ThreadPool;
 
-/// Which of the prover's four G1 MSMs an op record belongs to.
+/// Which G1 MSM an op record belongs to.
+///
+/// The prover dispatches two: `A` and `H`, the one MSM behind the proof's
+/// C. `B1` and `L` name MSMs of the libraries' prover that are no longer
+/// dispatched, because their bases join `H`'s; they stay only because the
+/// benchmark harness's adapter names them, until the harness moves its
+/// per-stage rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum G1Msm {
     /// The A-query MSM over the full `z` vector.
     A,
-    /// The B₁-query MSM (G1 twin of B, needed for C).
+    /// The B₁-query MSM (G1 twin of B, needed for C). Not dispatched.
     B1,
-    /// The L-query MSM over the private witness suffix.
+    /// The L-query MSM over the private witness suffix. Not dispatched.
     L,
-    /// The H-query MSM over the quotient coefficients.
+    /// C's one MSM: the H query over the quotient coefficients, joined by
+    /// the L and B₁ queries.
     H,
 }
 
@@ -55,7 +62,7 @@ pub enum OpKind {
     NttInverse,
     /// `v[i] *= gⁱ · scale` — coset shift fused with the INTT scaling.
     CosetMul,
-    /// One of the four G1 MSMs.
+    /// A G1 MSM.
     MsmG1(G1Msm),
     /// The G2 MSM.
     MsmG2,

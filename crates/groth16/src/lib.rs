@@ -4,7 +4,9 @@
 //! Groth16 proofs "are less than 200 bytes and can be verified in less than
 //! 1 ms" — proof *generation* is the expensive part this repository
 //! characterizes: 7 NTT-shaped transforms to compute `h = (a·b - c)/Z`,
-//! followed by three large G1 MSMs and one G2 MSM.
+//! followed by the G1 and G2 MSMs. The libraries run four G1 MSMs; this
+//! prover runs two, because the three that only build `C` (L, H and B₁)
+//! share one.
 //!
 //! # Examples
 //!

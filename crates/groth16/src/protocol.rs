@@ -11,7 +11,7 @@ use zkp_backend::{
 };
 use zkp_curves::tower::Fq12;
 use zkp_curves::{
-    multi_pairing, pairing, Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve,
+    multi_pairing, pairing, Affine, Bls12Config, G1Curve, G2Curve, Jacobian, SwCurve, Xyzz,
 };
 use zkp_ff::Field;
 use zkp_msm::{msm_parallel_with_config_in, FixedBase, MsmPlan, MsmScratch};
@@ -84,8 +84,9 @@ impl<C: Bls12Config> fmt::Debug for Proof<C> {
 /// Work counters from one proof generation, consumed by the GPU models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProverStats {
-    /// Size of each G1 MSM (A-query / B-query / L-query / H-query).
-    pub g1_msm_sizes: [u64; 4],
+    /// Size of each G1 MSM that ran: the A query, then C's one MSM over
+    /// `l_query ‖ h_query ‖ b_g1_query`.
+    pub g1_msm_sizes: [u64; 2],
     /// Size of the G2 MSM.
     pub g2_msm_size: u64,
     /// NTT-shaped transforms executed (7 in the Fig. 3 pipeline).
@@ -186,26 +187,23 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
     }
 }
 
-/// Cached per-proving-key MSM plans for the prover's five MSMs.
+/// Cached per-proving-key MSM plans for the prover's three MSMs.
 ///
-/// The MSM bases — `a_query`, `b_g1_query`, `l_query`, `h_query` and
-/// `b_g2_query` — are fixed for the life of a proving key; only the
-/// scalars change per witness. Building a `ProverPlan` pays the
-/// endomorphism images of the finite bases and the Fig. 12 window
-/// precompute once, after which every proof of a
-/// [`ProverSession`](crate::ProverSession) reuses the tables. The one-shot
-/// [`prove_with_backend`] builds the zero-budget plan per call. Proof
-/// bytes are identical under any budget: the plan changes the *schedule*,
-/// never the group element.
+/// The MSM bases are fixed for the life of a proving key; only the
+/// scalars change per witness. C needs only a sum, so its three queries —
+/// `l_query`, `h_query` and `b_g1_query` — share one plan, one bucket
+/// reduction per window and one table (Groth16's prover equations, §3 of
+/// eprint 2016/260). Building a `ProverPlan` pays the endomorphism images
+/// of the finite bases and the Fig. 12 window precompute once, after
+/// which every proof of a [`ProverSession`](crate::ProverSession) reuses
+/// the tables. The one-shot [`prove_with_backend`] builds the zero-budget
+/// plan per call. Proof bytes are identical under any budget: the plan
+/// changes the *schedule*, never the group element.
 pub struct ProverPlan<C: Bls12Config> {
     /// Plan over `pk.a_query`.
     pub a: MsmPlan<G1Curve<C>>,
-    /// Plan over `pk.b_g1_query`.
-    pub b1: MsmPlan<G1Curve<C>>,
-    /// Plan over `pk.l_query`.
-    pub l: MsmPlan<G1Curve<C>>,
-    /// Plan over `pk.h_query`.
-    pub h: MsmPlan<G1Curve<C>>,
+    /// Plan over `pk.l_query ‖ pk.h_query ‖ pk.b_g1_query`.
+    pub c: MsmPlan<G1Curve<C>>,
     /// Plan over `pk.b_g2_query`. Each copy is `[P…, ψ(P)…, ψ²(P)…,
     /// ψ³(P)…]` over the finite bases; under `ψ` a sub-scalar has 64 bits,
     /// so even the deepest fold doubles each base about 64 times in all.
@@ -213,60 +211,39 @@ pub struct ProverPlan<C: Bls12Config> {
 }
 
 impl<C: Bls12Config> ProverPlan<C> {
-    /// Builds the five plans under [`default_msm_config`] and an optional
+    /// Builds the three plans under [`default_msm_config`] and an optional
     /// total memory budget in bytes (`Some(0)` is the one-shot single
-    /// copy). The budget is split across the five queries proportionally
-    /// to their base counts — the Fig. 12 memory/window trade-off applied
+    /// copy). The budget is split across the plans proportionally to
+    /// their base counts — the Fig. 12 memory/window trade-off applied
     /// key-wide.
     pub fn build_with(pk: &ProvingKey<C>, budget_bytes: Option<u64>, pool: &ThreadPool) -> Self {
         let config = default_msm_config();
-        let total = (pk.a_query.len()
-            + pk.b_g1_query.len()
-            + pk.l_query.len()
-            + pk.h_query.len()
-            + pk.b_g2_query.len())
-        .max(1) as u128;
+        let c_bases = [&pk.l_query[..], &pk.h_query, &pk.b_g1_query].concat();
+        let total = (pk.a_query.len() + c_bases.len() + pk.b_g2_query.len()).max(1) as u128;
         // In u128: `b · n` overflows u64 for budgets near `u64::MAX`, and
         // the share is at most `b`, so it narrows back losslessly.
         let share = |n: usize| budget_bytes.map(|b| (u128::from(b) * n as u128 / total) as u64);
         Self {
             a: MsmPlan::build(&pk.a_query, &config, share(pk.a_query.len()), pool),
-            b1: MsmPlan::build(&pk.b_g1_query, &config, share(pk.b_g1_query.len()), pool),
-            l: MsmPlan::build(&pk.l_query, &config, share(pk.l_query.len()), pool),
-            h: MsmPlan::build(&pk.h_query, &config, share(pk.h_query.len()), pool),
+            c: MsmPlan::build(&c_bases, &config, share(c_bases.len()), pool),
             b2: MsmPlan::build(&pk.b_g2_query, &config, share(pk.b_g2_query.len()), pool),
         }
     }
 
-    /// Total bytes held by the five expanded point tables.
+    /// Total bytes held by the three expanded point tables.
     pub fn storage_bytes(&self) -> u64 {
-        self.a.storage_bytes()
-            + self.b1.storage_bytes()
-            + self.l.storage_bytes()
-            + self.h.storage_bytes()
-            + self.b2.storage_bytes()
+        self.a.storage_bytes() + self.c.storage_bytes() + self.b2.storage_bytes()
     }
 
-    /// Algorithm tags of all five plans, in task-graph order:
-    /// `H: …; A: …; B1: …; B2: …; L: …`.
+    /// Algorithm tags of all three plans, in task-graph order:
+    /// `C: …; A: …; B2: …`.
     pub fn algorithm(&self) -> String {
         format!(
-            "H: {}; A: {}; B1: {}; B2: {}; L: {}",
-            self.h.algorithm(),
+            "C: {}; A: {}; B2: {}",
+            self.c.algorithm(),
             self.a.algorithm(),
-            self.b1.algorithm(),
             self.b2.algorithm(),
-            self.l.algorithm(),
         )
-    }
-
-    fn for_msm(&self, which: G1Msm) -> &MsmPlan<G1Curve<C>> {
-        match which {
-            G1Msm::A => &self.a,
-            G1Msm::B1 => &self.b1,
-            G1Msm::L => &self.l,
-            G1Msm::H => &self.h,
-        }
     }
 }
 
@@ -317,15 +294,16 @@ pub fn prove_with_backend<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?
 
 /// The prover: the one task graph behind every proving entry point.
 ///
-/// The 7-transform NTT pipeline — and the h-query MSM that consumes its
-/// output — executes concurrently with the four witness MSMs (A, B₁, B₂,
-/// L), each of which fans out internally and runs over its `plan`. Every
-/// buffer is borrowed from `ws`, so with a warmed workspace and a prebuilt
-/// `plan` the success path allocates nothing. The proof is identical at
-/// any thread count *and under any backend* given the same `rng` stream,
-/// because the blinding factors are drawn before the graph is spawned,
-/// every kernel is schedule-deterministic, and every kernel is the
-/// prover's, [`dispatch`]ed once through the backend's hook.
+/// The 7-transform NTT pipeline — and C's one G1 MSM, which consumes its
+/// output — executes concurrently with the A MSM, the sum of B₁'s bases
+/// under binary witness entries, and the B₂ MSM; each MSM fans out
+/// internally and runs over its `plan`. Every buffer is borrowed from
+/// `ws`, so with a warmed workspace and a prebuilt `plan` the success
+/// path allocates nothing. The proof is identical at any thread count
+/// *and under any backend* given the same `rng` stream, because the
+/// blinding factors are drawn before the graph is spawned, every kernel
+/// is schedule-deterministic, and every kernel is the prover's,
+/// [`dispatch`]ed once through the backend's hook.
 ///
 /// After an `Err` the workspace remains usable: every buffer is cleared
 /// or refilled at the start of the next call.
@@ -382,10 +360,11 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
 
     let ProverWorkspace {
         z,
+        c_scalars,
         a_evals,
         b_evals,
         c_evals,
-        g1,
+        g1: [sa, sc],
         g2,
     } = ws;
     let z: &[C::Fr] = z;
@@ -395,59 +374,61 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         pk.l_query.len(),
         "private witness length does not match the proving key"
     );
-    let [sa, sb1, sl, sh] = g1;
-    let g1_msm = |which: G1Msm, scalars: &[C::Fr], scratch: &mut MsmScratch<G1Curve<C>>| {
-        msm_op(
-            backend,
-            OpKind::MsmG1(which),
-            plan.for_msm(which),
-            scalars,
-            scratch,
-        )
-    };
+    let one = C::Fr::one();
 
+    // C = Σ_priv zᵢ·Lᵢ + Σ hᵢ·Hᵢ + s·A + r·B₁ − r·s·δ, where B₁ is B's G1
+    // twin β + Σ zᵢ·B₁ᵢ + s·δ: its s·δ cancels the −r·s·δ, so
+    // C = MSM(L ‖ H ‖ B₁; z_priv ‖ h ‖ r·z⁺) + r·(β + Σ_{zᵢ=1} B₁ᵢ) + s·A,
+    // where z⁺ᵢ = zᵢ except that a 1 becomes 0: a binary entry costs one
+    // mixed addition in the sum rather than a full-width scalar `r` in
+    // the MSM.
+    //
     // --- Task graph. ---
-    // ntt(h pipeline) ──► h-MSM ─┐
+    // ntt(h pipeline) ──► C-MSM ─┐
     // A-MSM ─────────────────────┤
-    // B₁-MSM ────────────────────┼──► assemble A, B, C
-    // B₂-MSM (G2) ───────────────┤
-    // L-MSM ─────────────────────┘
-    // Each arm returns a `Result`; they are resolved in fixed task-graph
-    // order (H, A, B1, B2, L) below so the reported error is deterministic
-    // even when several arms fail in the same attempt.
-    let (rh, (ra, (rb1, (rb2, rl)))) = pool.join(
+    // β + Σ_{zᵢ=1} B₁ᵢ ──────────┼──► assemble A, B, C
+    // B₂-MSM (G2) ───────────────┘
+    // Each MSM arm returns a `Result`; they are resolved in fixed
+    // task-graph order (C, A, B2) below so the reported error is
+    // deterministic even when several arms fail in the same attempt.
+    let (rc, (ra, (b1_ones, rb2))) = pool.join(
         || -> Result<_, BackendError> {
-            // NTT phase: h = (a·b - c)/Z (7 transforms, Fig. 3), then the
-            // one MSM that needs h's coefficients, which the pipeline
-            // leaves in `a_evals`.
+            // NTT phase: h = (a·b - c)/Z (7 transforms, Fig. 3), which the
+            // pipeline leaves in `a_evals`.
             let ntt_count =
                 quotient_pipeline_in(domain, table, a_evals, b_evals, c_evals, backend)?;
-            let h_len = plan.h.len();
-            let h_acc = g1_msm(G1Msm::H, &a_evals[..h_len], sh)?;
-            Ok((h_acc, ntt_count, h_len))
+            c_scalars.clear();
+            // Exact on the first proof, a no-op once warm.
+            c_scalars.reserve(plan.c.len());
+            c_scalars.extend_from_slice(priv_z);
+            c_scalars.extend_from_slice(&a_evals[..pk.h_query.len()]);
+            c_scalars.extend(
+                z.iter()
+                    .map(|&zi| if zi == one { C::Fr::zero() } else { r * zi }),
+            );
+            let c_acc = msm_op(backend, OpKind::MsmG1(G1Msm::H), &plan.c, c_scalars, sc)?;
+            Ok((c_acc, ntt_count))
         },
         || {
             pool.join(
-                || g1_msm(G1Msm::A, z, sa),
+                || msm_op(backend, OpKind::MsmG1(G1Msm::A), &plan.a, z, sa),
                 || {
                     pool.join(
-                        || g1_msm(G1Msm::B1, z, sb1),
                         || {
-                            pool.join(
-                                || msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2),
-                                || g1_msm(G1Msm::L, priv_z, sl),
-                            )
+                            z.iter()
+                                .zip(&pk.b_g1_query)
+                                .filter(|(&zi, _)| zi == one)
+                                .fold(Xyzz::from(pk.beta_g1), |acc, (_, p)| acc.add_affine(p))
                         },
+                        || msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2),
                     )
                 },
             )
         },
     );
-    let (h_acc, ntt_count, h_len) = rh?;
+    let (c_msm, ntt_count) = rc?;
     let a_msm = ra?;
-    let b1_msm = rb1?;
     let b2_msm = rb2?;
-    let l_acc = rl?;
 
     // The blinding products are 1- and 2-point MSMs through the same
     // engine, on the arms' (warm) scratch: split on the endomorphism, they
@@ -468,11 +449,8 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let s_delta_g2 = msm_parallel_with_config_in(&[pk.delta_g2], &[s], &config, pool, g2).point;
     let b_g2_acc = b2_msm.add_affine(&pk.beta_g2).add(&s_delta_g2);
 
-    // C = Σ_priv zᵢ·lᵢ + Σ hᵢ·(τⁱZ(τ)/δ) + s·A + r·B₁ − r·s·δ, where B₁ is
-    // B's G1 twin β + Σ zᵢ·vᵢ(τ) + s·δ: its s·δ term cancels the −r·s·δ,
-    // so C = … + s·A + r·(β + Σ zᵢ·vᵢ(τ)).
-    let b_g1 = b1_msm.add_affine(&pk.beta_g1).to_affine();
-    let c_acc = l_acc.add(&h_acc).add(&run(&[a, b_g1], &[s, r], sl));
+    // C = MSM_C + r·(β + Σ_{zᵢ=1} B₁ᵢ) + s·A
+    let c_acc = c_msm.add(&run(&[a, b1_ones.to_affine()], &[s, r], sc));
 
     // Individual affine conversions: a batched normalization would need a
     // temporary vector on the allocation-free path.
@@ -482,12 +460,7 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         c: c_acc.to_affine(),
     };
     let stats = ProverStats {
-        g1_msm_sizes: [
-            z.len() as u64,
-            z.len() as u64,
-            priv_z.len() as u64,
-            h_len as u64,
-        ],
+        g1_msm_sizes: [z.len() as u64, c_scalars.len() as u64],
         g2_msm_size: z.len() as u64,
         ntt_count,
         domain_size: domain.size(),

@@ -31,8 +31,9 @@ pub(crate) struct SessionShared<C: Bls12Config> {
 /// A reusable proving session for one proving key.
 ///
 /// Construction pays every per-key cost once — the endomorphism images and
-/// the window precompute of the five [`MsmPlan`](zkp_msm::MsmPlan)s, the
-/// twiddle table — and the embedded workspace amortizes the
+/// the window precompute of the three [`MsmPlan`](zkp_msm::MsmPlan)s (A,
+/// C's merged `L ‖ H ‖ B₁`, and B₂), the twiddle table — and the embedded
+/// workspace amortizes the
 /// per-proof buffers. Sessions are `Send`; to prove concurrently, create
 /// one per worker with [`ProverSession::fork`] (the shared key and plans
 /// are reference-counted, only the scratch is duplicated).
@@ -150,7 +151,7 @@ impl<C: Bls12Config> ProverSession<C> {
     /// # Errors
     ///
     /// The [`BackendError`] a backend op reports. On concurrent arm
-    /// failures the first error in task-graph order (H, A, B1, B2, L) is
+    /// failures the first error in task-graph order (C, A, B2) is
     /// returned.
     ///
     /// # Panics

@@ -68,7 +68,7 @@ fn cpu_backend_reproduces_the_committed_digest() {
     assert_eq!(
         stats,
         ProverStats {
-            g1_msm_sizes: [66, 66, 64, 127],
+            g1_msm_sizes: [66, 64 + 127 + 66],
             g2_msm_size: 66,
             ntt_count: 7,
             domain_size: 128,
@@ -152,7 +152,7 @@ fn session_prover_reproduces_the_digest_cold_and_warm() {
             assert_eq!(
                 stats,
                 ProverStats {
-                    g1_msm_sizes: [66, 66, 64, 127],
+                    g1_msm_sizes: [66, 64 + 127 + 66],
                     g2_msm_size: 66,
                     ntt_count: 7,
                     domain_size: 128,
@@ -171,7 +171,7 @@ fn session_prover_reproduces_the_digest_cold_and_warm() {
     let (proof, _) = session.prove_in_on(&cs, &mut rng, &traced);
     assert_eq!(digest_hex(&proof.to_bytes()), reference);
     let trace = ExecBackend::<Bls12381>::take_trace(&traced);
-    assert_eq!(trace.records.len(), 1 + 7 + 4 + 4 + 1);
+    assert_eq!(trace.records.len(), 1 + 7 + 4 + 2 + 1);
 }
 
 #[test]
@@ -191,7 +191,7 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
         .filter(|r| matches!(r.kind, OpKind::MsmG1(_)))
         .map(|r| r.algo.clone())
         .collect();
-    assert_eq!(g1_algos.len(), 4);
+    assert_eq!(g1_algos.len(), 2);
     assert!(
         g1_algos.iter().all(|a| a
             .as_deref()
@@ -247,7 +247,9 @@ fn traced_run_records_the_whole_stage_graph() {
     let trace = ExecBackend::<Bls12381>::take_trace(&backend);
     assert!(verify(&pk.vk, &proof, &cs.assignment.public));
 
-    assert_eq!(trace.records.len(), 1 + 7 + 4 + 4 + 1); // witness, NTTs, cosets, G1 MSMs, G2
+    // Witness, NTTs, cosets, the A and C MSMs, G2: L and B₁ fold into C's
+    // MSM, which keeps the H tag.
+    assert_eq!(trace.records.len(), 1 + 7 + 4 + 2 + 1);
     let summary = trace.summarize(|r| r.wall_s);
     let count = |stage: &str| {
         summary
@@ -260,8 +262,13 @@ fn traced_run_records_the_whole_stage_graph() {
     assert_eq!(count("NTT inverse") + count("NTT forward"), 7);
     assert_eq!(count("coset scaling"), 4);
     assert_eq!(count("G2 MSM (B2)"), 1);
-    for msm in ["G1 MSM (A)", "G1 MSM (B1)", "G1 MSM (L)", "G1 MSM (H)"] {
-        assert_eq!(count(msm), 1, "{msm}");
+    for (msm, calls) in [
+        ("G1 MSM (A)", 1),
+        ("G1 MSM (H)", 1),
+        ("G1 MSM (B1)", 0),
+        ("G1 MSM (L)", 0),
+    ] {
+        assert_eq!(count(msm), calls, "{msm}");
     }
     // Recorded MSM sizes match the work counters.
     let size_of = |stage: &str| {
@@ -273,7 +280,7 @@ fn traced_run_records_the_whole_stage_graph() {
             .size
     };
     assert_eq!(size_of("G1 MSM (A)"), stats.g1_msm_sizes[0]);
-    assert_eq!(size_of("G1 MSM (H)"), stats.g1_msm_sizes[3]);
+    assert_eq!(size_of("G1 MSM (H)"), stats.g1_msm_sizes[1]);
     assert_eq!(size_of("NTT inverse"), stats.domain_size);
 
     // The one-shot prover runs the key's zero-budget plans, and every MSM
@@ -283,7 +290,7 @@ fn traced_run_records_the_whole_stage_graph() {
         .iter()
         .filter(|r| matches!(r.kind, OpKind::MsmG1(_) | OpKind::MsmG2))
         .collect();
-    assert_eq!(msms.len(), 5);
+    assert_eq!(msms.len(), 3);
     for r in msms {
         let algo = r.algo.as_deref().expect("tagged MSM");
         let split = match r.kind {

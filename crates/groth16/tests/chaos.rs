@@ -320,7 +320,7 @@ fn fails_at_op_3_then_recovers<B: ExecBackend<Bls12381>>(
         .try_prove_in_on(&cs, &mut rng, backend)
         .expect("the plan's only fault is spent");
     assert_eq!(proof.to_bytes(), expected_bytes(3, 11));
-    assert_eq!(backend.take_trace().records.len(), 17);
+    assert_eq!(backend.take_trace().records.len(), 15);
 }
 
 /// Decorators compose in either order without losing the error channel.
@@ -372,7 +372,7 @@ fn a_hook_that_skips_the_kernel_is_an_err() {
         OpKind::CosetMul,
         OpKind::NttForward,
         OpKind::MsmG1(G1Msm::H),
-        OpKind::MsmG1(G1Msm::L),
+        OpKind::MsmG1(G1Msm::A),
         OpKind::MsmG2,
     ] {
         let backend = SkipsKernel {
@@ -410,7 +410,7 @@ fn each_op_kind_fails_its_first_op() {
         .iter()
         .map(|r| r.kind)
         .collect();
-    assert_eq!(kinds.len(), 17);
+    assert_eq!(kinds.len(), 15);
     // The expected name of each kind, written out here: the backend's own
     // mapping is what is under test.
     let name = |kind: OpKind| match kind {
@@ -440,7 +440,7 @@ fn each_op_kind_fails_its_first_op() {
             "{kind:?}: expected {name} #{first}, got {err}"
         );
     }
-    assert_eq!(seen.len(), 9, "every op kind is traced: {seen:?}");
+    assert_eq!(seen.len(), 7, "every op kind is traced: {seen:?}");
 }
 
 /// Errors at ops 0, 1, and 2 kill all three attempts (each failed
@@ -598,12 +598,12 @@ fn degraded_mode_recovers_after_consecutive_successes() {
     cfg.retry = RetryPolicy::none();
     cfg.degrade_after_failures = 2;
     // Hold the worker on job 0 long enough for the whole burst to queue
-    // (ops: job0 = 0..17 delayed at 0, job1 fails at 17, job2 at 18,
+    // (ops: job0 = 0..15 delayed at 0, job1 fails at 15, job2 at 16,
     // then jobs 3..=6 prove clean and the fourth recovers the service).
     let plan = FaultPlan::none()
         .delay_at(0, Duration::from_millis(300))
-        .fail_at(17)
-        .fail_at(18);
+        .fail_at(15)
+        .fail_at(16);
     let service = ProofService::start_with_backend(session(), cfg, fault_factory(plan, 0));
     let tickets: Vec<_> = (0..7u64)
         .map(|i| service.submit(circuit(i + 1), i).expect("admitted"))

@@ -131,9 +131,10 @@ fn msm_sizes_scale_with_circuit() {
     let nvars = cs.num_variables() as u64;
     assert_eq!(stats.g1_msm_sizes[0], nvars);
     assert_eq!(stats.g2_msm_size, nvars);
-    assert_eq!(stats.g1_msm_sizes[2], cs.num_private() as u64);
-    // h MSM covers the domain minus one.
-    assert_eq!(stats.g1_msm_sizes[3], stats.domain_size - 1);
+    // C's one MSM covers the private witness (L), the domain minus one
+    // (H) and every variable (B₁).
+    let c_size = cs.num_private() as u64 + (stats.domain_size - 1) + nvars;
+    assert_eq!(stats.g1_msm_sizes[1], c_size);
 }
 
 #[test]

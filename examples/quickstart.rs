@@ -33,7 +33,7 @@ fn main() {
     let (proof, stats) = prove(&pk, &cs, &mut rng);
     println!(
         "prove: {:?}  ({} NTT-shaped transforms over a 2^{} domain, \
-         G1 MSMs of sizes {:?}, one G2 MSM of size {})",
+         G1 MSMs (A; C over L ‖ H ‖ B₁) of sizes {:?}, one G2 MSM of size {})",
         t.elapsed(),
         stats.ntt_count,
         stats.domain_size.trailing_zeros(),

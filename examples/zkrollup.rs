@@ -155,7 +155,7 @@ fn main() {
     let t = Instant::now();
     let (proof, stats) = prove(&pk, &cs, &mut rng);
     println!(
-        "prove:  {:?}  (domain 2^{}, MSM sizes {:?})",
+        "prove:  {:?}  (domain 2^{}, G1 MSM sizes (A, C) {:?})",
         t.elapsed(),
         stats.domain_size.trailing_zeros(),
         stats.g1_msm_sizes
