@@ -159,6 +159,33 @@ impl BitSet {
             *w &= !o;
         }
     }
+
+    /// How many members are below `n`.
+    pub(crate) fn count_below(&self, n: usize) -> u32 {
+        let (full, rest) = (n / 64, n % 64);
+        let whole: u32 = self.words[..full].iter().map(|w| w.count_ones()).sum();
+        let part = match self.words.get(full) {
+            Some(w) if rest > 0 => (w & ((1u64 << rest) - 1)).count_ones(),
+            _ => 0,
+        };
+        whole + part
+    }
+
+    /// The members below `n`, in ascending order.
+    pub(crate) fn ones_below(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest.wrapping_sub(1);
+                    (bit < 64).then_some(64 * k + bit)
+                })
+            })
+            .take_while(move |&i| i < n)
+    }
 }
 
 /// Dense indexing of the resources a program touches: registers first,
@@ -294,26 +321,17 @@ impl Liveness {
     /// (§IV-C4's registers-per-thread, computed instead of hand-typed).
     pub fn max_live_registers(&self, cfg: &Cfg, program: &Program) -> u32 {
         let mut max = 0u32;
-        let reg_count = |s: &BitSet, map: &ResourceMap| {
-            let mut c = 0;
-            for r in 0..map.num_regs {
-                if s.contains(r) {
-                    c += 1;
-                }
-            }
-            c
-        };
         for (b, blk) in cfg.blocks.iter().enumerate() {
             if !cfg.reachable[b] {
                 continue;
             }
             let mut live = self.live_out[b].clone();
-            max = max.max(reg_count(&live, &self.map));
+            max = max.max(live.count_below(self.map.num_regs));
             for pc in (blk.start..blk.end).rev() {
                 let inst = program.fetch(pc);
                 instr_defs(&inst, |r| live.remove(self.map.index(r)));
                 instr_uses(&inst, |r| live.insert(self.map.index(r)));
-                max = max.max(reg_count(&live, &self.map));
+                max = max.max(live.count_below(self.map.num_regs));
             }
         }
         max
@@ -444,6 +462,19 @@ mod tests {
         instr_defs(&i, |r| defs.push(r));
         assert!(defs.contains(&Resource::Reg(1)));
         assert!(defs.contains(&Resource::Carry));
+    }
+
+    #[test]
+    fn bitset_prefix_queries_match_membership() {
+        let mut set = BitSet::new(200);
+        for i in [0, 1, 63, 64, 65, 127, 128, 150, 199] {
+            set.insert(i);
+        }
+        for n in 0..=200 {
+            let members: Vec<usize> = (0..n).filter(|&i| set.contains(i)).collect();
+            assert_eq!(set.ones_below(n).collect::<Vec<_>>(), members, "n={n}");
+            assert_eq!(set.count_below(n) as usize, members.len(), "n={n}");
+        }
     }
 
     #[test]

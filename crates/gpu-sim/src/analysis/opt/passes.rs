@@ -11,13 +11,13 @@
 //! dead-store rule elides — with one extra *chain-safety* condition that
 //! keeps later unresolvable loads' memory-chain terms intact.
 
-use std::collections::HashMap;
-
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dataflow::{instr_defs, instr_uses, map_srcs, Liveness, Resource};
 use crate::isa::{Instr, Program, Reg, Src};
 
-use super::validate::{store_is_dead, BlockSym, Env, MemOracle, OpKind, Term, TermId, Terms};
+use super::validate::{
+    store_is_dead, BlockSym, Env, MemOracle, OpKind, Term, TermId, Terms, WordMap,
+};
 
 /// The register an instruction writes, when it writes exactly one.
 fn def_reg(inst: &Instr) -> Option<Reg> {
@@ -221,7 +221,7 @@ pub(super) fn cse(program: &Program, oracle: &MemOracle) -> (Program, usize) {
         let mut sym = BlockSym::new(&mut terms, env);
         // holder[t] = a register currently holding term t (validity is
         // re-checked against the environment at lookup time).
-        let mut holder: HashMap<TermId, Reg> = HashMap::new();
+        let mut holder: WordMap<TermId, Reg> = WordMap::default();
         // `pc` doubles as the oracle's program counter, so the index
         // form is clearer than an enumerate over a sub-slice.
         #[allow(clippy::needless_range_loop)]

@@ -90,10 +90,9 @@ pub(super) fn reallocate(
             let inst = program.fetch(pc);
             instr_defs(&inst, |r| {
                 if let Resource::Reg(d) = r {
-                    for other in 0..nr {
-                        if set.contains(map.index(Resource::Reg(other as Reg))) {
-                            mark(&mut interferes, d as usize, other);
-                        }
+                    // Registers occupy the map's indices `0..nr`.
+                    for other in set.ones_below(nr) {
+                        mark(&mut interferes, d as usize, other);
                     }
                 }
             });

@@ -42,6 +42,7 @@ pub(super) fn list_schedule(
     mem: &MemTimings,
 ) -> (Program, Vec<Option<usize>>, usize) {
     let cfg = Cfg::build(program);
+    let map = ResourceMap::of(program);
     let mut order: Vec<usize> = (0..program.len()).collect();
     for (b, blk) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
@@ -57,7 +58,7 @@ pub(super) fn list_schedule(
         if body_end.saturating_sub(blk.start) < 2 {
             continue;
         }
-        let scheduled = schedule_block(program, blk.start, body_end, oracle, config, mem);
+        let scheduled = schedule_block(program, &map, blk.start, body_end, oracle, config, mem);
         order.splice(blk.start..body_end, scheduled);
     }
     let mut map = vec![None; program.len()];
@@ -75,9 +76,11 @@ pub(super) fn list_schedule(
 }
 
 /// Schedules the instructions `start..end` (all within one block, no
-/// control transfers), returning their new order as original pcs.
+/// control transfers), returning their new order as original pcs. `map`
+/// indexes the whole program's resources.
 fn schedule_block(
     program: &Program,
+    map: &ResourceMap,
     start: usize,
     end: usize,
     oracle: &MemOracle,
@@ -85,7 +88,6 @@ fn schedule_block(
     mem: &MemTimings,
 ) -> Vec<usize> {
     let n = end - start;
-    let map = ResourceMap::of(program);
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     let add_edge = |edges: &mut Vec<Vec<Edge>>,
@@ -116,16 +118,25 @@ fn schedule_block(
     for i in 0..n {
         let pc = start + i;
         let inst = program.fetch(pc);
-        let mut uses = Vec::new();
-        let mut defs = Vec::new();
-        instr_uses(&inst, |r| uses.push(map.index(r)));
-        instr_defs(&inst, |r| defs.push(map.index(r)));
-        for &u in &uses {
+        // An instruction reads at most four resources (three sources and
+        // the carry) and writes at most two (a destination and the carry).
+        let (mut uses, mut nu) = ([0usize; 4], 0);
+        let (mut defs, mut nd) = ([0usize; 2], 0);
+        instr_uses(&inst, |r| {
+            uses[nu] = map.index(r);
+            nu += 1;
+        });
+        instr_defs(&inst, |r| {
+            defs[nd] = map.index(r);
+            nd += 1;
+        });
+        let (uses, defs) = (&uses[..nu], &defs[..nd]);
+        for &u in uses {
             if let Some(d) = last_def[u] {
                 add_edge(&mut edges, &mut indeg, d, i, latency_of(start + d));
             }
         }
-        for &d in &defs {
+        for &d in defs {
             if let Some(p) = last_def[d] {
                 add_edge(&mut edges, &mut indeg, p, i, 1);
             }
@@ -135,10 +146,10 @@ fn schedule_block(
                 }
             }
         }
-        for &u in &uses {
+        for &u in uses {
             readers[u].push(i);
         }
-        for &d in &defs {
+        for &d in defs {
             last_def[d] = Some(i);
             readers[d].clear();
         }

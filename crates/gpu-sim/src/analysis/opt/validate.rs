@@ -42,6 +42,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Deref;
 
 use crate::analysis::addr::{alias, AffineVal, Alias, Loc, MemContracts};
 use crate::analysis::cfg::Cfg;
@@ -88,8 +90,90 @@ pub(super) enum OpKind {
     LoadMem,
 }
 
+/// The argument ids of a [`Term::Op`], stored inline: every operator
+/// takes at most four arguments, so interning a term never allocates.
+/// Unused slots stay 0, which keeps the derived equality structural.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Args {
+    ids: [TermId; 4],
+    len: u8,
+}
+
+impl<const N: usize> From<[TermId; N]> for Args {
+    fn from(args: [TermId; N]) -> Self {
+        let mut ids = [0; 4];
+        ids[..N].copy_from_slice(&args);
+        Self { ids, len: N as u8 }
+    }
+}
+
+impl Deref for Args {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl Hash for Args {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.len);
+        for &id in self.iter() {
+            state.write_u32(id);
+        }
+    }
+}
+
+/// A multiplicative word hasher (the Fx rotate-xor-multiply step) for the
+/// maps keyed by term ids, registers and interned terms. Those keys are
+/// small integers, where SipHash's flooding resistance buys nothing; no
+/// such map is ever iterated, so the hash cannot reach any output.
+#[derive(Default)]
+pub(super) struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` under [`WordHasher`].
+pub(super) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// A node of the symbolic value language.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) enum Term {
     /// The value the *original* program's resource holds at block entry.
     Sym(Resource),
@@ -100,7 +184,7 @@ pub(super) enum Term {
     /// A 32-bit constant.
     Const(u32),
     /// An operator applied to argument terms.
-    Op(OpKind, Vec<TermId>),
+    Op(OpKind, Args),
 }
 
 /// Hash-consed term arena: structurally equal terms share one id, so
@@ -115,7 +199,7 @@ pub(super) struct Terms {
     /// carries — this is the interval argument that proves the CIOS
     /// overflow-word bookkeeping dead.
     bounds: Vec<u64>,
-    index: HashMap<Term, TermId>,
+    index: WordMap<Term, TermId>,
     next_opaque: u32,
 }
 
@@ -140,7 +224,7 @@ impl Terms {
         }
         let id = self.nodes.len() as TermId;
         let bound = self.compute_bound(&t);
-        self.nodes.push(t.clone());
+        self.nodes.push(t);
         self.bounds.push(bound);
         self.index.insert(t, id);
         id
@@ -227,7 +311,12 @@ impl Terms {
             Term::Const(c) => Some(c),
             _ => None,
         };
-        let k: Vec<Option<u32>> = args.iter().map(|&a| cv(a)).collect();
+        // Constant values of the argument slots; slots past the arity
+        // read as `None` and are never consulted.
+        let mut k = [None; 4];
+        for (slot, &a) in k.iter_mut().zip(args.iter()) {
+            *slot = cv(a);
+        }
         // Carry-in slots hold either `Const(0)` (no `use_cc`) or a
         // carry term, which is 0/1-valued by construction; a constant
         // carry-in above 1 never arises, but guard evaluation on it.
@@ -270,9 +359,9 @@ impl Terms {
                 if !cin_ok(k[3]) {
                     return None;
                 }
-                let sym: Vec<usize> = (0..4).filter(|&i| k[i].is_none()).collect();
-                match (*kind, &k[..]) {
-                    (_, &[Some(a), Some(b), Some(c), Some(cin)]) => {
+                let syms = k.iter().filter(|v| v.is_none()).count();
+                match (*kind, k) {
+                    (_, [Some(a), Some(b), Some(c), Some(cin)]) => {
                         let (v, carry_out) = iadd3(a, b, c, cin == 1);
                         Term::Const(if matches!(kind, OpKind::Add3Carry) {
                             carry_out & 1
@@ -280,8 +369,8 @@ impl Terms {
                             v
                         })
                     }
-                    (OpKind::Add3, _) if sym.len() == 1 && k.iter().flatten().all(|&c| c == 0) => {
-                        return Some(args[sym[0]])
+                    (OpKind::Add3, _) if syms == 1 && k.iter().flatten().all(|&c| c == 0) => {
+                        return k.iter().position(Option::is_none).map(|i| args[i])
                     }
                     // Interval rule: addend bounds summing below 2^32
                     // prove the carry-out is zero on every execution —
@@ -356,10 +445,14 @@ enum EnvDefault {
     Opaque,
 }
 
+/// Marks a register slot of [`Env`] with no binding yet.
+const UNBOUND: TermId = TermId::MAX;
+
 /// A symbolic machine state: register file, predicates, carry.
 #[derive(Debug, Clone)]
 pub(super) struct Env {
-    regs: HashMap<Reg, TermId>,
+    /// `regs[r]`: the term register `r` holds, or [`UNBOUND`].
+    regs: Vec<TermId>,
     preds: [TermId; 4],
     cc: TermId,
     default: EnvDefault,
@@ -370,7 +463,7 @@ impl Env {
     /// own entry symbol.
     pub(super) fn symbolic(terms: &mut Terms) -> Env {
         Env {
-            regs: HashMap::new(),
+            regs: Vec::new(),
             preds: core::array::from_fn(|p| terms.intern(Term::Sym(Resource::Pred(p as Pred)))),
             cc: terms.intern(Term::Sym(Resource::Carry)),
             default: EnvDefault::Symbolic,
@@ -382,52 +475,62 @@ impl Env {
     /// and live-in predicates/carry with their own symbols; everything
     /// else defaults to fresh opaques on first read.
     pub(super) fn renamed(terms: &mut Terms, live_in: &[Resource], map: &RegMap) -> Env {
-        let mut regs: HashMap<Reg, TermId> = HashMap::new();
-        let mut claimed: HashMap<Reg, u32> = HashMap::new();
+        let mut claimed: WordMap<Reg, u32> = WordMap::default();
         for r in live_in {
             if let Resource::Reg(r) = r {
                 *claimed.entry(map.get(*r)).or_insert(0) += 1;
             }
         }
+        let mut env = Env {
+            regs: Vec::new(),
+            preds: [0; 4],
+            cc: 0,
+            default: EnvDefault::Opaque,
+        };
         for r in live_in {
             if let Resource::Reg(r) = r {
                 let q = map.get(*r);
                 if claimed.get(&q) == Some(&1) {
-                    regs.insert(q, terms.intern(Term::Sym(Resource::Reg(*r))));
+                    let t = terms.intern(Term::Sym(Resource::Reg(*r)));
+                    env.set(q, t);
                 }
             }
         }
-        let mut preds = [0 as TermId; 4];
-        for (p, slot) in preds.iter_mut().enumerate() {
+        for (p, slot) in env.preds.iter_mut().enumerate() {
             *slot = if live_in.contains(&Resource::Pred(p as Pred)) {
                 terms.intern(Term::Sym(Resource::Pred(p as Pred)))
             } else {
                 terms.opaque()
             };
         }
-        let cc = if live_in.contains(&Resource::Carry) {
+        env.cc = if live_in.contains(&Resource::Carry) {
             terms.intern(Term::Sym(Resource::Carry))
         } else {
             terms.opaque()
         };
-        Env {
-            regs,
-            preds,
-            cc,
-            default: EnvDefault::Opaque,
+        env
+    }
+
+    /// Binds register `r` to term `t`.
+    fn set(&mut self, r: Reg, t: TermId) {
+        let r = usize::from(r);
+        if r >= self.regs.len() {
+            self.regs.resize(r + 1, UNBOUND);
         }
+        self.regs[r] = t;
     }
 
     /// The term a register read yields (binding a default on first read).
     pub(super) fn reg(&mut self, terms: &mut Terms, r: Reg) -> TermId {
-        if let Some(&t) = self.regs.get(&r) {
-            return t;
+        match self.regs.get(usize::from(r)) {
+            Some(&t) if t != UNBOUND => return t,
+            _ => {}
         }
         let t = match self.default {
             EnvDefault::Symbolic => terms.intern(Term::Sym(Resource::Reg(r))),
             EnvDefault::Opaque => terms.opaque(),
         };
-        self.regs.insert(r, t);
+        self.set(r, t);
         t
     }
 
@@ -455,7 +558,7 @@ impl Env {
 /// base), plus the warp geometry.
 #[derive(Debug, Clone)]
 pub(super) struct MemOracle {
-    strides: HashMap<Reg, i64>,
+    strides: WordMap<Reg, i64>,
     warp_size: u32,
 }
 
@@ -472,7 +575,7 @@ impl MemOracle {
                 }
             });
         }
-        let mut strides = HashMap::new();
+        let mut strides = WordMap::default();
         for c in contracts.all() {
             if !redefined.contains(&c.reg) {
                 strides.insert(c.reg, i64::from(c.lane_stride_words));
@@ -494,7 +597,7 @@ impl MemOracle {
 fn affine_of(
     terms: &Terms,
     oracle: &MemOracle,
-    memo: &mut HashMap<TermId, AffineVal>,
+    memo: &mut WordMap<TermId, AffineVal>,
     id: TermId,
 ) -> AffineVal {
     if let Some(&v) = memo.get(&id) {
@@ -512,7 +615,7 @@ fn affine_of(
         },
         Term::Sym(_) | Term::Opaque(_) => AffineVal::Unknown,
         Term::Op(kind, args) => {
-            let args = args.clone();
+            let args = *args;
             match kind {
                 OpKind::Add3 if matches!(terms.get(args[3]), Term::Const(0)) => {
                     let a = affine_of(terms, oracle, memo, args[0]);
@@ -640,13 +743,13 @@ pub(super) struct BlockSym {
     chain: Vec<TermId>,
     mem0: TermId,
     events: usize,
-    affine_memo: HashMap<TermId, AffineVal>,
+    affine_memo: WordMap<TermId, AffineVal>,
 }
 
 impl BlockSym {
     /// Starts a block execution from `env`.
     pub(super) fn new(terms: &mut Terms, env: Env) -> Self {
-        let mem0 = terms.intern(Term::Op(OpKind::MemInit, Vec::new()));
+        let mem0 = terms.intern(Term::Op(OpKind::MemInit, Args::default()));
         Self {
             env,
             stores: Vec::new(),
@@ -654,7 +757,7 @@ impl BlockSym {
             chain: Vec::new(),
             mem0,
             events: 0,
-            affine_memo: HashMap::new(),
+            affine_memo: WordMap::default(),
         }
     }
 
@@ -686,10 +789,10 @@ impl BlockSym {
                 let tb = self.env.src(terms, b);
                 let tc = self.env.src(terms, c);
                 let cin = if use_cc { self.env.cc } else { terms.konst(0) };
-                let args = vec![ta, tb, tc, cin];
+                let args = [ta, tb, tc, cin].into();
                 let kind = if hi { OpKind::ImadHi } else { OpKind::ImadLo };
-                let t = terms.intern(Term::Op(kind, args.clone()));
-                self.env.regs.insert(dst, t);
+                let t = terms.intern(Term::Op(kind, args));
+                self.env.set(dst, t);
                 if set_cc {
                     let ck = if hi {
                         OpKind::ImadHiCarry
@@ -711,9 +814,9 @@ impl BlockSym {
                 let tb = self.env.src(terms, b);
                 let tc = self.env.src(terms, c);
                 let cin = if use_cc { self.env.cc } else { terms.konst(0) };
-                let args = vec![ta, tb, tc, cin];
-                let t = terms.intern(Term::Op(OpKind::Add3, args.clone()));
-                self.env.regs.insert(dst, t);
+                let args = [ta, tb, tc, cin].into();
+                let t = terms.intern(Term::Op(OpKind::Add3, args));
+                self.env.set(dst, t);
                 if set_cc {
                     self.env.cc = terms.intern(Term::Op(OpKind::Add3Carry, args));
                 }
@@ -729,37 +832,37 @@ impl BlockSym {
                 let tb = self.env.src(terms, b);
                 let tsh = self.env.src(terms, sh);
                 let kind = if right { OpKind::ShfR } else { OpKind::ShfL };
-                let t = terms.intern(Term::Op(kind, vec![ta, tb, tsh]));
-                self.env.regs.insert(dst, t);
+                let t = terms.intern(Term::Op(kind, [ta, tb, tsh].into()));
+                self.env.set(dst, t);
             }
             Instr::Lop3 { dst, a, b, op } => {
                 let ta = self.env.src(terms, a);
                 let tb = self.env.src(terms, b);
-                let t = terms.intern(Term::Op(OpKind::Logic(op), vec![ta, tb]));
-                self.env.regs.insert(dst, t);
+                let t = terms.intern(Term::Op(OpKind::Logic(op), [ta, tb].into()));
+                self.env.set(dst, t);
             }
             Instr::Mov { dst, src } => {
                 let t = self.env.src(terms, src);
-                self.env.regs.insert(dst, t);
+                self.env.set(dst, t);
             }
             Instr::Setp { pred, a, b, cmp } => {
                 let ta = self.env.src(terms, a);
                 let tb = self.env.src(terms, b);
-                let t = terms.intern(Term::Op(OpKind::Cmp(cmp), vec![ta, tb]));
+                let t = terms.intern(Term::Op(OpKind::Cmp(cmp), [ta, tb].into()));
                 self.env.preds[pred as usize] = t;
             }
             Instr::Sel { dst, a, b, pred } => {
                 let tp = self.env.pred(pred);
                 let ta = self.env.src(terms, a);
                 let tb = self.env.src(terms, b);
-                let t = terms.intern(Term::Op(OpKind::Sel, vec![tp, ta, tb]));
-                self.env.regs.insert(dst, t);
+                let t = terms.intern(Term::Op(OpKind::Sel, [tp, ta, tb].into()));
+                self.env.set(dst, t);
             }
             Instr::Ldg { dst, addr, offset } => {
                 let ta = self.env.reg(terms, addr);
                 let loc = self.loc_of(terms, oracle, ta, offset);
                 let value = self.resolve_load(terms, oracle, ta, offset, loc);
-                self.env.regs.insert(dst, value);
+                self.env.set(dst, value);
                 self.loads.push(LoadEvent {
                     event: self.events,
                     pc,
@@ -774,7 +877,7 @@ impl BlockSym {
                 let loc = self.loc_of(terms, oracle, ta, offset);
                 let prev = self.chain.last().copied().unwrap_or(self.mem0);
                 let off = terms.konst(offset);
-                let next = terms.intern(Term::Op(OpKind::Store, vec![prev, ta, off, value]));
+                let next = terms.intern(Term::Op(OpKind::Store, [prev, ta, off, value].into()));
                 self.chain.push(next);
                 self.stores.push(StoreEvent {
                     event: self.events,
@@ -817,10 +920,10 @@ impl BlockSym {
             }
             let mem = self.chain[i];
             let off = terms.konst(offset);
-            return terms.intern(Term::Op(OpKind::LoadMem, vec![mem, addr, off]));
+            return terms.intern(Term::Op(OpKind::LoadMem, [mem, addr, off].into()));
         }
         let off = terms.konst(offset);
-        terms.intern(Term::Op(OpKind::LoadMem, vec![self.mem0, addr, off]))
+        terms.intern(Term::Op(OpKind::LoadMem, [self.mem0, addr, off].into()))
     }
 }
 

@@ -302,7 +302,17 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with the given configuration and memory size (in
     /// 32-bit words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.warp_size` is not in `1..=32`: a warp is at most
+    /// the 32 lanes of a register row and its active mask.
     pub fn new(config: SmspConfig, mem_words: usize) -> Self {
+        assert!(
+            (1..=32).contains(&config.warp_size),
+            "warp_size must be in 1..=32, got {}",
+            config.warp_size
+        );
         Self {
             config,
             global_mem: vec![0; mem_words],
@@ -319,11 +329,7 @@ impl Machine {
     pub fn run(&mut self, program: &Program, warps: &[WarpInit]) -> SimResult {
         let cfg = &self.config;
         let global_mem = &mut self.global_mem;
-        let full_mask = if cfg.warp_size == 32 {
-            u32::MAX
-        } else {
-            (1u32 << cfg.warp_size) - 1
-        };
+        let full_mask = u32::MAX >> (32 - cfg.warp_size);
         let map = ResourceMap::of(program);
         let mut state: Vec<Warp> = warps
             .iter()
@@ -373,7 +379,7 @@ impl Machine {
                 // occupies the port for a single cycle, so memory
                 // throughput scales with warps in flight.
                 let sectors = sectors_touched(
-                    lanes(w.active, cfg.warp_size)
+                    lanes(w.active)
                         .map(|t| u64::from(w.regs[addr as usize][t]) + u64::from(offset)),
                 );
                 wavefronts = wavefronts_for(sectors, cfg.lsu_sectors_per_cycle);
@@ -387,7 +393,7 @@ impl Machine {
                 }
             }
             issue.commit(i, &inst, wavefronts);
-            execute(w, &inst, cfg.warp_size, global_mem, &mut result);
+            execute(w, &inst, global_mem, &mut result);
         }
         result.cycles = issue.cycle();
         result.stalls = issue.stalls;
@@ -396,23 +402,48 @@ impl Machine {
     }
 }
 
-/// The thread indices set in `active`, below `warp_size`.
-fn lanes(active: u32, warp_size: u32) -> impl Iterator<Item = usize> {
-    (0..warp_size as usize).filter(move |t| active >> t & 1 == 1)
+/// The thread indices set in `active`.
+fn lanes(active: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |t| active >> t & 1 == 1)
 }
 
-fn src_val(w: &Warp, src: &Src, t: usize) -> u32 {
-    match src {
-        Src::Reg(r) => w.regs[*r as usize][t],
-        Src::Imm(v) => *v,
+/// One value per lane: a register, an operand or a result.
+type Row = [u32; 32];
+
+/// A source operand as a row: the register's lanes, or the immediate in
+/// every lane.
+fn row(w: &Warp, s: Src) -> Row {
+    match s {
+        Src::Reg(r) => w.regs[r as usize],
+        Src::Imm(v) => [v; 32],
     }
 }
 
+/// Bit `t` set where `f(t)` holds, over all 32 lanes.
+fn bits(mut f: impl FnMut(usize) -> bool) -> u32 {
+    (0..32).fold(0, |m, t| m | u32::from(f(t)) << t)
+}
+
+/// Writes `v` into `dst` on the lanes set in `active`.
+fn merge(dst: &mut Row, v: &Row, active: u32) {
+    for t in 0..32 {
+        if active >> t & 1 == 1 {
+            dst[t] = v[t];
+        }
+    }
+}
+
+/// Replaces the bits of `mask` set in `active` with those of `v`.
+fn merge_bits(mask: &mut u32, v: u32, active: u32) {
+    *mask = (*mask & !active) | (v & active);
+}
+
 /// The functional effect of `inst` on the warp's active lanes, its control
-/// state and global memory. Timing is the scoreboard's business.
-fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: &mut SimResult) {
-    let set_bit =
-        |mask: &mut u32, t: usize, v: bool| *mask = (*mask & !(1 << t)) | (u32::from(v) << t);
+/// state and global memory. Timing is the scoreboard's business. ALU
+/// instructions compute every lane of a row and keep the active ones; the
+/// active mask never has a lane at or above `warp_size` set.
+fn execute(w: &mut Warp, inst: &Instr, mem: &mut [u32], result: &mut SimResult) {
+    let active = w.active;
     match *inst {
         Instr::Imad {
             dst,
@@ -423,19 +454,15 @@ fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: 
             set_cc,
             use_cc,
         } => {
-            for t in lanes(w.active, warp_size) {
-                let carry_in = use_cc && (w.cc >> t) & 1 == 1;
-                let (v, carry) = imad(
-                    src_val(w, &a, t),
-                    src_val(w, &b, t),
-                    src_val(w, &c, t),
-                    carry_in,
-                    hi,
-                );
-                w.regs[dst as usize][t] = v;
-                if set_cc {
-                    set_bit(&mut w.cc, t, carry);
-                }
+            let (a, b, c) = (row(w, a), row(w, b), row(w, c));
+            let cin = if use_cc { w.cc } else { 0 };
+            let (mut v, mut carry) = ([0; 32], [false; 32]);
+            for t in 0..32 {
+                (v[t], carry[t]) = imad(a[t], b[t], c[t], cin >> t & 1 == 1, hi);
+            }
+            merge(&mut w.regs[dst as usize], &v, active);
+            if set_cc {
+                merge_bits(&mut w.cc, bits(|t| carry[t]), active);
             }
             w.pc += 1;
         }
@@ -447,19 +474,19 @@ fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: 
             set_cc,
             use_cc,
         } => {
-            for t in lanes(w.active, warp_size) {
-                let carry_in = use_cc && (w.cc >> t) & 1 == 1;
-                let (v, carry) = iadd3(
-                    src_val(w, &a, t),
-                    src_val(w, &b, t),
-                    src_val(w, &c, t),
-                    carry_in,
+            let (a, b, c) = (row(w, a), row(w, b), row(w, c));
+            let cin = if use_cc { w.cc } else { 0 };
+            let (mut v, mut carry) = ([0; 32], [0; 32]);
+            for t in 0..32 {
+                (v[t], carry[t]) = iadd3(a[t], b[t], c[t], cin >> t & 1 == 1);
+            }
+            merge(&mut w.regs[dst as usize], &v, active);
+            if set_cc {
+                assert!(
+                    bits(|t| carry[t] > 1) & active == 0,
+                    "IADD3 multi-bit carry unsupported"
                 );
-                w.regs[dst as usize][t] = v;
-                if set_cc {
-                    assert!(carry <= 1, "IADD3 multi-bit carry unsupported");
-                    set_bit(&mut w.cc, t, carry == 1);
-                }
+                merge_bits(&mut w.cc, bits(|t| carry[t] == 1), active);
             }
             w.pc += 1;
         }
@@ -470,40 +497,35 @@ fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: 
             sh,
             right,
         } => {
-            for t in lanes(w.active, warp_size) {
-                w.regs[dst as usize][t] = shf(
-                    src_val(w, &a, t),
-                    src_val(w, &b, t),
-                    src_val(w, &sh, t),
-                    right,
-                );
-            }
+            let (a, b, sh) = (row(w, a), row(w, b), row(w, sh));
+            let v = std::array::from_fn(|t| shf(a[t], b[t], sh[t], right));
+            merge(&mut w.regs[dst as usize], &v, active);
             w.pc += 1;
         }
         Instr::Lop3 { dst, a, b, op } => {
-            for t in lanes(w.active, warp_size) {
-                w.regs[dst as usize][t] = op.eval(src_val(w, &a, t), src_val(w, &b, t));
-            }
+            let (a, b) = (row(w, a), row(w, b));
+            let v = std::array::from_fn(|t| op.eval(a[t], b[t]));
+            merge(&mut w.regs[dst as usize], &v, active);
             w.pc += 1;
         }
         Instr::Mov { dst, src } => {
-            for t in lanes(w.active, warp_size) {
-                w.regs[dst as usize][t] = src_val(w, &src, t);
-            }
+            let v = row(w, src);
+            merge(&mut w.regs[dst as usize], &v, active);
             w.pc += 1;
         }
         Instr::Setp { pred, a, b, cmp } => {
-            for t in lanes(w.active, warp_size) {
-                let v = cmp.eval(src_val(w, &a, t), src_val(w, &b, t));
-                set_bit(&mut w.preds[pred as usize], t, v);
-            }
+            let (a, b) = (row(w, a), row(w, b));
+            merge_bits(
+                &mut w.preds[pred as usize],
+                bits(|t| cmp.eval(a[t], b[t])),
+                active,
+            );
             w.pc += 1;
         }
         Instr::Sel { dst, a, b, pred } => {
-            for t in lanes(w.active, warp_size) {
-                let take = (w.preds[pred as usize] >> t) & 1 == 1;
-                w.regs[dst as usize][t] = src_val(w, if take { &a } else { &b }, t);
-            }
+            let (a, b, take) = (row(w, a), row(w, b), w.preds[pred as usize]);
+            let v = std::array::from_fn(|t| if take >> t & 1 == 1 { a[t] } else { b[t] });
+            merge(&mut w.regs[dst as usize], &v, active);
             w.pc += 1;
         }
         Instr::Bra { target, pred } => {
@@ -542,7 +564,7 @@ fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: 
             }
         }
         Instr::Ldg { dst, addr, offset } => {
-            for t in lanes(w.active, warp_size) {
+            for t in lanes(active) {
                 let idx = w.regs[addr as usize][t] as usize + offset as usize;
                 w.regs[dst as usize][t] = mem[idx];
             }
@@ -550,7 +572,7 @@ fn execute(w: &mut Warp, inst: &Instr, warp_size: u32, mem: &mut [u32], result: 
             w.pc += 1;
         }
         Instr::Stg { src, addr, offset } => {
-            for t in lanes(w.active, warp_size) {
+            for t in lanes(active) {
                 let idx = w.regs[addr as usize][t] as usize + offset as usize;
                 mem[idx] = w.regs[src as usize][t];
             }

@@ -60,6 +60,22 @@ enum Status {
     Eligible,
 }
 
+/// What a warp's next instruction needs before it can issue. It is a
+/// function of the warp's pc and its own `ready` slots alone, and only the
+/// warp's own commit changes either, so it is computed once per issued
+/// instruction rather than once per cycle.
+#[derive(Clone, Copy)]
+struct NextIssue {
+    /// When every dependency is readable.
+    ready_at: u64,
+    /// Whether the latest dependency is a pending load.
+    mem_dep: bool,
+    /// Whether the instruction issues into the INT32 pipe.
+    int32: bool,
+    /// Whether it issues into the LSU.
+    lsu: bool,
+}
+
 /// Scoreboard and issue-port state of one SMSP with `warps` resident warps.
 pub(crate) struct Scoreboard<'a> {
     cfg: &'a SmspConfig,
@@ -73,8 +89,11 @@ pub(crate) struct Scoreboard<'a> {
     mem_free_at: u64,
     int32_interval: u64,
     last_issued: usize,
-    /// Per-warp classification, reused across cycles.
-    statuses: Vec<Option<Status>>,
+    /// Per warp, its next instruction's needs (`None` once it has exited).
+    next: Vec<Option<NextIssue>>,
+    /// Per warp, whether `next` must be recomputed: every warp before the
+    /// first cycle, then each warp after it commits.
+    stale: Vec<bool>,
     cycle: u64,
     /// Warp-cycle breakdown so far.
     pub stalls: StallBreakdown,
@@ -95,7 +114,8 @@ impl<'a> Scoreboard<'a> {
             mem_free_at: 0,
             int32_interval: int32_interval(cfg),
             last_issued: 0,
-            statuses: vec![None; warps],
+            next: vec![None; warps],
+            stale: vec![true; warps],
             cycle: 0,
             stalls: StallBreakdown::default(),
             no_eligible_cycles: 0,
@@ -127,9 +147,28 @@ impl<'a> Scoreboard<'a> {
         (ready, mem)
     }
 
+    /// This cycle's status of a warp about to issue `n`.
+    fn status(&self, n: NextIssue) -> Status {
+        if self.cycle < n.ready_at {
+            if n.mem_dep {
+                Status::MemWait
+            } else {
+                Status::Wait
+            }
+        } else if n.int32 && self.cycle < self.int32_free_at {
+            Status::Throttle
+        } else if n.lsu && self.cycle < self.mem_free_at {
+            Status::MemThrottle
+        } else {
+            Status::Eligible
+        }
+    }
+
     /// Runs one scheduler cycle up to the pick. `next(w)` is the
-    /// instruction warp `w` issues next, `None` once it has exited. Every
-    /// live warp is classified and charged to a stall class, and the
+    /// instruction warp `w` issues next, `None` once it has exited; it is
+    /// asked for every warp before the first cycle and then only for the
+    /// warp that last committed, since nothing else moves a warp's pc.
+    /// Every live warp is classified and charged to a stall class, and the
     /// eligible warp after the last issued one, round-robin, is returned.
     /// `Some(w)` must be followed by [`Scoreboard::commit`] for `w`, which
     /// ends the cycle; `None` is an idle cycle, already ended.
@@ -142,50 +181,52 @@ impl<'a> Scoreboard<'a> {
             self.cycle < self.cfg.max_cycles,
             "cycle safety limit exceeded — runaway kernel?"
         );
-        for w in 0..self.statuses.len() {
-            self.statuses[w] = next(w).map(|inst| {
-                let (ready_at, mem_dep) = self.dep_ready(w, &inst);
-                if self.cycle < ready_at {
-                    if mem_dep {
-                        Status::MemWait
-                    } else {
-                        Status::Wait
+        let n = self.next.len();
+        let (mut live, mut eligible) = (false, 0u64);
+        // The pick is the eligible warp nearest after `last_issued` in
+        // round-robin order: the one with the smallest `distance`.
+        let mut pick: Option<(usize, usize)> = None;
+        for w in 0..n {
+            if self.stale[w] {
+                self.stale[w] = false;
+                self.next[w] = next(w).map(|inst| {
+                    let (ready_at, mem_dep) = self.dep_ready(w, &inst);
+                    NextIssue {
+                        ready_at,
+                        mem_dep,
+                        int32: inst.uses_int32_pipe(),
+                        lsu: inst.uses_lsu(),
                     }
-                } else if inst.uses_int32_pipe() && self.cycle < self.int32_free_at {
-                    Status::Throttle
-                } else if inst.uses_lsu() && self.cycle < self.mem_free_at {
-                    Status::MemThrottle
-                } else {
-                    Status::Eligible
-                }
-            });
-        }
-
-        let n = self.statuses.len();
-        let pick = (0..n)
-            .map(|i| (self.last_issued + 1 + i) % n)
-            .find(|&i| self.statuses[i] == Some(Status::Eligible));
-
-        let mut live = false;
-        for (i, st) in self.statuses.iter().enumerate() {
-            let Some(st) = st else { continue };
+                });
+            }
+            let Some(issue) = self.next[w] else { continue };
             live = true;
-            match st {
+            match self.status(issue) {
                 Status::Wait => self.stalls.wait += 1,
                 Status::MemWait | Status::MemThrottle => self.stalls.other += 1,
                 Status::Throttle => self.stalls.math_pipe_throttle += 1,
-                Status::Eligible if Some(i) == pick => self.stalls.selected += 1,
-                Status::Eligible => self.stalls.not_selected += 1,
+                Status::Eligible => {
+                    eligible += 1;
+                    let distance = (w + n - self.last_issued - 1) % n;
+                    if pick.is_none_or(|(_, d)| distance < d) {
+                        pick = Some((w, distance));
+                    }
+                }
             }
         }
         match pick {
-            Some(i) => self.last_issued = i,
+            Some((w, _)) => {
+                self.stalls.selected += 1;
+                self.stalls.not_selected += eligible - 1;
+                self.last_issued = w;
+                Some(w)
+            }
             None => {
                 self.no_eligible_cycles += u64::from(live);
                 self.cycle += 1;
+                None
             }
         }
-        pick
     }
 
     /// Issues `inst` from `warp` in the current cycle and ends the cycle:
@@ -212,6 +253,7 @@ impl<'a> Scoreboard<'a> {
             self.ready[slot] = ready_at;
             self.mem_pending[slot] = is_load;
         });
+        self.stale[warp] = true;
         self.cycle += 1;
     }
 }

@@ -166,6 +166,33 @@ fn warp_size_smaller_than_32_works() {
     assert_eq!(res.bytes_stored, 4 * 8);
 }
 
+/// A kernel on an SMSP whose warps have `warp_size` lanes.
+fn run_with_warp_size(warp_size: u32) {
+    let cfg = SmspConfig {
+        warp_size,
+        ..SmspConfig::default()
+    };
+    let mut b = ProgramBuilder::new();
+    b.iadd3(1, r(0), imm(5), imm(0), false, false);
+    b.exit();
+    let mut m = Machine::new(cfg, 0);
+    m.run(&b.build(), &[WarpInit::default()]);
+}
+
+#[test]
+#[should_panic(expected = "warp_size must be in 1..=32")]
+fn zero_lane_warps_are_rejected() {
+    // Every lane would be masked off: the kernel would "run" on nothing.
+    run_with_warp_size(0);
+}
+
+#[test]
+#[should_panic(expected = "warp_size must be in 1..=32")]
+fn warps_wider_than_a_register_row_are_rejected() {
+    // The active mask and a register row hold 32 lanes.
+    run_with_warp_size(33);
+}
+
 #[test]
 fn no_eligible_cycles_counted_during_memory_waits() {
     // A single warp blocked on a load leaves the scheduler idle.
