@@ -200,11 +200,13 @@ pub fn setup<C: Bls12Config, R: Rng + ?Sized>(
 /// plan per call. Proof bytes are identical under any budget: the plan
 /// changes the *schedule*, never the group element.
 pub struct ProverPlan<C: Bls12Config> {
-    /// Plan over `pk.a_query`.
+    /// Plan over `pk.a_query ‖ δ₁ ‖ O`, scalars `z ‖ r ‖ s`: A's MSM
+    /// carries its blinding term `r·δ₁`.
     pub a: MsmPlan<G1Curve<C>>,
     /// Plan over `pk.l_query ‖ pk.h_query ‖ pk.b_g1_query`.
     pub c: MsmPlan<G1Curve<C>>,
-    /// Plan over `pk.b_g2_query`. Each copy is `[P…, ψ(P)…, ψ²(P)…,
+    /// Plan over `pk.b_g2_query ‖ O ‖ δ₂`, scalars `z ‖ r ‖ s`: B₂'s MSM
+    /// carries its blinding term `s·δ₂`. Each copy is `[P…, ψ(P)…, ψ²(P)…,
     /// ψ³(P)…]` over the finite bases; under `ψ` a sub-scalar has 64 bits,
     /// so even the deepest fold doubles each base about 64 times in all.
     pub b2: MsmPlan<G2Curve<C>>,
@@ -214,19 +216,23 @@ impl<C: Bls12Config> ProverPlan<C> {
     /// Builds the three plans under [`default_msm_config`] and an optional
     /// total memory budget in bytes (`Some(0)` is the one-shot single
     /// copy). The budget is split across the plans proportionally to
-    /// their base counts — the Fig. 12 memory/window trade-off applied
-    /// key-wide.
+    /// their queries' base counts — the Fig. 12 memory/window trade-off
+    /// applied key-wide. The A and B₂ plans take the scalars `z ‖ r ‖ s`:
+    /// each carries one blinding base, the other slot a base at infinity,
+    /// which has no rows.
     pub fn build_with(pk: &ProvingKey<C>, budget_bytes: Option<u64>, pool: &ThreadPool) -> Self {
         let config = default_msm_config();
         let c_bases = [&pk.l_query[..], &pk.h_query, &pk.b_g1_query].concat();
+        let a_bases = [&pk.a_query[..], &[pk.delta_g1, Affine::identity()]].concat();
+        let b2_bases = [&pk.b_g2_query[..], &[Affine::identity(), pk.delta_g2]].concat();
         let total = (pk.a_query.len() + c_bases.len() + pk.b_g2_query.len()).max(1) as u128;
         // In u128: `b · n` overflows u64 for budgets near `u64::MAX`, and
         // the share is at most `b`, so it narrows back losslessly.
         let share = |n: usize| budget_bytes.map(|b| (u128::from(b) * n as u128 / total) as u64);
         Self {
-            a: MsmPlan::build(&pk.a_query, &config, share(pk.a_query.len()), pool),
+            a: MsmPlan::build(&a_bases, &config, share(pk.a_query.len()), pool),
             c: MsmPlan::build(&c_bases, &config, share(c_bases.len()), pool),
-            b2: MsmPlan::build(&pk.b_g2_query, &config, share(pk.b_g2_query.len()), pool),
+            b2: MsmPlan::build(&b2_bases, &config, share(pk.b_g2_query.len()), pool),
         }
     }
 
@@ -331,16 +337,18 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         "constraint system domain does not match the proving key's"
     );
 
-    // Flat z = (1, public…, private…), refilled in place.
-    ws.z.clear();
-    ws.z.push(C::Fr::one());
-    ws.z.extend_from_slice(&cs.assignment.public);
-    ws.z.extend_from_slice(&cs.assignment.private);
-
     // Blinding factors come out of the RNG before any parallel work so the
     // transcript does not depend on scheduling.
     let r = C::Fr::random(rng);
     let s = C::Fr::random(rng);
+
+    // Flat z = (1, public…, private…) ‖ r ‖ s, refilled in place: the A and
+    // B₂ plans take r and s as the scalars of their blinding bases.
+    ws.z.clear();
+    ws.z.push(C::Fr::one());
+    ws.z.extend_from_slice(&cs.assignment.public);
+    ws.z.extend_from_slice(&cs.assignment.private);
+    ws.z.extend([r, s]);
 
     let witness_eval = Op {
         kind: OpKind::WitnessEval,
@@ -367,7 +375,8 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
         g1: [sa, sc],
         g2,
     } = ws;
-    let z: &[C::Fr] = z;
+    let zrs: &[C::Fr] = z;
+    let z = &zrs[..zrs.len() - 2];
     let priv_z = &z[1 + cs.num_public()..];
     assert_eq!(
         priv_z.len(),
@@ -406,12 +415,12 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                 z.iter()
                     .map(|&zi| if zi == one { C::Fr::zero() } else { r * zi }),
             );
-            let c_acc = msm_op(backend, OpKind::MsmG1(G1Msm::H), &plan.c, c_scalars, sc)?;
+            let c_acc = msm_op(backend, OpKind::MsmG1(G1Msm::H), &plan.c, c_scalars, 0, sc)?;
             Ok((c_acc, ntt_count))
         },
         || {
             pool.join(
-                || msm_op(backend, OpKind::MsmG1(G1Msm::A), &plan.a, z, sa),
+                || msm_op(backend, OpKind::MsmG1(G1Msm::A), &plan.a, zrs, 2, sa),
                 || {
                     pool.join(
                         || {
@@ -420,7 +429,7 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
                                 .filter(|(&zi, _)| zi == one)
                                 .fold(Xyzz::from(pk.beta_g1), |acc, (_, p)| acc.add_affine(p))
                         },
-                        || msm_op(backend, OpKind::MsmG2, &plan.b2, z, g2),
+                        || msm_op(backend, OpKind::MsmG2, &plan.b2, zrs, 2, g2),
                     )
                 },
             )
@@ -430,27 +439,20 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
     let a_msm = ra?;
     let b2_msm = rb2?;
 
-    // The blinding products are 1- and 2-point MSMs through the same
-    // engine, on the arms' (warm) scratch: split on the endomorphism, they
-    // double through a half (G1) or a quarter (G2) of the 255 bits a
-    // double-and-add walks. They are not backend ops.
+    // A = α + Σ zᵢ·uᵢ(τ) + r·δ  (r·δ rides A's plan)
+    let a = a_msm.add_affine(&pk.alpha_g1).to_affine();
+
+    // B = β + Σ zᵢ·vᵢ(τ) + s·δ  (G2; s·δ rides B₂'s plan)
+    let b_g2_acc = b2_msm.add_affine(&pk.beta_g2);
+
+    // C = MSM_C + r·(β + Σ_{zᵢ=1} B₁ᵢ) + s·A: a 2-point MSM through the
+    // same engine on the C arm's (warm) scratch. Split on the
+    // endomorphism, it doubles through half the 255 bits a double-and-add
+    // walks. It is not a backend op.
     let config = default_msm_config();
-    let run = |points: &[Affine<G1Curve<C>>], scalars: &[C::Fr], scratch| {
-        msm_parallel_with_config_in(points, scalars, &config, pool, scratch).point
-    };
-
-    // A = α + Σ zᵢ·uᵢ(τ) + r·δ
-    let a = a_msm
-        .add_affine(&pk.alpha_g1)
-        .add(&run(&[pk.delta_g1], &[r], sa))
-        .to_affine();
-
-    // B = β + Σ zᵢ·vᵢ(τ) + s·δ  (G2)
-    let s_delta_g2 = msm_parallel_with_config_in(&[pk.delta_g2], &[s], &config, pool, g2).point;
-    let b_g2_acc = b2_msm.add_affine(&pk.beta_g2).add(&s_delta_g2);
-
-    // C = MSM_C + r·(β + Σ_{zᵢ=1} B₁ᵢ) + s·A
-    let c_acc = c_msm.add(&run(&[a, b1_ones.to_affine()], &[s, r], sc));
+    let blinding = [a, b1_ones.to_affine()];
+    let c_acc =
+        c_msm.add(&msm_parallel_with_config_in(&blinding, &[s, r], &config, pool, sc).point);
 
     // Individual affine conversions: a batched normalization would need a
     // temporary vector on the allocation-free path.
@@ -469,18 +471,20 @@ pub(crate) fn prove_core<C: Bls12Config, R: Rng + ?Sized, B: ExecBackend<C> + ?S
 }
 
 /// One MSM dispatched as a `kind` op: `plan`'s run over `scalars` on the
-/// backend's pool, tagged with the plan's algorithm.
+/// backend's pool, tagged with the plan's algorithm. The op's size counts
+/// the witness scalars, not the `blinding` ones trailing them.
 fn msm_op<C: Bls12Config, B: ExecBackend<C> + ?Sized, Cu: SwCurve>(
     backend: &B,
     kind: OpKind,
     plan: &MsmPlan<Cu>,
     scalars: &[Cu::Scalar],
+    blinding: usize,
     scratch: &mut MsmScratch<Cu>,
 ) -> Result<Jacobian<Cu>, BackendError> {
     let tag = || plan.algorithm();
     let op = Op {
         kind,
-        size: scalars.len() as u64,
+        size: (scalars.len() - blinding) as u64,
         tag: Some(&tag),
     };
     dispatch(backend, &op, || {

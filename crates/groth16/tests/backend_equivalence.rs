@@ -214,12 +214,15 @@ fn traced_planned_run_labels_msms_with_the_plan_algorithm() {
     let query = &session.pk().b_g2_query;
     let finite = query.iter().filter(|p| !p.is_identity()).count();
     assert!(finite < query.len(), "MiMC leaves some B bases at infinity");
-    assert_eq!(b2.stored_points(), 9 * 4 * finite);
-    let scalars: Vec<Fr381> = (1..=query.len() as u64).map(Fr381::from_u64).collect();
+    // The plan's bases are the query, a base at infinity and δ₂, whose
+    // scalar `s` blinds B.
+    assert_eq!(b2.len(), query.len() + 2);
+    assert_eq!(b2.stored_points(), 9 * 4 * (finite + 1));
+    let scalars: Vec<Fr381> = (1..=b2.len() as u64).map(Fr381::from_u64).collect();
     let stats = b2.execute(&scalars, &ThreadPool::with_threads(1)).stats;
-    assert_eq!(stats.glv_decompositions, finite as u64);
+    assert_eq!(stats.glv_decompositions, finite as u64 + 1);
     assert_eq!(stats.endomorphism_muls, 0, "the plan holds the ψ images");
-    let one_shot = msm_with_config(query, &scalars, &default_msm_config()).stats;
+    let one_shot = msm_with_config(query, &scalars[..query.len()], &default_msm_config()).stats;
     assert_eq!(one_shot.glv_decompositions, finite as u64);
     assert_eq!(one_shot.endomorphism_muls, 3 * 2 * finite as u64);
 }

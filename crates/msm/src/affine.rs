@@ -1,17 +1,22 @@
-//! Batch-affine bucket accumulation — the Montgomery trick of §IV-D1b
-//! applied to Pippenger's buckets.
+//! Batch-affine bucket work — the Montgomery trick of §IV-D1b applied to
+//! Pippenger's buckets, bucket-major.
 //!
-//! One [`AffineBuckets`] serves one (window, chunk) task of the bucket
-//! engine, and is the engine's only bucket store: affine buckets, a batch
-//! of additions that share one inversion, a bounded queue for additions to
-//! buckets already in the batch, and XYZZ buckets for the hot ones. A task
-//! whose batch can never repay its inversion never batches and takes every
-//! addition into an occupied bucket by an XYZZ mixed addition.
+//! The engine counting-sorts each window's nonzero digits by bucket
+//! (`pippenger.rs`), so every bucket's points are one contiguous run of the
+//! sorted order. A [`Task`] sums the runs of a bucket range in pairwise
+//! rounds ([`Task::sum_buckets`]): round 1 adds neighbouring points of a
+//! run straight from the table, each later round neighbouring partial sums.
+//! All additions of a round are independent, so they share one inversion
+//! per [`AFFINE_BATCH`], and a hot bucket is an ordinary tree of affine
+//! additions. [`Accumulation`] prices it.
 //!
-//! [`affine_window_sum`] is the bucket reduction: it folds a window's chunk
-//! tasks into its sum-of-sums as `K` segment running sums whose additions
-//! share one inversion per round, `K` chosen and priced by [`Reduction`].
-//! At `K = 1` it is the serial XYZZ sum-of-sums.
+//! [`affine_window_sum`] is the bucket reduction: a window's sum-of-sums as
+//! `K` segment running sums whose additions share one inversion per round,
+//! `K` chosen and priced by [`Reduction`]. At `K = 1` it is the serial XYZZ
+//! sum-of-sums.
+//!
+//! Both run their additions through [`Task::round`], the one place a pair
+//! of affine points is added, and where `P ± P` is decided.
 
 use crate::pippenger::{
     ADD_FF_MULS, AFFINE_ADD_FF_MULS, INV_FF_MULS, MADD_FF_MULS, XYZZ_DBL_FF_MULS,
@@ -19,347 +24,233 @@ use crate::pippenger::{
 use zkp_curves::{Affine, SwCurve, Xyzz};
 use zkp_ff::{batch_inverse_in, Field};
 
-/// Bucket additions one inversion serves: a batch is flushed once it holds
-/// `min(AFFINE_BATCH, buckets)` additions, one per bucket. Its denominators
-/// and prefix products are two field elements per addition — tens of KiB,
-/// where the paper's GPU batch of 2^20 holds ~300 MB (§IV-D1b).
+/// Additions one inversion serves. A batch's denominators and prefix
+/// products are two field elements per addition — tens of KiB, where the
+/// paper's GPU batch of 2^20 holds ~300 MB (§IV-D1b).
 pub const AFFINE_BATCH: usize = 512;
 
-/// Additions that may wait for a bucket already in the batch. A full
-/// queue flushes the batch early; if the next batch is then too small to
-/// pay for its inversion, a few hot buckets hold the waiting additions
-/// (every scalar of a 0/1 witness has the digit 1), and they are spilled.
-const AFFINE_QUEUE: usize = AFFINE_BATCH;
+/// Partial sums one block of a task's bucket range holds: a block takes
+/// whole buckets while their round-1 sums fit, and a bucket that alone
+/// overflows a block in pieces, each piece's sum carried into the next.
+/// It bounds a task's buffer to 1 024 points (≈ 105 KiB on G1), where the
+/// whole window's first round would take half the table.
+pub(crate) const BLOCK: usize = 1024;
 
-/// Additions per batch inversion at `buckets` buckets per window.
-pub(crate) fn affine_batch_len(buckets: u64) -> u64 {
-    buckets.min(AFFINE_BATCH as u64)
-}
+/// The sign bit of a sorted entry: the row's point enters negated.
+pub(crate) const NEG: u32 = 1 << 31;
 
-/// Whether a batch of `len` affine additions saves more multiplications
+/// Whether a round of `len` affine additions saves more multiplications
 /// over XYZZ mixed additions than its inversion costs (at least 11).
 pub(crate) fn worth_a_batch(len: usize) -> bool {
     len as u64 * (MADD_FF_MULS - AFFINE_ADD_FF_MULS) >= INV_FF_MULS
 }
 
-/// `FF_mul` units of normalising one hot XYZZ bucket: 3 of the batch
-/// inversion of its `ZZZ`, then `1/Z = ZZ/ZZZ`, its square, `x` and `y`.
-const NORMALISE_FF_MULS: u64 = 7;
-
-/// Inverts every element of `dens` in place through one shared inversion:
-/// the crate's only Montgomery trick, serving the accumulation's batches,
-/// the reduction's rounds and the normalisation of hot buckets alike.
-fn invert<F: Field>(dens: &mut [F], prefix: &mut Vec<F>) {
-    batch_inverse_in(dens, prefix);
-}
-
-/// The slope denominator of the affine addition `sum + p`: `x₂ − x₁`, or
-/// `2y` when `p = sum` doubles it.
-fn denominator<Cu: SwCurve>(sum: &Xyzz<Cu>, p: &Affine<Cu>) -> Cu::Base {
-    if sum.x == p.x {
-        sum.y.double()
+/// The point of sorted entry `e`: its table row, negated under [`NEG`].
+fn entry<Cu: SwCurve>(points: &[Affine<Cu>], e: u32) -> Affine<Cu> {
+    let p = points[(e & !NEG) as usize];
+    if e & NEG != 0 {
+        p.neg()
     } else {
-        p.x - sum.x
+        p
     }
 }
 
-/// The slope numerator of the affine addition `sum + p` over its
-/// [`denominator`]: `y₂ − y₁`, or `3x²` for a doubling.
-fn numerator<Cu: SwCurve>(sum: &Xyzz<Cu>, p: &Affine<Cu>) -> Cu::Base {
-    if sum.x == p.x {
-        let xx = sum.x.square();
-        xx.double() + xx
+/// A round's operand: a stored point, and whether it enters negated.
+type Operand<'a, Cu> = (&'a Affine<Cu>, bool);
+
+/// The `y` an operand enters with.
+fn y<Cu: SwCurve>((p, neg): Operand<'_, Cu>) -> Cu::Base {
+    if neg {
+        -p.y
     } else {
-        p.y - sum.y
+        p.y
     }
 }
 
-/// Completes the affine addition `sum + p` along the slope `lambda`.
-fn add_with_slope<Cu: SwCurve>(sum: &mut Xyzz<Cu>, p: &Affine<Cu>, lambda: Cu::Base) {
-    let x3 = lambda.square() - sum.x - p.x;
-    sum.y = lambda * (sum.x - x3) - sum.y;
-    sum.x = x3;
+/// The slope denominator of `a + b` where the sum needs one: `x₂ − x₁`, or
+/// `2y` when `b = a` doubles it. `None` where the sum completes without an
+/// inversion: an operand is empty, or `b = −a` (which includes `P + P`
+/// with `y = 0`). This is where `P ± P` is decided, outside the batch, so
+/// the batch inversion never sees a zero. Only `x` is read unless the two
+/// `x` agree — or, outside the `finite` table, an operand may be empty —
+/// so a round's first pass gathers half of each table row.
+fn denominator<Cu: SwCurve>(
+    a: Operand<'_, Cu>,
+    b: Operand<'_, Cu>,
+    finite: bool,
+) -> Option<Cu::Base> {
+    if !finite && (a.0.infinity || b.0.infinity) {
+        None
+    } else if a.0.x != b.0.x {
+        Some(b.0.x - a.0.x)
+    } else if y(a) == -y(b) {
+        None
+    } else {
+        Some(y(a).double())
+    }
 }
 
-/// The affine point an `Affine`-slot value holds.
-fn affine<Cu: SwCurve>(p: &Xyzz<Cu>) -> Affine<Cu> {
+/// `a + b`, taking the inverse of its [`denominator`] from `inverse` when
+/// it has one: the chord through both, the tangent at `a = b`, or a copy
+/// or the identity where no inversion is needed.
+fn join<Cu: SwCurve>(
+    a: Operand<'_, Cu>,
+    b: Operand<'_, Cu>,
+    finite: bool,
+    inverse: impl FnOnce() -> Cu::Base,
+) -> Affine<Cu> {
+    if !finite && (a.0.infinity || b.0.infinity) {
+        let (p, neg) = if a.0.infinity { b } else { a };
+        return if neg { p.neg() } else { *p };
+    }
+    let (xa, ya, yb) = (a.0.x, y(a), y(b));
+    let lambda = if xa != b.0.x {
+        (yb - ya) * inverse()
+    } else if ya == -yb {
+        return Affine::identity();
+    } else {
+        let xx = xa.square();
+        (xx.double() + xx) * inverse()
+    };
+    let x = lambda.square() - xa - b.0.x;
     Affine {
-        x: p.x,
-        y: p.y,
+        x,
+        y: lambda * (xa - x) - ya,
         infinity: false,
     }
 }
 
-/// Turns an affine value into an XYZZ one (`ZZ = ZZZ = 1`).
-fn heat<Cu: SwCurve>(p: &mut Xyzz<Cu>, slot: &mut Slot) {
-    (p.zz, p.zzz) = (Cu::Base::one(), Cu::Base::one());
-    *slot = Slot::Xyzz;
+/// Where a round's operands are: sorted entries of the table (round 1 of
+/// the accumulation), whose points are all finite, or the round's own
+/// buffer.
+#[derive(Clone, Copy)]
+enum Operands<'a, Cu: SwCurve> {
+    Table(&'a [Affine<Cu>], &'a [u32]),
+    Buffer,
 }
 
-/// `acc + p` in XYZZ, each read as its slot says: an affine `acc` is taken
-/// with `ZZ = ZZZ = 1`, as a bucket turning hot is.
-fn plus<Cu: SwCurve>(acc: &Xyzz<Cu>, acc_slot: Slot, p: &Xyzz<Cu>, slot: Slot) -> Xyzz<Cu> {
-    let heated;
-    let acc = match acc_slot {
-        Slot::Affine => {
-            heated = Xyzz::from(affine(acc));
-            &heated
+impl<'a, Cu: SwCurve> Operands<'a, Cu> {
+    fn finite(&self) -> bool {
+        matches!(self, Operands::Table(..))
+    }
+
+    fn get<'b>(&self, buf: &'b [Affine<Cu>], i: u32) -> Operand<'b, Cu>
+    where
+        'a: 'b,
+    {
+        match *self {
+            Operands::Table(points, order) => {
+                let e = order[i as usize];
+                (&points[(e & !NEG) as usize], e & NEG != 0)
+            }
+            Operands::Buffer => (&buf[i as usize], false),
         }
-        _ => acc,
-    };
-    match slot {
-        Slot::Empty => *acc,
-        Slot::Affine => acc.add_affine(&affine(p)),
-        Slot::Xyzz => acc.add(p),
-        Slot::Batched => unreachable!("a round completes its batch"),
     }
 }
 
-/// What one bucket of an [`AffineBuckets`] task holds.
+/// One bucket's partial sums in a block: `len` points from `start` of the
+/// buffer, their total bound for bucket `bucket` of the task's range.
+#[derive(Clone, Copy)]
+struct Run {
+    bucket: u32,
+    start: u32,
+    len: u32,
+}
+
+/// Buffer slots a bucket's run of `h` sorted entries takes in round 1: one
+/// per pair and per odd point, and one for a carried sum. A lone point
+/// needs none: it is its bucket's sum.
+fn slots(carry: bool, h: u32) -> usize {
+    if !carry && h <= 1 {
+        0
+    } else {
+        usize::from(carry) + h.div_ceil(2) as usize
+    }
+}
+
+/// Advances `at` — a bucket and an entry of the sorted order — over one
+/// block of the runs below bucket `end`, calling `visit(bucket, lo, hi,
+/// carry)` for every run `lo..hi` it takes (`carry`: the bucket's sum so
+/// far joins the run). Whole buckets are taken while their [`slots`] fit
+/// [`BLOCK`]; a bucket that alone overflows it gives a piece of
+/// `2·(BLOCK − carry)` entries. The task split cuts ranges where this walk
+/// ends a block between buckets, and every task walks its range from the
+/// cut with the same state, so where the tasks fall changes no addition.
+pub(crate) fn block(
+    starts: &[u32],
+    at: &mut (usize, u32),
+    end: usize,
+    mut visit: impl FnMut(usize, u32, u32, bool),
+) {
+    let mut used = 0;
+    while at.0 < end {
+        let (b, lo) = *at;
+        let (hi, carry) = (starts[b + 1], lo > starts[b]);
+        let need = slots(carry, hi - lo);
+        if used + need > BLOCK {
+            if used == 0 {
+                let piece = lo + 2 * (BLOCK - usize::from(carry)) as u32;
+                visit(b, lo, piece, carry);
+                at.1 = piece;
+            }
+            return;
+        }
+        visit(b, lo, hi, carry);
+        used += need;
+        *at = (b + 1, hi);
+    }
+}
+
+/// The accumulation of one run of the engine, as
+/// [`Layout::shape`](crate::pippenger::Layout::shape) prices it: `entries`
+/// nonzero digits spread evenly over `buckets` buckets (every window of
+/// the run), summed block by block in pairwise rounds.
+///
+/// An occupied bucket's first point is free, so the additions are
+/// `entries − min(entries, buckets)`. A block takes `2·BLOCK` entries; in
+/// it, each round adds half the points left but never below one per
+/// occupied bucket, and inverts once per started [`AFFINE_BATCH`]. Exact
+/// for a window whose every bucket holds the same power of two of points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    /// Nothing: the next addition fills it for free.
-    Empty,
-    /// An affine point in the bucket's `x`, `y` (`zz`, `zzz` are stale).
-    Affine,
-    /// An affine point with an addition waiting in the batch.
-    Batched,
-    /// An XYZZ point: a hot bucket, fed by mixed additions.
-    Xyzz,
+pub(crate) struct Accumulation {
+    /// Affine additions.
+    pub(crate) additions: u64,
+    /// Batch inversions.
+    pub(crate) inversions: u64,
 }
 
-/// One bucket addition: the point of table row `row`, negated when `neg`,
-/// into bucket `bucket`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BucketAdd {
-    pub(crate) bucket: u32,
-    pub(crate) row: u32,
-    pub(crate) neg: bool,
-}
-
-impl BucketAdd {
-    fn point<Cu: SwCurve>(&self, points: &[Affine<Cu>]) -> Affine<Cu> {
-        let p = &points[self.row as usize];
-        if self.neg {
-            p.neg()
-        } else {
-            *p
+impl Accumulation {
+    pub(crate) fn new(entries: u64, buckets: u64) -> Self {
+        let occupied = entries.min(buckets);
+        let blocks = entries.div_ceil(2 * BLOCK as u64).max(1);
+        let (mut left, floor) = (entries.div_ceil(blocks), occupied.div_ceil(blocks));
+        let mut inversions = 0;
+        while left > floor {
+            let pairs = (left / 2).min(left - floor).max(1);
+            inversions += pairs.div_ceil(AFFINE_BATCH as u64);
+            left -= pairs;
+        }
+        Self {
+            additions: entries - occupied,
+            inversions: blocks * inversions,
         }
     }
 }
 
-/// The batch-affine accumulator of one (window, chunk) task — the
-/// Montgomery trick of §IV-D1b applied to bucket accumulation. Buckets are
-/// affine, so an empty bucket is filled for free and an addition costs
-/// `AFFINE_ADD_FF_MULS` multiplications plus a share of one inversion per
-/// batch. An addition to a bucket already in the batch waits in a bounded
-/// queue for the next batch. Affine buckets are canonical: the order the
-/// additions complete in cannot change a bucket's value. At so few buckets
-/// that even a full batch cannot repay its inversion, the task never
-/// batches: a bucket turns XYZZ at its second addition.
-#[derive(Default)]
-pub(crate) struct AffineBuckets<Cu: SwCurve> {
-    /// Bucket values, read as `slots` says.
-    pub(crate) buckets: Vec<Xyzz<Cu>>,
-    slots: Vec<Slot>,
-    /// Additions waiting for the batch inversion, one per bucket.
-    batch: Vec<BucketAdd>,
-    /// `x₂ − x₁` of each batched addition, inverted in place by the flush.
-    dens: Vec<Cu::Base>,
-    /// The batch inversion's prefix products.
-    prefix: Vec<Cu::Base>,
-    /// Additions whose bucket is already in the batch.
-    queue: Vec<BucketAdd>,
-    /// Whether a full batch repays its inversion at this bucket count.
-    batches: bool,
-    /// Additions taken since the last reset.
-    pub(crate) adds: u64,
-    /// Batch inversions of the accumulation since the last reset.
-    pub(crate) flushes: u64,
-    /// Batch inversions of the window's reduction (a first task only).
-    pub(crate) reduction_inversions: u64,
-}
-
-impl<Cu: SwCurve> AffineBuckets<Cu> {
-    /// Empties the task for `buckets` buckets. Every buffer is reserved to
-    /// its bound here, so a warm task allocates nothing whatever the digits.
-    /// A task that never batches leaves the batch buffers and the queue
-    /// unused, so it reserves none: the blinding MSMs run 43 such tasks.
-    /// The bucket reduction needs no buffer of its own: its running sums
-    /// live in the first task's buckets, and its rounds and normalisation
-    /// fit the batch buffers ([`Reduction`] keeps `K` within a batch).
-    pub(crate) fn reset(&mut self, buckets: usize) {
-        debug_assert!(self.batch.is_empty() && self.queue.is_empty());
-        self.buckets.resize(buckets, Xyzz::identity());
-        self.slots.clear();
-        self.slots.resize(buckets, Slot::Empty);
-        let cap = self.cap();
-        self.batches = worth_a_batch(cap);
-        (self.adds, self.flushes, self.reduction_inversions) = (0, 0, 0);
-        if !self.batches {
-            return;
-        }
-        self.prefix.clear();
-        self.batch.reserve(cap);
-        self.dens.reserve(cap);
-        self.prefix.reserve(cap);
-        self.queue.reserve(AFFINE_QUEUE);
-    }
-
-    fn cap(&self) -> usize {
-        affine_batch_len(self.slots.len() as u64) as usize
-    }
-
-    /// Takes one addition.
-    pub(crate) fn push(&mut self, points: &[Affine<Cu>], add: BucketAdd) {
-        self.adds += 1;
-        let batched = |task: &Self| task.slots[add.bucket as usize] == Slot::Batched;
-        if batched(self) {
-            if self.queue.len() == AFFINE_QUEUE {
-                // The flush schedules at least one waiting addition, so
-                // the queue has room afterwards.
-                self.flush(points);
-                if !worth_a_batch(self.batch.len()) {
-                    self.spill(points);
-                }
-            }
-            if batched(self) {
-                self.queue.push(add);
-                return;
-            }
-        }
-        self.schedule(points, add);
-        if self.batch.len() == self.cap() {
-            self.flush(points);
-        }
-    }
-
-    /// Adds into a bucket that has nothing batched.
-    fn schedule(&mut self, points: &[Affine<Cu>], add: BucketAdd) {
-        let b = add.bucket as usize;
-        if !self.batches && self.slots[b] == Slot::Affine {
-            heat(&mut self.buckets[b], &mut self.slots[b]);
-        }
-        let p = add.point(points);
-        let bucket = &mut self.buckets[b];
-        match self.slots[b] {
-            Slot::Empty => {
-                (bucket.x, bucket.y) = (p.x, p.y);
-                self.slots[b] = Slot::Affine;
-            }
-            Slot::Affine if bucket.x == p.x => {
-                // `P + P` or `P − P` has no `x₂ − x₁` to batch. Rare, so
-                // the doubling pays its own inversion.
-                let sum = Affine {
-                    x: bucket.x,
-                    y: bucket.y,
-                    infinity: false,
-                }
-                .add(&p);
-                (bucket.x, bucket.y) = (sum.x, sum.y);
-                self.slots[b] = if sum.infinity {
-                    Slot::Empty
-                } else {
-                    Slot::Affine
-                };
-            }
-            Slot::Affine => {
-                self.dens.push(p.x - bucket.x);
-                self.batch.push(add);
-                self.slots[b] = Slot::Batched;
-            }
-            Slot::Xyzz => *bucket = bucket.add_affine(&p),
-            Slot::Batched => unreachable!("a batched bucket's additions wait in the queue"),
-        }
-    }
-
-    /// Completes every batched addition through one shared inversion.
-    fn apply(&mut self, points: &[Affine<Cu>]) {
-        if self.batch.is_empty() {
-            return;
-        }
-        invert(&mut self.dens, &mut self.prefix);
-        for (add, inv) in self.batch.iter().zip(&self.dens) {
-            let b = add.bucket as usize;
-            let (bucket, p) = (&mut self.buckets[b], add.point(points));
-            add_with_slope(bucket, &p, (p.y - bucket.y) * *inv);
-            self.slots[b] = Slot::Affine;
-        }
-        self.batch.clear();
-        self.dens.clear();
-        self.flushes += 1;
-    }
-
-    /// Flushes the batch and lets the waiting additions into the next one,
-    /// for as long as they fill it.
-    fn flush(&mut self, points: &[Affine<Cu>]) {
-        loop {
-            self.apply(points);
-            let mut kept = 0;
-            for i in 0..self.queue.len() {
-                let add = self.queue[i];
-                if self.slots[add.bucket as usize] == Slot::Batched
-                    || self.batch.len() == self.cap()
-                {
-                    self.queue[kept] = add;
-                    kept += 1;
-                } else {
-                    self.schedule(points, add);
-                }
-            }
-            self.queue.truncate(kept);
-            if self.batch.len() < self.cap() {
-                return;
-            }
-        }
-    }
-
-    /// Takes every batched and waiting addition by an XYZZ mixed addition
-    /// instead, which turns their buckets into XYZZ ones. (A waiting
-    /// addition's bucket is always batched: a flush keeps no other.)
-    fn spill(&mut self, points: &[Affine<Cu>]) {
-        self.dens.clear();
-        for i in 0..self.batch.len() + self.queue.len() {
-            let add = match self.batch.get(i) {
-                Some(add) => *add,
-                None => self.queue[i - self.batch.len()],
-            };
-            let b = add.bucket as usize;
-            if self.slots[b] == Slot::Batched {
-                // A hot bucket, fed by mixed additions from now on.
-                heat(&mut self.buckets[b], &mut self.slots[b]);
-            }
-            self.schedule(points, add);
-        }
-        self.batch.clear();
-        self.queue.clear();
-    }
-
-    /// Completes every addition taken: batches while they pay for their
-    /// inversion, then the rest by spilling.
-    pub(crate) fn finish(&mut self, points: &[Affine<Cu>]) {
-        while worth_a_batch(self.batch.len()) {
-            self.flush(points);
-        }
-        self.spill(points);
-    }
-}
-
-/// The bucket reduction of one window of `buckets` buckets over `chunks`
-/// chunk tasks: how many segments [`affine_window_sum`] runs, and what
+/// The bucket reduction of one window of `buckets` buckets: how many
+/// segments [`affine_window_sum`] runs, and what
 /// [`Layout::shape`](crate::pippenger::Layout::shape) charges for it.
 ///
 /// `K` segments of `m = ⌈buckets/K⌉` buckets cost, for a window whose every
-/// bucket holds an affine point, `(chunks+1)·buckets − 2K` affine additions
-/// (each segment's first `Rⱼ` and `Sⱼ` are free copies) in
-/// `(chunks+1)·m − 2` inverted rounds, then the `K`-point XYZZ tail. Those
-/// inversions and the tail's `≈ K·(2·MADD + ADD)` balance at
-/// `K ≈ √(buckets·(chunks+1)·INV / (2·MADD + ADD))`, taken to the nearest
-/// power of two, at most `buckets/2` and at most one batch
-/// ([`AFFINE_BATCH`]), so a round fits the task's batch buffers. Segments
-/// run only where a round of `K` additions repays its inversion and the
-/// whole beats the serial XYZZ sum-of-sums, `buckets·(chunks·MADD + ADD)`;
-/// otherwise `K = 1`, which *is* that sum-of-sums.
+/// bucket holds a point, `2·buckets − 2K` affine additions (each segment's
+/// first `Rⱼ` and `Sⱼ` are free copies) in `2m − 2` inverted rounds, then
+/// the `K`-point XYZZ tail. Those inversions and the tail's
+/// `≈ K·(2·MADD + ADD)` balance at `K ≈ √(2·buckets·INV / (2·MADD + ADD))`,
+/// taken to the nearest power of two, at most `buckets/2` and at most one
+/// batch ([`AFFINE_BATCH`]). Segments run only where a round of `K`
+/// additions repays its inversion and the whole beats the serial XYZZ
+/// sum-of-sums, `(buckets − 1)·(MADD + ADD)`; otherwise `K = 1`, which *is*
+/// that sum-of-sums. Exact for a full window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Reduction {
     /// Segments `K`.
@@ -371,17 +262,16 @@ pub(crate) struct Reduction {
 }
 
 impl Reduction {
-    /// The reduction of a window of `buckets` buckets over `chunks` tasks.
-    pub(crate) fn new(buckets: u64, chunks: u64) -> Self {
+    pub(crate) fn new(buckets: u64) -> Self {
         let serial = Self {
             segments: 1,
-            muls: buckets * (chunks * MADD_FF_MULS + ADD_FF_MULS),
+            muls: buckets.saturating_sub(1) * (MADD_FF_MULS + ADD_FF_MULS),
             inversions: 0,
         };
         // The largest power of two whose square is at most twice `K²`,
         // i.e. the nearest to `K` on a log scale, within the bounds.
-        let twice_k2 = 2 * buckets * (chunks + 1) * INV_FF_MULS / (2 * MADD_FF_MULS + ADD_FF_MULS);
-        let bound = affine_batch_len(buckets / 2);
+        let twice_k2 = 4 * buckets * INV_FF_MULS / (2 * MADD_FF_MULS + ADD_FF_MULS);
+        let bound = (buckets / 2).min(AFFINE_BATCH as u64);
         let mut k = 1;
         while 4 * k * k <= twice_k2 && 2 * k <= bound {
             k *= 2;
@@ -398,247 +288,234 @@ impl Reduction {
             + k * MADD_FF_MULS;
         let segmented = Self {
             segments: k,
-            muls: ((chunks + 1) * buckets - 2 * k) * AFFINE_ADD_FF_MULS + tail,
-            inversions: (chunks + 1) * m - 2,
+            muls: (2 * buckets - 2 * k) * AFFINE_ADD_FF_MULS + tail,
+            inversions: 2 * m - 2,
         };
-        if segmented.muls + segmented.inversions * INV_FF_MULS < serial.muls {
+        if segmented.cost() < serial.cost() {
             segmented
         } else {
             serial
         }
     }
-}
 
-/// What one round of the reduction's walk adds at step `t`, in every
-/// segment `j` whose bucket `i = j·m + t` exists. The running sums live in
-/// the window's first task's buckets, each in one the walk has used up:
-/// `Sⱼ` in the segment's top bucket, where it starts equal to `Rⱼ`, and
-/// `Rⱼ` in bucket `i` once step `t` has moved it there.
-#[derive(Clone, Copy)]
-enum Round<'a, Cu: SwCurve> {
-    /// `Rⱼ` moves from bucket `i + 1` into bucket `i`, taking its point.
-    Move,
-    /// Another chunk task's bucket `i` joins `Rⱼ`.
-    Chunk(&'a AffineBuckets<Cu>),
-    /// `Rⱼ` joins `Sⱼ`.
-    Sum,
-}
-
-impl<'a, Cu: SwCurve> Round<'a, Cu> {
-    /// Segment `j`'s target bucket in the first task and the bucket its
-    /// addend is in, at step `t` of `m` over `buckets` buckets.
-    fn op(self, j: usize, m: usize, t: usize, buckets: usize) -> Option<(usize, usize)> {
-        let (i, top) = (j * m + t, ((j + 1) * m).min(buckets) - 1);
-        match self {
-            Round::Move => (i < top).then_some((i, i + 1)),
-            Round::Chunk(_) => (i <= top).then_some((i, i)),
-            Round::Sum => (i < top).then_some((top, i)),
-        }
-    }
-
-    /// The addend in bucket `a`, of the first task (`head`) or the chunk.
-    fn addend<'b>(self, head: &'b AffineBuckets<Cu>, a: usize) -> (&'b Xyzz<Cu>, Slot)
-    where
-        'a: 'b,
-    {
-        let task = match self {
-            Round::Chunk(chunk) => chunk,
-            Round::Move | Round::Sum => head,
-        };
-        (&task.buckets[a], task.slots[a])
+    /// The window's price in `FF_mul` units.
+    pub(crate) fn cost(&self) -> u64 {
+        self.muls + self.inversions * INV_FF_MULS
     }
 }
 
-/// One round of the walk at step `t` of a reduction in `segments`
-/// segments of `m` buckets: adds the round's addend into its target bucket
-/// of the window's first task `head`, in every segment. An empty addend is
-/// skipped and an empty target takes a free copy. Where both are affine
-/// and the reduction is segmented, `P − P` empties the target and any
-/// other sum, `P + P` included (a sum meets an unchanged running sum after
-/// each empty bucket), joins one batch. Everything else is added in XYZZ,
-/// which turns the target XYZZ for the rest of the walk, so each of the
-/// `t + 1` steps left then costs at least `MADD − AFF` more: the batch is
-/// inverted where that repays the inversion, and otherwise added in XYZZ
-/// too. An XYZZ addition runs with the running sum as the accumulator, as
-/// in the serial sum-of-sums. Returns the inversions spent.
-fn round<Cu: SwCurve>(
-    head: &mut AffineBuckets<Cu>,
-    kind: Round<'_, Cu>,
-    segments: usize,
-    m: usize,
-    t: usize,
-) -> u64 {
-    let buckets = head.slots.len();
-    let steps = if segments > 1 { t + 1 } else { 0 };
-    for (target, a) in (0..segments).filter_map(|j| kind.op(j, m, t, buckets)) {
-        let (p, from) = kind.addend(head, a);
-        let (sum, slot) = (&head.buckets[target], head.slots[target]);
-        let (value, slot) = match (slot, from) {
-            (_, Slot::Empty) => continue,
-            (Slot::Empty, _) => (Some(*p), from),
-            (Slot::Affine, Slot::Affine) if steps > 0 && sum.x == p.x && sum.y == -p.y => {
-                (None, Slot::Empty)
-            }
-            (Slot::Affine, Slot::Affine) if steps > 0 => {
-                head.dens.push(denominator(sum, &affine(p)));
-                (None, Slot::Batched)
-            }
-            // A move's target is the bucket and its addend `Rⱼ`.
-            _ => match kind {
-                Round::Move => (Some(plus(p, from, sum, slot)), Slot::Xyzz),
-                Round::Chunk(_) | Round::Sum => (Some(plus(sum, slot, p, from)), Slot::Xyzz),
-            },
-        };
-        if let Some(value) = value {
-            head.buckets[target] = value;
-        }
-        head.slots[target] = slot;
-    }
-    if head.dens.is_empty() {
-        return 0;
-    }
-    let inverted = worth_a_batch(head.dens.len() * steps);
-    if inverted {
-        invert(&mut head.dens, &mut head.prefix);
-    }
-    let mut inverse = 0;
-    for (target, a) in (0..segments).filter_map(|j| kind.op(j, m, t, buckets)) {
-        if head.slots[target] != Slot::Batched {
-            continue;
-        }
-        let p = affine(kind.addend(head, a).0);
-        let (sum, slot) = (&mut head.buckets[target], &mut head.slots[target]);
-        if inverted {
-            add_with_slope(sum, &p, numerator(sum, &p) * head.dens[inverse]);
-            inverse += 1;
-            *slot = Slot::Affine;
-        } else {
-            heat(sum, slot);
-            *sum = sum.add_affine(&p);
-        }
-    }
-    head.dens.clear();
-    u64::from(inverted)
+/// The buffers of one engine task, reused run to run: a block's partial
+/// sums and runs, a round's additions, and the batch inversion's
+/// denominators and prefix products. The bucket reduction's rounds use the
+/// same batch buffers.
+pub(crate) struct Task<Cu: SwCurve> {
+    buf: Vec<Affine<Cu>>,
+    runs: Vec<Run>,
+    /// A round's additions `[into, a, b]`: `buf[into] = a + b`, operands
+    /// named as the round's [`Operands`] say.
+    pairs: Vec<[u32; 3]>,
+    dens: Vec<Cu::Base>,
+    prefix: Vec<Cu::Base>,
+    /// Batch inversions since the counter was last cleared.
+    pub(crate) inversions: u64,
 }
 
-/// Whether turning the window's hot XYZZ buckets affine through one shared
-/// inversion costs less than letting each segment that holds one finish on
-/// the XYZZ path: from its highest hot bucket `t` down, such a segment pays
-/// `MADD` for `AFF` per chunk and `ADD` for `AFF` per step. At most `cap`
-/// buckets are normalised, so the task's reserved buffers hold them.
-fn normalising_pays<Cu: SwCurve>(window: &[AffineBuckets<Cu>], m: usize) -> bool {
-    let per_step = window.len() as u64 * (MADD_FF_MULS - AFFINE_ADD_FF_MULS) + ADD_FF_MULS
-        - AFFINE_ADD_FF_MULS;
-    let (mut hot, mut leave, mut segment) = (0, 0, usize::MAX);
-    for i in (0..window[0].slots.len()).rev() {
-        let here = window.iter().filter(|c| c.slots[i] == Slot::Xyzz).count();
-        if here > 0 {
-            hot += here;
-            if i / m != segment {
-                segment = i / m;
-                leave += (i % m + 1) as u64 * per_step;
-            }
+impl<Cu: SwCurve> Task<Cu> {
+    /// A task with every buffer reserved to its bound, so a warm task
+    /// allocates nothing whatever the digits.
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: Vec::with_capacity(BLOCK),
+            runs: Vec::with_capacity(BLOCK),
+            pairs: Vec::with_capacity(BLOCK),
+            dens: Vec::with_capacity(AFFINE_BATCH),
+            prefix: Vec::with_capacity(AFFINE_BATCH),
+            inversions: 0,
         }
     }
-    hot > 0 && hot <= window[0].cap() && INV_FF_MULS + hot as u64 * NORMALISE_FF_MULS < leave
-}
 
-/// Turns every hot XYZZ bucket of the window affine through one batch
-/// inversion of their `ZZZ` (`1/Z = ZZ/ZZZ`); a hot bucket that summed to
-/// the identity empties. Returns the inversions spent (0 if every hot
-/// bucket emptied).
-fn normalise<Cu: SwCurve>(window: &mut [AffineBuckets<Cu>]) -> u64 {
-    let (mut dens, mut prefix) = (
-        std::mem::take(&mut window[0].dens),
-        std::mem::take(&mut window[0].prefix),
-    );
-    for chunk in window.iter_mut() {
-        for (bucket, slot) in chunk.buckets.iter().zip(chunk.slots.iter_mut()) {
-            if *slot == Slot::Xyzz {
-                if bucket.is_identity() {
-                    *slot = Slot::Empty;
-                } else {
-                    dens.push(bucket.zzz);
+    /// Completes every addition of `self.pairs` into `buf`, in order, one
+    /// inversion per batch of [`AFFINE_BATCH`] denominators. A pair reads
+    /// its operands twice — for its denominator and to complete — so an
+    /// in-place round must never write an operand of a later pair before
+    /// that pair completes: rounds write pair `k` of a run at most at its
+    /// own first operand's position.
+    fn round(&mut self, ops: Operands<'_, Cu>, buf: &mut [Affine<Cu>]) {
+        let finite = ops.finite();
+        let mut done = 0;
+        while done < self.pairs.len() {
+            self.dens.clear();
+            let mut end = done;
+            while end < self.pairs.len() && self.dens.len() < AFFINE_BATCH {
+                let [_, a, b] = self.pairs[end];
+                if let Some(den) = denominator(ops.get(buf, a), ops.get(buf, b), finite) {
+                    self.dens.push(den);
                 }
+                end += 1;
             }
+            if !self.dens.is_empty() {
+                batch_inverse_in(&mut self.dens, &mut self.prefix);
+                self.inversions += 1;
+            }
+            let mut inverses = self.dens.iter();
+            for &[into, a, b] in &self.pairs[done..end] {
+                let sum = join(ops.get(buf, a), ops.get(buf, b), finite, || {
+                    *inverses.next().expect("one inverse per denominator")
+                });
+                buf[into as usize] = sum;
+            }
+            done = end;
         }
     }
-    let spent = u64::from(!dens.is_empty());
-    if spent > 0 {
-        invert(&mut dens, &mut prefix);
-    }
-    let mut inverses = dens.iter();
-    for chunk in window.iter_mut() {
-        for (bucket, slot) in chunk.buckets.iter_mut().zip(chunk.slots.iter_mut()) {
-            if *slot == Slot::Xyzz {
-                let zzz_inv = *inverses.next().expect("one inverse per hot bucket");
-                let z_inv = bucket.zz * zzz_inv;
-                (bucket.x, bucket.y) = (bucket.x * z_inv.square(), bucket.y * zzz_inv);
-                *slot = Slot::Affine;
-            }
-        }
-    }
-    dens.clear();
-    (window[0].dens, window[0].prefix) = (dens, prefix);
-    spent
-}
 
-/// The sum-of-sums `Σ (i+1)·Bᵢ` of one window whose buckets are split over
-/// its chunk tasks, where `Bᵢ` is every chunk's bucket `i`.
-///
-/// The buckets are cut into `K` segments of `m` (from [`Reduction`]).
-/// Walking `t = m−1 … 0`, every segment `j` adds each chunk's bucket
-/// `j·m + t` into its running sum `Rⱼ`, one round per chunk, then `Rⱼ`
-/// into `Sⱼ`, one more round; each round's affine additions share one
-/// inversion where that repays it ([`round`]). With `Tⱼ` the final `Rⱼ`,
-/// the window sum is `Σⱼ Sⱼ + m·Σⱼ j·Tⱼ`, the last term a `K`-point XYZZ
-/// sum-of-sums scaled by double-and-add. At `K = 1` nothing is batched and
-/// that is, coordinate for coordinate, the serial XYZZ sum-of-sums. Hot
-/// XYZZ buckets are normalised first where that pays
-/// ([`normalising_pays`]). The running sums live in the first task's
-/// buckets ([`Round`]), and the inversions spent are left in its
-/// `reduction_inversions`.
-pub(crate) fn affine_window_sum<Cu: SwCurve>(window: &mut [AffineBuckets<Cu>]) -> Xyzz<Cu> {
-    let buckets = window[0].slots.len();
-    let k = Reduction::new(buckets as u64, window.len() as u64).segments as usize;
-    let m = buckets.div_ceil(k);
-    let segmented = k > 1;
-    let mut inversions = 0;
-    if segmented && normalising_pays(window, m) {
-        inversions += normalise(window);
-    }
-    let (head, chunks) = window.split_first_mut().expect("a window has a task");
-    for t in (0..m).rev() {
-        inversions += round(head, Round::Move, k, m, t);
-        for chunk in chunks.iter() {
-            inversions += round(head, Round::Chunk(chunk), k, m, t);
+    /// Sums the runs of buckets `first .. first + sums.len()` of the sorted
+    /// `order` (run `b` is `order[starts[b]..starts[b + 1]]`) into `sums`,
+    /// the identity for an empty bucket: block by block ([`block`]), each in
+    /// pairwise rounds that halve every run until one point is left.
+    pub(crate) fn sum_buckets(
+        &mut self,
+        points: &[Affine<Cu>],
+        order: &[u32],
+        starts: &[u32],
+        first: usize,
+        sums: &mut [Affine<Cu>],
+    ) {
+        let end = first + sums.len();
+        let mut at = (first, starts[first]);
+        while at.0 < end {
+            let mut buf = std::mem::take(&mut self.buf);
+            let (runs, pairs) = (&mut self.runs, &mut self.pairs);
+            runs.clear();
+            pairs.clear();
+            // The block's next free slot. Round 1 writes every slot it
+            // names, so the buffer only grows, within its capacity, and
+            // keeps stale points.
+            let mut used = 0u32;
+            let place = |buf: &mut Vec<Affine<Cu>>, at: u32, p: Affine<Cu>| {
+                if buf.len() <= at as usize {
+                    buf.resize(at as usize + 1, Affine::identity());
+                }
+                buf[at as usize] = p;
+            };
+            block(starts, &mut at, end, |b, lo, hi, carry| {
+                let sum = &mut sums[b - first];
+                if !carry && hi - lo <= 1 {
+                    *sum = match hi > lo {
+                        true => entry(points, order[lo as usize]),
+                        false => Affine::identity(),
+                    };
+                    return;
+                }
+                let start = used;
+                if carry {
+                    place(&mut buf, used, *sum);
+                    used += 1;
+                }
+                for i in (lo..hi - 1).step_by(2) {
+                    pairs.push([used, i, i + 1]);
+                    used += 1;
+                }
+                if (hi - lo) % 2 == 1 {
+                    place(&mut buf, used, entry(points, order[hi as usize - 1]));
+                    used += 1;
+                }
+                runs.push(Run {
+                    bucket: (b - first) as u32,
+                    start,
+                    len: used - start,
+                });
+            });
+            if buf.len() < used as usize {
+                buf.resize(used as usize, Affine::identity());
+            }
+            // Round 1 reads its pairs straight from the table.
+            self.round(Operands::Table(points, order), &mut buf);
+            loop {
+                self.pairs.clear();
+                for run in &mut self.runs {
+                    // An odd run keeps its first point; pair `k` of the
+                    // rest lands on slot `k` after it.
+                    let (s, odd, half) = (run.start + run.len % 2, run.len % 2, run.len / 2);
+                    self.pairs
+                        .extend((0..half).map(|k| [s + k, s + 2 * k, s + 2 * k + 1]));
+                    run.len = odd + half;
+                }
+                if self.pairs.is_empty() {
+                    break;
+                }
+                self.round(Operands::Buffer, &mut buf);
+            }
+            for run in &self.runs {
+                sums[run.bucket as usize] = buf[run.start as usize];
+            }
+            self.buf = buf;
         }
-        inversions += round(head, Round::Sum, k, m, t);
     }
-    // `Tⱼ`, the final `Rⱼ`, is in bucket `j·m` and `Sⱼ` in the segment's
-    // top one: `Σⱼ j·Tⱼ` is a sum-of-sums over `j = K−1 … 1`, taken `m`
-    // times by double-and-add, and every `Sⱼ` joins it.
-    let filled = |j: &usize| j * m < buckets;
-    let at = |i: usize| (&head.buckets[i], head.slots[i]);
-    let (mut running, mut acc) = (Xyzz::identity(), Xyzz::identity());
-    for j in (1..k).rev().filter(filled) {
-        let (t_j, slot) = at(j * m);
-        running = plus(&running, Slot::Xyzz, t_j, slot);
-        acc = acc.add(&running);
-    }
-    let mut total = Xyzz::identity();
-    for bit in (0..usize::BITS - m.leading_zeros()).rev() {
-        total = total.double();
-        if m >> bit & 1 == 1 {
-            total = total.add(&acc);
+
+    /// The window's sum-of-sums `Σ (i+1)·Bᵢ` over its bucket sums `sums`,
+    /// which it uses up.
+    ///
+    /// The buckets are cut into `K` segments of `m` (from [`Reduction`]).
+    /// Walking `t = m−1 … 0`, every segment `j` adds bucket `j·m + t` into
+    /// its running sum `Rⱼ`, then `Rⱼ` into `Sⱼ`: one round each, whose
+    /// affine additions share one inversion ([`Task::round`]). The running
+    /// sums live in buckets the walk has used up: `Sⱼ` in the segment's top
+    /// bucket, where it starts equal to `Rⱼ`, and `Rⱼ` in bucket `j·m + t`
+    /// once step `t` has moved it there. With `Tⱼ` the final `Rⱼ`, the
+    /// window sum is `Σⱼ Sⱼ + m·Σⱼ j·Tⱼ`, the last term a `K`-point XYZZ
+    /// sum-of-sums scaled by double-and-add. At `K = 1` that is the serial
+    /// XYZZ sum-of-sums.
+    pub(crate) fn affine_window_sum(&mut self, sums: &mut [Affine<Cu>]) -> Xyzz<Cu> {
+        let buckets = sums.len();
+        let k = Reduction::new(buckets as u64).segments as usize;
+        let m = buckets.div_ceil(k);
+        let top = |j: usize| ((j + 1) * m).min(buckets) - 1;
+        let (mut running, mut acc) = (Xyzz::identity(), Xyzz::identity());
+        if k == 1 {
+            for bucket in sums.iter().rev() {
+                running = running.add_affine(bucket);
+                acc = acc.add(&running);
+            }
+            return acc;
         }
+        for t in (0..m - 1).rev() {
+            let segments = (0..k).filter(|j| j * m + t < top(*j));
+            // `Rⱼ` moves from bucket `i + 1` into bucket `i`, taking its
+            // point; then `Rⱼ` joins `Sⱼ`.
+            self.pairs.clear();
+            self.pairs.extend(segments.clone().map(|j| {
+                let i = (j * m + t) as u32;
+                [i, i + 1, i]
+            }));
+            self.round(Operands::Buffer, sums);
+            self.pairs.clear();
+            self.pairs.extend(segments.map(|j| {
+                let (i, top) = ((j * m + t) as u32, top(j) as u32);
+                [top, top, i]
+            }));
+            self.round(Operands::Buffer, sums);
+        }
+        // `Tⱼ`, the final `Rⱼ`, is in bucket `j·m` and `Sⱼ` in the
+        // segment's top one: `Σⱼ j·Tⱼ` is a sum-of-sums over
+        // `j = K−1 … 1`, taken `m` times by double-and-add, and every `Sⱼ`
+        // joins it.
+        let filled = |j: &usize| j * m < buckets;
+        for j in (1..k).rev().filter(filled) {
+            running = running.add_affine(&sums[j * m]);
+            acc = acc.add(&running);
+        }
+        let mut total = Xyzz::identity();
+        for bit in (0..usize::BITS - m.leading_zeros()).rev() {
+            total = total.double();
+            if m >> bit & 1 == 1 {
+                total = total.add(&acc);
+            }
+        }
+        for j in (0..k).filter(filled) {
+            total = total.add_affine(&sums[top(j)]);
+        }
+        total
     }
-    for j in (0..k).filter(filled) {
-        let (s_j, slot) = at(((j + 1) * m).min(buckets) - 1);
-        total = plus(&total, Slot::Xyzz, s_j, slot);
-    }
-    head.reduction_inversions = inversions;
-    total
 }
 
 #[cfg(test)]
@@ -663,214 +540,174 @@ pub(crate) mod tests {
         batch_to_affine(&jac)
     }
 
-    pub(crate) fn add(bucket: u32, row: u32, neg: bool) -> BucketAdd {
-        BucketAdd { bucket, row, neg }
+    /// The sorted order and run boundaries of `schedule`, a list of
+    /// `(bucket, row, negated)` additions over `buckets` buckets.
+    pub(crate) fn sorted(schedule: &[(u32, u32, bool)], buckets: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut starts = vec![0u32; buckets + 1];
+        for &(b, _, _) in schedule {
+            starts[b as usize + 1] += 1;
+        }
+        for b in 0..buckets {
+            starts[b + 1] += starts[b];
+        }
+        let mut at = starts.clone();
+        let mut order = vec![0; schedule.len()];
+        for &(b, row, neg) in schedule {
+            order[at[b as usize] as usize] = row | if neg { NEG } else { 0 };
+            at[b as usize] += 1;
+        }
+        (order, starts)
     }
 
-    /// Runs each schedule as one chunk task of a `buckets`-bucket window and
-    /// checks the window's sum-of-sums against `msm_serial` over the same
-    /// additions (`Σ (bucket + 1)·±P`). Returns the tasks as accumulation
-    /// left them, for inspection (the reduction works in their buckets).
-    fn check(
-        points: &[Affine<G1>],
-        buckets: usize,
-        chunks: &[Vec<BucketAdd>],
-    ) -> Vec<AffineBuckets<G1>> {
-        assert_reduction(points, chunks, &mut accumulate(points, buckets, chunks));
-        accumulate(points, buckets, chunks)
-    }
-
-    /// Runs each schedule as one chunk task of a `buckets`-bucket window.
-    fn accumulate(
-        points: &[Affine<G1>],
-        buckets: usize,
-        chunks: &[Vec<BucketAdd>],
-    ) -> Vec<AffineBuckets<G1>> {
-        chunks
-            .iter()
-            .map(|schedule| {
-                let mut task = AffineBuckets::default();
-                task.reset(buckets);
-                for &a in schedule {
-                    task.push(points, a);
-                }
-                task.finish(points);
-                assert!(task.batch.is_empty() && task.queue.is_empty());
-                assert!(!task.slots.contains(&Slot::Batched));
-                assert_eq!(task.adds, schedule.len() as u64);
-                task
-            })
-            .collect()
-    }
-
-    /// The window's sum-of-sums against `msm_serial` over its additions.
-    fn assert_reduction(
-        points: &[Affine<G1>],
-        chunks: &[Vec<BucketAdd>],
-        tasks: &mut [AffineBuckets<G1>],
-    ) {
-        let (terms, weights): (Vec<_>, Vec<_>) = chunks
-            .iter()
-            .flatten()
-            .map(|a| (a.point(points), Fr381::from_u64(u64::from(a.bucket) + 1)))
-            .unzip();
-        assert_eq!(
-            affine_window_sum(tasks).to_jacobian(),
-            msm_serial(&terms, &weights)
-        );
+    /// Every bucket sum of `schedule` against `msm_serial` over its points,
+    /// summed over buckets `lo..` by one task and below `lo` by another.
+    fn check_buckets(points: &[Affine<G1>], buckets: usize, schedule: &[(u32, u32, bool)]) -> u64 {
+        let (order, starts) = sorted(schedule, buckets);
+        let mut sums = vec![Affine::identity(); buckets];
+        let mut task = Task::new();
+        let (low, high) = sums.split_at_mut(buckets / 2);
+        task.sum_buckets(points, &order, &starts, 0, low);
+        task.sum_buckets(points, &order, &starts, buckets / 2, high);
+        for (b, sum) in sums.iter().enumerate() {
+            let (terms, ones): (Vec<_>, Vec<_>) = schedule
+                .iter()
+                .filter(|a| a.0 as usize == b)
+                .map(|&(_, row, neg)| {
+                    let p = points[row as usize];
+                    (if neg { p.neg() } else { p }, Fr381::one())
+                })
+                .unzip();
+            assert_eq!(
+                Jacobian::from(*sum),
+                msm_serial(&terms, &ones),
+                "bucket {b}"
+            );
+        }
+        task.inversions
     }
 
     #[test]
-    fn every_addition_queues_behind_one_bucket() {
-        // Each addition after the first waits for bucket 0; the full queue
-        // flushes a batch of one, which is not worth its inversion, so the
-        // waiting additions spill and the bucket turns XYZZ.
-        let n = 3 * AFFINE_QUEUE;
-        let points = multiples::<G1>(n);
-        let schedule = (0..n as u32).map(|r| add(0, r, r % 5 == 0)).collect();
-        let tasks = check(&points, 128, &[schedule]);
-        assert_eq!(tasks[0].slots[0], Slot::Xyzz);
-        assert!(tasks[0].flushes <= 2, "{} inversions", tasks[0].flushes);
+    fn a_hot_bucket_is_a_tree_of_rounds() {
+        // 512 points into one bucket beside 100 single ones: 9 rounds of
+        // 256, 128, …, 1 additions, the first with the others' pairs.
+        let points = multiples::<G1>(800);
+        let mut schedule: Vec<_> = (0..512).map(|r| (0, r, r % 5 == 0)).collect();
+        schedule.extend((0..100).map(|i| (1 + i, 600 + i, false)));
+        assert_eq!(check_buckets(&points, 128, &schedule), 9);
     }
 
     #[test]
     fn a_bucket_empties_and_refills() {
-        let points = multiples::<G1>(200);
-        // 3G + 5G = 8G is batched beside 80 other additions, enough to pay
-        // for the inversion; −8G and G wait, then −8G cancels the bucket
-        // and G refills it.
-        let mut schedule = vec![add(7, 2, false), add(7, 4, false)];
-        schedule.extend((0..160).map(|i| add(8 + i % 80, 8 + i, false)));
-        schedule.extend([add(7, 7, true), add(7, 0, false)]);
-        let tasks = check(&points, 128, &[schedule]);
-        assert_eq!(tasks[0].slots[7], Slot::Affine);
-        assert_eq!(tasks[0].flushes, 1);
-        // P then −P straight away, then P again.
-        let tasks = check(
-            &points,
-            128,
-            &[vec![add(3, 9, false), add(3, 9, true), add(3, 9, false)]],
-        );
-        assert_eq!(tasks[0].slots[3], Slot::Affine);
+        let points = multiples::<G1>(16);
+        for schedule in [
+            // P − P empties the bucket within one pair.
+            vec![(3, 9, false), (3, 9, true)],
+            // … and the odd P left over refills it in round 2.
+            vec![(3, 9, false), (3, 9, true), (3, 9, false)],
+            // (2G − 2G) + (3G + 5G): an empty partial sum meets a point.
+            vec![(3, 1, false), (3, 1, true), (3, 2, false), (3, 4, false)],
+            // 2G + 3G − 5G: a chord, then the sum cancels the odd point.
+            vec![(3, 1, false), (3, 2, false), (3, 4, true)],
+        ] {
+            check_buckets(&points, 8, &schedule);
+        }
     }
 
     #[test]
     fn a_bucket_meets_the_same_point_twice() {
         let points = multiples::<G1>(16);
-        // At 16 buckets the XYZZ addition doubles, at 128 the affine one.
-        for buckets in [16, 128] {
-            check(
-                &points,
-                buckets,
-                &[vec![add(3, 4, false), add(3, 4, false)]],
-            );
-            check(&points, buckets, &[vec![add(3, 4, true), add(3, 4, true)]]);
-            // 2G + 3G = 5G is batched; 5G waits, then doubles it.
-            check(
-                &points,
-                buckets,
-                &[vec![add(3, 1, false), add(3, 2, false), add(3, 4, false)]],
-            );
+        for schedule in [
+            // P + P and (−P) + (−P) double inside one pair.
+            vec![(3, 4, false), (3, 4, false)],
+            vec![(3, 4, true), (3, 4, true)],
+            // 2G + 3G = 5G meets 5G in round 2 and doubles there.
+            vec![(3, 1, false), (3, 2, false), (3, 4, false)],
+            vec![(3, 1, false), (3, 2, false), (3, 4, false), (3, 4, false)],
+        ] {
+            check_buckets(&points, 8, &schedule);
         }
     }
 
     #[test]
     fn a_task_too_small_to_batch_never_inverts() {
-        // Even a full batch of 8 additions cannot repay an inversion, so
-        // every bucket turns XYZZ at its second addition.
+        // Every bucket holds at most one point, so no round has an
+        // addition to batch, however many buckets there are.
         let points = multiples::<G1>(500);
-        let schedule = (0..500u32).map(|r| add(r % 8, r, r % 3 == 0)).collect();
-        let tasks = check(&points, 8, &[schedule]);
-        assert_eq!(tasks[0].flushes, 0);
-        assert!(tasks[0].slots.iter().all(|s| *s == Slot::Xyzz));
+        let schedule: Vec<_> = (0..500u32).map(|r| (r, r, r % 3 == 0)).collect();
+        assert_eq!(check_buckets(&points, 512, &schedule), 0);
+        assert_eq!(check_buckets(&points, 4, &[(2, 7, true)]), 0);
     }
 
     #[test]
     fn batches_end_on_either_side_of_the_boundary() {
-        let points = multiples::<G1>(2 * AFFINE_BATCH + 2);
+        let points = multiples::<G1>(2 * AFFINE_BATCH + 4);
         for k in [AFFINE_BATCH - 1, AFFINE_BATCH, AFFINE_BATCH + 1] {
-            // k free fills, then k additions to the same buckets.
-            let schedule = (0..2 * k as u32)
-                .map(|r| add(r % k as u32, r, false))
-                .collect();
-            let tasks = check(&points, 2 * AFFINE_BATCH, &[schedule]);
-            // One full or nearly full batch; past the boundary the single
-            // addition left is not worth an inversion and spills.
-            assert_eq!(tasks[0].flushes, 1, "k = {k}");
-            let spilled = tasks[0].slots.iter().filter(|s| **s == Slot::Xyzz).count();
-            assert_eq!(spilled, usize::from(k > AFFINE_BATCH), "k = {k}");
+            // k buckets of two points: one round of k additions.
+            let schedule: Vec<_> = (0..2 * k as u32).map(|r| (r / 2, r, false)).collect();
+            let inversions = check_buckets(&points, 2 * AFFINE_BATCH + 2, &schedule);
+            assert_eq!(inversions, k.div_ceil(AFFINE_BATCH) as u64, "k = {k}");
         }
     }
 
     #[test]
-    fn a_full_queue_spills_only_behind_hot_buckets() {
-        // Every third addition goes to one of four hot buckets, the rest
-        // spread over 600 others: the queue fills with hot additions, and
-        // only the hot buckets turn XYZZ.
-        let n = 3 * AFFINE_QUEUE;
-        let points = multiples::<G1>(n);
-        let schedule = (0..n as u32)
+    fn hot_buckets_sum_beside_cold_ones() {
+        // Every third point goes to one of four hot buckets, the rest
+        // spread over 600 others: a round mixes the hot trees' pairs with
+        // the cold buckets' ones.
+        let n = 1536u32;
+        let points = multiples::<G1>(n as usize);
+        let schedule: Vec<_> = (0..n)
             .map(|r| {
                 let bucket = if r % 3 == 0 { r % 4 } else { 4 + r % 600 };
-                add(bucket, r, r % 7 == 0)
+                (bucket, r, r % 7 == 0)
             })
             .collect();
-        let tasks = check(&points, 1024, &[schedule]);
-        for (b, slot) in tasks[0].slots.iter().enumerate() {
-            assert_eq!(*slot == Slot::Xyzz, b < 4, "bucket {b}");
-        }
+        check_buckets(&points, 1024, &schedule);
     }
 
     #[test]
-    fn chunk_partials_fold_into_one_running_sum() {
-        let points = multiples::<G1>(300);
-        let chunks: Vec<Vec<BucketAdd>> = (0..3u32)
-            .map(|c| {
-                (0..100u32)
-                    .map(|i| add((7 * i + c) % 96, 100 * c + i, (i + c) % 4 == 0))
-                    .collect()
-            })
-            .collect();
-        check(&points, 96, &chunks);
+    fn a_bucket_larger_than_a_block_carries_its_pieces() {
+        // 3·BLOCK + 5 points in one bucket take two blocks, the first
+        // piece's sum carried into the second, beside buckets on either
+        // side.
+        let n = 3 * BLOCK + 5;
+        let points = multiples::<G1>(n + 40);
+        let mut schedule: Vec<_> = (0..20).map(|i| (i % 3, n as u32 + i, false)).collect();
+        schedule.extend((0..n as u32).map(|r| (3, r, r % 7 == 0)));
+        schedule.extend((20..40).map(|i| (4 + i % 3, n as u32 + i, true)));
+        check_buckets(&points, 8, &schedule);
     }
 
-    /// Re-expresses bucket `i` of `task` as a hot XYZZ bucket of the same
-    /// value, `(x·Z², y·Z³, Z², Z³)` for `Z = z`.
-    fn make_hot(task: &mut AffineBuckets<G1>, i: usize, z: u64) {
-        let z = zkp_ff::Fq381::from_u64(z);
-        let (zz, zzz) = (z.square(), z.square() * z);
-        let b = &mut task.buckets[i];
-        (b.x, b.y, b.zz, b.zzz) = (b.x * zz, b.y * zzz, zz, zzz);
-        task.slots[i] = Slot::Xyzz;
+    /// Runs a window through the walk and checks it against `msm_serial`.
+    fn assert_walk(sums: &[Affine<G1>]) -> u64 {
+        let weights: Vec<Fr381> = (1..=sums.len() as u64).map(Fr381::from_u64).collect();
+        let expect = msm_serial(sums, &weights);
+        let mut task = Task::new();
+        let got = task.affine_window_sum(&mut sums.to_vec()).to_jacobian();
+        assert_eq!(got, expect, "{} buckets", sums.len());
+        task.inversions
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The one reduction at windows that segment (`K = 128` or 256)
+        /// The walk at windows that segment and at ones that do not
         /// against `msm_serial`: unsigned (`2^s − 1`, a short last segment)
-        /// and signed bucket counts, one or three chunks — or eight over
-        /// 512 buckets, 256 segments of two — buckets filled at
-        /// any rate with whole segments left empty, hot XYZZ buckets high
-        /// or low in their segments (normalised or left on the XYZZ path),
-        /// and, with `same`, every bucket holding `±P`, so that running
-        /// sums meet `P + P` and `P − P`.
+        /// and signed bucket counts, buckets filled at any rate with whole
+        /// segments left empty, and, with `same`, every bucket holding `±P`,
+        /// so that running sums meet `P + P` and `P − P`.
         #[test]
         fn segmented_reduction_matches_the_reference(
-            shape in 0usize..7,
+            shape in 0usize..6,
             fill in 0u64..=100,
             empty_segment in 0usize..8,
-            hot in 0usize..12,
-            hot_high in proptest::prelude::any::<bool>(),
             same in proptest::prelude::any::<bool>(),
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let (buckets, chunks): (usize, usize) =
-                [(1023, 1), (1023, 3), (1024, 1), (1024, 3), (2047, 1), (2047, 3), (512, 8)][shape];
-            let reduction = Reduction::new(buckets as u64, chunks as u64);
-            proptest::prop_assert!(reduction.segments > 1);
-            let m = buckets.div_ceil(reduction.segments as usize);
-            let points = multiples::<G1>(chunks * buckets);
+            let buckets = [15usize, 64, 1023, 1024, 2047, 512][shape];
+            let k = Reduction::new(buckets as u64).segments as usize;
+            let m = buckets.div_ceil(k);
+            let points = multiples::<G1>(buckets);
             let mut state = seed | 1;
             let mut next = move |bound: u64| {
                 state ^= state << 13;
@@ -878,45 +715,27 @@ pub(crate) mod tests {
                 state ^= state << 17;
                 state % bound
             };
-            let mut schedules = vec![Vec::new(); chunks];
-            for (c, schedule) in schedules.iter_mut().enumerate() {
-                for i in (0..buckets).filter(|i| (i / m) % 8 != empty_segment) {
-                    if next(100) < fill {
-                        let row = if same { 0 } else { c * buckets + i };
-                        schedule.push(add(i as u32, row as u32, next(2) == 0));
+            let sums: Vec<Affine<G1>> = (0..buckets)
+                .map(|i| {
+                    if (i / m) % 8 == empty_segment || next(100) >= fill {
+                        return Affine::identity();
                     }
-                }
-            }
-            let mut tasks = accumulate(&points, buckets, &schedules);
-            for (c, schedule) in schedules.iter().enumerate() {
-                // Up to `hot` filled buckets per chunk, at the top or the
-                // bottom of their segments.
-                for a in schedule.iter().filter(|a| (a.bucket as usize % m < 2) != hot_high).take(hot) {
-                    make_hot(&mut tasks[c], a.bucket as usize, 2 + next(1000));
-                }
-            }
-            assert_reduction(&points, &schedules, &mut tasks);
+                    let p = points[if same { 0 } else { i }];
+                    if next(2) == 0 { p.neg() } else { p }
+                })
+                .collect();
+            assert_walk(&sums);
         }
     }
 
     #[test]
-    fn hot_buckets_are_normalised_only_where_it_pays() {
-        // Eight hot buckets at the top of eight segments leave 8·8 steps
-        // of XYZZ work behind, which one inversion saves; at the bottom of
-        // their segments they cost less than it and stay XYZZ.
-        let buckets = 1024;
-        let m = buckets / Reduction::new(buckets as u64, 1).segments as usize;
-        let points = multiples::<G1>(buckets);
-        let chunks = [(0..buckets as u32).map(|i| add(i, i, false)).collect()];
-        for (offset, inversions) in [(m - 1, 1), (0, 0)] {
-            let mut tasks = accumulate(&points, buckets, &chunks);
-            for j in 0..8 {
-                make_hot(&mut tasks[0], j * m + offset, 3 + j as u64);
-            }
-            assert!(normalising_pays(&tasks, m) == (inversions == 1));
-            let rounds = 2 * m as u64 - 2;
-            assert_reduction(&points, &chunks, &mut tasks);
-            assert_eq!(tasks[0].reduction_inversions, rounds + inversions);
+    fn a_full_window_walks_in_two_rounds_a_step() {
+        for buckets in [1024usize, 2048] {
+            let priced = Reduction::new(buckets as u64);
+            let m = buckets as u64 / priced.segments;
+            let points = multiples::<G1>(buckets);
+            assert_eq!(assert_walk(&points), 2 * m - 2);
+            assert_eq!(priced.inversions, 2 * m - 2);
         }
     }
 }

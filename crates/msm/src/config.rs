@@ -3,9 +3,9 @@
 
 /// Configuration of a Pippenger MSM run.
 ///
-/// Every run accumulates into the one bucket store, batch-affine buckets
-/// with XYZZ ones for hot buckets (`affine.rs`), so the knobs are the
-/// digit encoding, the window and the endomorphism split.
+/// Every run sums its buckets the one way, sorted runs added in pairwise
+/// batch-affine rounds (`affine.rs`), so the knobs are the digit
+/// encoding, the window and the endomorphism split.
 ///
 /// # Examples
 ///

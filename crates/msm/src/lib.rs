@@ -21,9 +21,11 @@
 //!
 //! There is one front door: every MSM is a *plan run* — a layout (how
 //! digits fold onto a table of shifted point copies), one scalar→digit
-//! recoder, one bucket engine over batch-affine buckets (the Montgomery
-//! trick of §IV-D1b, with XYZZ buckets for hot ones). A one-shot MSM is
-//! the single-copy layout over the caller's finite points, so it equals a
+//! recoder, one bucket engine that sorts each window's digits by bucket
+//! and sums every bucket in pairwise batch-affine rounds (the Montgomery
+//! trick of §IV-D1b). A window with few occupied buckets reduces through
+//! the same front door, as a small MSM over them. A one-shot MSM is the
+//! single-copy layout over the caller's finite points, so it equals a
 //! zero-budget [`MsmPlan`] bit for bit; see `docs/msm.md`.
 //!
 //! # Examples

@@ -44,34 +44,30 @@
 //!
 //! # Parallel decomposition
 //!
-//! Every MSM runs on a [`zkp_runtime::ThreadPool`] over a task grid of
-//! `windows × chunks`: each task accumulates one window's buckets over one
-//! contiguous chunk of the input into batch-affine buckets
-//! ([`AffineBuckets`], `affine.rs` — the one bucket store), every chunk's
-//! partial buckets fold into one sum-of-sums per window — segmented, its
-//! additions batch-affine too, where that pays ([`affine_window_sum`]) —
-//! and the window reduction happens exactly once. (The previous scheme ran a
-//! complete Pippenger per chunk and paid the `2·2^s` bucket reduction plus
-//! `s·w` doublings again in every chunk.) The grid shape is a pure function
-//! of the problem size — never the thread count — so the computation DAG,
-//! the resulting point, and the [`MsmStats`] are bit-identical at any pool
-//! width.
+//! Every MSM runs on a [`zkp_runtime::ThreadPool`]. The engine
+//! counting-sorts the nonzero digits of every window by bucket, so each
+//! bucket's points are one run of the sorted order; tasks are bucket
+//! ranges cut at about equal row counts, each summing its runs in pairwise
+//! batch-affine rounds ([`Task`], `affine.rs`), and no bucket is ever split
+//! across tasks. Each window then reduces once — by the segmented walk
+//! over its buckets, or, when few are occupied, as a small MSM over them —
+//! and the window reduction happens exactly once. Every bucket's addition
+//! tree is fixed by the sort, and the ranges are cut where the sort's
+//! blocks end, so the resulting point and the [`MsmStats`] are
+//! bit-identical at any pool width.
 
-use crate::affine::{
-    affine_batch_len, affine_window_sum, worth_a_batch, AffineBuckets, BucketAdd, Reduction,
-};
+use crate::affine::{block, Accumulation, Reduction, Task, NEG};
 use crate::config::MsmConfig;
 use zkp_curves::{Affine, Endomorphism, Jacobian, SwCurve};
 use zkp_ff::glv::GlvScalar;
-use zkp_ff::PrimeField;
+use zkp_ff::{Field, PrimeField};
 use zkp_runtime::ThreadPool;
 
 /// Execution statistics of one MSM, consumed by the GPU kernel models.
 ///
 /// Counters describe the canonical serial Pippenger schedule (one bucket
-/// array per window); the chunk-fold additions the parallel engine
-/// performs are an implementation detail and are excluded, which is what
-/// keeps the stats identical at every thread count.
+/// array per window, `2·buckets` reduction additions each, however a
+/// window reduces), and are identical at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MsmStats {
     /// Mixed point additions performed during bucket accumulation.
@@ -94,13 +90,12 @@ pub struct MsmStats {
     /// each under `φ`, two under `ψ`; zero when a plan's table holds them).
     pub endomorphism_muls: u64,
     /// Field inversions of the batch-affine bucket accumulation: one per
-    /// flushed batch of bucket additions (0 where a batch cannot repay its
-    /// inversion, as in a 1-point MSM). A bucket that meets the same point
-    /// twice pays one more for its doubling, which is not counted here.
+    /// batch of a round's bucket additions (0 where no bucket meets a
+    /// second point).
     pub batch_inversions: u64,
-    /// Field inversions of the batch-affine bucket reduction: one per round
-    /// of segment additions that repays its inversion, and one where hot
-    /// buckets are normalised (0 for an unsegmented window).
+    /// Field inversions of the bucket reduction: one per round of the
+    /// segmented walk, and those of the MSM a sparse window reduces
+    /// through (0 for an unsegmented window).
     pub reduction_inversions: u64,
 }
 
@@ -208,16 +203,8 @@ fn buckets_for(window_bits: u32, signed: bool) -> u64 {
     }
 }
 
-/// Input chunks per window. A chunk costs one more addition per bucket in
-/// the sum-of-sums (`2^s` PADDs), so chunks are only opened once the
-/// per-window accumulation work dwarfs that; the cap bounds partial-bucket
-/// memory.
-/// Purely a function of problem shape — never thread count — so results
-/// stay bit-identical across pool widths.
-fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
-    let merge_cost = 8 * buckets_per_window as usize;
-    (n / merge_cost.max(1)).clamp(1, 8)
-}
+/// Most tasks one phase of the engine splits into.
+const MAX_TASKS: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Reusable scratch state
@@ -227,18 +214,15 @@ fn chunk_grid(n: usize, buckets_per_window: u64) -> usize {
 ///
 /// Every transient buffer an MSM needs — both digit matrices, the
 /// subscalars, the one-shot table of finite bases and their images with
-/// its row → scalar index, the bucket tasks — lives here and is reused run
-/// to run, so a warmed scratch makes [`msm_parallel_with_config_in`] /
+/// its row → scalar index, the sorted digits, the bucket sums, the task
+/// buffers and the scratch of the MSMs sparse windows reduce through —
+/// lives here and is reused run to run, so a warmed scratch makes
+/// [`msm_parallel_with_config_in`] /
 /// [`MsmPlan::execute_in`](crate::MsmPlan::execute_in) allocation-free in
 /// steady state. Buffers only ever grow; results are bit-identical to the
 /// scratch-free entry points.
 #[derive(Default)]
 pub struct MsmScratch<Cu: SwCurve> {
-    /// One bucket task per (window, chunk), task-major: task
-    /// `t = win·chunks + chunk`, so one window's chunk partials are
-    /// contiguous; after the reduction pass, bucket 0 of a window's first
-    /// task holds that window's sum-of-sums.
-    tasks: Vec<AffineBuckets<Cu>>,
     /// `ppc × w`: every (sub)scalar's digits over its full window count.
     full_digits: Vec<i32>,
     /// `(copies·ppc) × W`: `full_digits` folded onto the table's copies.
@@ -247,6 +231,72 @@ pub struct MsmScratch<Cu: SwCurve> {
     subs: Vec<GlvScalar>,
     expanded: Vec<Affine<Cu>>,
     index: Vec<usize>,
+    /// The nonzero digits' table rows sorted by (window, bucket), each
+    /// with its sign in [`NEG`].
+    order: Vec<u32>,
+    /// `W·buckets + 1` run boundaries of `order`.
+    starts: Vec<u32>,
+    /// `W·buckets` bucket sums, the identity for an empty bucket.
+    sums: Vec<Affine<Cu>>,
+    /// Each window's sum.
+    window_sums: Vec<Jacobian<Cu>>,
+    /// One per accumulation task: the block and batch buffers (the
+    /// walk uses the first's).
+    tasks: Vec<Task<Cu>>,
+    sparse: Sparse<Cu>,
+}
+
+/// The buffers of the MSMs sparse windows reduce through: a window's
+/// occupied bucket sums, their weights `b + 1`, the identity index over
+/// them, and the MSM's own scratch.
+#[derive(Default)]
+struct Sparse<Cu: SwCurve> {
+    occupied: Vec<Affine<Cu>>,
+    weights: Vec<Cu::Scalar>,
+    positions: Vec<usize>,
+    inner: Option<Box<MsmScratch<Cu>>>,
+}
+
+impl<Cu: SwCurve> Sparse<Cu> {
+    /// The sum-of-sums `Σ (b+1)·S_b` of `window` over its occupied buckets:
+    /// an MSM of their sums with scalars of at most `s` bits, through the
+    /// one front door ([`execute`], at [`Layout::over_occupied`]). Returns
+    /// it with the inversions it spent.
+    fn reduce(
+        &mut self,
+        layout: &Layout<Cu>,
+        window: &[Affine<Cu>],
+        pool: &ThreadPool,
+    ) -> (Jacobian<Cu>, u64) {
+        self.occupied.clear();
+        self.weights.clear();
+        // Reserved to the window's bound, so varying occupancy never grows
+        // a warm scratch.
+        reserve_to(&mut self.occupied, window.len());
+        reserve_to(&mut self.weights, window.len());
+        reserve_to(&mut self.positions, window.len());
+        for (b, sum) in window.iter().enumerate().filter(|(_, p)| !p.infinity) {
+            self.occupied.push(*sum);
+            self.weights.push(Cu::Scalar::from_u64(b as u64 + 1));
+        }
+        self.positions.clear();
+        self.positions.extend(0..self.occupied.len());
+        let inner = self.inner.get_or_insert_with(Box::default);
+        layout.reserve_inner(inner);
+        let run = layout.over_occupied(self.occupied.len());
+        let out = execute(
+            &run,
+            &self.occupied,
+            &self.positions,
+            &self.weights,
+            pool,
+            inner,
+        );
+        (
+            out.point,
+            out.stats.batch_inversions + out.stats.reduction_inversions,
+        )
+    }
 }
 
 impl<Cu: SwCurve> MsmScratch<Cu> {
@@ -256,24 +306,26 @@ impl<Cu: SwCurve> MsmScratch<Cu> {
     }
 }
 
+/// Grows `v`'s capacity to at least `len` elements.
+fn reserve_to<T>(v: &mut Vec<T>, len: usize) {
+    v.reserve(len.saturating_sub(v.len()));
+}
+
+/// Splits `data` into consecutive parts ending at `ends` (ascending, the
+/// last `data.len()`), on the stack.
+fn split_at_ends<'a, T>(mut data: &'a mut [T], ends: &[usize]) -> [&'a mut [T]; MAX_TASKS] {
+    let mut parts: [&mut [T]; MAX_TASKS] = Default::default();
+    let mut at = 0;
+    for (part, &end) in parts.iter_mut().zip(ends) {
+        let (head, tail) = std::mem::take(&mut data).split_at_mut(end - at);
+        (*part, data, at) = (head, tail, end);
+    }
+    parts
+}
+
 // ---------------------------------------------------------------------------
 // The bucket engine
 // ---------------------------------------------------------------------------
-
-/// A fully prepared bucket-engine problem: points paired row-for-row with a
-/// flat signed-digit matrix, as [`execute`] builds it.
-struct EngineInput<'a, Cu: SwCurve> {
-    /// The points, one per digit-matrix row.
-    pub points: &'a [Affine<Cu>],
-    /// Flat `points.len() × windows` digit matrix, row-major.
-    pub digits: &'a [i32],
-    /// Window size `s` in bits.
-    pub window_bits: u32,
-    /// Number of windows `w`.
-    pub windows: u32,
-    /// Buckets per window.
-    pub buckets_per_window: u64,
-}
 
 /// Window reduction (serial; Fig. 4a bottom): Horner over 2^s, from the
 /// top window's sum down.
@@ -291,68 +343,158 @@ fn horner<Cu: SwCurve>(
     acc
 }
 
-/// The bucket engine: accumulation over the `windows × chunks` task grid,
-/// one [`AffineBuckets`] per task in `tasks`, then each window's chunk
-/// partials folded into its sum-of-sums, then the window reduction.
-fn bucket_engine_in<Cu: SwCurve>(
-    inp: EngineInput<'_, Cu>,
-    pool: &ThreadPool,
-    tasks: &mut Vec<AffineBuckets<Cu>>,
-) -> MsmOutput<Cu> {
-    let n = inp.points.len();
-    debug_assert!(n > 0, "execute() answers the empty MSM itself");
-    debug_assert_eq!(inp.digits.len(), n * inp.windows as usize);
-    // A bucket addition names its table row as a `u32`.
-    assert!(u32::try_from(n).is_ok(), "{n} table rows exceed u32");
-    let chunks = chunk_grid(n, inp.buckets_per_window);
-    let chunk_len = n.div_ceil(chunks);
-    let wu = inp.windows as usize;
-    let bpw = inp.buckets_per_window as usize;
-    let (points, digits) = (inp.points, inp.digits);
-
-    // Tasks only ever grow in number, like the other scratch buffers.
-    if tasks.len() < wu * chunks {
-        tasks.resize_with(wu * chunks, AffineBuckets::default);
-    }
-    let tasks = &mut tasks[..wu * chunks];
-    pool.for_each_block_mut(tasks, 1, 1, |t, task| {
-        let task = &mut task[0];
-        let win = t / chunks;
-        let lo = (t % chunks) * chunk_len;
-        task.reset(bpw);
-        for i in lo..(lo + chunk_len).min(n) {
-            let d = digits[i * wu + win];
+/// Counting-sorts the nonzero digits of the row-major `rows × windows`
+/// matrix `digits` by (window, bucket): `order[starts[k]..starts[k + 1]]`
+/// are the rows whose digit in window `k / buckets` names bucket
+/// `k % buckets`, ascending, each with its sign in [`NEG`].
+fn sort_by_bucket(
+    digits: &[i32],
+    windows: usize,
+    buckets: usize,
+    order: &mut Vec<u32>,
+    starts: &mut Vec<u32>,
+) {
+    let keys = windows * buckets;
+    let key = |w: usize, d: i32| w * buckets + d.unsigned_abs() as usize - 1;
+    starts.clear();
+    starts.resize(keys + 1, 0);
+    for row in digits.chunks_exact(windows) {
+        for (w, &d) in row.iter().enumerate() {
             if d != 0 {
-                let add = BucketAdd {
-                    bucket: d.unsigned_abs() - 1,
-                    row: i as u32,
-                    neg: d < 0,
-                };
-                task.push(points, add);
+                starts[key(w, d) + 1] += 1;
             }
         }
-        task.finish(points);
-    });
-    pool.for_each_block_mut(tasks, chunks, 1, |_, window| {
-        window[0].buckets[0] = affine_window_sum(window);
-    });
+    }
+    let mut total = 0;
+    for start in starts.iter_mut() {
+        total += *start;
+        *start = total;
+    }
+    // Scatter with `starts[k]` as bucket `k`'s cursor, which leaves it at
+    // the run's end, i.e. the next run's start: shift back by one.
+    order.resize(total as usize, 0);
+    for (i, row) in digits.chunks_exact(windows).enumerate() {
+        for (w, &d) in row.iter().enumerate() {
+            if d != 0 {
+                let k = key(w, d);
+                order[starts[k] as usize] = i as u32 | if d < 0 { NEG } else { 0 };
+                starts[k] += 1;
+            }
+        }
+    }
+    starts.copy_within(..keys, 1);
+    starts[0] = 0;
+}
 
-    let sums = tasks
-        .chunks_exact(chunks)
-        .map(|window| window[0].buckets[0].to_jacobian());
-    let count = |f: fn(&AffineBuckets<Cu>) -> u64| tasks.iter().map(f).sum();
-    let (s, w) = (u64::from(inp.window_bits), u64::from(inp.windows));
+/// Cuts the sorted runs into at most `parts` bucket ranges of about equal
+/// rows, each ending where the [`block`] walk ends a block between
+/// buckets; writes the ranges' ends into `ends` and returns their number.
+fn cut(starts: &[u32], parts: usize, ends: &mut [usize; MAX_TASKS]) -> usize {
+    let keys = starts.len() - 1;
+    let total = u64::from(starts[keys]);
+    let (mut at, mut count) = ((0, 0), 0);
+    while parts > 1 && at.0 < keys && count + 1 < parts {
+        block(starts, &mut at, keys, |_, _, _, _| {});
+        let done = u64::from(at.1) * parts as u64;
+        if at.0 < keys && at.1 == starts[at.0] && done >= total * (count + 1) as u64 {
+            ends[count] = at.0;
+            count += 1;
+        }
+    }
+    ends[count] = keys;
+    count + 1
+}
+
+/// One accumulation task: its first bucket, the sums of its bucket range
+/// and its buffers.
+type Range<'a, Cu> = (usize, &'a mut [Affine<Cu>], Option<&'a mut Task<Cu>>);
+
+/// The bucket engine over `points`, the table whose rows pair with the
+/// scratch's digit matrix: the sort, the accumulation over bucket ranges in
+/// parallel, each window's reduction, then the window reduction.
+fn bucket_engine_in<Cu: SwCurve>(
+    layout: &Layout<Cu>,
+    points: &[Affine<Cu>],
+    pool: &ThreadPool,
+    scratch: &mut MsmScratch<Cu>,
+) -> MsmOutput<Cu> {
+    let MsmScratch {
+        digits,
+        order,
+        starts,
+        sums,
+        window_sums,
+        tasks,
+        sparse,
+        ..
+    } = scratch;
+    let n = points.len();
+    debug_assert!(n > 0, "execute() answers the empty MSM itself");
+    // A sorted entry names its table row in 31 bits.
+    assert!(n < NEG as usize, "{n} table rows exceed 31 bits");
+    let wu = layout.target_windows as usize;
+    let bpw = buckets_for(layout.window_bits, layout.signed) as usize;
+    debug_assert_eq!(digits.len(), n * wu);
+    reserve_to(order, digits.len());
+    sort_by_bucket(digits, wu, bpw, order, starts);
+    let (order, starts) = (&order[..], &starts[..]);
+
+    let threads = pool.num_threads().min(MAX_TASKS);
+    if tasks.len() < threads {
+        tasks.resize_with(threads, Task::new);
+    }
+    // Accumulation: one task per bucket range.
+    sums.resize(wu * bpw, Affine::identity());
+    let mut ends = [0; MAX_TASKS];
+    let parts = cut(starts, threads, &mut ends);
+    let mut work: [Range<'_, Cu>; MAX_TASKS] = Default::default();
+    let mut first = 0;
+    let ranges = split_at_ends(sums, &ends[..parts]);
+    for ((slot, range), task) in work.iter_mut().zip(ranges).zip(tasks.iter_mut()) {
+        task.inversions = 0;
+        (first, *slot) = (first + range.len(), (first, range, Some(task)));
+    }
+    pool.for_each_block_mut(&mut work[..parts], 1, 1, |_, w| {
+        let (first, range, task) = &mut w[0];
+        let task = task.as_mut().expect("a task per range");
+        task.sum_buckets(points, order, starts, *first, range);
+    });
+    let inversions = |tasks: &mut [Task<Cu>]| -> u64 {
+        tasks
+            .iter_mut()
+            .map(|t| std::mem::take(&mut t.inversions))
+            .sum()
+    };
+    let batch_inversions = inversions(tasks);
+
+    // Reduction: each window walks its buckets on the first task's batch
+    // buffers or, with few occupied, reduces through them.
+    window_sums.clear();
+    let mut reduction_inversions = 0;
+    for window in sums.chunks_mut(bpw) {
+        let filled = window.iter().filter(|p| !p.infinity).count();
+        window_sums.push(if filled >= layout.occupied_below {
+            tasks[0].affine_window_sum(window).to_jacobian()
+        } else {
+            let (sum, spent) = sparse.reduce(layout, window, pool);
+            reduction_inversions += spent;
+            sum
+        });
+    }
+    reduction_inversions += inversions(tasks);
+
+    let (s, w) = (u64::from(layout.window_bits), wu as u64);
     MsmOutput {
-        point: horner(sums, inp.window_bits),
+        point: horner(window_sums.iter().copied(), layout.window_bits),
         stats: MsmStats {
-            accumulation_padds: count(|t| t.adds),
-            reduction_padds: 2 * inp.buckets_per_window * w,
+            accumulation_padds: order.len() as u64,
+            reduction_padds: 2 * bpw as u64 * w,
             window_padds: w,
             window_pdbls: s * w,
-            windows: inp.windows,
-            buckets_per_window: inp.buckets_per_window,
-            batch_inversions: count(|t| t.flushes),
-            reduction_inversions: count(|t| t.reduction_inversions),
+            windows: layout.target_windows,
+            buckets_per_window: bpw as u64,
+            batch_inversions,
+            reduction_inversions,
             ..MsmStats::default()
         },
     }
@@ -380,17 +522,27 @@ pub(crate) struct Layout<Cu: SwCurve> {
     pub(crate) target_windows: u32,
     /// Signed-digit recoding.
     pub(crate) signed: bool,
+    /// The scalar width of a run over a sparse window's occupied buckets
+    /// (`Some(s)`: its scalars `b + 1` have at most `s` bits), which never
+    /// reduces through occupied buckets itself.
+    bits: Option<u32>,
+    /// A window with fewer occupied buckets reduces through them
+    /// ([`Layout::over_occupied`]): below this count that MSM prices under
+    /// the walk. 0 for a run over occupied buckets.
+    pub(crate) occupied_below: usize,
 }
 
 /// Costs in `FF_mul` units (`FF_mul` + `FF_sqr`), as `Counted<F>` reports
 /// them for the formulas the engine runs: the XYZZ mixed and full addition
-/// of hot buckets and the sum-of-sums, the Jacobian doubling of the Horner
-/// tail, the XYZZ doubling of the segmented reduction's tail, and one
-/// batch-affine addition with its three multiplications of the batch
-/// inversion.
+/// of the sum-of-sums, the Jacobian doubling and addition of the Horner
+/// tail, a window sum's move from XYZZ to Jacobian coordinates, the XYZZ
+/// doubling of the segmented reduction's tail, and one batch-affine
+/// addition with its three multiplications of the batch inversion.
 pub(crate) const MADD_FF_MULS: u64 = 10;
 pub(crate) const ADD_FF_MULS: u64 = 14;
 const DBL_FF_MULS: u64 = 7;
+const JAC_ADD_FF_MULS: u64 = 16;
+const TO_JACOBIAN_FF_MULS: u64 = 8;
 pub(crate) const XYZZ_DBL_FF_MULS: u64 = 9;
 pub(crate) const AFFINE_ADD_FF_MULS: u64 = 6;
 /// `FF_inv` in `FF_mul` units — measured, not counted (`Counted` tallies
@@ -399,14 +551,30 @@ pub(crate) const AFFINE_ADD_FF_MULS: u64 = 6;
 /// in three traced `prove_dense_1k` runs on a 2-vCPU Xeon: 2 633 / 64.4,
 /// 1 939 / 51.8 and 2 388 / 38.0 cal-ns, median ratio 41.
 pub(crate) const INV_FF_MULS: u64 = 41;
+/// What the field-op counts miss, in fifths of an `FF_mul`: a gathered
+/// row that misses the cache, and a bucket's sort slot, run, sum and walk
+/// step. The sort hands the rounds their rows in bucket order, so a row is
+/// a miss in the share of the table that overflows one core's
+/// [`CACHE_BYTES`]. Set with the picker's band so that the prover shapes
+/// keep the folds that measured fastest, or within a percent of it with
+/// fewer copies, in interleaved one-thread timings on a 2-vCPU Xeon
+/// (`docs/msm.md`).
+const MISS_FIFTHS: u64 = 7;
+const BUCKET_FIFTHS: u64 = 15;
+/// The L2 of one core of that host.
+const CACHE_BYTES: u64 = 2 << 20;
+/// What handing one occupied bucket to [`Layout::over_occupied`]'s MSM
+/// costs beyond its priced work: copying its sum, making and recoding its
+/// weight. Keeps a full window on the walk, which measured about 1% faster
+/// than the MSM over all its buckets in interleaved timings (`docs/msm.md`).
+const OCCUPIED_FF_MULS: u64 = 3;
 
 /// The picker's band: folds within this many percent of the cheapest count
-/// as equally fast, and the one storing the fewest copies runs. Past one
-/// chunk of rows a deeper fold only trades reductions for chunk folds, and
-/// the band keeps a table from doubling for a percent or two of modeled
-/// work: at the bits key's B2 the six-copy fold models 0.8% cheaper than
-/// the three copies that run.
-const BAND_PERCENT: u64 = 2;
+/// as equally fast, and the one storing the fewest copies runs. The band
+/// keeps a table from doubling for a percent of modeled work: at the bits
+/// key's B2 the six-copy fold models cheaper than the three copies that
+/// run.
+const BAND_PERCENT: u64 = 1;
 
 impl<Cu: SwCurve> Layout<Cu> {
     /// The layout of `n` finite points under `config` whose table fits
@@ -417,37 +585,47 @@ impl<Cu: SwCurve> Layout<Cu> {
     /// copies (then the cheaper, then the smaller window).
     ///
     /// Allocation-free — the folds are walked twice, never collected —
-    /// because every one-shot MSM, the prover's 1- and 2-point blinding
-    /// products included, lays itself out here.
+    /// because every one-shot MSM, the prover's 2-point blinding product
+    /// included, lays itself out here.
     ///
     /// # Panics
     ///
     /// Panics if `config.window_bits` is out of range
     /// ([`check_window_bits`]).
     pub(crate) fn new(n: usize, config: &MsmConfig, budget_bytes: Option<u64>) -> Self {
-        let cheapest = Self::folds(n, config, budget_bytes)
+        let mut layout = Self::pick(n, config, budget_bytes, None);
+        layout.occupied_below = layout.occupied_limit();
+        layout
+    }
+
+    /// [`Layout::new`] over scalars of at most `bits` bits where given.
+    fn pick(n: usize, config: &MsmConfig, budget_bytes: Option<u64>, bits: Option<u32>) -> Self {
+        let cheapest = Self::folds(n, config, budget_bytes, bits)
             .map(|layout| layout.shape().cost)
             .min()
             .expect("every window has its single copy");
-        Self::folds(n, config, budget_bytes)
+        Self::folds(n, config, budget_bytes, bits)
             .filter(|layout| layout.shape().cost * 100 <= cheapest * (100 + BAND_PERCENT))
             .min_by_key(Self::footprint)
             .expect("the cheapest fold is inside its own band")
     }
 
-    /// Every layout the picker prices: each window size (`3..=16`, or the
-    /// pinned one) folded onto each `W` whose table fits the budget, plus
-    /// the single un-shifted copy, which runs when nothing else fits.
+    /// Every layout the picker prices: each window size (`3..=16`, at most
+    /// a bounded scalar's width, or the pinned one) folded onto each `W`
+    /// whose table fits the budget, plus the single un-shifted copy, which
+    /// runs when nothing else fits.
     fn folds(
         n: usize,
         config: &MsmConfig,
         budget_bytes: Option<u64>,
+        bits: Option<u32>,
     ) -> impl Iterator<Item = Self> + '_ {
+        let widest = bits.map_or(16, |b| b.clamp(3, 16));
         config
             .window_bits
-            .map_or(3..=16, |s| s..=s)
+            .map_or(3..=widest, |s| s..=s)
             .flat_map(move |s| {
-                let single = Self::at(n, config, s);
+                let single = Self::at(n, config, s, bits);
                 let copy_bytes =
                     (single.points_per_copy() * core::mem::size_of::<Affine<Cu>>()) as u64;
                 (1..=single.full_windows)
@@ -468,17 +646,19 @@ impl<Cu: SwCurve> Layout<Cu> {
     }
 
     /// The single-copy layout at window size `s`.
-    fn at(n: usize, config: &MsmConfig, s: u32) -> Self {
+    fn at(n: usize, config: &MsmConfig, s: u32, bits: Option<u32>) -> Self {
         check_window_bits(s);
         let endo = if config.endomorphism {
             Cu::endomorphism()
         } else {
             None
         };
-        let full_windows = match endo {
+        let signed = u32::from(config.signed_digits);
+        let full_windows = match (bits, endo) {
+            (Some(bits), _) => (bits + signed).div_ceil(s),
             // A subscalar magnitude is bounded by `2^sub_bits`.
-            Some(endo) => (endo.sub_bits + u32::from(config.signed_digits)).div_ceil(s),
-            None => num_windows::<Cu::Scalar>(s, config.signed_digits),
+            (None, Some(endo)) => (endo.sub_bits + signed).div_ceil(s),
+            (None, None) => num_windows::<Cu::Scalar>(s, config.signed_digits),
         };
         Self {
             n,
@@ -487,40 +667,123 @@ impl<Cu: SwCurve> Layout<Cu> {
             full_windows,
             target_windows: full_windows,
             signed: config.signed_digits,
+            bits,
+            occupied_below: 0,
         }
     }
 
-    /// This run's [`MsmShape`], with its modeled work: `rows·w` bucket
-    /// additions, then per reduced window the sum-of-sums as [`Reduction`]
-    /// prices it — the reduction that runs — and the `s` doublings and one
-    /// addition of the Horner tail.
+    /// This run's [`MsmShape`]: its [`Layout::work`] with each inversion
+    /// at [`INV_FF_MULS`], plus the bookkeeping the field ops miss — a
+    /// gathered row's share of a cache miss and a bucket's own price
+    /// ([`MISS_FIFTHS`], [`BUCKET_FIFTHS`]).
     ///
-    /// A bucket addition is an affine one plus a share of one inversion per
-    /// full batch and one per task for its last batch — or, where even a
-    /// full batch cannot repay its inversion, an XYZZ mixed addition.
+    /// A full window walks: the MSM over occupied buckets costs about the
+    /// walk once most buckets are filled, and a dense model fills them all.
+    /// Pricing the occupied path here would have the picker lay out
+    /// windows of buckets that are never filled; a sparse window that runs
+    /// prices it against the walk instead ([`Layout::occupied_below`]).
     pub(crate) fn shape(&self) -> MsmShape {
-        let rows = self.points_per_copy();
-        let buckets = buckets_for(self.window_bits, self.signed);
-        let chunks = chunk_grid(rows * self.copies() as usize, buckets) as u64;
-        let adds = rows as u64 * u64::from(self.full_windows);
-        let windows = u64::from(self.target_windows);
-        let tail = windows * (u64::from(self.window_bits) * DBL_FF_MULS + ADD_FF_MULS);
-        let batch = affine_batch_len(buckets);
-        let (muls, inversions) = if worth_a_batch(batch as usize) {
-            (adds * AFFINE_ADD_FF_MULS, adds / batch + windows * chunks)
-        } else {
-            (adds * MADD_FF_MULS, 0)
-        };
-        let sums = Reduction::new(buckets, chunks);
-        let muls = muls + windows * sums.muls + tail;
-        let inversions = inversions + windows * sums.inversions;
+        let (muls, inversions) = self.work();
+        let buckets = u64::from(self.target_windows) * buckets_for(self.window_bits, self.signed);
+        let rows = (self.points_per_copy() * self.copies() as usize) as u64;
+        let bytes = rows * core::mem::size_of::<Affine<Cu>>() as u64;
+        let misses = self.entries() * bytes.saturating_sub(CACHE_BYTES) / bytes.max(1);
         MsmShape {
             window_bits: self.window_bits,
             target_windows: self.target_windows,
             copies: self.copies(),
-            cost: muls + inversions * INV_FF_MULS,
+            cost: muls
+                + inversions * INV_FF_MULS
+                + (misses * MISS_FIFTHS + buckets * BUCKET_FIFTHS) / 5,
             inversions,
         }
+    }
+
+    /// The run's field work, `(FF_mul + FF_sqr, FF_inv)`, for digits that
+    /// are all nonzero and evenly spread: the `rows·w` entries' bucket sums
+    /// as [`Accumulation`] prices them, then per reduced window the walk as
+    /// [`Reduction`] prices it and its sum's move to Jacobian coordinates,
+    /// and the `s` doublings and one addition of the Horner tail after the
+    /// top window.
+    pub(crate) fn work(&self) -> (u64, u64) {
+        let buckets = buckets_for(self.window_bits, self.signed);
+        let windows = u64::from(self.target_windows);
+        let sums = Accumulation::new(self.entries(), windows * buckets);
+        let walk = Reduction::new(buckets);
+        let tail = (windows - 1) * (u64::from(self.window_bits) * DBL_FF_MULS + JAC_ADD_FF_MULS);
+        (
+            sums.additions * AFFINE_ADD_FF_MULS
+                + windows * (walk.muls + TO_JACOBIAN_FF_MULS)
+                + tail,
+            sums.inversions + windows * walk.inversions,
+        )
+    }
+
+    /// Nonzero digits of a dense run: `rows·w`.
+    fn entries(&self) -> u64 {
+        self.points_per_copy() as u64 * u64::from(self.full_windows)
+    }
+
+    /// The one-shot layout of the MSM `Σ (b+1)·S_b` over a window's `o`
+    /// occupied bucket sums: unsplit, digits as this run's, scalars of at
+    /// most `s` bits (`b + 1 ≤ buckets < 2^s`), the window picked for them.
+    pub(crate) fn over_occupied(&self, o: usize) -> Self {
+        Self::pick(o, &self.occupied_config(), Some(0), Some(self.window_bits))
+    }
+
+    /// The configuration of [`Layout::over_occupied`]: this run's digits,
+    /// no endomorphism split.
+    fn occupied_config(&self) -> MsmConfig {
+        MsmConfig {
+            window_bits: None,
+            signed_digits: self.signed,
+            endomorphism: false,
+        }
+    }
+
+    /// The fewest occupied buckets at which [`Layout::over_occupied`],
+    /// with [`OCCUPIED_FF_MULS`] for each point and weight it is handed,
+    /// prices at least the walk: that price never falls as `o` grows, so
+    /// windows below it reduce through their occupied buckets. 0 for a run
+    /// over occupied buckets, so it never recurses.
+    fn occupied_limit(&self) -> usize {
+        if self.bits.is_some() {
+            return 0;
+        }
+        let buckets = buckets_for(self.window_bits, self.signed) as usize;
+        let walk = Reduction::new(buckets as u64).cost() + TO_JACOBIAN_FF_MULS;
+        let (mut lo, mut hi) = (0, buckets + 1);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let occupied = self.over_occupied(mid).shape().cost + mid as u64 * OCCUPIED_FF_MULS;
+            if occupied < walk {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Reserves `inner`'s buffers for any [`Layout::over_occupied`] run of
+    /// this layout's windows — at most `buckets` rows, each window's
+    /// digits at most as many as the narrowest window's — so varying
+    /// occupancy never grows a warm scratch.
+    fn reserve_inner(&self, inner: &mut MsmScratch<Cu>) {
+        let rows = buckets_for(self.window_bits, self.signed) as usize;
+        let config = self.occupied_config();
+        let (mut windows, mut keys) = (0, 0);
+        for layout in Self::folds(rows, &config, Some(0), Some(self.window_bits)) {
+            let w = layout.target_windows as usize;
+            windows = windows.max(w);
+            keys = keys.max(w * buckets_for(layout.window_bits, layout.signed) as usize);
+        }
+        reserve_to(&mut inner.full_digits, rows * windows);
+        reserve_to(&mut inner.digits, rows * windows);
+        reserve_to(&mut inner.order, rows * windows);
+        reserve_to(&mut inner.starts, keys + 1);
+        reserve_to(&mut inner.sums, keys);
+        reserve_to(&mut inner.window_sums, windows);
     }
 
     /// Table rows per copy: `n`, or `D·n` under a `D`-way endomorphism.
@@ -704,17 +967,7 @@ pub(crate) fn execute<Cu: SwCurve>(
         &mut scratch.full_digits,
         &mut scratch.digits,
     );
-    let mut out = bucket_engine_in(
-        EngineInput {
-            points: table,
-            digits: &scratch.digits,
-            window_bits: layout.window_bits,
-            windows: layout.target_windows,
-            buckets_per_window: buckets_for(layout.window_bits, layout.signed),
-        },
-        pool,
-        &mut scratch.tasks,
-    );
+    let mut out = bucket_engine_in(layout, table, pool, scratch);
     if layout.endo.is_some() {
         out.stats.glv_decompositions = layout.n as u64;
     }
@@ -831,7 +1084,8 @@ pub fn msm_serial<Cu: SwCurve>(points: &[Affine<Cu>], scalars: &[Cu::Scalar]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::tests::{add, multiples};
+    use crate::affine::tests::multiples;
+    use crate::MsmPlan;
     use zkp_curves::{bls12_381, Xyzz};
     use zkp_ff::counter::{with_counting, Counted};
     use zkp_ff::{Fq381, Fr381};
@@ -874,51 +1128,69 @@ mod tests {
         assert_eq!(muls(full) - muls(madds), ADD_FF_MULS);
         assert_eq!(muls(dbl), DBL_FF_MULS);
         assert_eq!(muls(xyzz_dbl) - muls(madd), XYZZ_DBL_FF_MULS);
+        let other = Jacobian::from(p[2]).add_affine(&p[3]);
+        let (_, jac_add) = with_counting(|| jac.add(&other));
+        let (_, to_jacobian) = with_counting(|| xyzz(0, 1).to_jacobian());
+        assert_eq!(muls(jac_add), JAC_ADD_FF_MULS);
+        assert_eq!(muls(to_jacobian) - muls(madd), TO_JACOBIAN_FF_MULS);
 
-        // N affine additions into N filled buckets: one batch, one
-        // inversion, and `AFFINE_ADD_FF_MULS` multiplications each.
-        const N: usize = 100;
-        let points = multiples::<CountedG1>(2 * N);
-        let mut task = AffineBuckets::default();
-        task.reset(N);
-        for r in 0..N as u32 {
-            task.push(&points, add(r, r, false));
-        }
-        let (_, batch) = with_counting(|| {
-            for r in 0..N as u32 {
-                task.push(&points, add(r, N as u32 + r, false));
-            }
-            task.finish(&points);
-        });
-        assert_eq!((batch.inv, task.flushes), (1, 1));
-        assert_eq!(muls(batch), AFFINE_ADD_FF_MULS * N as u64);
-
-        // One segmented window, every bucket of both chunk tasks affine:
-        // the reduction spends exactly what `Layout::shape` charges for it.
-        // Chunk `c`'s bucket `i` holds row `2i + c`, so no running sum
-        // meets its own point.
-        const BUCKETS: usize = 1024;
-        const CHUNKS: usize = 2;
-        let priced = Reduction::new(BUCKETS as u64, CHUNKS as u64);
-        assert_eq!(priced.segments, 64);
-        let points = multiples::<CountedG1>(CHUNKS * BUCKETS);
-        let mut window: Vec<AffineBuckets<CountedG1>> = (0..CHUNKS)
-            .map(|c| {
-                let mut task = AffineBuckets::default();
-                task.reset(BUCKETS);
-                for i in 0..BUCKETS as u32 {
-                    task.push(&points, add(i, CHUNKS as u32 * i + c as u32, false));
-                }
-                task.finish(&points);
-                task
-            })
-            .collect();
-        let (_, reduced) = with_counting(|| affine_window_sum(&mut window));
+        // One full dense window: a copy of 512 rows over 8 windows folded
+        // into one, at s = 10 signed, so each of the 512 buckets holds 8
+        // points. Its sums take two blocks, each rounds of 1 024, 512 and
+        // 256 additions (2 + 1 + 1 inversions), its walk 32 segments of 16
+        // (30 rounds):
+        // the run spends exactly the field work `Layout::work` charges,
+        // which `Layout::shape` prices.
+        let dense = Layout::<CountedG1> {
+            n: 512,
+            endo: None,
+            window_bits: 10,
+            full_windows: 8,
+            target_windows: 1,
+            signed: true,
+            bits: None,
+            occupied_below: 0,
+        };
+        let points = multiples::<CountedG1>(4096);
+        let pool = ThreadPool::with_threads(1);
+        let mut scratch = MsmScratch::new();
+        scratch.digits = (0..4096).map(|r| r % 512 + 1).collect();
+        let (out, counted) =
+            with_counting(|| bucket_engine_in(&dense, &points, &pool, &mut scratch));
+        assert_eq!((muls(counted), counted.inv), dense.work());
         assert_eq!(
-            (muls(reduced), reduced.inv),
-            (priced.muls, priced.inversions)
+            (out.stats.batch_inversions, out.stats.reduction_inversions),
+            (8, 30)
         );
-        assert_eq!(window[0].reduction_inversions, priced.inversions);
+        let shape = dense.shape();
+        assert_eq!(shape.inversions, 38);
+        assert!(shape.cost > dense.work().0 + 38 * INV_FF_MULS);
+
+        // One sparse window: 14 of 4 095 unsigned buckets (s = 12) occupied.
+        // Their weights `b + 1` have every base-8 digit nonzero and each
+        // digit value twice in each of the 4 windows the MSM over them picks
+        // (s = 3, 7 buckets): a dense run of its own, whose counts equal its
+        // priced work.
+        let sparse = Layout::<CountedG1> {
+            window_bits: 12,
+            signed: false,
+            ..dense
+        };
+        let run = sparse.over_occupied(14);
+        assert_eq!((run.window_bits, run.target_windows), (3, 4));
+        let mut window = vec![Affine::identity(); 4095];
+        let sums = multiples::<CountedG1>(14);
+        for (i, sum) in sums.into_iter().enumerate() {
+            let digit = |j: usize| (i + j * (i / 7)) % 7 + 1;
+            window[(0..4).map(|j| digit(j) << (3 * j)).sum::<usize>() - 1] = sum;
+        }
+        let mut reducer = Sparse::default();
+        let ((sum, spent), counted) = with_counting(|| reducer.reduce(&sparse, &window, &pool));
+        assert_eq!((muls(counted), counted.inv), run.work());
+        assert_eq!(spent, 1);
+        // The same window through the walk: the same point.
+        let walked = Task::new().affine_window_sum(&mut window).to_jacobian();
+        assert_eq!(sum, walked);
     }
 
     #[test]
@@ -935,5 +1207,123 @@ mod tests {
         // Two windows cannot hold 0xff in signed digits: the carry out of
         // the top window would be dropped and the MSM silently wrong.
         recode_row(&[0xff], 4, true, false, &mut [0i32; 2]);
+    }
+
+    /// One adversarial schedule per case, on `Cu`: `n` rows over repeated
+    /// and negated bases (one base at infinity), digits of at most two
+    /// windows of `s` bits — window `j` empty, in one bucket, in every
+    /// bucket or random, as `fill[j]` says — and `hot` percent of the rows
+    /// with the digit 1. Run with the reduced windows `W = 1` (every window
+    /// folded onto copies) and `W = w`, each at 1, 2 and 8 threads, it must
+    /// give `msm_serial`'s point with the same coordinates and stats at
+    /// every width; with every window walked, and with every window through
+    /// its occupied buckets, the same point.
+    #[allow(clippy::too_many_arguments)]
+    fn check_schedule<Cu: SwCurve>(
+        n: usize,
+        s: u32,
+        signed: bool,
+        hot: u64,
+        repeat: u64,
+        fill: [u64; 2],
+        seed: u64,
+    ) {
+        let mut state = seed | 1;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound.max(1)
+        };
+        let base = multiples::<Cu>(n);
+        let mut points = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = if i > 0 && next(100) < repeat {
+                points[next(i as u64) as usize]
+            } else {
+                base[i]
+            };
+            points.push(if next(2) == 0 { p } else { Affine::neg(&p) });
+        }
+        points[next(n as u64) as usize] = Affine::identity();
+        let top = 1u64 << s;
+        let scalars: Vec<Cu::Scalar> = (0..n as u64)
+            .map(|i| {
+                let mut digit = |j: usize| match fill[j] {
+                    0 => 0,
+                    1 => 5 % top,
+                    2 => i % top,
+                    _ => next(top),
+                };
+                let (low, high) = (digit(0), digit(1));
+                let low = if next(100) < hot { 1 } else { low };
+                Cu::Scalar::from_u64(low + (high << s))
+            })
+            .collect();
+        let expect = msm_serial(&points, &scalars);
+        let config = MsmConfig {
+            window_bits: Some(s),
+            signed_digits: signed,
+            endomorphism: false,
+        };
+        let mut index = Vec::new();
+        finite_positions(&points, &mut index);
+        let one = ThreadPool::with_threads(1);
+        for folded in [true, false] {
+            let mut layout = Layout::<Cu>::new(index.len(), &config, Some(0));
+            if folded {
+                layout.target_windows = 1;
+            }
+            let what = format!("s = {s}, signed {signed}, W = {}", layout.target_windows);
+            let plan = MsmPlan::from_layout(&points, index.clone(), layout, &one);
+            let serial = plan.execute(&scalars, &one);
+            assert_eq!(serial.point, expect, "{what}");
+            for threads in [2, 8] {
+                let out = plan.execute(&scalars, &ThreadPool::with_threads(threads));
+                let (a, b) = (&out.point, &serial.point);
+                assert_eq!(
+                    (a.x, a.y, a.z),
+                    (b.x, b.y, b.z),
+                    "{what}, {threads} threads"
+                );
+                assert_eq!(out.stats, serial.stats, "{what}, {threads} threads");
+            }
+            for occupied_below in [0, usize::MAX] {
+                let layout = Layout {
+                    occupied_below,
+                    ..layout
+                };
+                let plan = MsmPlan::from_layout(&points, index.clone(), layout, &one);
+                let out = plan.execute(&scalars, &one);
+                assert_eq!(out.point, expect, "{what}, occupied below {occupied_below}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // A handful of cases under the optimised debug profile; a release
+        // build (as CI runs it) sweeps eight times as many.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 4 } else { 32 }
+        ))]
+
+        /// The bucket engine's adversarial schedules against `msm_serial`
+        /// on G1 and G2: one bucket holding most rows, repeated and negated
+        /// bases whose `P + P` and `P − P` land inside one pair, windows
+        /// with none, one or all buckets occupied, `W = 1` and `W > 1`.
+        #[test]
+        fn adversarial_schedules_match_the_reference(
+            n in 2usize..160,
+            s in 3u32..10,
+            signed in proptest::prelude::any::<bool>(),
+            hot in 0u64..=100,
+            repeat in 0u64..=100,
+            low in 0u64..4,
+            high in 0u64..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            check_schedule::<G1>(n, s, signed, hot, repeat, [low, high], seed);
+            check_schedule::<bls12_381::G2>(n / 4 + 2, s, signed, hot, repeat, [low, high], seed);
+        }
     }
 }

@@ -61,7 +61,7 @@ impl<Cu: SwCurve> MsmPlan<Cu> {
 
     /// The table builder: materializes the `⌈w/W⌉` shifted copies of
     /// `layout` over the finite `points` that `index` names.
-    fn from_layout(
+    pub(crate) fn from_layout(
         points: &[Affine<Cu>],
         index: Vec<usize>,
         layout: Layout<Cu>,

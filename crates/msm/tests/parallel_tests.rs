@@ -2,9 +2,10 @@
 //! Pippenger engine (the window picker is held to its cost model in
 //! `plan_tests.rs`).
 //!
-//! The engine's chunk grid is a pure function of problem shape, so every
-//! output here — the Jacobian coordinates *and* the stats — must be
-//! bit-identical no matter how many worker threads execute the schedule.
+//! Every bucket's addition tree is fixed by the sort, and the engine cuts
+//! its bucket ranges where the sort's blocks end, so every output here —
+//! the Jacobian coordinates *and* the stats — must be bit-identical no
+//! matter how many worker threads execute the schedule.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -164,19 +165,19 @@ fn fingerprint(p: &Jacobian<G1>) -> u64 {
 #[test]
 fn chunked_shape_reproduces_the_recorded_coordinates() {
     // 400 bases, every fourth at infinity, at s = 4. Tables hold the 300
-    // finite bases only, so a window runs 8 chunks signed (600 GLV rows,
-    // 8 buckets), 2 unsigned (300 rows, 15 buckets), 8 once a plan folds
-    // the rows onto copies (4 unsigned, 3 signed). Signed runs also take
-    // the GLV split, so both recoder inputs (scalars, negated subscalars)
-    // are covered. At 8 buckets even a full batch cannot repay its
-    // inversion, so the signed tasks take their additions by XYZZ mixed
-    // additions and invert nothing; a batch of 15 saves 60 `FF_mul`, more
-    // than the 41 an inversion costs, so the unsigned tasks batch. The
-    // signed fingerprints were recorded when the batch-affine task became
-    // the only bucket store, the unsigned ones when inversion got cheap
-    // enough for 15 buckets to batch: affine buckets enter the XYZZ
-    // sum-of-sums as other coordinates of the same points (earlier ones,
-    // of the Jacobian and XYZZ arenas, are in git history).
+    // finite bases only: 600 GLV rows over 8 buckets signed, 300 rows over
+    // 15 unsigned, and a plan folds the rows onto copies (4 unsigned, 3
+    // signed). Signed runs also take the GLV split, so both recoder inputs
+    // (scalars, negated subscalars) are covered. Every bucket's points are
+    // summed in pairwise batch-affine rounds that share one inversion per
+    // round across all windows of a block, so these many-window runs
+    // invert 61–91 times. The fingerprints were recorded when buckets
+    // became sorted runs summed in rounds: the bucket sums are the same
+    // affine points as before, but every window, the 8-bucket signed ones
+    // included, now enters the XYZZ sum-of-sums from affine buckets, so the
+    // result has other projective coordinates (earlier ones, of the queued
+    // batch-affine task, the Jacobian and the XYZZ arenas, are in git
+    // history).
     const N: usize = 400;
     const FINITE: usize = 300;
     const S: u32 = 4;
@@ -187,10 +188,10 @@ fn chunked_shape_reproduces_the_recorded_coordinates() {
     // (signed, planned, accumulation_padds, windows, batch_inversions,
     // fingerprint)
     let recorded = [
-        (false, false, 17973, 64, 847, 0xc05b12e8b0800b9f),
-        (false, true, 17973, 16, 847, 0x2e89dc0127fb6f88),
-        (true, false, 17954, 32, 0, 0xfc9a1fd6acceb6d7),
-        (true, true, 17954, 11, 0, 0x5460dfdb0dd30717),
+        (false, false, 17973, 64, 61, 0xccd184b8e0643e69),
+        (false, true, 17973, 16, 72, 0x1475858afaa9c3d2),
+        (true, false, 17954, 32, 79, 0xf051887f1e7ae812),
+        (true, true, 17954, 11, 91, 0x4b55db52c2a1dcc5),
     ];
     let phi = G1::endomorphism().expect("BLS12-381 G1 has φ");
     let expect = msm_serial(&points, &scalars);
