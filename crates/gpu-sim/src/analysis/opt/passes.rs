@@ -93,10 +93,14 @@ pub(super) fn simplify(program: &Program, oracle: &MemOracle) -> (Program, usize
         let (folded, n1) = fold_round(&p, oracle);
         let (stripped, n2) = strip_dead_set_cc(&folded);
         total += n1 + n2;
-        if n1 + n2 == 0 {
+        p = stripped;
+        // A fold round leaves every term and carry-in slot as it found
+        // them, so it rewrites nothing on its own output; only a carry
+        // write stripped since it ran (which may unblock a const-to-`MOV`
+        // rewrite) can give the next round work.
+        if n2 == 0 {
             break;
         }
-        p = stripped;
     }
     (p, total)
 }

@@ -130,6 +130,44 @@ fn simplify_folds_constant_chain() {
 }
 
 #[test]
+fn simplify_runs_until_no_carry_write_is_stripped() {
+    // W: r1 = 0xffffffff + 1 sets the carry to a known 1; X reads it into
+    // r2 = 0 + 0 + 0 + 1 and writes a carry nobody reads. Round 1 strips
+    // X's dead carry write; only then can round 2 turn X into `MOV r2, 1`,
+    // which drops X's carry read and frees W's carry write; round 3 turns
+    // W into `MOV r1, 0` and strips nothing. Every rewrite is counted
+    // once, and a further round would find no work.
+    let w = Instr::Iadd3 {
+        dst: 1,
+        a: imm(u32::MAX),
+        b: imm(1),
+        c: imm(0),
+        set_cc: true,
+        use_cc: false,
+    };
+    let x = Instr::Iadd3 {
+        dst: 2,
+        a: imm(0),
+        b: imm(0),
+        c: imm(0),
+        set_cc: true,
+        use_cc: true,
+    };
+    let out = optimize(vec![w, x, stg(1, 0), stg(2, 1), Instr::Exit]);
+    assert_eq!(out.report.simplified, 4, "{:?}", out.report);
+    let consts: Vec<Instr> = (0..2).map(|pc| out.program.fetch(pc)).collect();
+    assert!(consts.contains(&mov(1, imm(0))), "{consts:?}");
+    assert!(consts.contains(&mov(2, imm(1))), "{consts:?}");
+    let again = optimize_under(
+        (0..out.program.len())
+            .map(|pc| out.program.fetch(pc))
+            .collect(),
+        opts(),
+    );
+    assert_eq!(again.report.simplified, 0, "{:?}", again.report);
+}
+
+#[test]
 fn cse_forwards_redundant_load() {
     let out = optimize(vec![
         ldg(1, 0),

@@ -1,39 +1,51 @@
-//! The production transform family: one stage-ordered twiddle table, a
+//! The production transform family: two per-domain tables, a
 //! multiplication-free head pass, one butterfly kernel, and a pooled
 //! transform and coset scaling.
 //!
 //! These mirror the optimizations §IV-A attributes to `cuZK` ("storing
 //! precomputed twiddle factors in device memory") and the stage-parallel
-//! structure every GPU NTT exploits — here realized with a lookup table
+//! structure every GPU NTT exploits — here realized with lookup tables
 //! and a `zkp-runtime` pool. This is the path the prover and the
 //! benchmark both run; the on-the-fly network in [`crate::transform`] is
 //! the independent reference it is cross-checked against.
 //!
-//! The table is laid out the way the kernel walks it: each stage reads one
-//! contiguous run of twiddles, there is one direction (the inverse
-//! transform is the forward network on the index-negated input), and no
-//! butterfly multiplies by `ω⁰ = 1`.
+//! A [`TwiddleTable`] holds two runs of field elements, built once per
+//! domain and read by every transform after it:
+//!
+//! * the stage twiddles, `n − 1` entries laid out the way the kernel walks
+//!   them: each stage reads one contiguous run, there is one direction (the
+//!   inverse transform is the forward network on the index-negated input),
+//!   and no butterfly multiplies by `ω⁰ = 1`;
+//! * the coset powers `n⁻¹·gⁱ`, `n + 1` entries, which make every coset
+//!   scaling one multiplication per element instead of a serial power
+//!   chain: 2^15 · 32 B = 1 MiB of memory for the quotient's domain.
 
 use crate::domain::Domain;
 use crate::transform::bit_reverse_permute;
 use zkp_ff::{Field, PrimeField};
 use zkp_runtime::ThreadPool;
 
-/// Precomputed twiddle factors for one domain, in stage order: the stage
-/// with block size `m` reads its `m/2` twiddles `ω_m⁰ … ω_m^(m/2−1)`
-/// (`ω_m = ω^(n/m)`) contiguously at `[m/2 − 1, m − 1)` — `n − 1` entries
-/// in all — replacing the serial `w *= w_m` chains of the on-the-fly
-/// transform with independent, unit-stride lookups.
+/// Precomputed factors for one domain. The twiddles are in stage order:
+/// the stage with block size `m` reads its `m/2` twiddles
+/// `ω_m⁰ … ω_m^(m/2−1)` (`ω_m = ω^(n/m)`) contiguously at
+/// `[m/2 − 1, m − 1)` — `n − 1` entries in all — replacing the serial
+/// `w *= w_m` chains of the on-the-fly transform with independent,
+/// unit-stride lookups. The coset powers `coset[i] = n⁻¹·gⁱ`,
+/// `i ∈ 0..=n`, do the same for the coset scalings [`coset_scale_on`]
+/// applies; the entry past the domain, `n⁻¹·gⁿ`, closes the reversed read
+/// at `i = 0`.
 #[derive(Debug, Clone)]
 pub struct TwiddleTable<F: PrimeField> {
     stages: Vec<F>,
+    coset: Vec<F>,
     size: u64,
 }
 
 impl<F: PrimeField> TwiddleTable<F> {
-    /// Builds the table for a domain (n/2 multiplications, done once): the
-    /// last stage by the running product `ωʲ`, every earlier stage as every
-    /// other entry of the one after it (`ω_(m/2)ʲ = ω_m²ʲ`).
+    /// Builds the tables for a domain (3n/2 multiplications, done once):
+    /// the last stage by the running product `ωʲ`, every earlier stage as
+    /// every other entry of the one after it (`ω_(m/2)ʲ = ω_m²ʲ`), and the
+    /// coset powers by the running product `n⁻¹·gⁱ`.
     pub fn new(domain: &Domain<F>) -> Self {
         let n = domain.size() as usize;
         let mut stages = vec![F::one(); n - 1];
@@ -49,16 +61,21 @@ impl<F: PrimeField> TwiddleTable<F> {
             }
             m /= 2;
         }
+        let coset =
+            std::iter::successors(Some(domain.size_inv()), |p| Some(*p * domain.coset_gen()))
+                .take(n + 1)
+                .collect();
         Self {
             stages,
+            coset,
             size: domain.size(),
         }
     }
 
-    /// Memory the table occupies in bytes (the "device memory" cost cuZK
+    /// Memory the tables occupy in bytes (the "device memory" cost cuZK
     /// pays for this optimization).
     pub fn bytes(&self) -> usize {
-        self.stages.len() * F::NUM_LIMBS * 8
+        (self.stages.len() + self.coset.len()) * F::NUM_LIMBS * 8
     }
 
     /// The twiddles of the stage with block size `m`.
@@ -115,7 +132,7 @@ fn butterflies<F: Field>(lo: &mut [F], hi: &mut [F], tw: &[F], offset: usize) {
 /// `invert` runs the same network: the DFT by `ω⁻¹` is the DFT by `ω` of
 /// the index-negated input (`x[(n − i) mod n]`, i.e. `values[1..]`
 /// reversed), so there is no inverse table. It does *not* apply `n⁻¹`:
-/// [`scale_by_powers`] folds it into the coset shift.
+/// the coset powers of [`coset_scale_on`] carry it.
 ///
 /// # Panics
 ///
@@ -180,27 +197,58 @@ pub fn ntt_parallel_on<F: PrimeField>(
     }
 }
 
-/// The coset scaling `values[i] *= first · gⁱ`, in one pass on a pool:
-/// each chunk seeds its running power with `first · g^offset` and scans
-/// locally. Field multiplication is exact, so the result is bit-identical
-/// to [`crate::distribute_powers`] followed by a sweep by `first` (the
-/// inverse transform's `n⁻¹`) at any thread count.
-pub fn scale_by_powers<F: Field>(pool: &ThreadPool, values: &mut [F], g: F, first: F) {
-    // One `pow` per chunk; only worth fanning out on sizable scans.
-    const MIN_CHUNK: usize = 4096;
-    pool.for_each_chunk_mut(values, MIN_CHUNK, |_, offset, chunk| {
-        let mut acc = first * g.pow(&[offset as u64]);
+/// Chunks below this are dominated by scheduling overhead.
+const MIN_SCALE_CHUNK: usize = 4096;
+
+/// The coset scaling by table lookup, one multiplication per element, in
+/// one pass on a pool. Forward, `values[i] *= n⁻¹·gⁱ`: an inverse
+/// transform's `n⁻¹` and the shift onto the coset `g·⟨ω⟩`. With `invert`,
+/// the table read backwards, `values[i] *= n⁻¹·g^(n−i)`: the shift back,
+/// `n⁻¹·g⁻ⁱ`, times the constant `gⁿ`, which the caller cancels elsewhere
+/// (the quotient's element-wise pass multiplies by `g⁻ⁿ`). Field
+/// multiplication is exact, so the result is
+/// bit-identical to [`crate::distribute_powers`] and a sweep by the
+/// constant at any thread count.
+///
+/// # Panics
+///
+/// Panics if `values.len()` differs from the table's domain size.
+pub fn coset_scale_on<F: PrimeField>(
+    values: &mut [F],
+    table: &TwiddleTable<F>,
+    invert: bool,
+    pool: &ThreadPool,
+) {
+    assert_eq!(
+        values.len() as u64,
+        table.size,
+        "input length must match the table's domain"
+    );
+    let n = values.len();
+    let coset = &table.coset;
+    pool.for_each_chunk_mut(values, MIN_SCALE_CHUNK, |_, offset, chunk| {
+        let scale = |(v, p): (&mut F, &F)| *v *= *p;
+        if invert {
+            let top = n - offset;
+            let powers = coset[top + 1 - chunk.len()..=top].iter().rev();
+            chunk.iter_mut().zip(powers).for_each(scale);
+        } else {
+            chunk.iter_mut().zip(&coset[offset..]).for_each(scale);
+        }
+    });
+}
+
+/// [`crate::distribute_powers`] on a thread pool, `values[i] *= gⁱ` for
+/// any `g`: each chunk seeds its running power with `g^offset` and scans
+/// locally. Bit-identical to the serial scan at any thread count.
+pub fn distribute_powers_parallel<F: Field>(pool: &ThreadPool, values: &mut [F], g: F) {
+    pool.for_each_chunk_mut(values, MIN_SCALE_CHUNK, |_, offset, chunk| {
+        let mut acc = g.pow(&[offset as u64]);
         for v in chunk.iter_mut() {
             *v *= acc;
             acc *= g;
         }
     });
-}
-
-/// [`crate::distribute_powers`] on a thread pool: [`scale_by_powers`]
-/// from `first = 1`.
-pub fn distribute_powers_parallel<F: Field>(pool: &ThreadPool, values: &mut [F], g: F) {
-    scale_by_powers(pool, values, g, F::one());
 }
 
 #[cfg(test)]
@@ -229,7 +277,7 @@ mod tests {
             assert_eq!(a, b, "forward 2^{log_n}");
             intt(&d, &mut a);
             ntt_parallel_on(&mut b, &table, true, &pool);
-            scale_by_powers(&pool, &mut b, Fr381::one(), d.size_inv());
+            b.iter_mut().for_each(|x| *x *= d.size_inv());
             assert_eq!(a, b, "inverse 2^{log_n}");
             assert_eq!(b, v);
         }
@@ -258,7 +306,7 @@ mod tests {
         let mut w = v.clone();
         ntt_parallel_on(&mut w, &table, false, &pool);
         ntt_parallel_on(&mut w, &table, true, &pool);
-        scale_by_powers(&pool, &mut w, Fr381::one(), d.size_inv());
+        w.iter_mut().for_each(|x| *x *= d.size_inv());
         assert_eq!(w, v);
     }
 
@@ -268,7 +316,12 @@ mod tests {
             let n = 1usize << log_n;
             let d = Domain::<Fr381>::new(n as u64).expect("small domain");
             let table = TwiddleTable::new(&d);
-            assert_eq!(table.bytes(), (n - 1) * Fr381::NUM_LIMBS * 8);
+            assert_eq!(table.bytes(), (2 * n) * Fr381::NUM_LIMBS * 8);
+            for (i, power) in table.coset.iter().enumerate() {
+                let expect = d.size_inv() * d.coset_gen().pow(&[i as u64]);
+                assert_eq!(*power, expect, "n=2^{log_n} coset power {i}");
+            }
+            assert_eq!(table.coset.len(), n + 1);
             for s in 1..=log_n {
                 let m = 1usize << s;
                 for j in 0..m / 2 {
@@ -286,8 +339,9 @@ mod tests {
     fn table_memory_accounting() {
         let d = Domain::<Fr381>::new(1 << 10).expect("small domain");
         let table = TwiddleTable::new(&d);
-        // n/2 + n/4 + … + 1 twiddles of 4 limbs each, one direction.
-        assert_eq!(table.bytes(), ((1 << 10) - 1) * 32);
+        // n/2 + n/4 + … + 1 twiddles of 4 limbs each, one direction, and
+        // the n + 1 coset powers n⁻¹·gⁱ.
+        assert_eq!(table.bytes(), ((1 << 10) - 1 + (1 << 10) + 1) * 32);
     }
 
     #[test]

@@ -18,14 +18,16 @@
 //!   never calls these: they are what the tests and the benchmark's output
 //!   check hold the production family against, so they are not wrappers
 //!   over it.
-//! * **Production** (`fast.rs` + `poly.rs`) — one stage-ordered
-//!   [`TwiddleTable`] (`n − 1` entries, each stage's twiddles contiguous, no
-//!   inverse copy: the inverse transform is the forward network on the
-//!   index-negated input), a multiplication-free head pass over stages 1–2
-//!   and one butterfly kernel under the pooled [`ntt_parallel_on`], one
-//!   fused coset scaling [`scale_by_powers`], and one pooled 7-transform
-//!   [`quotient_schedule`] (Fig. 3), the only caller of those two kernels
-//!   in the prover. It hands each of its 11 steps, as a
+//! * **Production** (`fast.rs` + `poly.rs`) — one per-domain
+//!   [`TwiddleTable`] holding the stage-ordered twiddles (`n − 1` entries,
+//!   each stage's twiddles contiguous, no inverse copy: the inverse
+//!   transform is the forward network on the index-negated input) and the
+//!   coset powers `n⁻¹·gⁱ` (`n + 1` entries, 1 MiB at 2^15 over Fr), a
+//!   multiplication-free head pass over stages 1–2 and one butterfly kernel
+//!   under the pooled [`ntt_parallel_on`], one tabled coset scaling
+//!   [`coset_scale_on`] (one multiplication per element, the `n⁻¹` folded
+//!   in), and one pooled 7-transform [`quotient_schedule`] (Fig. 3), the
+//!   only caller of those two kernels in the prover. It hands each of its 11 steps, as a
 //!   [`QuotientStep`], to one hook: [`quotient_poly_in`] runs them as they
 //!   are and `zkp_backend::quotient_pipeline_in` dispatches each as a
 //!   backend op — what the benchmark times is what the prover runs.
@@ -52,7 +54,7 @@ mod poly;
 mod transform;
 
 pub use domain::Domain;
-pub use fast::{distribute_powers_parallel, ntt_parallel_on, scale_by_powers, TwiddleTable};
+pub use fast::{coset_scale_on, distribute_powers_parallel, ntt_parallel_on, TwiddleTable};
 pub use poly::{quotient_poly, quotient_poly_in, quotient_schedule, DensePoly, QuotientStep};
 pub use transform::{
     bit_reverse_permute, coset_intt, coset_ntt, distribute_powers, intt, ntt, ntt_radix2_in_place,

@@ -2,7 +2,7 @@
 //! quotient computation (Fig. 3: the `h` polynomial pipeline).
 
 use crate::domain::Domain;
-use crate::fast::{ntt_parallel_on, scale_by_powers, TwiddleTable};
+use crate::fast::{coset_scale_on, ntt_parallel_on, TwiddleTable};
 use crate::transform::{coset_intt, coset_ntt, intt, ntt};
 use std::convert::Infallible;
 use zkp_ff::{Field, PrimeField};
@@ -129,7 +129,8 @@ pub enum QuotientStep {
     /// Inverse NTT, in place, *without* the `n⁻¹` scaling — the schedule
     /// folds that into the following coset scaling.
     NttInverse,
-    /// `values[i] *= scale · gⁱ`.
+    /// `values[i] *= n⁻¹·gⁱ`, or `n⁻¹·g^(n−i)` for the final coset INTT:
+    /// one table lookup and one multiplication per element.
     CosetMul,
     /// Forward NTT, in place.
     NttForward,
@@ -138,8 +139,9 @@ pub enum QuotientStep {
 /// The pooled 7-transform quotient schedule `h = (a·b − c)/Z`, fully in
 /// place: three concurrent INTT → coset scaling → NTT chains (one per
 /// input vector; each transform also fans out internally on `pool`), the
-/// chunk-parallel element-wise `a·b − c`, and one final coset INTT whose
-/// scaling pass carries `n⁻¹·Z⁻¹` (`Z` is constant on the coset).
+/// chunk-parallel element-wise `(a·b − c)·Z⁻¹·g⁻ⁿ` (`Z` is constant on the
+/// coset), and one final coset INTT whose scaling pass, `n⁻¹·g^(n−i)`,
+/// completes `n⁻¹·Z⁻¹·g⁻ⁱ`. Every scaling reads the table's coset powers.
 /// Consumes the evaluation vectors and leaves the coefficients of `h` in
 /// `a` (`b`, `c` clobbered as scratch), allocating nothing.
 ///
@@ -183,9 +185,9 @@ where
             ntt_parallel_on(v, table, true, pool)
         })
     };
-    let coset = |v: &mut [F], g: F, scale: F| {
+    let coset = |v: &mut [F], invert: bool| {
         wrap(QuotientStep::CosetMul, v.len(), &mut || {
-            scale_by_powers(pool, v, g, scale)
+            coset_scale_on(v, table, invert, pool)
         })
     };
     let forward = |v: &mut [F]| {
@@ -193,12 +195,11 @@ where
             ntt_parallel_on(v, table, false, pool)
         })
     };
-    let n_inv = domain.size_inv();
     // (1–3) INTT + (4–6) coset NTT per input vector, the INTT's n⁻¹ folded
     // into the coset scaling.
     let intt_then_coset = |v: &mut [F]| -> Result<(), E> {
         inverse(v)?;
-        coset(v, domain.coset_gen(), n_inv)?;
+        coset(v, false)?;
         forward(v)
     };
     let (ra, (rb, rc)) = pool.join(
@@ -208,24 +209,22 @@ where
     ra?;
     rb?;
     rc?;
-    // Element-wise a·b - c. The division by Z — the constant gⁿ - 1 on the
-    // coset — commutes with the linear transform that follows and rides in
-    // its scaling pass. This stays on the pool rather than becoming an op:
-    // it is part of the prover's serial-residual phase, not an accelerated
-    // kernel.
+    // Element-wise a·b - c, times the constants of the final scaling: the
+    // division by Z — the constant gⁿ - 1 on the coset — and the g⁻ⁿ that
+    // turns the reversed table read n⁻¹·g^(n−i) into n⁻¹·g⁻ⁱ. Both commute
+    // with the linear transform between. This stays on the pool rather
+    // than becoming an op: it is part of the prover's serial-residual
+    // phase, not an accelerated kernel.
+    let k = domain.vanishing_on_coset_inv() * domain.coset_gen_inv().pow(&[n as u64]);
     let (b, c): (&[F], &[F]) = (b, c);
     pool.for_each_chunk_mut(a, 4096, |_, offset, chunk| {
         for (j, x) in chunk.iter_mut().enumerate() {
-            *x = *x * b[offset + j] - c[offset + j];
+            *x = (*x * b[offset + j] - c[offset + j]) * k;
         }
     });
-    // (7) coset INTT: back to coefficients of h, scaled by n⁻¹·Z⁻¹.
+    // (7) coset INTT: back to coefficients of h.
     inverse(a)?;
-    coset(
-        a,
-        domain.coset_gen_inv(),
-        n_inv * domain.vanishing_on_coset_inv(),
-    )?;
+    coset(a, true)?;
     Ok(7)
 }
 

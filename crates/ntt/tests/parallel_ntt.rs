@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use zkp_ff::{Field, Fr381};
 use zkp_ntt::{
-    coset_intt, coset_ntt, distribute_powers, distribute_powers_parallel, intt, ntt,
-    ntt_parallel_on, ntt_radix2_in_place, quotient_poly, quotient_poly_in, scale_by_powers,
-    slow_dft, DensePoly, Domain, TwiddleTable,
+    coset_intt, coset_ntt, coset_scale_on, distribute_powers, distribute_powers_parallel, intt,
+    ntt, ntt_parallel_on, ntt_radix2_in_place, quotient_poly, quotient_poly_in, slow_dft,
+    DensePoly, Domain, TwiddleTable,
 };
 use zkp_runtime::ThreadPool;
 
@@ -19,21 +19,25 @@ fn random_vec(n: usize, seed: u64) -> Vec<Fr381> {
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// The expectation: the on-the-fly `ntt` / `intt` (with its `n⁻¹`).
+/// The expectation: the on-the-fly `ntt`, or `intt` (with its `n⁻¹`)
+/// followed by the shift onto the coset, `values[i] *= gⁱ`.
 fn reference(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool) {
     if invert {
         intt(domain, values);
+        distribute_powers(values, domain.coset_gen());
     } else {
         ntt(domain, values);
     }
 }
 
 /// The transform as the prover composes it: the tabled network, and for
-/// the inverse the `n⁻¹` through the fused scaling pass (at `g = 1`).
+/// the inverse the `n⁻¹` and the coset shift through the tabled scaling
+/// pass.
 fn production(domain: &Domain<Fr381>, values: &mut [Fr381], invert: bool, pool: &ThreadPool) {
-    ntt_parallel_on(values, &TwiddleTable::new(domain), invert, pool);
+    let table = TwiddleTable::new(domain);
+    ntt_parallel_on(values, &table, invert, pool);
     if invert {
-        scale_by_powers(pool, values, Fr381::one(), domain.size_inv());
+        coset_scale_on(values, &table, false, pool);
     }
 }
 
@@ -97,37 +101,70 @@ fn adversarial_inputs_match_the_reference() {
 
 #[test]
 fn parallel_distribute_powers_is_bit_identical() {
-    // Large enough to split into several chunks (MIN_CHUNK = 4096).
+    // Large enough to split into several chunks (4 096 elements at least).
     let n = 1 << 14;
     let g = Fr381::from_u64(7);
-    let first = Fr381::from_u64(0x5eed).inverse().expect("non-zero");
     let input = random_vec(n, 99);
     let mut expect = input.clone();
     distribute_powers(&mut expect, g);
-    let expect_scaled: Vec<Fr381> = expect.iter().map(|x| *x * first).collect();
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::with_threads(threads);
         let mut got = input.clone();
         distribute_powers_parallel(&pool, &mut got, g);
         assert_eq!(got, expect, "diverged at {threads} threads");
-        let mut got = input.clone();
-        scale_by_powers(&pool, &mut got, g, first);
-        assert_eq!(
-            got, expect_scaled,
-            "first != 1 diverged at {threads} threads"
-        );
     }
 }
 
+/// The two tabled coset scalings against the serial power chain times a
+/// constant: forward `n⁻¹·gⁱ` is `distribute_powers(g)` by `n⁻¹`, and the
+/// reversed read `n⁻¹·g^(n−i)` is `distribute_powers(g⁻¹)` by `n⁻¹·gⁿ` —
+/// at `i = 0` the table's entry past the domain. 2^13 splits into two
+/// chunks, so the second reads the table from a non-zero offset.
+#[test]
+fn tabled_coset_scalings_match_distribute_powers() {
+    for log_n in [0u32, 1, 2, 11, 13] {
+        let n = 1usize << log_n;
+        let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
+        let table = TwiddleTable::new(&domain);
+        let input = random_vec(n, 70 + u64::from(log_n));
+        let (g, n_inv) = (domain.coset_gen(), domain.size_inv());
+        let scaled = |g: Fr381, k: Fr381| {
+            let mut v = input.clone();
+            distribute_powers(&mut v, g);
+            v.iter().map(|x| *x * k).collect::<Vec<_>>()
+        };
+        let forward = scaled(g, n_inv);
+        let reversed = scaled(domain.coset_gen_inv(), n_inv * g.pow(&[n as u64]));
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPool::with_threads(threads);
+            for (invert, expect) in [(false, &forward), (true, &reversed)] {
+                let mut got = input.clone();
+                coset_scale_on(&mut got, &table, invert, &pool);
+                assert_eq!(
+                    &got, expect,
+                    "n={n} invert={invert} diverged at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+/// Satisfied inputs (`c = a·b` on the domain) from 2^4 up, and an
+/// unconstrained `c` at sizes 1 and 2, where the final scaling's reversed
+/// table read is all boundary.
 #[test]
 fn pooled_quotient_poly_is_bit_identical() {
-    for log_n in [4u32, 11, 13] {
+    for log_n in [0u32, 1, 4, 11, 13] {
         let n = 1usize << log_n;
         let domain = Domain::<Fr381>::new(n as u64).expect("within two-adicity");
         let table = TwiddleTable::new(&domain);
         let a = random_vec(n, 100 + u64::from(log_n));
         let b = random_vec(n, 200 + u64::from(log_n));
-        let c: Vec<Fr381> = a.iter().zip(&b).map(|(x, y)| *x * *y).collect();
+        let c: Vec<Fr381> = if n <= 2 {
+            random_vec(n, 300 + u64::from(log_n))
+        } else {
+            a.iter().zip(&b).map(|(x, y)| *x * *y).collect()
+        };
         let (expect, expect_transforms) = quotient_poly(&domain, &a, &b, &c);
         for threads in THREAD_COUNTS {
             let pool = ThreadPool::with_threads(threads);
@@ -170,7 +207,9 @@ fn degenerate_sizes_agree_with_the_dft() {
             production(&domain, &mut evals, false, pool);
             assert_eq!(evals, expect, "tabled ntt, n={n} threads={threads}");
             production(&domain, &mut evals, true, pool);
-            assert_eq!(evals, input, "tabled round trip, n={n} threads={threads}");
+            let mut shifted = input.clone();
+            distribute_powers(&mut shifted, domain.coset_gen());
+            assert_eq!(evals, shifted, "tabled round trip, n={n} threads={threads}");
         }
 
         // Unconstrained c: the two families must agree on any input, not
